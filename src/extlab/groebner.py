@@ -21,7 +21,6 @@ way and both reduction and S-vector formation are linear.
 
 from __future__ import annotations
 
-import threading
 from heapq import heappop, heappush
 
 import numpy as np
@@ -411,7 +410,6 @@ def _minimalize_exps(gens) -> tuple[tuple[int, ...], ...]:
 
 
 _numerator_memo: dict[tuple, dict[int, int]] = {}
-_numerator_lock = threading.Lock()
 
 
 def monomial_quotient_numerator(
@@ -425,8 +423,7 @@ def monomial_quotient_numerator(
     if any(sum(g) == 0 for g in gens):
         return {}
     key = (weights, gens)
-    with _numerator_lock:
-        hit = _numerator_memo.get(key)
+    hit = _numerator_memo.get(key)
     if hit is not None:
         return hit
     pivot = gens[-1]
@@ -437,8 +434,7 @@ def monomial_quotient_numerator(
         monomial_quotient_numerator(rest, weights),
         _tp_shift(monomial_quotient_numerator(colon, weights), wdeg),
     )
-    with _numerator_lock:
-        _numerator_memo[key] = out
+    _numerator_memo[key] = out
     return out
 
 
@@ -497,7 +493,6 @@ class RingCtx:
             self.length = None
         self._std: dict[int, list[int]] = {}
         self._act: dict[tuple[int, int], np.ndarray] = {}
-        self._lock = threading.RLock()
         # Slot for caches living in higher layers (resolutions, modules).
         self.scratch: dict = {}
 
@@ -523,10 +518,9 @@ class RingCtx:
 
     def std_monomials(self, degree: int) -> list[int]:
         """Monomial basis of R_degree (packed keys, descending)."""
-        with self._lock:
-            hit = self._std.get(degree)
-            if hit is not None:
-                return hit
+        hit = self._std.get(degree)
+        if hit is not None:
+            return hit
         ring = self.ring
         divides = ring.mono_divides
         keys = []
@@ -535,16 +529,14 @@ class RingCtx:
             if not any(divides(lead, k) for lead in self.ideal_leads):
                 keys.append(k)
         keys.sort(reverse=True)
-        with self._lock:
-            self._std[degree] = keys
+        self._std[degree] = keys
         return keys
 
     def action_matrix(self, var: int, degree: int) -> np.ndarray:
         """Matrix of multiplication by x_var from R_degree to R_{degree+w}."""
-        with self._lock:
-            hit = self._act.get((var, degree))
-            if hit is not None:
-                return hit
+        hit = self._act.get((var, degree))
+        if hit is not None:
+            return hit
         ring = self.ring
         src = self.std_monomials(degree)
         dst = self.std_monomials(degree + ring.weights[var])
@@ -556,8 +548,7 @@ class RingCtx:
             red = reduce_vec_by_ideal({self.codec.mkey(prod, 0): 1}, self)
             for k, c in red.items():
                 mat[index[self.codec.mono_of(k)], j] = c
-        with self._lock:
-            self._act[(var, degree)] = mat
+        self._act[(var, degree)] = mat
         return mat
 
     def socle_dims(self) -> list[int]:

@@ -14,7 +14,10 @@ by M's j-th generator degree, and tensors add generator degrees.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvariantViolation
 from .groebner import (
@@ -31,6 +34,7 @@ from .groebner import (
     tp_series,
     tp_value_at_one,
 )
+from .linalg import pivot_columns_mod
 from .poly import Polynomial
 
 
@@ -327,8 +331,8 @@ def _entry_of(ctx: RingCtx, vec: dict, j: int) -> dict[int, int]:
 
 
 def _minimalize(mod: PresentedModule) -> PresentedModule:
-    """Unit-pivot elimination, then discard relation columns that the
-    remaining ones already generate."""
+    """Unit-pivot elimination, which leaves a minimal set of generators,
+    then `minimal_generator_indices` on the relation columns."""
     ctx = mod.ctx
     p = ctx.ring.field.p
     cols = [dict(c) for c in mod.columns]
@@ -357,19 +361,8 @@ def _minimalize(mod: PresentedModule) -> PresentedModule:
             # A column that cancelled entirely is simply dropped.
         cols = new_cols
         twists.pop(j0)
-    # Generator count is now minimal (no unit entries remain); prune columns
-    # that lie in the span of the others, largest degree first.
-    def key(i):
-        return (vec_degree(ctx, cols[i], twists), max(cols[i]))
-
-    alive = sorted(range(len(cols)), key=key, reverse=True)
-    kept = {i: cols[i] for i in range(len(cols))}
-    for i in alive:
-        others = [kept[j] for j in kept if j != i]
-        gbv = module_gb(ctx, others, len(twists), tuple(twists))
-        if gbv.contains(kept[i]):
-            del kept[i]
-    return PresentedModule(ctx, twists, [kept[i] for i in sorted(kept)])
+    keep = minimal_generator_indices(ctx, cols, len(twists), twists)
+    return PresentedModule(ctx, twists, [cols[i] for i in keep])
 
 
 class ModuleMap:
@@ -538,20 +531,39 @@ def minimal_generator_indices(
     twists: Sequence[int],
     modulo: list[dict] | None = None,
 ) -> list[int]:
-    """Indices of a minimal generating subfamily (no member in the span of
-    the others plus `modulo`), pruned from the top degree down."""
+    """Indices of a minimal generating subfamily of `vecs` modulo `modulo`
+    (no kept member lies in the span of the others plus `modulo`).
+
+    Graded Nakayama, one degree at a time: candidates are walked by
+    (degree, lead).  In degree d, the normal form against a Groebner basis
+    of the kept lower-degree candidates plus `modulo` is GF(p)-linear on
+    the degree-d part of the free module, with kernel the degree-d part of
+    that span, so the candidates whose normal forms are pivot columns are
+    exactly the new generators needed there.  Zero vectors are never kept.
+    The indices are returned in ascending order.
+    """
     modulo = modulo or []
-    kept = {i: v for i, v in enumerate(vecs)}
-    order = sorted(
-        kept,
-        key=lambda i: (vec_degree(ctx, vecs[i], twists), max(vecs[i])),
-        reverse=True,
-    )
-    for i in order:
-        others = [kept[j] for j in kept if j != i] + modulo
-        gbv = module_gb(ctx, others, rank, tuple(twists))
-        if gbv.contains(kept[i]):
-            del kept[i]
+    p = ctx.ring.field.p
+    live = [i for i, v in enumerate(vecs) if v]
+    degs = {i: vec_degree(ctx, vecs[i], twists) for i in live}
+    live.sort(key=lambda i: (degs[i], max(vecs[i])))
+    kept: list[int] = []
+    gbv, basis_of = None, -1  # basis of the first `basis_of` kept plus modulo
+    for _, group in groupby(live, key=degs.__getitem__):
+        group = list(group)
+        if basis_of != len(kept):
+            span = [vecs[i] for i in kept] + modulo
+            gbv = module_gb(ctx, span, rank, tuple(twists)) if span else None
+            basis_of = len(kept)
+        forms = [gbv.reduce(vecs[i]) if gbv else reduce_vec_by_ideal(vecs[i], ctx) for i in group]
+        row = {k: r for r, k in enumerate(set().union(*forms))}
+        if not row:
+            continue
+        mat = np.zeros((len(row), len(group)), dtype=np.int64)
+        for c, form in enumerate(forms):
+            for k, v in form.items():
+                mat[row[k], c] = v
+        kept.extend(group[c] for c in pivot_columns_mod(mat, p))
     return sorted(kept)
 
 

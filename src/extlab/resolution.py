@@ -3,8 +3,11 @@
 A `Resolution` is grown lazily one syzygy step at a time, with two
 interchangeable engines: a Groebner one (works over any context) and a
 degreewise linear-algebra one for artinian contexts, where every kernel is
-a finite-dimensional nullspace and generators come from graded Nakayama.
-Both produce minimal resolutions, so ranks are Betti numbers as computed.
+a finite-dimensional nullspace.  Both choose generators by graded
+Nakayama, degree by degree: the linear engine as a complement of the
+image of the kernels below, the Groebner engine through the shared
+`modules.minimal_generator_indices`.  Both produce minimal resolutions, so
+ranks are Betti numbers as computed.
 
 Derived functors come in two flavours that share no code path:
 
@@ -25,7 +28,6 @@ an explicit pairing differential in homological degree zero.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,8 +121,7 @@ class Resolution:
     `twists_of(i)` lists the generator degrees of the i-th term and
     `diff(i)` the columns of d_i : F_i -> F_{i-1}.  Once a step produces no
     generators the projective dimension is recorded and all later terms
-    are zero.  Extension is serialized by a lock; readers of already
-    computed data are safe.
+    are zero.
     """
 
     def __init__(self, module: PresentedModule, backend: str = "auto"):
@@ -137,20 +138,19 @@ class Resolution:
         self._diffs: list[list[dict]] = []
         # -1 marks the zero module (empty resolution).
         self._pd: int | None = -1 if self.module.rank0 == 0 else None
-        self._lock = threading.Lock()
+        self._syz: dict[int, PresentedModule] = {}
 
     def known_pd(self) -> int | None:
         """Projective dimension if the resolution has terminated, else None."""
         return self._pd
 
     def extend_to(self, n: int, *, rank_budget: int | None = None) -> "Resolution":
-        with self._lock:
-            while self._pd is None and len(self._twists) - 1 < n:
-                if rank_budget is not None and sum(len(t) for t in self._twists) > rank_budget:
-                    raise ResourceCapError(
-                        f"resolution of {self.module!r} passed {rank_budget} total generators"
-                    )
-                self._step()
+        while self._pd is None and len(self._twists) - 1 < n:
+            if rank_budget is not None and sum(len(t) for t in self._twists) > rank_budget:
+                raise ResourceCapError(
+                    f"resolution of {self.module!r} passed {rank_budget} total generators"
+                )
+            self._step()
         return self
 
     def _step(self):
@@ -196,16 +196,25 @@ class Resolution:
         return BettiTable.of(self, upto)
 
     def syzygy_module(self, i: int) -> PresentedModule:
-        """The i-th syzygy, presented on the generators of F_i."""
+        """The i-th syzygy, presented on the generators of F_i.
+
+        Built once per index, so the caches it carries (its dual, its
+        minimal presentation) serve every later caller.
+        """
         if i < 0:
             raise ValueError("use negative_syzygy below index zero")
         if i == 0:
             return self.module
-        self.extend_to(i + 1)
-        twists = self.twists_of(i)
-        if not twists:
-            return PresentedModule.zero(self.ctx)
-        return PresentedModule(self.ctx, twists, [dict(c) for c in self.diff(i + 1)])
+        hit = self._syz.get(i)
+        if hit is None:
+            self.extend_to(i + 1)
+            twists = self.twists_of(i)
+            if twists:
+                hit = PresentedModule(self.ctx, twists, [dict(c) for c in self.diff(i + 1)])
+            else:
+                hit = PresentedModule.zero(self.ctx)
+            self._syz[i] = hit
+        return hit
 
 
 def resolution_of(mod: PresentedModule, backend: str = "auto") -> Resolution:

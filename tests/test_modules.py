@@ -5,9 +5,11 @@ the artinian cases use GF(101)[x,y]/(x^2,y^2), whose socle is spanned by
 x*y in degree 2.
 """
 
+from collections import Counter
+
 import pytest
 
-from extlab.groebner import RingCtx
+from extlab.groebner import RingCtx, module_gb, syzygies_for
 from extlab.modules import (
     ModuleMap,
     PresentedModule,
@@ -16,12 +18,15 @@ from extlab.modules import (
     evaluation_map,
     hom_module,
     hom_with_lifts,
+    minimal_generator_indices,
     stable_hom,
     tensor_module,
+    vec_degree,
     vec_from_entries,
     vec_poly_submul,
 )
 from extlab.poly import FieldSpec, PolyRing
+from extlab.vanishing import ExperimentConfig, random_pair
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +243,95 @@ def test_vec_from_entries_roundtrip(plane):
 
     back = entries_from_vec(plane, vec, 2)
     assert [str(f) for f in back] == ["x^2 + y", "3*x"]
+
+
+# -- minimal generators: graded Nakayama against leave-one-out ----------------
+
+
+def _leave_one_out(ctx, vecs, rank, twists, modulo):
+    """Oracle: drop, top degree first, every candidate that the remaining
+    ones plus `modulo` already span, one Groebner basis per candidate."""
+    kept = {i: v for i, v in enumerate(vecs) if v}  # zero is never a generator
+    order = sorted(kept, key=lambda i: (vec_degree(ctx, vecs[i], twists), max(vecs[i])), reverse=True)
+    for i in order:
+        others = [kept[j] for j in kept if j != i] + modulo
+        if module_gb(ctx, others, rank, tuple(twists)).contains(kept[i]):
+            del kept[i]
+    return sorted(kept)
+
+
+def _syzygy_family(mod):
+    """Unpruned syzygies of a module's relation columns."""
+    syz, _ = syzygies_for(mod.ctx, list(mod.columns), mod.rank0, mod.col_degrees, mod.row_twists)
+    return syz, len(mod.columns), mod.col_degrees, []
+
+
+def _kernel_family(mod):
+    """Unpruned kernel generators of (f_v) |-> sum_v x_v f_v from copies of
+    mod(-1), one per variable, to mod; the source relations are `modulo`."""
+    ctx = mod.ctx
+    codec = ctx.codec
+    src = PresentedModule.zero(ctx)
+    for _ in ctx.ring.gens():
+        src = src.direct_sum(mod.shifted(1))
+    cols = [
+        {codec.mkey(g.leading_key(), j): 1}
+        for g in ctx.ring.gens()
+        for j in range(mod.rank0)
+    ]
+    phi = ModuleMap(src, mod, cols)
+    fam = list(phi.columns) + list(mod.columns)
+    degs = src.row_twists + mod.col_degrees
+    syz, _ = syzygies_for(ctx, fam, mod.rank0, degs, mod.row_twists)
+    m = src.rank0
+    gens = [{k: c for k, c in v.items() if codec.comp_of(k) < m} for v in syz]
+    return [g for g in gens if g], m, src.row_twists, list(src.columns)
+
+
+def _with_zero_and_copy(ctx, family):
+    """The family plus a zero vector and a scalar multiple of its first
+    member, both placed among the other candidates."""
+    vecs, rank, twists, modulo = family
+    p = ctx.ring.field.p
+    double = {k: 2 * c % p for k, c in vecs[0].items()}
+    return [vecs[0], {}] + vecs[1:] + [double], rank, twists, modulo
+
+
+def _oracle_corpus(ctx, seed, pairs):
+    cfg = ExperimentConfig(seed=seed)
+    out = []
+    for i in range(pairs):
+        for mod in random_pair(cfg, ctx, i):
+            mm = mod.minimal_presentation()
+            if not mm.columns:
+                continue
+            syz = _syzygy_family(mm)
+            if syz[0]:
+                out.append(syz)
+                out.append(_with_zero_and_copy(ctx, syz))
+            ker = _kernel_family(mm)
+            if ker[0]:
+                out.append(ker)
+    return out
+
+
+@pytest.mark.parametrize("ring, seed, pairs", [("quadric", 5, 4), ("gor5", 6, 3), ("nilsquares", 7, 4)])
+def test_minimal_generators_match_leave_one_out(request, ring, seed, pairs):
+    ctx = request.getfixturevalue(ring)
+    corpus = _oracle_corpus(ctx, seed, pairs)
+    assert any(fam[3] for fam in corpus) and any({} in fam[0] for fam in corpus)
+    for vecs, rank, twists, modulo in corpus:
+        keep = minimal_generator_indices(ctx, vecs, rank, twists, modulo)
+        oracle = _leave_one_out(ctx, vecs, rank, twists, modulo)
+
+        def by_degree(idx):
+            return Counter(vec_degree(ctx, vecs[i], twists) for i in idx)
+
+        assert by_degree(keep) == by_degree(oracle)
+        kept = [vecs[i] for i in keep]
+        span = module_gb(ctx, kept + modulo, rank, tuple(twists))
+        whole = module_gb(ctx, [v for v in vecs if v] + modulo, rank, tuple(twists))
+        assert span.elements == whole.elements
+        for i in keep:
+            others = [vecs[j] for j in keep if j != i] + modulo
+            assert not module_gb(ctx, others, rank, tuple(twists)).contains(vecs[i])

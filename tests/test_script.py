@@ -8,9 +8,11 @@ documented lattice: parse 5 > violation 3 > resource 4 > hypothesis 2 > 0.
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from extlab import groebner
 from extlab.cli import main
 from extlab.errors import ParseError
 from extlab.script import (
@@ -29,6 +31,7 @@ from extlab.script import (
 from extlab.vanishing import CheckReport
 
 NILSQUARES = "ring A = GF(101)[x, y] / (x^2, y^2);\n"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_text(text, **kw):
@@ -346,3 +349,31 @@ def test_cli_seed_flag_reaches_harness(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     report = data["statements"][1]["result"]["report"]
     assert report["config"]["seed"] == 9
+
+
+# -- work counts ----------------------------------------------------------------
+
+
+def test_example_2_3_groebner_work_is_pinned(monkeypatch):
+    # Buchberger runs are deterministic, so the canned quadric script's
+    # Groebner work is pinned as an exact count: 232 with minimal generators
+    # chosen degree by degree (1886 when every candidate had its own
+    # leave-one-out basis).  The answers must not move with the count.
+    runs = 0
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    rep = run_script(parse_script((SCRIPTS / "example-2-3.gor").read_text()), RunFlags())
+    assert rep["exit_code"] == EXIT_OK
+    by_kind = {st["kind"]: st["result"] for st in rep["statements"]}
+    dims = by_kind["scan"]["scan"]["dims"]
+    assert [dims[str(i)] for i in range(1, 11)] == [0, 1] + [8] * 8
+    assert by_kind["betti"]["betti"]["entries"] == [
+        {"homological": i, "internal": i + 1, "rank": 8 if i else 7} for i in range(9)
+    ]
+    assert runs == 232
