@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"extlab: {args.script}:{e}", file=sys.stderr)
         return EXIT_PARSE
     flags = RunFlags(seed=args.seed, window=args.window, degree_cap=args.degree_cap,
-                     timeout_secs=args.timeout_secs, format=args.format)
+                     timeout_secs=args.timeout_secs)
     report = run_script(script, flags)
     if args.format == "json":
         sys.stdout.write(report_json(report))

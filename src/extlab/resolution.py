@@ -9,14 +9,24 @@ image of the kernels below, the Groebner engine through the shared
 `modules.minimal_generator_indices`.  Both produce minimal resolutions, so
 ranks are Betti numbers as computed.
 
-Derived functors come in two flavours that share no code path:
+Derived functors come by two routes that share no homology code.  Each
+route has one body for both functors, keyed by kind ("ext" or "tor"):
 
-* `ext` / `tor` resolve the first argument and take homology of the
-  induced Hom or tensor complex, producing actual presented modules;
-* `ext_via_complete` / `tor_via_complete` pass through a high syzygy and
-  its dual, exchanging the two functors against each other.  This route is
-  only valid over a Gorenstein context for maximal Cohen-Macaulay input,
-  in a window of indices determined by how far the syzygy was taken.
+* The direct route resolves the first argument and takes homology of the
+  induced Hom or tensor complex.  `ext` / `tor` produce presented modules
+  (`_direct_modules`).  `derived_dims` returns graded dimensions: over an
+  artinian context as ranks of degreewise matrices, without building a
+  module (`_degreewise_dims`), elsewhere as the Hilbert function of the
+  module, with None for infinite length.  `ext_profile` / `tor_profile`
+  are `derived_dims` refusing infinite length.  Ext and Tor differ only
+  in twist sign, degree window and which neighbouring differential is
+  outgoing; one free-cover column builder (`_step_cols`) and one
+  degreewise matrix builder (`_matrix_builder`) serve both.
+* The complete route, `ext_via_complete` / `tor_via_complete`
+  (`_via_complete`), passes through a high syzygy and its dual and reads
+  each functor off the opposite one.  It is only valid over a Gorenstein
+  context for maximal Cohen-Macaulay input, in a window of indices
+  determined by how far the syzygy was taken.
 
 Agreement of the two routes on their common range is a regression anchor,
 not an implementation convenience: they must stay independent.
@@ -370,43 +380,27 @@ def _sum_of_shifts(ctx: RingCtx, base: PresentedModule, shifts: Sequence[int]) -
     return out
 
 
-def _hom_step_cols(ctx, diff_cols, src_rank, rb, p):
-    """Free-cover columns of Hom(F_{j-1}, N) -> Hom(F_j, N) induced by d_j.
-
-    Source generators run over (s', t) with s' a generator of F_{j-1} and t
-    one of N's; the image collects the (s', s) entries of d_j into copy s.
+def _step_cols(kind, res, j, rb):
+    """Free-cover columns of the map induced by d_j on sums of copies of N:
+    Hom(F_{j-1}, N) -> Hom(F_j, N) for ext, F_j (x) N -> F_{j-1} (x) N for
+    tor.  Generator s * rb + t is the t-th generator of N in copy s.
     """
-    codec = ctx.codec
-    cols = []
-    for sp in range(src_rank):
-        for t in range(rb):
-            vec: dict[int, int] = {}
-            for s, col in enumerate(diff_cols):
-                f = _entry_of(ctx, col, sp)
-                for mk, c in f.items():
-                    key = codec.mkey(mk, s * rb + t)
-                    v = (vec.get(key, 0) + c) % p
-                    if v:
-                        vec[key] = v
-                    else:
-                        vec.pop(key, None)
-            cols.append(vec)
-    return cols
-
-
-def _tensor_step_cols(ctx, diff_cols, rb):
-    """Free-cover columns of F_j (x) N -> F_{j-1} (x) N induced by d_j."""
-    codec = ctx.codec
-    cols = []
-    for col in diff_cols:
-        parts = _split_entries(ctx, col)
-        for t in range(rb):
-            vec = {}
-            for sp, f in enumerate(parts):
-                for mk, c in f.items():
-                    vec[codec.mkey(mk, sp * rb + t)] = c
-            cols.append(vec)
-    return cols
+    codec = res.ctx.codec
+    parts = (_split_entries(res.ctx, col) for col in res.diff(j))
+    if kind == "ext":
+        # Hom(d_j, N) is d_j transposed: copy sp of the source collects the
+        # (sp, s) entries of d_j into copy s.
+        cols: list[dict] = [{} for _ in range(res.rank(j - 1) * rb)]
+        for s, entries in enumerate(parts):
+            for sp, f in enumerate(entries):
+                for t in range(rb):
+                    cols[sp * rb + t].update({codec.mkey(mk, s * rb + t): c for mk, c in f.items()})
+        return cols
+    return [
+        {codec.mkey(mk, sp * rb + t): c for sp, f in enumerate(entries) for mk, c in f.items()}
+        for entries in parts
+        for t in range(rb)
+    ]
 
 
 def _homology_between(ctx, X, out_map, in_cols):
@@ -436,195 +430,154 @@ def _check_pair(M: PresentedModule, N: PresentedModule):
         raise ValueError("arguments live over different contexts")
 
 
-def ext(M: PresentedModule, N: PresentedModule, indices: Iterable[int]) -> ExtTorResult:
-    """Right derived Hom, computed from a minimal resolution of M."""
+def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) -> ExtTorResult:
+    """Body of `ext` and `tor`: homology of Hom(F, N) or F (x) N, with F a
+    minimal resolution of M, as presented modules."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
     if not idxs:
-        return ExtTorResult("ext", "direct", [])
+        return ExtTorResult(kind, "direct", [])
     if idxs[0] < 0:
         raise ValueError("derived-functor indices start at 0")
     Mm = M.minimal_presentation()
     Nm = N.minimal_presentation()
     res = resolution_of(Mm)
     res.extend_to(idxs[-1] + 1)
-    out = ExtTorResult("ext", "direct", idxs)
-    p = ctx.ring.field.p
+    out = ExtTorResult(kind, "direct", idxs)
+    # Hom(F_i, N) is a sum of copies N(-a), F_i (x) N one of copies N(a);
+    # the outgoing differential leads to index i + step.
+    sign, step = (-1, 1) if kind == "ext" else (1, -1)
     rb = Nm.rank0
     for i in idxs:
-        ti = res.twists_of(i)
-        if not ti or rb == 0:
-            out.record_module(i, PresentedModule.zero(ctx))
-            continue
-        X = _sum_of_shifts(ctx, Nm, [-a for a in ti])
-        tnext = res.twists_of(i + 1)
-        Xnext = _sum_of_shifts(ctx, Nm, [-a for a in tnext])
-        psi_out = ModuleMap(
-            X, Xnext, _hom_step_cols(ctx, res.diff(i + 1), len(ti), rb, p), check=False
-        )
-        in_cols = []
-        if i >= 1 and res.rank(i - 1):
-            in_cols = _hom_step_cols(ctx, res.diff(i), res.rank(i - 1), rb, p)
-        out.record_module(i, _homology_between(ctx, X, psi_out, in_cols))
-    return out
-
-
-def tor(M: PresentedModule, N: PresentedModule, indices: Iterable[int]) -> ExtTorResult:
-    """Left derived tensor, computed from a minimal resolution of M."""
-    _check_pair(M, N)
-    ctx = M.ctx
-    idxs = sorted(set(indices))
-    if not idxs:
-        return ExtTorResult("tor", "direct", [])
-    if idxs[0] < 0:
-        raise ValueError("derived-functor indices start at 0")
-    Mm = M.minimal_presentation()
-    Nm = N.minimal_presentation()
-    res = resolution_of(Mm)
-    res.extend_to(idxs[-1] + 1)
-    out = ExtTorResult("tor", "direct", idxs)
-    rb = Nm.rank0
-    for i in idxs:
-        if i == 0:
+        if kind == "tor" and i == 0:
             out.record_module(i, tensor_module(Mm, Nm))
             continue
         ti = res.twists_of(i)
         if not ti or rb == 0:
             out.record_module(i, PresentedModule.zero(ctx))
             continue
-        T = _sum_of_shifts(ctx, Nm, list(ti))
-        Tprev = _sum_of_shifts(ctx, Nm, list(res.twists_of(i - 1)))
-        tau = ModuleMap(T, Tprev, _tensor_step_cols(ctx, res.diff(i), rb), check=False)
-        in_cols = _tensor_step_cols(ctx, res.diff(i + 1), rb) if res.rank(i + 1) else []
-        out.record_module(i, _homology_between(ctx, T, tau, in_cols))
+        X = _sum_of_shifts(ctx, Nm, [sign * a for a in ti])
+        Xout = _sum_of_shifts(ctx, Nm, [sign * a for a in res.twists_of(i + step)])
+        out_map = ModuleMap(X, Xout, _step_cols(kind, res, max(i, i + step), rb), check=False)
+        back = i - step
+        in_cols = []
+        if back >= 0 and res.rank(back):
+            in_cols = _step_cols(kind, res, max(i, back), rb)
+        out.record_module(i, _homology_between(ctx, X, out_map, in_cols))
     return out
 
 
-# -- Ext and Tor, graded-dimension fast path (artinian) ---------------------------
+def ext(M: PresentedModule, N: PresentedModule, indices: Iterable[int]) -> ExtTorResult:
+    """Right derived Hom, computed from a minimal resolution of M."""
+    return _direct_modules("ext", M, N, indices)
 
 
-def _hom_matrix_at(ctx, nreal, diff_cols, src_twists, dst_twists, d, p):
-    """Degree-d matrix of the induced map Hom(F_j, N) -> Hom(F_{j+1}, N)."""
-    rows = [nreal.dim(d + a) for a in dst_twists]
-    cols = [nreal.dim(d + a) for a in src_twists]
-    mat = np.zeros((sum(rows), sum(cols)), dtype=np.int64)
-    roff = np.concatenate([[0], np.cumsum(rows)])
-    coff = np.concatenate([[0], np.cumsum(cols)])
-    for s, col in enumerate(diff_cols):
-        if not rows[s]:
-            continue
-        parts = _split_entries(ctx, col)
-        for sp, f in enumerate(parts):
-            if f and cols[sp]:
-                blk = nreal.poly_action(f, d + src_twists[sp], dst_twists[s] - src_twists[sp])
-                mat[roff[s]:roff[s + 1], coff[sp]:coff[sp + 1]] = blk
-    return mat
+def tor(M: PresentedModule, N: PresentedModule, indices: Iterable[int]) -> ExtTorResult:
+    """Left derived tensor, computed from a minimal resolution of M."""
+    return _direct_modules("tor", M, N, indices)
 
 
-def _tor_matrix_at(ctx, nreal, diff_cols, src_twists, dst_twists, d, p):
-    """Degree-d matrix of the induced map F_j (x) N -> F_{j-1} (x) N."""
-    rows = [nreal.dim(d - a) for a in dst_twists]
-    cols = [nreal.dim(d - a) for a in src_twists]
-    mat = np.zeros((sum(rows), sum(cols)), dtype=np.int64)
-    roff = np.concatenate([[0], np.cumsum(rows)])
-    coff = np.concatenate([[0], np.cumsum(cols)])
-    for s, col in enumerate(diff_cols):
-        if not cols[s]:
-            continue
-        parts = _split_entries(ctx, col)
-        for sp, f in enumerate(parts):
-            if f and rows[sp]:
-                blk = nreal.poly_action(f, d - src_twists[s], src_twists[s] - dst_twists[sp])
-                mat[roff[sp]:roff[sp + 1], coff[s]:coff[s + 1]] = blk
-    return mat
-
-
-def ext_profile(M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
-    """Graded dimensions of the i-th right derived Hom.
-
-    Over an artinian context this is pure degreewise linear algebra and
-    never builds the homology module; elsewhere it falls back to `ext` and
-    requires the value to have finite length.
+def _matrix_builder(kind, nreal, res, j):
+    """Degree-d matrices, as a function of d, of the map induced by
+    d_j : F_j -> F_{j-1}: Hom(F_{j-1}, N) -> Hom(F_j, N) for ext,
+    F_j (x) N -> F_{j-1} (x) N for tor.  Entry (sp, s) of d_j is the sp-th
+    component of its s-th column.
     """
-    _check_pair(M, N)
-    ctx = M.ctx
-    if not ctx.is_artinian:
-        E = ext(M, N, [i]).modules[i]
-        hf = E._finite_hf()
-        if hf is None:
-            raise ValueError("graded profile of an infinite-length value")
-        return dict(hf)
-    Mm = M.minimal_presentation()
-    Nm = N.minimal_presentation()
-    res = resolution_of(Mm)
+    lo, hi = res.twists_of(j - 1), res.twists_of(j)
+    entries = [
+        (sp, s, f)
+        for s, col in enumerate(res.diff(j))
+        for sp, f in enumerate(_split_entries(res.ctx, col))
+        if f
+    ]
+    if kind == "ext":
+        # Hom(F, N)_d = (+)_a N_{d+a}, and Hom(d_j, N) is d_j transposed.
+        row_tw, col_tw, sign = hi, lo, 1
+        blocks = [(s, sp, f) for sp, s, f in entries]
+    else:
+        # (F (x) N)_d = (+)_a N_{d-a}, and d_j (x) N keeps d_j's layout.
+        row_tw, col_tw, sign = lo, hi, -1
+        blocks = entries
+
+    def at(d):
+        rows = [nreal.dim(d + sign * a) for a in row_tw]
+        cols = [nreal.dim(d + sign * a) for a in col_tw]
+        mat = np.zeros((sum(rows), sum(cols)), dtype=np.int64)
+        roff = np.concatenate([[0], np.cumsum(rows)])
+        coff = np.concatenate([[0], np.cumsum(cols)])
+        for r, c, f in blocks:
+            if rows[r] and cols[c]:
+                blk = nreal.poly_action(f, d + sign * col_tw[c], sign * (row_tw[r] - col_tw[c]))
+                mat[roff[r]:roff[r + 1], coff[c]:coff[c + 1]] = blk
+        return mat
+
+    return at
+
+
+def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
+    """Graded dimensions of the i-th value over an artinian context, as
+    dim - rank - rank of degree-d matrices; no homology module is built."""
+    res = resolution_of(M.minimal_presentation())
     res.extend_to(i + 1)
     ti = res.twists_of(i)
-    nreal = FiniteLengthRealization.from_module(Nm)
+    nreal = FiniteLengthRealization.from_module(N.minimal_presentation())
     if not ti or nreal.is_zero():
         return {}
-    p = ctx.ring.field.p
+    p = M.ctx.ring.field.p
+    shifts = [a if kind == "ext" else -a for a in ti]
+    # d_i and d_{i+1}, each where both of its ends are nonzero
+    maps = [
+        _matrix_builder(kind, nreal, res, j)
+        for j in (i, i + 1)
+        if j >= 1 and res.rank(j - 1) and res.rank(j)
+    ]
     nbot, ntop = min(nreal.degrees()), max(nreal.degrees())
     out: dict[int, int] = {}
-    for d in range(nbot - max(ti), ntop - min(ti) + 1):
-        total = sum(nreal.dim(d + a) for a in ti)
-        if not total:
+    for d in range(nbot - max(shifts), ntop - min(shifts) + 1):
+        h = sum(nreal.dim(d + s) for s in shifts)
+        if not h:
             continue
-        h = total
-        if res.rank(i + 1):
-            h -= rank_mod(
-                _hom_matrix_at(ctx, nreal, res.diff(i + 1), ti, res.twists_of(i + 1), d, p), p
-            )
-        if i >= 1 and res.rank(i - 1):
-            h -= rank_mod(
-                _hom_matrix_at(ctx, nreal, res.diff(i), res.twists_of(i - 1), ti, d, p), p
-            )
+        for matrix_at in maps:
+            h -= rank_mod(matrix_at(d), p)
         if h < 0:
             raise InvariantViolation("negative homology dimension")
         if h:
             out[d] = h
     return out
+
+
+def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int] | None:
+    """Graded dimensions of Ext^i(M, N) (kind "ext") or Tor_i(M, N) ("tor"),
+    or None when the value has infinite length.
+
+    Over an artinian context these are ranks of degreewise matrices and no
+    homology module is built; elsewhere they are the Hilbert function of
+    the module that `ext` / `tor` produce.
+    """
+    if kind not in ("ext", "tor"):
+        raise ValueError(f"unknown derived functor {kind!r}")
+    _check_pair(M, N)
+    if M.ctx.is_artinian:
+        return _degreewise_dims(kind, M, N, i)
+    return (ext if kind == "ext" else tor)(M, N, [i]).graded_of(i)
+
+
+def _finite_profile(dims: dict[int, int] | None) -> dict[int, int]:
+    if dims is None:
+        raise ValueError("graded profile of an infinite-length value")
+    return dims
+
+
+def ext_profile(M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
+    """Graded dimensions of the i-th right derived Hom (`derived_dims`);
+    ValueError when the value has infinite length."""
+    return _finite_profile(derived_dims("ext", M, N, i))
 
 
 def tor_profile(M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
     """Graded dimensions of the i-th left derived tensor (see ext_profile)."""
-    _check_pair(M, N)
-    ctx = M.ctx
-    if not ctx.is_artinian:
-        T = tor(M, N, [i]).modules[i]
-        hf = T._finite_hf()
-        if hf is None:
-            raise ValueError("graded profile of an infinite-length value")
-        return dict(hf)
-    Mm = M.minimal_presentation()
-    Nm = N.minimal_presentation()
-    res = resolution_of(Mm)
-    res.extend_to(i + 1)
-    ti = res.twists_of(i)
-    nreal = FiniteLengthRealization.from_module(Nm)
-    if not ti or nreal.is_zero():
-        return {}
-    p = ctx.ring.field.p
-    nbot, ntop = min(nreal.degrees()), max(nreal.degrees())
-    out: dict[int, int] = {}
-    for d in range(nbot + min(ti), ntop + max(ti) + 1):
-        total = sum(nreal.dim(d - a) for a in ti)
-        if not total:
-            continue
-        h = total
-        if i >= 1 and res.rank(i - 1):
-            h -= rank_mod(
-                _tor_matrix_at(ctx, nreal, res.diff(i), ti, res.twists_of(i - 1), d, p), p
-            )
-        if res.rank(i + 1):
-            h -= rank_mod(
-                _tor_matrix_at(ctx, nreal, res.diff(i + 1), res.twists_of(i + 1), ti, d, p), p
-            )
-        if h < 0:
-            raise InvariantViolation("negative homology dimension")
-        if h:
-            out[d] = h
-    return out
+    return _finite_profile(derived_dims("tor", M, N, i))
 
 
 # -- depth, MCM and Gorenstein tests ----------------------------------------------
@@ -777,7 +730,14 @@ def negative_syzygy(mod: PresentedModule, i: int) -> PresentedModule:
 # -- Ext and Tor through the dual route --------------------------------------------
 
 
-def _dual_route_setup(M: PresentedModule, idxs: list[int], t: int | None):
+def _via_complete(kind: str, M: PresentedModule, N: PresentedModule, indices, t) -> ExtTorResult:
+    """Body of `ext_via_complete` and `tor_via_complete`: the value at i is
+    the opposite functor's value at t - i - 1 on the dual of the t-th
+    syzygy of M."""
+    _check_pair(M, N)
+    idxs = sorted(set(indices))
+    if not idxs:
+        return ExtTorResult(kind, "complete", [])
     if t is None:
         t = max(idxs) + 2
     if min(idxs) < 1 or max(idxs) > t - 2:
@@ -788,7 +748,17 @@ def _dual_route_setup(M: PresentedModule, idxs: list[int], t: int | None):
     mm = M.minimal_presentation()
     if mm.rank0 and not is_mcm(mm):
         raise HypothesisNotMet("the dual route needs a maximal Cohen-Macaulay module")
-    return dual_module(syzygy(mm, t)), t
+    D = dual_module(syzygy(mm, t))
+    out = ExtTorResult(kind, "complete", idxs)
+    if ctx.is_artinian:
+        profile = tor_profile if kind == "ext" else ext_profile
+        for i in idxs:
+            out.record_dims(i, profile(D, N, t - i - 1))
+    else:
+        inner = (tor if kind == "ext" else ext)(D, N, [t - i - 1 for i in idxs])
+        for i in idxs:
+            out.record_module(i, inner.modules[t - i - 1])
+    return out
 
 
 def ext_via_complete(
@@ -796,37 +766,11 @@ def ext_via_complete(
 ) -> ExtTorResult:
     """Right derived Hom computed by exchange: pass to a high syzygy, dualize,
     and read the answer off the complementary left derived tensor."""
-    _check_pair(M, N)
-    idxs = sorted(set(indices))
-    if not idxs:
-        return ExtTorResult("ext", "complete", [])
-    D, t = _dual_route_setup(M, idxs, t)
-    out = ExtTorResult("ext", "complete", idxs)
-    if M.ctx.is_artinian:
-        for i in idxs:
-            out.record_dims(i, tor_profile(D, N, t - i - 1))
-    else:
-        inner = tor(D, N, [t - i - 1 for i in idxs])
-        for i in idxs:
-            out.record_module(i, inner.modules[t - i - 1])
-    return out
+    return _via_complete("ext", M, N, indices, t)
 
 
 def tor_via_complete(
     M: PresentedModule, N: PresentedModule, indices: Iterable[int], t: int | None = None
 ) -> ExtTorResult:
     """Left derived tensor computed by exchange through a dualized syzygy."""
-    _check_pair(M, N)
-    idxs = sorted(set(indices))
-    if not idxs:
-        return ExtTorResult("tor", "complete", [])
-    D, t = _dual_route_setup(M, idxs, t)
-    out = ExtTorResult("tor", "complete", idxs)
-    if M.ctx.is_artinian:
-        for i in idxs:
-            out.record_dims(i, ext_profile(D, N, t - i - 1))
-    else:
-        inner = ext(D, N, [t - i - 1 for i in idxs])
-        for i in idxs:
-            out.record_module(i, inner.modules[t - i - 1])
-    return out
+    return _via_complete("tor", M, N, indices, t)

@@ -202,26 +202,30 @@ class Script:
     statements: list[Statement] = field(default_factory=list)
 
 
-# expression functions: name -> (module argument count, trailing int count)
+# The tables name their functions instead of holding them: the runner looks
+# each name up in this module's globals at call time, so a rebinding of the
+# module attribute (a test's monkeypatch, a tracing wrapper) reaches the call.
+
+# expression functions: name -> (function, module argument count, trailing int count)
 _EXPR_FUNCS = {
-    "syzygy": (1, 1),
-    "dual": (1, 0),
-    "matlis": (1, 0),
-    "hom": (2, 0),
-    "tensor": (2, 0),
-    "stablehom": (2, 0),
+    "syzygy": ("syzygy", 1, 1),
+    "dual": ("dual_module", 1, 0),
+    "matlis": ("matlis_dual_module", 1, 0),
+    "hom": ("hom_module", 2, 0),
+    "tensor": ("tensor_module", 2, 0),
+    "stablehom": ("stable_hom", 2, 0),
 }
 
-# check name -> (module arg count, window arg optional)
+# check name -> (checker, module arg count, takes an optional window)
 _CHECKS = {
-    "theorem21": (2, True),
-    "symmetry": (2, True),
-    "corollary42": (2, True),
-    "lescot": (1, False),
-    "lemma36": (2, False),
-    "theorem59": (2, False),
-    "stablesuite": (2, False),
-    "prop43": (2, True),
+    "theorem21": ("tail_equivalence_check", 2, True),
+    "symmetry": ("symmetry_check", 2, True),
+    "corollary42": ("tor_duality_check", 2, True),
+    "lescot": ("lescot_betti_check", 1, False),
+    "lemma36": ("free_or_nonvanishing_check", 2, False),
+    "theorem59": ("tensor_mcm_check", 2, False),
+    "stablesuite": ("stable_suite_check", 2, False),
+    "prop43": ("external_product_check", 2, True),
 }
 
 _SEARCHES = ("harness", "lemma36", "symmetry")
@@ -406,7 +410,7 @@ class _Parser:
         spec = _EXPR_FUNCS.get(t.text)
         if spec is None:
             raise ParseError(f"unknown operation {t.text!r}", t.line, t.col)
-        nmod, nint = spec
+        _, nmod, nint = spec
         self._expect("(")
         args = []
         for j in range(nmod):
@@ -445,7 +449,7 @@ class _Parser:
             known = ", ".join(sorted(_CHECKS))
             raise ParseError(f"unknown check {name.text!r} (known: {known})",
                              name.line, name.col)
-        nmod, windowed = spec
+        _, nmod, windowed = spec
         self._expect("(")
         args = []
         for j in range(nmod):
@@ -508,7 +512,6 @@ class RunFlags:
     window: int = 10
     degree_cap: int = 64
     timeout_secs: float | None = None
-    format: str = "json"
 
 
 class _Runner:
@@ -539,19 +542,7 @@ class _Runner:
         if isinstance(expr, Name):
             return self._module_of(self.env[expr.ident])
         args = [self._eval(a) if isinstance(a, (Name, Call)) else a for a in expr.args]
-        if expr.func == "syzygy":
-            return syzygy(args[0], args[1])
-        if expr.func == "dual":
-            return dual_module(args[0])
-        if expr.func == "matlis":
-            return matlis_dual_module(args[0])
-        if expr.func == "hom":
-            return hom_module(args[0], args[1])
-        if expr.func == "tensor":
-            return tensor_module(args[0], args[1])
-        if expr.func == "stablehom":
-            return stable_hom(args[0], args[1])
-        raise InvariantViolation(f"unhandled expression {expr.func}")
+        return globals()[_EXPR_FUNCS[expr.func][0]](*args)
 
     def _expr_label(self, expr) -> str:
         if isinstance(expr, Name):
@@ -625,21 +616,19 @@ class _Runner:
             "length": ctx.length,
         }
 
+    def _bind_module(self, name: str, mod: PresentedModule) -> dict:
+        self.env[name] = mod
+        m = mod.minimal_presentation()
+        return {"module": name, "generators": m.rank0,
+                "generator_degrees": list(m.row_twists), "relations": len(m.columns)}
+
     def _run_module(self, stmt: ModuleStmt):
         ctx = self.env[stmt.ring_name]
         rows = [[ctx.ring.parse(e) for e in row] for row in stmt.rows]
-        mod = PresentedModule.from_matrix(ctx, rows)
-        self.env[stmt.name] = mod
-        m = mod.minimal_presentation()
-        return {"module": stmt.name, "generators": m.rank0,
-                "generator_degrees": list(m.row_twists), "relations": len(m.columns)}
+        return self._bind_module(stmt.name, PresentedModule.from_matrix(ctx, rows))
 
     def _run_let(self, stmt: LetStmt):
-        mod = self._eval(stmt.expr)
-        self.env[stmt.name] = mod
-        m = mod.minimal_presentation()
-        return {"module": stmt.name, "generators": m.rank0,
-                "generator_degrees": list(m.row_twists), "relations": len(m.columns)}
+        return self._bind_module(stmt.name, self._eval(stmt.expr))
 
     def _run_scan(self, stmt: ScanStmt):
         left = self._eval(stmt.left)
@@ -655,31 +644,13 @@ class _Runner:
     def _run_check(self, stmt: CheckStmt):
         mods = [self._eval(a) for a in stmt.args if isinstance(a, (Name, Call))]
         ints = [a for a in stmt.args if isinstance(a, int)]
-        H = ints[0] if ints else self.flags.window
-        name = stmt.check
-        if name == "theorem21":
-            rep = tail_equivalence_check(mods[0], mods[1], H)
-        elif name == "symmetry":
-            rep = symmetry_check(mods[0], mods[1], H)
-        elif name == "corollary42":
-            rep = tor_duality_check(mods[0], mods[1], H)
-        elif name == "lescot":
-            rep = lescot_betti_check(mods[0])
-        elif name == "lemma36":
-            rep = free_or_nonvanishing_check(mods[0], mods[1])
-        elif name == "theorem59":
-            rep = tensor_mcm_check(mods[0], mods[1])
-        elif name == "stablesuite":
-            rep = stable_suite_check(mods[0], mods[1])
-        elif name == "prop43":
-            rep = external_product_check(mods[0], mods[1], H)
-        else:
-            raise InvariantViolation(f"unhandled check {name}")
+        fname, _, windowed = _CHECKS[stmt.check]
+        if windowed:
+            mods.append(ints[0] if ints else self.flags.window)
+        rep = globals()[fname](*mods)
         if rep.is_violation:
             self.exit_code = _worse(self.exit_code, EXIT_VIOLATION)
-        elif rep.verdict == "hypothesis not met":
-            self.exit_code = _worse(self.exit_code, EXIT_HYPOTHESIS)
-        return {"check": name, "report": rep.to_json_dict()}
+        return {"check": stmt.check, "report": rep.to_json_dict()}
 
     def _run_search(self, stmt: SearchStmt):
         if self.current_ring is None:
@@ -743,38 +714,33 @@ def report_json(report: dict) -> str:
 def _summary_line(entry: dict) -> str:
     if entry["status"] == "error":
         return f"error: {entry['error']}"
-    result = entry.get("result")
-    if not result:
-        return "ok"
-    if "scan" in result:
+    kind, result = entry["kind"], entry["result"]
+    if kind == "ring":
+        return f"ring {result['ring']}, dimension {result['dimension']}"
+    if kind in ("module", "let"):
+        return f"module {result['module']}, {result['generators']} generators"
+    if kind == "scan":
         scan = result["scan"]
         tail = "tail-vanishing" if scan["tail_vanishing"] else "nonvanishing tail"
         return f"{tail}, last nonzero {scan['last_nonzero']}"
-    if "report" in result and "verdict" in result["report"]:
+    if kind == "check":
         return f"verdict {result['report']['verdict']}"
-    if result.get("search") == "harness":
+    if kind == "search" and result["search"] == "harness":
         rep = result["report"]
         return f"{len(rep['trials'])} trials, {len(rep['candidates'])} candidates"
-    if "betti" in result:
-        return "betti table below"
-    if "violations" in result:
+    if kind == "search":
         return (f"{result['ran']} ran, {result['hypothesis_skipped']} skipped, "
                 f"{result['violations']} violations")
-    if "wrote" in result:
-        return f"wrote {result['wrote']}"
-    if "ring" in result:
-        return f"ring {result['ring']}, dimension {result['dimension']}"
-    if "module" in result:
-        return f"module {result['module']}, {result['generators']} generators"
-    return "ok"
+    if kind == "betti":
+        return "betti table below"
+    return f"wrote {result['wrote']}"  # emit
 
 
 def render_report_text(report: dict) -> str:
     lines = [f"engine {report['engine_version']}, seed {report['seed']}, window {report['window']}"]
     for entry in report["statements"]:
         lines.append(f"[{entry['line']:>3}] {entry['kind']:<7} {_summary_line(entry)}")
-        result = entry.get("result") or {}
-        if "betti" in result:
-            lines.extend("      " + ln for ln in result["text"].splitlines())
+        if entry["kind"] == "betti" and entry["status"] == "ok":
+            lines.extend("      " + ln for ln in entry["result"]["text"].splitlines())
     lines.append(f"exit code {report.get('exit_code', 0)}")
     return "\n".join(lines) + "\n"

@@ -12,9 +12,12 @@ Checkers compare scans or dimension formulas and report one of:
 * ``consistent``      - the asserted relation held on the window,
 * ``VIOLATION``       - it failed, after a confirmation pass at a wider
                         window (H + 4) for the pattern-based checkers,
-* ``hypothesis not met`` / ``not established`` - inputs outside a
-  statement's hypotheses, or data (infinite-length values) that the
-  window cannot decide.
+* ``not established`` / ``hypothesis not established`` - data
+  (infinite-length values, formulas with unchecked side conditions) that
+  the window cannot decide.
+
+Inputs outside a statement's hypotheses are refused by raising
+`HypothesisNotMet`, never by a verdict.
 
 Verdicts are pure functions of the recorded data; `VanishingPattern`
 re-derives its own flags on construction so a hand-built inconsistent
@@ -45,13 +48,13 @@ from .realize import (
     tensor_realization,
 )
 from .resolution import (
+    _check_pair,
+    derived_dims,
     ext,
-    ext_profile,
     gorenstein_check,
     is_mcm,
     resolution_of,
     syzygy,
-    tor,
     tor_profile,
 )
 
@@ -175,8 +178,7 @@ class VanishingPattern:
 
 
 def _scan(kind, M, N, H, labels, full, rank_budget):
-    if M.ctx is not N.ctx:
-        raise ValueError("scan arguments live over different contexts")
+    _check_pair(M, N)
     ctx = M.ctx
     d = ctx.dim
     if H < d + 3:
@@ -200,12 +202,8 @@ def _scan(kind, M, N, H, labels, full, rank_budget):
             computed_to = i
             continue
         res.extend_to(i + 1, rank_budget=rank_budget)
-        if ctx.is_artinian:
-            prof = (ext_profile if kind == "ext" else tor_profile)(Mm, Nm, i)
-            val = sum(prof.values())
-        else:
-            r = (ext if kind == "ext" else tor)(Mm, Nm, [i])
-            val = r.total(i)
+        graded = derived_dims(kind, Mm, Nm, i)
+        val = None if graded is None else sum(graded.values())
         dims[i] = val
         computed_to = i
         if not full and i > d and val != 0:
@@ -323,6 +321,17 @@ def _pair_replay(M, N) -> dict:
 # -- pattern checkers --------------------------------------------------------
 
 
+def _require_gorenstein_mcm(M, N, require_mcm=True):
+    """Gate for the statements about maximal Cohen-Macaulay modules over a
+    Gorenstein ring; require_mcm=False keeps only the ring condition."""
+    if not gorenstein_check(M.ctx):
+        raise HypothesisNotMet("ring is not Gorenstein")
+    if require_mcm:
+        for lab, X in (("left", M), ("right", N)):
+            if X.rank0 and not is_mcm(X):
+                raise HypothesisNotMet(f"{lab} argument not maximal Cohen-Macaulay")
+
+
 def tail_equivalence_check(M, N, H, *, require_mcm=True) -> CheckReport:
     """Tail-vanishing of Tor(M,N), Ext(M,dual N) and Ext(N,dual M) must agree
     for maximal Cohen-Macaulay modules over a Gorenstein ring.
@@ -331,15 +340,7 @@ def tail_equivalence_check(M, N, H, *, require_mcm=True) -> CheckReport:
     from a bypassed run demonstrates that the gate is load-bearing, it
     is not a counterexample.
     """
-    ctx = M.ctx
-    if not gorenstein_check(ctx):
-        return CheckReport("tail_equivalence", "hypothesis not met", H,
-                           {"reason": "ring is not Gorenstein"})
-    if require_mcm:
-        bad = [lab for lab, X in (("left", M), ("right", N)) if X.rank0 and not is_mcm(X)]
-        if bad:
-            return CheckReport("tail_equivalence", "hypothesis not met", H,
-                               {"reason": f"{' and '.join(bad)} argument not maximal Cohen-Macaulay"})
+    _require_gorenstein_mcm(M, N, require_mcm)
     Ms, Ns = dual_module(M), dual_module(N)
 
     def scans(h):
@@ -375,15 +376,7 @@ def symmetry_check(M, N, H) -> CheckReport:
 def tor_duality_check(M, N, H, *, require_mcm=True) -> CheckReport:
     """Tail-vanishing of Tor(M,N) and of Ext(dual M, N) must agree for
     maximal Cohen-Macaulay modules over a Gorenstein ring."""
-    ctx = M.ctx
-    if not gorenstein_check(ctx):
-        return CheckReport("tor_duality", "hypothesis not met", H,
-                           {"reason": "ring is not Gorenstein"})
-    if require_mcm:
-        bad = [lab for lab, X in (("left", M), ("right", N)) if X.rank0 and not is_mcm(X)]
-        if bad:
-            return CheckReport("tor_duality", "hypothesis not met", H,
-                               {"reason": f"{' and '.join(bad)} argument not maximal Cohen-Macaulay"})
+    _require_gorenstein_mcm(M, N, require_mcm)
     Ms = dual_module(M)
 
     def scans(h):
@@ -453,8 +446,7 @@ def lescot_betti_check(M) -> CheckReport:
 def free_or_nonvanishing_check(M, N) -> CheckReport:
     """Over a short Gorenstein ring, two non-free modules cannot have
     Tor_3 = Tor_4 = Tor_5 = 0.  A VIOLATION here fails the build."""
-    if M.ctx is not N.ctx:
-        raise ValueError("arguments live over different contexts")
+    _check_pair(M, N)
     _require_short_gorenstein(M.ctx)
     Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
     if Mm.is_free() or Nm.is_free():
@@ -478,15 +470,9 @@ def tensor_mcm_check(M, N) -> CheckReport:
     attached conclusions are checked too: Hom(N, M) is MCM and the graded
     dimensions of dual(M) (x) N match those of dual(Hom(N, M)).
     """
-    ctx = M.ctx
-    if M.ctx is not N.ctx:
-        raise ValueError("arguments live over different contexts")
-    if not gorenstein_check(ctx):
-        raise HypothesisNotMet("ring is not Gorenstein")
-    for lab, X in (("left", M), ("right", N)):
-        if X.rank0 and not is_mcm(X):
-            raise HypothesisNotMet(f"{lab} argument not maximal Cohen-Macaulay")
-    d = ctx.dim
+    _check_pair(M, N)
+    _require_gorenstein_mcm(M, N)
+    d = M.ctx.dim
     Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
     if d:
         e = ext(Nm, Mm, list(range(1, d + 1)))
@@ -528,10 +514,6 @@ def tensor_mcm_check(M, N) -> CheckReport:
     return rep
 
 
-def _graded_or_none(result, i):
-    return None if result.total(i) is None else (result.graded_of(i) or {})
-
-
 def stable_suite_check(M, N, indices=(2, 3, 4)) -> CheckReport:
     """Dimension bookkeeping that ties Ext to stable Hom, for MCM M.
 
@@ -542,23 +524,19 @@ def stable_suite_check(M, N, indices=(2, 3, 4)) -> CheckReport:
     stable Hom of the pair itself is compared with its syzygy shift and
     with the dual-swapped pair.
     """
+    _check_pair(M, N)
     ctx = M.ctx
-    if M.ctx is not N.ctx:
-        raise ValueError("arguments live over different contexts")
     if M.rank0 and not is_mcm(M):
         raise HypothesisNotMet("left argument not maximal Cohen-Macaulay")
     if any(i < 2 for i in indices):
         raise ValueError("four-term identity needs indices >= 2")
     Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
-    top = max(indices)
+    egr = {i: derived_dims("ext", Mm, Nm, i) for i in range(min(indices) - 1, max(indices) + 1)}
     # Finite length throughout when the ring is artinian, so every sum can
     # be taken degreewise on realizations; otherwise fall back to module
     # arithmetic and let infinite lengths surface as "not established".
     if ctx.is_artinian:
         realN = FiniteLengthRealization.from_module(Nm)
-
-        def egr(i):
-            return ext_profile(Mm, Nm, i)
 
         def tensor_hf(Mi):
             a = dual_realization(FiniteLengthRealization.from_module(Mi))
@@ -573,10 +551,6 @@ def stable_suite_check(M, N, indices=(2, 3, 4)) -> CheckReport:
             return sum(stable_hom_profile(a, b).values())
 
     else:
-        er = ext(Mm, Nm, list(range(min(indices) - 1, top + 1)))
-
-        def egr(i):
-            return _graded_or_none(er, i)
 
         def tensor_hf(Mi):
             return tensor_module(dual_module(Mi), Nm)._finite_hf()
@@ -591,8 +565,8 @@ def stable_suite_check(M, N, indices=(2, 3, 4)) -> CheckReport:
     broken = False
     undecided = False
     for i in sorted(indices):
-        e_prev = egr(i - 1)
-        e_here = egr(i)
+        e_prev = egr[i - 1]
+        e_here = egr[i]
         Mi = syzygy(Mm, i)
         Tg = tensor_hf(Mi)
         Hg = hom_hf(Mi)
@@ -675,20 +649,6 @@ def restrict_through_quotient(mod: PresentedModule, Sctx: RingCtx, f: Polynomial
     return PresentedModule(Sctx, mod.row_twists, list(mod.columns) + extra)
 
 
-def _graded_ext_dims(M, N, i):
-    if M.ctx.is_artinian:
-        return ext_profile(M, N, i)
-    r = ext(M, N, [i])
-    return _graded_or_none(r, i)
-
-
-def _graded_tor_dims(M, N, i):
-    if M.ctx.is_artinian:
-        return tor_profile(M, N, i)
-    r = tor(M, N, [i])
-    return _graded_or_none(r, i)
-
-
 def _same_quotient(Rctx: RingCtx, Sctx: RingCtx, f: Polynomial) -> bool:
     if Rctx.ring is not Sctx.ring:
         return False
@@ -734,10 +694,10 @@ def change_of_rings_check(Sctx: RingCtx, f: Polynomial, M, N, H) -> CheckReport:
     w = f.degree()
     MS = restrict_through_quotient(M, Sctx, f)
     NS = restrict_through_quotient(N, Sctx, f)
-    eR = {i: _graded_ext_dims(M, N, i) for i in range(0, H + 3)}
-    tR = {i: _graded_tor_dims(M, N, i) for i in range(0, H + 1)}
-    eS = {i: _graded_ext_dims(MS, NS, i) for i in range(0, H + 3)}
-    tS = {i: _graded_tor_dims(MS, NS, i) for i in range(0, H + 1)}
+    eR = {i: derived_dims("ext", M, N, i) for i in range(0, H + 3)}
+    tR = {i: derived_dims("tor", M, N, i) for i in range(0, H + 1)}
+    eS = {i: derived_dims("ext", MS, NS, i) for i in range(0, H + 3)}
+    tS = {i: derived_dims("tor", MS, NS, i) for i in range(0, H + 1)}
     details: dict = {"relation_degree": w}
     undecided = []
     violations = []
@@ -786,8 +746,8 @@ def change_of_rings_check(Sctx: RingCtx, f: Polynomial, M, N, H) -> CheckReport:
     AR = PresentedModule(Rctx, A.row_twists, A.columns)  # A/fA has the same presentation over R
     transfer = {}
     for i in range(0, H + 1):
-        left = _graded_ext_dims(A, NS, i)
-        right = _graded_ext_dims(AR, N, i)
+        left = derived_dims("ext", A, NS, i)
+        right = derived_dims("ext", AR, N, i)
         if left is None or right is None:
             transfer[i] = "undecided (infinite length)"
             undecided.append(("syzygy_transfer", i))

@@ -30,6 +30,7 @@ from extlab.resolution import (
     Resolution,
     complete_resolution,
     depth,
+    derived_dims,
     ext,
     ext_profile,
     ext_via_complete,
@@ -193,6 +194,8 @@ def test_profile_matches_modules_on_gor5(gor5):
     for i in range(4):
         assert ext_profile(k, a, i) == (ext(k, a, [i]).graded_of(i) or {})
         assert tor_profile(k, a, i) == (tor(k, a, [i]).graded_of(i) or {})
+        assert derived_dims("ext", k, a, i) == ext_profile(k, a, i)
+        assert derived_dims("tor", k, a, i) == tor_profile(k, a, i)
 
 
 def test_infinite_length_values_are_reported(quadric):
@@ -205,6 +208,7 @@ def test_infinite_length_values_are_reported(quadric):
     assert e.is_zero(2)
     with pytest.raises(ValueError):
         ext_profile(a, r, 1)
+    assert derived_dims("ext", a, r, 1) is None
 
 
 # -- depth, MCM, Gorenstein ----------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import extlab.script as scr
 from extlab import groebner
 from extlab.cli import main
 from extlab.errors import ParseError
@@ -180,7 +181,7 @@ def test_check_consistent_and_hypothesis_exit():
         "check theorem21(N, N, 8);\n"
     )
     assert rep["exit_code"] == EXIT_HYPOTHESIS
-    assert rep["statements"][2]["result"]["report"]["verdict"] == "hypothesis not met"
+    assert rep["statements"][2]["status"] == "error"
 
 
 def test_check_default_window_comes_from_flags():
@@ -201,6 +202,16 @@ def test_runtime_error_recorded_and_run_continues():
     assert "different contexts" in entries[2]["error"]
     assert entries[3]["status"] == "ok"
     assert rep["exit_code"] == EXIT_HYPOTHESIS
+
+
+@pytest.mark.parametrize(
+    "table, name",
+    [("_CHECKS", n) for n in scr._CHECKS] + [("_EXPR_FUNCS", n) for n in scr._EXPR_FUNCS],
+)
+def test_dispatch_tables_name_callables(table, name):
+    # the runner resolves these names only when a statement runs
+    fname = getattr(scr, table)[name][0]
+    assert callable(getattr(scr, fname, None))
 
 
 def test_violation_verdict_sets_exit_three(monkeypatch):
@@ -304,6 +315,48 @@ def test_render_report_text_shows_verdicts():
     assert "verdict consistent" in text
     assert "total:" in text
     assert text.endswith("exit code 0\n")
+
+
+GOLDEN_SCRIPT = (
+    NILSQUARES
+    + "module M = coker A [[x]];\n"
+    + "let D = dual(M);\n"
+    + "scan tor(k, M, 1..4);\n"
+    + "check symmetry(M, D, 5);\n"
+    + "search harness(2, 5);\n"
+    + "betti k, 3;\n"
+    + "ring G = GF(101)[x, y, z] / (x*y, x*z, y*z, x^2 - y^2, x^2 - z^2);\n"
+    + "search lemma36(2);\n"
+    + 'emit table "report.txt";\n'
+)
+
+GOLDEN_TEXT = """\
+engine 0.1.0, seed 1, window 10
+[  1] ring    ring A, dimension 0
+[  2] module  module M, 1 generators
+[  3] let     module D, 1 generators
+[  4] scan    nonvanishing tail, last nonzero 4
+[  5] check   verdict consistent
+[  6] search  2 trials, 0 candidates
+[  7] betti   betti table below
+              0 1 2 3
+       total: 1 2 3 4
+           0: 1 2 3 4
+[  8] ring    ring G, dimension 0
+[  9] search  2 ran, 0 skipped, 0 violations
+[ 10] emit    wrote report.txt
+exit code 0
+"""
+
+
+def test_render_report_text_golden(tmp_path, monkeypatch):
+    # one statement of every kind, rendered line for line
+    monkeypatch.chdir(tmp_path)
+    rep = run_text(GOLDEN_SCRIPT, seed=1)
+    assert render_report_text(rep) == GOLDEN_TEXT
+    # the emitted table is the report as it stood before the emit statement
+    emitted = GOLDEN_TEXT.replace("[ 10] emit    wrote report.txt\n", "")
+    assert (tmp_path / "report.txt").read_text() == emitted
 
 
 # -- CLI ----------------------------------------------------------------------

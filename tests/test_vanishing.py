@@ -155,8 +155,8 @@ def test_tail_equivalence_consistent_over_gor5(gor5):
 
 def test_tail_equivalence_requires_gorenstein():
     ctx = _ctx(("x", "y"), ["x^2", "x*y", "y^3"])  # socle dim 2
-    rep = tail_equivalence_check(_k(ctx), _k(ctx), 4)
-    assert rep.verdict == "hypothesis not met"
+    with pytest.raises(HypothesisNotMet):
+        tail_equivalence_check(_k(ctx), _k(ctx), 4)
 
 
 def test_tail_equivalence_gate_demonstrably_load_bearing(quadric):
@@ -164,8 +164,8 @@ def test_tail_equivalence_gate_demonstrably_load_bearing(quadric):
     # bypassing the gate surfaces the known pattern disagreement.
     N = PresentedModule.from_matrix(quadric, [["w"], ["x"], ["y"], ["z"]])
     k = _k(quadric)
-    honest = tail_equivalence_check(k, N, 6)
-    assert honest.verdict == "hypothesis not met"
+    with pytest.raises(HypothesisNotMet):
+        tail_equivalence_check(k, N, 6)
     forced = tail_equivalence_check(k, N, 6, require_mcm=False)
     assert forced.verdict == "VIOLATION"
     assert forced.replay is not None
@@ -190,8 +190,8 @@ def test_tor_duality_on_vanishing_pair(nilsquares):
 
 def test_tor_duality_gate(quadric):
     N = PresentedModule.from_matrix(quadric, [["w"], ["x"], ["y"], ["z"]])
-    rep = tor_duality_check(_k(quadric), N, 6)
-    assert rep.verdict == "hypothesis not met"
+    with pytest.raises(HypothesisNotMet):
+        tor_duality_check(_k(quadric), N, 6)
 
 
 # -- numerical checkers ----------------------------------------------------
