@@ -236,17 +236,9 @@ class PresentedModule:
         return self._finite_hf() is not None
 
     def _finite_hf(self) -> dict[int, int] | None:
-        if "hf" in self._cache:
-            return self._cache["hf"]
-        hf = self.hilbert_numerator()
-        for w in self.ctx.ring.weights:
-            hf = tp_exact_quotient(hf, w)
-            if hf is None:
-                break
-        if hf is not None and any(c < 0 for c in hf.values()):
-            raise InvariantViolation("negative graded dimension")
-        self._cache["hf"] = hf
-        return hf
+        if "hf" not in self._cache:
+            self._cache["hf"] = _finite_series(self.ctx, self.hilbert_numerator())
+        return self._cache["hf"]
 
     def length(self) -> int | None:
         hf = self._finite_hf()
@@ -302,6 +294,19 @@ class PresentedModule:
     def free_rank(self) -> int | None:
         m = self.minimal_presentation()
         return m.rank0 if not m.columns else None
+
+
+def _finite_series(ctx: RingCtx, num: dict[int, int]) -> dict[int, int] | None:
+    """Hilbert function of a series num / prod(1 - t^w), or None when the
+    division is not exact (infinite length)."""
+    hf = num
+    for w in ctx.ring.weights:
+        hf = tp_exact_quotient(hf, w)
+        if hf is None:
+            return None
+    if any(c < 0 for c in hf.values()):
+        raise InvariantViolation("negative graded dimension")
+    return hf
 
 
 def _unit_entry(ctx: RingCtx, vec: dict) -> tuple[int, int] | None:
@@ -417,11 +422,7 @@ class ModuleMap:
 
     def apply_vec(self, vec: dict) -> dict:
         """Image of a packed vector over the source's free cover."""
-        out: dict[int, int] = {}
-        for j, f in enumerate(_split_entries(self.ctx, vec)):
-            if f:
-                vec_poly_submul(out, _neg(f, self.ctx.ring.field.p), self.columns[j], self.ctx)
-        return out
+        return _combine_columns(self.ctx, self.columns, vec)
 
     def matrix(self) -> list[list[Polynomial]]:
         return [
@@ -513,6 +514,16 @@ def _neg(f: dict[int, int], p: int) -> dict[int, int]:
 
 def _neg_vec(vec: dict, p: int) -> dict:
     return {k: p - c for k, c in vec.items()}
+
+
+def _combine_columns(ctx: RingCtx, columns: Sequence[dict], vec: dict) -> dict:
+    """sum_j vec_j * columns[j]: the image of vec under the map whose j-th
+    source generator goes to columns[j]."""
+    out: dict[int, int] = {}
+    for j, f in enumerate(_split_entries(ctx, vec)):
+        if f:
+            vec_poly_submul(out, _neg(f, ctx.ring.field.p), columns[j], ctx)
+    return out
 
 
 def _split_entries(ctx: RingCtx, vec: dict) -> list[dict[int, int]]:

@@ -12,16 +12,22 @@ ranks are Betti numbers as computed.
 Derived functors come by two routes that share no homology code.  Each
 route has one body for both functors, keyed by kind ("ext" or "tor"):
 
-* The direct route resolves the first argument and takes homology of the
-  induced Hom or tensor complex.  `ext` / `tor` produce presented modules
-  (`_direct_modules`).  `derived_dims` returns graded dimensions: over an
-  artinian context as ranks of degreewise matrices, without building a
-  module (`_degreewise_dims`), elsewhere as the Hilbert function of the
-  module, with None for infinite length.  `ext_profile` / `tor_profile`
-  are `derived_dims` refusing infinite length.  Ext and Tor differ only
-  in twist sign, degree window and which neighbouring differential is
-  outgoing; one free-cover column builder (`_step_cols`) and one
-  degreewise matrix builder (`_matrix_builder`) serve both.
+* The direct route resolves the first argument and works with the
+  induced Hom or tensor complex X.  `ext` / `tor` produce the homology
+  as presented modules (`_direct_modules`).  `derived_dims` returns
+  graded dimensions and builds no homology module: over an artinian
+  context as ranks of degreewise matrices (`_degreewise_dims`), elsewhere
+  from Hilbert series (`_hilbert_dims`): with C_j the Hilbert numerator
+  of X_j modulo the image of the map into it, the value at i has series
+  C_i + C_o - HS(X_o), o the index its outgoing map leads to, read as
+  None when it has infinite length.  That route first checks that the
+  two maps at i compose to zero.  Ranks and C_j are memoized with N,
+  so neighbouring indices of a scan share them; `ext` / `tor` are the
+  cross-check.  `ext_profile` / `tor_profile` are `derived_dims`
+  refusing infinite length.  Ext and Tor differ only in twist sign,
+  degree window and which neighbouring differential is outgoing; one
+  free-cover column builder (`_step_cols`) and one degreewise matrix
+  builder (`_matrix_builder`) serve both.
 * The complete route, `ext_via_complete` / `tor_via_complete`
   (`_via_complete`), passes through a high syzygy and its dual and reads
   each functor off the opposite one.  It is only valid over a Gorenstein
@@ -43,12 +49,23 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import HypothesisNotMet, InvariantViolation, ResourceCapError
-from .groebner import RingCtx, express_in_family, syzygies_for, tagged_module_gb
+from .groebner import (
+    RingCtx,
+    _tp_add,
+    _tp_shift,
+    _tp_sub,
+    express_in_family,
+    reduce_vec_by_ideal,
+    syzygies_for,
+    tagged_module_gb,
+)
 from .linalg import matmul_mod, nullspace_mod, rank_mod, solve_mod, standard_complement
 from .modules import (
     ModuleMap,
     PresentedModule,
     _entry_of,
+    _finite_series,
+    _combine_columns,
     _split_entries,
     dual_module,
     dual_with_functionals,
@@ -373,11 +390,22 @@ class ExtTorResult:
         }
 
 
+# X_j, the j-th term of the complex, is Hom(F_j, N), a sum of copies N(-a),
+# for ext and F_j (x) N, a sum of copies N(a), for tor.  The outgoing map
+# of X_i leads to X_{i + step}; the incoming one comes from X_{i - step}.
+_STEP = {"ext": 1, "tor": -1}
+
+
 def _sum_of_shifts(ctx: RingCtx, base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:
     out = PresentedModule.zero(ctx)
     for s in shifts:
         out = out.direct_sum(base.shifted(s))
     return out
+
+
+def _term_shifts(kind, res, j) -> list[int]:
+    """Shifts of the copies of N making up X_j (see `_STEP`)."""
+    return [-_STEP[kind] * a for a in res.twists_of(j)]
 
 
 def _step_cols(kind, res, j, rb):
@@ -401,6 +429,14 @@ def _step_cols(kind, res, j, rb):
         for entries in parts
         for t in range(rb)
     ]
+
+
+def _incoming_cols(kind, res, j, rb) -> list[dict]:
+    """Free-cover columns of the map into X_j; [] when its source is zero."""
+    src = j - _STEP[kind]
+    if src < 0 or not res.rank(src):
+        return []
+    return _step_cols(kind, res, max(j, src), rb)
 
 
 def _homology_between(ctx, X, out_map, in_cols):
@@ -445,9 +481,7 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     res = resolution_of(Mm)
     res.extend_to(idxs[-1] + 1)
     out = ExtTorResult(kind, "direct", idxs)
-    # Hom(F_i, N) is a sum of copies N(-a), F_i (x) N one of copies N(a);
-    # the outgoing differential leads to index i + step.
-    sign, step = (-1, 1) if kind == "ext" else (1, -1)
+    step = _STEP[kind]
     rb = Nm.rank0
     for i in idxs:
         if kind == "tor" and i == 0:
@@ -457,14 +491,10 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         if not ti or rb == 0:
             out.record_module(i, PresentedModule.zero(ctx))
             continue
-        X = _sum_of_shifts(ctx, Nm, [sign * a for a in ti])
-        Xout = _sum_of_shifts(ctx, Nm, [sign * a for a in res.twists_of(i + step)])
+        X = _sum_of_shifts(ctx, Nm, _term_shifts(kind, res, i))
+        Xout = _sum_of_shifts(ctx, Nm, _term_shifts(kind, res, i + step))
         out_map = ModuleMap(X, Xout, _step_cols(kind, res, max(i, i + step), rb), check=False)
-        back = i - step
-        in_cols = []
-        if back >= 0 and res.rank(back):
-            in_cols = _step_cols(kind, res, max(i, back), rb)
-        out.record_module(i, _homology_between(ctx, X, out_map, in_cols))
+        out.record_module(i, _homology_between(ctx, X, out_map, _incoming_cols(kind, res, i, rb)))
     return out
 
 
@@ -515,31 +545,46 @@ def _matrix_builder(kind, nreal, res, j):
     return at
 
 
+def _derived_memo(Nm: PresentedModule) -> dict:
+    """Work shared across indices, kept with the minimal presentation of N:
+    ("coker", res, kind, j) -> the numerator C_j of `_coker_numerator`,
+    ("rank", res, kind, j, d) -> the rank of `_matrix_builder`'s degree-d
+    matrix for d_j.  Keys hold the resolution itself, which lives as long
+    as its context's resolution cache."""
+    return Nm._cache.setdefault("derived", {})
+
+
 def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
     """Graded dimensions of the i-th value over an artinian context, as
-    dim - rank - rank of degree-d matrices; no homology module is built."""
+    dim - rank - rank of degree-d matrices; no homology module is built.
+    Ranks are memoized, so a scan ranks each boundary map once."""
     res = resolution_of(M.minimal_presentation())
     res.extend_to(i + 1)
     ti = res.twists_of(i)
-    nreal = FiniteLengthRealization.from_module(N.minimal_presentation())
+    Nm = N.minimal_presentation()
+    nreal = FiniteLengthRealization.from_module(Nm)
     if not ti or nreal.is_zero():
         return {}
     p = M.ctx.ring.field.p
+    memo = _derived_memo(Nm)
     shifts = [a if kind == "ext" else -a for a in ti]
     # d_i and d_{i+1}, each where both of its ends are nonzero
-    maps = [
-        _matrix_builder(kind, nreal, res, j)
+    maps = {
+        j: _matrix_builder(kind, nreal, res, j)
         for j in (i, i + 1)
         if j >= 1 and res.rank(j - 1) and res.rank(j)
-    ]
+    }
     nbot, ntop = min(nreal.degrees()), max(nreal.degrees())
     out: dict[int, int] = {}
     for d in range(nbot - max(shifts), ntop - min(shifts) + 1):
         h = sum(nreal.dim(d + s) for s in shifts)
         if not h:
             continue
-        for matrix_at in maps:
-            h -= rank_mod(matrix_at(d), p)
+        for j, matrix_at in maps.items():
+            key = ("rank", res, kind, j, d)
+            if key not in memo:
+                memo[key] = rank_mod(matrix_at(d), p)
+            h -= memo[key]
         if h < 0:
             raise InvariantViolation("negative homology dimension")
         if h:
@@ -547,20 +592,83 @@ def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) 
     return out
 
 
+def _coker_numerator(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
+    """C_j: Hilbert numerator of X_j modulo the image of the map into X_j.
+    Memoized, so indices j - 1 and j + 1 of a scan share one Groebner
+    basis of the cokernel."""
+    memo = _derived_memo(Nm)
+    key = ("coker", res, kind, j)
+    hit = memo.get(key)
+    if hit is None:
+        X = _sum_of_shifts(res.ctx, Nm, _term_shifts(kind, res, j))
+        cols = list(X.columns) + _incoming_cols(kind, res, j, Nm.rank0)
+        hit = memo[key] = PresentedModule(res.ctx, X.row_twists, cols).hilbert_numerator()
+    return hit
+
+
+def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
+    """psi_i o psi_{i-1} = 0 on the maps into and out of X_i: each incoming
+    column, pushed through the outgoing columns, must vanish in X_o.
+    Uses only differentials index i already needs.  Over a true
+    resolution the composite vanishes modulo the ideal already, so X_o's
+    Groebner basis is built only for a remainder that does not."""
+    ctx = res.ctx
+    rb = Nm.rank0
+    out_cols = _step_cols(kind, res, max(i, o), rb)
+    Xo = None
+    for col in _incoming_cols(kind, res, i, rb):
+        img = reduce_vec_by_ideal(_combine_columns(ctx, out_cols, col), ctx)
+        if not img:
+            continue
+        if Xo is None:
+            Xo = _sum_of_shifts(ctx, Nm, _term_shifts(kind, res, o))
+        if Xo.gb().reduce(img):
+            raise InvariantViolation("consecutive maps of the complex do not compose to zero")
+
+
+def _hilbert_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int] | None:
+    """Graded dimensions of the i-th value from Hilbert series, off the
+    artinian locus: HS(H_i) = C_i + C_o - HS(X_o) with o = i + 1 (ext) or
+    i - 1 (tor), since Hilbert series are additive on the exact sequences
+    0 -> ker -> X_i -> im -> 0 and 0 -> im -> X_o -> coker -> 0."""
+    Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
+    res = resolution_of(Mm)
+    res.extend_to(i + 1)
+    if not res.twists_of(i) or Nm.rank0 == 0:
+        return {}
+    o = i + _STEP[kind]
+    num = _coker_numerator(kind, res, Nm, i)
+    if o >= 0 and res.rank(o):
+        _check_square_zero(kind, res, Nm, i, o)
+        num = _tp_add(num, _coker_numerator(kind, res, Nm, o))
+        # X_o is a sum of shifted copies of N, and so is its series.
+        nnum = Nm.hilbert_numerator()
+        for s in _term_shifts(kind, res, o):
+            num = _tp_sub(num, _tp_shift(nnum, s))
+    return _finite_series(M.ctx, num)
+
+
 def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int] | None:
     """Graded dimensions of Ext^i(M, N) (kind "ext") or Tor_i(M, N) ("tor"),
-    or None when the value has infinite length.
+    or None when the value has infinite length.  No homology module is
+    built.
 
-    Over an artinian context these are ranks of degreewise matrices and no
-    homology module is built; elsewhere they are the Hilbert function of
-    the module that `ext` / `tor` produce.
+    Over an artinian context these are ranks of degreewise matrices,
+    memoized per boundary map and degree.  Elsewhere they come from
+    Hilbert series of cokernels of the Hom or tensor complex (one
+    Groebner basis per complex term, shared by neighbouring indices),
+    after a check that the two maps at index i compose to zero.  `ext` /
+    `tor` produce the homology modules themselves and serve as the
+    cross-check.
     """
     if kind not in ("ext", "tor"):
         raise ValueError(f"unknown derived functor {kind!r}")
+    if i < 0:
+        raise ValueError("derived-functor indices start at 0")
     _check_pair(M, N)
     if M.ctx.is_artinian:
         return _degreewise_dims(kind, M, N, i)
-    return (ext if kind == "ext" else tor)(M, N, [i]).graded_of(i)
+    return _hilbert_dims(kind, M, N, i)
 
 
 def _finite_profile(dims: dict[int, int] | None) -> dict[int, int]:
@@ -593,7 +701,7 @@ def depth(mod: PresentedModule) -> int:
         return 0
     k = PresentedModule.residue_field(ctx)
     for i in range(ctx.dim + 1):
-        if ext(k, mm, [i]).modules[i].rank0:
+        if derived_dims("ext", k, mm, i) != {}:
             return i
     raise InvariantViolation("no nonvanishing derived Hom up to the ring dimension")
 
@@ -620,10 +728,10 @@ def gorenstein_check(ctx: RingCtx) -> bool:
             R = PresentedModule.ring_module(ctx)
             k = PresentedModule.residue_field(ctx)
             d = ctx.dim
-            hit = all(ext(k, R, [i]).modules[i].rank0 == 0 for i in range(d))
+            hit = all(derived_dims("ext", k, R, i) == {} for i in range(d))
             if hit:
-                E = ext(k, R, [d]).modules[d]
-                hit = E.rank0 == 1 and E.length() == 1
+                top = derived_dims("ext", k, R, d)
+                hit = top is not None and sum(top.values()) == 1
         ctx.scratch["gorenstein"] = hit
     return hit
 

@@ -50,7 +50,6 @@ from .realize import (
 from .resolution import (
     _check_pair,
     derived_dims,
-    ext,
     gorenstein_check,
     is_mcm,
     resolution_of,
@@ -474,11 +473,8 @@ def tensor_mcm_check(M, N) -> CheckReport:
     _require_gorenstein_mcm(M, N)
     d = M.ctx.dim
     Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
-    if d:
-        e = ext(Nm, Mm, list(range(1, d + 1)))
-        totals = [e.total(i) for i in range(1, d + 1)]
-    else:
-        totals = []
+    graded = [derived_dims("ext", Nm, Mm, i) for i in range(1, d + 1)]
+    totals = [None if g is None else sum(g.values()) for g in graded]
     ext_vanishes = all(t == 0 for t in totals)
     finite = all(t is not None for t in totals)
     T = tensor_module(dual_module(Mm), Nm)

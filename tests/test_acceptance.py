@@ -19,6 +19,7 @@ from extlab.groebner import RingCtx
 from extlab.modules import PresentedModule, dual_module
 from extlab.poly import FieldSpec, PolyRing
 from extlab.resolution import (
+    derived_dims,
     ext,
     ext_profile,
     ext_via_complete,
@@ -162,6 +163,39 @@ def test_direct_and_complete_resolution_routes_agree(gor5, nilsquares):
         "direct route vs complete-resolution route",
         not mismatches,
         f"{compared} comparisons over 40 pairs; mismatches: {mismatches or 'none'}",
+    )
+
+
+def test_hilbert_series_route_agrees_with_homology_modules(quadric, affine_plane):
+    """Off the artinian locus `derived_dims` reads Ext and Tor off Hilbert
+    series of cokernels and builds no homology module, while `ext`/`tor`
+    build the modules.  Their graded dimensions at i = 0..5, for both
+    functors, must agree exactly on 30 seeded cyclic pairs over the quadric
+    hypersurface and 8 seeded pairs over GF(101)[x,y], where values of
+    infinite length (None) are compared too."""
+    mismatches = []
+    compared = infinite = 0
+    corpora = (
+        (quadric, ExperimentConfig(seed=31, trials=30, max_generators=1)),
+        (affine_plane, ExperimentConfig(seed=31, trials=8)),
+    )
+    for ctx, cfg in corpora:
+        tag = "/".join(ctx.ring.variables)
+        for idx in range(cfg.trials):
+            A, B = random_pair(cfg, ctx, idx)
+            for kind, route in (("ext", ext), ("tor", tor)):
+                modules = route(A, B, range(6))
+                for i in range(6):
+                    got = derived_dims(kind, A, B, i)
+                    compared += 1
+                    infinite += got is None
+                    if got != modules.graded_of(i):
+                        mismatches.append((tag, idx, kind, i, got, modules.graded_of(i)))
+    _report(
+        "Hilbert-series route vs homology modules",
+        not mismatches and infinite > 0,
+        f"{compared} graded values over 38 pairs, {infinite} of infinite length; "
+        f"mismatches: {mismatches or 'none'}",
     )
 
 

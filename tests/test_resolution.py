@@ -44,6 +44,7 @@ from extlab.resolution import (
     tor_profile,
     tor_via_complete,
 )
+from extlab.vanishing import ExperimentConfig, random_pair
 
 from conftest import make_ctx
 
@@ -209,6 +210,43 @@ def test_infinite_length_values_are_reported(quadric):
     with pytest.raises(ValueError):
         ext_profile(a, r, 1)
     assert derived_dims("ext", a, r, 1) is None
+
+
+def test_hilbert_series_route_matches_homology_modules(quadric, affine_plane):
+    # Off the artinian locus derived_dims reads values off Hilbert series of
+    # cokernels; ext/tor build the homology modules.  The graded dimensions
+    # must agree exactly, None (infinite length) included.
+    pairs = []
+    for gens, count in ((1, 8), (3, 6)):
+        cfg = ExperimentConfig(seed=29, trials=count, max_generators=gens)
+        pairs += [random_pair(cfg, quadric, j) for j in range(count)]
+    x = cyclic(affine_plane, "x")
+    pairs += [(x, PresentedModule.ring_module(affine_plane)), (x, cyclic(affine_plane, "y^2"))]
+    infinite = 0
+    for M, N in pairs:
+        for kind, route in (("ext", ext), ("tor", tor)):
+            modules = route(M, N, range(6))
+            for i in range(6):
+                got = derived_dims(kind, M, N, i)
+                assert got == modules.graded_of(i), (kind, i)
+                infinite += got is None
+    assert infinite
+
+
+def test_hilbert_series_route_checks_composites():
+    # A differential that breaks d o d = 0 must be caught by the Hilbert
+    # series route rather than turned into wrong dimensions.  A context of
+    # its own keeps the corrupted resolution out of the shared fixtures.
+    ctx = make_ctx(("w", "x", "y", "z"), ("w*x - y*z",))
+    M = PresentedModule.from_matrix(ctx, [["w", "y"], ["z", "x"]])
+    R = PresentedModule.ring_module(ctx)
+    res = resolution_of(M.minimal_presentation()).extend_to(3)
+    assert derived_dims("ext", M, R, 1) == {}
+    res._diffs[1][0] = {key: 1 for key in res._diffs[1][0]}
+    with pytest.raises(InvariantViolation):
+        derived_dims("ext", M, R, 2)
+    with pytest.raises(InvariantViolation):
+        derived_dims("tor", M, R, 1)
 
 
 # -- depth, MCM, Gorenstein ----------------------------------------------------

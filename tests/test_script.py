@@ -409,9 +409,10 @@ def test_cli_seed_flag_reaches_harness(tmp_path, capsys):
 
 def test_example_2_3_groebner_work_is_pinned(monkeypatch):
     # Buchberger runs are deterministic, so the canned quadric script's
-    # Groebner work is pinned as an exact count: 232 with minimal generators
-    # chosen degree by degree (1886 when every candidate had its own
-    # leave-one-out basis).  The answers must not move with the count.
+    # Groebner work is pinned as an exact count: 63 with scan values read
+    # off cokernel Hilbert series (232 when every scan index built its
+    # homology module, 1886 when every minimal-generator candidate had its
+    # own leave-one-out basis).  The answers must not move with the count.
     runs = 0
     real = groebner.buchberger
 
@@ -429,4 +430,4 @@ def test_example_2_3_groebner_work_is_pinned(monkeypatch):
     assert by_kind["betti"]["betti"]["entries"] == [
         {"homological": i, "internal": i + 1, "rank": 8 if i else 7} for i in range(9)
     ]
-    assert runs == 232
+    assert runs == 63
