@@ -186,7 +186,6 @@ def buchberger(
     ring: PolyRing,
     *,
     collect_syz: bool = False,
-    strip_tags: bool = True,
     twists_f: tuple[int, ...] = (),
     twists_t: tuple[int, ...] = (),
 ) -> tuple[VectorGB, list[dict]]:
@@ -196,10 +195,7 @@ def buchberger(
     run and the returned second component holds generators of the syzygy
     module of the inputs, written as plain working-block vectors whose
     component j stands for input j.  Without it the second component is [].
-    With `strip_tags=False` the basis elements keep their tag parts; since
-    tags record how an element was combined from the inputs, reducing a
-    plain vector against such a basis leaves, in the tag block, minus the
-    coordinates of one expression of that vector in terms of the inputs.
+    The basis itself is always returned without tag parts.
 
     The product criterion is only applied to pairs of single-component
     elements and never when collecting syzygies (a pair with coprime leads
@@ -302,11 +298,7 @@ def buchberger(
     for slot in slots:
         vec = final.reduce(final.vecs[slot], skip=slot)
         inv = pow(vec[max(vec)], p - 2, p)
-        vec = {
-            k: c * inv % p
-            for k, c in vec.items()
-            if not (strip_tags and codec.is_tag(k))
-        }
+        vec = {k: c * inv % p for k, c in vec.items() if not codec.is_tag(k)}
         out.append(vec)
     out.sort(key=lambda v: max(v))
     syz_out = [{k | codec.tagbit: c for k, c in s.items()} for s in syz]
@@ -669,54 +661,6 @@ def syzygies_for(
             out.append(v)
     out.sort(key=lambda v: max(v))
     return out, gbv
-
-
-def tagged_module_gb(
-    ctx: RingCtx,
-    vectors: list[dict],
-    rank: int,
-    col_degrees: tuple[int, ...] = (),
-    row_twists: tuple[int, ...] = (),
-) -> VectorGB:
-    """Like module_gb, but basis elements remember their expression in
-    terms of the inputs (tag block kept)."""
-    helpers = quotient_helpers(ctx, rank)
-    helper_degs = []
-    for c in range(rank):
-        base = row_twists[c] if c < len(row_twists) else 0
-        for g in ctx.ideal_gb:
-            helper_degs.append(base + ctx.ring.mono_degree(max(g)))
-    gbv, _ = buchberger(
-        list(vectors) + helpers,
-        ctx.ring,
-        collect_syz=True,
-        strip_tags=False,
-        twists_f=row_twists,
-        twists_t=tuple(col_degrees) + tuple(helper_degs),
-    )
-    return gbv
-
-
-def express_in_family(
-    ctx: RingCtx, tagged: VectorGB, vec: dict, nfam: int
-) -> list[Polynomial] | None:
-    """Coordinates of `vec` over the first `nfam` inputs of a tagged basis,
-    valid modulo the defining ideal; None if vec is not in the span."""
-    codec = ctx.codec
-    p = ctx.ring.field.p
-    rho = tagged.reduce(vec)
-    coords: list[dict[int, int]] = [{} for _ in range(nfam)]
-    for k, c in rho.items():
-        if not codec.is_tag(k):
-            return None
-        comp = codec.comp_of(k)
-        if comp < nfam:
-            coords[comp][codec.mono_of(k)] = p - c
-    out = []
-    for d in coords:
-        f = Polynomial(ctx.ring, d)
-        out.append(ctx.nf_poly(f) if d else f)
-    return out
 
 
 def lead_exponents_by_comp(gbv: VectorGB, rank: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -23,12 +23,10 @@ from .errors import InvariantViolation
 from .groebner import (
     RingCtx,
     VectorGB,
-    express_in_family,
     module_gb,
     presented_numerator,
     reduce_vec_by_ideal,
     syzygies_for,
-    tagged_module_gb,
     tp_exact_quotient,
     tp_one_minus_t_valuation,
     tp_series,
@@ -456,15 +454,15 @@ class ModuleMap:
     def __neg__(self) -> "ModuleMap":
         p = self.ctx.ring.field.p
         return ModuleMap(
-            self.source, self.target, [_neg_vec(c, p) for c in self.columns], check=False
+            self.source, self.target, [_neg(c, p) for c in self.columns], check=False
         )
 
     def is_zero_map(self) -> bool:
         gbv = self.target.gb()
         return all(gbv.contains(c) for c in self.columns)
 
-    def kernel(self, minimal: bool = True) -> tuple[PresentedModule, "ModuleMap"]:
-        """(K, inclusion K -> source)."""
+    def kernel(self) -> tuple[PresentedModule, "ModuleMap"]:
+        """(K, inclusion K -> source), K on minimal generators."""
         ctx = self.ctx
         fam = list(self.columns) + list(self.target.columns)
         degs = tuple(self.source.row_twists) + tuple(self.target.col_degrees)
@@ -475,8 +473,7 @@ class ModuleMap:
             v = {k: c for k, c in s.items() if ctx.codec.comp_of(k) < m}
             if v:
                 gens.append(v)
-        if minimal:
-            gens = minimal_generators(ctx, gens, m, self.source.row_twists, modulo=list(self.source.columns))
+        gens = minimal_generators(ctx, gens, m, self.source.row_twists, modulo=list(self.source.columns))
         rel_fam = gens + list(self.source.columns)
         rel_degs = tuple(vec_degree(ctx, g, self.source.row_twists) for g in gens) + tuple(
             self.source.col_degrees
@@ -498,22 +495,10 @@ class ModuleMap:
             list(self.target.columns) + list(self.columns),
         )
 
-    def image(self) -> PresentedModule:
-        """source/kernel, presented on the source generators."""
-        _, incl = self.kernel(minimal=True)
-        return PresentedModule(
-            self.ctx,
-            self.source.row_twists,
-            list(self.source.columns) + list(incl.columns),
-        )
-
 
 def _neg(f: dict[int, int], p: int) -> dict[int, int]:
+    """-f for a monomial dict or a packed vector."""
     return {k: p - c for k, c in f.items()}
-
-
-def _neg_vec(vec: dict, p: int) -> dict:
-    return {k: p - c for k, c in vec.items()}
 
 
 def _combine_columns(ctx: RingCtx, columns: Sequence[dict], vec: dict) -> dict:
@@ -629,8 +614,9 @@ def dual_module(mod: PresentedModule) -> PresentedModule:
     return hit
 
 
-def tensor_module(a: PresentedModule, b: PresentedModule, minimal=True) -> PresentedModule:
-    """a (x) b presented on pairs of generators, relations from both sides."""
+def tensor_module(a: PresentedModule, b: PresentedModule) -> PresentedModule:
+    """a (x) b presented on pairs of generators, relations from both sides,
+    minimized."""
     ctx = a.ctx
     if b.ctx is not ctx:
         raise ValueError("tensor across different contexts")
@@ -650,160 +636,83 @@ def tensor_module(a: PresentedModule, b: PresentedModule, minimal=True) -> Prese
             for k, cf in col.items():
                 vec[codec.mkey(codec.mono_of(k), j * rb + codec.comp_of(k))] = cf
             cols.append(vec)
-    raw = PresentedModule(ctx, twists, cols)
-    return raw.minimal_presentation() if minimal else raw
+    return PresentedModule(ctx, twists, cols).minimal_presentation()
 
 
-def hom_with_lifts(
-    a: PresentedModule, b: PresentedModule
-) -> tuple[PresentedModule, list[list[dict]], PresentedModule]:
-    """Hom(a, b) with explicit lift matrices.
+def subquotient(
+    X: PresentedModule, in_cols: Sequence[dict], target: PresentedModule, out_cols: Sequence[dict]
+) -> PresentedModule:
+    """ker(out) / im(in) inside X, as a minimal presentation.
 
-    Returns (H, lifts, X) where X = (+)_j b shifted by -a.row_twists[j], H is
-    presented on generators that are elements of X's free cover, and
-    lifts[s] is the list of columns (one per a-generator, each a vector over
-    b's free cover) of the free-level map realizing generator s.
+    `out_cols` are the columns of a map X -> target and `in_cols` are
+    free-cover vectors of X lying in its kernel, so the map is defined on
+    X / im(in) and the subquotient is its kernel there.  Every Hom, stable
+    Hom and homology module of the package is built this way.
+    """
+    Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols))
+    return ModuleMap(Q, target, out_cols, check=False).kernel()[0].minimal_presentation()
+
+
+def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:
+    """Direct sum of copies of base, copy c shifted by shifts[c]."""
+    out = PresentedModule.zero(base.ctx)
+    for s in shifts:
+        out = out.direct_sum(base.shifted(s))
+    return out
+
+
+def _hom_complex(a: PresentedModule, b: PresentedModule):
+    """(X, Y, psi_cols) with Hom(a, b) = ker(psi : X -> Y).
+
+    X = Hom(F0(a), b) and Y = Hom(F1(a), b) are sums of shifted copies of
+    b, and psi precomposes with a's relations.  Slot j * rb + t of X holds
+    the t-th generator of b in the copy for a's j-th generator.
     """
     ctx = a.ctx
     if b.ctx is not ctx:
         raise ValueError("hom across different contexts")
     codec = ctx.codec
+    p = ctx.ring.field.p
     rb = b.rank0
-    # X = Hom(F0(a), b), Y = Hom(F1(a), b), psi = precompose with a's relations.
-    X = _iterated_sum(ctx, [b.shifted(-t) for t in a.row_twists])
-    Y = _iterated_sum(ctx, [b.shifted(-d) for d in a.col_degrees])
+    X = _sum_of_shifts(b, [-t for t in a.row_twists])
+    Y = _sum_of_shifts(b, [-d for d in a.col_degrees])
     psi_cols = []
     for j in range(a.rank0):
         for t in range(rb):
             vec: dict[int, int] = {}
             for c, col in enumerate(a.columns):
-                f = _entry_of(ctx, col, j)
-                if f:
-                    for mk, cf in f.items():
-                        key = codec.mkey(mk, c * rb + t)
-                        vec[key] = (vec.get(key, 0) + cf) % ctx.ring.field.p
+                for mk, cf in _entry_of(ctx, col, j).items():
+                    key = codec.mkey(mk, c * rb + t)
+                    vec[key] = (vec.get(key, 0) + cf) % p
             psi_cols.append({k: c for k, c in vec.items() if c})
-    psi = ModuleMap(X, Y, psi_cols, check=False)
-    H, incl = psi.kernel(minimal=True)
-    lifts = []
-    for gen in incl.columns:
-        mats: list[dict] = [{} for _ in range(a.rank0)]
-        for k, c in gen.items():
-            comp = codec.comp_of(k)
-            j, t = divmod(comp, rb)
-            mats[j][codec.mkey(codec.mono_of(k), t)] = c
-        lifts.append(mats)
-    return H, lifts, X
+    return X, Y, psi_cols
 
 
 def hom_module(a: PresentedModule, b: PresentedModule) -> PresentedModule:
     key = ("hom", b.value_key())
     hit = a._cache.get(key)
     if hit is None:
-        hit = hom_with_lifts(a, b)[0].minimal_presentation()
+        X, Y, psi_cols = _hom_complex(a, b)
+        hit = subquotient(X, [], Y, psi_cols)
         a._cache[key] = hit
     return hit
 
 
-def _iterated_sum(ctx: RingCtx, mods: list[PresentedModule]) -> PresentedModule:
-    out = PresentedModule.zero(ctx)
-    for m in mods:
-        out = out.direct_sum(m)
-    return out
-
-
-def evaluation_map(a: PresentedModule, b: PresentedModule):
-    """The natural map dual(a) (x) b -> Hom(a, b), u (x) n |-> (m |-> u(m) n).
-
-    Returns (T, H, phi) with T the unminimized tensor product of the
-    functional presentation of dual(a) with b, H = Hom(a, b) on kernel
-    generators, and phi the map between them.  Its cokernel is the family
-    of maps factoring through a free module.
-    """
-    ctx = a.ctx
-    codec = ctx.codec
-    astar, functionals = dual_with_functionals(a)
-    T = tensor_module(astar, b, minimal=False)
-    H, lifts, X = hom_with_lifts(a, b)
-    rb = b.rank0
-    # Family for coordinate extraction: H's generators, then X's relations.
-    fam = [dict(g) for g in _hom_incl_columns(H, lifts, codec, rb)] + list(X.columns)
-    degs = tuple(H.row_twists) + tuple(X.col_degrees)
-    tagged = tagged_module_gb(ctx, fam, X.rank0, degs, X.row_twists)
-    cols = []
-    for s, u in enumerate(functionals):
-        for t in range(rb):
-            # phi sends u (x) e_t to the X-vector with u's entries in copy slots.
-            vec = {}
-            for k, c in u.items():
-                vec[codec.mkey(codec.mono_of(k), codec.comp_of(k) * rb + t)] = c
-            coords = express_in_family(ctx, tagged, vec, len(H.row_twists))
-            if coords is None:
-                raise InvariantViolation("evaluation image escaped Hom")
-            cols.append(vec_from_entries(ctx, coords))
-    phi = ModuleMap(T, H, cols, check=False)
-    return T, H, phi
-
-
-def _hom_incl_columns(H, lifts, codec, rb):
-    # Rebuild the X-cover vectors of H's generators from the lift matrices.
-    out = []
-    for mats in lifts:
-        vec = {}
-        for j, f in enumerate(mats):
-            for k, c in f.items():
-                vec[codec.mkey(codec.mono_of(k), j * rb + codec.comp_of(k))] = c
-        out.append(vec)
-    return out
-
-
 def stable_hom(a: PresentedModule, b: PresentedModule) -> PresentedModule:
-    """Hom(a, b) modulo maps factoring through free modules."""
-    _, _, phi = evaluation_map(a, b)
-    return phi.cokernel().minimal_presentation()
+    """Hom(a, b) modulo maps factoring through free modules.
 
-
-def dual_evaluation_map(a: PresentedModule, b: PresentedModule):
-    """The natural map a (x) dual(b) -> dual(Hom(a, b)).
-
-    m (x) u goes to the functional psi |-> u(psi(m)).  Returns (T, Hstar, chi)
-    with T the unminimized tensor of a with the functional presentation of
-    dual(b) and Hstar = dual(Hom(a, b)) presented on its own functionals.
+    Those maps are the image of the evaluation u (x) n |-> (m |-> u(m) n)
+    from Hom(a, R) (x) b, spanned over R by the vectors u (x) e_t of X (the
+    functional u in the copy slots of b's t-th generator), so stable Hom
+    is the kernel of psi on X modulo them.
     """
-    ctx = a.ctx
-    codec = ctx.codec
-    p = ctx.ring.field.p
-    bstar, bfun = dual_with_functionals(b)
-    T = tensor_module(a, bstar, minimal=False)
-    H, lifts, _ = hom_with_lifts(a, b)
-    hstar, hfun = dual_with_functionals(H)
-    fun_degs = tuple(vec_degree(ctx, u, tuple(-t for t in H.row_twists)) for u in hfun)
-    tagged = tagged_module_gb(ctx, list(hfun), H.rank0, fun_degs, tuple(-t for t in H.row_twists))
-    nb = len(bfun)
-    cols = []
-    for j in range(a.rank0):
-        for u in bfun:
-            # The value on H's generator l is u paired with column j of l's lift.
-            lam: dict[int, int] = {}
-            for l, mats in enumerate(lifts):
-                val: dict[int, int] = {}
-                for comp, f in enumerate(_split_entries(ctx, mats[j])):
-                    g = _entry_of(ctx, u, comp)
-                    if f and g:
-                        prod = (Polynomial(ctx.ring, f) * Polynomial(ctx.ring, g)).raw()
-                        for mk, c in prod.items():
-                            v = (val.get(mk, 0) + c) % p
-                            if v:
-                                val[mk] = v
-                            else:
-                                val.pop(mk, None)
-                val = ctx.nf_poly(Polynomial(ctx.ring, val)).raw()
-                for mk, c in val.items():
-                    lam[codec.mkey(mk, l)] = c
-            coords = express_in_family(ctx, tagged, lam, len(hfun))
-            if coords is None:
-                raise InvariantViolation("pairing escaped the dual of Hom")
-            cols.append(vec_from_entries(ctx, coords))
-    assert len(cols) == a.rank0 * nb
-    chi = ModuleMap(T, hstar, cols, check=False)
-    return T, hstar, chi
+    X, Y, psi_cols = _hom_complex(a, b)
+    codec = a.ctx.codec
+    rb = b.rank0
+    _, functionals = dual_with_functionals(a)
+    evals = [
+        {codec.mkey(codec.mono_of(k), codec.comp_of(k) * rb + t): c for k, c in u.items()}
+        for u in functionals
+        for t in range(rb)
+    ]
+    return subquotient(X, evals, Y, psi_cols)

@@ -310,13 +310,6 @@ class PolyRing:
         return f"GF({self.field.p})[{', '.join(self.variables)}] ({self.order})"
 
 
-def monomial_compare(ring: PolyRing, exps_a: Sequence[int], exps_b: Sequence[int]) -> int:
-    """-1, 0 or 1 comparing two exponent vectors in the ring's term order."""
-    ka = ring.encode_monomial(exps_a)
-    kb = ring.encode_monomial(exps_b)
-    return (ka > kb) - (ka < kb)
-
-
 class Polynomial:
     """Element of a PolyRing: a dict from packed monomial key to coefficient.
 

@@ -283,31 +283,9 @@ class FiniteLengthRealization:
                 return np.zeros((self.dim(d), 0), dtype=np.int64)
             return np.column_stack(cols)
 
-        lo = min(twists)
         hi = (self.top or 0) + max(weights)
-        kernels: dict[int, np.ndarray] = {}
-        for d in range(lo, hi + 1):
-            if fr.dim(d) == 0:
-                continue
-            kernels[d] = nullspace_mod(images(d), p)
-        cols = []
-        for d, K in kernels.items():
-            if K.shape[1] == 0:
-                continue
-            mk_blocks = []
-            for v, w in enumerate(weights):
-                prev = kernels.get(d - w)
-                if prev is not None and prev.shape[1]:
-                    mk_blocks.append(matmul_mod(fr.action(v, d - w), prev, p))
-            if mk_blocks:
-                inside = solve_mod(K, np.hstack(mk_blocks), p)
-                if inside is None:
-                    raise InvariantViolation("m * kernel escaped the kernel")
-            else:
-                inside = np.zeros((K.shape[1], 0), dtype=np.int64)
-            for i in standard_complement(inside, p):
-                cols.append(fr.vec_of_coords(K[:, i], d))
-        return PresentedModule(ctx, twists, cols)
+        degrees = [d for d in fr.degrees() if d <= hi]
+        return PresentedModule(ctx, twists, kernel_generators(fr, images, degrees))
 
 
 class FreeRealization(FiniteLengthRealization):
@@ -372,13 +350,10 @@ class FreeRealization(FiniteLengthRealization):
         return out
 
     def vec_of_coords(self, coords: np.ndarray, d: int) -> dict:
-        codec = self.ctx.codec
-        pairs = self.basis(d)
-        return {
-            codec.mkey(m, s): int(c) % self.ctx.ring.field.p
-            for (s, m), c in zip(pairs, coords)
-            if c % self.ctx.ring.field.p
-        }
+        mkey = self.ctx.codec.mkey
+        # One numpy reduction, then plain ints: no numpy scalar per entry.
+        values = (np.asarray(coords) % self.ctx.ring.field.p).tolist()
+        return {mkey(m, s): c for (s, m), c in zip(self.basis(d), values) if c}
 
     def matrix_from(self, source: "FreeRealization", cols: Sequence[dict], d: int) -> np.ndarray:
         """Matrix (this piece d) x (source piece d) of the map whose column
@@ -394,6 +369,39 @@ class FreeRealization(FiniteLengthRealization):
             for k, c in red.items():
                 out[self._index[d][k], j] = c
         return out
+
+
+def kernel_generators(fr: FreeRealization, matrix_at, degrees) -> list[dict]:
+    """Minimal generators of the kernel of a degree-zero linear map out of
+    the free module `fr`, given by its degree-d matrix `matrix_at(d)`.
+
+    Walks `degrees` upward (they must include every degree of `fr` up to
+    the last kernel generator); in each one the kernel is a nullspace and
+    the new generators are a complement of the variable multiples of the
+    kernels one weight below (graded Nakayama).
+    """
+    p = fr.ctx.ring.field.p
+    weights = fr.ctx.ring.weights
+    kernels: dict[int, np.ndarray] = {}
+    out = []
+    for d in degrees:
+        K = kernels[d] = nullspace_mod(matrix_at(d), p)
+        if not K.shape[1]:
+            continue
+        blocks = []
+        for v, w in enumerate(weights):
+            below = kernels.get(d - w)
+            if below is not None and below.shape[1]:
+                blocks.append(matmul_mod(fr.action(v, d - w), below, p))
+        if blocks:
+            coords = solve_mod(K, np.hstack(blocks), p)
+            if coords is None:
+                raise InvariantViolation("kernel not closed under the ring action")
+        else:
+            coords = np.zeros((K.shape[1], 0), dtype=np.int64)
+        for i in standard_complement(coords, p):
+            out.append(fr.vec_of_coords(K[:, i], d))
+    return out
 
 
 # -- binary constructions ------------------------------------------------------

@@ -5,29 +5,34 @@ interchangeable engines: a Groebner one (works over any context) and a
 degreewise linear-algebra one for artinian contexts, where every kernel is
 a finite-dimensional nullspace.  Both choose generators by graded
 Nakayama, degree by degree: the linear engine as a complement of the
-image of the kernels below, the Groebner engine through the shared
-`modules.minimal_generator_indices`.  Both produce minimal resolutions, so
-ranks are Betti numbers as computed.
+image of the kernels below (`realize.kernel_generators`, shared with
+`FiniteLengthRealization.to_presentation`), the Groebner engine through
+the shared `modules.minimal_generator_indices`.  Both produce minimal
+resolutions, so ranks are Betti numbers as computed.
 
 Derived functors come by two routes that share no homology code.  Each
 route has one body for both functors, keyed by kind ("ext" or "tor"):
 
 * The direct route resolves the first argument and works with the
   induced Hom or tensor complex X.  `ext` / `tor` produce the homology
-  as presented modules (`_direct_modules`).  `derived_dims` returns
-  graded dimensions and builds no homology module: over an artinian
-  context as ranks of degreewise matrices (`_degreewise_dims`), elsewhere
-  from Hilbert series (`_hilbert_dims`): with C_j the Hilbert numerator
-  of X_j modulo the image of the map into it, the value at i has series
-  C_i + C_o - HS(X_o), o the index its outgoing map leads to, read as
-  None when it has infinite length.  That route first checks that the
-  two maps at i compose to zero.  Ranks and C_j are memoized with N,
-  so neighbouring indices of a scan share them; `ext` / `tor` are the
-  cross-check.  `ext_profile` / `tor_profile` are `derived_dims`
-  refusing infinite length.  Ext and Tor differ only in twist sign,
-  degree window and which neighbouring differential is outgoing; one
-  free-cover column builder (`_step_cols`) and one degreewise matrix
-  builder (`_matrix_builder`) serve both.
+  as presented modules (`_direct_modules`): the value at i is the
+  kernel of the outgoing map on X_i modulo the incoming image
+  (`modules.subquotient`, the construction Hom and stable Hom use too).
+  `derived_dims` returns graded dimensions and builds no homology
+  module: over an artinian context as ranks of degreewise matrices
+  (`_degreewise_dims`), elsewhere from Hilbert series (`_hilbert_dims`):
+  with C_j the Hilbert numerator of X_j modulo the image of the map into
+  it, the value at i has series C_i + C_o - HS(X_o), o the index its
+  outgoing map leads to, read as None when it has infinite length.
+  Both the module and the Hilbert-series paths first check that the two
+  maps at i compose to zero (`_check_square_zero`), so a broken
+  differential raises instead of giving wrong values.  Ranks and C_j
+  are memoized with N, so neighbouring indices of a scan share them;
+  `ext` / `tor` are the cross-check.  `ext_profile` / `tor_profile` are
+  `derived_dims` refusing infinite length.  Ext and Tor differ only in
+  twist sign, degree window and which neighbouring differential is
+  outgoing; one free-cover column builder (`_step_cols`) and one
+  degreewise matrix builder (`_matrix_builder`) serve both.
 * The complete route, `ext_via_complete` / `tor_via_complete`
   (`_via_complete`), passes through a high syzygy and its dual and reads
   each functor off the opposite one.  It is only valid over a Gorenstein
@@ -54,28 +59,26 @@ from .groebner import (
     _tp_add,
     _tp_shift,
     _tp_sub,
-    express_in_family,
     reduce_vec_by_ideal,
     syzygies_for,
-    tagged_module_gb,
 )
-from .linalg import matmul_mod, nullspace_mod, rank_mod, solve_mod, standard_complement
+from .linalg import rank_mod
 from .modules import (
-    ModuleMap,
     PresentedModule,
+    _combine_columns,
     _entry_of,
     _finite_series,
-    _combine_columns,
     _split_entries,
+    _sum_of_shifts,
     dual_module,
     dual_with_functionals,
     minimal_generator_indices,
     minimal_generators,
+    subquotient,
     tensor_module,
     vec_degree,
-    vec_from_entries,
 )
-from .realize import FiniteLengthRealization, FreeRealization
+from .realize import FiniteLengthRealization, FreeRealization, kernel_generators
 
 
 # -- resolutions ---------------------------------------------------------------
@@ -105,41 +108,16 @@ def _canonical_columns(ctx, cols, twists):
 
 
 def _kernel_generators_linear(ctx, cols, cur, prev):
-    """Minimal generators of ker((+)R(-cur) -> (+)R(-prev)), artinian ctx.
-
-    Walks degrees upward; in each one the kernel is a nullspace and the new
-    generators are a complement of the image of the kernels one weight
-    below (graded Nakayama).
-    """
-    p = ctx.ring.field.p
+    """Minimal generators of ker((+)R(-cur) -> (+)R(-prev)), artinian ctx."""
     fsrc = _free_real(ctx, cur)
     ftgt = _free_real(ctx, prev)
-    weights = ctx.ring.weights
-    kernels: dict[int, np.ndarray] = {}
-    out = []
-    for d in sorted(fsrc.degrees()):
+
+    def matrix_at(d):
         if ftgt.dim(d):
-            mat = ftgt.matrix_from(fsrc, cols, d)
-        else:
-            mat = np.zeros((0, fsrc.dim(d)), dtype=np.int64)
-        K = nullspace_mod(mat, p)
-        kernels[d] = K
-        if not K.shape[1]:
-            continue
-        blocks = []
-        for v, w in enumerate(weights):
-            below = kernels.get(d - w)
-            if below is not None and below.shape[1]:
-                blocks.append(matmul_mod(fsrc.action(v, d - w), below, p))
-        if blocks:
-            coords = solve_mod(K, np.hstack(blocks), p)
-            if coords is None:
-                raise InvariantViolation("kernel not closed under the ring action")
-        else:
-            coords = np.zeros((K.shape[1], 0), dtype=np.int64)
-        for i in standard_complement(coords, p):
-            out.append(fsrc.vec_of_coords(K[:, i], d))
-    return out
+            return ftgt.matrix_from(fsrc, cols, d)
+        return np.zeros((0, fsrc.dim(d)), dtype=np.int64)
+
+    return kernel_generators(fsrc, matrix_at, sorted(fsrc.degrees()))
 
 
 class Resolution:
@@ -396,13 +374,6 @@ class ExtTorResult:
 _STEP = {"ext": 1, "tor": -1}
 
 
-def _sum_of_shifts(ctx: RingCtx, base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:
-    out = PresentedModule.zero(ctx)
-    for s in shifts:
-        out = out.direct_sum(base.shifted(s))
-    return out
-
-
 def _term_shifts(kind, res, j) -> list[int]:
     """Shifts of the copies of N making up X_j (see `_STEP`)."""
     return [-_STEP[kind] * a for a in res.twists_of(j)]
@@ -439,28 +410,6 @@ def _incoming_cols(kind, res, j, rb) -> list[dict]:
     return _step_cols(kind, res, max(j, src), rb)
 
 
-def _homology_between(ctx, X, out_map, in_cols):
-    """ker(out_map) / im(in_cols) inside X, as a minimal presentation.
-
-    `in_cols` are free-cover vectors of X known to land in the kernel.
-    """
-    K, incl = out_map.kernel(minimal=True)
-    if not in_cols:
-        return K.minimal_presentation()
-    fam = [dict(c) for c in incl.columns] + [dict(c) for c in X.columns]
-    degs = tuple(K.row_twists) + tuple(X.col_degrees)
-    tagged = tagged_module_gb(ctx, fam, X.rank0, degs, X.row_twists)
-    extra = []
-    for col in in_cols:
-        coords = express_in_family(ctx, tagged, col, K.rank0)
-        if coords is None:
-            raise InvariantViolation("incoming image escapes the kernel")
-        v = vec_from_entries(ctx, coords)
-        if v:
-            extra.append(v)
-    return PresentedModule(ctx, K.row_twists, list(K.columns) + extra).minimal_presentation()
-
-
 def _check_pair(M: PresentedModule, N: PresentedModule):
     if M.ctx is not N.ctx:
         raise ValueError("arguments live over different contexts")
@@ -468,7 +417,9 @@ def _check_pair(M: PresentedModule, N: PresentedModule):
 
 def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) -> ExtTorResult:
     """Body of `ext` and `tor`: homology of Hom(F, N) or F (x) N, with F a
-    minimal resolution of M, as presented modules."""
+    minimal resolution of M, as presented modules.  Each value is the
+    kernel of the outgoing map on X_i modulo the incoming image, after
+    the check that the two maps compose to zero."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
@@ -491,10 +442,13 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         if not ti or rb == 0:
             out.record_module(i, PresentedModule.zero(ctx))
             continue
-        X = _sum_of_shifts(ctx, Nm, _term_shifts(kind, res, i))
-        Xout = _sum_of_shifts(ctx, Nm, _term_shifts(kind, res, i + step))
-        out_map = ModuleMap(X, Xout, _step_cols(kind, res, max(i, i + step), rb), check=False)
-        out.record_module(i, _homology_between(ctx, X, out_map, _incoming_cols(kind, res, i, rb)))
+        o = i + step
+        if res.rank(o):
+            _check_square_zero(kind, res, Nm, i, o)
+        X = _sum_of_shifts(Nm, _term_shifts(kind, res, i))
+        Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
+        in_cols = _incoming_cols(kind, res, i, rb)
+        out.record_module(i, subquotient(X, in_cols, Xout, _step_cols(kind, res, max(i, o), rb)))
     return out
 
 
@@ -600,7 +554,7 @@ def _coker_numerator(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
     key = ("coker", res, kind, j)
     hit = memo.get(key)
     if hit is None:
-        X = _sum_of_shifts(res.ctx, Nm, _term_shifts(kind, res, j))
+        X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
         cols = list(X.columns) + _incoming_cols(kind, res, j, Nm.rank0)
         hit = memo[key] = PresentedModule(res.ctx, X.row_twists, cols).hilbert_numerator()
     return hit
@@ -621,7 +575,7 @@ def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
         if not img:
             continue
         if Xo is None:
-            Xo = _sum_of_shifts(ctx, Nm, _term_shifts(kind, res, o))
+            Xo = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
         if Xo.gb().reduce(img):
             raise InvariantViolation("consecutive maps of the complex do not compose to zero")
 

@@ -1,4 +1,5 @@
-"""Matlis duals, socles, and the pairing map into the dual of Hom.
+"""Matlis duals, socles, and dimension identities between Hom, tensor and
+the derived functors.
 
 Over GF(101)[x,y]/(x^2,y^2) the socle is x*y in degree 2, so the dual of
 the residue field concentrates there; over the length-5 Gorenstein ring in
@@ -10,7 +11,6 @@ import pytest
 
 from extlab.modules import (
     PresentedModule,
-    dual_evaluation_map,
     hom_module,
     tensor_module,
 )
@@ -58,24 +58,6 @@ def test_matlis_pairing_dimensions(nilsquares):
     t = tor(m, n, range(4))
     for i in range(4):
         assert e.total(i) == t.total(i), i
-
-
-def test_dual_evaluation_map_residue_field(nilsquares):
-    k = k_of(nilsquares)
-    T, hstar, chi = dual_evaluation_map(k, k)
-    assert T.length() == 1 and hstar.minimal_presentation().length() == 1
-    assert not chi.is_zero_map()
-    assert chi.cokernel().minimal_presentation().is_zero()
-
-
-def test_dual_evaluation_map_well_defined(nilsquares):
-    a = cyclic(nilsquares, "x")
-    b = cyclic(nilsquares, "y")
-    T, hstar, chi = dual_evaluation_map(a, b)
-    # The map must kill T's relations (checked through the constructor).
-    from extlab.modules import ModuleMap
-
-    ModuleMap(T, hstar, chi.columns, check=True)
 
 
 def test_hom_tensor_adjunction_dimensions(nilsquares):

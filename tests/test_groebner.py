@@ -13,14 +13,12 @@ from extlab.errors import DegreeCapError
 from extlab.groebner import (
     RingCtx,
     buchberger,
-    express_in_family,
     module_codec,
     module_gb,
     monomial_quotient_numerator,
     presented_numerator,
     reduce_vec_by_ideal,
     syzygies_for,
-    tagged_module_gb,
     tp_exact_quotient,
     tp_one_minus_t_valuation,
     tp_series,
@@ -269,24 +267,6 @@ def test_degree_cap_aborts_runs():
     g = ring.parse("x*y^2 + y^3")
     with pytest.raises(DegreeCapError):
         buchberger([poly_vec(f), poly_vec(g)], ring)
-
-
-def test_express_in_family_recovers_coordinates():
-    ring = ring_with(["x", "y"])
-    ctx = RingCtx(ring, [ring.parse("x^2")])
-    x, y = ring.gens()
-    fam = [poly_vec(x), poly_vec(y**2)]
-    tagged = tagged_module_gb(ctx, fam, rank=1, col_degrees=(1, 2))
-    target = x * y + 3 * y**3
-    coords = express_in_family(ctx, tagged, poly_vec(target), 2)
-    assert coords is not None
-    total = coords[0] * x + coords[1] * y**2
-    assert ctx.nf_poly(total - target).is_zero()
-    assert express_in_family(ctx, tagged, poly_vec(y), 2) is None
-    # x^2 is zero in the quotient: coordinates exist and recombine to 0.
-    coords = express_in_family(ctx, tagged, poly_vec(ring.parse("x^2")), 2)
-    assert coords is not None
-    assert ctx.nf_poly(coords[0] * x + coords[1] * y**2).is_zero()
 
 
 def test_reduce_vec_by_ideal_touches_all_components():

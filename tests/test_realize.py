@@ -170,13 +170,17 @@ def test_stable_hom_profile_hand_values(nilpl, kmod):
     assert stable_hom_profile(kmod, free) == {}
 
 
-def test_stable_hom_profile_matches_module_layer(nilpl, kmod, xcyc):
+def test_stable_hom_profile_matches_module_layer(nilpl, kmod, xcyc, gor5):
     from extlab.modules import dual_module, stable_hom
     from extlab.resolution import syzygy
 
     s1 = syzygy(kmod, 1)
+    # Over the length-5 Gorenstein ring: first syzygy of k against R/(x),
+    # five stable dimensions in degree 0.
+    g_s1 = syzygy(PresentedModule.residue_field(gor5), 1)
+    g_x = PresentedModule.from_matrix(gor5, [["x"]])
     pairs = [(kmod, xcyc), (xcyc, kmod), (xcyc, xcyc),
-             (s1, kmod), (s1, s1), (dual_module(s1), s1)]
+             (s1, kmod), (s1, s1), (dual_module(s1), s1), (g_s1, g_x)]
     for a, b in pairs:
         prof = stable_hom_profile(a, b)
         ref = FiniteLengthRealization.from_module(stable_hom(a, b))

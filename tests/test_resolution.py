@@ -19,6 +19,7 @@ Frozen expectations and where they come from:
 import numpy as np
 import pytest
 
+from extlab import groebner
 from extlab.errors import HypothesisNotMet, InvariantViolation, ResourceCapError
 from extlab.groebner import RingCtx
 from extlab.linalg import rank_mod
@@ -247,6 +248,35 @@ def test_hilbert_series_route_checks_composites():
         derived_dims("ext", M, R, 2)
     with pytest.raises(InvariantViolation):
         derived_dims("tor", M, R, 1)
+    # The module route checks the same composites before taking homology.
+    with pytest.raises(InvariantViolation):
+        ext(M, R, [2])
+    with pytest.raises(InvariantViolation):
+        tor(M, R, [1])
+
+
+def test_module_route_groebner_work_is_pinned(monkeypatch):
+    # Buchberger runs are deterministic, so the module route's Groebner
+    # work on a fresh quadric context is pinned as an exact count: 37 with
+    # each homology module taken as a kernel on a cokernel (46 when the
+    # incoming image was read off a tagged basis of the kernel).
+    ctx = make_ctx(("w", "x", "y", "z"), ("w*x - y*z",))
+    k = k_of(ctx)
+    N = PresentedModule.from_matrix(ctx, [["w"], ["x"], ["y"], ["z"]])
+    runs = 0
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    e = ext(k, dual_module(N), range(4))
+    t = tor(k, N, range(4))
+    assert [e.total(i) for i in range(4)] == [0, 0, 1, 8]
+    assert [t.total(i) for i in range(4)] == [4, 1, 0, 0]
+    assert runs == 37
 
 
 # -- depth, MCM, Gorenstein ----------------------------------------------------
