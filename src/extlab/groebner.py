@@ -171,9 +171,6 @@ class VectorGB:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def lead_keys(self) -> list[int]:
-        return list(self._red.leads)
-
     def __len__(self) -> int:
         return len(self.elements)
 

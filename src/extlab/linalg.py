@@ -1,19 +1,23 @@
-"""Dense exact linear algebra over GF(p).
+"""Exact linear algebra over GF(p).
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  The
-elimination kernels are blocked: within a narrow panel rows are updated one
-pivot at a time, and the trailing part of the matrix is brought up to date
-with a single matrix product per panel.  Products run through float64 BLAS,
-which is exact as long as every dot product stays below 2**53; `matmul_mod`
-chunks the inner dimension so that bound holds for any modulus this package
-accepts.
+Matrices are numpy int64 arrays with entries reduced into [0, p).  Every
+elimination runs through one kernel, `_insert_rows`: sparse row insertion
+on rows held as dicts (column -> coefficient, plain Python ints), so its
+cost follows the nonzero entries and their fill-in, not the cells.  The
+matrices it sees, degree-d pieces of maps between finite-length modules,
+are about 1% nonzero.  `echelon_mod` feeds the nonzero entries of a dense
+matrix through it and writes the echelon form back out; `rank_rows` takes
+rows that were built sparse to begin with.
+
+Products (`matmul_mod`) run through float64 BLAS, which is exact as long as
+every dot product stays below 2**53; the inner dimension is chunked so that
+bound holds for any modulus this package accepts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_PANEL = 128
 _EXACT_CAP = 2**53
 
 
@@ -51,6 +55,50 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _matmul_capped(a, b, p, _EXACT_CAP)
 
 
+def _insert_rows(rows, p: int, reduced: bool) -> dict[int, dict[int, int]]:
+    """Echelon basis of the span of `rows`, keyed by leading column.
+
+    Each row is a dict column -> coefficient with every value in [1, p); the
+    rows are consumed.  They go in lightest first.  A row's leading column
+    is cleared with the stored row leading there until its lead is a new
+    column; the row is then made monic and stored.  The leads of any echelon
+    basis of a row space are its lexicographically first independent column
+    set, so these are the pivots of Gaussian elimination by columns.  With
+    `reduced`, each stored row is cleared of the later pivot columns, last
+    pivot first, which leaves the (unique) reduced row echelon form.
+    """
+    basis: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row)
+            prow = basis.get(lead)
+            if prow is None:
+                inv = pow(row[lead], p - 2, p)
+                if inv != 1:
+                    row = {k: v * inv % p for k, v in row.items()}
+                basis[lead] = row
+                break
+            _axpy(row, p - row[lead], prow, p)
+    if reduced:
+        for lead in sorted(basis, reverse=True):
+            row = basis[lead]
+            for k in [k for k in row if k != lead and k in basis]:
+                _axpy(row, p - row[k], basis[k], p)
+    return basis
+
+
+def _axpy(row: dict[int, int], f: int, other: dict[int, int], p: int):
+    """row += f * other over GF(p), in place; f and other's values are
+    nonzero, so a sum can only vanish where row already had an entry."""
+    get = row.get
+    for k, v in other.items():
+        x = (get(k, 0) + f * v) % p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
 def echelon_mod(a: np.ndarray, p: int, reduced: bool = True):
     """Row echelon form of `a` over GF(p).
 
@@ -58,74 +106,31 @@ def echelon_mod(a: np.ndarray, p: int, reduced: bool = True):
     zeros sink to the bottom; with `reduced` the entries above each pivot are
     cleared as well (RREF).
     """
-    work = _as_mod(a, p).copy()
-    m, n = work.shape
-    pivots: list[int] = []
-    r = 0
-    j0 = 0
-    while j0 < n and r < m:
-        j1 = min(j0 + _PANEL, n)
-        r0 = r
-        block_cols: list[int] = []
-        block_invs: list[int] = []
-        for j in range(j0, j1):
-            nz = np.nonzero(work[r:, j])[0]
-            if nz.size == 0:
-                continue
-            t = r + int(nz[0])
-            if t != r:
-                work[[r, t]] = work[[t, r]]
-            inv = pow(int(work[r, j]), p - 2, p)
-            if inv != 1:
-                work[r, j:j1] = work[r, j:j1] * inv % p
-            mult = work[r + 1 :, j].copy()
-            if mult.any():
-                work[r + 1 :, j + 1 : j1] = (
-                    work[r + 1 :, j + 1 : j1] - np.outer(mult, work[r, j + 1 : j1])
-                ) % p
-            # Stash the multipliers where the zeros belong; the trailing
-            # update below needs them, and they are wiped afterwards.
-            work[r + 1 :, j] = mult
-            pivots.append(j)
-            block_cols.append(j)
-            block_invs.append(inv)
-            r += 1
-        k = r - r0
-        if k and j1 < n:
-            # Pivot rows first: forward substitution row by row, then scale.
-            for t in range(k):
-                pr = r0 + t
-                if t:
-                    lrow = work[pr, block_cols[:t]]
-                    work[pr, j1:] = (work[pr, j1:] - lrow @ work[r0:pr, j1:]) % p
-                if block_invs[t] != 1:
-                    work[pr, j1:] = work[pr, j1:] * block_invs[t] % p
-            if r < m:
-                l21 = work[r:, block_cols]
-                if l21.any():
-                    upd = _matmul_capped(l21, work[r0:r, j1:], p, _EXACT_CAP)
-                    work[r:, j1:] = (work[r:, j1:] - upd) % p
-        for t, j in enumerate(block_cols):
-            work[r0 + t + 1 :, j] = 0
-        j0 = j1
-    if reduced and pivots:
-        nb = (len(pivots) + _PANEL - 1) // _PANEL
-        for b in reversed(range(nb)):
-            t0 = b * _PANEL
-            t1 = min(t0 + _PANEL, len(pivots))
-            # Clear later pivots out of this block's own rows.
-            for t in range(t1 - 1, t0, -1):
-                c = pivots[t]
-                mult = work[t0:t, c].copy()
-                if mult.any():
-                    work[t0:t, c:] = (work[t0:t, c:] - np.outer(mult, work[t, c:])) % p
-            if t0:
-                lead = pivots[t0]
-                cmat = work[:t0, pivots[t0:t1]]
-                if cmat.any():
-                    upd = _matmul_capped(cmat, work[t0:t1, lead:], p, _EXACT_CAP)
-                    work[:t0, lead:] = (work[:t0, lead:] - upd) % p
-    return work, pivots
+    a = _as_mod(a, p)
+    m, n = a.shape
+    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    nz_r, nz_c = np.nonzero(a)
+    for i, j, v in zip(nz_r.tolist(), nz_c.tolist(), a[nz_r, nz_c].tolist()):
+        rows[i][j] = v
+    basis = _insert_rows([r for r in rows if r], p, reduced)
+    pivots = sorted(basis)
+    out = np.zeros((m, n), dtype=np.int64)
+    for i, lead in enumerate(pivots):
+        row = basis[lead]
+        out[i, list(row)] = list(row.values())
+    return out, pivots
+
+
+def rank_rows(rows, p: int) -> int:
+    """Rank over GF(p) of the matrix whose rows are the dicts `rows`
+    (column -> coefficient; absent columns are zero).  The rows are not
+    modified."""
+    clean = []
+    for row in rows:
+        r = {k: v % p for k, v in row.items() if v % p}
+        if r:
+            clean.append(r)
+    return len(_insert_rows(clean, p, reduced=False))
 
 
 def rref_mod(a: np.ndarray, p: int):

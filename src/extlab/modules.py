@@ -248,12 +248,6 @@ class PresentedModule:
             return None
         return max(hf) if hf else min(self.row_twists, default=0) - 1
 
-    def bottom_degree(self) -> int | None:
-        hf = self._finite_hf()
-        if hf is None:
-            return None
-        return min(hf) if hf else 0
-
     # -- elementary constructions ------------------------------------------------
 
     def shifted(self, s: int) -> "PresentedModule":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegreeCapError, ParseError
 
@@ -251,17 +251,6 @@ class PolyRing:
         c = self.field.coerce(coeff)
         return Polynomial(self, {self.encode_monomial(exps): c} if c else {})
 
-    def from_terms(self, terms: Iterable[tuple[Sequence[int], int]]) -> "Polynomial":
-        acc: dict[int, int] = {}
-        for exps, c in terms:
-            k = self.encode_monomial(exps)
-            c = (acc.get(k, 0) + c) % self.field.p
-            if c:
-                acc[k] = c
-            else:
-                acc.pop(k, None)
-        return Polynomial(self, acc)
-
     def parse(self, text: str) -> "Polynomial":
         return _PolyParser(self, text).parse()
 
@@ -341,15 +330,6 @@ class Polynomial:
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
         return max(self._t)
-
-    def leading_coeff(self) -> int:
-        return self._t[self.leading_key()]
-
-    def leading_monomial(self) -> "Polynomial":
-        return Polynomial(self.ring, {self.leading_key(): 1})
-
-    def constant_coeff(self) -> int:
-        return self._t.get(self.ring.unit_key, 0)
 
     def degree(self) -> int:
         """Max weighted degree of a term; -1 for the zero polynomial."""

@@ -49,6 +49,7 @@ an explicit pairing differential in homological degree zero.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +63,7 @@ from .groebner import (
     reduce_vec_by_ideal,
     syzygies_for,
 )
-from .linalg import rank_mod
+from .linalg import rank_rows
 from .modules import (
     PresentedModule,
     _combine_columns,
@@ -466,7 +467,9 @@ def _matrix_builder(kind, nreal, res, j):
     """Degree-d matrices, as a function of d, of the map induced by
     d_j : F_j -> F_{j-1}: Hom(F_{j-1}, N) -> Hom(F_j, N) for ext,
     F_j (x) N -> F_{j-1} (x) N for tor.  Entry (sp, s) of d_j is the sp-th
-    component of its s-th column.
+    component of its s-th column.  A matrix comes as its list of rows, each
+    a dict column -> nonzero coefficient, for `linalg.rank_rows`: the
+    blocks are products of monomial actions and nearly empty.
     """
     lo, hi = res.twists_of(j - 1), res.twists_of(j)
     entries = [
@@ -487,14 +490,17 @@ def _matrix_builder(kind, nreal, res, j):
     def at(d):
         rows = [nreal.dim(d + sign * a) for a in row_tw]
         cols = [nreal.dim(d + sign * a) for a in col_tw]
-        mat = np.zeros((sum(rows), sum(cols)), dtype=np.int64)
-        roff = np.concatenate([[0], np.cumsum(rows)])
-        coff = np.concatenate([[0], np.cumsum(cols)])
+        roff = [0, *accumulate(rows)]
+        coff = [0, *accumulate(cols)]
+        out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
         for r, c, f in blocks:
             if rows[r] and cols[c]:
                 blk = nreal.poly_action(f, d + sign * col_tw[c], sign * (row_tw[r] - col_tw[c]))
-                mat[roff[r]:roff[r + 1], coff[c]:coff[c + 1]] = blk
-        return mat
+                nz_r, nz_c = np.nonzero(blk)
+                r0, c0 = roff[r], coff[c]
+                for i, k, v in zip(nz_r.tolist(), nz_c.tolist(), blk[nz_r, nz_c].tolist()):
+                    out[r0 + i][c0 + k] = v
+        return out
 
     return at
 
@@ -511,7 +517,9 @@ def _derived_memo(Nm: PresentedModule) -> dict:
 def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
     """Graded dimensions of the i-th value over an artinian context, as
     dim - rank - rank of degree-d matrices; no homology module is built.
-    Ranks are memoized, so a scan ranks each boundary map once."""
+    The matrices are built as sparse rows (`_matrix_builder`) and ranked by
+    `rank_rows` without a dense copy.  Ranks are memoized, so a scan ranks
+    each boundary map once."""
     res = resolution_of(M.minimal_presentation())
     res.extend_to(i + 1)
     ti = res.twists_of(i)
@@ -537,7 +545,7 @@ def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) 
         for j, matrix_at in maps.items():
             key = ("rank", res, kind, j, d)
             if key not in memo:
-                memo[key] = rank_mod(matrix_at(d), p)
+                memo[key] = rank_rows(matrix_at(d), p)
             h -= memo[key]
         if h < 0:
             raise InvariantViolation("negative homology dimension")

@@ -12,9 +12,14 @@ from extlab.linalg import (
     nullspace_mod,
     pivot_columns_mod,
     rank_mod,
+    rank_rows,
     rref_mod,
     solve_mod,
 )
+from extlab.modules import _split_entries
+from extlab.realize import FiniteLengthRealization
+from extlab.resolution import _matrix_builder, resolution_of
+from extlab.vanishing import ExperimentConfig, random_pair
 
 PRIMES = [2, 3, 101, 65521]
 
@@ -157,3 +162,115 @@ def test_matmul_chunking_is_exact():
         for j in range(7):
             naive[i, j] = sum(int(a[i, t]) * int(b[t, j]) for t in range(23)) % p
     assert np.array_equal(want, naive)
+
+
+# -- the sparse kernel against the naive reference ------------------------------
+
+
+def sparse_matrix(rng, m, n, p, density, deficient):
+    """Seeded m x n matrix with about `density` of its entries nonzero.
+    With `deficient`, a quarter of the rows are combinations of two others
+    and one column repeats another, so pivots skip rows and columns."""
+    a = np.zeros((m, n), dtype=np.int64)
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                a[i, j] = rng.randrange(1, p)
+    if deficient and m > 3 and n > 3:
+        for i in rng.sample(range(m), m // 4):
+            s, t = rng.sample(range(m), 2)
+            a[i] = (rng.randrange(p) * a[s] + rng.randrange(p) * a[t]) % p
+        a[:, n - 1] = a[:, 0]
+    return a
+
+
+def as_rows(a):
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in a]
+
+
+# (density, shapes): dense cases stay small because fill-in makes a pure
+# Python row kernel pay per entry; sparse ones go past the old 128-column
+# panel width up to 300 x 600.
+DENSITY_CASES = [
+    (0.002, [(300, 600), (120, 500), (40, 300)]),
+    (0.02, [(200, 300), (60, 400), (150, 150)]),
+    (0.2, [(40, 160), (90, 60), (25, 200)]),
+    (1.0, [(30, 140), (50, 20), (8, 8)]),
+]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("density,shapes", DENSITY_CASES)
+def test_sparse_kernel_matches_naive(p, density, shapes):
+    rng = random.Random(int(density * 1000) * 7 + p)
+    for m, n in shapes:
+        for deficient in (False, True):
+            a = sparse_matrix(rng, m, n, p, density, deficient)
+            want, wpiv = naive_rref(a, p)
+            got, gpiv = rref_mod(a, p)
+            assert gpiv == wpiv, (m, n, deficient)
+            assert np.array_equal(got, want), (m, n, deficient)
+            red, piv = echelon_mod(a, p, reduced=False)
+            assert piv == wpiv
+            assert red.shape == a.shape and not red[len(piv):].any()
+            for i, c in enumerate(piv):
+                assert red[i, c] == 1
+                assert not red[i + 1 :, c].any()
+                assert not red[i, :c].any()
+            rows = as_rows(a)
+            assert rank_rows(rows, p) == rank_mod(a, p) == len(wpiv)
+            assert rows == as_rows(a)  # rank_rows leaves its input alone
+
+
+def test_rank_rows_reduces_coefficients():
+    p = 7
+    # Entries outside [0, p) and explicit zeros are read modulo p.
+    rows = [{0: 8, 1: -6, 2: 0}, {0: 1, 1: 1}, {2: 14}, {}, {3: -7}]
+    assert rank_rows(rows, p) == 1
+    assert rank_rows([], p) == 0
+
+
+def dense_degreewise_matrix(kind, nreal, res, j, d):
+    """The degree-d matrix of `_matrix_builder`, assembled densely block by
+    block from `poly_action`: the reference for its sparse rows."""
+    lo, hi = res.twists_of(j - 1), res.twists_of(j)
+    row_tw, col_tw, sign = (hi, lo, 1) if kind == "ext" else (lo, hi, -1)
+    rows = [nreal.dim(d + sign * a) for a in row_tw]
+    cols = [nreal.dim(d + sign * a) for a in col_tw]
+    mat = np.zeros((sum(rows), sum(cols)), dtype=np.int64)
+    for s, col in enumerate(res.diff(j)):
+        for sp, f in enumerate(_split_entries(res.ctx, col)):
+            r, c = (s, sp) if kind == "ext" else (sp, s)
+            if f and rows[r] and cols[c]:
+                blk = nreal.poly_action(f, d + sign * col_tw[c], sign * (row_tw[r] - col_tw[c]))
+                mat[sum(rows[:r]):sum(rows[: r + 1]), sum(cols[:c]):sum(cols[: c + 1])] = blk
+    return mat
+
+
+@pytest.mark.parametrize("ring", ["gor5", "nilsquares"])
+def test_rank_rows_on_degreewise_matrices(ring, request):
+    # The rows `_degreewise_dims` ranks, from seeded pairs: they must be
+    # the rows of the dense block matrix, and rank_rows must agree with
+    # rank_mod on it.
+    ctx = request.getfixturevalue(ring)
+    p = ctx.ring.field.p
+    cfg = ExperimentConfig(seed=41, trials=8)
+    checked = 0
+    for t in range(cfg.trials):
+        M, N = random_pair(cfg, ctx, t)
+        res = resolution_of(M.minimal_presentation()).extend_to(4)
+        nreal = FiniteLengthRealization.from_module(N.minimal_presentation())
+        if nreal.is_zero():
+            continue
+        for kind in ("ext", "tor"):
+            for j in range(1, 4):
+                if not (res.rank(j - 1) and res.rank(j)):
+                    continue
+                at = _matrix_builder(kind, nreal, res, j)
+                for d in range(-8, 9):
+                    rows = at(d)
+                    dense = dense_degreewise_matrix(kind, nreal, res, j, d)
+                    assert rows == as_rows(dense), (kind, j, d)
+                    assert rank_rows(rows, p) == rank_mod(dense, p), (kind, j, d)
+                    checked += bool(dense.any())
+    assert checked

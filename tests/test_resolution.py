@@ -21,9 +21,9 @@ import pytest
 
 from extlab import groebner
 from extlab.errors import HypothesisNotMet, InvariantViolation, ResourceCapError
-from extlab.groebner import RingCtx
+from extlab.groebner import RingCtx, reduce_vec_by_ideal
 from extlab.linalg import rank_mod
-from extlab.modules import ModuleMap, PresentedModule, dual_module
+from extlab.modules import ModuleMap, PresentedModule, _combine_columns, dual_module
 from extlab.realize import FreeRealization
 from extlab.resolution import (
     BettiTable,
@@ -102,6 +102,48 @@ def test_column_module_over_quadric_has_pd_one(quadric):
     res.extend_to(3)
     assert res.known_pd() == 1
     assert res.rank(0) == 4 and res.rank(1) == 1
+
+
+def _check_resolution_invariants(res, steps):
+    """d_i o d_{i+1} = 0 modulo the ideal on the first `steps` steps; when
+    M has finite length, also sum_{i<=n} (-1)^i HS(F_i) = HS(M) in every
+    degree below the first twist of F_{n+1}, where the n-th syzygy, the
+    only other term of that Euler characteristic, is still zero."""
+    ctx = res.ctx
+    res.extend_to(steps)
+    for i in range(1, steps):
+        for col in res.diff(i + 1):
+            composite = _combine_columns(ctx, res.diff(i), col)
+            assert not reduce_vec_by_ideal(composite, ctx), i
+    M = res.module
+    if not M.is_finite_length():
+        return
+    ring = PresentedModule.ring_module(ctx)
+    lo = min(res.twists_of(0), default=0) - 1
+    for n in range(steps):
+        nxt = res.twists_of(n + 1)
+        hi = min(nxt) if nxt else max(res.twists_of(n), default=lo) + 6
+        for d in range(lo, hi):
+            euler = sum(
+                (-1) ** i * ring.hilbert_function(d - a)
+                for i in range(n + 1)
+                for a in res.twists_of(i)
+            )
+            assert euler == M.hilbert_function(d), (n, d)
+
+
+@pytest.mark.parametrize(
+    "ring,backend", [("gor5", "linear"), ("nilsquares", "linear"), ("quadric", "groebner")]
+)
+def test_resolution_invariants_on_seeded_modules(ring, backend, request):
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=53, trials=3, max_generators=2)
+    mods = [k_of(ctx)]
+    for t in range(cfg.trials):
+        mods += random_pair(cfg, ctx, t)
+    for M in mods:
+        res = Resolution(M.minimal_presentation(), backend=backend)
+        _check_resolution_invariants(res, 6)
 
 
 def test_resolution_of_zero_and_free(nilsquares):
