@@ -570,40 +570,23 @@ def minimal_generators(
 # -- duals, hom, tensor -------------------------------------------------------
 
 
-def dual_with_functionals(mod: PresentedModule) -> tuple[PresentedModule, list[dict]]:
-    """Hom(M, R) presented on an explicit family of functionals.
+def _dual_kernel(mod: PresentedModule) -> tuple[PresentedModule, tuple[dict, ...]]:
+    """(K, functionals) with K = Hom(M, R) on minimal generators.
 
-    Each functional is a vector u over the free cover of M (with negated
-    generator degrees) satisfying u . column = 0 mod I for every relation
-    column; the returned presentation's generators are exactly these, in
-    order, so callers may keep identifying them (no minimization here).
+    K is the kernel of M's transposed relation matrix (`_hom_complex`
+    against R), and functionals[j] is its j-th generator as a vector u
+    over the free cover of M, with negated generator degrees, such that
+    u . column = 0 mod I for every relation column.
     """
-    ctx = mod.ctx
-    codec = ctx.codec
-    m = mod.rank0
-    ncols = len(mod.columns)
-    # Columns of the transpose: one vector over the relation indices per row.
-    tcols = []
-    for j in range(m):
-        vec = {}
-        for c, col in enumerate(mod.columns):
-            for mk, cf in _entry_of(ctx, col, j).items():
-                vec[codec.mkey(mk, c)] = cf
-        tcols.append(vec)
-    neg_col = tuple(-d for d in mod.col_degrees)
-    neg_row = tuple(-a for a in mod.row_twists)
-    syz, _ = syzygies_for(ctx, tcols, max(ncols, 1), neg_row, neg_col)
-    functionals = syz  # vectors over components 0..m-1 with twists -row_twists
-    fun_degs = tuple(vec_degree(ctx, u, neg_row) for u in functionals)
-    syz2, _ = syzygies_for(ctx, functionals, m, fun_degs, neg_row)
-    dual = PresentedModule(ctx, fun_degs, syz2)
-    return dual, functionals
+    X, Y, psi_cols = _hom_complex(mod, PresentedModule.ring_module(mod.ctx))
+    K, incl = ModuleMap(X, Y, psi_cols, check=False).kernel()
+    return K, incl.columns
 
 
 def dual_module(mod: PresentedModule) -> PresentedModule:
     hit = mod._cache.get("dual")
     if hit is None:
-        hit = dual_with_functionals(mod)[0].minimal_presentation()
+        hit = _dual_kernel(mod)[0].minimal_presentation()
         mod._cache["dual"] = hit
     return hit
 
@@ -641,7 +624,9 @@ def subquotient(
     `out_cols` are the columns of a map X -> target and `in_cols` are
     free-cover vectors of X lying in its kernel, so the map is defined on
     X / im(in) and the subquotient is its kernel there.  Every Hom, stable
-    Hom and homology module of the package is built this way.
+    Hom and homology module of the package is built this way, and so are
+    duals: `_dual_kernel` is the kernel of `_hom_complex` against R, with
+    nothing to divide out.
     """
     Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols))
     return ModuleMap(Q, target, out_cols, check=False).kernel()[0].minimal_presentation()
@@ -703,7 +688,7 @@ def stable_hom(a: PresentedModule, b: PresentedModule) -> PresentedModule:
     X, Y, psi_cols = _hom_complex(a, b)
     codec = a.ctx.codec
     rb = b.rank0
-    _, functionals = dual_with_functionals(a)
+    _, functionals = _dual_kernel(a)
     evals = [
         {codec.mkey(codec.mono_of(k), codec.comp_of(k) * rb + t): c for k, c in u.items()}
         for u in functionals

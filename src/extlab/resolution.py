@@ -67,13 +67,11 @@ from .linalg import rank_rows
 from .modules import (
     PresentedModule,
     _combine_columns,
-    _entry_of,
+    _dual_kernel,
     _finite_series,
     _split_entries,
     _sum_of_shifts,
     dual_module,
-    dual_with_functionals,
-    minimal_generator_indices,
     minimal_generators,
     subquotient,
     tensor_module,
@@ -223,22 +221,20 @@ class Resolution:
         return hit
 
 
-def resolution_of(mod: PresentedModule, backend: str = "auto") -> Resolution:
+def resolution_of(mod: PresentedModule) -> Resolution:
     """Shared per-context resolution, cached by minimal presentation."""
     mm = mod.minimal_presentation()
     cache = mod.ctx.scratch.setdefault("res", {})
-    key = (mm.value_key(), backend)
+    key = mm.value_key()
     hit = cache.get(key)
     if hit is None:
-        hit = Resolution(mm, backend)
+        hit = Resolution(mm)
         cache[key] = hit
     return hit
 
 
-def minimal_free_resolution(
-    mod: PresentedModule, length: int, backend: str = "auto"
-) -> tuple[Resolution, "BettiTable"]:
-    res = resolution_of(mod, backend)
+def minimal_free_resolution(mod: PresentedModule, length: int) -> tuple[Resolution, "BettiTable"]:
+    res = resolution_of(mod)
     res.extend_to(length)
     return res, res.betti_table(length)
 
@@ -715,10 +711,13 @@ class CompleteResolution:
     """Doubly infinite exact complex of free modules around a maximal
     Cohen-Macaulay module over a Gorenstein context.
 
-    Nonnegative terms come from the minimal resolution; terms below zero
-    are duals of the terms of a minimal resolution of the dual module,
-    with transposed differentials, glued through the evaluation pairing in
-    degree zero.  `term(i)` and `diff(i)` accept any integer index.
+    Nonnegative terms come from the minimal resolution.  The negative half
+    comes from `modules._dual_kernel`, which gives Hom(M, R) on minimal
+    generators together with those generators as functionals on M's free
+    cover: terms below zero are duals of the terms of a minimal resolution
+    of that Hom(M, R), with transposed differentials, and the degree-zero
+    differential is the evaluation pairing, the functionals transposed.
+    `term(i)` and `diff(i)` accept any integer index.
     """
 
     def __init__(self, module: PresentedModule, lo: int = -2, hi: int = 2):
@@ -731,23 +730,9 @@ class CompleteResolution:
         self.ctx = ctx
         self.module = mm
         self.pos = resolution_of(mm)
-        _, funs = dual_with_functionals(mm)
-        neg_tw = tuple(-a for a in mm.row_twists)
-        keep = minimal_generator_indices(ctx, funs, max(mm.rank0, 1), neg_tw)
-        chosen = [funs[l] for l in keep]
-        fun_degs = tuple(vec_degree(ctx, u, neg_tw) for u in chosen)
-        rels, _ = syzygies_for(ctx, chosen, max(mm.rank0, 1), fun_degs, neg_tw)
-        dual_pres = PresentedModule(ctx, fun_degs, rels)
+        dual_pres, chosen = _dual_kernel(mm)
         self.neg = resolution_of(dual_pres)
-        codec = ctx.codec
-        d0 = []
-        for j in range(mm.rank0):
-            col: dict[int, int] = {}
-            for l, u in enumerate(chosen):
-                for mk, c in _entry_of(ctx, u, j).items():
-                    col[codec.mkey(mk, l)] = c
-            d0.append(col)
-        self._d0 = d0
+        self._d0 = _transpose_cols(ctx, chosen, mm.rank0)
         self.extend(lo, hi)
 
     def extend(self, lo: int, hi: int) -> "CompleteResolution":

@@ -15,6 +15,7 @@ geometry most tests revolve around:
 
 import pytest
 
+from extlab import groebner
 from extlab.groebner import RingCtx
 from extlab.poly import FieldSpec, PolyRing
 
@@ -42,3 +43,31 @@ def gor5():
 @pytest.fixture(scope="session")
 def affine_plane():
     return make_ctx(("x", "y"))
+
+
+class _Runs:
+    def __init__(self):
+        self.count = 0
+
+    def reset(self):
+        self.count = 0
+
+
+@pytest.fixture
+def buchberger_runs(monkeypatch):
+    """Counts `groebner.buchberger` runs for the rest of the test.
+
+    Buchberger runs are deterministic, so a test can pin a computation's
+    Groebner work as an exact number.  A test that builds its own rings
+    first calls `reset()` after, so the pin counts only the work under
+    test.
+    """
+    runs = _Runs()
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        runs.count += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    return runs

@@ -13,8 +13,8 @@ from extlab.groebner import RingCtx, module_gb, syzygies_for
 from extlab.modules import (
     ModuleMap,
     PresentedModule,
+    _dual_kernel,
     dual_module,
-    dual_with_functionals,
     hom_module,
     minimal_generator_indices,
     stable_hom,
@@ -23,7 +23,9 @@ from extlab.modules import (
     vec_from_entries,
 )
 from extlab.poly import FieldSpec, PolyRing
-from extlab.vanishing import ExperimentConfig, random_pair
+from extlab.realize import FiniteLengthRealization, dual_realization
+from extlab.resolution import is_mcm, minimal_free_resolution, syzygy
+from extlab.vanishing import ExperimentConfig, random_module, random_pair
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +103,8 @@ def test_dual_of_residue_field_is_socle_shift(nilpl):
     assert d.row_twists == (2,)
     assert d.length() == 1
     assert d.hilbert_function(2) == 1
-    # Unminimized version exposes the functional itself.
-    raw, functionals = dual_with_functionals(k)
+    # The kernel behind the dual exposes the functional itself.
+    _, functionals = _dual_kernel(k)
     assert len(functionals) == 1
     (u,) = functionals
     entries = {nilpl.ring.format_monomial(nilpl.codec.mono_of(mk)) for mk in u}
@@ -113,6 +115,60 @@ def test_double_dual_of_free_ring(nilpl):
     r = PresentedModule.ring_module(nilpl)
     assert dual_module(r) == r
     assert dual_module(dual_module(r)) == r
+
+
+@pytest.mark.parametrize("ring, seed", [("gor5", 11), ("nilsquares", 12)])
+def test_dual_matches_dual_realization(request, ring, seed):
+    # Over an artinian ring Hom(S, R) also comes from linear algebra on
+    # the realization of S.  The two presentations need not be equal (a
+    # minimal presentation is not a canonical form), but the modules are
+    # isomorphic: same generator degrees, Hilbert function and Betti table.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=seed)
+    for pair in range(2):
+        for mod in random_pair(cfg, ctx, pair):
+            for i in range(1, 5):
+                S = syzygy(mod, i)
+                assert S.rank0
+                by_kernel = dual_module(S)
+                by_real = dual_realization(FiniteLengthRealization.from_module(S)).to_presentation()
+                assert sorted(by_kernel.row_twists) == sorted(by_real.row_twists)
+                assert by_kernel.top_degree() == by_real.top_degree()
+                degrees = range(min(by_kernel.row_twists), by_kernel.top_degree() + 1)
+                assert [by_kernel.hilbert_function(d) for d in degrees] == [
+                    by_real.hilbert_function(d) for d in degrees
+                ]
+                assert (minimal_free_resolution(by_kernel, 3)[1]
+                        == minimal_free_resolution(by_real, 3)[1])
+
+
+def _truncated(mod):
+    """mod / m^2 mod: every quadratic monomial times every generator
+    joins the relations."""
+    ctx = mod.ctx
+    ring = ctx.ring
+    gens = ring.gens()
+    cols = list(mod.columns)
+    for j in range(mod.rank0):
+        for a in range(len(gens)):
+            for b in range(a, len(gens)):
+                entries = [ring.constant(0)] * mod.rank0
+                entries[j] = gens[a] * gens[b]
+                cols.append(vec_from_entries(ctx, entries))
+    return PresentedModule(ctx, mod.row_twists, cols)
+
+
+def test_double_dual_of_mcm_syzygies_is_reflexive(quadric):
+    # Over the Gorenstein quadric a maximal Cohen-Macaulay module is
+    # reflexive.  Seeded modules there mostly have finite projective
+    # dimension, so their third syzygies vanish; truncating them to
+    # mod / m^2 mod gives nonzero ones.
+    cfg = ExperimentConfig(seed=17)
+    for i in range(3):
+        S = syzygy(_truncated(random_module(cfg, quadric, i)), 3)
+        assert S.rank0 and is_mcm(S)
+        back = dual_module(dual_module(S))
+        assert minimal_free_resolution(back, 3)[1] == minimal_free_resolution(S, 3)[1]
 
 
 def test_hom_residue_field_endomorphisms(nilpl):

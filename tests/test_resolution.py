@@ -19,7 +19,6 @@ Frozen expectations and where they come from:
 import numpy as np
 import pytest
 
-from extlab import groebner
 from extlab.errors import HypothesisNotMet, InvariantViolation, ResourceCapError
 from extlab.groebner import RingCtx, reduce_vec_by_ideal
 from extlab.linalg import rank_mod
@@ -297,7 +296,7 @@ def test_hilbert_series_route_checks_composites():
         tor(M, R, [1])
 
 
-def test_module_route_groebner_work_is_pinned(monkeypatch):
+def test_module_route_groebner_work_is_pinned(buchberger_runs):
     # Buchberger runs are deterministic, so the module route's Groebner
     # work on a fresh quadric context is pinned as an exact count: 37 with
     # each homology module taken as a kernel on a cokernel (46 when the
@@ -305,20 +304,38 @@ def test_module_route_groebner_work_is_pinned(monkeypatch):
     ctx = make_ctx(("w", "x", "y", "z"), ("w*x - y*z",))
     k = k_of(ctx)
     N = PresentedModule.from_matrix(ctx, [["w"], ["x"], ["y"], ["z"]])
-    runs = 0
-    real = groebner.buchberger
-
-    def counted(*args, **kwargs):
-        nonlocal runs
-        runs += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "buchberger", counted)
+    buchberger_runs.reset()
     e = ext(k, dual_module(N), range(4))
     t = tor(k, N, range(4))
     assert [e.total(i) for i in range(4)] == [0, 0, 1, 8]
     assert [t.total(i) for i in range(4)] == [4, 1, 0, 0]
-    assert runs == 37
+    assert buchberger_runs.count == 37
+
+
+@pytest.mark.parametrize(
+    "names, rels, left, t, totals, runs",
+    [
+        # k against k over gor5: 5 runs with the dual's relations computed
+        # on minimal functionals (4 when they were a second syzygy run
+        # over every functional, none minimized).
+        (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"), None, 5,
+         [3, 8, 21], 5),
+        # coker [[w, y], [z, x]] against k over the quadric: 39 runs, the
+        # same count as with unminimized functionals.
+        (("w", "x", "y", "z"), ("w*x - y*z",), [["w", "y"], ["z", "x"]], 4, [2, 2], 39),
+    ],
+    ids=["gor5", "quadric"],
+)
+def test_complete_route_groebner_work_is_pinned(buchberger_runs, names, rels, left, t, totals, runs):
+    ctx = make_ctx(names, rels)
+    k = k_of(ctx)
+    M = k if left is None else PresentedModule.from_matrix(ctx, left)
+    buchberger_runs.reset()
+    idx = range(1, len(totals) + 1)
+    e = ext_via_complete(M, k, idx, t=t)
+    tt = tor_via_complete(M, k, idx, t=t)
+    assert [e.total(i) for i in idx] == [tt.total(i) for i in idx] == totals
+    assert buchberger_runs.count == runs
 
 
 # -- depth, MCM, Gorenstein ----------------------------------------------------

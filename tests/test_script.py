@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import extlab.script as scr
-from extlab import groebner
 from extlab.cli import main
 from extlab.errors import ParseError
 from extlab.script import (
@@ -407,21 +406,12 @@ def test_cli_seed_flag_reaches_harness(tmp_path, capsys):
 # -- work counts ----------------------------------------------------------------
 
 
-def test_example_2_3_groebner_work_is_pinned(monkeypatch):
+def test_example_2_3_groebner_work_is_pinned(buchberger_runs):
     # Buchberger runs are deterministic, so the canned quadric script's
     # Groebner work is pinned as an exact count: 63 with scan values read
     # off cokernel Hilbert series (232 when every scan index built its
     # homology module, 1886 when every minimal-generator candidate had its
     # own leave-one-out basis).  The answers must not move with the count.
-    runs = 0
-    real = groebner.buchberger
-
-    def counted(*args, **kwargs):
-        nonlocal runs
-        runs += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "buchberger", counted)
     rep = run_script(parse_script((SCRIPTS / "example-2-3.gor").read_text()), RunFlags())
     assert rep["exit_code"] == EXIT_OK
     by_kind = {st["kind"]: st["result"] for st in rep["statements"]}
@@ -430,4 +420,4 @@ def test_example_2_3_groebner_work_is_pinned(monkeypatch):
     assert by_kind["betti"]["betti"]["entries"] == [
         {"homological": i, "internal": i + 1, "rank": 8 if i else 7} for i in range(9)
     ]
-    assert runs == 63
+    assert buchberger_runs.count == 63
