@@ -540,23 +540,6 @@ class RingCtx:
         self._act[(var, degree)] = mat
         return mat
 
-    def socle_dims(self) -> list[int]:
-        """dim_k of the socle in each degree (artinian rings only)."""
-        if not self.is_artinian:
-            raise ValueError("socle by degree needs an artinian ring")
-        from .linalg import rank_mod
-
-        out = []
-        for d in range(self.top_degree + 1):
-            src = self.std_monomials(d)
-            if not src:
-                out.append(0)
-                continue
-            stack = [self.action_matrix(v, d) for v in range(self.ring.nvars)]
-            mat = np.vstack([m for m in stack if m.size] or [np.zeros((0, len(src)), np.int64)])
-            out.append(len(src) - (rank_mod(mat, self.ring.field.p) if mat.size else 0))
-        return out
-
     def __repr__(self) -> str:
         rels = ", ".join(str(f) for f in self.relations) or "0"
         return f"{self.ring!r} / ({rels})"

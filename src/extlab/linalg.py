@@ -1,13 +1,18 @@
 """Exact linear algebra over GF(p).
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  Every
-elimination runs through one kernel, `_insert_rows`: sparse row insertion
-on rows held as dicts (column -> coefficient, plain Python ints), so its
-cost follows the nonzero entries and their fill-in, not the cells.  The
+Every elimination runs through one step, `insert_row`: reduce a sparse row
+(a dict column -> coefficient, plain Python ints) against an echelon basis
+keyed by leading column, and store it if a new lead is left.  Its cost
+follows the nonzero entries and their fill-in, not the cells.  The
 matrices it sees, degree-d pieces of maps between finite-length modules,
-are about 1% nonzero.  `echelon_mod` feeds the nonzero entries of a dense
-matrix through it and writes the echelon form back out; `rank_rows` takes
-rows that were built sparse to begin with.
+are about 1% nonzero.  `_insert_rows` runs it over a whole matrix;
+`rank_rows` and `nullspace_rows` take rows that were built sparse to begin
+with, and the dense entry points (numpy int64 arrays with entries in
+[0, p)) are adapters: `echelon_mod` feeds a dense matrix's nonzero entries
+through it and writes the echelon form back out, `nullspace_mod` writes
+out `nullspace_rows`.  Fed an image span first and candidate vectors after
+it, in order, `insert_row` keeps the earliest candidates that extend the
+span: the complement rule by which `realize` chooses minimal generators.
 
 Products (`matmul_mod`) run through float64 BLAS, which is exact as long as
 every dot product stays below 2**53; the inner dimension is chunked so that
@@ -55,30 +60,40 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _matmul_capped(a, b, p, _EXACT_CAP)
 
 
+def insert_row(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) -> bool:
+    """Insert `row` into the echelon basis `basis` (leading column -> monic
+    row); True when it adds a pivot, False when it lies in the span.
+
+    The row's values must lie in [1, p); it is consumed.  Its leading column
+    is cleared with the stored row leading there until its lead is a new
+    column; the row is then made monic and stored.
+    """
+    while row:
+        lead = min(row)
+        prow = basis.get(lead)
+        if prow is None:
+            inv = pow(row[lead], p - 2, p)
+            if inv != 1:
+                row = {k: v * inv % p for k, v in row.items()}
+            basis[lead] = row
+            return True
+        _axpy(row, p - row[lead], prow, p)
+    return False
+
+
 def _insert_rows(rows, p: int, reduced: bool) -> dict[int, dict[int, int]]:
     """Echelon basis of the span of `rows`, keyed by leading column.
 
-    Each row is a dict column -> coefficient with every value in [1, p); the
-    rows are consumed.  They go in lightest first.  A row's leading column
-    is cleared with the stored row leading there until its lead is a new
-    column; the row is then made monic and stored.  The leads of any echelon
-    basis of a row space are its lexicographically first independent column
-    set, so these are the pivots of Gaussian elimination by columns.  With
-    `reduced`, each stored row is cleared of the later pivot columns, last
-    pivot first, which leaves the (unique) reduced row echelon form.
+    The rows (values in [1, p)) are consumed by `insert_row`, lightest
+    first.  The leads of any echelon basis of a row space are its
+    lexicographically first independent column set, so these are the
+    pivots of Gaussian elimination by columns.  With `reduced`, each stored
+    row is cleared of the later pivot columns, last pivot first, which
+    leaves the (unique) reduced row echelon form.
     """
     basis: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
-        while row:
-            lead = min(row)
-            prow = basis.get(lead)
-            if prow is None:
-                inv = pow(row[lead], p - 2, p)
-                if inv != 1:
-                    row = {k: v * inv % p for k, v in row.items()}
-                basis[lead] = row
-                break
-            _axpy(row, p - row[lead], prow, p)
+        insert_row(basis, row, p)
     if reduced:
         for lead in sorted(basis, reverse=True):
             row = basis[lead]
@@ -99,6 +114,15 @@ def _axpy(row: dict[int, int], f: int, other: dict[int, int], p: int):
             del row[k]
 
 
+def _dense_rows(a: np.ndarray) -> list[dict[int, int]]:
+    """The nonzero rows of a reduced dense matrix, as dicts."""
+    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
+    nz_r, nz_c = np.nonzero(a)
+    for i, j, v in zip(nz_r.tolist(), nz_c.tolist(), a[nz_r, nz_c].tolist()):
+        rows[i][j] = v
+    return [r for r in rows if r]
+
+
 def echelon_mod(a: np.ndarray, p: int, reduced: bool = True):
     """Row echelon form of `a` over GF(p).
 
@@ -107,14 +131,9 @@ def echelon_mod(a: np.ndarray, p: int, reduced: bool = True):
     cleared as well (RREF).
     """
     a = _as_mod(a, p)
-    m, n = a.shape
-    rows: list[dict[int, int]] = [{} for _ in range(m)]
-    nz_r, nz_c = np.nonzero(a)
-    for i, j, v in zip(nz_r.tolist(), nz_c.tolist(), a[nz_r, nz_c].tolist()):
-        rows[i][j] = v
-    basis = _insert_rows([r for r in rows if r], p, reduced)
+    basis = _insert_rows(_dense_rows(a), p, reduced)
     pivots = sorted(basis)
-    out = np.zeros((m, n), dtype=np.int64)
+    out = np.zeros(a.shape, dtype=np.int64)
     for i, lead in enumerate(pivots):
         row = basis[lead]
         out[i, list(row)] = list(row.values())
@@ -148,36 +167,31 @@ def pivot_columns_mod(a: np.ndarray, p: int) -> list[int]:
     return echelon_mod(a, p, reduced=False)[1]
 
 
-def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Right nullspace basis of `a` over GF(p); columns form a basis."""
-    red, piv = echelon_mod(a, p, reduced=True)
-    n = a.shape[1]
-    in_piv = np.zeros(n, dtype=bool)
-    piv_arr = np.array(piv, dtype=np.int64)
-    if piv:
-        in_piv[piv_arr] = True
-    free = np.nonzero(~in_piv)[0]
-    basis = np.zeros((n, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    if piv and free.size:
-        basis[piv_arr, :] = (-red[: len(piv), :][:, free]) % p
-    return basis
+def nullspace_rows(rows, n: int, p: int) -> list[dict[int, int]]:
+    """Right nullspace of the matrix with `n` columns whose rows are the
+    dicts `rows` (values in [1, p); consumed).
 
-
-def standard_complement(cols: np.ndarray, p: int) -> list[int]:
-    """Indices of unit vectors completing the column span to the whole space.
-
-    Greedy: feeds [cols | I] through elimination, so the span's own pivots
-    win first and the returned unit vectors are the earliest ones that still
-    extend it to a basis of GF(p)^n.
+    One vector per non-pivot column f, in ascending order: 1 at f, and at
+    each pivot column the negated entry of that pivot's reduced row at f.
     """
-    cols = _as_mod(cols, p)
-    n, k = cols.shape
-    if n == 0:
-        return []
-    aug = np.hstack([cols, np.eye(n, dtype=np.int64)])
-    _, piv = echelon_mod(aug, p, reduced=False)
-    return [j - k for j in piv if j >= k]
+    basis = _insert_rows(rows, p, reduced=True)
+    null = {f: {f: 1} for f in range(n) if f not in basis}
+    for lead, row in basis.items():
+        for k, v in row.items():
+            if k != lead:
+                null[k][lead] = p - v
+    return list(null.values())
+
+
+def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Right nullspace basis of `a` over GF(p); columns form a basis
+    (`nullspace_rows` on the nonzero entries of `a`)."""
+    a = _as_mod(a, p)
+    null = nullspace_rows(_dense_rows(a), a.shape[1], p)
+    out = np.zeros((a.shape[1], len(null)), dtype=np.int64)
+    for c, vec in enumerate(null):
+        out[list(vec), c] = list(vec.values())
+    return out
 
 
 def solve_mod(a: np.ndarray, b: np.ndarray, p: int):

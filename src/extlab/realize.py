@@ -11,6 +11,13 @@ choosing generators with Nakayama and cutting out the kernel of the induced
 cover.  Relations of that cover live in degrees at most top(M) + max weight,
 because above the generators every piece of a free module is spanned by
 variable multiples from one weight below.
+
+A free module F = (+) R(-a_s) over an artinian context needs no
+realization of its own: F_d is copy after copy of R_{d - a_s}, each in
+`ctx.std_monomials` order, and the ring's realization acts on each copy.
+`kernel_generators`, shared by `to_presentation` and the linear resolution
+engine, takes a degree-zero map out of such an F as sparse rows per degree
+and returns minimal generators of its kernel, all on rows (`linalg`).
 """
 
 from __future__ import annotations
@@ -22,12 +29,13 @@ import numpy as np
 from .errors import InvariantViolation
 from .groebner import RingCtx, reduce_vec_by_ideal
 from .linalg import (
+    insert_row,
     matmul_mod,
     nullspace_mod,
+    nullspace_rows,
     rank_mod,
     rref_mod,
     solve_mod,
-    standard_complement,
 )
 from .modules import PresentedModule
 from .poly import Polynomial
@@ -47,6 +55,7 @@ class FiniteLengthRealization:
         self.dims = {d: int(n) for d, n in dims.items() if n}
         self._act: dict[tuple[int, int], np.ndarray] = dict(actions or {})
         self._mono_act: dict[tuple[int, int], np.ndarray] = {}
+        self._act_cols: dict[tuple[int, int], list[dict[int, int]]] = {}
 
     # -- piece access ---------------------------------------------------------
 
@@ -58,9 +67,6 @@ class FiniteLengthRealization:
 
     def is_zero(self) -> bool:
         return not self.dims
-
-    def total_length(self) -> int:
-        return sum(self.dims.values())
 
     @property
     def bottom(self) -> int | None:
@@ -74,13 +80,24 @@ class FiniteLengthRealization:
         key = (var, d)
         hit = self._act.get(key)
         if hit is None:
-            hit = self._build_action(var, d)
+            w = self.ctx.ring.weights[var]
+            hit = np.zeros((self.dim(d + w), self.dim(d)), dtype=np.int64)
             self._act[key] = hit
         return hit
 
-    def _build_action(self, var: int, d: int) -> np.ndarray:
-        w = self.ctx.ring.weights[var]
-        return np.zeros((self.dim(d + w), self.dim(d)), dtype=np.int64)
+    def action_columns(self, var: int, d: int) -> list[dict[int, int]]:
+        """Columns of `action(var, d)` as sparse dicts row -> coefficient;
+        cached, so callers copy a column before consuming it."""
+        key = (var, d)
+        hit = self._act_cols.get(key)
+        if hit is None:
+            mat = self.action(var, d)
+            hit = [{} for _ in range(mat.shape[1])]
+            nz_r, nz_c = np.nonzero(mat)
+            for i, j, c in zip(nz_r.tolist(), nz_c.tolist(), mat[nz_r, nz_c].tolist()):
+                hit[j][i] = c
+            self._act_cols[key] = hit
+        return hit
 
     def monomial_action(self, mono: int, d: int) -> np.ndarray:
         """Matrix of multiplication by a packed ring monomial from degree d."""
@@ -195,22 +212,6 @@ class FiniteLengthRealization:
 
     # -- derived data --------------------------------------------------------------
 
-    def generator_profile(self) -> dict[int, int]:
-        """dim of (M / mM)_d for each d: minimal generator counts."""
-        p = self.ctx.ring.field.p
-        weights = self.ctx.ring.weights
-        out = {}
-        for d, n in self.dims.items():
-            blocks = [
-                self.action(v, d - w)
-                for v, w in enumerate(weights)
-                if self.dim(d - w)
-            ]
-            r = rank_mod(np.hstack(blocks), p) if blocks else 0
-            if n - r:
-                out[d] = n - r
-        return out
-
     def socle_profile(self) -> dict[int, int]:
         """dim of the socle (elements killed by every variable) per degree."""
         p = self.ctx.ring.field.p
@@ -249,158 +250,100 @@ class FiniteLengthRealization:
     # -- back to a presentation ---------------------------------------------------
 
     def to_presentation(self) -> PresentedModule:
-        """Minimal presentation built from generators chosen by Nakayama."""
+        """Minimal presentation built from generators chosen by Nakayama.
+
+        In each degree the generators are the earliest unit vectors that
+        extend the span of the variable images from below (`insert_row`);
+        the relations are `kernel_generators` of the induced cover.
+        """
         ctx = self.ctx
-        ring = ctx.ring
-        p = ring.field.p
+        p = ctx.ring.field.p
         if self.is_zero():
             return PresentedModule.zero(ctx)
-        weights = ring.weights
-        gens: list[tuple[int, np.ndarray]] = []  # (degree, coordinate vector)
+        weights = ctx.ring.weights
+        gens: list[tuple[int, int]] = []  # (degree, index of the unit vector)
         for d in self.degrees():
-            blocks = [
-                self.action(v, d - w) for v, w in enumerate(weights) if self.dim(d - w)
-            ]
-            span = (
-                np.hstack(blocks)
-                if blocks
-                else np.zeros((self.dim(d), 0), dtype=np.int64)
-            )
-            for i in standard_complement(span, p):
-                e = np.zeros(self.dim(d), dtype=np.int64)
-                e[i] = 1
-                gens.append((d, e))
+            basis: dict[int, dict[int, int]] = {}
+            for v, w in enumerate(weights):
+                for col in self.action_columns(v, d - w):
+                    insert_row(basis, dict(col), p)
+            gens += [(d, i) for i in range(self.dim(d)) if insert_row(basis, {i: 1}, p)]
         twists = tuple(d for d, _ in gens)
-        fr = FreeRealization(ctx, twists)
-        # Images of the free basis elements (s, m): act the monomial on gen s.
-        def images(d: int) -> np.ndarray:
-            cols = []
-            for s, m in fr.basis(d):
-                a, g = gens[s][0], gens[s][1]
-                col = matmul_mod(self.monomial_action(m, a), g.reshape(-1, 1), p)
-                cols.append(col[:, 0] if self.dim(d) else np.zeros(0, dtype=np.int64))
-            if not cols:
-                return np.zeros((self.dim(d), 0), dtype=np.int64)
-            return np.column_stack(cols)
+
+        def matrix_at(d: int) -> list[dict[int, int]]:
+            # Column (s, m) of the cover is the monomial m acting on gen s.
+            if not self.dim(d):
+                return []
+            rows: list[dict[int, int]] = [{} for _ in range(self.dim(d))]
+            c = 0
+            for a, i in gens:
+                for m in ctx.std_monomials(d - a):
+                    for r, x in enumerate(self.monomial_action(m, a)[:, i].tolist()):
+                        if x:
+                            rows[r][c] = x
+                    c += 1
+            return [r for r in rows if r]
 
         hi = (self.top or 0) + max(weights)
-        degrees = [d for d in fr.degrees() if d <= hi]
-        return PresentedModule(ctx, twists, kernel_generators(fr, images, degrees))
+        degrees = range(min(twists), hi + 1)
+        return PresentedModule(ctx, twists, kernel_generators(ctx, twists, matrix_at, degrees))
 
 
-class FreeRealization(FiniteLengthRealization):
-    """Free module over an artinian context, with its basis kept explicit.
-
-    The degree-d basis lists pairs (component s, standard monomial m) in
-    component-major order, so packed vectors convert to coordinate vectors
-    and back.
-    """
-
-    def __init__(self, ctx: RingCtx, twists: Sequence[int]):
-        if not ctx.is_artinian:
-            raise ValueError("free realization needs an artinian context")
-        self.twists = tuple(int(t) for t in twists)
-        self._basis: dict[int, list[tuple[int, int]]] = {}
-        self._index: dict[int, dict[int, int]] = {}
-        dims = {}
-        if self.twists:
-            lo = min(self.twists)
-            hi = max(self.twists) + ctx.top_degree
-            for d in range(lo, hi + 1):
-                pairs = []
-                for s, tw in enumerate(self.twists):
-                    for m in ctx.std_monomials(d - tw):
-                        pairs.append((s, m))
-                if pairs:
-                    self._basis[d] = pairs
-                    dims[d] = len(pairs)
-        super().__init__(ctx, dims)
-        codec = ctx.codec
-        for d, pairs in self._basis.items():
-            self._index[d] = {codec.mkey(m, s): i for i, (s, m) in enumerate(pairs)}
-
-    def basis(self, d: int) -> list[tuple[int, int]]:
-        return self._basis.get(d, [])
-
-    def _build_action(self, var: int, d: int) -> np.ndarray:
-        ctx = self.ctx
-        w = ctx.ring.weights[var]
-        mat = np.zeros((self.dim(d + w), self.dim(d)), dtype=np.int64)
-        tgt = self._index.get(d + w)
-        if tgt is None or not self.dim(d):
-            return mat
-        codec = ctx.codec
-        col = 0
-        for s, tw in enumerate(self.twists):
-            block = ctx.action_matrix(var, d - tw)
-            src_monos = ctx.std_monomials(d - tw)
-            dst_monos = ctx.std_monomials(d - tw + w)
-            for j, m in enumerate(src_monos):
-                for i, mm in enumerate(dst_monos):
-                    if block[i, j]:
-                        mat[tgt[codec.mkey(mm, s)], col + j] = block[i, j]
-            col += len(src_monos)
-        return mat
-
-    def coords_of_vec(self, vec: dict, d: int) -> np.ndarray:
-        out = np.zeros(self.dim(d), dtype=np.int64)
-        idx = self._index.get(d, {})
-        for k, c in vec.items():
-            out[idx[k]] = c
-        return out
-
-    def vec_of_coords(self, coords: np.ndarray, d: int) -> dict:
-        mkey = self.ctx.codec.mkey
-        # One numpy reduction, then plain ints: no numpy scalar per entry.
-        values = (np.asarray(coords) % self.ctx.ring.field.p).tolist()
-        return {mkey(m, s): c for (s, m), c in zip(self.basis(d), values) if c}
-
-    def matrix_from(self, source: "FreeRealization", cols: Sequence[dict], d: int) -> np.ndarray:
-        """Matrix (this piece d) x (source piece d) of the map whose column
-        vectors over this free module are `cols`, one per source component."""
-        ctx = self.ctx
-        codec = ctx.codec
-        out = np.zeros((self.dim(d), source.dim(d)), dtype=np.int64)
-        for j, (s, m) in enumerate(source.basis(d)):
-            if not cols[s]:
-                continue
-            moved = {k + codec.delta(m): c for k, c in cols[s].items()}
-            red = reduce_vec_by_ideal(moved, ctx)
-            for k, c in red.items():
-                out[self._index[d][k], j] = c
-        return out
-
-
-def kernel_generators(fr: FreeRealization, matrix_at, degrees) -> list[dict]:
+def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees) -> list[dict]:
     """Minimal generators of the kernel of a degree-zero linear map out of
-    the free module `fr`, given by its degree-d matrix `matrix_at(d)`.
+    F = (+) R(-twists[s]) over an artinian context, given by its degree-d
+    matrix `matrix_at(d)` as sparse rows over F_d.
 
-    Walks `degrees` upward (they must include every degree of `fr` up to
-    the last kernel generator); in each one the kernel is a nullspace and
-    the new generators are a complement of the variable multiples of the
-    kernels one weight below (graded Nakayama).
+    F_d lists copy after copy, each piece R_{d - twists[s]} in
+    `ctx.std_monomials` order.  Walks `degrees` upward (they must include
+    every degree of F up to the last kernel generator).  In each one the
+    kernel is `nullspace_rows`, and the new generators are the kernel
+    vectors, in order, that extend the span of the variable multiples of
+    the kernels one weight below (graded Nakayama, through `insert_row`).
     """
-    p = fr.ctx.ring.field.p
-    weights = fr.ctx.ring.weights
-    kernels: dict[int, np.ndarray] = {}
+    real = FiniteLengthRealization.of_ring(ctx)
+    p = ctx.ring.field.p
+    weights = ctx.ring.weights
+    mkey = ctx.codec.mkey
+    # d -> ((copy, index) label of each coordinate of F_d, kernel vectors)
+    kernels: dict[int, tuple[list[tuple[int, int]], list[dict[int, int]]]] = {}
     out = []
     for d in degrees:
-        K = kernels[d] = nullspace_mod(matrix_at(d), p)
-        if not K.shape[1]:
+        labels: list[tuple[int, int]] = []
+        offsets: dict[int, int] = {}
+        for s, a in enumerate(twists):
+            n = real.dim(d - a)
+            if n:
+                offsets[s] = len(labels)
+                labels += [(s, i) for i in range(n)]
+        if not labels:
             continue
-        blocks = []
+        K = nullspace_rows(matrix_at(d), len(labels), p)
+        kernels[d] = (labels, K)
+        if not K:
+            continue
+        basis: dict[int, dict[int, int]] = {}
         for v, w in enumerate(weights):
-            below = kernels.get(d - w)
-            if below is not None and below.shape[1]:
-                blocks.append(matmul_mod(fr.action(v, d - w), below, p))
-        if blocks:
-            coords = solve_mod(K, np.hstack(blocks), p)
-            if coords is None:
-                raise InvariantViolation("kernel not closed under the ring action")
-        else:
-            coords = np.zeros((K.shape[1], 0), dtype=np.int64)
-        for i in standard_complement(coords, p):
-            out.append(fr.vec_of_coords(K[:, i], d))
+            below_labels, below = kernels.get(d - w, ((), ()))
+            for u in below:
+                img: dict[int, int] = {}
+                for k, c in u.items():
+                    s, i = below_labels[k]
+                    for r, x in real.action_columns(v, d - w - twists[s])[i].items():
+                        r += offsets[s]
+                        img[r] = img.get(r, 0) + c * x
+                insert_row(basis, {r: x % p for r, x in img.items() if x % p}, p)
+        for u in K:
+            if insert_row(basis, dict(u), p):
+                vec = {}
+                for k in sorted(u):
+                    s, i = labels[k]
+                    vec[mkey(ctx.std_monomials(d - twists[s])[i], s)] = u[k]
+                out.append(vec)
+        # The multiples lie in the kernel exactly when they span no more
+        # than the kernel vectors do.
+        if len(basis) != len(K):
+            raise InvariantViolation("kernel not closed under the ring action")
     return out
 
 
@@ -699,7 +642,7 @@ def socle_module(ctx: RingCtx) -> PresentedModule:
     """The socle of the ring as an abstract module: one residue-field copy
     per socle dimension, placed in the socle degrees."""
     twists: list[int] = []
-    for d, s in enumerate(ctx.socle_dims()):
+    for d, s in sorted(FiniteLengthRealization.of_ring(ctx).socle_profile().items()):
         twists.extend([d] * s)
     ring = ctx.ring
     cols = []

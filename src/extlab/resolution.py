@@ -8,7 +8,10 @@ Nakayama, degree by degree: the linear engine as a complement of the
 image of the kernels below (`realize.kernel_generators`, shared with
 `FiniteLengthRealization.to_presentation`), the Groebner engine through
 the shared `modules.minimal_generator_indices`.  Both produce minimal
-resolutions, so ranks are Betti numbers as computed.
+resolutions, so ranks are Betti numbers as computed.  The linear engine
+builds the degree-d matrix of d_n with the same block builder
+(`_block_builder`) as the degreewise derived functors: F_n -> F_{n-1} is
+F_n (x) R -> F_{n-1} (x) R over the ring's own realization.
 
 Derived functors come by two routes that share no homology code.  Each
 route has one body for both functors, keyed by kind ("ext" or "tor"):
@@ -32,7 +35,8 @@ route has one body for both functors, keyed by kind ("ext" or "tor"):
   `derived_dims` refusing infinite length.  Ext and Tor differ only in
   twist sign, degree window and which neighbouring differential is
   outgoing; one free-cover column builder (`_step_cols`) and one
-  degreewise matrix builder (`_matrix_builder`) serve both.
+  degreewise matrix builder (`_matrix_builder`, a layout over
+  `_block_builder`) serve both.
 * The complete route, `ext_via_complete` / `tor_via_complete`
   (`_via_complete`), passes through a high syzygy and its dual and reads
   each functor off the opposite one.  It is only valid over a Gorenstein
@@ -50,7 +54,7 @@ an explicit pairing differential in homological degree zero.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -77,20 +81,10 @@ from .modules import (
     tensor_module,
     vec_degree,
 )
-from .realize import FiniteLengthRealization, FreeRealization, kernel_generators
+from .realize import FiniteLengthRealization, kernel_generators
 
 
 # -- resolutions ---------------------------------------------------------------
-
-
-def _free_real(ctx: RingCtx, twists: Sequence[int]) -> FreeRealization:
-    cache = ctx.scratch.setdefault("free_real", {})
-    key = tuple(twists)
-    hit = cache.get(key)
-    if hit is None:
-        hit = FreeRealization(ctx, key)
-        cache[key] = hit
-    return hit
 
 
 def _canonical_columns(ctx, cols, twists):
@@ -107,16 +101,12 @@ def _canonical_columns(ctx, cols, twists):
 
 
 def _kernel_generators_linear(ctx, cols, cur, prev):
-    """Minimal generators of ker((+)R(-cur) -> (+)R(-prev)), artinian ctx."""
-    fsrc = _free_real(ctx, cur)
-    ftgt = _free_real(ctx, prev)
-
-    def matrix_at(d):
-        if ftgt.dim(d):
-            return ftgt.matrix_from(fsrc, cols, d)
-        return np.zeros((0, fsrc.dim(d)), dtype=np.int64)
-
-    return kernel_generators(fsrc, matrix_at, sorted(fsrc.degrees()))
+    """Minimal generators of ker((+)R(-cur) -> (+)R(-prev)), artinian ctx:
+    the map's degree-d matrix is `_block_builder`'s tor layout over the
+    ring's own realization, since (+)R(-a) = F (x) R."""
+    real = FiniteLengthRealization.of_ring(ctx)
+    at = _block_builder(real, _entry_blocks(ctx, cols), prev, cur, -1)
+    return kernel_generators(ctx, cur, at, range(min(cur), max(cur) + ctx.top_degree + 1))
 
 
 class Resolution:
@@ -459,29 +449,27 @@ def tor(M: PresentedModule, N: PresentedModule, indices: Iterable[int]) -> ExtTo
     return _direct_modules("tor", M, N, indices)
 
 
-def _matrix_builder(kind, nreal, res, j):
-    """Degree-d matrices, as a function of d, of the map induced by
-    d_j : F_j -> F_{j-1}: Hom(F_{j-1}, N) -> Hom(F_j, N) for ext,
-    F_j (x) N -> F_{j-1} (x) N for tor.  Entry (sp, s) of d_j is the sp-th
-    component of its s-th column.  A matrix comes as its list of rows, each
-    a dict column -> nonzero coefficient, for `linalg.rank_rows`: the
-    blocks are products of monomial actions and nearly empty.
-    """
-    lo, hi = res.twists_of(j - 1), res.twists_of(j)
-    entries = [
+def _entry_blocks(ctx, cols) -> list[tuple[int, int, dict]]:
+    """(sp, s, f) for each nonzero entry f of a matrix given by columns:
+    f is the sp-th component of the s-th column."""
+    return [
         (sp, s, f)
-        for s, col in enumerate(res.diff(j))
-        for sp, f in enumerate(_split_entries(res.ctx, col))
+        for s, col in enumerate(cols)
+        for sp, f in enumerate(_split_entries(ctx, col))
         if f
     ]
-    if kind == "ext":
-        # Hom(F, N)_d = (+)_a N_{d+a}, and Hom(d_j, N) is d_j transposed.
-        row_tw, col_tw, sign = hi, lo, 1
-        blocks = [(s, sp, f) for sp, s, f in entries]
-    else:
-        # (F (x) N)_d = (+)_a N_{d-a}, and d_j (x) N keeps d_j's layout.
-        row_tw, col_tw, sign = lo, hi, -1
-        blocks = entries
+
+
+def _block_builder(nreal, blocks, row_tw, col_tw, sign):
+    """Degree-d matrices, as a function of d, of a map between sums of
+    shifted copies of the finite-length realization `nreal`.  Copy r of
+    the target is N_{d + sign * row_tw[r]} in degree d, copy c of the
+    source N_{d + sign * col_tw[c]}, and block (r, c, f) multiplies copy c
+    by f into copy r.  Rows list the copies in order, each piece in
+    `nreal`'s basis order.  A matrix comes as its list of rows, each a
+    dict column -> nonzero coefficient, for `linalg`'s row kernels: the
+    blocks are products of monomial actions and nearly empty.
+    """
 
     def at(d):
         rows = [nreal.dim(d + sign * a) for a in row_tw]
@@ -499,6 +487,20 @@ def _matrix_builder(kind, nreal, res, j):
         return out
 
     return at
+
+
+def _matrix_builder(kind, nreal, res, j):
+    """Degree-d matrices, as a function of d, of the map induced by
+    d_j : F_j -> F_{j-1}: Hom(F_{j-1}, N) -> Hom(F_j, N) for ext,
+    F_j (x) N -> F_{j-1} (x) N for tor, as `_block_builder` rows.
+    """
+    lo, hi = res.twists_of(j - 1), res.twists_of(j)
+    entries = _entry_blocks(res.ctx, res.diff(j))
+    if kind == "ext":
+        # Hom(F, N)_d = (+)_a N_{d+a}, and Hom(d_j, N) is d_j transposed.
+        return _block_builder(nreal, [(s, sp, f) for sp, s, f in entries], hi, lo, 1)
+    # (F (x) N)_d = (+)_a N_{d-a}, and d_j (x) N keeps d_j's layout.
+    return _block_builder(nreal, entries, lo, hi, -1)
 
 
 def _derived_memo(Nm: PresentedModule) -> dict:
@@ -681,7 +683,7 @@ def gorenstein_check(ctx: RingCtx) -> bool:
     hit = ctx.scratch.get("gorenstein")
     if hit is None:
         if ctx.is_artinian:
-            hit = sum(ctx.socle_dims()) == 1
+            hit = sum(FiniteLengthRealization.of_ring(ctx).socle_profile().values()) == 1
         else:
             R = PresentedModule.ring_module(ctx)
             k = PresentedModule.residue_field(ctx)

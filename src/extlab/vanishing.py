@@ -399,7 +399,7 @@ def _require_short_gorenstein(ctx) -> int:
     socle, length = embdim + 2, embdim > 2.  Returns the embedding dimension."""
     if not ctx.is_artinian:
         raise HypothesisNotMet("ring is not artinian")
-    socle = sum(ctx.socle_dims())
+    socle = sum(FiniteLengthRealization.of_ring(ctx).socle_profile().values())
     if socle != 1:
         raise HypothesisNotMet(f"socle dimension {socle}, need 1")
     emb = ctx.hilbert_function(1)

@@ -25,6 +25,7 @@ from extlab.groebner import (
     tp_value_at_one,
 )
 from extlab.poly import FieldSpec, Polynomial, PolyRing
+from extlab.realize import FiniteLengthRealization
 
 
 def ring_with(names, p=101, **kw):
@@ -190,7 +191,7 @@ def test_gorenstein_artinian_ring_data():
     assert ctx._hf == {0: 1, 1: 3, 2: 1}
     assert ctx.length == 5
     assert ctx.top_degree == 2
-    assert ctx.socle_dims() == [0, 0, 1]
+    assert FiniteLengthRealization.of_ring(ctx).socle_profile() == {2: 1}
 
 
 def gb_strings_from_ideal(ctx):
@@ -203,10 +204,11 @@ def test_complete_intersection_ring_data():
     assert ctx.dim == 0
     assert ctx._hf == {0: 1, 1: 2, 2: 1}
     assert ctx.length == 4
-    assert ctx.socle_dims() == [0, 0, 1]
+    assert FiniteLengthRealization.of_ring(ctx).socle_profile() == {2: 1}
     uni = ring_with(["x"])
     line = RingCtx(uni, [uni.parse("x^2")])
-    assert (line.length, line.top_degree, line.socle_dims()) == (2, 1, [0, 1])
+    line_socle = FiniteLengthRealization.of_ring(line).socle_profile()
+    assert (line.length, line.top_degree, line_socle) == (2, 1, {1: 1})
 
 
 def test_action_matrices_square_to_zero_mod_relations():

@@ -8,8 +8,10 @@ import pytest
 from extlab.linalg import (
     _matmul_capped,
     echelon_mod,
+    insert_row,
     matmul_mod,
     nullspace_mod,
+    nullspace_rows,
     pivot_columns_mod,
     rank_mod,
     rank_rows,
@@ -220,6 +222,24 @@ def test_sparse_kernel_matches_naive(p, density, shapes):
             rows = as_rows(a)
             assert rank_rows(rows, p) == rank_mod(a, p) == len(wpiv)
             assert rows == as_rows(a)  # rank_rows leaves its input alone
+            # The row nullspace: n - rank independent vectors killed by a.
+            null = nullspace_rows(as_rows(a), n, p)
+            assert len(null) == n - len(wpiv)
+            assert rank_rows(null, p) == len(null)
+            dense = np.zeros((n, len(null)), dtype=np.int64)
+            for c, vec in enumerate(null):
+                dense[list(vec), c] = list(vec.values())
+            assert not matmul_mod(a, dense, p).any()
+            # Span of a's rows first, then unit vectors in order: the kept
+            # ones are the earliest that complete the span.  e_j is implied
+            # exactly when some vector of the span ends at j, i.e. when
+            # n - 1 - j is a pivot of the column-reversed matrix.
+            basis = {}
+            for row in as_rows(a):
+                insert_row(basis, row, p)
+            kept = [j for j in range(n) if insert_row(basis, {j: 1}, p)]
+            rpiv = naive_rref(a[:, ::-1], p)[1]
+            assert kept == [j for j in range(n) if n - 1 - j not in rpiv]
 
 
 def test_rank_rows_reduces_coefficients():

@@ -6,15 +6,14 @@ hand.  Cross-checks against the Groebner-based module layer keep the two
 backends honest against each other.
 """
 
-import numpy as np
 import pytest
 
 from extlab.groebner import RingCtx
 from extlab.modules import PresentedModule, hom_module, tensor_module
 from extlab.poly import FieldSpec, PolyRing
+from extlab.linalg import rank_rows
 from extlab.realize import (
     FiniteLengthRealization,
-    FreeRealization,
     dual_realization,
     hom_realization,
     stable_hom_profile,
@@ -42,9 +41,9 @@ def xcyc(nilpl):
 def test_ring_realization(nilpl):
     r = FiniteLengthRealization.of_ring(nilpl)
     assert r.dims == {0: 1, 1: 2, 2: 1}
-    assert r.total_length() == 4
+    assert sum(r.dims.values()) == 4
     assert r.socle_profile() == {2: 1}
-    assert r.generator_profile() == {0: 1}
+    assert r.to_presentation().row_twists == (0,)
 
 
 def test_from_module_dims(nilpl, kmod, xcyc):
@@ -67,7 +66,7 @@ def test_matlis_dual_of_ring(nilpl):
     d = r.matlis_dual()
     assert d.dims == {-2: 1, -1: 2, 0: 1}
     assert d.socle_profile() == {0: 1}
-    assert d.generator_profile() == {-2: 1}
+    assert d.to_presentation().row_twists == (-2,)
 
 
 def test_matlis_dual_to_presentation(nilpl, xcyc):
@@ -124,27 +123,16 @@ def test_to_presentation_roundtrip(nilpl, kmod, xcyc):
         assert back == mod.minimal_presentation()
 
 
-def test_free_realization_coords(nilpl):
-    fr = FreeRealization(nilpl, (0, 1))
-    assert fr.dim(0) == 1 and fr.dim(1) == 3 and fr.dim(2) == 3 and fr.dim(3) == 1
-    for d in range(0, 4):
-        n = fr.dim(d)
-        eye = np.eye(n, dtype=np.int64)
-        for i in range(n):
-            vec = fr.vec_of_coords(eye[:, i], d)
-            assert (fr.coords_of_vec(vec, d) == eye[:, i]).all()
-
-
-def test_free_matrix_from_counts_syzygies(nilpl, kmod):
+def test_free_block_matrix_counts_syzygies(nilpl, kmod):
     # Map R(-1)^2 -> R by (x, y): at degree 2 the kernel of the piece map
     # is 3-dimensional (a*x + b*y with b = -c plus two free parameters).
-    from extlab.linalg import nullspace_mod
+    from extlab.resolution import _block_builder, _entry_blocks
 
-    f0 = FreeRealization(nilpl, (0,))
-    f1 = FreeRealization(nilpl, (1, 1))
-    mat = f0.matrix_from(f1, list(kmod.columns), 2)
-    assert mat.shape == (1, 4)
-    assert nullspace_mod(mat, 101).shape[1] == 3
+    ring = FiniteLengthRealization.of_ring(nilpl)
+    at = _block_builder(ring, _entry_blocks(nilpl, kmod.columns), (0,), (1, 1), -1)
+    rows = at(2)
+    assert len(rows) == 1 and max(rows[0]) < 4  # R_2 by R_1 + R_1
+    assert 4 - rank_rows(rows, 101) == 3
 
 
 def test_shift_realization(nilpl, kmod):
