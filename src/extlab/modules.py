@@ -456,31 +456,18 @@ class ModuleMap:
         return all(gbv.contains(c) for c in self.columns)
 
     def kernel(self) -> tuple[PresentedModule, "ModuleMap"]:
-        """(K, inclusion K -> source), K on minimal generators."""
-        ctx = self.ctx
-        fam = list(self.columns) + list(self.target.columns)
-        degs = tuple(self.source.row_twists) + tuple(self.target.col_degrees)
-        syz, _ = syzygies_for(ctx, fam, self.target.rank0, degs, self.target.row_twists)
-        m = self.source.rank0
-        gens = []
-        for s in syz:
-            v = {k: c for k, c in s.items() if ctx.codec.comp_of(k) < m}
-            if v:
-                gens.append(v)
-        gens = minimal_generators(ctx, gens, m, self.source.row_twists, modulo=list(self.source.columns))
-        rel_fam = gens + list(self.source.columns)
-        rel_degs = tuple(vec_degree(ctx, g, self.source.row_twists) for g in gens) + tuple(
-            self.source.col_degrees
-        )
-        syz2, _ = syzygies_for(ctx, rel_fam, m, rel_degs, self.source.row_twists)
-        rels = []
-        for s in syz2:
-            v = {k: c for k, c in s.items() if ctx.codec.comp_of(k) < len(gens)}
-            if v:
-                rels.append(v)
-        K = PresentedModule(ctx, rel_degs[: len(gens)], rels)
-        incl = ModuleMap(K, self.source, gens, check=False)
-        return K, incl
+        """(K, inclusion K -> source), K on minimal generators.
+
+        The syzygies of [columns | target relations], cut to the source
+        components, generate ker(F_source -> target); a minimal subfamily
+        modulo the source relations (`minimal_generator_indices`) is K's
+        generators, and the syzygies of [kept | source relations], cut to
+        the kept components, are K's relations.  On an artinian context
+        every step is degreewise linear algebra on sparse GF(p) rows
+        (`realize.kernel_generators` and the row pruning) and no Groebner
+        basis is built; elsewhere the syzygies are `syzygies_for`.
+        """
+        return _kernel(self, self.ctx.is_artinian)
 
     def cokernel(self) -> PresentedModule:
         return PresentedModule(
@@ -488,6 +475,50 @@ class ModuleMap:
             self.target.row_twists,
             list(self.target.columns) + list(self.columns),
         )
+
+
+def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
+    """Body of `ModuleMap.kernel`, on sparse rows (artinian contexts only)
+    or through Groebner bases; the tests hold the two to each other."""
+    ctx = f.ctx
+    src, tgt = f.source, f.target
+    m = src.rank0
+    gens = _syzygy_heads(
+        ctx, list(f.columns) + list(tgt.columns), src.row_twists + tgt.col_degrees,
+        tgt.row_twists, m, rows,
+    )
+    if rows or not ctx.is_artinian:
+        keep = minimal_generator_indices(ctx, gens, m, src.row_twists, list(src.columns))
+    else:  # the Groebner reference on an artinian context
+        keep = _minimal_generator_indices_gb(ctx, gens, m, src.row_twists, list(src.columns))
+    gens = [gens[i] for i in keep]
+    degs = tuple(vec_degree(ctx, g, src.row_twists) for g in gens)
+    rels = _syzygy_heads(
+        ctx, gens + list(src.columns), degs + src.col_degrees, src.row_twists, len(gens), rows
+    )
+    K = PresentedModule(ctx, degs, rels)
+    return K, ModuleMap(K, src, gens, check=False)
+
+
+def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int, rows: bool) -> list[dict]:
+    """Generators of the syzygies of `fam` (members of degrees `degs` in
+    the free module on `twists`), cut to their first m components; those
+    that vanish there are dropped."""
+    if rows:
+        syz = _rows()._kernel_generators_linear(ctx, fam, degs, twists) if m else []
+    else:
+        syz, _ = syzygies_for(ctx, fam, len(twists), degs, twists)
+    cut = ({k: c for k, c in s.items() if ctx.codec.comp_of(k) < m} for s in syz)
+    return [v for v in cut if v]
+
+
+def _rows():
+    """`realize`, home of the sparse-row kernels of the artinian locus.
+    It builds on `PresentedModule`, so it is imported on first use and not
+    at the top: this is the one place the import cycle is broken."""
+    from . import realize
+
+    return realize
 
 
 def _neg(f: dict[int, int], p: int) -> dict[int, int]:
@@ -525,14 +556,27 @@ def minimal_generator_indices(
     (no kept member lies in the span of the others plus `modulo`).
 
     Graded Nakayama, one degree at a time: candidates are walked by
-    (degree, lead).  In degree d, the normal form against a Groebner basis
-    of the kept lower-degree candidates plus `modulo` is GF(p)-linear on
-    the degree-d part of the free module, with kernel the degree-d part of
-    that span, so the candidates whose normal forms are pivot columns are
-    exactly the new generators needed there.  Zero vectors are never kept.
-    The indices are returned in ascending order.
+    (degree, lead), and in degree d a candidate is kept when it is not in
+    the degree-d part of the span of `modulo`, the kept lower-degree
+    candidates and the earlier candidates of degree d.  Zero vectors are
+    never kept.  The indices are returned in ascending order.  On an
+    artinian context the degree-d parts are sparse GF(p) rows
+    (`realize._minimal_generator_indices_rows`); elsewhere they are normal
+    forms against a Groebner basis.  Both keep the same indices.
     """
     modulo = modulo or []
+    if ctx.is_artinian:
+        return _rows()._minimal_generator_indices_rows(ctx, vecs, twists, modulo)
+    return _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo)
+
+
+def _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo) -> list[int]:
+    """Groebner body of `minimal_generator_indices`: in degree d, the normal
+    form against a Groebner basis of the kept lower-degree candidates plus
+    `modulo` is GF(p)-linear on the degree-d part of the free module, with
+    kernel the degree-d part of that span, so the candidates whose normal
+    forms are pivot columns are exactly the new generators needed there.
+    """
     p = ctx.ring.field.p
     live = [i for i, v in enumerate(vecs) if v]
     degs = {i: vec_degree(ctx, vecs[i], twists) for i in live}
@@ -626,7 +670,9 @@ def subquotient(
     X / im(in) and the subquotient is its kernel there.  Every Hom, stable
     Hom and homology module of the package is built this way, and so are
     duals: `_dual_kernel` is the kernel of `_hom_complex` against R, with
-    nothing to divide out.
+    nothing to divide out.  Over an artinian context the kernel and the
+    minimal presentation run on sparse GF(p) rows, with no Groebner basis
+    (see `ModuleMap.kernel`).
     """
     Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols))
     return ModuleMap(Q, target, out_cols, check=False).kernel()[0].minimal_presentation()

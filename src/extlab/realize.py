@@ -15,13 +15,21 @@ variable multiples from one weight below.
 A free module F = (+) R(-a_s) over an artinian context needs no
 realization of its own: F_d is copy after copy of R_{d - a_s}, each in
 `ctx.std_monomials` order, and the ring's realization acts on each copy.
-`kernel_generators`, shared by `to_presentation` and the linear resolution
-engine, takes a degree-zero map out of such an F as sparse rows per degree
-and returns minimal generators of its kernel, all on rows (`linalg`).
+`_block_builder` writes the degree-d matrix of any map between sums of
+shifted copies of a realization as sparse rows; over the ring's own
+realization that is a map between free modules.  `kernel_generators`
+takes a degree-zero map out of such an F as those rows and returns
+minimal generators of its kernel, all on rows (`linalg`).  It serves
+`to_presentation`, the linear resolution engine
+(`_kernel_generators_linear`) and, on artinian contexts,
+`modules.ModuleMap.kernel`, whose pruning step is
+`_minimal_generator_indices_rows`: every kernel, dual, Hom and homology
+module over an artinian ring is built without a Groebner basis.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, groupby
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +45,7 @@ from .linalg import (
     rref_mod,
     solve_mod,
 )
-from .modules import PresentedModule
+from .modules import PresentedModule, _split_entries, vec_degree
 from .poly import Polynomial
 
 
@@ -55,6 +63,7 @@ class FiniteLengthRealization:
         self.dims = {d: int(n) for d, n in dims.items() if n}
         self._act: dict[tuple[int, int], np.ndarray] = dict(actions or {})
         self._mono_act: dict[tuple[int, int], np.ndarray] = {}
+        self._mono_nz: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         self._act_cols: dict[tuple[int, int], list[dict[int, int]]] = {}
 
     # -- piece access ---------------------------------------------------------
@@ -119,6 +128,18 @@ class FiniteLengthRealization:
         )
         self._mono_act[key] = out
         return out
+
+    def monomial_entries(self, mono: int, d: int) -> list[tuple[int, int, int]]:
+        """Nonzero entries (row, column, value) of `monomial_action(mono, d)`;
+        cached."""
+        key = (mono, d)
+        hit = self._mono_nz.get(key)
+        if hit is None:
+            mat = self.monomial_action(mono, d)
+            nz_r, nz_c = np.nonzero(mat)
+            hit = list(zip(nz_r.tolist(), nz_c.tolist(), mat[nz_r, nz_c].tolist()))
+            self._mono_nz[key] = hit
+        return hit
 
     def poly_action(self, f_raw: dict[int, int], d: int, shift: int) -> np.ndarray:
         """Matrix of multiplication by a homogeneous f of degree `shift`."""
@@ -345,6 +366,106 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees) -
         if len(basis) != len(K):
             raise InvariantViolation("kernel not closed under the ring action")
     return out
+
+
+def _kernel_generators_linear(ctx, cols, cur, prev):
+    """Minimal generators of ker((+)R(-cur) -> (+)R(-prev)), artinian ctx,
+    for the map whose s-th column is cols[s]: its degree-d matrix is
+    `_block_builder`'s tor layout over the ring's own realization, since
+    (+)R(-a) = F (x) R."""
+    real = FiniteLengthRealization.of_ring(ctx)
+    at = _block_builder(real, _entry_blocks(ctx, cols), prev, cur, -1)
+    return kernel_generators(ctx, cur, at, range(min(cur), max(cur) + ctx.top_degree + 1))
+
+
+def _minimal_generator_indices_rows(ctx, vecs, twists, modulo) -> list[int]:
+    """`modules.minimal_generator_indices` on an artinian context, on rows.
+
+    The same walk as the Groebner body: candidates by (degree, lead), and
+    in degree d an `insert_row` basis seeded with the degree-d part of the
+    span of `modulo` and the kept lower-degree candidates (the columns of
+    that family's `_block_builder` matrix), then each candidate in turn,
+    kept when it adds a pivot.  That is the pivot-column rule the Groebner
+    body applies to normal forms, so the kept indices are the same.
+    """
+    real = FiniteLengthRealization.of_ring(ctx)
+    p = ctx.ring.field.p
+    codec = ctx.codec
+    live = [i for i, v in enumerate(vecs) if v]
+    degs = {i: vec_degree(ctx, vecs[i], twists) for i in live}
+    live.sort(key=lambda i: (degs[i], max(vecs[i])))
+    span = [v for v in modulo if v]
+    span_degs = [vec_degree(ctx, v, twists) for v in span]
+    blocks = _entry_blocks(ctx, span)
+    kept: list[int] = []
+    for d, group in groupby(live, key=degs.__getitem__):
+        offsets = [0, *accumulate(real.dim(d - a) for a in twists)]
+        basis: dict[int, dict[int, int]] = {}
+        cols: dict[int, dict[int, int]] = {}
+        for r, row in enumerate(_block_builder(real, blocks, twists, span_degs, -1)(d)):
+            for c, x in row.items():
+                cols.setdefault(c, {})[r] = x
+        for col in cols.values():
+            insert_row(basis, col, p)
+        for i in group:
+            row = {}
+            for k, c in reduce_vec_by_ideal(vecs[i], ctx).items():
+                s = codec.comp_of(k)
+                std = ctx.std_monomials(d - twists[s])
+                row[offsets[s] + std.index(codec.mono_of(k))] = c
+            if insert_row(basis, row, p):
+                kept.append(i)
+                blocks += _entry_blocks(ctx, [vecs[i]], len(span))
+                span.append(vecs[i])
+                span_degs.append(d)
+    return sorted(kept)
+
+
+def _entry_blocks(ctx, cols, first: int = 0) -> list[tuple[int, int, dict]]:
+    """(sp, s, f) for each nonzero entry f of a matrix given by columns:
+    f is the sp-th component of the s-th column, columns numbered from
+    `first`."""
+    return [
+        (sp, s, f)
+        for s, col in enumerate(cols, first)
+        for sp, f in enumerate(_split_entries(ctx, col))
+        if f
+    ]
+
+
+def _block_builder(nreal, blocks, row_tw, col_tw, sign):
+    """Degree-d matrices, as a function of d, of a map between sums of
+    shifted copies of the finite-length realization `nreal`.  Copy r of
+    the target is N_{d + sign * row_tw[r]} in degree d, copy c of the
+    source N_{d + sign * col_tw[c]}, and block (r, c, f) multiplies copy c
+    by f into copy r.  Rows list the copies in order, each piece in
+    `nreal`'s basis order.  A matrix comes as its list of rows, each a
+    dict column -> nonzero coefficient, for `linalg`'s row kernels: the
+    blocks are sums of monomial actions and nearly empty, so each is
+    summed from the monomials' cached nonzero entries.
+    """
+    p = nreal.ctx.ring.field.p
+
+    def at(d):
+        rows = [nreal.dim(d + sign * a) for a in row_tw]
+        cols = [nreal.dim(d + sign * a) for a in col_tw]
+        roff = [0, *accumulate(rows)]
+        coff = [0, *accumulate(cols)]
+        out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
+        for r, c, f in blocks:
+            if rows[r] and cols[c]:
+                r0, c0 = roff[r], coff[c]
+                for mono, a in f.items():
+                    for i, k, v in nreal.monomial_entries(mono, d + sign * col_tw[c]):
+                        row = out[r0 + i]
+                        x = (row.get(c0 + k, 0) + a * v) % p
+                        if x:
+                            row[c0 + k] = x
+                        else:
+                            del row[c0 + k]
+        return out
+
+    return at
 
 
 # -- binary constructions ------------------------------------------------------

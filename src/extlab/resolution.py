@@ -5,13 +5,14 @@ interchangeable engines: a Groebner one (works over any context) and a
 degreewise linear-algebra one for artinian contexts, where every kernel is
 a finite-dimensional nullspace.  Both choose generators by graded
 Nakayama, degree by degree: the linear engine as a complement of the
-image of the kernels below (`realize.kernel_generators`, shared with
-`FiniteLengthRealization.to_presentation`), the Groebner engine through
-the shared `modules.minimal_generator_indices`.  Both produce minimal
-resolutions, so ranks are Betti numbers as computed.  The linear engine
-builds the degree-d matrix of d_n with the same block builder
-(`_block_builder`) as the degreewise derived functors: F_n -> F_{n-1} is
-F_n (x) R -> F_{n-1} (x) R over the ring's own realization.
+image of the kernels below (`realize.kernel_generators`, which also
+serves `to_presentation` and, over artinian contexts, `ModuleMap.kernel`),
+the Groebner engine through `modules.minimal_generator_indices`.  Both
+produce minimal resolutions, so ranks are Betti numbers as computed.  The
+linear engine (`realize._kernel_generators_linear`) builds the degree-d
+matrix of d_n with `realize._block_builder`, the builder the degreewise
+derived functors use too: F_n -> F_{n-1} is F_n (x) R -> F_{n-1} (x) R
+over the ring's own realization.
 
 Derived functors come by two routes that share no homology code.  Each
 route has one body for both functors, keyed by kind ("ext" or "tor"):
@@ -53,10 +54,7 @@ an explicit pairing differential in homological degree zero.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Iterable
-
-import numpy as np
 
 from .errors import HypothesisNotMet, InvariantViolation, ResourceCapError
 from .groebner import (
@@ -81,7 +79,12 @@ from .modules import (
     tensor_module,
     vec_degree,
 )
-from .realize import FiniteLengthRealization, kernel_generators
+from .realize import (
+    FiniteLengthRealization,
+    _block_builder,
+    _entry_blocks,
+    _kernel_generators_linear,
+)
 
 
 # -- resolutions ---------------------------------------------------------------
@@ -98,15 +101,6 @@ def _canonical_columns(ctx, cols, twists):
     degs = [vec_degree(ctx, c, twists) for c in out]
     order = sorted(range(len(out)), key=lambda i: (degs[i], max(out[i])))
     return [out[i] for i in order], tuple(degs[i] for i in order)
-
-
-def _kernel_generators_linear(ctx, cols, cur, prev):
-    """Minimal generators of ker((+)R(-cur) -> (+)R(-prev)), artinian ctx:
-    the map's degree-d matrix is `_block_builder`'s tor layout over the
-    ring's own realization, since (+)R(-a) = F (x) R."""
-    real = FiniteLengthRealization.of_ring(ctx)
-    at = _block_builder(real, _entry_blocks(ctx, cols), prev, cur, -1)
-    return kernel_generators(ctx, cur, at, range(min(cur), max(cur) + ctx.top_degree + 1))
 
 
 class Resolution:
@@ -449,46 +443,6 @@ def tor(M: PresentedModule, N: PresentedModule, indices: Iterable[int]) -> ExtTo
     return _direct_modules("tor", M, N, indices)
 
 
-def _entry_blocks(ctx, cols) -> list[tuple[int, int, dict]]:
-    """(sp, s, f) for each nonzero entry f of a matrix given by columns:
-    f is the sp-th component of the s-th column."""
-    return [
-        (sp, s, f)
-        for s, col in enumerate(cols)
-        for sp, f in enumerate(_split_entries(ctx, col))
-        if f
-    ]
-
-
-def _block_builder(nreal, blocks, row_tw, col_tw, sign):
-    """Degree-d matrices, as a function of d, of a map between sums of
-    shifted copies of the finite-length realization `nreal`.  Copy r of
-    the target is N_{d + sign * row_tw[r]} in degree d, copy c of the
-    source N_{d + sign * col_tw[c]}, and block (r, c, f) multiplies copy c
-    by f into copy r.  Rows list the copies in order, each piece in
-    `nreal`'s basis order.  A matrix comes as its list of rows, each a
-    dict column -> nonzero coefficient, for `linalg`'s row kernels: the
-    blocks are products of monomial actions and nearly empty.
-    """
-
-    def at(d):
-        rows = [nreal.dim(d + sign * a) for a in row_tw]
-        cols = [nreal.dim(d + sign * a) for a in col_tw]
-        roff = [0, *accumulate(rows)]
-        coff = [0, *accumulate(cols)]
-        out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
-        for r, c, f in blocks:
-            if rows[r] and cols[c]:
-                blk = nreal.poly_action(f, d + sign * col_tw[c], sign * (row_tw[r] - col_tw[c]))
-                nz_r, nz_c = np.nonzero(blk)
-                r0, c0 = roff[r], coff[c]
-                for i, k, v in zip(nz_r.tolist(), nz_c.tolist(), blk[nz_r, nz_c].tolist()):
-                    out[r0 + i][c0 + k] = v
-        return out
-
-    return at
-
-
 def _matrix_builder(kind, nreal, res, j):
     """Degree-d matrices, as a function of d, of the map induced by
     d_j : F_j -> F_{j-1}: Hom(F_{j-1}, N) -> Hom(F_j, N) for ext,
@@ -527,23 +481,35 @@ def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) 
         return {}
     p = M.ctx.ring.field.p
     memo = _derived_memo(Nm)
-    shifts = [a if kind == "ext" else -a for a in ti]
-    # d_i and d_{i+1}, each where both of its ends are nonzero
-    maps = {
-        j: _matrix_builder(kind, nreal, res, j)
-        for j in (i, i + 1)
-        if j >= 1 and res.rank(j - 1) and res.rank(j)
-    }
+    sign = 1 if kind == "ext" else -1
+
+    def piece(j, d):
+        """dim of X_j in degree d."""
+        return sum(nreal.dim(d + sign * a) for a in res.twists_of(j))
+
+    # d_i, between X_{i-1} and X_i, and d_{i+1}, between X_i and X_{i+1},
+    # each where both of its ends are nonzero.  In a degree where its other
+    # end is zero its rank is 0; otherwise it comes from the memo, and a
+    # map's matrix builder is made on its first miss.
+    maps = [
+        (j, o) for j, o in ((i, i - 1), (i + 1, i + 1)) if j >= 1 and res.rank(j - 1) and res.rank(j)
+    ]
+    builders = {}
+    shifts = [sign * a for a in ti]
     nbot, ntop = min(nreal.degrees()), max(nreal.degrees())
     out: dict[int, int] = {}
     for d in range(nbot - max(shifts), ntop - min(shifts) + 1):
-        h = sum(nreal.dim(d + s) for s in shifts)
+        h = piece(i, d)
         if not h:
             continue
-        for j, matrix_at in maps.items():
+        for j, o in maps:
+            if not piece(o, d):
+                continue
             key = ("rank", res, kind, j, d)
             if key not in memo:
-                memo[key] = rank_rows(matrix_at(d), p)
+                if j not in builders:
+                    builders[j] = _matrix_builder(kind, nreal, res, j)
+                memo[key] = rank_rows(builders[j](d), p)
             h -= memo[key]
         if h < 0:
             raise InvariantViolation("negative homology dimension")

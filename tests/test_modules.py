@@ -14,10 +14,14 @@ from extlab.modules import (
     ModuleMap,
     PresentedModule,
     _dual_kernel,
+    _hom_complex,
+    _kernel,
+    _minimal_generator_indices_gb,
     dual_module,
     hom_module,
     minimal_generator_indices,
     stable_hom,
+    subquotient,
     tensor_module,
     vec_degree,
     vec_from_entries,
@@ -285,9 +289,9 @@ def _syzygy_family(mod):
     return syz, len(mod.columns), mod.col_degrees, []
 
 
-def _kernel_family(mod):
-    """Unpruned kernel generators of (f_v) |-> sum_v x_v f_v from copies of
-    mod(-1), one per variable, to mod; the source relations are `modulo`."""
+def _multiplication_map(mod):
+    """(f_v) |-> sum_v x_v f_v from copies of mod(-1), one per variable,
+    to mod."""
     ctx = mod.ctx
     codec = ctx.codec
     src = PresentedModule.zero(ctx)
@@ -298,7 +302,16 @@ def _kernel_family(mod):
         for g in ctx.ring.gens()
         for j in range(mod.rank0)
     ]
-    phi = ModuleMap(src, mod, cols)
+    return ModuleMap(src, mod, cols)
+
+
+def _kernel_family(mod):
+    """Unpruned kernel generators of `_multiplication_map(mod)`; the source
+    relations are `modulo`."""
+    ctx = mod.ctx
+    codec = ctx.codec
+    phi = _multiplication_map(mod)
+    src = phi.source
     fam = list(phi.columns) + list(mod.columns)
     degs = src.row_twists + mod.col_degrees
     syz, _ = syzygies_for(ctx, fam, mod.rank0, degs, mod.row_twists)
@@ -354,3 +367,76 @@ def test_minimal_generators_match_leave_one_out(request, ring, seed, pairs):
         for i in keep:
             others = [vecs[j] for j in keep if j != i] + modulo
             assert not module_gb(ctx, others, rank, tuple(twists)).contains(vecs[i])
+
+
+@pytest.mark.parametrize("ring, seed, pairs", [("gor5", 6, 3), ("nilsquares", 7, 4)])
+def test_row_minimal_generators_match_groebner_body(request, ring, seed, pairs):
+    # On an artinian context the pruning runs on sparse rows; it walks the
+    # candidates in the Groebner body's order and applies its pivot rule,
+    # so the kept indices must be identical, not merely equivalent.
+    ctx = request.getfixturevalue(ring)
+    corpus = _oracle_corpus(ctx, seed, pairs)
+    assert corpus
+    for vecs, rank, twists, modulo in corpus:
+        assert minimal_generator_indices(ctx, vecs, rank, twists, modulo) == (
+            _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo)
+        )
+
+
+def _kernel_corpus(ctx, seed, pairs):
+    """Seeded maps whose kernels the package takes: the Hom complexes of
+    seeded pairs, against each other and against R, and the
+    `_multiplication_map` of one side."""
+    cfg = ExperimentConfig(seed=seed)
+    R = PresentedModule.ring_module(ctx)
+    out = []
+    for i in range(pairs):
+        A, B = (m.minimal_presentation() for m in random_pair(cfg, ctx, i))
+        for a, b in ((A, B), (B, A), (A, R), (B, R)):
+            X, Y, psi = _hom_complex(a, b)
+            out.append(ModuleMap(X, Y, psi, check=False))
+        out.append(_multiplication_map(A))
+    return out
+
+
+@pytest.mark.parametrize("ring, seed", [("gor5", 21), ("nilsquares", 22)])
+def test_row_kernel_matches_groebner_kernel(request, ring, seed):
+    # The row kernel and the Groebner kernel choose different generators
+    # and relations, but must present isomorphic modules, each included
+    # in the source by a well-defined map that the original map kills.
+    ctx = request.getfixturevalue(ring)
+    maps = _kernel_corpus(ctx, seed, 3)
+    assert any(f.source.columns for f in maps)
+    nonzero = 0
+    for f in maps:
+        by_rows, incl = _kernel(f, True)
+        by_gb, _ = _kernel(f, False)
+        assert sorted(by_rows.row_twists) == sorted(by_gb.row_twists)
+        # The inclusion must kill K's relations (checked on construction)
+        # and compose with f to zero.
+        incl = ModuleMap(by_rows, f.source, incl.columns)
+        assert f.compose(incl).is_zero_map()
+        if not by_rows.rank0:
+            continue
+        nonzero += 1
+        assert by_rows.top_degree() == by_gb.top_degree()
+        degrees = range(min(by_rows.row_twists), by_rows.top_degree() + 1)
+        assert [by_rows.hilbert_function(d) for d in degrees] == [
+            by_gb.hilbert_function(d) for d in degrees
+        ]
+        assert minimal_free_resolution(by_rows, 3)[1] == minimal_free_resolution(by_gb, 3)[1]
+    assert nonzero >= len(maps) // 2
+
+
+def test_artinian_kernels_build_no_groebner_basis(gor5, nilsquares, buchberger_runs):
+    # Over an artinian ring every kernel, with its pruning, is linear
+    # algebra on sparse rows: a Hom subquotient over nilsquares and the
+    # dual kernel of a gor5 syzygy make no Buchberger run.
+    A, B = (m.minimal_presentation() for m in random_pair(ExperimentConfig(seed=31), nilsquares, 0))
+    X, Y, psi = _hom_complex(A, B)
+    S = syzygy(random_module(ExperimentConfig(seed=32), gor5, 0), 3)
+    buchberger_runs.reset()
+    H = subquotient(X, [], Y, psi)
+    K, functionals = _dual_kernel(S)
+    assert buchberger_runs.count == 0
+    assert H.rank0 and K.rank0 and len(functionals) == K.rank0

@@ -14,6 +14,8 @@ from extlab.poly import FieldSpec, PolyRing
 from extlab.linalg import rank_rows
 from extlab.realize import (
     FiniteLengthRealization,
+    _block_builder,
+    _entry_blocks,
     dual_realization,
     hom_realization,
     stable_hom_profile,
@@ -126,8 +128,6 @@ def test_to_presentation_roundtrip(nilpl, kmod, xcyc):
 def test_free_block_matrix_counts_syzygies(nilpl, kmod):
     # Map R(-1)^2 -> R by (x, y): at degree 2 the kernel of the piece map
     # is 3-dimensional (a*x + b*y with b = -c plus two free parameters).
-    from extlab.resolution import _block_builder, _entry_blocks
-
     ring = FiniteLengthRealization.of_ring(nilpl)
     at = _block_builder(ring, _entry_blocks(nilpl, kmod.columns), (0,), (1, 1), -1)
     rows = at(2)
