@@ -81,6 +81,16 @@ def insert_row(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) ->
     return False
 
 
+def _reduce_row(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) -> dict[int, int]:
+    """Clear every pivot column of a reduced echelon `basis` from `row`, in
+    place, and return it: one pass, since each stored row is zero at the
+    other pivots.  The result is the unique representative of row modulo
+    the span with no entry in a pivot column."""
+    for k in [k for k in row if k in basis]:
+        _axpy(row, p - row[k], basis[k], p)
+    return row
+
+
 def _insert_rows(rows, p: int, reduced: bool) -> dict[int, dict[int, int]]:
     """Echelon basis of the span of `rows`, keyed by leading column.
 

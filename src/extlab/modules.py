@@ -23,6 +23,8 @@ from .errors import InvariantViolation
 from .groebner import (
     RingCtx,
     VectorGB,
+    _tp_shift,
+    _tp_sub,
     module_gb,
     presented_numerator,
     reduce_vec_by_ideal,
@@ -194,7 +196,11 @@ class PresentedModule:
             f"{len(self.columns)} relations over {self.ctx!r})"
         )
 
-    # -- Groebner-backed data ---------------------------------------------------
+    # -- relation-span data ------------------------------------------------------
+    #
+    # Over an artinian context the Hilbert function and normal forms are read
+    # off a per-degree reduced echelon of the relation span
+    # (`realize._echelon`), with no Groebner basis; elsewhere off `gb()`.
 
     def gb(self) -> VectorGB:
         hit = self._cache.get("gb")
@@ -203,10 +209,24 @@ class PresentedModule:
             self._cache["gb"] = hit
         return hit
 
+    def normal_form(self, vec: dict) -> dict:
+        """Groebner normal form of a free-cover vector modulo the relations
+        (and the ideal); empty exactly when the vector is zero in the module.
+        Over an artinian context it is read off the relation echelon of the
+        vector's degree, which gives the same normal form."""
+        if self.ctx.is_artinian:
+            return _rows()._echelon_normal_form(self, reduce_vec_by_ideal(vec, self.ctx))
+        return self.gb().reduce(vec)
+
     def hilbert_numerator(self) -> dict[int, int]:
         hit = self._cache.get("numerator")
         if hit is None:
-            hit = presented_numerator(self.ctx, self.gb(), self.rank0, self.row_twists)
+            if self.ctx.is_artinian:
+                hit = self._finite_hf()
+                for w in self.ctx.ring.weights:
+                    hit = _tp_sub(hit, _tp_shift(hit, w))
+            else:
+                hit = presented_numerator(self.ctx, self.gb(), self.rank0, self.row_twists)
             self._cache["numerator"] = hit
         return hit
 
@@ -234,8 +254,14 @@ class PresentedModule:
         return self._finite_hf() is not None
 
     def _finite_hf(self) -> dict[int, int] | None:
+        """Hilbert function, or None for infinite length: over an artinian
+        context dim F_d minus the rank of the degree-d relation span
+        (`realize._echelon_hf`), elsewhere the expanded Hilbert series."""
         if "hf" not in self._cache:
-            self._cache["hf"] = _finite_series(self.ctx, self.hilbert_numerator())
+            if self.ctx.is_artinian:
+                self._cache["hf"] = _rows()._echelon_hf(self)
+            else:
+                self._cache["hf"] = _finite_series(self.ctx, self.hilbert_numerator())
         return self._cache["hf"]
 
     def length(self) -> int | None:
@@ -387,9 +413,8 @@ class ModuleMap:
                 raise ValueError(f"column {c} does not preserve degree")
         self.columns = tuple(cols)
         if check:
-            gbv = target.gb()
             for rel in source.columns:
-                if not gbv.contains(self.apply_vec(rel)):
+                if target.normal_form(self.apply_vec(rel)):
                     raise ValueError("map does not kill the source relations")
 
     @classmethod
@@ -452,20 +477,25 @@ class ModuleMap:
         )
 
     def is_zero_map(self) -> bool:
-        gbv = self.target.gb()
-        return all(gbv.contains(c) for c in self.columns)
+        return not any(self.target.normal_form(c) for c in self.columns)
 
     def kernel(self) -> tuple[PresentedModule, "ModuleMap"]:
         """(K, inclusion K -> source), K on minimal generators.
 
-        The syzygies of [columns | target relations], cut to the source
-        components, generate ker(F_source -> target); a minimal subfamily
-        modulo the source relations (`minimal_generator_indices`) is K's
+        On an artinian context everything is degreewise linear algebra on
+        sparse GF(p) rows (`realize._kernel_rows`), with no Groebner basis:
+        in degree d, ker(F_source -> target) is the nullspace of the map's
+        columns reduced by the target's relation echelon, and
+        `realize.kernel_generators`, seeded with the source's relation
+        echelon, returns minimal generators of K modulo the source
+        relations, checking that those relations lie in the kernel (the map
+        is well defined).  K's relations come from the same step applied to
+        K's generators against the source, so K is minimally presented.
+        Elsewhere the syzygies of [columns | target relations], cut to the
+        source components, generate the kernel; a minimal subfamily modulo
+        the source relations (`minimal_generator_indices`) is K's
         generators, and the syzygies of [kept | source relations], cut to
-        the kept components, are K's relations.  On an artinian context
-        every step is degreewise linear algebra on sparse GF(p) rows
-        (`realize.kernel_generators` and the row pruning) and no Groebner
-        basis is built; elsewhere the syzygies are `syzygies_for`.
+        the kept components, are K's relations.
         """
         return _kernel(self, self.ctx.is_artinian)
 
@@ -480,42 +510,40 @@ class ModuleMap:
 def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
     """Body of `ModuleMap.kernel`, on sparse rows (artinian contexts only)
     or through Groebner bases; the tests hold the two to each other."""
+    if rows:
+        return _rows()._kernel_rows(f)
     ctx = f.ctx
     src, tgt = f.source, f.target
     m = src.rank0
     gens = _syzygy_heads(
         ctx, list(f.columns) + list(tgt.columns), src.row_twists + tgt.col_degrees,
-        tgt.row_twists, m, rows,
+        tgt.row_twists, m,
     )
-    if rows or not ctx.is_artinian:
-        keep = minimal_generator_indices(ctx, gens, m, src.row_twists, list(src.columns))
-    else:  # the Groebner reference on an artinian context
-        keep = _minimal_generator_indices_gb(ctx, gens, m, src.row_twists, list(src.columns))
-    gens = [gens[i] for i in keep]
+    # On an artinian context this body is the Groebner reference, pruning included.
+    prune = _minimal_generator_indices_gb if ctx.is_artinian else minimal_generator_indices
+    gens = [gens[i] for i in prune(ctx, gens, m, src.row_twists, list(src.columns))]
     degs = tuple(vec_degree(ctx, g, src.row_twists) for g in gens)
     rels = _syzygy_heads(
-        ctx, gens + list(src.columns), degs + src.col_degrees, src.row_twists, len(gens), rows
+        ctx, gens + list(src.columns), degs + src.col_degrees, src.row_twists, len(gens)
     )
     K = PresentedModule(ctx, degs, rels)
     return K, ModuleMap(K, src, gens, check=False)
 
 
-def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int, rows: bool) -> list[dict]:
+def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int) -> list[dict]:
     """Generators of the syzygies of `fam` (members of degrees `degs` in
     the free module on `twists`), cut to their first m components; those
     that vanish there are dropped."""
-    if rows:
-        syz = _rows()._kernel_generators_linear(ctx, fam, degs, twists) if m else []
-    else:
-        syz, _ = syzygies_for(ctx, fam, len(twists), degs, twists)
+    syz, _ = syzygies_for(ctx, fam, len(twists), degs, twists)
     cut = ({k: c for k, c in s.items() if ctx.codec.comp_of(k) < m} for s in syz)
     return [v for v in cut if v]
 
 
 def _rows():
-    """`realize`, home of the sparse-row kernels of the artinian locus.
-    It builds on `PresentedModule`, so it is imported on first use and not
-    at the top: this is the one place the import cycle is broken."""
+    """`realize`, home of the sparse-row kernels and relation echelons of
+    the artinian locus.  It builds on `PresentedModule`, so it is imported
+    on first use and not at the top: this is the one place the import
+    cycle is broken."""
     from . import realize
 
     return realize
@@ -670,20 +698,32 @@ def subquotient(
     X / im(in) and the subquotient is its kernel there.  Every Hom, stable
     Hom and homology module of the package is built this way, and so are
     duals: `_dual_kernel` is the kernel of `_hom_complex` against R, with
-    nothing to divide out.  Over an artinian context the kernel and the
-    minimal presentation run on sparse GF(p) rows, with no Groebner basis
-    (see `ModuleMap.kernel`).
+    nothing to divide out.  Over an artinian context this is degreewise
+    linear algebra on sparse GF(p) rows with no Groebner basis: the map's
+    columns are reduced by the target's relation echelon, the kernel is
+    generated modulo the echelon of X / im(in), which also checks that
+    in_cols lie in the kernel, and it comes minimally presented (see
+    `ModuleMap.kernel`); its Hilbert function and realization are read off
+    its own echelon.
     """
     Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols))
     return ModuleMap(Q, target, out_cols, check=False).kernel()[0].minimal_presentation()
 
 
 def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:
-    """Direct sum of copies of base, copy c shifted by shifts[c]."""
-    out = PresentedModule.zero(base.ctx)
-    for s in shifts:
-        out = out.direct_sum(base.shifted(s))
-    return out
+    """Direct sum of copies of base, copy c shifted by shifts[c]: the
+    module the iterated `direct_sum` gives, columns in the same order,
+    built once.  Copy c's columns are base's with every component raised
+    by c * base.rank0."""
+    codec = base.ctx.codec
+    r = base.rank0
+    cols = [
+        {codec.mkey(codec.mono_of(k), codec.comp_of(k) + c * r): x for k, x in vec.items()}
+        for c in range(len(shifts))
+        for vec in base.columns
+    ]
+    twists = [a + s for s in shifts for a in base.row_twists]
+    return PresentedModule(base.ctx, twists, cols, _reduced=True)
 
 
 def _hom_complex(a: PresentedModule, b: PresentedModule):

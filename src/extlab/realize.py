@@ -5,12 +5,13 @@ graded piece and the matrix of each variable's multiplication map between
 consecutive pieces.  Everything downstream (Hom, tensor, duals, socles,
 minimal generators) is then plain linear algebra over GF(p), with no
 Groebner steps.  The two viewpoints convert both ways:
-`FiniteLengthRealization.from_module` reads the piece bases off a module's
-Groebner basis, and `to_presentation` rebuilds a minimal presentation by
-choosing generators with Nakayama and cutting out the kernel of the induced
-cover.  Relations of that cover live in degrees at most top(M) + max weight,
-because above the generators every piece of a free module is spanned by
-variable multiples from one weight below.
+`FiniteLengthRealization.from_module` reads the piece bases and actions
+off a module's relation span (the non-leads and normal forms), and
+`to_presentation` rebuilds a minimal presentation by choosing generators
+with Nakayama and cutting out the kernel of the induced cover.  Relations
+of that cover live in degrees at most top(M) + max weight, because above
+the generators every piece of a free module is spanned by variable
+multiples from one weight below.
 
 A free module F = (+) R(-a_s) over an artinian context needs no
 realization of its own: F_d is copy after copy of R_{d - a_s}, each in
@@ -19,24 +20,37 @@ realization of its own: F_d is copy after copy of R_{d - a_s}, each in
 shifted copies of a realization as sparse rows; over the ring's own
 realization that is a map between free modules.  `kernel_generators`
 takes a degree-zero map out of such an F as those rows and returns
-minimal generators of its kernel, all on rows (`linalg`).  It serves
-`to_presentation`, the linear resolution engine
-(`_kernel_generators_linear`) and, on artinian contexts,
-`modules.ModuleMap.kernel`, whose pruning step is
-`_minimal_generator_indices_rows`: every kernel, dual, Hom and homology
-module over an artinian ring is built without a Groebner basis.
+minimal generators of its kernel, all on rows (`linalg`).
+
+A presented module M = F / U over an artinian context carries, per degree
+and built on first use, the reduced row echelon form of U_d with the
+coordinates of F_d ordered by descending packed key (`_echelon`).  Its
+pivots are the Groebner leads of U in degree d and reducing by it gives
+the Groebner normal form, so the Hilbert function (dim F_d minus the
+rank), normal forms and `from_module` are read off it with no Groebner
+basis.  `_map_kernel` reduces a map's degree-d columns by the target's
+echelon and passes the nullspace to `kernel_generators`, seeded with the
+source's echelon rows: that is `modules.ModuleMap.kernel` on artinian
+contexts (`_kernel_rows`) and, with a free target, the linear resolution
+engine.  Every kernel, dual, Hom and homology module over an artinian
+ring, with its Hilbert function and realization, is built without a
+Groebner basis.  `_minimal_generator_indices_rows` is the row body of
+`modules.minimal_generator_indices`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate, groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .groebner import RingCtx, reduce_vec_by_ideal
 from .linalg import (
+    _insert_rows,
+    _reduce_row,
     insert_row,
     matmul_mod,
     nullspace_mod,
@@ -45,7 +59,7 @@ from .linalg import (
     rref_mod,
     solve_mod,
 )
-from .modules import PresentedModule, _split_entries, vec_degree
+from .modules import ModuleMap, PresentedModule, _split_entries, vec_degree
 from .poly import Polynomial
 
 
@@ -157,64 +171,22 @@ class FiniteLengthRealization:
 
     @classmethod
     def from_module(cls, mod: PresentedModule) -> "FiniteLengthRealization":
-        """Read the pieces off the module's Groebner basis.
+        """Read the pieces off the module's relation span.
 
-        The degree-d basis consists of pairs (generator j, standard monomial
-        m) whose key is reduced with respect to the basis leads; the action
-        of a variable is computed by one normal form per basis element.
+        The degree-d basis consists of the keys (generator j, standard
+        monomial m) that are not Groebner leads, copy after copy; the action
+        of a variable is the normal form of each basis element's multiple.
+        Over an artinian context both come from the relation echelon
+        (`_from_module_rows`), elsewhere from a Groebner basis
+        (`_from_module_gb`); the two give identical realizations.
         """
         hit = mod._cache.get("real")
-        if hit is not None:
-            return hit
-        ctx = mod.ctx
-        hf = mod._finite_hf()
-        if hf is None:
-            raise ValueError("module has infinite length")
-        ring = ctx.ring
-        codec = ctx.codec
-        p = ring.field.p
-        gbv = mod.gb()
-        leads: list[list[int]] = [[] for _ in range(mod.rank0)]
-        for vec in gbv:
-            k = max(vec)
-            leads[codec.comp_of(k)].append(codec.mono_of(k))
-        divides = ring.mono_divides
-        basis: dict[int, list[int]] = {}
-        index: dict[int, dict[int, int]] = {}
-        if hf:
-            lo, hi = min(hf), max(hf)
-            for d in range(lo, hi + 1):
-                keys = []
-                for j, tw in enumerate(mod.row_twists):
-                    for m in ctx.std_monomials(d - tw):
-                        if not any(divides(L, m) for L in leads[j]):
-                            keys.append(codec.mkey(m, j))
-                if len(keys) != hf.get(d, 0):
-                    raise InvariantViolation(
-                        f"piece basis size {len(keys)} != series value {hf.get(d, 0)}"
-                    )
-                if keys:
-                    basis[d] = keys
-                    index[d] = {k: i for i, k in enumerate(keys)}
-        dims = {d: len(ks) for d, ks in basis.items()}
-        actions: dict[tuple[int, int], np.ndarray] = {}
-        for v in range(ring.nvars):
-            w = ring.weights[v]
-            vkey = ring._var_keys[v]
-            for d, keys in basis.items():
-                tgt = index.get(d + w)
-                if tgt is None:
-                    continue
-                mat = np.zeros((len(tgt), len(keys)), dtype=np.int64)
-                for col, k in enumerate(keys):
-                    shifted = k + codec.delta(vkey)
-                    red = gbv.reduce(reduce_vec_by_ideal({shifted: 1}, ctx))
-                    for kk, c in red.items():
-                        mat[tgt[kk], col] = c
-                actions[(v, d)] = mat % p
-        real = cls(ctx, dims, actions)
-        mod._cache["real"] = real
-        return real
+        if hit is None:
+            if mod._finite_hf() is None:
+                raise ValueError("module has infinite length")
+            body = _from_module_rows if mod.ctx.is_artinian else _from_module_gb
+            hit = mod._cache["real"] = body(mod)
+        return hit
 
     @classmethod
     def of_ring(cls, ctx: RingCtx) -> "FiniteLengthRealization":
@@ -310,17 +282,242 @@ class FiniteLengthRealization:
         return PresentedModule(ctx, twists, kernel_generators(ctx, twists, matrix_at, degrees))
 
 
-def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees) -> list[dict]:
+def _from_module_gb(mod: PresentedModule) -> FiniteLengthRealization:
+    """`from_module` through the module's Groebner basis: basis keys are
+    those no lead divides, and each action column is one normal form."""
+    ctx = mod.ctx
+    hf = mod._finite_hf()
+    ring = ctx.ring
+    codec = ctx.codec
+    p = ring.field.p
+    gbv = mod.gb()
+    leads: list[list[int]] = [[] for _ in range(mod.rank0)]
+    for vec in gbv:
+        k = max(vec)
+        leads[codec.comp_of(k)].append(codec.mono_of(k))
+    divides = ring.mono_divides
+    basis: dict[int, list[int]] = {}
+    index: dict[int, dict[int, int]] = {}
+    if hf:
+        lo, hi = min(hf), max(hf)
+        for d in range(lo, hi + 1):
+            keys = []
+            for j, tw in enumerate(mod.row_twists):
+                for m in ctx.std_monomials(d - tw):
+                    if not any(divides(L, m) for L in leads[j]):
+                        keys.append(codec.mkey(m, j))
+            if len(keys) != hf.get(d, 0):
+                raise InvariantViolation(
+                    f"piece basis size {len(keys)} != series value {hf.get(d, 0)}"
+                )
+            if keys:
+                basis[d] = keys
+                index[d] = {k: i for i, k in enumerate(keys)}
+    dims = {d: len(ks) for d, ks in basis.items()}
+    actions: dict[tuple[int, int], np.ndarray] = {}
+    for v in range(ring.nvars):
+        w = ring.weights[v]
+        vkey = ring._var_keys[v]
+        for d, keys in basis.items():
+            tgt = index.get(d + w)
+            if tgt is None:
+                continue
+            mat = np.zeros((len(tgt), len(keys)), dtype=np.int64)
+            for col, k in enumerate(keys):
+                shifted = k + codec.delta(vkey)
+                red = gbv.reduce(reduce_vec_by_ideal({shifted: 1}, ctx))
+                for kk, c in red.items():
+                    mat[tgt[kk], col] = c
+            actions[(v, d)] = mat % p
+    return FiniteLengthRealization(ctx, dims, actions)
+
+
+# -- relation echelons on the artinian locus -------------------------------------
+
+
+class _Piece(NamedTuple):
+    """Degree-d part of a module's relation echelon (`_echelon`).
+
+    Coordinates of F_d are `_block_builder`'s: copy after copy, copy j
+    starting at `offsets[j]` and listing R_{d - a_j} in `ctx.std_monomials`
+    order, with packed keys `keys`.  Echelon columns number the coordinates
+    by descending key (coordinate i is column `col[i]`, column c is
+    coordinate `coord[c]`), so a row's leading column is its Groebner
+    lead.  `basis` is the reduced row echelon form of the degree-d
+    relation span, pivot column -> monic row: its pivots are the Groebner
+    leads in degree d, and `_reduce_row` by it gives the Groebner normal
+    form (Lazard's Macaulay-matrix view of a Groebner basis).
+    """
+
+    keys: list[int]
+    offsets: list[int]
+    col: list[int]
+    coord: list[int]
+    basis: dict[int, dict[int, int]]
+
+    def free_coords(self) -> list[int]:
+        """Coordinates that are not pivots, in coordinate order."""
+        return [i for i, c in enumerate(self.col) if c not in self.basis]
+
+
+def _echelon(mod: PresentedModule, d: int) -> _Piece:
+    """The degree-d relation echelon of a module over an artinian context,
+    built on first use and kept with the module.  Its rows are the columns
+    of the `_block_builder` matrix of the relation columns over the ring's
+    realization, eliminated with sparse pivoting (`linalg._insert_rows`)."""
+    cache = mod._cache.setdefault("echelon", {})
+    hit = cache.get(d)
+    if hit is not None:
+        return hit
+    ctx = mod.ctx
+    keys: list[int] = []
+    offsets = []
+    for j, a in enumerate(mod.row_twists):
+        offsets.append(len(keys))
+        keys += [ctx.codec.mkey(m, j) for m in ctx.std_monomials(d - a)]
+    coord = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    col = [0] * len(keys)
+    for c, i in enumerate(coord):
+        col[i] = c
+    span: dict[int, dict[int, int]] = {}
+    if mod.columns and keys:
+        at = cache.get("rows")
+        if at is None:
+            real = FiniteLengthRealization.of_ring(ctx)
+            blocks = _entry_blocks(ctx, mod.columns)
+            at = cache["rows"] = _block_builder(real, blocks, mod.row_twists, mod.col_degrees, -1)
+        for r, row in enumerate(at(d)):
+            for s, x in row.items():
+                span.setdefault(s, {})[col[r]] = x
+    basis = _insert_rows(span.values(), ctx.ring.field.p, reduced=True)
+    hit = cache[d] = _Piece(keys, offsets, col, coord, basis)
+    return hit
+
+
+def _echelon_hf(mod: PresentedModule) -> dict[int, int]:
+    """Hilbert function of a module over an artinian context: dim F_d minus
+    the rank of the degree-d relation span, in every degree of F."""
+    hf: dict[int, int] = {}
+    if mod.rank0:
+        for d in range(min(mod.row_twists), max(mod.row_twists) + mod.ctx.top_degree + 1):
+            piece = _echelon(mod, d)
+            n = len(piece.keys) - len(piece.basis)
+            if n:
+                hf[d] = n
+    return hf
+
+
+def _echelon_normal_form(mod: PresentedModule, vec: dict) -> dict:
+    """Normal form of a homogeneous free-cover vector, already reduced
+    modulo the ideal, against the relation echelon of its degree."""
+    if not vec:
+        return {}
+    piece = _echelon(mod, vec_degree(mod.ctx, vec, mod.row_twists))
+    keys, coord = piece.keys, piece.coord
+    col = dict(zip(keys, piece.col))
+    row = _reduce_row(piece.basis, {col[k]: c for k, c in vec.items()}, mod.ctx.ring.field.p)
+    return {keys[coord[c]]: x for c, x in row.items()}
+
+
+def _from_module_rows(mod: PresentedModule) -> FiniteLengthRealization:
+    """`from_module` over an artinian context: the degree-d basis is the
+    non-pivot coordinates of the relation echelon, and the action of x_v
+    on a basis element is its multiple in R (the ring realization's
+    action column) reduced by the echelon one weight up.  No Groebner
+    basis is built."""
+    ctx = mod.ctx
+    p = ctx.ring.field.p
+    ring_real = FiniteLengthRealization.of_ring(ctx)
+    free = {d: _echelon(mod, d) for d in mod._finite_hf()}
+    coords = {d: piece.free_coords() for d, piece in free.items()}
+    actions: dict[tuple[int, int], np.ndarray] = {}
+    for v, w in enumerate(ctx.ring.weights):
+        for d, piece in free.items():
+            up = free.get(d + w)
+            if up is None:
+                continue
+            pos = {up.col[i]: r for r, i in enumerate(coords[d + w])}
+            mat = np.zeros((len(pos), len(coords[d])), dtype=np.int64)
+            for c, i in enumerate(coords[d]):
+                j = bisect_right(piece.offsets, i) - 1
+                col = ring_real.action_columns(v, d - mod.row_twists[j])[i - piece.offsets[j]]
+                img = {up.col[up.offsets[j] + r]: x for r, x in col.items()}
+                for k, x in _reduce_row(up.basis, img, p).items():
+                    mat[pos[k], c] = x
+            actions[(v, d)] = mat
+    return FiniteLengthRealization(ctx, {d: len(c) for d, c in coords.items()}, actions)
+
+
+def _map_kernel(ctx: RingCtx, cols, twists, target: PresentedModule, seed=None) -> list[dict]:
+    """Minimal generators of {x in F : sum_s x_s cols[s] = 0 in target},
+    F = (+) R(-twists[s]), over an artinian context, modulo the relation
+    span of `seed` (a module presented on F) when one is given.
+
+    The degree-d matrix is `_block_builder`'s tor layout of `cols` over the
+    ring's realization, each column reduced by the target's relation
+    echelon, so its nullspace is the degree-d kernel.  The seed's echelon
+    rows seed `kernel_generators`' span, whose check then also asserts that
+    the seed's relations lie in the kernel.
+    """
+    if not twists:
+        return []
+    p = ctx.ring.field.p
+    real = FiniteLengthRealization.of_ring(ctx)
+    at = _block_builder(real, _entry_blocks(ctx, cols), target.row_twists, twists, -1)
+
+    def reduced_at(d):
+        piece = _echelon(target, d)
+        if not piece.basis:
+            return at(d)
+        by_col: dict[int, dict[int, int]] = {}
+        for r, row in enumerate(at(d)):
+            for s, x in row.items():
+                by_col.setdefault(s, {})[piece.col[r]] = x
+        rows: dict[int, dict[int, int]] = {}
+        for s, vec in by_col.items():
+            for c, x in _reduce_row(piece.basis, vec, p).items():
+                rows.setdefault(c, {})[s] = x
+        return list(rows.values())
+
+    def seed_at(d):
+        piece = _echelon(seed, d)
+        return [{piece.coord[c]: x for c, x in row.items()} for row in piece.basis.values()]
+
+    degrees = range(min(twists), max(twists) + ctx.top_degree + 1)
+    return kernel_generators(
+        ctx, twists, reduced_at if target.columns else at, degrees,
+        seed_at if seed is not None and seed.columns else None,
+    )
+
+
+def _kernel_rows(f: ModuleMap) -> tuple[PresentedModule, ModuleMap]:
+    """`modules.ModuleMap.kernel` over an artinian context.  K's generators
+    are `_map_kernel` of f modulo the source relations, and its relations
+    are `_map_kernel` of the map from K's generators into the source: both
+    are minimal, so K is its own minimal presentation."""
+    ctx = f.ctx
+    src = f.source
+    gens = _map_kernel(ctx, f.columns, src.row_twists, f.target, seed=src)
+    degs = tuple(vec_degree(ctx, g, src.row_twists) for g in gens)
+    K = PresentedModule(ctx, degs, _map_kernel(ctx, gens, degs, src), _reduced=True)
+    K._cache["min"] = K
+    return K, ModuleMap(K, src, gens, check=False)
+
+
+def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, seed=None) -> list[dict]:
     """Minimal generators of the kernel of a degree-zero linear map out of
     F = (+) R(-twists[s]) over an artinian context, given by its degree-d
-    matrix `matrix_at(d)` as sparse rows over F_d.
+    matrix `matrix_at(d)` as sparse rows over F_d; with `seed(d)` (sparse
+    rows over F_d spanning the degree-d part of a submodule of the
+    kernel), minimal generators modulo that submodule.
 
     F_d lists copy after copy, each piece R_{d - twists[s]} in
     `ctx.std_monomials` order.  Walks `degrees` upward (they must include
     every degree of F up to the last kernel generator).  In each one the
     kernel is `nullspace_rows`, and the new generators are the kernel
-    vectors, in order, that extend the span of the variable multiples of
-    the kernels one weight below (graded Nakayama, through `insert_row`).
+    vectors, in order, that extend the span of the seed rows and the
+    variable multiples of the kernels one weight below (graded Nakayama,
+    through `insert_row`).
     """
     real = FiniteLengthRealization.of_ring(ctx)
     p = ctx.ring.field.p
@@ -341,9 +538,12 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees) -
             continue
         K = nullspace_rows(matrix_at(d), len(labels), p)
         kernels[d] = (labels, K)
-        if not K:
+        span = seed(d) if seed else []
+        if not K and not span:
             continue
         basis: dict[int, dict[int, int]] = {}
+        for row in span:
+            insert_row(basis, row, p)
         for v, w in enumerate(weights):
             below_labels, below = kernels.get(d - w, ((), ()))
             for u in below:
@@ -361,63 +561,37 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees) -
                     s, i = labels[k]
                     vec[mkey(ctx.std_monomials(d - twists[s])[i], s)] = u[k]
                 out.append(vec)
-        # The multiples lie in the kernel exactly when they span no more
-        # than the kernel vectors do.
+        # The seed rows and the multiples lie in the kernel exactly when
+        # they span no more than the kernel vectors do.
         if len(basis) != len(K):
-            raise InvariantViolation("kernel not closed under the ring action")
+            raise InvariantViolation(
+                "kernel not closed under the ring action, or a seed row outside it"
+            )
     return out
-
-
-def _kernel_generators_linear(ctx, cols, cur, prev):
-    """Minimal generators of ker((+)R(-cur) -> (+)R(-prev)), artinian ctx,
-    for the map whose s-th column is cols[s]: its degree-d matrix is
-    `_block_builder`'s tor layout over the ring's own realization, since
-    (+)R(-a) = F (x) R."""
-    real = FiniteLengthRealization.of_ring(ctx)
-    at = _block_builder(real, _entry_blocks(ctx, cols), prev, cur, -1)
-    return kernel_generators(ctx, cur, at, range(min(cur), max(cur) + ctx.top_degree + 1))
 
 
 def _minimal_generator_indices_rows(ctx, vecs, twists, modulo) -> list[int]:
     """`modules.minimal_generator_indices` on an artinian context, on rows.
 
     The same walk as the Groebner body: candidates by (degree, lead), and
-    in degree d an `insert_row` basis seeded with the degree-d part of the
-    span of `modulo` and the kept lower-degree candidates (the columns of
-    that family's `_block_builder` matrix), then each candidate in turn,
-    kept when it adds a pivot.  That is the pivot-column rule the Groebner
-    body applies to normal forms, so the kept indices are the same.
+    in degree d the relation echelon of the span of `modulo` and the kept
+    lower-degree candidates, extended by each candidate in turn
+    (`insert_row`); a candidate is kept when it adds a pivot.  That is the
+    pivot-column rule the Groebner body applies to normal forms, so the
+    kept indices are the same.
     """
-    real = FiniteLengthRealization.of_ring(ctx)
     p = ctx.ring.field.p
-    codec = ctx.codec
     live = [i for i, v in enumerate(vecs) if v]
     degs = {i: vec_degree(ctx, vecs[i], twists) for i in live}
     live.sort(key=lambda i: (degs[i], max(vecs[i])))
-    span = [v for v in modulo if v]
-    span_degs = [vec_degree(ctx, v, twists) for v in span]
-    blocks = _entry_blocks(ctx, span)
     kept: list[int] = []
     for d, group in groupby(live, key=degs.__getitem__):
-        offsets = [0, *accumulate(real.dim(d - a) for a in twists)]
-        basis: dict[int, dict[int, int]] = {}
-        cols: dict[int, dict[int, int]] = {}
-        for r, row in enumerate(_block_builder(real, blocks, twists, span_degs, -1)(d)):
-            for c, x in row.items():
-                cols.setdefault(c, {})[r] = x
-        for col in cols.values():
-            insert_row(basis, col, p)
+        piece = _echelon(PresentedModule(ctx, twists, modulo + [vecs[i] for i in kept]), d)
+        col = dict(zip(piece.keys, piece.col))
+        basis = dict(piece.basis)
         for i in group:
-            row = {}
-            for k, c in reduce_vec_by_ideal(vecs[i], ctx).items():
-                s = codec.comp_of(k)
-                std = ctx.std_monomials(d - twists[s])
-                row[offsets[s] + std.index(codec.mono_of(k))] = c
-            if insert_row(basis, row, p):
+            if insert_row(basis, {col[k]: c for k, c in reduce_vec_by_ideal(vecs[i], ctx).items()}, p):
                 kept.append(i)
-                blocks += _entry_blocks(ctx, [vecs[i]], len(span))
-                span.append(vecs[i])
-                span_degs.append(d)
     return sorted(kept)
 
 

@@ -9,7 +9,8 @@ image of the kernels below (`realize.kernel_generators`, which also
 serves `to_presentation` and, over artinian contexts, `ModuleMap.kernel`),
 the Groebner engine through `modules.minimal_generator_indices`.  Both
 produce minimal resolutions, so ranks are Betti numbers as computed.  The
-linear engine (`realize._kernel_generators_linear`) builds the degree-d
+linear engine (`realize._map_kernel` into a free module, the step
+`ModuleMap.kernel` takes over artinian contexts) builds the degree-d
 matrix of d_n with `realize._block_builder`, the builder the degreewise
 derived functors use too: F_n -> F_{n-1} is F_n (x) R -> F_{n-1} (x) R
 over the ring's own realization.
@@ -83,7 +84,7 @@ from .realize import (
     FiniteLengthRealization,
     _block_builder,
     _entry_blocks,
-    _kernel_generators_linear,
+    _map_kernel,
 )
 
 
@@ -153,7 +154,7 @@ class Resolution:
             return
         cur, prev = self._twists[n], self._twists[n - 1]
         if self.backend == "linear":
-            gens = _kernel_generators_linear(self.ctx, self._diffs[n - 1], cur, prev)
+            gens = _map_kernel(self.ctx, self._diffs[n - 1], cur, PresentedModule(self.ctx, prev))
         else:
             syz, _ = syzygies_for(self.ctx, self._diffs[n - 1], len(prev), cur, prev)
             gens = minimal_generators(self.ctx, syz, len(cur), cur)
@@ -536,8 +537,10 @@ def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
     """psi_i o psi_{i-1} = 0 on the maps into and out of X_i: each incoming
     column, pushed through the outgoing columns, must vanish in X_o.
     Uses only differentials index i already needs.  Over a true
-    resolution the composite vanishes modulo the ideal already, so X_o's
-    Groebner basis is built only for a remainder that does not."""
+    resolution the composite vanishes modulo the ideal already, so X_o is
+    built, and a remainder reduced by its relations (`normal_form`: the
+    relation echelon over an artinian context, else a Groebner basis),
+    only when one is left."""
     ctx = res.ctx
     rb = Nm.rank0
     out_cols = _step_cols(kind, res, max(i, o), rb)
@@ -548,7 +551,7 @@ def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
             continue
         if Xo is None:
             Xo = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
-        if Xo.gb().reduce(img):
+        if Xo.normal_form(img):
             raise InvariantViolation("consecutive maps of the complex do not compose to zero")
 
 

@@ -278,3 +278,48 @@ def test_reduce_vec_by_ideal_touches_all_components():
     red = reduce_vec_by_ideal(vec, ctx)
     ents = vec_entries(red, ring, 2)
     assert [str(e) for e in ents] == ["y*z", "y^2*z + z"]
+
+
+@pytest.mark.parametrize("p", [7, 101, 32003])
+def test_ideal_basis_matches_sympy(p):
+    # The reduced Groebner basis of an ideal is unique, so RingCtx's basis
+    # must equal sympy's term for term once both are made monic over GF(p).
+    sympy = pytest.importorskip("sympy")
+    names = ("x", "y", "z")
+    ring = PolyRing(FieldSpec(p), names)
+    syms = sympy.symbols(names)
+    rng = random.Random(p)
+
+    def monic(terms):
+        lead = max(terms)  # terms are keyed by `_grevlex`
+        inv = pow(terms[lead] % p, p - 2, p)
+        return frozenset((e, c * inv % p) for e, c in terms.items() if c % p)
+
+    checked = 0
+    while checked < 12:
+        polys = [ring.random_homogeneous(rng, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 5))]
+        polys = [f for f in polys if not f.is_zero()]
+        if not polys:
+            continue
+        ctx = RingCtx(ring, polys)
+        ours = {
+            monic({_grevlex(ring.decode_monomial(m)): c for m, c in g.items()})
+            for g in ctx.ideal_gb
+        }
+        exprs = [
+            sum(c * sympy.Mul(*(s**e for s, e in zip(syms, ring.decode_monomial(m)))) for m, c in f.raw().items())
+            for f in polys
+        ]
+        basis = sympy.groebner(exprs, *syms, modulus=p, order="grevlex")
+        theirs = {
+            monic({_grevlex(e): int(c) for e, c in sympy.Poly(g, *syms, modulus=p).terms()})
+            for g in basis.exprs
+        }
+        assert ours == theirs
+        checked += 1
+
+
+def _grevlex(exps):
+    """Sort key of an exponent vector in grevlex with x > y > z: total
+    degree, then the reversed, negated exponents."""
+    return (sum(exps), tuple(-e for e in reversed(exps)), exps)

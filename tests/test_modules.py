@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from extlab.errors import InvariantViolation
 from extlab.groebner import RingCtx, module_gb, syzygies_for
 from extlab.modules import (
     ModuleMap,
@@ -17,6 +18,7 @@ from extlab.modules import (
     _hom_complex,
     _kernel,
     _minimal_generator_indices_gb,
+    _sum_of_shifts,
     dual_module,
     hom_module,
     minimal_generator_indices,
@@ -28,7 +30,15 @@ from extlab.modules import (
 )
 from extlab.poly import FieldSpec, PolyRing
 from extlab.realize import FiniteLengthRealization, dual_realization
-from extlab.resolution import is_mcm, minimal_free_resolution, syzygy
+from extlab.resolution import (
+    ext,
+    ext_via_complete,
+    is_mcm,
+    minimal_free_resolution,
+    syzygy,
+    tor,
+    tor_via_complete,
+)
 from extlab.vanishing import ExperimentConfig, random_module, random_pair
 
 
@@ -430,13 +440,58 @@ def test_row_kernel_matches_groebner_kernel(request, ring, seed):
 
 def test_artinian_kernels_build_no_groebner_basis(gor5, nilsquares, buchberger_runs):
     # Over an artinian ring every kernel, with its pruning, is linear
-    # algebra on sparse rows: a Hom subquotient over nilsquares and the
-    # dual kernel of a gor5 syzygy make no Buchberger run.
+    # algebra on sparse rows, and Hilbert functions and realizations are
+    # read off relation echelons: a Hom subquotient over nilsquares, the
+    # dual kernel of a gor5 syzygy, and both routes to Ext and Tor on a
+    # seeded pair over each ring make no Buchberger run.
     A, B = (m.minimal_presentation() for m in random_pair(ExperimentConfig(seed=31), nilsquares, 0))
     X, Y, psi = _hom_complex(A, B)
     S = syzygy(random_module(ExperimentConfig(seed=32), gor5, 0), 3)
+    pairs = [
+        random_pair(ExperimentConfig(seed=35), nilsquares, 0),
+        random_pair(ExperimentConfig(seed=34), gor5, 0),
+    ]
     buchberger_runs.reset()
     H = subquotient(X, [], Y, psi)
     K, functionals = _dual_kernel(S)
     assert buchberger_runs.count == 0
     assert H.rank0 and K.rank0 and len(functionals) == K.rank0
+    idx = [1, 2, 3]
+    for M, N in pairs:
+        direct = [f(M, N, idx) for f in (ext, tor)]
+        complete = [f(M, N, idx, t=5) for f in (ext_via_complete, tor_via_complete)]
+        assert buchberger_runs.count == 0
+        for a, b in zip(direct, complete):
+            assert [a.total(i) for i in idx] == [b.total(i) for i in idx]
+        assert any(a.total(i) for a in direct for i in idx)
+
+
+def test_row_kernel_checks_the_map_is_well_defined(nilpl):
+    # The row kernel seeds its span with the source relations, so its
+    # closure check asserts that they lie in the kernel: 1 |-> 1 from R/(x)
+    # to R is not a map of modules, since x |-> x.
+    src = PresentedModule.from_matrix(nilpl, [["x"]])
+    bad = ModuleMap(src, PresentedModule.ring_module(nilpl), [{nilpl.codec.mkey(nilpl.ring.unit_key, 0): 1}], check=False)
+    with pytest.raises(InvariantViolation):
+        bad.kernel()
+    # The same map into R/(x) is the identity, with zero kernel.
+    K, _ = ModuleMap(src, src, bad.columns).kernel()
+    assert K.rank0 == 0
+
+
+@pytest.mark.parametrize("ring, seed", [("quadric", 51), ("gor5", 52), ("nilsquares", 53)])
+def test_sum_of_shifts_matches_iterated_direct_sum(request, ring, seed):
+    # One construction over all copies gives the module the iterated
+    # direct sum gives: the same twists and the same columns, in order.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=seed)
+    for i in range(4):
+        for base in (random_module(cfg, ctx, i), random_module(cfg, ctx, i).minimal_presentation()):
+            for shifts in ([], [0], [2, -1, 0, 3], [1, 1, -2]):
+                slow = PresentedModule.zero(ctx)
+                for s in shifts:
+                    slow = slow.direct_sum(base.shifted(s))
+                fast = _sum_of_shifts(base, shifts)
+                assert fast.row_twists == slow.row_twists
+                assert fast.columns == slow.columns
+                assert fast.col_degrees == slow.col_degrees

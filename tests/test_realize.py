@@ -6,21 +6,28 @@ hand.  Cross-checks against the Groebner-based module layer keep the two
 backends honest against each other.
 """
 
+import random
+
+import numpy as np
 import pytest
 
-from extlab.groebner import RingCtx
-from extlab.modules import PresentedModule, hom_module, tensor_module
+from extlab.groebner import RingCtx, presented_numerator, reduce_vec_by_ideal
+from extlab.modules import PresentedModule, _finite_series, hom_module, tensor_module
 from extlab.poly import FieldSpec, PolyRing
 from extlab.linalg import rank_rows
 from extlab.realize import (
     FiniteLengthRealization,
     _block_builder,
     _entry_blocks,
+    _from_module_gb,
+    _from_module_rows,
     dual_realization,
     hom_realization,
     stable_hom_profile,
     tensor_realization,
 )
+from extlab.resolution import syzygy
+from extlab.vanishing import ExperimentConfig, random_module
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +180,60 @@ def test_stable_hom_profile_matches_module_layer(nilpl, kmod, xcyc, gor5):
         prof = stable_hom_profile(a, b)
         ref = FiniteLengthRealization.from_module(stable_hom(a, b))
         assert prof == {d: ref.dim(d) for d in ref.degrees()}, (a, b)
+
+
+# -- relation echelons against Groebner bases ---------------------------------
+
+
+def _echelon_corpus(ctx, seed, count):
+    """Seeded modules over an artinian ring as drawn (not minimized), their
+    minimal presentations, syzygies 1-3 of those, and non-minimal sums:
+    a module plus a shifted copy of itself, a free summand and R/(x)."""
+    cfg = ExperimentConfig(seed=seed)
+    x = ctx.ring.gens()[0]
+    cyc = PresentedModule.from_matrix(ctx, [[x]])
+    out = []
+    for i in range(count):
+        M = random_module(cfg, ctx, i)
+        mm = M.minimal_presentation()
+        out += [M, mm] + [syzygy(mm, j) for j in (1, 2, 3)]
+        out.append(M.direct_sum(mm.shifted(1)).direct_sum(PresentedModule.free(ctx, (2,))))
+        out.append(cyc.shifted(-1).direct_sum(M))
+    return out
+
+
+@pytest.mark.parametrize("ring, seed", [("gor5", 41), ("nilsquares", 42)])
+def test_relation_echelon_matches_groebner_basis(request, ring, seed):
+    # Over an artinian ring the Hilbert function, the Hilbert numerator,
+    # normal forms and the realization are read off the per-degree reduced
+    # echelon of the relation span, whose pivots are the Groebner leads.
+    # Each must equal its Groebner counterpart exactly: the same numbers,
+    # the same basis order, the same action matrices.
+    ctx = request.getfixturevalue(ring)
+    p = ctx.ring.field.p
+    rng = random.Random(seed)
+    corpus = _echelon_corpus(ctx, seed, 6)
+    nontrivial = 0
+    for mod in corpus:
+        gbv = mod.gb()
+        numerator = presented_numerator(ctx, gbv, mod.rank0, mod.row_twists)
+        assert mod.hilbert_numerator() == numerator
+        assert mod._finite_hf() == _finite_series(ctx, numerator)
+        by_rows, by_gb = _from_module_rows(mod), _from_module_gb(mod)
+        assert by_rows.dims == by_gb.dims
+        assert by_rows._act.keys() == by_gb._act.keys()
+        for key, mat in by_gb._act.items():
+            assert by_rows._act[key].dtype == mat.dtype
+            assert np.array_equal(by_rows._act[key], mat), key
+        nontrivial += any(m.any() for m in by_gb._act.values())
+        # Normal forms of random vectors in each degree of the free cover.
+        for d in range(min(mod.row_twists, default=0), max(mod.row_twists, default=-1) + 3):
+            keys = [
+                ctx.codec.mkey(m, j)
+                for j, a in enumerate(mod.row_twists)
+                for m in ctx.std_monomials(d - a)
+            ]
+            for _ in range(3):
+                vec = {k: rng.randrange(1, p) for k in keys if rng.random() < 0.6}
+                assert mod.normal_form(vec) == gbv.reduce(reduce_vec_by_ideal(vec, ctx))
+    assert nontrivial >= len(corpus) // 2

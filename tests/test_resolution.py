@@ -22,7 +22,14 @@ import pytest
 from extlab.errors import HypothesisNotMet, InvariantViolation, ResourceCapError
 from extlab.groebner import RingCtx, reduce_vec_by_ideal
 from extlab.linalg import rank_rows
-from extlab.modules import ModuleMap, PresentedModule, _combine_columns, dual_module
+from extlab.modules import (
+    ModuleMap,
+    PresentedModule,
+    _combine_columns,
+    dual_module,
+    entries_from_vec,
+    vec_from_entries,
+)
 from extlab.realize import FiniteLengthRealization, _block_builder, _entry_blocks
 from extlab.resolution import (
     BettiTable,
@@ -302,6 +309,30 @@ def test_hilbert_series_route_checks_composites():
         tor(M, R, [1])
 
 
+def test_module_route_checks_composites_on_rows(buchberger_runs):
+    # Over an artinian ring a remainder of d o d that survives the ideal is
+    # reduced by X_o's relation echelon, with no Groebner basis.  A fresh
+    # context keeps the corrupted resolution out of the shared fixtures.
+    ctx = make_ctx(("x", "y"), ("x^2", "y^2"))
+    k = k_of(ctx)
+    res = resolution_of(k.minimal_presentation()).extend_to(3)
+    # d_1 = (f0, f1) with {f0, f1} = {x, y}; a first column f1 e_0 for d_2
+    # makes d_1 d_2 = f0 f1 = x*y, nonzero in R.
+    f1 = entries_from_vec(ctx, res.diff(1)[1], 1)[0]
+    res._diffs[1][0] = vec_from_entries(ctx, [f1, ctx.ring.parse("0")])
+    both = PresentedModule.from_matrix(ctx, [["0"], ["x"]])  # R (+) R/(x)
+    buchberger_runs.reset()
+    with pytest.raises(InvariantViolation):
+        ext(k, both, [2])
+    with pytest.raises(InvariantViolation):
+        tor(k, both, [1])
+    # Over R/(x) the composite x*y is zero in X_o: the remainder is
+    # reduced by the relations, not only by the ideal, so nothing raises.
+    assert ext(k, cyclic(ctx, "x"), [2]).total(2) is not None
+    assert tor(k, cyclic(ctx, "x"), [1]).total(1) is not None
+    assert buchberger_runs.count == 0
+
+
 def test_module_route_groebner_work_is_pinned(buchberger_runs):
     # Buchberger runs are deterministic, so the module route's Groebner
     # work on a fresh quadric context is pinned as an exact count: 37 with
@@ -321,12 +352,12 @@ def test_module_route_groebner_work_is_pinned(buchberger_runs):
 @pytest.mark.parametrize(
     "names, rels, left, t, totals, runs",
     [
-        # k against k over gor5: 1 run, the Groebner basis the realization
-        # of the dual is read from; the dual itself is a kernel on sparse
-        # rows (5 runs when that kernel took syzygies and pruned through
-        # Groebner bases).
+        # k against k over gor5: no run.  The dual is a kernel on sparse rows
+        # and its realization is read off its relation echelon (5 runs when
+        # that kernel took syzygies and pruned through Groebner bases, 1
+        # when the realization still came from a Groebner basis).
         (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"), None, 5,
-         [3, 8, 21], 1),
+         [3, 8, 21], 0),
         # coker [[w, y], [z, x]] against k over the quadric: 39 runs, the
         # same count as with unminimized functionals.
         (("w", "x", "y", "z"), ("w*x - y*z",), [["w", "y"], ["z", "x"]], 4, [2, 2], 39),
