@@ -12,7 +12,7 @@ with, and the dense entry points (numpy int64 arrays with entries in
 through it and writes the echelon form back out, `nullspace_mod` writes
 out `nullspace_rows`.  Fed an image span first and candidate vectors after
 it, in order, `insert_row` keeps the earliest candidates that extend the
-span: the complement rule by which `realize` chooses minimal generators.
+span: the complement rule by which `rows` chooses minimal generators.
 
 Products (`matmul_mod`) run through float64 BLAS, which is exact as long as
 every dot product stays below 2**53; the inner dimension is chunked so that
@@ -162,11 +162,6 @@ def rank_rows(rows, p: int) -> int:
     return len(_insert_rows(clean, p, reduced=False))
 
 
-def rref_mod(a: np.ndarray, p: int):
-    """Reduced row echelon form; returns (r, pivot_cols)."""
-    return echelon_mod(a, p, reduced=True)
-
-
 def rank_mod(a: np.ndarray, p: int) -> int:
     """Rank of `a` over GF(p)."""
     return len(echelon_mod(a, p, reduced=False)[1])
@@ -202,24 +197,3 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     for c, vec in enumerate(null):
         out[list(vec), c] = list(vec.values())
     return out
-
-
-def solve_mod(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a @ x = b over GF(p), or None if inconsistent.
-
-    Free variables are set to zero.  `b` may be a vector or a matrix of
-    right-hand sides; the result matches its shape.
-    """
-    a = _as_mod(a, p)
-    vec = np.asarray(b).ndim == 1
-    bm = _as_mod(np.asarray(b).reshape(-1, 1) if vec else b, p)
-    if bm.shape[0] != a.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} vs rhs {bm.shape}")
-    n = a.shape[1]
-    red, piv = echelon_mod(np.hstack([a, bm]), p, reduced=True)
-    if any(c >= n for c in piv):
-        return None
-    x = np.zeros((n, bm.shape[1]), dtype=np.int64)
-    if piv:
-        x[np.array(piv), :] = red[: len(piv), n:]
-    return x[:, 0] if vec else x

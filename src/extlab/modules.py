@@ -10,6 +10,12 @@ Degree bookkeeping used throughout: an entry in row j of a column of
 degree d is a homogeneous polynomial of degree d - row_twists[j]; dualizing
 a free module negates generator degrees; Hom(M, N) shifts copy j of N down
 by M's j-th generator degree, and tensors add generator degrees.
+
+Hom, tensor, duals and stable Hom have one construction each, over every
+context.  Over an artinian context the kernels, minimal generators,
+Hilbert functions and normal forms behind them run on sparse GF(p) rows in
+`rows`, which returns packed columns from which this module builds every
+`PresentedModule`; elsewhere they run on Groebner bases.
 """
 
 from __future__ import annotations
@@ -36,6 +42,14 @@ from .groebner import (
 )
 from .linalg import pivot_columns_mod
 from .poly import Polynomial
+from .rows import (
+    _echelon_hf,
+    _echelon_normal_form,
+    _map_kernel,
+    _minimal_generator_indices_rows,
+    _split_entries,
+    vec_degree,
+)
 
 
 # -- packed vector helpers ---------------------------------------------------
@@ -74,16 +88,6 @@ def vec_poly_submul(dst: dict, f: dict[int, int], src: dict, ctx: RingCtx) -> di
             else:
                 dst.pop(kk, None)
     return dst
-
-
-def vec_degree(ctx: RingCtx, vec: dict, twists: Sequence[int]) -> int:
-    """Degree of a homogeneous vector; raises if the terms disagree."""
-    ring = ctx.ring
-    codec = ctx.codec
-    degs = {ring.mono_degree(codec.mono_of(k)) + twists[codec.comp_of(k)] for k in vec}
-    if len(degs) != 1:
-        raise ValueError(f"vector is not homogeneous: degrees {sorted(degs)}")
-    return degs.pop()
 
 
 def _freeze(vec: dict) -> tuple:
@@ -200,7 +204,7 @@ class PresentedModule:
     #
     # Over an artinian context the Hilbert function and normal forms are read
     # off a per-degree reduced echelon of the relation span
-    # (`realize._echelon`), with no Groebner basis; elsewhere off `gb()`.
+    # (`rows._echelon`), with no Groebner basis; elsewhere off `gb()`.
 
     def gb(self) -> VectorGB:
         hit = self._cache.get("gb")
@@ -215,7 +219,7 @@ class PresentedModule:
         Over an artinian context it is read off the relation echelon of the
         vector's degree, which gives the same normal form."""
         if self.ctx.is_artinian:
-            return _rows()._echelon_normal_form(self, reduce_vec_by_ideal(vec, self.ctx))
+            return _echelon_normal_form(self, reduce_vec_by_ideal(vec, self.ctx))
         return self.gb().reduce(vec)
 
     def hilbert_numerator(self) -> dict[int, int]:
@@ -256,10 +260,10 @@ class PresentedModule:
     def _finite_hf(self) -> dict[int, int] | None:
         """Hilbert function, or None for infinite length: over an artinian
         context dim F_d minus the rank of the degree-d relation span
-        (`realize._echelon_hf`), elsewhere the expanded Hilbert series."""
+        (`rows._echelon_hf`), elsewhere the expanded Hilbert series."""
         if "hf" not in self._cache:
             if self.ctx.is_artinian:
-                self._cache["hf"] = _rows()._echelon_hf(self)
+                self._cache["hf"] = _echelon_hf(self)
             else:
                 self._cache["hf"] = _finite_series(self.ctx, self.hilbert_numerator())
         return self._cache["hf"]
@@ -483,10 +487,10 @@ class ModuleMap:
         """(K, inclusion K -> source), K on minimal generators.
 
         On an artinian context everything is degreewise linear algebra on
-        sparse GF(p) rows (`realize._kernel_rows`), with no Groebner basis:
+        sparse GF(p) rows (`rows._map_kernel`), with no Groebner basis:
         in degree d, ker(F_source -> target) is the nullspace of the map's
         columns reduced by the target's relation echelon, and
-        `realize.kernel_generators`, seeded with the source's relation
+        `rows.kernel_generators`, seeded with the source's relation
         echelon, returns minimal generators of K modulo the source
         relations, checking that those relations lie in the kernel (the map
         is well defined).  K's relations come from the same step applied to
@@ -510,10 +514,17 @@ class ModuleMap:
 def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
     """Body of `ModuleMap.kernel`, on sparse rows (artinian contexts only)
     or through Groebner bases; the tests hold the two to each other."""
-    if rows:
-        return _rows()._kernel_rows(f)
     ctx = f.ctx
     src, tgt = f.source, f.target
+    if rows:
+        # K's generators are `_map_kernel` of f modulo the source relations,
+        # its relations `_map_kernel` of the map from those generators into
+        # the source: both are minimal, so K is its own minimal presentation.
+        gens = _map_kernel(ctx, f.columns, src.row_twists, tgt, seed=src)
+        degs = tuple(vec_degree(ctx, g, src.row_twists) for g in gens)
+        K = PresentedModule(ctx, degs, _map_kernel(ctx, gens, degs, src), _reduced=True)
+        K._cache["min"] = K
+        return K, ModuleMap(K, src, gens, check=False)
     m = src.rank0
     gens = _syzygy_heads(
         ctx, list(f.columns) + list(tgt.columns), src.row_twists + tgt.col_degrees,
@@ -539,16 +550,6 @@ def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int) -> list[dict]:
     return [v for v in cut if v]
 
 
-def _rows():
-    """`realize`, home of the sparse-row kernels and relation echelons of
-    the artinian locus.  It builds on `PresentedModule`, so it is imported
-    on first use and not at the top: this is the one place the import
-    cycle is broken."""
-    from . import realize
-
-    return realize
-
-
 def _neg(f: dict[int, int], p: int) -> dict[int, int]:
     """-f for a monomial dict or a packed vector."""
     return {k: p - c for k, c in f.items()}
@@ -561,15 +562,6 @@ def _combine_columns(ctx: RingCtx, columns: Sequence[dict], vec: dict) -> dict:
     for j, f in enumerate(_split_entries(ctx, vec)):
         if f:
             vec_poly_submul(out, _neg(f, ctx.ring.field.p), columns[j], ctx)
-    return out
-
-
-def _split_entries(ctx: RingCtx, vec: dict) -> list[dict[int, int]]:
-    codec = ctx.codec
-    top = max((codec.comp_of(k) for k in vec), default=-1)
-    out: list[dict[int, int]] = [{} for _ in range(top + 1)]
-    for k, c in vec.items():
-        out[codec.comp_of(k)][codec.mono_of(k)] = c
     return out
 
 
@@ -589,12 +581,12 @@ def minimal_generator_indices(
     candidates and the earlier candidates of degree d.  Zero vectors are
     never kept.  The indices are returned in ascending order.  On an
     artinian context the degree-d parts are sparse GF(p) rows
-    (`realize._minimal_generator_indices_rows`); elsewhere they are normal
+    (`rows._minimal_generator_indices_rows`); elsewhere they are normal
     forms against a Groebner basis.  Both keep the same indices.
     """
     modulo = modulo or []
     if ctx.is_artinian:
-        return _rows()._minimal_generator_indices_rows(ctx, vecs, twists, modulo)
+        return _minimal_generator_indices_rows(ctx, vecs, twists, modulo)
     return _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo)
 
 
@@ -706,7 +698,10 @@ def subquotient(
     `ModuleMap.kernel`); its Hilbert function and realization are read off
     its own echelon.
     """
-    Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols))
+    # X's columns are already reduced modulo the ideal; only in_cols are not.
+    ctx = X.ctx
+    in_cols = [reduce_vec_by_ideal(dict(v), ctx) for v in in_cols]
+    Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
     return ModuleMap(Q, target, out_cols, check=False).kernel()[0].minimal_presentation()
 
 
@@ -737,19 +732,20 @@ def _hom_complex(a: PresentedModule, b: PresentedModule):
     if b.ctx is not ctx:
         raise ValueError("hom across different contexts")
     codec = ctx.codec
-    p = ctx.ring.field.p
     rb = b.rank0
     X = _sum_of_shifts(b, [-t for t in a.row_twists])
     Y = _sum_of_shifts(b, [-d for d in a.col_degrees])
-    psi_cols = []
-    for j in range(a.rank0):
-        for t in range(rb):
-            vec: dict[int, int] = {}
-            for c, col in enumerate(a.columns):
-                for mk, cf in _entry_of(ctx, col, j).items():
-                    key = codec.mkey(mk, c * rb + t)
-                    vec[key] = (vec.get(key, 0) + cf) % p
-            psi_cols.append({k: c for k, c in vec.items() if c})
+    # Row j of a's relation matrix, as (monomial, first slot of its column
+    # in Y, coefficient); every column is split once.
+    by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(a.rank0)]
+    for c, col in enumerate(a.columns):
+        for k, cf in col.items():
+            by_row[codec.comp_of(k)].append((codec.mono_of(k), c * rb, cf))
+    psi_cols = [
+        {codec.mkey(mk, c + t): cf for mk, c, cf in by_row[j]}
+        for j in range(a.rank0)
+        for t in range(rb)
+    ]
     return X, Y, psi_cols
 
 

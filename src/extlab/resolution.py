@@ -5,15 +5,16 @@ interchangeable engines: a Groebner one (works over any context) and a
 degreewise linear-algebra one for artinian contexts, where every kernel is
 a finite-dimensional nullspace.  Both choose generators by graded
 Nakayama, degree by degree: the linear engine as a complement of the
-image of the kernels below (`realize.kernel_generators`, which also
-serves `to_presentation` and, over artinian contexts, `ModuleMap.kernel`),
-the Groebner engine through `modules.minimal_generator_indices`.  Both
-produce minimal resolutions, so ranks are Betti numbers as computed.  The
-linear engine (`realize._map_kernel` into a free module, the step
-`ModuleMap.kernel` takes over artinian contexts) builds the degree-d
-matrix of d_n with `realize._block_builder`, the builder the degreewise
-derived functors use too: F_n -> F_{n-1} is F_n (x) R -> F_{n-1} (x) R
-over the ring's own realization.
+image of the kernels below (`rows.kernel_generators`, which also serves
+`realize.to_presentation` and, over artinian contexts,
+`ModuleMap.kernel`), the Groebner engine through
+`modules.minimal_generator_indices`.  Both produce minimal resolutions,
+so ranks are Betti numbers as computed.  The linear engine
+(`rows._map_kernel` into a free module, the step `ModuleMap.kernel` takes
+over artinian contexts) builds the degree-d matrix of d_n with
+`rows._block_builder`, the builder the degreewise derived functors use
+too: F_n -> F_{n-1} is F_n (x) R -> F_{n-1} (x) R over the ring's own
+realization.
 
 Derived functors come by two routes that share no homology code.  Each
 route has one body for both functors, keyed by kind ("ext" or "tor"):
@@ -80,7 +81,7 @@ from .modules import (
     tensor_module,
     vec_degree,
 )
-from .realize import (
+from .rows import (
     FiniteLengthRealization,
     _block_builder,
     _entry_blocks,

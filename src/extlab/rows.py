@@ -1,0 +1,589 @@
+"""The finite-length engine: realizations, relation echelons and row kernels.
+
+A realization stores, for a module of finite length, the dimension of every
+graded piece and the matrix of each variable's multiplication map between
+consecutive pieces.  `FiniteLengthRealization.from_module` reads the piece
+bases and actions off a module's relation span (the non-leads and normal
+forms); `of_ring` is the ring's own realization.
+
+A free module F = (+) R(-a_s) over an artinian context needs no
+realization of its own: F_d is copy after copy of R_{d - a_s}, each in
+`ctx.std_monomials` order, and the ring's realization acts on each copy.
+`_block_builder` writes the degree-d matrix of any map between sums of
+shifted copies of a realization as sparse rows; over the ring's own
+realization that is a map between free modules.  `kernel_generators`
+takes a degree-zero map out of such an F as those rows and returns
+minimal generators of its kernel, all on rows (`linalg`).
+
+A presented module M = F / U over an artinian context carries, per degree
+and built on first use, the reduced row echelon form of U_d with the
+coordinates of F_d ordered by descending packed key (`_echelon`).  Its
+pivots are the Groebner leads of U in degree d and reducing by it gives
+the Groebner normal form, so the Hilbert function (dim F_d minus the
+rank), normal forms and `from_module` are read off it with no Groebner
+basis.  `_map_kernel` reduces a map's degree-d columns by the target's
+echelon and passes the nullspace to `kernel_generators`, seeded with the
+source's echelon rows: that is `modules.ModuleMap.kernel` on artinian
+contexts and, with a free target, the linear resolution engine.
+`_minimal_generator_indices_rows` is the row body of
+`modules.minimal_generator_indices`.
+
+This module reads presented modules through their `row_twists`,
+`columns`, `col_degrees` and `_cache` and returns packed columns; it
+never builds a module, so it imports neither `modules` nor `realize`,
+which build modules from what it returns.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate, groupby
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from .errors import InvariantViolation
+from .groebner import RingCtx, reduce_vec_by_ideal
+from .linalg import _insert_rows, _reduce_row, insert_row, matmul_mod, nullspace_rows, rank_mod
+
+
+def vec_degree(ctx: RingCtx, vec: dict, twists: Sequence[int]) -> int:
+    """Degree of a homogeneous vector; raises if the terms disagree."""
+    ring = ctx.ring
+    codec = ctx.codec
+    degs = {ring.mono_degree(codec.mono_of(k)) + twists[codec.comp_of(k)] for k in vec}
+    if len(degs) != 1:
+        raise ValueError(f"vector is not homogeneous: degrees {sorted(degs)}")
+    return degs.pop()
+
+
+def _split_entries(ctx: RingCtx, vec: dict) -> list[dict[int, int]]:
+    codec = ctx.codec
+    top = max((codec.comp_of(k) for k in vec), default=-1)
+    out: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    for k, c in vec.items():
+        out[codec.comp_of(k)][codec.mono_of(k)] = c
+    return out
+
+
+class FiniteLengthRealization:
+    """Graded pieces (dimensions) plus variable action matrices.
+
+    `dims[d]` is the dimension of the degree-d piece (zero entries are
+    dropped); `action(v, d)` is the matrix of multiplication by the v-th
+    variable from degree d to degree d + weight(v), columns indexed by a
+    fixed but unspecified basis of the source piece.
+    """
+
+    def __init__(self, ctx: RingCtx, dims: dict[int, int], actions: dict | None = None):
+        self.ctx = ctx
+        self.dims = {d: int(n) for d, n in dims.items() if n}
+        self._act: dict[tuple[int, int], np.ndarray] = dict(actions or {})
+        self._mono_act: dict[tuple[int, int], np.ndarray] = {}
+        self._mono_nz: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        self._act_cols: dict[tuple[int, int], list[dict[int, int]]] = {}
+
+    # -- piece access ---------------------------------------------------------
+
+    def dim(self, d: int) -> int:
+        return self.dims.get(d, 0)
+
+    def degrees(self) -> list[int]:
+        return sorted(self.dims)
+
+    def is_zero(self) -> bool:
+        return not self.dims
+
+    @property
+    def bottom(self) -> int | None:
+        return min(self.dims) if self.dims else None
+
+    @property
+    def top(self) -> int | None:
+        return max(self.dims) if self.dims else None
+
+    def action(self, var: int, d: int) -> np.ndarray:
+        key = (var, d)
+        hit = self._act.get(key)
+        if hit is None:
+            w = self.ctx.ring.weights[var]
+            hit = np.zeros((self.dim(d + w), self.dim(d)), dtype=np.int64)
+            self._act[key] = hit
+        return hit
+
+    def action_columns(self, var: int, d: int) -> list[dict[int, int]]:
+        """Columns of `action(var, d)` as sparse dicts row -> coefficient;
+        cached, so callers copy a column before consuming it."""
+        key = (var, d)
+        hit = self._act_cols.get(key)
+        if hit is None:
+            mat = self.action(var, d)
+            hit = [{} for _ in range(mat.shape[1])]
+            nz_r, nz_c = np.nonzero(mat)
+            for i, j, c in zip(nz_r.tolist(), nz_c.tolist(), mat[nz_r, nz_c].tolist()):
+                hit[j][i] = c
+            self._act_cols[key] = hit
+        return hit
+
+    def monomial_action(self, mono: int, d: int) -> np.ndarray:
+        """Matrix of multiplication by a packed ring monomial from degree d."""
+        ring = self.ctx.ring
+        if mono == ring.unit_key:
+            return np.eye(self.dim(d), dtype=np.int64)
+        key = (mono, d)
+        hit = self._mono_act.get(key)
+        if hit is not None:
+            return hit
+        exps = ring.decode_monomial(mono)
+        v = next(i for i, e in enumerate(exps) if e)
+        rest = list(exps)
+        rest[v] -= 1
+        sub = ring.encode_monomial(tuple(rest))
+        inner = self.monomial_action(sub, d)
+        out = matmul_mod(
+            self.action(v, d + ring.mono_degree(sub)), inner, self.ctx.ring.field.p
+        )
+        self._mono_act[key] = out
+        return out
+
+    def monomial_entries(self, mono: int, d: int) -> list[tuple[int, int, int]]:
+        """Nonzero entries (row, column, value) of `monomial_action(mono, d)`;
+        cached."""
+        key = (mono, d)
+        hit = self._mono_nz.get(key)
+        if hit is None:
+            mat = self.monomial_action(mono, d)
+            nz_r, nz_c = np.nonzero(mat)
+            hit = list(zip(nz_r.tolist(), nz_c.tolist(), mat[nz_r, nz_c].tolist()))
+            self._mono_nz[key] = hit
+        return hit
+
+    def poly_action(self, f_raw: dict[int, int], d: int, shift: int) -> np.ndarray:
+        """Matrix of multiplication by a homogeneous f of degree `shift`."""
+        p = self.ctx.ring.field.p
+        out = np.zeros((self.dim(d + shift), self.dim(d)), dtype=np.int64)
+        for mono, c in f_raw.items():
+            out = (out + c * self.monomial_action(mono, d)) % p
+        return out
+
+    # -- constructors -----------------------------------------------------------
+
+    @classmethod
+    def from_module(cls, mod) -> "FiniteLengthRealization":
+        """Read the pieces off a presented module's relation span.
+
+        The degree-d basis consists of the keys (generator j, standard
+        monomial m) that are not Groebner leads, copy after copy; the action
+        of a variable is the normal form of each basis element's multiple.
+        Over an artinian context both come from the relation echelon
+        (`_from_module_rows`), elsewhere from a Groebner basis
+        (`_from_module_gb`); the two give identical realizations.
+        """
+        hit = mod._cache.get("real")
+        if hit is None:
+            if mod._finite_hf() is None:
+                raise ValueError("module has infinite length")
+            body = _from_module_rows if mod.ctx.is_artinian else _from_module_gb
+            hit = mod._cache["real"] = body(mod)
+        return hit
+
+    @classmethod
+    def of_ring(cls, ctx: RingCtx) -> "FiniteLengthRealization":
+        hit = ctx.scratch.get("ring_real")
+        if hit is None:
+            if not ctx.is_artinian:
+                raise ValueError("ring realization needs an artinian context")
+            dims = dict(ctx._hf)
+            actions = {}
+            for v in range(ctx.ring.nvars):
+                for d in range(ctx.top_degree + 1):
+                    actions[(v, d)] = ctx.action_matrix(v, d)
+            hit = cls(ctx, dims, actions)
+            ctx.scratch["ring_real"] = hit
+        return hit
+
+    # -- derived data --------------------------------------------------------------
+
+    def socle_profile(self) -> dict[int, int]:
+        """dim of the socle (elements killed by every variable) per degree."""
+        p = self.ctx.ring.field.p
+        out = {}
+        for d, n in self.dims.items():
+            stacked = np.vstack([self.action(v, d) for v in range(self.ctx.ring.nvars)])
+            r = rank_mod(stacked, p) if stacked.size else 0
+            if n - r:
+                out[d] = n - r
+        return out
+
+    def matlis_dual(self) -> "FiniteLengthRealization":
+        """Graded vector-space dual: piece d becomes piece -d, actions
+        become transposes one weight over."""
+        weights = self.ctx.ring.weights
+        dims = {-d: n for d, n in self.dims.items()}
+        acts = {}
+        for v, w in enumerate(weights):
+            for d in self.dims:
+                src = self.action(v, d)  # M_d -> M_{d+w}
+                if src.size:
+                    acts[(v, -d - w)] = src.T.copy()
+        return FiniteLengthRealization(self.ctx, dims, acts)
+
+
+def _from_module_gb(mod) -> FiniteLengthRealization:
+    """`from_module` through the module's Groebner basis: basis keys are
+    those no lead divides, and each action column is one normal form."""
+    ctx = mod.ctx
+    hf = mod._finite_hf()
+    ring = ctx.ring
+    codec = ctx.codec
+    p = ring.field.p
+    gbv = mod.gb()
+    leads: list[list[int]] = [[] for _ in range(mod.rank0)]
+    for vec in gbv:
+        k = max(vec)
+        leads[codec.comp_of(k)].append(codec.mono_of(k))
+    divides = ring.mono_divides
+    basis: dict[int, list[int]] = {}
+    index: dict[int, dict[int, int]] = {}
+    if hf:
+        lo, hi = min(hf), max(hf)
+        for d in range(lo, hi + 1):
+            keys = []
+            for j, tw in enumerate(mod.row_twists):
+                for m in ctx.std_monomials(d - tw):
+                    if not any(divides(L, m) for L in leads[j]):
+                        keys.append(codec.mkey(m, j))
+            if len(keys) != hf.get(d, 0):
+                raise InvariantViolation(
+                    f"piece basis size {len(keys)} != series value {hf.get(d, 0)}"
+                )
+            if keys:
+                basis[d] = keys
+                index[d] = {k: i for i, k in enumerate(keys)}
+    dims = {d: len(ks) for d, ks in basis.items()}
+    actions: dict[tuple[int, int], np.ndarray] = {}
+    for v in range(ring.nvars):
+        w = ring.weights[v]
+        vkey = ring._var_keys[v]
+        for d, keys in basis.items():
+            tgt = index.get(d + w)
+            if tgt is None:
+                continue
+            mat = np.zeros((len(tgt), len(keys)), dtype=np.int64)
+            for col, k in enumerate(keys):
+                shifted = k + codec.delta(vkey)
+                red = gbv.reduce(reduce_vec_by_ideal({shifted: 1}, ctx))
+                for kk, c in red.items():
+                    mat[tgt[kk], col] = c
+            actions[(v, d)] = mat % p
+    return FiniteLengthRealization(ctx, dims, actions)
+
+
+# -- relation echelons on the artinian locus -------------------------------------
+
+
+class _Piece(NamedTuple):
+    """Degree-d part of a relation echelon (`_echelon_of`).
+
+    Coordinates of F_d are `_block_builder`'s: copy after copy, copy j
+    starting at `offsets[j]` and listing R_{d - a_j} in `ctx.std_monomials`
+    order, with packed keys `keys`.  Echelon columns number the coordinates
+    by descending key (coordinate i is column `col[i]`, column c is
+    coordinate `coord[c]`), so a row's leading column is its Groebner
+    lead.  `basis` is the reduced row echelon form of the degree-d
+    relation span, pivot column -> monic row: its pivots are the Groebner
+    leads in degree d, and `_reduce_row` by it gives the Groebner normal
+    form (Lazard's Macaulay-matrix view of a Groebner basis).
+    """
+
+    keys: list[int]
+    offsets: list[int]
+    col: list[int]
+    coord: list[int]
+    basis: dict[int, dict[int, int]]
+
+    def free_coords(self) -> list[int]:
+        """Coordinates that are not pivots, in coordinate order."""
+        return [i for i, c in enumerate(self.col) if c not in self.basis]
+
+
+def _span_rows(ctx: RingCtx, twists, columns, degrees):
+    """`_block_builder` over the ring's realization for the span of
+    `columns` (of degrees `degrees`) in F = (+) R(-twists[j]): row r of
+    the degree-d matrix is coordinate r of F_d, column s the s-th column's
+    multiples."""
+    real = FiniteLengthRealization.of_ring(ctx)
+    return _block_builder(real, _entry_blocks(ctx, columns), twists, degrees, -1)
+
+
+def _echelon_of(ctx: RingCtx, twists, span_at, d: int) -> _Piece:
+    """The degree-d relation echelon of the span that `span_at`
+    (`_span_rows`, or None for no relations) builds inside
+    F = (+) R(-twists[j]): the columns of its degree-d matrix, eliminated
+    with sparse pivoting (`linalg._insert_rows`)."""
+    keys: list[int] = []
+    offsets = []
+    for j, a in enumerate(twists):
+        offsets.append(len(keys))
+        keys += [ctx.codec.mkey(m, j) for m in ctx.std_monomials(d - a)]
+    coord = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    col = [0] * len(keys)
+    for c, i in enumerate(coord):
+        col[i] = c
+    span: dict[int, dict[int, int]] = {}
+    if span_at is not None and keys:
+        for r, row in enumerate(span_at(d)):
+            for s, x in row.items():
+                span.setdefault(s, {})[col[r]] = x
+    basis = _insert_rows(span.values(), ctx.ring.field.p, reduced=True)
+    return _Piece(keys, offsets, col, coord, basis)
+
+
+def _echelon(mod, d: int) -> _Piece:
+    """The degree-d relation echelon of a module over an artinian context,
+    built on first use and kept with the module."""
+    cache = mod._cache.setdefault("echelon", {})
+    hit = cache.get(d)
+    if hit is None:
+        at = cache.get("rows")
+        if at is None and mod.columns:
+            at = cache["rows"] = _span_rows(mod.ctx, mod.row_twists, mod.columns, mod.col_degrees)
+        hit = cache[d] = _echelon_of(mod.ctx, mod.row_twists, at, d)
+    return hit
+
+
+def _echelon_hf(mod) -> dict[int, int]:
+    """Hilbert function of a module over an artinian context: dim F_d minus
+    the rank of the degree-d relation span, in every degree of F."""
+    hf: dict[int, int] = {}
+    if mod.rank0:
+        for d in range(min(mod.row_twists), max(mod.row_twists) + mod.ctx.top_degree + 1):
+            piece = _echelon(mod, d)
+            n = len(piece.keys) - len(piece.basis)
+            if n:
+                hf[d] = n
+    return hf
+
+
+def _echelon_normal_form(mod, vec: dict) -> dict:
+    """Normal form of a homogeneous free-cover vector, already reduced
+    modulo the ideal, against the relation echelon of its degree."""
+    if not vec:
+        return {}
+    piece = _echelon(mod, vec_degree(mod.ctx, vec, mod.row_twists))
+    keys, coord = piece.keys, piece.coord
+    col = dict(zip(keys, piece.col))
+    row = _reduce_row(piece.basis, {col[k]: c for k, c in vec.items()}, mod.ctx.ring.field.p)
+    return {keys[coord[c]]: x for c, x in row.items()}
+
+
+def _from_module_rows(mod) -> FiniteLengthRealization:
+    """`from_module` over an artinian context: the degree-d basis is the
+    non-pivot coordinates of the relation echelon, and the action of x_v
+    on a basis element is its multiple in R (the ring realization's
+    action column) reduced by the echelon one weight up.  No Groebner
+    basis is built."""
+    ctx = mod.ctx
+    p = ctx.ring.field.p
+    ring_real = FiniteLengthRealization.of_ring(ctx)
+    free = {d: _echelon(mod, d) for d in mod._finite_hf()}
+    coords = {d: piece.free_coords() for d, piece in free.items()}
+    actions: dict[tuple[int, int], np.ndarray] = {}
+    for v, w in enumerate(ctx.ring.weights):
+        for d, piece in free.items():
+            up = free.get(d + w)
+            if up is None:
+                continue
+            pos = {up.col[i]: r for r, i in enumerate(coords[d + w])}
+            mat = np.zeros((len(pos), len(coords[d])), dtype=np.int64)
+            for c, i in enumerate(coords[d]):
+                j = bisect_right(piece.offsets, i) - 1
+                col = ring_real.action_columns(v, d - mod.row_twists[j])[i - piece.offsets[j]]
+                img = {up.col[up.offsets[j] + r]: x for r, x in col.items()}
+                for k, x in _reduce_row(up.basis, img, p).items():
+                    mat[pos[k], c] = x
+            actions[(v, d)] = mat
+    return FiniteLengthRealization(ctx, {d: len(c) for d, c in coords.items()}, actions)
+
+
+def _map_kernel(ctx: RingCtx, cols, twists, target, seed=None) -> list[dict]:
+    """Minimal generators of {x in F : sum_s x_s cols[s] = 0 in target},
+    F = (+) R(-twists[s]), over an artinian context, modulo the relation
+    span of `seed` (a module presented on F) when one is given.
+
+    The degree-d matrix is the span matrix of `cols` (`_span_rows`), each
+    column reduced by the target's relation echelon, so its nullspace is
+    the degree-d kernel.  The seed's echelon rows seed
+    `kernel_generators`' span, whose check then also asserts that the
+    seed's relations lie in the kernel.
+    """
+    if not twists:
+        return []
+    p = ctx.ring.field.p
+    at = _span_rows(ctx, target.row_twists, cols, twists)
+
+    def reduced_at(d):
+        piece = _echelon(target, d)
+        if not piece.basis:
+            return at(d)
+        by_col: dict[int, dict[int, int]] = {}
+        for r, row in enumerate(at(d)):
+            for s, x in row.items():
+                by_col.setdefault(s, {})[piece.col[r]] = x
+        rows: dict[int, dict[int, int]] = {}
+        for s, vec in by_col.items():
+            for c, x in _reduce_row(piece.basis, vec, p).items():
+                rows.setdefault(c, {})[s] = x
+        return list(rows.values())
+
+    def seed_at(d):
+        piece = _echelon(seed, d)
+        return [{piece.coord[c]: x for c, x in row.items()} for row in piece.basis.values()]
+
+    degrees = range(min(twists), max(twists) + ctx.top_degree + 1)
+    return kernel_generators(
+        ctx, twists, reduced_at if target.columns else at, degrees,
+        seed_at if seed is not None and seed.columns else None,
+    )
+
+
+def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, seed=None) -> list[dict]:
+    """Minimal generators of the kernel of a degree-zero linear map out of
+    F = (+) R(-twists[s]) over an artinian context, given by its degree-d
+    matrix `matrix_at(d)` as sparse rows over F_d; with `seed(d)` (sparse
+    rows over F_d spanning the degree-d part of a submodule of the
+    kernel), minimal generators modulo that submodule.
+
+    F_d lists copy after copy, each piece R_{d - twists[s]} in
+    `ctx.std_monomials` order.  Walks `degrees` upward (they must include
+    every degree of F up to the last kernel generator).  In each one the
+    kernel is `nullspace_rows`, and the new generators are the kernel
+    vectors, in order, that extend the span of the seed rows and the
+    variable multiples of the kernels one weight below (graded Nakayama,
+    through `insert_row`).
+    """
+    real = FiniteLengthRealization.of_ring(ctx)
+    p = ctx.ring.field.p
+    weights = ctx.ring.weights
+    mkey = ctx.codec.mkey
+    # d -> ((copy, index) label of each coordinate of F_d, kernel vectors)
+    kernels: dict[int, tuple[list[tuple[int, int]], list[dict[int, int]]]] = {}
+    out = []
+    for d in degrees:
+        labels: list[tuple[int, int]] = []
+        offsets: dict[int, int] = {}
+        for s, a in enumerate(twists):
+            n = real.dim(d - a)
+            if n:
+                offsets[s] = len(labels)
+                labels += [(s, i) for i in range(n)]
+        if not labels:
+            continue
+        K = nullspace_rows(matrix_at(d), len(labels), p)
+        kernels[d] = (labels, K)
+        span = seed(d) if seed else []
+        if not K and not span:
+            continue
+        basis: dict[int, dict[int, int]] = {}
+        for row in span:
+            insert_row(basis, row, p)
+        for v, w in enumerate(weights):
+            below_labels, below = kernels.get(d - w, ((), ()))
+            for u in below:
+                img: dict[int, int] = {}
+                for k, c in u.items():
+                    s, i = below_labels[k]
+                    for r, x in real.action_columns(v, d - w - twists[s])[i].items():
+                        r += offsets[s]
+                        img[r] = img.get(r, 0) + c * x
+                insert_row(basis, {r: x % p for r, x in img.items() if x % p}, p)
+        for u in K:
+            if insert_row(basis, dict(u), p):
+                vec = {}
+                for k in sorted(u):
+                    s, i = labels[k]
+                    vec[mkey(ctx.std_monomials(d - twists[s])[i], s)] = u[k]
+                out.append(vec)
+        # The seed rows and the multiples lie in the kernel exactly when
+        # they span no more than the kernel vectors do.
+        if len(basis) != len(K):
+            raise InvariantViolation(
+                "kernel not closed under the ring action, or a seed row outside it"
+            )
+    return out
+
+
+def _minimal_generator_indices_rows(ctx, vecs, twists, modulo) -> list[int]:
+    """`modules.minimal_generator_indices` on an artinian context, on rows.
+
+    The same walk as the Groebner body: candidates by (degree, lead), and
+    in degree d the relation echelon of the span of `modulo` and the kept
+    lower-degree candidates (`_echelon_of`), extended by each candidate in
+    turn (`insert_row`); a candidate is kept when it adds a pivot.  That
+    is the pivot-column rule the Groebner body applies to normal forms,
+    so the kept indices are the same.
+    """
+    p = ctx.ring.field.p
+    live = [i for i, v in enumerate(vecs) if v]
+    degs = {i: vec_degree(ctx, vecs[i], twists) for i in live}
+    live.sort(key=lambda i: (degs[i], max(vecs[i])))
+    modulo = [v for v in modulo if v]
+    modulo_degs = [vec_degree(ctx, v, twists) for v in modulo]
+    kept: list[int] = []
+    for d, group in groupby(live, key=degs.__getitem__):
+        span = modulo + [vecs[i] for i in kept]
+        at = _span_rows(ctx, twists, span, modulo_degs + [degs[i] for i in kept]) if span else None
+        piece = _echelon_of(ctx, twists, at, d)
+        col = dict(zip(piece.keys, piece.col))
+        basis = dict(piece.basis)
+        for i in group:
+            if insert_row(basis, {col[k]: c for k, c in reduce_vec_by_ideal(vecs[i], ctx).items()}, p):
+                kept.append(i)
+    return sorted(kept)
+
+
+def _entry_blocks(ctx, cols, first: int = 0) -> list[tuple[int, int, dict]]:
+    """(sp, s, f) for each nonzero entry f of a matrix given by columns:
+    f is the sp-th component of the s-th column, columns numbered from
+    `first`."""
+    return [
+        (sp, s, f)
+        for s, col in enumerate(cols, first)
+        for sp, f in enumerate(_split_entries(ctx, col))
+        if f
+    ]
+
+
+def _block_builder(nreal, blocks, row_tw, col_tw, sign):
+    """Degree-d matrices, as a function of d, of a map between sums of
+    shifted copies of the finite-length realization `nreal`.  Copy r of
+    the target is N_{d + sign * row_tw[r]} in degree d, copy c of the
+    source N_{d + sign * col_tw[c]}, and block (r, c, f) multiplies copy c
+    by f into copy r.  Rows list the copies in order, each piece in
+    `nreal`'s basis order.  A matrix comes as its list of rows, each a
+    dict column -> nonzero coefficient, for `linalg`'s row kernels: the
+    blocks are sums of monomial actions and nearly empty, so each is
+    summed from the monomials' cached nonzero entries.
+    """
+    p = nreal.ctx.ring.field.p
+
+    def at(d):
+        rows = [nreal.dim(d + sign * a) for a in row_tw]
+        cols = [nreal.dim(d + sign * a) for a in col_tw]
+        roff = [0, *accumulate(rows)]
+        coff = [0, *accumulate(cols)]
+        out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
+        for r, c, f in blocks:
+            if rows[r] and cols[c]:
+                r0, c0 = roff[r], coff[c]
+                for mono, a in f.items():
+                    for i, k, v in nreal.monomial_entries(mono, d + sign * col_tw[c]):
+                        row = out[r0 + i]
+                        x = (row.get(c0 + k, 0) + a * v) % p
+                        if x:
+                            row[c0 + k] = x
+                        else:
+                            del row[c0 + k]
+        return out
+
+    return at

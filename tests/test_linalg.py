@@ -15,12 +15,9 @@ from extlab.linalg import (
     pivot_columns_mod,
     rank_mod,
     rank_rows,
-    rref_mod,
-    solve_mod,
 )
-from extlab.modules import _split_entries
-from extlab.realize import FiniteLengthRealization
 from extlab.resolution import _matrix_builder, resolution_of
+from extlab.rows import FiniteLengthRealization, _split_entries
 from extlab.vanishing import ExperimentConfig, random_pair
 
 PRIMES = [2, 3, 101, 65521]
@@ -64,7 +61,7 @@ def test_rref_matches_naive(p):
         m = rng.randrange(1, 14)
         n = rng.randrange(1, 14)
         a = random_matrix(rng, m, n, p, rank_deficit=rng.random() < 0.5)
-        got, gpiv = rref_mod(a, p)
+        got, gpiv = echelon_mod(a, p)
         want, wpiv = naive_rref(a, p)
         assert gpiv == wpiv
         assert np.array_equal(got, want)
@@ -76,7 +73,7 @@ def test_rref_crosses_panel_boundaries():
     p = 101
     a = random_matrix(rng, 150, 300, p)
     a[40:80] = matmul_mod(random_matrix(rng, 40, 5, p), random_matrix(rng, 5, 300, p), p)
-    got, gpiv = rref_mod(a, p)
+    got, gpiv = echelon_mod(a, p)
     want, wpiv = naive_rref(a, p)
     assert gpiv == wpiv
     assert np.array_equal(got, want)
@@ -102,26 +99,6 @@ def test_nullspace_and_rank(p):
             assert rank_mod(ns, p) == ns.shape[1]
 
 
-def test_solve_consistent_and_inconsistent():
-    p = 101
-    rng = random.Random(3)
-    for _ in range(10):
-        m = rng.randrange(1, 10)
-        n = rng.randrange(1, 10)
-        a = random_matrix(rng, m, n, p)
-        x_true = random_matrix(rng, n, 2, p)
-        b = matmul_mod(a, x_true, p)
-        x = solve_mod(a, b, p)
-        assert x is not None
-        assert np.array_equal(matmul_mod(a, x, p), b)
-        v = solve_mod(a, b[:, 0], p)
-        assert v is not None and v.ndim == 1
-        assert np.array_equal(matmul_mod(a, v.reshape(-1, 1), p)[:, 0], b[:, 0])
-    # A system with no solution: rank of [a|b] exceeds rank of a.
-    a = np.array([[1, 2], [2, 4]], dtype=np.int64)
-    assert solve_mod(a, np.array([1, 3]), p) is None
-
-
 def test_pivot_columns_pick_first_independent_set():
     p = 101
     a = np.array(
@@ -140,7 +117,7 @@ def test_degenerate_shapes():
     p = 101
     for shape in [(0, 5), (5, 0), (0, 0)]:
         a = np.zeros(shape, dtype=np.int64)
-        red, piv = rref_mod(a, p)
+        red, piv = echelon_mod(a, p)
         assert red.shape == shape and piv == []
         assert rank_mod(a, p) == 0
         ns = nullspace_mod(a, p)
@@ -209,7 +186,7 @@ def test_sparse_kernel_matches_naive(p, density, shapes):
         for deficient in (False, True):
             a = sparse_matrix(rng, m, n, p, density, deficient)
             want, wpiv = naive_rref(a, p)
-            got, gpiv = rref_mod(a, p)
+            got, gpiv = echelon_mod(a, p)
             assert gpiv == wpiv, (m, n, deficient)
             assert np.array_equal(got, want), (m, n, deficient)
             red, piv = echelon_mod(a, p, reduced=False)

@@ -5,9 +5,14 @@ the artinian cases use GF(101)[x,y]/(x^2,y^2), whose socle is spanned by
 x*y in degree 2.
 """
 
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import extlab
 
 from extlab.errors import InvariantViolation
 from extlab.groebner import RingCtx, module_gb, syzygies_for
@@ -15,6 +20,7 @@ from extlab.modules import (
     ModuleMap,
     PresentedModule,
     _dual_kernel,
+    _entry_of,
     _hom_complex,
     _kernel,
     _minimal_generator_indices_gb,
@@ -29,7 +35,7 @@ from extlab.modules import (
     vec_from_entries,
 )
 from extlab.poly import FieldSpec, PolyRing
-from extlab.realize import FiniteLengthRealization, dual_realization
+from extlab.realize import FiniteLengthRealization, matlis_dual_module
 from extlab.resolution import (
     ext,
     ext_via_complete,
@@ -39,7 +45,7 @@ from extlab.resolution import (
     tor,
     tor_via_complete,
 )
-from extlab.vanishing import ExperimentConfig, random_module, random_pair
+from extlab.vanishing import ExperimentConfig, random_module, random_pair, stable_suite_check
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +138,17 @@ def test_double_dual_of_free_ring(nilpl):
 
 
 @pytest.mark.parametrize("ring, seed", [("gor5", 11), ("nilsquares", 12)])
-def test_dual_matches_dual_realization(request, ring, seed):
-    # Over an artinian ring Hom(S, R) also comes from linear algebra on
-    # the realization of S.  The two presentations need not be equal (a
-    # minimal presentation is not a canonical form), but the modules are
-    # isomorphic: same generator degrees, Hilbert function and Betti table.
+def test_dual_hom_tensor_match_independent_oracles(request, ring, seed):
+    # Each value is held to one computed without `_hom_complex` or
+    # `subquotient`, on syzygies 1-4 of seeded modules.  Both rings are
+    # Gorenstein with socle degree 2, so Hom(S, R) is the Matlis dual of S
+    # shifted by 2; the presentations need not be equal (a minimal
+    # presentation is not a canonical form), but the modules are
+    # isomorphic: same generator degrees, Hilbert function and Betti
+    # table.  Hom(k, S) is the socle of S, read off S's realization, and
+    # S (x) k = S / mS has one basis vector per minimal generator of S.
     ctx = request.getfixturevalue(ring)
+    k = PresentedModule.residue_field(ctx)
     cfg = ExperimentConfig(seed=seed)
     for pair in range(2):
         for mod in random_pair(cfg, ctx, pair):
@@ -145,15 +156,19 @@ def test_dual_matches_dual_realization(request, ring, seed):
                 S = syzygy(mod, i)
                 assert S.rank0
                 by_kernel = dual_module(S)
-                by_real = dual_realization(FiniteLengthRealization.from_module(S)).to_presentation()
-                assert sorted(by_kernel.row_twists) == sorted(by_real.row_twists)
-                assert by_kernel.top_degree() == by_real.top_degree()
+                by_matlis = matlis_dual_module(S).shifted(2)
+                assert sorted(by_kernel.row_twists) == sorted(by_matlis.row_twists)
+                assert by_kernel.top_degree() == by_matlis.top_degree()
                 degrees = range(min(by_kernel.row_twists), by_kernel.top_degree() + 1)
                 assert [by_kernel.hilbert_function(d) for d in degrees] == [
-                    by_real.hilbert_function(d) for d in degrees
+                    by_matlis.hilbert_function(d) for d in degrees
                 ]
                 assert (minimal_free_resolution(by_kernel, 3)[1]
-                        == minimal_free_resolution(by_real, 3)[1])
+                        == minimal_free_resolution(by_matlis, 3)[1])
+                socle = FiniteLengthRealization.from_module(S).socle_profile()
+                assert hom_module(k, S)._finite_hf() == socle
+                gens = Counter(S.minimal_presentation().row_twists)
+                assert tensor_module(S, k)._finite_hf() == gens
 
 
 def _truncated(mod):
@@ -442,8 +457,9 @@ def test_artinian_kernels_build_no_groebner_basis(gor5, nilsquares, buchberger_r
     # Over an artinian ring every kernel, with its pruning, is linear
     # algebra on sparse rows, and Hilbert functions and realizations are
     # read off relation echelons: a Hom subquotient over nilsquares, the
-    # dual kernel of a gor5 syzygy, and both routes to Ext and Tor on a
-    # seeded pair over each ring make no Buchberger run.
+    # dual kernel of a gor5 syzygy, the stable Hom suite on a seeded gor5
+    # pair, and both routes to Ext and Tor on a seeded pair over each ring
+    # make no Buchberger run.
     A, B = (m.minimal_presentation() for m in random_pair(ExperimentConfig(seed=31), nilsquares, 0))
     X, Y, psi = _hom_complex(A, B)
     S = syzygy(random_module(ExperimentConfig(seed=32), gor5, 0), 3)
@@ -451,11 +467,15 @@ def test_artinian_kernels_build_no_groebner_basis(gor5, nilsquares, buchberger_r
         random_pair(ExperimentConfig(seed=35), nilsquares, 0),
         random_pair(ExperimentConfig(seed=34), gor5, 0),
     ]
+    suite_pair = random_pair(ExperimentConfig(seed=23, trials=20), gor5, 0)
     buchberger_runs.reset()
     H = subquotient(X, [], Y, psi)
     K, functionals = _dual_kernel(S)
     assert buchberger_runs.count == 0
     assert H.rank0 and K.rank0 and len(functionals) == K.rank0
+    # The stable Hom suite: duals, Hom, tensor and stable Hom of syzygies.
+    assert stable_suite_check(*suite_pair).verdict == "consistent"
+    assert buchberger_runs.count == 0
     idx = [1, 2, 3]
     for M, N in pairs:
         direct = [f(M, N, idx) for f in (ext, tor)]
@@ -464,6 +484,18 @@ def test_artinian_kernels_build_no_groebner_basis(gor5, nilsquares, buchberger_r
         for a, b in zip(direct, complete):
             assert [a.total(i) for i in idx] == [b.total(i) for i in idx]
         assert any(a.total(i) for a in direct for i in idx)
+
+
+def test_row_engine_imports_no_module_layer():
+    # The row engine returns packed columns and builds no module, so it
+    # loads without `modules` or `realize`: no import cycle to break.
+    src = str(Path(extlab.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import extlab.rows; "
+        "print(sorted(m for m in sys.modules if m in ('extlab.modules', 'extlab.realize')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_row_kernel_checks_the_map_is_well_defined(nilpl):
@@ -495,3 +527,37 @@ def test_sum_of_shifts_matches_iterated_direct_sum(request, ring, seed):
                 assert fast.row_twists == slow.row_twists
                 assert fast.columns == slow.columns
                 assert fast.col_degrees == slow.col_degrees
+
+
+def _psi_per_slot(a, b):
+    """The Hom complex's psi columns built slot by slot, splitting every
+    relation column of a once per (generator j, slot t): the reference
+    for `_hom_complex`, which splits each column once."""
+    ctx = a.ctx
+    codec = ctx.codec
+    p = ctx.ring.field.p
+    rb = b.rank0
+    out = []
+    for j in range(a.rank0):
+        for t in range(rb):
+            vec: dict[int, int] = {}
+            for c, col in enumerate(a.columns):
+                for mk, cf in _entry_of(ctx, col, j).items():
+                    key = codec.mkey(mk, c * rb + t)
+                    vec[key] = (vec.get(key, 0) + cf) % p
+            out.append({k: c for k, c in vec.items() if c})
+    return out
+
+
+@pytest.mark.parametrize("ring, seed", [("quadric", 54), ("gor5", 55), ("nilsquares", 56)])
+def test_hom_complex_matches_per_slot_reference(request, ring, seed):
+    # Same columns, with the same terms in the same order.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=seed)
+    R = PresentedModule.ring_module(ctx)
+    for i in range(3):
+        A, B = random_pair(cfg, ctx, i)
+        for a, b in ((A, B), (B, A), (A.minimal_presentation(), R), (A, A.direct_sum(B))):
+            _, _, psi = _hom_complex(a, b)
+            ref = _psi_per_slot(a, b)
+            assert [list(v.items()) for v in psi] == [list(v.items()) for v in ref]

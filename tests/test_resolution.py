@@ -30,7 +30,6 @@ from extlab.modules import (
     entries_from_vec,
     vec_from_entries,
 )
-from extlab.realize import FiniteLengthRealization, _block_builder, _entry_blocks
 from extlab.resolution import (
     BettiTable,
     CompleteResolution,
@@ -51,6 +50,7 @@ from extlab.resolution import (
     tor_profile,
     tor_via_complete,
 )
+from extlab.rows import FiniteLengthRealization, _block_builder, _entry_blocks
 from extlab.vanishing import ExperimentConfig, random_pair
 
 from conftest import make_ctx
