@@ -17,6 +17,12 @@ syzygy of the inputs.
 Coefficient bookkeeping note: a tag t of an element (f, t) always satisfies
 f = sum_j t_j * a_j over the original inputs a_j, because inputs start that
 way and both reduction and S-vector formation are linear.
+
+`buchberger` runs one S-pair queue, pruned by the Gebauer-Moeller criteria
+each time an element is inserted, and returns the minimal basis it found.
+Normal forms and lead terms, which is all that membership tests and
+Hilbert series read, come straight from that basis; the reduced basis
+(monic, tail-reduced, sorted) is built only when something iterates it.
 """
 
 from __future__ import annotations
@@ -73,21 +79,14 @@ def module_codec(ring: PolyRing) -> ModuleCodec:
     return codec
 
 
-def _submul(dst: dict, src: dict, coeff: int, delta: int, p: int):
-    """dst -= coeff * (src shifted by delta), dropping zeros."""
-    get = dst.get
-    pop = dst.pop
-    for k, c in src.items():
-        kk = k + delta
-        v = (get(kk, 0) - coeff * c) % p
-        if v:
-            dst[kk] = v
-        else:
-            pop(kk, None)
-
-
 class _ReducerSet:
-    """Mutable family of vectors indexed for division: find and apply reducers."""
+    """Mutable family of vectors indexed for division: find and apply reducers.
+
+    `buckets` maps a lead ident (component and block) to the members that
+    reduce with that ident.  `drop_multiples` takes out the members whose
+    leads a newer member's lead divides: every term they could reduce, the
+    newer member reduces too.
+    """
 
     def __init__(self, ring: PolyRing, codec: ModuleCodec):
         self.ring = ring
@@ -98,7 +97,7 @@ class _ReducerSet:
         self.monos: list[int] = []
         self.invs: list[int] = []
         self.idents: list[int] = []
-        self.maxdegs: list[int] = []
+        self.maxdegs: list[int] = []  # -1 until a degree-cap check needs it
         self.buckets: dict[int, list[int]] = {}
 
     def add(self, vec: dict) -> int:
@@ -106,64 +105,108 @@ class _ReducerSet:
         idx = len(self.vecs)
         self.vecs.append(vec)
         self.leads.append(lead)
-        mono = self.codec.mono_of(lead)
-        self.monos.append(mono)
+        self.monos.append(self.codec.mono_of(lead))
         self.invs.append(pow(vec[lead], self.p - 2, self.p))
         ident = lead & self.codec.identmask
         self.idents.append(ident)
-        degf = self.ring.mono_degree
-        mono_of = self.codec.mono_of
-        self.maxdegs.append(max(degf(mono_of(k)) for k in vec))
+        self.maxdegs.append(-1)
         self.buckets.setdefault(ident, []).append(idx)
         return idx
 
+    def drop_multiples(self, idx: int):
+        """Take the members whose leads the lead of member idx divides out
+        of its bucket."""
+        divides = self.ring._codec.divides
+        mono = self.monos[idx]
+        monos = self.monos
+        bucket = self.buckets[self.idents[idx]]
+        bucket[:] = [i for i in bucket if i == idx or not divides(mono, monos[i])]
+
+    def _maxdeg(self, idx: int) -> int:
+        degree = self.ring._codec.degree
+        mono_of = self.codec.mono_of
+        deg = self.maxdegs[idx] = max(degree(mono_of(k)) for k in self.vecs[idx])
+        return deg
+
     def reduce(self, vec: dict, skip: int = -1) -> dict:
         """Full normal form of vec against the current family."""
-        ring = self.ring
-        codec = self.codec
+        rc = self.ring._codec
+        divides, div, degree = rc.divides, rc.div, rc.degree
+        unit = self.ring.unit_key
+        identmask = self.codec.identmask
+        monomask = self.codec.monomask
+        buckets, monos, vecs, invs, maxdegs = (
+            self.buckets, self.monos, self.vecs, self.invs, self.maxdegs)
         p = self.p
-        divides = ring.mono_divides
-        mono_of = codec.mono_of
-        cap = ring.degree_cap
+        cap = self.ring.degree_cap
         work = dict(vec)
+        get = work.get
         out: dict[int, int] = {}
         while work:
             k = max(work)
-            ident = k & codec.identmask
-            mono = mono_of(k)
+            mono = (k & monomask) >> COMP_BITS
             hit = -1
-            for i in self.buckets.get(ident, ()):
-                if i != skip and divides(self.monos[i], mono):
+            for i in buckets.get(k & identmask, ()):
+                if i != skip and divides(monos[i], mono):
                     hit = i
                     break
             if hit < 0:
                 out[k] = work.pop(k)
                 continue
-            quot = ring.mono_div(mono, self.monos[hit])
-            qdeg = ring.mono_degree(quot)
-            if qdeg and qdeg + self.maxdegs[hit] > cap:
-                raise DegreeCapError(
-                    f"reduction would pass degree {qdeg + self.maxdegs[hit]} > cap {cap}"
-                )
-            factor = work[k] * self.invs[hit] % p
-            _submul(work, self.vecs[hit], factor, codec.delta(quot), p)
+            quot = div(mono, monos[hit])
+            qdeg = degree(quot)
+            if qdeg:
+                top = maxdegs[hit]
+                if top < 0:
+                    top = self._maxdeg(hit)
+                if qdeg + top > cap:
+                    raise DegreeCapError(f"reduction would pass degree {qdeg + top} > cap {cap}")
+            factor = work[k] * invs[hit] % p
+            delta = (quot - unit) << COMP_BITS
+            for kk, c in vecs[hit].items():
+                kk += delta
+                v = (get(kk, 0) - factor * c) % p
+                if v:
+                    work[kk] = v
+                else:
+                    del work[kk]  # factor * c is nonzero, so kk was present
         return out
 
 
 class VectorGB:
-    """A reduced Groebner basis of a submodule, usable as a reducer.
+    """A Groebner basis of a submodule, usable as a reducer.
 
-    Elements are monic, pairwise tail-reduced, and sorted by ascending lead
-    key, so equal submodules yield identical objects term for term.
+    `reduce` and `contains` divide by the minimal basis that `buchberger`
+    kept: a full normal form is the same for every Groebner basis of the
+    span.  `leads()` gives the lead keys, ascending.  Iterating, or reading
+    `elements`, gives the reduced basis: monic, pairwise tail-reduced and
+    sorted by ascending lead key, so equal submodules yield identical
+    lists term for term.  It is built on first use.
     """
 
-    def __init__(self, ring: PolyRing, elements: list[dict]):
+    def __init__(self, ring: PolyRing, minimal: list[dict]):
         self.ring = ring
         self.codec = module_codec(ring)
-        self.elements = elements
         self._red = _ReducerSet(ring, self.codec)
-        for vec in elements:
+        for vec in sorted(minimal, key=max):
             self._red.add(vec)
+        self._elements: list[dict] | None = None
+
+    @property
+    def elements(self) -> list[dict]:
+        if self._elements is None:
+            p = self.ring.field.p
+            out = []
+            red = self._red
+            for slot, vec in enumerate(red.vecs):
+                vec = red.reduce(vec, skip=slot)
+                inv = pow(vec[red.leads[slot]], p - 2, p)
+                out.append({k: c * inv % p for k, c in vec.items()})
+            self._elements = out
+        return self._elements
+
+    def leads(self) -> tuple[int, ...]:
+        return tuple(self._red.leads)
 
     def reduce(self, vec: dict) -> dict:
         return self._red.reduce(vec) if vec else {}
@@ -172,7 +215,7 @@ class VectorGB:
         return not self.reduce(vec)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._red.vecs)
 
     def __iter__(self):
         return iter(self.elements)
@@ -186,120 +229,122 @@ def buchberger(
     twists_f: tuple[int, ...] = (),
     twists_t: tuple[int, ...] = (),
 ) -> tuple[VectorGB, list[dict]]:
-    """Reduced Groebner basis of the span of `inputs`, plus syzygy generators.
+    """Groebner basis of the span of `inputs`, plus syzygy generators.
 
     With `collect_syz`, every input is augmented by a unit tag before the
     run and the returned second component holds generators of the syzygy
     module of the inputs, written as plain working-block vectors whose
     component j stands for input j.  Without it the second component is [].
-    The basis itself is always returned without tag parts.
+    The basis is the minimal one, without tag parts; its reduced form is
+    built when something iterates it (see `VectorGB`).
 
-    The product criterion is only applied to pairs of single-component
-    elements and never when collecting syzygies (a pair with coprime leads
-    reduces to zero, but its tag is an essential Koszul syzygy).  The chain
-    criterion discards a pair only against strictly smaller lcms, which
-    keeps the discard relation well founded and the collected tags
-    generating.
+    S-pairs are pruned by the criteria of Gebauer and Moeller ("On an
+    installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988),
+    applied when an element h is inserted: a queued pair (i, j) goes when
+    lead(h) divides lcm(i, j) and neither lcm(i, h) nor lcm(j, h) equals it
+    (B); of h's new pairs, one goes when another new pair's lcm properly
+    divides its lcm (M), and of new pairs with equal lcms one stays (F).
+    Elements whose leads lead(h) divides pair with nothing new.  These
+    criteria keep a generating set of the lead-term syzygies, so the
+    collected tags still generate.  The product criterion (coprime leads)
+    is only applied to pairs of single-component elements and never when
+    collecting syzygies: such a pair reduces to zero, but its tag is an
+    essential Koszul syzygy.
     """
     codec = module_codec(ring)
+    rc = ring._codec
+    divides, div, degree = rc.divides, rc.div, rc.degree
+    lcm = ring.mono_lcm
     p = ring.field.p
+    unit = ring.unit_key
+    tagbit = codec.tagbit
     red = _ReducerSet(ring, codec)
-    single: list[int | None] = []
-    tagonly: list[bool] = []
+    vecs, monos, invs, idents, buckets = red.vecs, red.monos, red.invs, red.idents, red.buckets
+    single: list[bool] = []  # product criterion allowed: working block, one component
     syz: list[dict] = []
-    pairs: list[tuple[int, int, int, int]] = []
+    pairs: list[tuple[int, int, int, int]] = []  # heap of (degree, lcm, i, j)
+    queued: dict[int, dict[tuple[int, int], int]] = {}  # ident -> live pairs -> lcm
 
     def queue_degree(tau: int, ident: int) -> int:
         comp = COMP_MASK - (ident & COMP_MASK)
-        if ident & codec.tagbit:
+        if ident & tagbit:
             tw = twists_f[comp] if comp < len(twists_f) else 0
         else:
             tw = twists_t[comp] if comp < len(twists_t) else 0
-        return ring.mono_degree(tau) + tw
+        return degree(tau) + tw
 
     def insert(vec: dict):
         r = red.reduce(vec)
         if not r:
             return
-        lead = max(r)
-        if codec.is_tag(lead):
+        h = red.add(r)
+        ident = idents[h]
+        if not ident & tagbit:  # a syzygy: it pairs with nothing
             if collect_syz:
-                syz.append(dict(r))
-            red.add(r)
-            tagonly.append(True)
-            single.append(None)
+                syz.append({k | tagbit: c for k, c in r.items()})
+            single.append(False)
+            red.drop_multiples(h)
             return
-        idx = red.add(r)
-        tagonly.append(False)
-        idents = {k & codec.identmask for k in r}
-        single.append(red.idents[idx] if len(idents) == 1 else None)
-        mono = red.monos[idx]
-        ident = red.idents[idx]
-        for i in red.buckets[ident]:
-            if i == idx:
-                continue
-            tau = ring.mono_lcm(red.monos[i], mono)
-            heappush(pairs, (queue_degree(tau, ident), tau, i, idx))
+        single.append(not collect_syz and len({k & COMP_MASK for k in r}) == 1)
+        mh = monos[h]
+        live = queued.setdefault(ident, {})
+        for (i, j), tau in list(live.items()):  # B
+            if divides(mh, tau) and lcm(monos[i], mh) != tau and lcm(monos[j], mh) != tau:
+                del live[(i, j)]
+        new = []
+        for g in buckets[ident][:-1]:
+            tau = lcm(monos[g], mh)
+            coprime = single[h] and single[g] and degree(tau) == degree(mh) + degree(monos[g])
+            new.append((tau, g, coprime))
+        kept: list[tuple[int, int, bool]] = []
+        for n, (tau, g, coprime) in enumerate(new):  # M and F
+            if coprime or not (
+                any(divides(t, tau) for t, _, _ in new[n + 1 :])
+                or any(divides(t, tau) for t, _, _ in kept)
+            ):
+                kept.append((tau, g, coprime))
+        for tau, g, coprime in kept:
+            if not coprime:
+                live[(g, h)] = tau
+                heappush(pairs, (queue_degree(tau, ident), tau, g, h))
+        red.drop_multiples(h)
 
     for j, vec in enumerate(inputs):
         if collect_syz:
             vec = dict(vec)
-            vec[codec.mkey(ring.unit_key, j, tag=True)] = 1
+            vec[codec.mkey(unit, j, tag=True)] = 1
         elif not vec:
             continue
         insert(vec)
 
-    lcm = ring.mono_lcm
-    divides = ring.mono_divides
     while pairs:
         _, tau, i, j = heappop(pairs)
-        mi, mj = red.monos[i], red.monos[j]
-        ident = red.idents[i]
-        superfluous = False
-        for l in red.buckets[ident]:
-            if l == i or l == j:
-                continue
-            if divides(red.monos[l], tau) and lcm(mi, red.monos[l]) != tau and lcm(red.monos[l], mj) != tau:
-                superfluous = True
-                break
-        if superfluous:
-            continue
-        if (
-            not collect_syz
-            and single[i] is not None
-            and single[i] == single[j]
-            and ring.mono_mul(mi, mj) == tau
-        ):
-            continue
-        s: dict[int, int] = {}
-        _submul(s, red.vecs[i], p - red.invs[i], codec.delta(ring.mono_div(tau, mi)), p)
-        _submul(s, red.vecs[j], red.invs[j], codec.delta(ring.mono_div(tau, mj)), p)
+        live = queued[idents[i]]
+        if (i, j) not in live:
+            continue  # dropped by the B criterion
+        del live[(i, j)]
+        fi = invs[i]
+        di = (div(tau, monos[i]) - unit) << COMP_BITS
+        s = {k + di: c * fi % p for k, c in vecs[i].items()}
+        fj = invs[j]
+        dj = (div(tau, monos[j]) - unit) << COMP_BITS
+        get = s.get
+        for k, c in vecs[j].items():
+            k += dj
+            v = (get(k, 0) - fj * c) % p
+            if v:
+                s[k] = v
+            else:
+                del s[k]
         insert(s)
 
-    # Canonical form: minimal, tail-reduced, monic, ascending leads.
-    kept: list[int] = []
-    for i in range(len(red.vecs)):
-        if tagonly[i]:
-            continue
-        redundant = False
-        for l in red.buckets[red.idents[i]]:
-            if l != i and not tagonly[l] and divides(red.monos[l], red.monos[i]):
-                redundant = True
-                break
-        if redundant:
-            continue
-        kept.append(i)
-    final = _ReducerSet(ring, codec)
-    slots = [final.add(red.vecs[i]) for i in kept]
-    out: list[dict] = []
-    for slot in slots:
-        vec = final.reduce(final.vecs[slot], skip=slot)
-        inv = pow(vec[max(vec)], p - 2, p)
-        vec = {k: c * inv % p for k, c in vec.items() if not codec.is_tag(k)}
-        out.append(vec)
-    out.sort(key=lambda v: max(v))
-    syz_out = [{k | codec.tagbit: c for k, c in s.items()} for s in syz]
-    return VectorGB(ring, out), syz_out
+    minimal = []
+    for ident, bucket in buckets.items():
+        if ident & tagbit:
+            for i in bucket:
+                vec = vecs[i]
+                minimal.append({k: c for k, c in vec.items() if k & tagbit} if collect_syz else vec)
+    return VectorGB(ring, minimal), syz
 
 
 # -- t-polynomials: numerators of Hilbert series ---------------------------
@@ -648,8 +693,7 @@ def lead_exponents_by_comp(gbv: VectorGB, rank: int) -> list[tuple[tuple[int, ..
     ring = gbv.ring
     codec = gbv.codec
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(rank)]
-    for vec in gbv:
-        k = max(vec)
+    for k in gbv.leads():
         groups[codec.comp_of(k)].append(ring.decode_monomial(codec.mono_of(k)))
     return [tuple(g) for g in groups]
 

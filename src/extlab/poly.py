@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DegreeCapError, ParseError
@@ -76,8 +77,10 @@ class FieldSpec:
 
 
 class _GrevlexCodec:
-    def __init__(self, nvars: int):
+    def __init__(self, nvars: int, weights: tuple[int, ...]):
         self.nvars = nvars
+        self.weights = weights
+        self.full_weight = 127 * sum(weights)  # weighted degree with every exponent 127
         self.expbits = 8 * nvars
         self.expmask = (1 << self.expbits) - 1
         self.swar_high = int.from_bytes(b"\x80" * nvars, "big")
@@ -108,10 +111,23 @@ class _GrevlexCodec:
         h = self.swar_high
         return ((be | h) - ae) & h == h
 
+    def lcm(self, a: int, b: int) -> int:
+        # Bytewise max of the exponents is the min of the complemented
+        # bytes; `ge` holds 0xFF in each byte where a's byte >= b's.
+        ea = a & self.expmask
+        eb = b & self.expmask
+        h = self.swar_high
+        ge = ((((ea | h) - eb) & h) >> 7) * 0xFF
+        exps = (eb & ge) | (ea & ~ge)
+        comp = exps.to_bytes(self.nvars, "little")  # byte v is 127 - e_v
+        deg = self.full_weight - sum(map(mul, self.weights, comp))
+        return (deg << self.expbits) | exps
+
 
 class _LexCodec:
-    def __init__(self, nvars: int):
+    def __init__(self, nvars: int, weights: tuple[int, ...]):
         self.nvars = nvars
+        self.weights = weights
         self.expbits = 8 * nvars
         self.expmask = ((1 << self.expbits) - 1) << 8
         self.swar_high = int.from_bytes(b"\x80" * nvars, "big") << 8
@@ -140,6 +156,16 @@ class _LexCodec:
         ae = a & self.expmask
         h = self.swar_high
         return ((ae | h) - be) & h == h
+
+    def lcm(self, a: int, b: int) -> int:
+        # `ge` holds 0xFF in each exponent byte where a's byte >= b's.
+        ea = a & self.expmask
+        eb = b & self.expmask
+        h = self.swar_high
+        ge = ((((ea | h) - eb) & h) >> 7) * 0xFF
+        exps = (ea & ge) | (eb & ~ge)
+        deg = sum(map(mul, self.weights, (exps >> 8).to_bytes(self.nvars, "big")))
+        return exps | deg
 
 
 class PolyRing:
@@ -182,7 +208,7 @@ class PolyRing:
         self.weights = w
         self.degree_cap = degree_cap
         self.nvars = len(names)
-        self._codec = _GrevlexCodec(self.nvars) if order == GREVLEX else _LexCodec(self.nvars)
+        self._codec = (_GrevlexCodec if order == GREVLEX else _LexCodec)(self.nvars, w)
         self.unit_key = self._codec.encode((0,) * self.nvars, 0)
         self._var_index = {nm: v for v, nm in enumerate(names)}
         self._var_keys = tuple(
@@ -222,9 +248,16 @@ class PolyRing:
         return self._codec.div(a, b)
 
     def mono_lcm(self, a: int, b: int) -> int:
-        ea = self._codec.decode(a)
-        eb = self._codec.decode(b)
-        return self.encode_monomial(tuple(map(max, ea, eb)))
+        codec = self._codec
+        if codec.divides(a, b):
+            return b
+        if codec.divides(b, a):
+            return a
+        key = codec.lcm(a, b)
+        deg = codec.degree(key)
+        if deg > self.degree_cap:
+            raise DegreeCapError(f"monomial degree {deg} exceeds cap {self.degree_cap}")
+        return key
 
     # -- element constructors -------------------------------------------
 

@@ -239,8 +239,7 @@ def _from_module_gb(mod) -> FiniteLengthRealization:
     p = ring.field.p
     gbv = mod.gb()
     leads: list[list[int]] = [[] for _ in range(mod.rank0)]
-    for vec in gbv:
-        k = max(vec)
+    for k in gbv.leads():
         leads[codec.comp_of(k)].append(codec.mono_of(k))
     divides = ring.mono_divides
     basis: dict[int, list[int]] = {}

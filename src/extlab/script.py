@@ -21,7 +21,10 @@ Execution produces a RunReport: a JSON-ready dict with one entry per
 statement.  Failures are recorded per statement and execution continues
 (except for time budget exhaustion); the report's exit code is the worst
 outcome seen, with parse errors ranked above theorem violations, above
-resource caps, above hypothesis failures.
+resource caps, above hypothesis failures.  A statement that fails at run
+time binds nothing (a ring over a non-prime field, say, leaves its name
+and the built-ins unbound); each later statement using such a name fails
+with "unknown name", which counts as a hypothesis failure (exit code 2).
 """
 
 from __future__ import annotations
@@ -538,9 +541,18 @@ class _Runner:
             return PresentedModule.free(value, (0,))
         return value
 
+    def _lookup(self, name: str):
+        """The ring or module bound to `name`.  The parser admits any
+        declared name, but a statement that failed at run time bound
+        nothing."""
+        try:
+            return self.env[name]
+        except KeyError:
+            raise ValueError(f"unknown name {name!r}: no ring, module or let binds it") from None
+
     def _eval(self, expr) -> PresentedModule:
         if isinstance(expr, Name):
-            return self._module_of(self.env[expr.ident])
+            return self._module_of(self._lookup(expr.ident))
         args = [self._eval(a) if isinstance(a, (Name, Call)) else a for a in expr.args]
         return globals()[_EXPR_FUNCS[expr.func][0]](*args)
 
@@ -623,7 +635,7 @@ class _Runner:
                 "generator_degrees": list(m.row_twists), "relations": len(m.columns)}
 
     def _run_module(self, stmt: ModuleStmt):
-        ctx = self.env[stmt.ring_name]
+        ctx = self._lookup(stmt.ring_name)
         rows = [[ctx.ring.parse(e) for e in row] for row in stmt.rows]
         return self._bind_module(stmt.name, PresentedModule.from_matrix(ctx, rows))
 

@@ -71,3 +71,33 @@ def buchberger_runs(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", counted)
     return runs
+
+
+@pytest.fixture
+def buchberger_reductions(monkeypatch):
+    """Counts the reductions `groebner.buchberger` performs for the rest of
+    the test: one per input it reduces and one per S-pair the criteria
+    keep.  Normal forms taken outside a run (`VectorGB.reduce`, the
+    reduced basis built on demand) are not counted.  Calls must go through
+    the module attribute `groebner.buchberger`, as the package's own do.
+    """
+    runs = _Runs()
+    real_run = groebner.buchberger
+    real_reduce = groebner._ReducerSet.reduce
+    depth = [0]
+
+    def counted_run(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_run(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_reduce(self, vec, skip=-1):
+        if depth[0]:
+            runs.count += 1
+        return real_reduce(self, vec, skip)
+
+    monkeypatch.setattr(groebner, "buchberger", counted_run)
+    monkeypatch.setattr(groebner._ReducerSet, "reduce", counted_reduce)
+    return runs

@@ -91,7 +91,23 @@ def test_monomial_arithmetic(order):
         divides = all(b <= a for a, b in zip(ea, eb))
         assert ring.mono_divides(kb, ka) == divides
         lcm = ring.mono_lcm(ka, kb)
-        assert ring.decode_monomial(lcm) == tuple(max(a, b) for a, b in zip(ea, eb))
+        assert lcm == ring.encode_monomial(tuple(max(a, b) for a, b in zip(ea, eb)))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_weighted_lcm_and_degree_cap(order):
+    ring = PolyRing(FieldSpec(101), ["w", "x", "y", "z"], order=order, weights=(1, 2, 3, 1))
+    rng = random.Random(6)
+    for _ in range(80):
+        ea = tuple(rng.randrange(0, 5) for _ in range(4))
+        eb = tuple(rng.randrange(0, 5) for _ in range(4))
+        lcm = ring.mono_lcm(ring.encode_monomial(ea), ring.encode_monomial(eb))
+        assert lcm == ring.encode_monomial(tuple(max(a, b) for a, b in zip(ea, eb)))
+    ring = PolyRing(FieldSpec(101), ["x", "y"], order=order, weights=(1, 2), degree_cap=10)
+    a, b = ring.encode_monomial((4, 3)), ring.encode_monomial((6, 1))
+    assert ring.mono_lcm(a, ring.encode_monomial((2, 1))) == a
+    with pytest.raises(DegreeCapError):
+        ring.mono_lcm(a, b)  # x^6 y^3 has weighted degree 12
 
 
 def test_degree_cap_enforced():

@@ -6,9 +6,11 @@ engine existed; they are frozen, not regenerated.
 """
 
 import random
+from collections import deque
 
 import pytest
 
+from extlab import groebner
 from extlab.errors import DegreeCapError
 from extlab.groebner import (
     RingCtx,
@@ -17,6 +19,7 @@ from extlab.groebner import (
     module_gb,
     monomial_quotient_numerator,
     presented_numerator,
+    quotient_helpers,
     reduce_vec_by_ideal,
     syzygies_for,
     tp_exact_quotient,
@@ -24,7 +27,8 @@ from extlab.groebner import (
     tp_series,
     tp_value_at_one,
 )
-from extlab.poly import FieldSpec, Polynomial, PolyRing
+from extlab.modules import PresentedModule
+from extlab.poly import LEX, FieldSpec, Polynomial, PolyRing
 from extlab.realize import FiniteLengthRealization
 
 
@@ -269,6 +273,13 @@ def test_degree_cap_aborts_runs():
     g = ring.parse("x*y^2 + y^3")
     with pytest.raises(DegreeCapError):
         buchberger([poly_vec(f), poly_vec(g)], ring)
+    with pytest.raises(DegreeCapError):
+        module_gb(RingCtx(ring), [poly_vec(f), poly_vec(g)], rank=1)
+    # x + y^3 leads in lex, so dividing x^2 by it would reach y^3 * x.
+    line = ring_with(["x", "y"], order=LEX, degree_cap=3)
+    gbv = module_gb(RingCtx(line), [poly_vec(line.parse("x + y^3"))], rank=1)
+    with pytest.raises(DegreeCapError):
+        gbv.reduce(poly_vec(line.parse("x^2")))
 
 
 def test_reduce_vec_by_ideal_touches_all_components():
@@ -323,3 +334,171 @@ def _grevlex(exps):
     """Sort key of an exponent vector in grevlex with x > y > z: total
     degree, then the reversed, negated exponents."""
     return (sum(exps), tuple(-e for e in reversed(exps)), exps)
+
+
+# -- pair criteria against every pair -------------------------------------------
+
+
+def _shift_add(dst, src, coeff, delta, p):
+    """dst += coeff * (src shifted by delta), dropping zeros."""
+    for k, c in src.items():
+        v = (dst.get(k + delta, 0) + coeff * c) % p
+        if v:
+            dst[k + delta] = v
+        else:
+            dst.pop(k + delta, None)
+
+
+def _normal_form(vec, by, ring):
+    """Full normal form of vec, dividing each term by the first vector of
+    `by` whose lead divides it (same component and block)."""
+    codec = module_codec(ring)
+    p = ring.field.p
+    work, out = dict(vec), {}
+    while work:
+        k = max(work)
+        for g in by:
+            lead = max(g)
+            same = lead & codec.identmask == k & codec.identmask
+            if same and ring.mono_divides(codec.mono_of(lead), codec.mono_of(k)):
+                quot = ring.mono_div(codec.mono_of(k), codec.mono_of(lead))
+                factor = -work[k] * pow(g[lead], p - 2, p)
+                _shift_add(work, g, factor, codec.delta(quot), p)
+                break
+        else:
+            out[k] = work.pop(k)
+    return out
+
+
+def _reference_buchberger(inputs, ring, collect_syz=False):
+    """Buchberger with no criterion: every S-pair of two elements with the
+    same lead component and block is reduced, in the order made, and the
+    minimal elements are then tail-reduced, made monic and sorted.  With
+    `collect_syz` the inputs carry unit tags, as in `buchberger`.
+    Returns (reduced basis, syzygies, reductions made)."""
+    codec = module_codec(ring)
+    p = ring.field.p
+    basis, syz, pairs = [], [], deque()
+    reductions = 0
+
+    def insert(vec):
+        nonlocal reductions
+        reductions += 1
+        r = _normal_form(vec, basis, ring)
+        if not r:
+            return
+        if codec.is_tag(max(r)):
+            syz.append({k | codec.tagbit: c for k, c in r.items()})
+        else:
+            ident = max(r) & codec.identmask
+            pairs.extend((i, len(basis)) for i, g in enumerate(basis) if max(g) & codec.identmask == ident)
+        basis.append(r)
+
+    for j, vec in enumerate(inputs):
+        if collect_syz:
+            vec = dict(vec)
+            vec[codec.mkey(ring.unit_key, j, tag=True)] = 1
+        elif not vec:
+            continue
+        insert(vec)
+    while pairs:
+        f, g = (basis[i] for i in pairs.popleft())
+        mf, mg = codec.mono_of(max(f)), codec.mono_of(max(g))
+        tau = ring.mono_lcm(mf, mg)
+        s = {}
+        _shift_add(s, f, pow(f[max(f)], p - 2, p), codec.delta(ring.mono_div(tau, mf)), p)
+        _shift_add(s, g, -pow(g[max(g)], p - 2, p), codec.delta(ring.mono_div(tau, mg)), p)
+        insert(s)
+
+    work = [g for g in basis if not codec.is_tag(max(g))]
+    minimal = [
+        g for g in work
+        if not any(
+            h is not g
+            and max(h) & codec.identmask == max(g) & codec.identmask
+            and ring.mono_divides(codec.mono_of(max(h)), codec.mono_of(max(g)))
+            for h in work
+        )
+    ]
+    out = []
+    for g in minimal:
+        r = _normal_form(g, [h for h in minimal if h is not g], ring)
+        inv = pow(r[max(r)], p - 2, p)
+        out.append({k: c * inv % p for k, c in r.items() if not codec.is_tag(k)})
+    return sorted(out, key=max), syz, reductions
+
+
+def _cubic_ctx():
+    ring = ring_with(["w", "x", "y", "z"])
+    return RingCtx(ring, [ring.parse("w^3 + x^3 + y^3 + z^3")])
+
+
+def _family(ctx, rng, rank):
+    """A few homogeneous vectors of R^rank(-twists), and the twists."""
+    ring = ctx.ring
+    codec = ctx.codec
+    twists = tuple(rng.randrange(0, 2) for _ in range(rank))
+    vecs = []
+    for _ in range(rng.randrange(2, 4)):
+        d = max(twists) + rng.randrange(1, 3)
+        vec = {}
+        for c, a in enumerate(twists):
+            f = ring.random_homogeneous(rng, d - a, density=0.3)
+            vec.update({codec.mkey(k, c): v for k, v in f.raw().items()})
+        if vec:
+            vecs.append(vec)
+    return vecs, twists
+
+
+@pytest.mark.parametrize("ring", ["quadric", "cubic"])
+def test_pair_criteria_match_every_pair(request, ring, buchberger_reductions):
+    # Both bodies see the vectors plus the lifting helpers, as `module_gb`
+    # and `syzygies_for` pass them; syzygies are compared as spans over
+    # the polynomial ring, since the criteria change which ones are found.
+    ctx = _cubic_ctx() if ring == "cubic" else request.getfixturevalue(ring)
+    free = RingCtx(ctx.ring)
+    rng = random.Random(31)
+    fewer = 0
+    for rank in (1, 2, 3, 1, 2, 3):
+        vecs, twists = _family(ctx, rng, rank)
+        inputs = vecs + quotient_helpers(ctx, rank)
+        for collect in (False, True):
+            before = buchberger_reductions.count
+            gbv, syz = groebner.buchberger(inputs, ctx.ring, collect_syz=collect, twists_f=twists)
+            used = buchberger_reductions.count - before
+            want, want_syz, want_used = _reference_buchberger(inputs, ctx.ring, collect)
+            assert gbv.elements == want
+            if collect:
+                m = len(inputs)
+                assert module_gb(free, syz, m).elements == module_gb(free, want_syz, m).elements
+            fewer += used < want_used
+    assert fewer
+
+
+def test_minimal_basis_reduces_like_the_reduced_basis(quadric):
+    rng = random.Random(37)
+    codec = quadric.codec
+    ring = quadric.ring
+    for rank in (1, 2, 3):
+        vecs, twists = _family(quadric, rng, rank)
+        gbv = module_gb(quadric, vecs, rank, twists)
+        probes = []
+        for _ in range(8):
+            vec = {}
+            for c in range(rank):
+                f = ring.random_homogeneous(rng, rng.randrange(1, 4), density=0.3)
+                vec.update({codec.mkey(k, c): v for k, v in f.raw().items()})
+            probes.append(vec)
+        forms = [gbv.reduce(v) for v in probes]
+        assert gbv._elements is None  # reducing did not build the reduced basis
+        assert forms == [_normal_form(v, gbv.elements, ring) for v in probes]
+        assert gbv.leads() == tuple(max(v) for v in gbv.elements)
+
+
+def test_hilbert_numerator_leaves_the_basis_unreduced(quadric):
+    vecs, twists = _family(quadric, random.Random(41), 2)
+    mod = PresentedModule(quadric, twists, vecs)
+    num = mod.hilbert_numerator()
+    assert mod.gb()._elements is None
+    assert num == presented_numerator(quadric, module_gb(quadric, vecs, 2, twists), 2, twists)
+

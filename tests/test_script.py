@@ -203,6 +203,22 @@ def test_runtime_error_recorded_and_run_continues():
     assert rep["exit_code"] == EXIT_HYPOTHESIS
 
 
+def test_name_left_unbound_by_a_failed_statement_is_reported():
+    # GF(4) is not a prime field: the ring statement fails at run time and
+    # binds nothing, so later uses of Q and of the built-in k name it.
+    rep = run_text(
+        "ring Q = GF(4)[x];\n"
+        "module N = coker Q [[x]];\n"
+        "scan ext(k, N, 1..4);\n"
+    )
+    errors = [st.get("error") for st in rep["statements"]]
+    assert errors[1:] == [
+        "unknown name 'Q': no ring, module or let binds it",
+        "unknown name 'k': no ring, module or let binds it",
+    ]
+    assert rep["exit_code"] == EXIT_HYPOTHESIS
+
+
 @pytest.mark.parametrize(
     "table, name",
     [("_CHECKS", n) for n in scr._CHECKS] + [("_EXPR_FUNCS", n) for n in scr._EXPR_FUNCS],
@@ -421,3 +437,12 @@ def test_example_2_3_groebner_work_is_pinned(buchberger_runs):
         {"homological": i, "internal": i + 1, "rank": 8 if i else 7} for i in range(9)
     ]
     assert buchberger_runs.count == 63
+
+
+def test_example_2_3_groebner_reductions_are_pinned(buchberger_reductions):
+    # The reductions inside those 63 runs, one per input and one per S-pair
+    # the Gebauer-Moeller criteria keep, pinned the same way.  The count
+    # leaves out the reduced bases built on demand after a run.
+    rep = run_script(parse_script((SCRIPTS / "example-2-3.gor").read_text()), RunFlags())
+    assert rep["exit_code"] == EXIT_OK
+    assert buchberger_reductions.count == 3434
