@@ -504,6 +504,10 @@ class RingCtx:
             {mono_of(k): c for k, c in vec.items()} for vec in gbv
         )
         self.ideal_leads: tuple[int, ...] = tuple(max(g) for g in self.ideal_gb)
+        p = ring.field.p
+        self._ideal_lead_invs = tuple(
+            pow(g[m], p - 2, p) for g, m in zip(self.ideal_gb, self.ideal_leads)
+        )
         self._ideal_maxdeg = tuple(
             max(ring.mono_degree(k) for k in g) for g in self.ideal_gb
         )
@@ -591,34 +595,38 @@ class RingCtx:
 
 
 def reduce_vec_by_ideal(vec: dict, ctx: RingCtx) -> dict:
-    """Full normal form of every component of vec modulo the defining ideal."""
+    """Full normal form of every component of vec modulo the defining ideal.
+
+    Monomials are divided and multiplied by the codec, unchecked: the
+    degree-cap test on each quotient bounds every product it makes."""
     ring = ctx.ring
+    rc = ring._codec
+    divides, div, mul, degree = rc.divides, rc.div, rc.mul, rc.degree
     p = ring.field.p
-    divides = ring.mono_divides
-    mono_of = ctx.codec.mono_of
+    monomask = ctx.codec.monomask
+    leads, gb, invs = ctx.ideal_leads, ctx.ideal_gb, ctx._ideal_lead_invs
+    maxdegs = ctx._ideal_maxdeg
     cap = ring.degree_cap
     work = dict(vec)
     out: dict[int, int] = {}
     while work:
         k = max(work)
-        mono = mono_of(k)
+        mono = (k & monomask) >> COMP_BITS
         hit = -1
-        for i, lead in enumerate(ctx.ideal_leads):
+        for i, lead in enumerate(leads):
             if divides(lead, mono):
                 hit = i
                 break
         if hit < 0:
             out[k] = work.pop(k)
             continue
-        g = ctx.ideal_gb[hit]
-        lead = ctx.ideal_leads[hit]
-        quot = ring.mono_div(mono, lead)
-        qdeg = ring.mono_degree(quot)
-        if qdeg and qdeg + ctx._ideal_maxdeg[hit] > cap:
+        quot = div(mono, leads[hit])
+        qdeg = degree(quot)
+        if qdeg and qdeg + maxdegs[hit] > cap:
             raise DegreeCapError(f"reduction passes the degree cap {cap}")
-        factor = work[k] * pow(g[lead], p - 2, p) % p
-        for mk, c in g.items():
-            nk = k + ((ring.mono_mul(quot, mk) - mono) << COMP_BITS)
+        factor = work[k] * invs[hit] % p
+        for mk, c in gb[hit].items():
+            nk = k + ((mul(quot, mk) - mono) << COMP_BITS)
             v = (work.get(nk, 0) - factor * c) % p
             if v:
                 work[nk] = v

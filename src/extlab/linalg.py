@@ -94,15 +94,15 @@ def _reduce_row(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) -
 def _insert_rows(rows, p: int, reduced: bool) -> dict[int, dict[int, int]]:
     """Echelon basis of the span of `rows`, keyed by leading column.
 
-    The rows (values in [1, p)) are consumed by `insert_row`, lightest
-    first.  The leads of any echelon basis of a row space are its
+    The nonzero rows (values in [1, p)) are consumed by `insert_row`,
+    lightest first.  The leads of any echelon basis of a row space are its
     lexicographically first independent column set, so these are the
     pivots of Gaussian elimination by columns.  With `reduced`, each stored
     row is cleared of the later pivot columns, last pivot first, which
     leaves the (unique) reduced row echelon form.
     """
     basis: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
+    for row in sorted(filter(None, rows), key=len):
         insert_row(basis, row, p)
     if reduced:
         for lead in sorted(basis, reverse=True):

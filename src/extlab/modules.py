@@ -709,7 +709,9 @@ def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedMod
     """Direct sum of copies of base, copy c shifted by shifts[c]: the
     module the iterated `direct_sum` gives, columns in the same order,
     built once.  Copy c's columns are base's with every component raised
-    by c * base.rank0."""
+    by c * base.rank0.  The sum keeps (base, shifts) in its cache, so over
+    an artinian context its relation echelon is read off base's
+    (`rows._sum_echelon`)."""
     codec = base.ctx.codec
     r = base.rank0
     cols = [
@@ -718,7 +720,9 @@ def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedMod
         for vec in base.columns
     ]
     twists = [a + s for s in shifts for a in base.row_twists]
-    return PresentedModule(base.ctx, twists, cols, _reduced=True)
+    out = PresentedModule(base.ctx, twists, cols, _reduced=True)
+    out._cache["sum_of"] = (base, tuple(shifts))
+    return out
 
 
 def _hom_complex(a: PresentedModule, b: PresentedModule):

@@ -67,7 +67,7 @@ from .groebner import (
     reduce_vec_by_ideal,
     syzygies_for,
 )
-from .linalg import rank_rows
+from .linalg import _insert_rows
 from .modules import (
     PresentedModule,
     _combine_columns,
@@ -471,9 +471,11 @@ def _derived_memo(Nm: PresentedModule) -> dict:
 def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
     """Graded dimensions of the i-th value over an artinian context, as
     dim - rank - rank of degree-d matrices; no homology module is built.
-    The matrices are built as sparse rows (`_matrix_builder`) and ranked by
-    `rank_rows` without a dense copy.  Ranks are memoized, so a scan ranks
-    each boundary map once."""
+    The matrices are built as sparse rows (`_matrix_builder`), fresh on
+    every call with values in [1, p), so their rank is the size of the
+    echelon basis `_insert_rows` makes of them, consuming them: no dense
+    copy and none of `rank_rows`' cleaning copy.  Ranks are memoized, so
+    a scan ranks each boundary map once."""
     res = resolution_of(M.minimal_presentation())
     res.extend_to(i + 1)
     ti = res.twists_of(i)
@@ -511,7 +513,7 @@ def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) 
             if key not in memo:
                 if j not in builders:
                     builders[j] = _matrix_builder(kind, nreal, res, j)
-                memo[key] = rank_rows(builders[j](d), p)
+                memo[key] = len(_insert_rows(builders[j](d), p, reduced=False))
             h -= memo[key]
         if h < 0:
             raise InvariantViolation("negative homology dimension")

@@ -13,7 +13,11 @@ realization of its own: F_d is copy after copy of R_{d - a_s}, each in
 shifted copies of a realization as sparse rows; over the ring's own
 realization that is a map between free modules.  `kernel_generators`
 takes a degree-zero map out of such an F as those rows and returns
-minimal generators of its kernel, all on rows (`linalg`).
+minimal generators of its kernel, all on rows (`linalg`).  It skips two
+eliminations whose outcome is fixed: in a degree with no seed rows and
+no nonzero multiples from below, every kernel vector is a generator
+(each has its own unit free column), and in a degree where the map is
+zero, insertion stops once the span is all of F_d.
 
 A presented module M = F / U over an artinian context carries, per degree
 and built on first use, the reduced row echelon form of U_d with the
@@ -21,8 +25,10 @@ coordinates of F_d ordered by descending packed key (`_echelon`).  Its
 pivots are the Groebner leads of U in degree d and reducing by it gives
 the Groebner normal form, so the Hilbert function (dim F_d minus the
 rank), normal forms and `from_module` are read off it with no Groebner
-basis.  `_map_kernel` reduces a map's degree-d columns by the target's
-echelon and passes the nullspace to `kernel_generators`, seeded with the
+basis.  A sum of shifted copies of one module (`modules._sum_of_shifts`)
+reads its echelon off the base's, copy by copy (`_sum_echelon`).
+`_map_kernel` reduces a map's degree-d columns by the target's echelon
+and passes the nullspace to `kernel_generators`, seeded with the
 source's echelon rows: that is `modules.ModuleMap.kernel` on artinian
 contexts and, with a free target, the linear resolution engine.
 `_minimal_generator_indices_rows` is the row body of
@@ -37,32 +43,36 @@ which build modules from what it returns.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .groebner import RingCtx, reduce_vec_by_ideal
+from .groebner import COMP_BITS, COMP_MASK, RingCtx, reduce_vec_by_ideal
 from .linalg import _insert_rows, _reduce_row, insert_row, matmul_mod, nullspace_rows, rank_mod
 
 
 def vec_degree(ctx: RingCtx, vec: dict, twists: Sequence[int]) -> int:
-    """Degree of a homogeneous vector; raises if the terms disagree."""
-    ring = ctx.ring
-    codec = ctx.codec
-    degs = {ring.mono_degree(codec.mono_of(k)) + twists[codec.comp_of(k)] for k in vec}
+    """Degree of a homogeneous vector; raises if the terms disagree.  Keys
+    are decoded inline (`ModuleCodec.mono_of`, `comp_of`), as in
+    `_split_entries`."""
+    monomask = ctx.codec.monomask
+    degree = ctx.ring._codec.degree
+    degs = {degree((k & monomask) >> COMP_BITS) + twists[COMP_MASK - (k & COMP_MASK)] for k in vec}
     if len(degs) != 1:
         raise ValueError(f"vector is not homogeneous: degrees {sorted(degs)}")
     return degs.pop()
 
 
 def _split_entries(ctx: RingCtx, vec: dict) -> list[dict[int, int]]:
-    codec = ctx.codec
-    top = max((codec.comp_of(k) for k in vec), default=-1)
+    """The entries of a vector, component by component: entry j maps the
+    packed monomials of component j to their coefficients."""
+    monomask = ctx.codec.monomask
+    top = COMP_MASK - min(k & COMP_MASK for k in vec) if vec else -1
     out: list[dict[int, int]] = [{} for _ in range(top + 1)]
     for k, c in vec.items():
-        out[codec.comp_of(k)][codec.mono_of(k)] = c
+        out[COMP_MASK - (k & COMP_MASK)][(k & monomask) >> COMP_BITS] = c
     return out
 
 
@@ -315,6 +325,15 @@ def _span_rows(ctx: RingCtx, twists, columns, degrees):
     return _block_builder(real, _entry_blocks(ctx, columns), twists, degrees, -1)
 
 
+def _columns_of(keys: list[int]) -> tuple[list[int], list[int]]:
+    """(col, coord) of a `_Piece` with coordinate keys `keys`."""
+    coord = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    col = [0] * len(keys)
+    for c, i in enumerate(coord):
+        col[i] = c
+    return col, coord
+
+
 def _echelon_of(ctx: RingCtx, twists, span_at, d: int) -> _Piece:
     """The degree-d relation echelon of the span that `span_at`
     (`_span_rows`, or None for no relations) builds inside
@@ -325,10 +344,7 @@ def _echelon_of(ctx: RingCtx, twists, span_at, d: int) -> _Piece:
     for j, a in enumerate(twists):
         offsets.append(len(keys))
         keys += [ctx.codec.mkey(m, j) for m in ctx.std_monomials(d - a)]
-    coord = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-    col = [0] * len(keys)
-    for c, i in enumerate(coord):
-        col[i] = c
+    col, coord = _columns_of(keys)
     span: dict[int, dict[int, int]] = {}
     if span_at is not None and keys:
         for r, row in enumerate(span_at(d)):
@@ -338,16 +354,49 @@ def _echelon_of(ctx: RingCtx, twists, span_at, d: int) -> _Piece:
     return _Piece(keys, offsets, col, coord, basis)
 
 
+def _sum_echelon(base, shifts, d: int) -> _Piece:
+    """The degree-d relation echelon of a sum of shifted copies of `base`
+    (`modules._sum_of_shifts`), read off base's echelons: copy c is base's
+    piece in degree d - shifts[c] with every component raised by
+    c * base.rank0.  That raise keeps the order of the copy's keys, so
+    its rows, re-indexed, keep their pivots, and the copies' rows
+    together are the reduced echelon form: no elimination."""
+    r = base.rank0
+    pieces = [_echelon(base, d - s) for s in shifts]
+    keys: list[int] = []
+    offsets: list[int] = []
+    for c, piece in enumerate(pieces):
+        offsets += [len(keys) + o for o in piece.offsets]
+        # A packed key stores COMP_MASK - component in its low bits.
+        keys += [k - c * r for k in piece.keys]
+    col, coord = _columns_of(keys)
+    basis: dict[int, dict[int, int]] = {}
+    first = 0
+    for piece in pieces:
+        at = [col[first + i] for i in piece.coord]
+        for lead, row in piece.basis.items():
+            basis[at[lead]] = {at[b]: x for b, x in row.items()}
+        first += len(piece.keys)
+    return _Piece(keys, offsets, col, coord, basis)
+
+
 def _echelon(mod, d: int) -> _Piece:
     """The degree-d relation echelon of a module over an artinian context,
-    built on first use and kept with the module."""
+    built on first use and kept with the module; a sum of shifted copies
+    reads it off its base (`_sum_echelon`)."""
     cache = mod._cache.setdefault("echelon", {})
     hit = cache.get(d)
     if hit is None:
-        at = cache.get("rows")
-        if at is None and mod.columns:
-            at = cache["rows"] = _span_rows(mod.ctx, mod.row_twists, mod.columns, mod.col_degrees)
-        hit = cache[d] = _echelon_of(mod.ctx, mod.row_twists, at, d)
+        summed = mod._cache.get("sum_of")
+        if summed is not None:
+            hit = _sum_echelon(*summed, d)
+        else:
+            at = cache.get("rows")
+            if at is None and mod.columns:
+                at = _span_rows(mod.ctx, mod.row_twists, mod.columns, mod.col_degrees)
+                cache["rows"] = at
+            hit = _echelon_of(mod.ctx, mod.row_twists, at, d)
+        cache[d] = hit
     return hit
 
 
@@ -460,6 +509,15 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, s
     vectors, in order, that extend the span of the seed rows and the
     variable multiples of the kernels one weight below (graded Nakayama,
     through `insert_row`).
+
+    Two eliminations are skipped because their outcome is already fixed,
+    so the generators and the check are those of the full walk.  In a
+    degree with no seed rows and no nonzero multiples every kernel vector
+    is a generator: each has its own unit free column, so they are
+    independent and the check holds.  In a degree where the matrix is
+    zero the kernel is all of F_d, so insertion stops once the span has
+    dimension dim F_d: no later vector can extend it, and none can lie
+    outside the kernel, so the check cannot fail there.
     """
     real = FiniteLengthRealization.of_ring(ctx)
     p = ctx.ring.field.p
@@ -468,6 +526,30 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, s
     # d -> ((copy, index) label of each coordinate of F_d, kernel vectors)
     kernels: dict[int, tuple[list[tuple[int, int]], list[dict[int, int]]]] = {}
     out = []
+
+    def multiples(d, offsets):
+        """The nonzero variable multiples, in F_d, of the kernel vectors
+        one weight below."""
+        for v, w in enumerate(weights):
+            below_labels, below = kernels.get(d - w, ((), ()))
+            for u in below:
+                img: dict[int, int] = {}
+                for k, c in u.items():
+                    s, i = below_labels[k]
+                    for r, x in real.action_columns(v, d - w - twists[s])[i].items():
+                        r += offsets[s]
+                        img[r] = img.get(r, 0) + c * x
+                row = {r: x % p for r, x in img.items() if x % p}
+                if row:
+                    yield row
+
+    def packed(d, labels, u):
+        vec = {}
+        for k in sorted(u):
+            s, i = labels[k]
+            vec[mkey(ctx.std_monomials(d - twists[s])[i], s)] = u[k]
+        return vec
+
     for d in degrees:
         labels: list[tuple[int, int]] = []
         offsets: dict[int, int] = {}
@@ -478,31 +560,32 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, s
                 labels += [(s, i) for i in range(n)]
         if not labels:
             continue
-        K = nullspace_rows(matrix_at(d), len(labels), p)
+        rows = matrix_at(d)
+        whole = not any(rows)
+        K = nullspace_rows(rows, len(labels), p)
         kernels[d] = (labels, K)
         span = seed(d) if seed else []
         if not K and not span:
             continue
+        images = multiples(d, offsets)
+        if not span:
+            first = next(images, None)
+            if first is None:
+                out += [packed(d, labels, u) for u in K]
+                continue
+            images = chain([first], images)
+        # With `whole`, everything lies in K = F_d: insertion stops at `full`.
+        full = len(K) if whole else -1
         basis: dict[int, dict[int, int]] = {}
-        for row in span:
+        for row in chain(span, images):
+            if len(basis) == full:
+                break
             insert_row(basis, row, p)
-        for v, w in enumerate(weights):
-            below_labels, below = kernels.get(d - w, ((), ()))
-            for u in below:
-                img: dict[int, int] = {}
-                for k, c in u.items():
-                    s, i = below_labels[k]
-                    for r, x in real.action_columns(v, d - w - twists[s])[i].items():
-                        r += offsets[s]
-                        img[r] = img.get(r, 0) + c * x
-                insert_row(basis, {r: x % p for r, x in img.items() if x % p}, p)
         for u in K:
+            if len(basis) == full:
+                break
             if insert_row(basis, dict(u), p):
-                vec = {}
-                for k in sorted(u):
-                    s, i = labels[k]
-                    vec[mkey(ctx.std_monomials(d - twists[s])[i], s)] = u[k]
-                out.append(vec)
+                out.append(packed(d, labels, u))
         # The seed rows and the multiples lie in the kernel exactly when
         # they span no more than the kernel vectors do.
         if len(basis) != len(K):

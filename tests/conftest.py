@@ -15,7 +15,7 @@ geometry most tests revolve around:
 
 import pytest
 
-from extlab import groebner
+from extlab import groebner, linalg
 from extlab.groebner import RingCtx
 from extlab.poly import FieldSpec, PolyRing
 
@@ -100,4 +100,23 @@ def buchberger_reductions(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", counted_run)
     monkeypatch.setattr(groebner._ReducerSet, "reduce", counted_reduce)
+    return runs
+
+
+@pytest.fixture
+def axpy_calls(monkeypatch):
+    """Counts `linalg._axpy` calls for the rest of the test: one per
+    multiple of a stored row added to another, the unit of work of every
+    elimination (`insert_row`, `_reduce_row`, `_insert_rows`), which all
+    reach it through the module global.  Eliminations are deterministic,
+    so a test can pin a computation's row work as an exact number.
+    """
+    runs = _Runs()
+    real = linalg._axpy
+
+    def counted(*args):
+        runs.count += 1
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_axpy", counted)
     return runs

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import extlab
+from extlab import rows
 
 from extlab.errors import InvariantViolation
 from extlab.groebner import RingCtx, module_gb, syzygies_for
+from extlab.linalg import insert_row, nullspace_rows
 from extlab.modules import (
     ModuleMap,
     PresentedModule,
@@ -37,6 +39,7 @@ from extlab.modules import (
 from extlab.poly import FieldSpec, PolyRing
 from extlab.realize import FiniteLengthRealization, matlis_dual_module
 from extlab.resolution import (
+    Resolution,
     ext,
     ext_via_complete,
     is_mcm,
@@ -45,6 +48,7 @@ from extlab.resolution import (
     tor,
     tor_via_complete,
 )
+from extlab.rows import _echelon, _echelon_of, _span_rows
 from extlab.vanishing import ExperimentConfig, random_module, random_pair, stable_suite_check
 
 
@@ -561,3 +565,116 @@ def test_hom_complex_matches_per_slot_reference(request, ring, seed):
             _, _, psi = _hom_complex(a, b)
             ref = _psi_per_slot(a, b)
             assert [list(v.items()) for v in psi] == [list(v.items()) for v in ref]
+
+
+@pytest.mark.parametrize("ring, seed", [("gor5", 57), ("nilsquares", 58)])
+def test_sum_echelon_matches_echelon_from_scratch(request, ring, seed):
+    # A sum of shifted copies reads its relation echelon off its base's,
+    # re-keyed copy by copy; it must equal the echelon eliminated from the
+    # sum's own relation span, piece for piece, in every degree.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=seed)
+    checked = nontrivial = 0
+    for i in range(4):
+        M = random_module(cfg, ctx, i)
+        for base in (M, M.minimal_presentation()):
+            for shifts in ([0], [2, -1, 0, 3], [1, 1, -2], [-3, -3], [0, 4, -2, 0, 1]):
+                X = _sum_of_shifts(base, shifts)
+                assert X._cache["sum_of"] == (base, tuple(shifts))
+                span = None
+                if X.columns:
+                    span = _span_rows(ctx, X.row_twists, X.columns, X.col_degrees)
+                lo = min(X.row_twists) - 1
+                for d in range(lo, max(X.row_twists) + ctx.top_degree + 2):
+                    piece = _echelon(X, d)
+                    assert piece == _echelon_of(ctx, X.row_twists, span, d), (shifts, d)
+                    checked += 1
+                    nontrivial += bool(piece.basis)
+    assert nontrivial >= checked // 4
+
+
+def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
+    """`rows.kernel_generators` with every elimination made: each seed
+    row, each variable multiple of the kernels below and each kernel
+    vector is inserted in every degree, and the closure check runs in
+    every degree with a kernel vector or a seed row.  Also returns how
+    many degrees had a zero matrix, and how many had kernel vectors but
+    no seed rows and no nonzero multiples: the degrees where
+    `kernel_generators` skips work."""
+    real = FiniteLengthRealization.of_ring(ctx)
+    p = ctx.ring.field.p
+    kernels = {}
+    out = []
+    zero = fresh = 0
+    for d in degrees:
+        labels, offsets = [], {}
+        for s, a in enumerate(twists):
+            n = real.dim(d - a)
+            if n:
+                offsets[s] = len(labels)
+                labels += [(s, i) for i in range(n)]
+        if not labels:
+            continue
+        rows_d = matrix_at(d)
+        zero += not any(rows_d)
+        K = nullspace_rows(rows_d, len(labels), p)
+        kernels[d] = (labels, K)
+        span = seed(d) if seed else []
+        if not K and not span:
+            continue
+        multiples = 0
+        basis = {}
+        for row in span:
+            insert_row(basis, row, p)
+        for v, w in enumerate(ctx.ring.weights):
+            below_labels, below = kernels.get(d - w, ((), ()))
+            for u in below:
+                img = {}
+                for k, c in u.items():
+                    s, i = below_labels[k]
+                    for r, x in real.action_columns(v, d - w - twists[s])[i].items():
+                        img[r + offsets[s]] = img.get(r + offsets[s], 0) + c * x
+                row = {r: x % p for r, x in img.items() if x % p}
+                multiples += bool(row)
+                insert_row(basis, row, p)
+        fresh += not span and not multiples
+        for u in K:
+            if insert_row(basis, dict(u), p):
+                vec = {}
+                for k in sorted(u):
+                    s, i = labels[k]
+                    vec[ctx.codec.mkey(ctx.std_monomials(d - twists[s])[i], s)] = u[k]
+                out.append(vec)
+        if len(basis) != len(K):
+            raise InvariantViolation("kernel not closed under the ring action")
+    return out, zero, fresh
+
+
+@pytest.mark.parametrize("ring, seed", [("gor5", 61), ("nilsquares", 62)])
+def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, seed):
+    # kernel_generators skips eliminations whose outcome is fixed; on every
+    # call the linear resolution engine (to step 6) and the row kernel of
+    # maps into non-free targets make, it must return the generators the
+    # full walk returns, column for column, term for term.
+    ctx = request.getfixturevalue(ring)
+    fast = rows.kernel_generators
+    seen = {"calls": 0, "zero": 0, "fresh": 0}
+
+    def both(*args):
+        got = fast(*args)
+        ref, zero, fresh = _reference_kernel_generators(*args)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+        seen["calls"] += 1
+        seen["zero"] += zero
+        seen["fresh"] += fresh
+        return got
+
+    monkeypatch.setattr(rows, "kernel_generators", both)
+    cfg = ExperimentConfig(seed=seed)
+    for i in range(3):
+        Resolution(random_module(cfg, ctx, i), backend="linear").extend_to(6)
+    maps = [f for f in _kernel_corpus(ctx, seed, 2) if f.target.columns]
+    assert maps
+    for f in maps:
+        _kernel(f, True)
+    assert seen["calls"] and seen["zero"] and seen["fresh"]

@@ -446,3 +446,11 @@ def test_example_2_3_groebner_reductions_are_pinned(buchberger_reductions):
     rep = run_script(parse_script((SCRIPTS / "example-2-3.gor").read_text()), RunFlags())
     assert rep["exit_code"] == EXIT_OK
     assert buchberger_reductions.count == 3434
+
+
+def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
+    # The canned artinian search, pinned by its row work: the multiples of
+    # stored rows added to other rows in all of its eliminations.
+    rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
+    assert rep["exit_code"] == EXIT_OK
+    assert axpy_calls.count == 14392
