@@ -394,7 +394,10 @@ def _minimalize(mod: PresentedModule) -> PresentedModule:
 
 class ModuleMap:
     """Graded degree-zero map between presented modules, one image column
-    per source generator (written in the target's free cover)."""
+    per source generator (written in the target's free cover).
+
+    Columns are reduced modulo the ideal, except when an internal caller
+    passes `_reduced=True` for columns that are normal forms already."""
 
     def __init__(
         self,
@@ -403,13 +406,19 @@ class ModuleMap:
         columns: Sequence[dict],
         *,
         check: bool = True,
+        _reduced: bool = False,
     ):
         if source.ctx is not target.ctx:
             raise ValueError("map across different contexts")
         self.ctx = source.ctx
         self.source = source
         self.target = target
-        cols = [reduce_vec_by_ideal(dict(c), self.ctx) for c in columns]
+        if _reduced:
+            # Normal forms already; only their terms are put in the
+            # descending key order a reduction leaves them in.
+            cols = [dict(sorted(c.items(), reverse=True)) for c in columns]
+        else:
+            cols = [reduce_vec_by_ideal(dict(c), self.ctx) for c in columns]
         if len(cols) != source.rank0:
             raise ValueError(f"need {source.rank0} columns, got {len(cols)}")
         for c, vec in enumerate(cols):
@@ -426,7 +435,7 @@ class ModuleMap:
         codec = mod.ctx.codec
         unit = mod.ctx.ring.unit_key
         cols = [{codec.mkey(unit, j): 1} for j in range(mod.rank0)]
-        return cls(mod, mod, cols, check=False)
+        return cls(mod, mod, cols, check=False, _reduced=True)
 
     @classmethod
     def from_matrix(cls, source, target, rows, *, check: bool = True) -> "ModuleMap":
@@ -477,7 +486,7 @@ class ModuleMap:
     def __neg__(self) -> "ModuleMap":
         p = self.ctx.ring.field.p
         return ModuleMap(
-            self.source, self.target, [_neg(c, p) for c in self.columns], check=False
+            self.source, self.target, [_neg(c, p) for c in self.columns], check=False, _reduced=True
         )
 
     def is_zero_map(self) -> bool:
@@ -524,7 +533,7 @@ def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
         degs = tuple(vec_degree(ctx, g, src.row_twists) for g in gens)
         K = PresentedModule(ctx, degs, _map_kernel(ctx, gens, degs, src), _reduced=True)
         K._cache["min"] = K
-        return K, ModuleMap(K, src, gens, check=False)
+        return K, ModuleMap(K, src, gens, check=False, _reduced=True)
     m = src.rank0
     gens = _syzygy_heads(
         ctx, list(f.columns) + list(tgt.columns), src.row_twists + tgt.col_degrees,
@@ -538,7 +547,7 @@ def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
         ctx, gens + list(src.columns), degs + src.col_degrees, src.row_twists, len(gens)
     )
     K = PresentedModule(ctx, degs, rels)
-    return K, ModuleMap(K, src, gens, check=False)
+    return K, ModuleMap(K, src, gens, check=False, _reduced=True)
 
 
 def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int) -> list[dict]:
@@ -643,7 +652,7 @@ def _dual_kernel(mod: PresentedModule) -> tuple[PresentedModule, tuple[dict, ...
     u . column = 0 mod I for every relation column.
     """
     X, Y, psi_cols = _hom_complex(mod, PresentedModule.ring_module(mod.ctx))
-    K, incl = ModuleMap(X, Y, psi_cols, check=False).kernel()
+    K, incl = ModuleMap(X, Y, psi_cols, check=False, _reduced=True).kernel()
     return K, incl.columns
 
 
@@ -702,7 +711,7 @@ def subquotient(
     ctx = X.ctx
     in_cols = [reduce_vec_by_ideal(dict(v), ctx) for v in in_cols]
     Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
-    return ModuleMap(Q, target, out_cols, check=False).kernel()[0].minimal_presentation()
+    return ModuleMap(Q, target, out_cols, check=False, _reduced=True).kernel()[0].minimal_presentation()
 
 
 def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:

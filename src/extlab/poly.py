@@ -215,6 +215,7 @@ class PolyRing:
             self._codec.encode(tuple(int(u == v) for u in range(self.nvars)), w[v])
             for v in range(self.nvars)
         )
+        self._degree_keys: dict[int, tuple[int, ...]] = {}  # see `random_homogeneous`
 
     # -- monomial codec ------------------------------------------------
 
@@ -288,15 +289,23 @@ class PolyRing:
         return _PolyParser(self, text).parse()
 
     def random_homogeneous(self, rng, degree: int, density: float = 1.0) -> "Polynomial":
-        """Random homogeneous element of the given weighted degree."""
+        """Random homogeneous element of the given weighted degree.
+
+        The packed keys of the degree's monomials are encoded once per ring
+        and degree; the draws from `rng` are the same as when each monomial
+        was encoded on every call."""
+        keys = self._degree_keys.get(degree)
+        if keys is None:
+            keys = tuple(self.encode_monomial(e) for e in self.monomials_of_degree(degree))
+            self._degree_keys[degree] = keys
         p = self.field.p
         acc: dict[int, int] = {}
-        for exps in self.monomials_of_degree(degree):
+        for key in keys:
             if density < 1.0 and rng.random() >= density:
                 continue
             c = rng.randrange(p)
             if c:
-                acc[self.encode_monomial(exps)] = c
+                acc[key] = c
         return Polynomial(self, acc)
 
     def monomials_of_degree(self, degree: int) -> Iterator[tuple[int, ...]]:

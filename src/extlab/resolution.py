@@ -33,9 +33,10 @@ route has one body for both functors, keyed by kind ("ext" or "tor"):
   Both the module and the Hilbert-series paths first check that the two
   maps at i compose to zero (`_check_square_zero`), so a broken
   differential raises instead of giving wrong values.  Ranks and C_j
-  are memoized with N, so neighbouring indices of a scan share them;
-  `ext` / `tor` are the cross-check.  `ext_profile` / `tor_profile` are
-  `derived_dims` refusing infinite length.  Ext and Tor differ only in
+  live with the resolution of M, one memo per N (`_derived_memo`), so
+  neighbouring indices of a scan share them and they go when the
+  resolution does; `ext` / `tor` are the cross-check.  `ext_profile` /
+  `tor_profile` are `derived_dims` refusing infinite length.  Ext and Tor differ only in
   twist sign, degree window and which neighbouring differential is
   outgoing; one free-cover column builder (`_step_cols`) and one
   degreewise matrix builder (`_matrix_builder`, a layout over
@@ -52,10 +53,20 @@ not an implementation convenience: they must stay independent.
 Negative indices are served by `CompleteResolution`, which splices the
 resolution of the dual module (transposed) onto the positive half through
 an explicit pairing differential in homological degree zero.
+
+Resolutions are shared per context (`resolution_of`), and so are complete
+resolutions (`complete_resolution`), each in a cache of at most
+`CACHE_BOUND` entries that drops the least recently used one.  A
+resolution owns everything derived from it (differentials, syzygy
+modules, the derived-functor memo), and nothing outside its cache refers
+to it, so dropping it frees all of that: a long search holds a bounded
+number of resolutions, and one it needs again is recomputed, identically.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from typing import Iterable
 
 from .errors import HypothesisNotMet, InvariantViolation, ResourceCapError
@@ -91,6 +102,25 @@ from .rows import (
 
 # -- resolutions ---------------------------------------------------------------
 
+# Resolutions (and complete resolutions) each context keeps; past this many
+# the least recently used one is dropped.
+CACHE_BOUND = 32
+
+
+def _cached(ctx: RingCtx, name: str, key, build):
+    """`ctx.scratch[name][key]`, made by `build()` on a miss, in a cache of
+    at most `CACHE_BOUND` entries kept in order of use: a hit moves its
+    entry to the back, and a miss that finds the cache full drops the
+    front one, the least recently used."""
+    cache = ctx.scratch.setdefault(name, {})
+    hit = cache.pop(key, None)
+    if hit is None:
+        hit = build()
+        if len(cache) >= CACHE_BOUND:
+            del cache[next(iter(cache))]
+    cache[key] = hit
+    return hit
+
 
 def _canonical_columns(ctx, cols, twists):
     """Monic columns sorted by (degree, lead), with their degrees."""
@@ -111,7 +141,8 @@ class Resolution:
     `twists_of(i)` lists the generator degrees of the i-th term and
     `diff(i)` the columns of d_i : F_i -> F_{i-1}.  Once a step produces no
     generators the projective dimension is recorded and all later terms
-    are zero.
+    are zero.  The resolution also keeps the work the derived functors
+    share across indices (`_derived_memo`).
     """
 
     def __init__(self, module: PresentedModule, backend: str = "auto"):
@@ -129,6 +160,8 @@ class Resolution:
         # -1 marks the zero module (empty resolution).
         self._pd: int | None = -1 if self.module.rank0 == 0 else None
         self._syz: dict[int, PresentedModule] = {}
+        # id(N) -> (weak reference to N, memo): see `_derived_memo`.
+        self._derived: dict[int, tuple[weakref.ref, dict]] = {}
 
     def known_pd(self) -> int | None:
         """Projective dimension if the resolution has terminated, else None."""
@@ -208,15 +241,14 @@ class Resolution:
 
 
 def resolution_of(mod: PresentedModule) -> Resolution:
-    """Shared per-context resolution, cached by minimal presentation."""
+    """Shared per-context resolution, cached by minimal presentation.
+
+    The cache holds the `CACHE_BOUND` most recently used resolutions
+    (`_cached`); callers hold a resolution only while they use it, so one
+    the cache drops is freed with its memo, and a later call for the same
+    module builds it again."""
     mm = mod.minimal_presentation()
-    cache = mod.ctx.scratch.setdefault("res", {})
-    key = mm.value_key()
-    hit = cache.get(key)
-    if hit is None:
-        hit = Resolution(mm)
-        cache[key] = hit
-    return hit
+    return _cached(mod.ctx, "res", mm.value_key(), lambda: Resolution(mm))
 
 
 def minimal_free_resolution(mod: PresentedModule, length: int) -> tuple[Resolution, "BettiTable"]:
@@ -459,13 +491,24 @@ def _matrix_builder(kind, nreal, res, j):
     return _block_builder(nreal, entries, lo, hi, -1)
 
 
-def _derived_memo(Nm: PresentedModule) -> dict:
-    """Work shared across indices, kept with the minimal presentation of N:
-    ("coker", res, kind, j) -> the numerator C_j of `_coker_numerator`,
-    ("rank", res, kind, j, d) -> the rank of `_matrix_builder`'s degree-d
-    matrix for d_j.  Keys hold the resolution itself, which lives as long
-    as its context's resolution cache."""
-    return Nm._cache.setdefault("derived", {})
+def _derived_memo(res: Resolution, Nm: PresentedModule) -> dict:
+    """Work on `res` shared across indices for one second argument, the
+    minimal presentation Nm of N: ("coker", kind, j) -> the numerator C_j
+    of `_coker_numerator`, ("rank", kind, j, d) -> the rank of
+    `_matrix_builder`'s degree-d matrix for d_j.
+
+    The memo lives on the resolution, so it goes when the resolution
+    leaves its cache.  It holds Nm by a weak reference and finds it by
+    identity (`is`): a bare `id` can be reused once a module dies, and a
+    strong reference would keep every N a long-lived resolution meets
+    alive.  Memos of dead modules are dropped when a new one is made."""
+    memos = res._derived
+    hit = memos.get(id(Nm))
+    if hit is None or hit[0]() is not Nm:
+        for k in [k for k, (ref, _) in memos.items() if ref() is None]:
+            del memos[k]
+        hit = memos[id(Nm)] = (weakref.ref(Nm), {})
+    return hit[1]
 
 
 def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
@@ -474,8 +517,10 @@ def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) 
     The matrices are built as sparse rows (`_matrix_builder`), fresh on
     every call with values in [1, p), so their rank is the size of the
     echelon basis `_insert_rows` makes of them, consuming them: no dense
-    copy and none of `rank_rows`' cleaning copy.  Ranks are memoized, so
-    a scan ranks each boundary map once."""
+    copy and none of `rank_rows`' cleaning copy.  Ranks are memoized on
+    the resolution (`_derived_memo`), so a scan ranks each boundary map
+    once.  The dimension of X_j in degree d is read off N's dimensions
+    once per (j, d), one lookup per distinct twist of F_j."""
     res = resolution_of(M.minimal_presentation())
     res.extend_to(i + 1)
     ti = res.twists_of(i)
@@ -484,12 +529,14 @@ def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) 
     if not ti or nreal.is_zero():
         return {}
     p = M.ctx.ring.field.p
-    memo = _derived_memo(Nm)
+    memo = _derived_memo(res, Nm)
     sign = 1 if kind == "ext" else -1
+    dims = nreal.dims
+    twist_counts = {j: Counter(res.twists_of(j)).items() for j in (i - 1, i, i + 1)}
 
     def piece(j, d):
         """dim of X_j in degree d."""
-        return sum(nreal.dim(d + sign * a) for a in res.twists_of(j))
+        return sum(n * dims.get(d + sign * a, 0) for a, n in twist_counts[j])
 
     # d_i, between X_{i-1} and X_i, and d_{i+1}, between X_i and X_{i+1},
     # each where both of its ends are nonzero.  In a degree where its other
@@ -509,7 +556,7 @@ def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) 
         for j, o in maps:
             if not piece(o, d):
                 continue
-            key = ("rank", res, kind, j, d)
+            key = ("rank", kind, j, d)
             if key not in memo:
                 if j not in builders:
                     builders[j] = _matrix_builder(kind, nreal, res, j)
@@ -526,8 +573,8 @@ def _coker_numerator(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
     """C_j: Hilbert numerator of X_j modulo the image of the map into X_j.
     Memoized, so indices j - 1 and j + 1 of a scan share one Groebner
     basis of the cokernel."""
-    memo = _derived_memo(Nm)
-    key = ("coker", res, kind, j)
+    memo = _derived_memo(res, Nm)
+    key = ("coker", kind, j)
     hit = memo.get(key)
     if hit is None:
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
@@ -691,7 +738,9 @@ class CompleteResolution:
     cover: terms below zero are duals of the terms of a minimal resolution
     of that Hom(M, R), with transposed differentials, and the degree-zero
     differential is the evaluation pairing, the functionals transposed.
-    `term(i)` and `diff(i)` accept any integer index.
+    `term(i)` and `diff(i)` accept any integer index.  The two halves are
+    looked up through `resolution_of` on every use, never held, so they
+    stay under that cache's bound.
     """
 
     def __init__(self, module: PresentedModule, lo: int = -2, hi: int = 2):
@@ -703,11 +752,20 @@ class CompleteResolution:
             raise HypothesisNotMet("module is not maximal Cohen-Macaulay")
         self.ctx = ctx
         self.module = mm
-        self.pos = resolution_of(mm)
-        dual_pres, chosen = _dual_kernel(mm)
-        self.neg = resolution_of(dual_pres)
+        self._dual, chosen = _dual_kernel(mm)
         self._d0 = _transpose_cols(ctx, chosen, mm.rank0)
         self.extend(lo, hi)
+
+    @property
+    def pos(self) -> Resolution:
+        """The minimal resolution of the module: the terms from 0 up."""
+        return resolution_of(self.module)
+
+    @property
+    def neg(self) -> Resolution:
+        """The minimal resolution of Hom(M, R), whose dual gives the terms
+        below 0."""
+        return resolution_of(self._dual)
 
     def extend(self, lo: int, hi: int) -> "CompleteResolution":
         if hi >= 0:
@@ -731,15 +789,11 @@ class CompleteResolution:
 
 
 def complete_resolution(mod: PresentedModule, lo: int = -2, hi: int = 2) -> CompleteResolution:
-    cache = mod.ctx.scratch.setdefault("cres", {})
+    """Shared per-context complete resolution, cached by minimal
+    presentation like `resolution_of` (`_cached`) and extended to
+    [lo, hi]."""
     key = mod.minimal_presentation().value_key()
-    hit = cache.get(key)
-    if hit is None:
-        hit = CompleteResolution(mod, lo, hi)
-        cache[key] = hit
-    else:
-        hit.extend(lo, hi)
-    return hit
+    return _cached(mod.ctx, "cres", key, lambda: CompleteResolution(mod, lo, hi)).extend(lo, hi)
 
 
 def negative_syzygy(mod: PresentedModule, i: int) -> PresentedModule:

@@ -646,26 +646,34 @@ def _block_builder(nreal, blocks, row_tw, col_tw, sign):
     dict column -> nonzero coefficient, for `linalg`'s row kernels: the
     blocks are sums of monomial actions and nearly empty, so each is
     summed from the monomials' cached nonzero entries.
+
+    Each degree reads `nreal`'s dimensions once per copy, and a block
+    whose source or target copy is zero there is skipped before its
+    polynomial is read.
     """
     p = nreal.ctx.ring.field.p
+    dims = nreal.dims
+    entries = nreal.monomial_entries
 
     def at(d):
-        rows = [nreal.dim(d + sign * a) for a in row_tw]
-        cols = [nreal.dim(d + sign * a) for a in col_tw]
+        rows = [dims.get(d + sign * a, 0) for a in row_tw]
+        cols = [dims.get(d + sign * a, 0) for a in col_tw]
         roff = [0, *accumulate(rows)]
         coff = [0, *accumulate(cols)]
         out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
         for r, c, f in blocks:
-            if rows[r] and cols[c]:
-                r0, c0 = roff[r], coff[c]
-                for mono, a in f.items():
-                    for i, k, v in nreal.monomial_entries(mono, d + sign * col_tw[c]):
-                        row = out[r0 + i]
-                        x = (row.get(c0 + k, 0) + a * v) % p
-                        if x:
-                            row[c0 + k] = x
-                        else:
-                            del row[c0 + k]
+            if not (rows[r] and cols[c]):
+                continue
+            r0, c0 = roff[r], coff[c]
+            src = d + sign * col_tw[c]
+            for mono, a in f.items():
+                for i, k, v in entries(mono, src):
+                    row = out[r0 + i]
+                    x = (row.get(c0 + k, 0) + a * v) % p
+                    if x:
+                        row[c0 + k] = x
+                    else:
+                        del row[c0 + k]
         return out
 
     return at

@@ -186,3 +186,29 @@ def test_parse_errors_carry_positions():
     for bad in ["x +", "x ^ y", "(x", "x $ y", "x y"]:
         with pytest.raises(ParseError):
             ring.parse(bad)
+
+
+def test_random_homogeneous_matches_per_draw_encoding():
+    # The reference encodes every monomial of the degree on each draw; the
+    # ring's cached keys must give the same polynomials from the same
+    # random numbers, and leave the generator in the same state.
+    ring = PolyRing(FieldSpec(101), ["x", "y", "z"], weights=(1, 2, 1), degree_cap=12)
+
+    def reference(rng, degree, density):
+        acc = {}
+        for exps in ring.monomials_of_degree(degree):
+            if density < 1.0 and rng.random() >= density:
+                continue
+            c = rng.randrange(101)
+            if c:
+                acc[ring.encode_monomial(exps)] = c
+        return acc
+
+    got, want = random.Random(5), random.Random(5)
+    for degree in (0, 1, 2, 3, 3, 5, 2, -1, 12):
+        for density in (1.0, 0.7):
+            f = ring.random_homogeneous(got, degree, density)
+            assert list(f.raw().items()) == list(reference(want, degree, density).items())
+    assert got.getstate() == want.getstate()
+    with pytest.raises(DegreeCapError):
+        ring.random_homogeneous(got, 13)

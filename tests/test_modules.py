@@ -16,7 +16,7 @@ import extlab
 from extlab import rows
 
 from extlab.errors import InvariantViolation
-from extlab.groebner import RingCtx, module_gb, syzygies_for
+from extlab.groebner import RingCtx, module_gb, reduce_vec_by_ideal, syzygies_for
 from extlab.linalg import insert_row, nullspace_rows
 from extlab.modules import (
     ModuleMap,
@@ -678,3 +678,33 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
     for f in maps:
         _kernel(f, True)
     assert seen["calls"] and seen["zero"] and seen["fresh"]
+
+
+@pytest.mark.parametrize("ring, seed", [("quadric", 61), ("gor5", 62), ("nilsquares", 63)])
+def test_internal_map_columns_are_normal_forms(request, monkeypatch, ring, seed):
+    # Callers inside the package that pass `_reduced=True` skip the ideal
+    # reduction: their columns must already be normal forms, and the map
+    # keeps them exactly as reducing them would (terms in the same order).
+    ctx = request.getfixturevalue(ring)
+    real = ModuleMap.__init__
+    checked = []
+
+    def init(self, source, target, columns, *, check=True, _reduced=False):
+        columns = list(columns)
+        real(self, source, target, columns, check=check, _reduced=_reduced)
+        if _reduced:
+            ref = [list(reduce_vec_by_ideal(dict(c), ctx).items()) for c in columns]
+            assert [list(c.items()) for c in self.columns] == ref
+            checked.append(len(columns))
+
+    monkeypatch.setattr(ModuleMap, "__init__", init)
+    cfg = ExperimentConfig(seed=seed, max_generators=1 if ring == "quadric" else 3)
+    for i in range(3):
+        A, B = random_pair(cfg, ctx, i)
+        ext(A, B, [1, 2])
+        tor(A, B, [1, 2])
+        hom_module(A, B)
+        dual_module(B)
+        ident = ModuleMap.identity(A)
+        assert (ident + (-ident)).is_zero_map()
+    assert sum(checked) > 0

@@ -16,6 +16,10 @@ Frozen expectations and where they come from:
   on B/(y) = span{1, x} has image exactly span{x} = kernel).
 """
 
+import gc
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,7 @@ from extlab.modules import (
     vec_from_entries,
 )
 from extlab.resolution import (
+    CACHE_BOUND,
     BettiTable,
     CompleteResolution,
     Resolution,
@@ -51,7 +56,13 @@ from extlab.resolution import (
     tor_via_complete,
 )
 from extlab.rows import FiniteLengthRealization, _block_builder, _entry_blocks
-from extlab.vanishing import ExperimentConfig, random_pair
+from extlab.vanishing import (
+    ExperimentConfig,
+    free_or_nonvanishing_check,
+    random_pair,
+    scan_ext,
+    scan_tor,
+)
 
 from conftest import make_ctx
 
@@ -498,3 +509,71 @@ def test_dual_route_validation(nilsquares, quadric):
     n = PresentedModule.from_matrix(quadric, [["w"], ["x"], ["y"], ["z"]])
     with pytest.raises(HypothesisNotMet):
         ext_via_complete(n, k_of(quadric), [1], t=4)
+
+
+GOR5 = (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"))
+
+
+def _holds(value, kind) -> bool:
+    """Whether a cache value, through plain containers, holds a `kind`."""
+    if isinstance(value, kind):
+        return True
+    if isinstance(value, dict):
+        return any(_holds(k, kind) or _holds(v, kind) for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(_holds(v, kind) for v in value)
+    return False
+
+
+def test_resolution_cache_is_bounded_and_owns_its_memos():
+    # A long seeded search on a fresh gor5 context resolves more modules
+    # than the caches hold: on every pair the Lemma 3.6 Tor check, the
+    # route exchange (dualized syzygies) and a negative syzygy (complete
+    # resolutions).
+    ctx = make_ctx(*GOR5)
+    cfg = ExperimentConfig(seed=14)
+    seen = set()
+    for idx in range(80):
+        A, B = random_pair(cfg, ctx, idx)
+        seen.add(A.minimal_presentation().value_key())
+        assert free_or_nonvanishing_check(A, B).verdict == "consistent"
+        assert ext_via_complete(A, B, [1, 2], t=4).totals == ext(A, B, [1, 2]).totals
+        negative_syzygy(A, -2)
+    assert len(seen) > CACHE_BOUND
+    cache = ctx.scratch["res"]
+    assert len(cache) == CACHE_BOUND
+    assert len(ctx.scratch["cres"]) == CACHE_BOUND
+    gc.collect()
+    alive = [r for r in gc.get_objects() if isinstance(r, Resolution) and r.ctx is ctx]
+    assert len(alive) <= CACHE_BOUND
+    for r in alive:
+        # the cache is the one holder of a resolution
+        holders = [h for h in gc.get_referrers(r) if h is not alive and not inspect.isframe(h)]
+        assert len(holders) == 1 and holders[0] is cache
+    mods = [m for m in gc.get_objects() if isinstance(m, PresentedModule) and m.ctx is ctx]
+    assert mods and not any(_holds(m._cache, Resolution) for m in mods)
+
+
+@pytest.mark.parametrize("ring", ["gor5", "nilsquares"])
+def test_evicted_resolution_is_rebuilt_identically(request, ring):
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=41)
+    M, N = random_pair(cfg, ctx, 0)
+    res = resolution_of(M).extend_to(5)
+    twists = [res.twists_of(i) for i in range(6)]
+    cols = [[list(c.items()) for c in res.diff(i)] for i in range(1, 6)]
+    patterns = scan_ext(M, N, 6).to_json_dict(), scan_tor(M, N, 6).to_json_dict()
+    first = weakref.ref(res)
+    del res
+    key = M.minimal_presentation().value_key()
+    cache = ctx.scratch["res"]
+    idx = 1
+    while key in cache:
+        for X in random_pair(cfg, ctx, idx):
+            resolution_of(X)
+        idx += 1
+    assert first() is None  # dropped from the cache, and so freed
+    again = resolution_of(M).extend_to(5)
+    assert [again.twists_of(i) for i in range(6)] == twists
+    assert [[list(c.items()) for c in again.diff(i)] for i in range(1, 6)] == cols
+    assert (scan_ext(M, N, 6).to_json_dict(), scan_tor(M, N, 6).to_json_dict()) == patterns
