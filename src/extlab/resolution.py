@@ -30,12 +30,13 @@ route has one body for both functors, keyed by kind ("ext" or "tor"):
   with C_j the Hilbert numerator of X_j modulo the image of the map into
   it, the value at i has series C_i + C_o - HS(X_o), o the index its
   outgoing map leads to, read as None when it has infinite length.
-  Both the module and the Hilbert-series paths first check that the two
-  maps at i compose to zero (`_check_square_zero`), so a broken
-  differential raises instead of giving wrong values.  Ranks and C_j
-  live with the resolution of M, one memo per N (`_derived_memo`), so
-  neighbouring indices of a scan share them and they go when the
-  resolution does; `ext` / `tor` are the cross-check.  `ext_profile` /
+  Both the module and the Hilbert-series paths check that the two maps
+  at i compose to zero (`_check_square_zero`, or on rows the kernel
+  walk of `subquotient`), so a broken differential raises instead of
+  giving wrong values.  Ranks and C_j live with the resolution of M,
+  one memo per N (`_derived_memo`), so neighbouring indices of a scan
+  share them and they go when the resolution does; `ext` / `tor` are
+  the cross-check.  `ext_profile` /
   `tor_profile` are `derived_dims` refusing infinite length.  Ext and Tor differ only in
   twist sign, degree window and which neighbouring differential is
   outgoing; one free-cover column builder (`_step_cols`) and one
@@ -433,8 +434,13 @@ def _check_pair(M: PresentedModule, N: PresentedModule):
 def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) -> ExtTorResult:
     """Body of `ext` and `tor`: homology of Hom(F, N) or F (x) N, with F a
     minimal resolution of M, as presented modules.  Each value is the
-    kernel of the outgoing map on X_i modulo the incoming image, after
-    the check that the two maps compose to zero."""
+    kernel of the outgoing map on X_i modulo the incoming image, and a
+    broken differential raises `InvariantViolation`.  Off the artinian
+    locus `_check_square_zero` checks that the two maps compose to zero
+    first, since the Groebner kernel checks nothing.  Over an artinian
+    context `subquotient`'s row kernel makes that check itself: it is
+    seeded with X_i / im(in), and an incoming column whose image is
+    nonzero in X_o is a seed row outside the kernel."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
@@ -458,7 +464,7 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
             out.record_module(i, PresentedModule.zero(ctx))
             continue
         o = i + step
-        if res.rank(o):
+        if res.rank(o) and not ctx.is_artinian:
             _check_square_zero(kind, res, Nm, i, o)
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, i))
         Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
@@ -588,9 +594,10 @@ def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
     column, pushed through the outgoing columns, must vanish in X_o.
     Uses only differentials index i already needs.  Over a true
     resolution the composite vanishes modulo the ideal already, so X_o is
-    built, and a remainder reduced by its relations (`normal_form`: the
-    relation echelon over an artinian context, else a Groebner basis),
-    only when one is left."""
+    built, and a remainder reduced by its relations (`normal_form`), only
+    when one is left.  Its callers are the Hilbert-series route and, off
+    the artinian locus, the module route (`_direct_modules`); over an
+    artinian context the module route's row kernel checks this itself."""
     ctx = res.ctx
     rb = Nm.rank0
     out_cols = _step_cols(kind, res, max(i, o), rb)

@@ -15,7 +15,7 @@ geometry most tests revolve around:
 
 import pytest
 
-from extlab import groebner, linalg
+from extlab import groebner, linalg, resolution
 from extlab.groebner import RingCtx
 from extlab.poly import FieldSpec, PolyRing
 
@@ -119,4 +119,26 @@ def axpy_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(linalg, "_axpy", counted)
+    return runs
+
+
+@pytest.fixture
+def resolution_rank(monkeypatch):
+    """Sums, for the rest of the test, the ranks of the resolution terms
+    `Resolution._step` builds (a step that ends the resolution builds
+    none).  Which resolutions a computation extends, and how far, is
+    deterministic, so a test can pin its resolution work as an exact
+    number: a caller that resolves a larger module than it needs shows up
+    here before it shows up in a timing.
+    """
+    runs = _Runs()
+    real = resolution.Resolution._step
+
+    def counted(self):
+        before = len(self._twists)
+        real(self)
+        if len(self._twists) > before:
+            runs.count += len(self._twists[-1])
+
+    monkeypatch.setattr(resolution.Resolution, "_step", counted)
     return runs

@@ -321,9 +321,12 @@ def test_hilbert_series_route_checks_composites():
 
 
 def test_module_route_checks_composites_on_rows(buchberger_runs):
-    # Over an artinian ring a remainder of d o d that survives the ideal is
-    # reduced by X_o's relation echelon, with no Groebner basis.  A fresh
-    # context keeps the corrupted resolution out of the shared fixtures.
+    # Over an artinian ring the module route leaves the check of d o d to
+    # the row kernel of `subquotient`, with no Groebner basis: it is seeded
+    # with X_i / im(in), and an incoming column whose image is nonzero in
+    # X_o, after reduction by X_o's relation echelon, is a seed row outside
+    # the kernel.  A fresh context keeps the corrupted resolution out of
+    # the shared fixtures.
     ctx = make_ctx(("x", "y"), ("x^2", "y^2"))
     k = k_of(ctx)
     res = resolution_of(k.minimal_presentation()).extend_to(3)
@@ -333,9 +336,10 @@ def test_module_route_checks_composites_on_rows(buchberger_runs):
     res._diffs[1][0] = vec_from_entries(ctx, [f1, ctx.ring.parse("0")])
     both = PresentedModule.from_matrix(ctx, [["0"], ["x"]])  # R (+) R/(x)
     buchberger_runs.reset()
-    with pytest.raises(InvariantViolation):
+    seed_outside = "a seed row outside it"
+    with pytest.raises(InvariantViolation, match=seed_outside):
         ext(k, both, [2])
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=seed_outside):
         tor(k, both, [1])
     # Over R/(x) the composite x*y is zero in X_o: the remainder is
     # reduced by the relations, not only by the ideal, so nothing raises.

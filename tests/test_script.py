@@ -450,7 +450,18 @@ def test_example_2_3_groebner_reductions_are_pinned(buchberger_reductions):
 
 def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
     # The canned artinian search, pinned by its row work: the multiples of
-    # stored rows added to other rows in all of its eliminations.
+    # stored rows added to other rows in all of its eliminations.  The
+    # Tor check resolves the argument with the smaller resolution (14392
+    # when it always resolved the left one).
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert axpy_calls.count == 14392
+    assert axpy_calls.count == 8898
+
+
+def test_lemma_3_6_search_resolution_work_is_pinned(resolution_rank):
+    # The same search, pinned by the ranks of the resolution terms it
+    # builds: a wrong choice of side in the Tor check shows up here as an
+    # exact number (9120 when the check always resolved the left one).
+    rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
+    assert rep["exit_code"] == EXIT_OK
+    assert resolution_rank.count == 6674

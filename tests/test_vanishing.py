@@ -23,12 +23,13 @@ from extlab.errors import HypothesisNotMet, InvariantViolation
 from extlab.groebner import RingCtx
 from extlab.modules import PresentedModule, dual_module
 from extlab.poly import FieldSpec, PolyRing
-from extlab.resolution import gorenstein_check
+from extlab.resolution import derived_dims, gorenstein_check, tor_profile
 from extlab.vanishing import (
     CheckReport,
     ExperimentConfig,
     GapReport,
     VanishingPattern,
+    _smaller_resolution_first,
     change_of_rings_check,
     ext_index_estimate,
     external_product_check,
@@ -222,6 +223,46 @@ def test_free_or_nonvanishing_on_residue_field(gor5):
     rep = free_or_nonvanishing_check(_k(gor5), _k(gor5))
     assert rep.verdict == "consistent"
     assert rep.details["tor_dims"] == {3: 21, 4: 55, 5: 144}
+
+
+@pytest.mark.parametrize("ring, generators", [("gor5", 3), ("gor5", 1), ("nilsquares", 3)])
+def test_tor_is_balanced_on_seeded_pairs(ring, generators, request):
+    # Tor_i(M, N) and Tor_i(N, M) have the same graded dimensions; the
+    # Tor check relies on it when it resolves the smaller side.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=23, trials=60, max_generators=generators)
+    for t in range(cfg.trials):
+        M, N = random_pair(cfg, ctx, t)
+        for i in range(6):
+            assert derived_dims("tor", M, N, i) == derived_dims("tor", N, M, i), (t, i)
+
+
+def test_free_or_nonvanishing_matches_unswapped_tor(gor5):
+    # Whichever side the check resolves, it reports the Tor dimensions of
+    # the pair in the order given; on this corpus it swaps some pairs.
+    cfg = ExperimentConfig(seed=23, trials=60)
+    swapped = 0
+    for t in range(cfg.trials):
+        M, N = random_pair(cfg, gor5, t)
+        Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
+        if Mm.is_free() or Nm.is_free():
+            continue
+        swapped += _smaller_resolution_first(Mm, Nm)[0] is Nm
+        rep = free_or_nonvanishing_check(M, N)
+        assert rep.details["tor_dims"] == {
+            i: sum(tor_profile(Mm, Nm, i).values()) for i in (3, 4, 5)
+        }, t
+    assert swapped
+
+
+def test_smaller_resolution_first_keeps_order_on_ties(gor5):
+    # R/(x) and R/(y) both resolve with ranks 1, 1, 2: a tie keeps the
+    # order given.  k (ranks 1, 3, 8) goes after either.
+    a, b, k = (m.minimal_presentation() for m in (_cyclic(gor5, "x"), _cyclic(gor5, "y"), _k(gor5)))
+    assert _smaller_resolution_first(a, b) == (a, b)
+    assert _smaller_resolution_first(b, a) == (b, a)
+    assert _smaller_resolution_first(k, a) == (a, k)
+    assert _smaller_resolution_first(a, k) == (a, k)
 
 
 def test_free_or_nonvanishing_vacuous_for_free(gor5):
