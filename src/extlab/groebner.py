@@ -83,9 +83,15 @@ class _ReducerSet:
     """Mutable family of vectors indexed for division: find and apply reducers.
 
     `buckets` maps a lead ident (component and block) to the members that
-    reduce with that ident.  `drop_multiples` takes out the members whose
-    leads a newer member's lead divides: every term they could reduce, the
-    newer member reduces too.
+    reduce with that ident, in the order they were added.  `drop_multiples`
+    takes out the members whose leads a newer member's lead divides: every
+    term they could reduce, the newer member reduces too.
+
+    `reduce` uses the first bucket member whose lead divides the term.
+    Members are only appended, so that member stays first until
+    `drop_multiples` takes it out; `found` remembers it per term key, and a
+    term is matched against the bucket again only when its remembered
+    member is no longer `alive` or is the member to skip.
     """
 
     def __init__(self, ring: PolyRing, codec: ModuleCodec):
@@ -98,7 +104,9 @@ class _ReducerSet:
         self.invs: list[int] = []
         self.idents: list[int] = []
         self.maxdegs: list[int] = []  # -1 until a degree-cap check needs it
+        self.alive: list[bool] = []
         self.buckets: dict[int, list[int]] = {}
+        self.found: dict[int, int] = {}  # term key -> first member dividing it
 
     def add(self, vec: dict) -> int:
         lead = max(vec)
@@ -110,6 +118,7 @@ class _ReducerSet:
         ident = lead & self.codec.identmask
         self.idents.append(ident)
         self.maxdegs.append(-1)
+        self.alive.append(True)
         self.buckets.setdefault(ident, []).append(idx)
         return idx
 
@@ -118,9 +127,15 @@ class _ReducerSet:
         of its bucket."""
         divides = self.ring._codec.divides
         mono = self.monos[idx]
-        monos = self.monos
+        monos, alive = self.monos, self.alive
         bucket = self.buckets[self.idents[idx]]
-        bucket[:] = [i for i in bucket if i == idx or not divides(mono, monos[i])]
+        kept = []
+        for i in bucket:
+            if i == idx or not divides(mono, monos[i]):
+                kept.append(i)
+            else:
+                alive[i] = False
+        bucket[:] = kept
 
     def _maxdeg(self, idx: int) -> int:
         degree = self.ring._codec.degree
@@ -129,7 +144,8 @@ class _ReducerSet:
         return deg
 
     def reduce(self, vec: dict, skip: int = -1) -> dict:
-        """Full normal form of vec against the current family."""
+        """Full normal form of vec against the current family, never
+        reducing by member `skip`."""
         rc = self.ring._codec
         divides, div, degree = rc.divides, rc.div, rc.degree
         unit = self.ring.unit_key
@@ -137,6 +153,7 @@ class _ReducerSet:
         monomask = self.codec.monomask
         buckets, monos, vecs, invs, maxdegs = (
             self.buckets, self.monos, self.vecs, self.invs, self.maxdegs)
+        alive, found = self.alive, self.found
         p = self.p
         cap = self.ring.degree_cap
         work = dict(vec)
@@ -145,14 +162,18 @@ class _ReducerSet:
         while work:
             k = max(work)
             mono = (k & monomask) >> COMP_BITS
-            hit = -1
-            for i in buckets.get(k & identmask, ()):
-                if i != skip and divides(monos[i], mono):
-                    hit = i
-                    break
-            if hit < 0:
-                out[k] = work.pop(k)
-                continue
+            hit = found.get(k, -1)
+            if hit < 0 or hit == skip or not alive[hit]:
+                hit = -1
+                for i in buckets.get(k & identmask, ()):
+                    if i != skip and divides(monos[i], mono):
+                        hit = i
+                        break
+                if hit < 0:
+                    out[k] = work.pop(k)
+                    continue
+                if skip < 0:  # past `skip`, hit need not be the first divisor
+                    found[k] = hit
             quot = div(mono, monos[hit])
             qdeg = degree(quot)
             if qdeg:
@@ -443,6 +464,23 @@ def _minimalize_exps(gens) -> tuple[tuple[int, ...], ...]:
     return tuple(keep)
 
 
+def _lru_get(cache: dict, key, build, bound: int):
+    """`cache[key]`, made by `build()` on a miss, in a dict of at most
+    `bound` entries kept in order of use: a hit moves its entry to the
+    back, and a miss that finds the dict full drops the front one, the
+    least recently used."""
+    hit = cache.pop(key, None)
+    if hit is None:
+        hit = build()
+        if len(cache) >= bound:
+            del cache[next(iter(cache))]
+    cache[key] = hit
+    return hit
+
+
+# Numerators of monomial quotients, shared by every context; past this many
+# the least recently used one is dropped.
+NUMERATOR_BOUND = 256
 _numerator_memo: dict[tuple, dict[int, int]] = {}
 
 
@@ -456,20 +494,18 @@ def monomial_quotient_numerator(
         return {0: 1}
     if any(sum(g) == 0 for g in gens):
         return {}
-    key = (weights, gens)
-    hit = _numerator_memo.get(key)
-    if hit is not None:
-        return hit
-    pivot = gens[-1]
-    rest = gens[:-1]
-    colon = tuple(tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in rest)
-    wdeg = sum(w * e for w, e in zip(weights, pivot))
-    out = _tp_sub(
-        monomial_quotient_numerator(rest, weights),
-        _tp_shift(monomial_quotient_numerator(colon, weights), wdeg),
-    )
-    _numerator_memo[key] = out
-    return out
+
+    def build():
+        pivot = gens[-1]
+        rest = gens[:-1]
+        colon = tuple(tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in rest)
+        wdeg = sum(w * e for w, e in zip(weights, pivot))
+        return _tp_sub(
+            monomial_quotient_numerator(rest, weights),
+            _tp_shift(monomial_quotient_numerator(colon, weights), wdeg),
+        )
+
+    return _lru_get(_numerator_memo, (weights, gens), build, NUMERATOR_BOUND)
 
 
 # -- quotient ring contexts --------------------------------------------------
@@ -706,12 +742,24 @@ def lead_exponents_by_comp(gbv: VectorGB, rank: int) -> list[tuple[tuple[int, ..
     return [tuple(g) for g in groups]
 
 
+def component_numerators(ctx: RingCtx, gbv: VectorGB, rank: int) -> list[dict[int, int]]:
+    """Per component c, the Hilbert numerator of S / in(span)_c: the lead
+    module depends on the span and the monomial order alone, so these
+    carry no twist."""
+    weights = ctx.ring.weights
+    return [monomial_quotient_numerator(exps, weights) for exps in lead_exponents_by_comp(gbv, rank)]
+
+
+def twisted_numerator(parts: list[dict[int, int]], twists: tuple[int, ...]) -> dict[int, int]:
+    """Sum over c of t^{twists[c]} * parts[c] (twist 0 past the end)."""
+    out: dict[int, int] = {}
+    for c, num in enumerate(parts):
+        out = _tp_add(out, _tp_shift(num, twists[c] if c < len(twists) else 0))
+    return out
+
+
 def presented_numerator(
     ctx: RingCtx, gbv: VectorGB, rank: int, twists: tuple[int, ...]
 ) -> dict[int, int]:
     """Hilbert series numerator of R^rank(twists)/span, over prod(1-t^w)."""
-    out: dict[int, int] = {}
-    for c, exps in enumerate(lead_exponents_by_comp(gbv, rank)):
-        num = monomial_quotient_numerator(exps, ctx.ring.weights)
-        out = _tp_add(out, _tp_shift(num, twists[c] if c < len(twists) else 0))
-    return out
+    return twisted_numerator(component_numerators(ctx, gbv, rank), twists)

@@ -23,8 +23,6 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InvariantViolation
 from .groebner import (
     RingCtx,
@@ -40,7 +38,7 @@ from .groebner import (
     tp_series,
     tp_value_at_one,
 )
-from .linalg import pivot_columns_mod
+from .linalg import insert_row
 from .poly import Polynomial
 from .rows import (
     _echelon_hf,
@@ -604,7 +602,10 @@ def _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo) -> list[int]:
     form against a Groebner basis of the kept lower-degree candidates plus
     `modulo` is GF(p)-linear on the degree-d part of the free module, with
     kernel the degree-d part of that span, so the candidates whose normal
-    forms are pivot columns are exactly the new generators needed there.
+    forms are independent of the earlier ones' are exactly the new
+    generators needed there.  The normal forms go, in order, into one
+    echelon basis (`linalg.insert_row`), and a candidate is kept when its
+    form adds a pivot: the lexicographically first independent set.
     """
     p = ctx.ring.field.p
     live = [i for i, v in enumerate(vecs) if v]
@@ -618,15 +619,11 @@ def _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo) -> list[int]:
             span = [vecs[i] for i in kept] + modulo
             gbv = module_gb(ctx, span, rank, tuple(twists)) if span else None
             basis_of = len(kept)
-        forms = [gbv.reduce(vecs[i]) if gbv else reduce_vec_by_ideal(vecs[i], ctx) for i in group]
-        row = {k: r for r, k in enumerate(set().union(*forms))}
-        if not row:
-            continue
-        mat = np.zeros((len(row), len(group)), dtype=np.int64)
-        for c, form in enumerate(forms):
-            for k, v in form.items():
-                mat[row[k], c] = v
-        kept.extend(group[c] for c in pivot_columns_mod(mat, p))
+        basis: dict[int, dict[int, int]] = {}
+        for i in group:
+            form = gbv.reduce(vecs[i]) if gbv else reduce_vec_by_ideal(vecs[i], ctx)
+            if insert_row(basis, form, p):
+                kept.append(i)
     return sorted(kept)
 
 

@@ -35,7 +35,9 @@ route has one body for both functors, keyed by kind ("ext" or "tor"):
   walk of `subquotient`), so a broken differential raises instead of
   giving wrong values.  Ranks and C_j live with the resolution of M,
   one memo per N (`_derived_memo`), so neighbouring indices of a scan
-  share them and they go when the resolution does; `ext` / `tor` are
+  share them and they go when the resolution does.  Under C_j, the
+  Groebner basis of a cokernel is shared by every cokernel with the same
+  span, whatever its twists (`_coker_numerator`); `ext` / `tor` are
   the cross-check.  `ext_profile` /
   `tor_profile` are `derived_dims` refusing infinite length.  Ext and Tor differ only in
   twist sign, degree window and which neighbouring differential is
@@ -56,7 +58,8 @@ resolution of the dual module (transposed) onto the positive half through
 an explicit pairing differential in homological degree zero.
 
 Resolutions are shared per context (`resolution_of`), and so are complete
-resolutions (`complete_resolution`), each in a cache of at most
+resolutions (`complete_resolution`) and the twist-free numerators of
+cokernel spans (`_coker_numerator`), each in a cache of at most
 `CACHE_BOUND` entries that drops the least recently used one.  A
 resolution owns everything derived from it (differentials, syzygy
 modules, the derived-functor memo), and nothing outside its cache refers
@@ -73,11 +76,15 @@ from typing import Iterable
 from .errors import HypothesisNotMet, InvariantViolation, ResourceCapError
 from .groebner import (
     RingCtx,
+    _lru_get,
     _tp_add,
     _tp_shift,
     _tp_sub,
+    component_numerators,
+    module_gb,
     reduce_vec_by_ideal,
     syzygies_for,
+    twisted_numerator,
 )
 from .linalg import _insert_rows
 from .modules import (
@@ -110,27 +117,21 @@ CACHE_BOUND = 32
 
 def _cached(ctx: RingCtx, name: str, key, build):
     """`ctx.scratch[name][key]`, made by `build()` on a miss, in a cache of
-    at most `CACHE_BOUND` entries kept in order of use: a hit moves its
-    entry to the back, and a miss that finds the cache full drops the
-    front one, the least recently used."""
-    cache = ctx.scratch.setdefault(name, {})
-    hit = cache.pop(key, None)
-    if hit is None:
-        hit = build()
-        if len(cache) >= CACHE_BOUND:
-            del cache[next(iter(cache))]
-    cache[key] = hit
-    return hit
+    at most `CACHE_BOUND` entries that drops the least recently used one
+    (`groebner._lru_get`)."""
+    return _lru_get(ctx.scratch.setdefault(name, {}), key, build, CACHE_BOUND)
+
+
+def _monic(p: int, col: dict) -> dict:
+    """col scaled so that its lead coefficient is 1."""
+    inv = pow(col[max(col)], p - 2, p)
+    return col if inv == 1 else {k: (v * inv) % p for k, v in col.items()}
 
 
 def _canonical_columns(ctx, cols, twists):
     """Monic columns sorted by (degree, lead), with their degrees."""
     p = ctx.ring.field.p
-    out = []
-    for c in cols:
-        lead = max(c)
-        inv = pow(c[lead], p - 2, p)
-        out.append(c if inv == 1 else {k: (v * inv) % p for k, v in c.items()})
+    out = [_monic(p, c) for c in cols]
     degs = [vec_degree(ctx, c, twists) for c in out]
     order = sorted(range(len(out)), key=lambda i: (degs[i], max(out[i])))
     return [out[i] for i in order], tuple(degs[i] for i in order)
@@ -576,16 +577,40 @@ def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) 
 
 
 def _coker_numerator(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
-    """C_j: Hilbert numerator of X_j modulo the image of the map into X_j.
-    Memoized, so indices j - 1 and j + 1 of a scan share one Groebner
-    basis of the cokernel."""
+    """C_j: Hilbert numerator of X_j modulo the image U of the map into X_j.
+
+    C_j is the sum over components c of t^{twist_c} HN(S / in(U)_c), and
+    the lead module in(U) depends on U and the monomial order alone, not
+    on the twists or on the order of U's generators.  So the twist-free
+    per-component numerators are kept per context (`_cached`, under
+    "coker"), keyed by the rank and the set of monic, ideal-reduced
+    columns spanning U, and assembled with X_j's twists on every use: one
+    Groebner basis serves every cokernel with the same span, such as the
+    top cokernels of the two scans of `symmetry_check` over cyclic
+    complete intersections, which agree up to a twist.  C_j itself is
+    memoized on the resolution too, so indices j - 1 and j + 1 of a scan
+    share it."""
     memo = _derived_memo(res, Nm)
     key = ("coker", kind, j)
     hit = memo.get(key)
     if hit is None:
+        ctx = res.ctx
+        p = ctx.ring.field.p
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
-        cols = list(X.columns) + _incoming_cols(kind, res, j, Nm.rank0)
-        hit = memo[key] = PresentedModule(res.ctx, X.row_twists, cols).hilbert_numerator()
+        r = X.rank0
+        # X's columns are monic and reduced already; only the incoming ones
+        # are not.
+        cols = list(X.columns)
+        for col in _incoming_cols(kind, res, j, Nm.rank0):
+            col = reduce_vec_by_ideal(col, ctx)
+            if col:
+                cols.append(_monic(p, col))
+        span = (r, frozenset(frozenset(c.items()) for c in cols))
+        parts = _cached(
+            ctx, "coker", span,
+            lambda: component_numerators(ctx, module_gb(ctx, cols, r, X.row_twists), r),
+        )
+        hit = memo[key] = twisted_numerator(parts, X.row_twists)
     return hit
 
 

@@ -30,6 +30,9 @@ from extlab.groebner import (
 from extlab.modules import PresentedModule
 from extlab.poly import LEX, FieldSpec, Polynomial, PolyRing
 from extlab.realize import FiniteLengthRealization
+from extlab.vanishing import ExperimentConfig, random_pair, symmetry_check
+
+from conftest import make_ctx
 
 
 def ring_with(names, p=101, **kw):
@@ -241,6 +244,31 @@ def test_hilbert_helpers():
     assert monomial_quotient_numerator(((2, 0), (0, 2)), (1, 1)) == sq
     assert monomial_quotient_numerator((), (1, 1)) == {0: 1}
     assert monomial_quotient_numerator(((0, 0),), (1, 1)) == {}
+
+
+def test_numerator_memo_is_bounded(monkeypatch):
+    # The memo keeps the NUMERATOR_BOUND most recently used numerators and
+    # drops the rest; numerators stay right across evictions, checked
+    # against a count of the standard monomials of each degree.
+    monkeypatch.setattr(groebner, "_numerator_memo", {})
+    rng = random.Random(43)
+    weights = (1, 1, 1, 1)
+    ideals = [
+        tuple(tuple(rng.randrange(0, 4) for _ in range(4)) for _ in range(rng.randrange(2, 7)))
+        for _ in range(150)
+    ]
+    ideals = [g for g in ideals if all(sum(e) for e in g)]
+    nums = [monomial_quotient_numerator(g, weights) for g in ideals]
+    assert len(groebner._numerator_memo) == groebner.NUMERATOR_BOUND
+    ring = ring_with(["a", "b", "c", "d"])
+    for gens, num in zip(ideals[-40:], nums[-40:]):
+        series = tp_series(num, weights, 5)
+        for d in range(6):
+            std = [
+                m for m in ring.monomials_of_degree(d)
+                if not any(all(x <= y for x, y in zip(g, m)) for g in gens)
+            ]
+            assert series.get(d, 0) == len(std)
 
 
 def test_presented_numerator_with_twists():
@@ -473,6 +501,111 @@ def test_pair_criteria_match_every_pair(request, ring, buchberger_reductions):
                 assert module_gb(free, syz, m).elements == module_gb(free, want_syz, m).elements
             fewer += used < want_used
     assert fewer
+
+
+def _first_divisor_reduce(self, vec, skip=-1):
+    """Reference for `_ReducerSet.reduce`: each term is matched against its
+    bucket member by member, and the first member whose lead divides it
+    reduces it."""
+    rc = self.ring._codec
+    codec = self.codec
+    p = self.p
+    work, out = dict(vec), {}
+    while work:
+        k = max(work)
+        mono = codec.mono_of(k)
+        hit = -1
+        for i in self.buckets.get(k & codec.identmask, ()):
+            if i != skip and rc.divides(self.monos[i], mono):
+                hit = i
+                break
+        if hit < 0:
+            out[k] = work.pop(k)
+            continue
+        quot = rc.div(mono, self.monos[hit])
+        if rc.degree(quot):
+            top = self.maxdegs[hit] if self.maxdegs[hit] >= 0 else self._maxdeg(hit)
+            if rc.degree(quot) + top > self.ring.degree_cap:
+                raise DegreeCapError("reduction passes the degree cap")
+        _shift_add(work, self.vecs[hit], -work[k] * self.invs[hit], codec.delta(quot), p)
+    return out
+
+
+def _symmetry_runs(monkeypatch, count):
+    """The inputs of every Buchberger run of `symmetry_check(A, B, 12)` on
+    the first `count` seed-1 cyclic pairs over a fresh quadric context."""
+    ctx = make_ctx(("w", "x", "y", "z"), ("w*x - y*z",))
+    cfg = ExperimentConfig(seed=1, max_generators=1)
+    runs = []
+
+    def record(inputs, ring, **kw):
+        runs.append((list(inputs), kw))
+        return buchberger(inputs, ring, **kw)
+
+    monkeypatch.setattr(groebner, "buchberger", record)
+    for i in range(count):
+        symmetry_check(*random_pair(cfg, ctx, i), 12)
+    return ctx, runs
+
+
+def _terms(vecs):
+    return [list(v.items()) for v in vecs]
+
+
+@pytest.mark.parametrize("source", ["quadric", "cubic", "symmetry"])
+def test_reducer_lookup_keeps_runs_identical(request, monkeypatch, source):
+    # Remembering each term's first dividing member must pick the reducer
+    # the member-by-member scan picks, so every run keeps the same members
+    # and finds the same syzygies, term for term.
+    if source == "symmetry":
+        ctx, runs = _symmetry_runs(monkeypatch, 8)
+        assert any(kw.get("collect_syz") for _, kw in runs)
+    else:
+        ctx = _cubic_ctx() if source == "cubic" else request.getfixturevalue(source)
+        rng = random.Random(31)
+        runs = []
+        for rank in (1, 2, 3, 1, 2, 3):
+            vecs, twists = _family(ctx, rng, rank)
+            inputs = vecs + quotient_helpers(ctx, rank)
+            runs += [(inputs, {"twists_f": twists}), (inputs, {"twists_f": twists, "collect_syz": True})]
+    got = []
+    for inputs, kw in runs:
+        gbv, syz = buchberger(inputs, ctx.ring, **kw)
+        got.append((_terms(gbv._red.vecs), _terms(syz), _terms(gbv.elements)))
+    monkeypatch.setattr(groebner._ReducerSet, "reduce", _first_divisor_reduce)
+    for (inputs, kw), (vecs, syz, elements) in zip(runs, got):
+        gbv, want_syz = buchberger(inputs, ctx.ring, **kw)
+        assert vecs == _terms(gbv._red.vecs)
+        assert syz == _terms(want_syz)
+        assert elements == _terms(gbv.elements)
+
+
+def test_reducer_lookup_forgets_dropped_members():
+    # A term first reduced by g must not go to g again once a newer member
+    # h, whose lead divides g's, has taken g out: over GF(101)[x, y], x^2 y
+    # reduces to -y^3 by g = x^2 + y^2 and to y^3 by h = x + y.
+    ring = ring_with(["x", "y"])
+    red = groebner._ReducerSet(ring, module_codec(ring))
+    vec = poly_vec(ring.parse("x^2*y"))
+    red.add(poly_vec(ring.parse("x^2 + y^2")))
+    assert red.reduce(vec) == _first_divisor_reduce(red, vec) == poly_vec(ring.parse("-y^3"))
+    h = red.add(poly_vec(ring.parse("x + y")))
+    red.drop_multiples(h)
+    assert red.reduce(vec) == _first_divisor_reduce(red, vec) == poly_vec(ring.parse("y^3"))
+    assert red.reduce(vec, skip=h) == _first_divisor_reduce(red, vec, skip=h) == vec
+
+
+def test_reducer_lookup_after_a_skip_keeps_the_first_divisor():
+    # Reducing with a member skipped finds a later divisor, which must not
+    # be remembered as the term's first: x y^2 reduces to -y z^2 by
+    # a = x y + z^2, the first divisor, and to -x^2 z by b = y^2 + x z.
+    ring = ring_with(["x", "y", "z"])
+    red = groebner._ReducerSet(ring, module_codec(ring))
+    a = red.add(poly_vec(ring.parse("x*y + z^2")))
+    red.add(poly_vec(ring.parse("y^2 + x*z")))
+    vec = poly_vec(ring.parse("x*y^2"))
+    assert red.reduce(vec, skip=a) == poly_vec(ring.parse("-x^2*z"))
+    assert red.reduce(vec) == _first_divisor_reduce(red, vec) == poly_vec(ring.parse("-y*z^2"))
 
 
 def test_minimal_basis_reduces_like_the_reduced_basis(quadric):

@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import extlab
@@ -17,7 +18,7 @@ from extlab import rows
 
 from extlab.errors import InvariantViolation
 from extlab.groebner import RingCtx, module_gb, reduce_vec_by_ideal, syzygies_for
-from extlab.linalg import insert_row, nullspace_rows
+from extlab.linalg import insert_row, nullspace_rows, pivot_columns_mod
 from extlab.modules import (
     ModuleMap,
     PresentedModule,
@@ -409,6 +410,62 @@ def test_row_minimal_generators_match_groebner_body(request, ring, seed, pairs):
     for vecs, rank, twists, modulo in corpus:
         assert minimal_generator_indices(ctx, vecs, rank, twists, modulo) == (
             _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo)
+        )
+
+
+def _pivot_column_indices(ctx, vecs, rank, twists, modulo):
+    """Reference for the Groebner pruning body: per degree, the normal forms
+    as the columns of a dense matrix, kept where `pivot_columns_mod` finds
+    a pivot."""
+    p = ctx.ring.field.p
+    live = [i for i, v in enumerate(vecs) if v]
+    degs = {i: vec_degree(ctx, vecs[i], twists) for i in live}
+    live.sort(key=lambda i: (degs[i], max(vecs[i])))
+    kept = []
+    for d in sorted(set(degs.values())):
+        group = [i for i in live if degs[i] == d]
+        span = [vecs[i] for i in kept] + modulo
+        gbv = module_gb(ctx, span, rank, tuple(twists)) if span else None
+        forms = [gbv.reduce(vecs[i]) if gbv else reduce_vec_by_ideal(vecs[i], ctx) for i in group]
+        row = {k: r for r, k in enumerate(set().union(*forms))}
+        if not row:
+            continue
+        mat = np.zeros((len(row), len(group)), dtype=np.int64)
+        for c, form in enumerate(forms):
+            for k, v in form.items():
+                mat[row[k], c] = v
+        kept.extend(group[c] for c in pivot_columns_mod(mat, p))
+    return sorted(kept)
+
+
+def _with_sum(ctx, family):
+    """The family plus, after its other candidates, the sum of its first
+    two candidates of one degree, so a later candidate of that degree is
+    dependent on earlier ones without being a multiple of either."""
+    vecs, rank, twists, modulo = family
+    p = ctx.ring.field.p
+    live = [v for v in vecs if v]
+    for a, b in zip(live, live[1:]):
+        if vec_degree(ctx, a, twists) == vec_degree(ctx, b, twists):
+            total = dict(a)
+            for k, c in b.items():
+                total[k] = (total.get(k, 0) + c) % p
+            return vecs + [{k: c for k, c in total.items() if c}], rank, twists, modulo
+    return family
+
+
+@pytest.mark.parametrize("ring, seed, pairs", [("quadric", 5, 4), ("gor5", 6, 3), ("nilsquares", 7, 4)])
+def test_groebner_minimal_generators_match_pivot_columns(request, ring, seed, pairs):
+    # The Groebner body keeps a candidate when its normal form adds a pivot
+    # to one echelon basis per degree: the candidates a dense matrix of the
+    # normal forms has as pivot columns, index for index.
+    ctx = request.getfixturevalue(ring)
+    plain = _oracle_corpus(ctx, seed, pairs)
+    corpus = [_with_sum(ctx, fam) for fam in plain]
+    assert any(fam is not orig for fam, orig in zip(corpus, plain))
+    for vecs, rank, twists, modulo in corpus:
+        assert _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo) == (
+            _pivot_column_indices(ctx, vecs, rank, twists, modulo)
         )
 
 

@@ -19,10 +19,12 @@ Frozen expectations and where they come from:
 import gc
 import inspect
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from extlab import resolution
 from extlab.errors import HypothesisNotMet, InvariantViolation, ResourceCapError
 from extlab.groebner import RingCtx, reduce_vec_by_ideal
 from extlab.linalg import rank_rows
@@ -30,6 +32,7 @@ from extlab.modules import (
     ModuleMap,
     PresentedModule,
     _combine_columns,
+    _sum_of_shifts,
     dual_module,
     entries_from_vec,
     vec_from_entries,
@@ -39,6 +42,8 @@ from extlab.resolution import (
     BettiTable,
     CompleteResolution,
     Resolution,
+    _incoming_cols,
+    _term_shifts,
     complete_resolution,
     depth,
     derived_dims,
@@ -62,6 +67,7 @@ from extlab.vanishing import (
     random_pair,
     scan_ext,
     scan_tor,
+    symmetry_check,
 )
 
 from conftest import make_ctx
@@ -318,6 +324,68 @@ def test_hilbert_series_route_checks_composites():
         ext(M, R, [2])
     with pytest.raises(InvariantViolation):
         tor(M, R, [1])
+
+
+QUADRIC = (("w", "x", "y", "z"), ("w*x - y*z",))
+CUBIC = (("w", "x", "y", "z"), ("w^3 + x^3 + y^3 + z^3",))
+
+
+def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
+    # Cokernels with the same span share one Groebner basis and its
+    # twist-free component numerators: each C_j must still be the Hilbert
+    # numerator of a freshly built cokernel, also when the shared entry was
+    # made under other twists.
+    real_coker, real_cached = resolution._coker_numerator, resolution._cached
+    twists = []  # of the cokernel being computed
+    made_with = {}  # "coker" key -> twists of the cokernel that built it
+    hits = Counter()
+
+    def coker(kind, res, Nm, j):
+        X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
+        twists.append(X.row_twists)
+        got = real_coker(kind, res, Nm, j)
+        twists.pop()
+        cols = list(X.columns) + _incoming_cols(kind, res, j, Nm.rank0)
+        assert got == PresentedModule(res.ctx, X.row_twists, cols).hilbert_numerator()
+        hits["checked"] += 1
+        return got
+
+    def cached(ctx, name, key, build):
+        if name == "coker":
+            if key in ctx.scratch.get("coker", {}):
+                hits["same" if made_with[key] == twists[-1] else "shifted"] += 1
+            else:
+                made_with[key] = twists[-1]
+        return real_cached(ctx, name, key, build)
+
+    monkeypatch.setattr(resolution, "_coker_numerator", coker)
+    monkeypatch.setattr(resolution, "_cached", cached)
+    quadric = make_ctx(*QUADRIC)
+    cfg = ExperimentConfig(seed=1, max_generators=1)
+    for idx in range(10):
+        assert symmetry_check(*random_pair(cfg, quadric, idx), 12).verdict == "consistent"
+    N = PresentedModule.from_matrix(quadric, [["w", "y"], ["z", "x"]])  # not cyclic
+    M = random_pair(cfg, quadric, 11)[0]
+    scan_ext(k_of(quadric), N, 6), scan_ext(N, M, 6), scan_tor(M, N, 6)
+    cubic = make_ctx(*CUBIC)
+    k = k_of(cubic)
+    for N in (k, cyclic(cubic, "w + x")):
+        scan_ext(k, N, 12), scan_tor(k, N, 12)
+    assert hits["checked"] and hits["shifted"]
+    for ctx in (quadric, cubic):
+        assert len(ctx.scratch["coker"]) <= CACHE_BOUND
+
+
+def test_symmetry_groebner_work_is_pinned(buchberger_runs):
+    # The symmetry checks of the first 40 seed-1 cyclic quadric pairs make
+    # 224 Buchberger runs with cokernel numerators shared by span (255 with
+    # one basis per cokernel).
+    ctx = make_ctx(*QUADRIC)
+    cfg = ExperimentConfig(seed=1, max_generators=1)
+    pairs = [random_pair(cfg, ctx, idx) for idx in range(40)]
+    buchberger_runs.reset()
+    assert all(symmetry_check(A, B, 12).verdict == "consistent" for A, B in pairs)
+    assert buchberger_runs.count == 224
 
 
 def test_module_route_checks_composites_on_rows(buchberger_runs):
