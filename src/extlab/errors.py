@@ -37,10 +37,6 @@ class DegreeCapError(ResourceCapError):
     """A monomial operation would exceed the ring's degree cap."""
 
 
-class TimeoutExceeded(ResourceCapError):
-    """A wall-clock budget ran out between script statements."""
-
-
 class InvariantViolation(ExtlabError):
     """An internal consistency check failed; indicates a genuine bug
     or a counterexample to an asserted theorem, never bad user input."""

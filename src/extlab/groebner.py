@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-import numpy as np
-
 from .errors import DegreeCapError, InvariantViolation
 from .poly import GREVLEX, Polynomial, PolyRing
 
@@ -566,7 +564,6 @@ class RingCtx:
             self.top_degree = None
             self.length = None
         self._std: dict[int, list[int]] = {}
-        self._act: dict[tuple[int, int], np.ndarray] = {}
         # Slot for caches living in higher layers (resolutions, modules).
         self.scratch: dict = {}
 
@@ -605,25 +602,6 @@ class RingCtx:
         keys.sort(reverse=True)
         self._std[degree] = keys
         return keys
-
-    def action_matrix(self, var: int, degree: int) -> np.ndarray:
-        """Matrix of multiplication by x_var from R_degree to R_{degree+w}."""
-        hit = self._act.get((var, degree))
-        if hit is not None:
-            return hit
-        ring = self.ring
-        src = self.std_monomials(degree)
-        dst = self.std_monomials(degree + ring.weights[var])
-        index = {m: i for i, m in enumerate(dst)}
-        mat = np.zeros((len(dst), len(src)), dtype=np.int64)
-        vkey = ring._var_keys[var]
-        for j, m in enumerate(src):
-            prod = ring.mono_mul(vkey, m)
-            red = reduce_vec_by_ideal({self.codec.mkey(prod, 0): 1}, self)
-            for k, c in red.items():
-                mat[index[self.codec.mono_of(k)], j] = c
-        self._act[(var, degree)] = mat
-        return mat
 
     def __repr__(self) -> str:
         rels = ", ".join(str(f) for f in self.relations) or "0"

@@ -2,7 +2,8 @@
 
 A realization (`rows.FiniteLengthRealization`, re-exported here) stores,
 for a module of finite length, the dimension of every graded piece and the
-matrix of each variable's multiplication map between consecutive pieces.
+sparse columns of each variable's multiplication map between consecutive
+pieces.
 `FiniteLengthRealization.from_module` reads it off a presented module;
 `to_presentation` goes the other way, building a minimal presentation by
 choosing generators with Nakayama and cutting out the kernel of the induced
@@ -15,10 +16,8 @@ dual (`matlis_dual_module`) and the ring's socle (`socle_module`,
 
 from __future__ import annotations
 
-import numpy as np
-
 from .groebner import RingCtx
-from .linalg import insert_row, nullspace_mod
+from .linalg import insert_row
 from .modules import PresentedModule
 from .poly import Polynomial
 from .rows import FiniteLengthRealization, kernel_generators
@@ -54,9 +53,8 @@ def to_presentation(real: FiniteLengthRealization) -> PresentedModule:
         c = 0
         for a, i in gens:
             for m in ctx.std_monomials(d - a):
-                for r, x in enumerate(real.monomial_action(m, a)[:, i].tolist()):
-                    if x:
-                        rows[r][c] = x
+                for r, x in real.monomial_columns(m, a)[i].items():
+                    rows[r][c] = x
                 c += 1
         return [r for r in rows if r]
 
@@ -96,16 +94,9 @@ def socle_generators(ctx: RingCtx) -> list[Polynomial]:
     """Polynomials spanning the socle of the ring, lowest degree first."""
     real = FiniteLengthRealization.of_ring(ctx)
     out = []
-    for d, cnt in sorted(real.socle_profile().items()):
-        std = ctx.std_monomials(d)
-        weights = ctx.ring.weights
-        blocks = [real.action(v, d) for v in range(ctx.ring.nvars) if real.dim(d + weights[v])]
-        if blocks:
-            basis = nullspace_mod(np.vstack(blocks), ctx.ring.field.p)
-        else:
-            basis = np.eye(real.dim(d), dtype=np.int64)
+    for d in real.degrees():
         # std_monomials lists descending; realization bases follow that order.
-        for c in range(basis.shape[1]):
-            raw = {std[i]: int(basis[i, c]) for i in range(len(std)) if basis[i, c]}
-            out.append(Polynomial(ctx.ring, raw))
+        std = ctx.std_monomials(d)
+        for vec in real.socle(d):
+            out.append(Polynomial(ctx.ring, {std[i]: vec[i] for i in sorted(vec)}))
     return out

@@ -2,9 +2,10 @@
 
 A realization stores, for a module of finite length, the dimension of every
 graded piece and the matrix of each variable's multiplication map between
-consecutive pieces.  `FiniteLengthRealization.from_module` reads the piece
-bases and actions off a module's relation span (the non-leads and normal
-forms); `of_ring` is the ring's own realization.
+consecutive pieces, as sparse columns; a monomial's matrix is composed
+from them on first use.  `FiniteLengthRealization.from_module` reads the
+piece bases and actions off a module's relation span (the non-leads and
+normal forms); `of_ring` is the ring's own realization.
 
 A free module F = (+) R(-a_s) over an artinian context needs no
 realization of its own: F_d is copy after copy of R_{d - a_s}, each in
@@ -46,11 +47,9 @@ from bisect import bisect_right
 from itertools import accumulate, chain, groupby
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import InvariantViolation
 from .groebner import COMP_BITS, COMP_MASK, RingCtx, reduce_vec_by_ideal
-from .linalg import _insert_rows, _reduce_row, insert_row, matmul_mod, nullspace_rows, rank_mod
+from .linalg import _insert_rows, _reduce_row, insert_row, nullspace_rows
 
 
 def vec_degree(ctx: RingCtx, vec: dict, twists: Sequence[int]) -> int:
@@ -77,21 +76,28 @@ def _split_entries(ctx: RingCtx, vec: dict) -> list[dict[int, int]]:
 
 
 class FiniteLengthRealization:
-    """Graded pieces (dimensions) plus variable action matrices.
+    """Graded pieces (dimensions) plus the ring's action on them.
 
     `dims[d]` is the dimension of the degree-d piece (zero entries are
-    dropped); `action(v, d)` is the matrix of multiplication by the v-th
-    variable from degree d to degree d + weight(v), columns indexed by a
-    fixed but unspecified basis of the source piece.
+    dropped).  `monomial_columns(m, d)` is the matrix of multiplication by
+    the packed ring monomial m from degree d to degree d + deg m, columns
+    indexed by a fixed but unspecified basis of the source piece, each
+    column a sparse dict row -> coefficient in [1, p).  A constructor gives
+    the variables' columns (`action_columns`); those it leaves out act as
+    zero.  Longer monomials are composed from them on first use, with exact
+    ints mod p, and kept in the same cache.  `monomial_entries` lists a
+    monomial's nonzero entries row by row, for `_block_builder`.
     """
 
-    def __init__(self, ctx: RingCtx, dims: dict[int, int], actions: dict | None = None):
+    def __init__(self, ctx: RingCtx, dims: dict[int, int], actions: dict):
         self.ctx = ctx
-        self.dims = {d: int(n) for d, n in dims.items() if n}
-        self._act: dict[tuple[int, int], np.ndarray] = dict(actions or {})
-        self._mono_act: dict[tuple[int, int], np.ndarray] = {}
-        self._mono_nz: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        self._act_cols: dict[tuple[int, int], list[dict[int, int]]] = {}
+        self.dims = {d: n for d, n in dims.items() if n}
+        var_keys = ctx.ring._var_keys
+        # (packed monomial, source degree) -> columns
+        self._cols: dict[tuple[int, int], list[dict[int, int]]] = {
+            (var_keys[v], d): cols for (v, d), cols in actions.items()
+        }
+        self._entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
     # -- piece access ---------------------------------------------------------
 
@@ -105,76 +111,49 @@ class FiniteLengthRealization:
         return not self.dims
 
     @property
-    def bottom(self) -> int | None:
-        return min(self.dims) if self.dims else None
-
-    @property
     def top(self) -> int | None:
         return max(self.dims) if self.dims else None
 
-    def action(self, var: int, d: int) -> np.ndarray:
-        key = (var, d)
-        hit = self._act.get(key)
-        if hit is None:
-            w = self.ctx.ring.weights[var]
-            hit = np.zeros((self.dim(d + w), self.dim(d)), dtype=np.int64)
-            self._act[key] = hit
-        return hit
-
     def action_columns(self, var: int, d: int) -> list[dict[int, int]]:
-        """Columns of `action(var, d)` as sparse dicts row -> coefficient;
+        """Columns of multiplication by the var-th variable from degree d;
         cached, so callers copy a column before consuming it."""
-        key = (var, d)
-        hit = self._act_cols.get(key)
-        if hit is None:
-            mat = self.action(var, d)
-            hit = [{} for _ in range(mat.shape[1])]
-            nz_r, nz_c = np.nonzero(mat)
-            for i, j, c in zip(nz_r.tolist(), nz_c.tolist(), mat[nz_r, nz_c].tolist()):
-                hit[j][i] = c
-            self._act_cols[key] = hit
-        return hit
+        return self.monomial_columns(self.ctx.ring._var_keys[var], d)
 
-    def monomial_action(self, mono: int, d: int) -> np.ndarray:
-        """Matrix of multiplication by a packed ring monomial from degree d."""
-        ring = self.ctx.ring
-        if mono == ring.unit_key:
-            return np.eye(self.dim(d), dtype=np.int64)
+    def monomial_columns(self, mono: int, d: int) -> list[dict[int, int]]:
+        """Columns of multiplication by a packed ring monomial from degree
+        d: x_v times the columns of mono / x_v, for the first variable x_v
+        of mono.  Cached, so callers copy a column before consuming it."""
         key = (mono, d)
-        hit = self._mono_act.get(key)
-        if hit is not None:
-            return hit
-        exps = ring.decode_monomial(mono)
-        v = next(i for i, e in enumerate(exps) if e)
-        rest = list(exps)
-        rest[v] -= 1
-        sub = ring.encode_monomial(tuple(rest))
-        inner = self.monomial_action(sub, d)
-        out = matmul_mod(
-            self.action(v, d + ring.mono_degree(sub)), inner, self.ctx.ring.field.p
-        )
-        self._mono_act[key] = out
-        return out
+        hit = self._cols.get(key)
+        if hit is None:
+            ring = self.ctx.ring
+            if mono == ring.unit_key:
+                hit = [{i: 1} for i in range(self.dim(d))]
+            else:
+                exps = ring.decode_monomial(mono)
+                v = next(i for i, e in enumerate(exps) if e)
+                rest = list(exps)
+                rest[v] -= 1
+                sub = ring.encode_monomial(tuple(rest))
+                if sub == ring.unit_key:  # a variable with no stored action
+                    hit = [{} for _ in range(self.dim(d))]
+                else:
+                    outer = self.action_columns(v, d + ring.mono_degree(sub))
+                    p = ring.field.p
+                    hit = [_apply(outer, col, p) for col in self.monomial_columns(sub, d)]
+            self._cols[key] = hit
+        return hit
 
     def monomial_entries(self, mono: int, d: int) -> list[tuple[int, int, int]]:
-        """Nonzero entries (row, column, value) of `monomial_action(mono, d)`;
-        cached."""
+        """Nonzero entries (row, column, value) of `monomial_columns(mono,
+        d)` in row-major order; cached."""
         key = (mono, d)
-        hit = self._mono_nz.get(key)
+        hit = self._entries.get(key)
         if hit is None:
-            mat = self.monomial_action(mono, d)
-            nz_r, nz_c = np.nonzero(mat)
-            hit = list(zip(nz_r.tolist(), nz_c.tolist(), mat[nz_r, nz_c].tolist()))
-            self._mono_nz[key] = hit
+            cols = self.monomial_columns(mono, d)
+            hit = sorted((i, k, v) for k, col in enumerate(cols) for i, v in col.items())
+            self._entries[key] = hit
         return hit
-
-    def poly_action(self, f_raw: dict[int, int], d: int, shift: int) -> np.ndarray:
-        """Matrix of multiplication by a homogeneous f of degree `shift`."""
-        p = self.ctx.ring.field.p
-        out = np.zeros((self.dim(d + shift), self.dim(d)), dtype=np.int64)
-        for mono, c in f_raw.items():
-            out = (out + c * self.monomial_action(mono, d)) % p
-        return out
 
     # -- constructors -----------------------------------------------------------
 
@@ -199,44 +178,72 @@ class FiniteLengthRealization:
 
     @classmethod
     def of_ring(cls, ctx: RingCtx) -> "FiniteLengthRealization":
+        """The ring's own realization: piece d has the basis
+        `ctx.std_monomials(d)`, and x_v sends a basis monomial to the normal
+        form of its multiple."""
         hit = ctx.scratch.get("ring_real")
         if hit is None:
             if not ctx.is_artinian:
                 raise ValueError("ring realization needs an artinian context")
-            dims = dict(ctx._hf)
+            ring, codec = ctx.ring, ctx.codec
             actions = {}
-            for v in range(ctx.ring.nvars):
+            for v, w in enumerate(ring.weights):
+                vkey = ring._var_keys[v]
                 for d in range(ctx.top_degree + 1):
-                    actions[(v, d)] = ctx.action_matrix(v, d)
-            hit = cls(ctx, dims, actions)
+                    index = {m: i for i, m in enumerate(ctx.std_monomials(d + w))}
+                    cols = []
+                    for m in ctx.std_monomials(d):
+                        red = reduce_vec_by_ideal({codec.mkey(ring.mono_mul(vkey, m), 0): 1}, ctx)
+                        cols.append({index[codec.mono_of(k)]: c for k, c in red.items()})
+                    actions[(v, d)] = cols
+            hit = cls(ctx, ctx._hf, actions)
             ctx.scratch["ring_real"] = hit
         return hit
 
     # -- derived data --------------------------------------------------------------
 
+    def socle(self, d: int) -> list[dict[int, int]]:
+        """A basis of the degree-d socle, the elements every variable kills:
+        `nullspace_rows` of the variables' actions from degree d, stacked."""
+        rows: list[dict[int, int]] = []
+        for v, w in enumerate(self.ctx.ring.weights):
+            rows += _transpose(self.action_columns(v, d), self.dim(d + w))
+        return nullspace_rows(rows, self.dim(d), self.ctx.ring.field.p)
+
     def socle_profile(self) -> dict[int, int]:
-        """dim of the socle (elements killed by every variable) per degree."""
-        p = self.ctx.ring.field.p
-        out = {}
-        for d, n in self.dims.items():
-            stacked = np.vstack([self.action(v, d) for v in range(self.ctx.ring.nvars)])
-            r = rank_mod(stacked, p) if stacked.size else 0
-            if n - r:
-                out[d] = n - r
-        return out
+        """dim of the socle per degree, where it is nonzero."""
+        return {d: n for d in self.dims if (n := len(self.socle(d)))}
 
     def matlis_dual(self) -> "FiniteLengthRealization":
         """Graded vector-space dual: piece d becomes piece -d, actions
         become transposes one weight over."""
-        weights = self.ctx.ring.weights
-        dims = {-d: n for d, n in self.dims.items()}
         acts = {}
-        for v, w in enumerate(weights):
+        for v, w in enumerate(self.ctx.ring.weights):
             for d in self.dims:
-                src = self.action(v, d)  # M_d -> M_{d+w}
-                if src.size:
-                    acts[(v, -d - w)] = src.T.copy()
-        return FiniteLengthRealization(self.ctx, dims, acts)
+                n = self.dim(d + w)  # M_d -> M_{d+w}
+                if n:
+                    acts[(v, -d - w)] = _transpose(self.action_columns(v, d), n)
+        return FiniteLengthRealization(self.ctx, {-d: n for d, n in self.dims.items()}, acts)
+
+
+def _apply(cols: list[dict[int, int]], vec: dict[int, int], p: int) -> dict[int, int]:
+    """The image of the sparse vector `vec` under the matrix with columns
+    `cols`, over GF(p)."""
+    acc: dict[int, int] = {}
+    for r, x in vec.items():
+        for k, y in cols[r].items():
+            acc[k] = acc.get(k, 0) + x * y
+    return {k: c % p for k, c in acc.items() if c % p}
+
+
+def _transpose(cols: list[dict[int, int]], n: int) -> list[dict[int, int]]:
+    """The rows of the matrix with `n` rows and columns `cols`: the columns
+    of its transpose."""
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            out[r][c] = x
+    return out
 
 
 def _from_module_gb(mod) -> FiniteLengthRealization:
@@ -246,7 +253,6 @@ def _from_module_gb(mod) -> FiniteLengthRealization:
     hf = mod._finite_hf()
     ring = ctx.ring
     codec = ctx.codec
-    p = ring.field.p
     gbv = mod.gb()
     leads: list[list[int]] = [[] for _ in range(mod.rank0)]
     for k in gbv.leads():
@@ -270,21 +276,14 @@ def _from_module_gb(mod) -> FiniteLengthRealization:
                 basis[d] = keys
                 index[d] = {k: i for i, k in enumerate(keys)}
     dims = {d: len(ks) for d, ks in basis.items()}
-    actions: dict[tuple[int, int], np.ndarray] = {}
-    for v in range(ring.nvars):
-        w = ring.weights[v]
-        vkey = ring._var_keys[v]
+    actions = {}
+    for v, w in enumerate(ring.weights):
+        delta = codec.delta(ring._var_keys[v])
         for d, keys in basis.items():
             tgt = index.get(d + w)
-            if tgt is None:
-                continue
-            mat = np.zeros((len(tgt), len(keys)), dtype=np.int64)
-            for col, k in enumerate(keys):
-                shifted = k + codec.delta(vkey)
-                red = gbv.reduce(reduce_vec_by_ideal({shifted: 1}, ctx))
-                for kk, c in red.items():
-                    mat[tgt[kk], col] = c
-            actions[(v, d)] = mat % p
+            if tgt is not None:
+                reds = (gbv.reduce(reduce_vec_by_ideal({k + delta: 1}, ctx)) for k in keys)
+                actions[(v, d)] = [{tgt[kk]: c for kk, c in red.items()} for red in reds]
     return FiniteLengthRealization(ctx, dims, actions)
 
 
@@ -436,21 +435,20 @@ def _from_module_rows(mod) -> FiniteLengthRealization:
     ring_real = FiniteLengthRealization.of_ring(ctx)
     free = {d: _echelon(mod, d) for d in mod._finite_hf()}
     coords = {d: piece.free_coords() for d, piece in free.items()}
-    actions: dict[tuple[int, int], np.ndarray] = {}
+    actions = {}
     for v, w in enumerate(ctx.ring.weights):
         for d, piece in free.items():
             up = free.get(d + w)
             if up is None:
                 continue
             pos = {up.col[i]: r for r, i in enumerate(coords[d + w])}
-            mat = np.zeros((len(pos), len(coords[d])), dtype=np.int64)
-            for c, i in enumerate(coords[d]):
+            cols = []
+            for i in coords[d]:
                 j = bisect_right(piece.offsets, i) - 1
                 col = ring_real.action_columns(v, d - mod.row_twists[j])[i - piece.offsets[j]]
                 img = {up.col[up.offsets[j] + r]: x for r, x in col.items()}
-                for k, x in _reduce_row(up.basis, img, p).items():
-                    mat[pos[k], c] = x
-            actions[(v, d)] = mat
+                cols.append({pos[k]: x for k, x in _reduce_row(up.basis, img, p).items()})
+            actions[(v, d)] = cols
     return FiniteLengthRealization(ctx, {d: len(c) for d, c in coords.items()}, actions)
 
 

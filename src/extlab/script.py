@@ -41,7 +41,6 @@ from .errors import (
     InvariantViolation,
     ParseError,
     ResourceCapError,
-    TimeoutExceeded,
 )
 from .groebner import RingCtx
 from .modules import (
@@ -584,10 +583,6 @@ class _Runner:
                 entry["status"] = "ok"
                 if result is not None:
                     entry["result"] = result
-            except TimeoutExceeded as e:
-                entry["status"] = "error"
-                entry["error"] = str(e)
-                self.exit_code = _worse(self.exit_code, EXIT_RESOURCE)
             except ResourceCapError as e:
                 entry["status"] = "error"
                 entry["error"] = str(e)

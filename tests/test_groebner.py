@@ -221,13 +221,13 @@ def test_complete_intersection_ring_data():
 def test_action_matrices_square_to_zero_mod_relations():
     ring = ring_with(["x", "y"])
     ctx = RingCtx(ring, [ring.parse("x^2"), ring.parse("y^2")])
-    import numpy as np
-
-    a0 = ctx.action_matrix(0, 0)
-    a01 = ctx.action_matrix(0, 1)
-    assert a0.shape == (2, 1) and a01.shape == (1, 2)
-    # x * (x * 1) = 0 in this quotient.
-    assert not (a01 @ a0 % 101).any()
+    real = FiniteLengthRealization.of_ring(ctx)
+    a0 = real.action_columns(0, 0)
+    a01 = real.action_columns(0, 1)
+    assert (len(a0), real.dim(1), len(a01), real.dim(2)) == (1, 2, 2, 1)
+    # x * 1 = x and x * y = xy, but x * (x * 1) = 0 in this quotient.
+    assert a0 == [{0: 1}] and a01 == [{}, {0: 1}]
+    assert real.monomial_columns(ring.encode_monomial((2, 0)), 0) == [{}]
     std1 = ctx.std_monomials(1)
     assert [ring.format_monomial(k) for k in std1] == ["x", "y"]
 

@@ -5,17 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from extlab.linalg import (
-    _matmul_capped,
-    echelon_mod,
-    insert_row,
-    matmul_mod,
-    nullspace_mod,
-    nullspace_rows,
-    pivot_columns_mod,
-    rank_mod,
-    rank_rows,
-)
+from extlab.linalg import _insert_rows, insert_row, nullspace_rows, rank_rows
 from extlab.resolution import _matrix_builder, resolution_of
 from extlab.rows import FiniteLengthRealization, _split_entries
 from extlab.vanishing import ExperimentConfig, random_pair
@@ -54,6 +44,38 @@ def random_matrix(rng, m, n, p, rank_deficit=False):
     return a
 
 
+def as_rows(a):
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in a]
+
+
+def echelon(a, p, reduced=True):
+    """`_insert_rows` on the rows of the dense matrix `a` (entries in
+    [0, p)): its pivot columns and, in pivot order, their rows."""
+    basis = _insert_rows(as_rows(a), p, reduced)
+    pivots = sorted(basis)
+    return pivots, [basis[c] for c in pivots]
+
+
+def naive_echelon(a, p):
+    """`naive_rref` as pivot columns and the rows that carry them."""
+    want, wpiv = naive_rref(a, p)
+    return wpiv, as_rows(want[: len(wpiv)])
+
+
+def assert_echelon(pivots, rows):
+    """Each row is monic at its own pivot and has nothing left of it."""
+    for c, row in zip(pivots, rows):
+        assert min(row) == c and row[c] == 1
+
+
+def assert_killed(a, vecs, p):
+    """Every sparse vector in `vecs` lies in the right nullspace of `a`."""
+    dense = np.zeros((a.shape[1], len(vecs)), dtype=np.int64)
+    for c, vec in enumerate(vecs):
+        dense[list(vec), c] = list(vec.values())
+    assert not (a @ dense % p).any()
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_matches_naive(p):
     rng = random.Random(1000 + p)
@@ -61,28 +83,21 @@ def test_rref_matches_naive(p):
         m = rng.randrange(1, 14)
         n = rng.randrange(1, 14)
         a = random_matrix(rng, m, n, p, rank_deficit=rng.random() < 0.5)
-        got, gpiv = echelon_mod(a, p)
-        want, wpiv = naive_rref(a, p)
-        assert gpiv == wpiv
-        assert np.array_equal(got, want)
+        assert echelon(a, p) == naive_echelon(a, p)
 
 
 def test_rref_crosses_panel_boundaries():
-    # 300 columns spans three panels; exercises the blocked updates.
+    # 300 columns, with 40 rows in the span of 5 others.
     rng = random.Random(7)
     p = 101
     a = random_matrix(rng, 150, 300, p)
-    a[40:80] = matmul_mod(random_matrix(rng, 40, 5, p), random_matrix(rng, 5, 300, p), p)
-    got, gpiv = echelon_mod(a, p)
-    want, wpiv = naive_rref(a, p)
-    assert gpiv == wpiv
-    assert np.array_equal(got, want)
-    red, piv = echelon_mod(a, p, reduced=False)
-    assert piv == wpiv
+    a[40:80] = random_matrix(rng, 40, 5, p) @ random_matrix(rng, 5, 300, p) % p
+    want = naive_echelon(a, p)
+    assert echelon(a, p) == want
+    piv, red = echelon(a, p, reduced=False)
+    assert piv == want[0]
     # Echelon form shares the pivot skeleton even without back-substitution.
-    for i, c in enumerate(piv):
-        assert red[i, c] == 1
-        assert not red[i + 1 :, c].any()
+    assert_echelon(piv, red)
 
 
 @pytest.mark.parametrize("p", [3, 101])
@@ -92,11 +107,11 @@ def test_nullspace_and_rank(p):
         m = rng.randrange(1, 12)
         n = rng.randrange(1, 12)
         a = random_matrix(rng, m, n, p, rank_deficit=True)
-        ns = nullspace_mod(a, p)
-        assert ns.shape == (n, n - rank_mod(a, p))
-        assert not matmul_mod(a, ns, p).any()
-        if ns.shape[1]:
-            assert rank_mod(ns, p) == ns.shape[1]
+        null = nullspace_rows(as_rows(a), n, p)
+        assert len(null) == n - rank_rows(as_rows(a), p)
+        assert_killed(a, null, p)
+        if null:
+            assert rank_rows(null, p) == len(null)
 
 
 def test_pivot_columns_pick_first_independent_set():
@@ -110,37 +125,16 @@ def test_pivot_columns_pick_first_independent_set():
         dtype=np.int64,
     )
     # Column 1 is twice column 0, column 3 = col0 + col2... check directly.
-    assert pivot_columns_mod(a, p) == naive_rref(a, p)[1]
+    assert echelon(a, p, reduced=False)[0] == naive_rref(a, p)[1]
 
 
 def test_degenerate_shapes():
     p = 101
-    for shape in [(0, 5), (5, 0), (0, 0)]:
-        a = np.zeros(shape, dtype=np.int64)
-        red, piv = echelon_mod(a, p)
-        assert red.shape == shape and piv == []
-        assert rank_mod(a, p) == 0
-        ns = nullspace_mod(a, p)
-        assert ns.shape == (shape[1], shape[1])
-    z = np.zeros((3, 4), dtype=np.int64)
-    assert rank_mod(z, p) == 0
-    assert nullspace_mod(z, p).shape == (4, 4)
-
-
-def test_matmul_chunking_is_exact():
-    # A tiny cap forces many inner-dimension chunks.
-    rng = random.Random(11)
-    p = 97
-    a = random_matrix(rng, 9, 23, p)
-    b = random_matrix(rng, 23, 7, p)
-    want = matmul_mod(a, b, p)
-    for cap in [(p - 1) ** 2 + 1, 3 * (p - 1) ** 2 + 5]:
-        assert np.array_equal(_matmul_capped(a, b, p, cap), want)
-    naive = np.zeros((9, 7), dtype=np.int64)
-    for i in range(9):
-        for j in range(7):
-            naive[i, j] = sum(int(a[i, t]) * int(b[t, j]) for t in range(23)) % p
-    assert np.array_equal(want, naive)
+    for shape in [(0, 5), (5, 0), (0, 0), (3, 4)]:
+        rows = as_rows(np.zeros(shape, dtype=np.int64))
+        assert _insert_rows(rows, p, reduced=True) == {}
+        assert rank_rows(rows, p) == 0
+        assert nullspace_rows(rows, shape[1], p) == [{j: 1} for j in range(shape[1])]
 
 
 # -- the sparse kernel against the naive reference ------------------------------
@@ -163,10 +157,6 @@ def sparse_matrix(rng, m, n, p, density, deficient):
     return a
 
 
-def as_rows(a):
-    return [{j: int(v) for j, v in enumerate(row) if v} for row in a]
-
-
 # (density, shapes): dense cases stay small because fill-in makes a pure
 # Python row kernel pay per entry; sparse ones go past the old 128-column
 # panel width up to 300 x 600.
@@ -185,28 +175,20 @@ def test_sparse_kernel_matches_naive(p, density, shapes):
     for m, n in shapes:
         for deficient in (False, True):
             a = sparse_matrix(rng, m, n, p, density, deficient)
-            want, wpiv = naive_rref(a, p)
-            got, gpiv = echelon_mod(a, p)
-            assert gpiv == wpiv, (m, n, deficient)
-            assert np.array_equal(got, want), (m, n, deficient)
-            red, piv = echelon_mod(a, p, reduced=False)
+            want = naive_echelon(a, p)
+            wpiv = want[0]
+            assert echelon(a, p) == want, (m, n, deficient)
+            piv, red = echelon(a, p, reduced=False)
             assert piv == wpiv
-            assert red.shape == a.shape and not red[len(piv):].any()
-            for i, c in enumerate(piv):
-                assert red[i, c] == 1
-                assert not red[i + 1 :, c].any()
-                assert not red[i, :c].any()
+            assert_echelon(piv, red)
             rows = as_rows(a)
-            assert rank_rows(rows, p) == rank_mod(a, p) == len(wpiv)
+            assert rank_rows(rows, p) == len(wpiv)
             assert rows == as_rows(a)  # rank_rows leaves its input alone
             # The row nullspace: n - rank independent vectors killed by a.
             null = nullspace_rows(as_rows(a), n, p)
             assert len(null) == n - len(wpiv)
             assert rank_rows(null, p) == len(null)
-            dense = np.zeros((n, len(null)), dtype=np.int64)
-            for c, vec in enumerate(null):
-                dense[list(vec), c] = list(vec.values())
-            assert not matmul_mod(a, dense, p).any()
+            assert_killed(a, null, p)
             # Span of a's rows first, then unit vectors in order: the kept
             # ones are the earliest that complete the span.  e_j is implied
             # exactly when some vector of the span ends at j, i.e. when
@@ -229,7 +211,9 @@ def test_rank_rows_reduces_coefficients():
 
 def dense_degreewise_matrix(kind, nreal, res, j, d):
     """The degree-d matrix of `_matrix_builder`, assembled densely block by
-    block from `poly_action`: the reference for its sparse rows."""
+    block, each block the sum of its terms' monomial actions: the
+    reference for its sparse rows."""
+    p = res.ctx.ring.field.p
     lo, hi = res.twists_of(j - 1), res.twists_of(j)
     row_tw, col_tw, sign = (hi, lo, 1) if kind == "ext" else (lo, hi, -1)
     rows = [nreal.dim(d + sign * a) for a in row_tw]
@@ -239,8 +223,11 @@ def dense_degreewise_matrix(kind, nreal, res, j, d):
         for sp, f in enumerate(_split_entries(res.ctx, col)):
             r, c = (s, sp) if kind == "ext" else (sp, s)
             if f and rows[r] and cols[c]:
-                blk = nreal.poly_action(f, d + sign * col_tw[c], sign * (row_tw[r] - col_tw[c]))
-                mat[sum(rows[:r]):sum(rows[: r + 1]), sum(cols[:c]):sum(cols[: c + 1])] = blk
+                r0, c0 = sum(rows[:r]), sum(cols[:c])
+                for mono, a in f.items():
+                    for k, vec in enumerate(nreal.monomial_columns(mono, d + sign * col_tw[c])):
+                        for i, v in vec.items():
+                            mat[r0 + i, c0 + k] = (mat[r0 + i, c0 + k] + a * v) % p
     return mat
 
 
@@ -248,7 +235,7 @@ def dense_degreewise_matrix(kind, nreal, res, j, d):
 def test_rank_rows_on_degreewise_matrices(ring, request):
     # The rows `_degreewise_dims` ranks, from seeded pairs: they must be
     # the rows of the dense block matrix, and rank_rows must agree with
-    # rank_mod on it.
+    # the naive rank of it.
     ctx = request.getfixturevalue(ring)
     p = ctx.ring.field.p
     cfg = ExperimentConfig(seed=41, trials=8)
@@ -268,6 +255,6 @@ def test_rank_rows_on_degreewise_matrices(ring, request):
                     rows = at(d)
                     dense = dense_degreewise_matrix(kind, nreal, res, j, d)
                     assert rows == as_rows(dense), (kind, j, d)
-                    assert rank_rows(rows, p) == rank_mod(dense, p), (kind, j, d)
+                    assert rank_rows(rows, p) == len(naive_rref(dense, p)[1]), (kind, j, d)
                     checked += bool(dense.any())
     assert checked

@@ -10,7 +10,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import extlab
@@ -18,7 +17,7 @@ from extlab import rows
 
 from extlab.errors import InvariantViolation
 from extlab.groebner import RingCtx, module_gb, reduce_vec_by_ideal, syzygies_for
-from extlab.linalg import insert_row, nullspace_rows, pivot_columns_mod
+from extlab.linalg import insert_row, nullspace_rows
 from extlab.modules import (
     ModuleMap,
     PresentedModule,
@@ -413,10 +412,30 @@ def test_row_minimal_generators_match_groebner_body(request, ring, seed, pairs):
         )
 
 
+def _naive_rank(vecs, p):
+    """Rank over GF(p) of sparse vectors, by textbook elimination on dense
+    copies: a reference that shares no code with `linalg`."""
+    keys = sorted(set().union(*vecs))
+    work = [[v.get(k, 0) % p for k in keys] for v in vecs]
+    rank = 0
+    for j in range(len(keys)):
+        piv = next((i for i in range(rank, len(work)) if work[i][j]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][j], p - 2, p)
+        for i in range(rank + 1, len(work)):
+            f = work[i][j] * inv % p
+            if f:
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
 def _pivot_column_indices(ctx, vecs, rank, twists, modulo):
     """Reference for the Groebner pruning body: per degree, the normal forms
-    as the columns of a dense matrix, kept where `pivot_columns_mod` finds
-    a pivot."""
+    as the columns of a matrix, kept where a column is independent of the
+    columns before it (`_naive_rank`)."""
     p = ctx.ring.field.p
     live = [i for i, v in enumerate(vecs) if v]
     degs = {i: vec_degree(ctx, vecs[i], twists) for i in live}
@@ -426,15 +445,12 @@ def _pivot_column_indices(ctx, vecs, rank, twists, modulo):
         group = [i for i in live if degs[i] == d]
         span = [vecs[i] for i in kept] + modulo
         gbv = module_gb(ctx, span, rank, tuple(twists)) if span else None
-        forms = [gbv.reduce(vecs[i]) if gbv else reduce_vec_by_ideal(vecs[i], ctx) for i in group]
-        row = {k: r for r, k in enumerate(set().union(*forms))}
-        if not row:
-            continue
-        mat = np.zeros((len(row), len(group)), dtype=np.int64)
-        for c, form in enumerate(forms):
-            for k, v in form.items():
-                mat[row[k], c] = v
-        kept.extend(group[c] for c in pivot_columns_mod(mat, p))
+        chosen = []
+        for i in group:
+            form = gbv.reduce(vecs[i]) if gbv else reduce_vec_by_ideal(vecs[i], ctx)
+            if _naive_rank(chosen + [form], p) > len(chosen):
+                chosen.append(form)
+                kept.append(i)
     return sorted(kept)
 
 

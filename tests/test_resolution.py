@@ -21,7 +21,6 @@ import inspect
 import weakref
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from extlab import resolution

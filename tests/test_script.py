@@ -8,10 +8,13 @@ documented lattice: parse 5 > violation 3 > resource 4 > hypothesis 2 > 0.
 
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import extlab
 import extlab.script as scr
 from extlab.cli import main
 from extlab.errors import ParseError
@@ -469,3 +472,12 @@ def test_lemma_3_6_search_resolution_work_is_pinned(resolution_rank):
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
     assert resolution_rank.count == 6674
+
+
+def test_cli_imports_no_numpy():
+    # Eliminations and realizations run on sparse rows of Python ints, so
+    # loading the command line loads no numpy.
+    src = str(Path(extlab.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import extlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
