@@ -187,10 +187,10 @@ class PresentedModule:
         return len(self.row_twists)
 
     def presentation_matrix(self) -> list[list[Polynomial]]:
-        return [
-            [entries_from_vec(self.ctx, col, self.rank0)[j] for col in self.columns]
-            for j in range(self.rank0)
-        ]
+        """The relation matrix, row j the j-th entries of the columns;
+        each column is split into its entries once."""
+        cols = [entries_from_vec(self.ctx, col, self.rank0) for col in self.columns]
+        return [[entries[j] for entries in cols] for j in range(self.rank0)]
 
     def __repr__(self) -> str:
         return (
@@ -452,12 +452,6 @@ class ModuleMap:
         """Image of a packed vector over the source's free cover."""
         return _combine_columns(self.ctx, self.columns, vec)
 
-    def matrix(self) -> list[list[Polynomial]]:
-        return [
-            [entries_from_vec(self.ctx, col, self.target.rank0)[i] for col in self.columns]
-            for i in range(self.target.rank0)
-        ]
-
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
         """self o inner."""
         if inner.target is not self.source and inner.target != self.source:
@@ -498,10 +492,12 @@ class ModuleMap:
         in degree d, ker(F_source -> target) is the nullspace of the map's
         columns reduced by the target's relation echelon, and
         `rows.kernel_generators`, seeded with the source's relation
-        echelon, returns minimal generators of K modulo the source
+        span, returns minimal generators of K modulo the source
         relations, checking that those relations lie in the kernel (the map
-        is well defined).  K's relations come from the same step applied to
-        K's generators against the source, so K is minimally presented.
+        is well defined).  The same walk gives K's Hilbert function, the
+        nullspace's dimension minus the seed's rank in each degree, and K
+        keeps it.  K's relations come from the same step applied to K's
+        generators against the source, so K is minimally presented.
         Elsewhere the syzygies of [columns | target relations], cut to the
         source components, generate the kernel; a minimal subfamily modulo
         the source relations (`minimal_generator_indices`) is K's
@@ -524,13 +520,8 @@ def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
     ctx = f.ctx
     src, tgt = f.source, f.target
     if rows:
-        # K's generators are `_map_kernel` of f modulo the source relations,
-        # its relations `_map_kernel` of the map from those generators into
-        # the source: both are minimal, so K is its own minimal presentation.
-        gens = _map_kernel(ctx, f.columns, src.row_twists, tgt, seed=src)
-        degs = tuple(vec_degree(ctx, g, src.row_twists) for g in gens)
-        K = PresentedModule(ctx, degs, _map_kernel(ctx, gens, degs, src), _reduced=True)
-        K._cache["min"] = K
+        gens, degs, hf = _row_kernel_generators(f)
+        K = _row_kernel_module(src, gens, degs, hf)
         return K, ModuleMap(K, src, gens, check=False, _reduced=True)
     m = src.rank0
     gens = _syzygy_heads(
@@ -546,6 +537,28 @@ def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
     )
     K = PresentedModule(ctx, degs, rels)
     return K, ModuleMap(K, src, gens, check=False, _reduced=True)
+
+
+def _row_kernel_generators(f: ModuleMap) -> tuple[list[dict], tuple[int, ...], dict[int, int]]:
+    """(generators, their degrees, Hilbert function) of ker(f) on an
+    artinian context: `rows._map_kernel` of f modulo the source relations,
+    whose walk also checks that those relations lie in the kernel."""
+    ctx, src = f.ctx, f.source
+    gens, hf = _map_kernel(ctx, f.columns, src.row_twists, f.target, seed=src)
+    return gens, tuple(vec_degree(ctx, g, src.row_twists) for g in gens), hf
+
+
+def _row_kernel_module(src: PresentedModule, gens, degs, hf) -> PresentedModule:
+    """The kernel that `_row_kernel_generators` found in src, presented on
+    its generators: the relations are `_map_kernel` of the map from the
+    generators into src.  Both are minimal, so K is its own minimal
+    presentation, and its Hilbert function is `hf`, from the walk that
+    found the generators."""
+    ctx = src.ctx
+    K = PresentedModule(ctx, degs, _map_kernel(ctx, gens, degs, src)[0], _reduced=True)
+    K._cache["min"] = K
+    K._cache["hf"] = dict(hf)
+    return K
 
 
 def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int) -> list[dict]:
@@ -693,22 +706,32 @@ def subquotient(
 
     `out_cols` are the columns of a map X -> target and `in_cols` are
     free-cover vectors of X lying in its kernel, so the map is defined on
-    X / im(in) and the subquotient is its kernel there.  Every Hom, stable
-    Hom and homology module of the package is built this way, and so are
-    duals: `_dual_kernel` is the kernel of `_hom_complex` against R, with
-    nothing to divide out.  Over an artinian context this is degreewise
-    linear algebra on sparse GF(p) rows with no Groebner basis: the map's
-    columns are reduced by the target's relation echelon, the kernel is
-    generated modulo the echelon of X / im(in), which also checks that
-    in_cols lie in the kernel, and it comes minimally presented (see
-    `ModuleMap.kernel`); its Hilbert function and realization are read off
-    its own echelon.
+    X / im(in) and the subquotient is its kernel there
+    (`_subquotient_map`).  Every Hom, stable Hom and homology module of the
+    package is built this way, and so are duals: `_dual_kernel` is the
+    kernel of `_hom_complex` against R, with nothing to divide out.  Over
+    an artinian context this is degreewise linear algebra on sparse GF(p)
+    rows with no Groebner basis: the map's columns are reduced by the
+    target's relation echelon, the kernel is generated modulo the
+    relation span of X / im(in), which also checks that in_cols lie in the
+    kernel, and it comes minimally presented with its Hilbert function
+    read off that walk (see `ModuleMap.kernel`).  The direct route of
+    `resolution.ext` / `tor` runs the generator half of this
+    (`_row_kernel_generators`) and presents a homology module
+    (`_row_kernel_module`) only when one is asked for.
     """
+    return _subquotient_map(X, in_cols, target, out_cols).kernel()[0].minimal_presentation()
+
+
+def _subquotient_map(
+    X: PresentedModule, in_cols: Sequence[dict], target: PresentedModule, out_cols: Sequence[dict]
+) -> ModuleMap:
+    """The map X / im(in) -> target whose kernel `subquotient` is."""
     # X's columns are already reduced modulo the ideal; only in_cols are not.
     ctx = X.ctx
     in_cols = [reduce_vec_by_ideal(dict(v), ctx) for v in in_cols]
     Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
-    return ModuleMap(Q, target, out_cols, check=False, _reduced=True).kernel()[0].minimal_presentation()
+    return ModuleMap(Q, target, out_cols, check=False, _reduced=True)
 
 
 def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:

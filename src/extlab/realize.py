@@ -60,7 +60,7 @@ def to_presentation(real: FiniteLengthRealization) -> PresentedModule:
 
     hi = (real.top or 0) + max(weights)
     degrees = range(min(twists), hi + 1)
-    return PresentedModule(ctx, twists, kernel_generators(ctx, twists, matrix_at, degrees))
+    return PresentedModule(ctx, twists, kernel_generators(ctx, twists, matrix_at, degrees)[0])
 
 
 def matlis_dual_module(mod: PresentedModule) -> PresentedModule:

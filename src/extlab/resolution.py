@@ -20,10 +20,13 @@ Derived functors come by two routes that share no homology code.  Each
 route has one body for both functors, keyed by kind ("ext" or "tor"):
 
 * The direct route resolves the first argument and works with the
-  induced Hom or tensor complex X.  `ext` / `tor` produce the homology
-  as presented modules (`_direct_modules`): the value at i is the
-  kernel of the outgoing map on X_i modulo the incoming image
-  (`modules.subquotient`, the construction Hom and stable Hom use too).
+  induced Hom or tensor complex X.  `ext` / `tor` compute the homology as
+  subquotients (`_direct_modules`): the value at i is the kernel of the
+  outgoing map on X_i modulo the incoming image (`modules.subquotient`,
+  the construction Hom and stable Hom use too).  Off the artinian locus
+  each value is presented as it is computed; over an artinian context
+  its graded dimensions come from the row-kernel walk that finds its
+  generators, and `ExtTorResult.module` presents it only when asked.
   `derived_dims` returns graded dimensions and builds no homology
   module: over an artinian context as ranks of degreewise matrices
   (`_degreewise_dims`), elsewhere from Hilbert series (`_hilbert_dims`):
@@ -92,7 +95,10 @@ from .modules import (
     _combine_columns,
     _dual_kernel,
     _finite_series,
+    _row_kernel_generators,
+    _row_kernel_module,
     _split_entries,
+    _subquotient_map,
     _sum_of_shifts,
     dual_module,
     minimal_generators,
@@ -190,7 +196,7 @@ class Resolution:
             return
         cur, prev = self._twists[n], self._twists[n - 1]
         if self.backend == "linear":
-            gens = _map_kernel(self.ctx, self._diffs[n - 1], cur, PresentedModule(self.ctx, prev))
+            gens, _ = _map_kernel(self.ctx, self._diffs[n - 1], cur, PresentedModule(self.ctx, prev))
         else:
             syz, _ = syzygies_for(self.ctx, self._diffs[n - 1], len(prev), cur, prev)
             gens = minimal_generators(self.ctx, syz, len(cur), cur)
@@ -332,9 +338,14 @@ class ExtTorResult:
 
     `graded[i]` maps internal degree to dimension and `totals[i]` is its
     sum; both are None when the value has infinite length.  When the
-    computation produced an actual subquotient, `modules[i]` holds its
-    minimal presentation.  For the dual route the graded data is that of
-    the exchanged computation, so only totals are comparable across routes.
+    computation produces an actual subquotient (the direct route, and the
+    complete route off the artinian locus), `module(i)` returns its
+    minimal presentation.  Over an artinian context the direct route
+    records the dimensions from the kernel walk and keeps only what the
+    module's relations need (`record_kernel`), so the module is presented
+    on the first call of `module(i)`.  For the dual route the graded data
+    is that of the exchanged computation, so only totals are comparable
+    across routes.
     """
 
     def __init__(self, kind: str, route: str, indices: Iterable[int]):
@@ -343,10 +354,12 @@ class ExtTorResult:
         self.indices = sorted(set(indices))
         self.graded: dict[int, dict[int, int] | None] = {}
         self.totals: dict[int, int | None] = {}
-        self.modules: dict[int, PresentedModule] = {}
+        self._modules: dict[int, PresentedModule] = {}
+        # i -> (Q, generators, degrees): `_row_kernel_module`'s input.
+        self._kernels: dict[int, tuple] = {}
 
     def record_module(self, i: int, module: PresentedModule):
-        self.modules[i] = module
+        self._modules[i] = module
         hf = module._finite_hf()
         self.graded[i] = dict(hf) if hf is not None else None
         self.totals[i] = sum(hf.values()) if hf is not None else None
@@ -355,6 +368,22 @@ class ExtTorResult:
         graded = {d: int(v) for d, v in graded.items() if v}
         self.graded[i] = graded
         self.totals[i] = sum(graded.values())
+
+    def record_kernel(self, i: int, Q: PresentedModule, gens, degs, hf: dict[int, int]):
+        """Record a value that is the row kernel with generators `gens`
+        (of degrees `degs`) inside Q and Hilbert function `hf`; it is
+        presented on the first `module(i)`."""
+        self.record_dims(i, hf)
+        self._kernels[i] = (Q, gens, degs)
+
+    def module(self, i: int) -> PresentedModule:
+        """The i-th value as a minimal presentation, built on first use
+        from a recorded kernel and kept."""
+        hit = self._modules.get(i)
+        if hit is None:
+            Q, gens, degs = self._kernels.pop(i)
+            hit = self._modules[i] = _row_kernel_module(Q, gens, degs, self.graded[i])
+        return hit
 
     def total(self, i: int) -> int | None:
         return self.totals[i]
@@ -438,10 +467,13 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     kernel of the outgoing map on X_i modulo the incoming image, and a
     broken differential raises `InvariantViolation`.  Off the artinian
     locus `_check_square_zero` checks that the two maps compose to zero
-    first, since the Groebner kernel checks nothing.  Over an artinian
-    context `subquotient`'s row kernel makes that check itself: it is
-    seeded with X_i / im(in), and an incoming column whose image is
-    nonzero in X_o is a seed row outside the kernel."""
+    first, since the Groebner kernel checks nothing, and `subquotient`
+    builds each module.  Over an artinian context the row kernel of
+    `subquotient`'s map makes that check itself: it is seeded with
+    X_i / im(in), and an incoming column whose image is nonzero in X_o is
+    a seed row outside the kernel.  There only that walk runs: it gives
+    the generators and the graded dimensions, and the module is presented
+    when `ExtTorResult.module` asks for it."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
@@ -470,7 +502,12 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, i))
         Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
         in_cols = _incoming_cols(kind, res, i, rb)
-        out.record_module(i, subquotient(X, in_cols, Xout, _step_cols(kind, res, max(i, o), rb)))
+        out_cols = _step_cols(kind, res, max(i, o), rb)
+        if ctx.is_artinian:
+            f = _subquotient_map(X, in_cols, Xout, out_cols)
+            out.record_kernel(i, f.source, *_row_kernel_generators(f))
+        else:
+            out.record_module(i, subquotient(X, in_cols, Xout, out_cols))
     return out
 
 
@@ -872,7 +909,7 @@ def _via_complete(kind: str, M: PresentedModule, N: PresentedModule, indices, t)
     else:
         inner = (tor if kind == "ext" else ext)(D, N, [t - i - 1 for i in idxs])
         for i in idxs:
-            out.record_module(i, inner.modules[t - i - 1])
+            out.record_module(i, inner.module(t - i - 1))
     return out
 
 

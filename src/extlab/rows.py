@@ -14,7 +14,8 @@ realization of its own: F_d is copy after copy of R_{d - a_s}, each in
 shifted copies of a realization as sparse rows; over the ring's own
 realization that is a map between free modules.  `kernel_generators`
 takes a degree-zero map out of such an F as those rows and returns
-minimal generators of its kernel, all on rows (`linalg`).  It skips two
+minimal generators of its kernel, all on rows (`linalg`), with the
+kernel's dimension in each degree, read off the same walk.  It skips two
 eliminations whose outcome is fixed: in a degree with no seed rows and
 no nonzero multiples from below, every kernel vector is a generator
 (each has its own unit free column), and in a degree where the map is
@@ -30,8 +31,9 @@ basis.  A sum of shifted copies of one module (`modules._sum_of_shifts`)
 reads its echelon off the base's, copy by copy (`_sum_echelon`).
 `_map_kernel` reduces a map's degree-d columns by the target's echelon
 and passes the nullspace to `kernel_generators`, seeded with the
-source's echelon rows: that is `modules.ModuleMap.kernel` on artinian
-contexts and, with a free target, the linear resolution engine.
+source's relation span: that is `modules.ModuleMap.kernel` on artinian
+contexts, whose kernel module takes its Hilbert function from that walk,
+and, with a free target, the linear resolution engine.
 `_minimal_generator_indices_rows` is the row body of
 `modules.minimal_generator_indices`.
 
@@ -452,19 +454,22 @@ def _from_module_rows(mod) -> FiniteLengthRealization:
     return FiniteLengthRealization(ctx, {d: len(c) for d, c in coords.items()}, actions)
 
 
-def _map_kernel(ctx: RingCtx, cols, twists, target, seed=None) -> list[dict]:
+def _map_kernel(ctx: RingCtx, cols, twists, target, seed=None) -> tuple[list[dict], dict[int, int]]:
     """Minimal generators of {x in F : sum_s x_s cols[s] = 0 in target},
     F = (+) R(-twists[s]), over an artinian context, modulo the relation
-    span of `seed` (a module presented on F) when one is given.
+    span of `seed` (a module presented on F) when one is given, and the
+    Hilbert function of that kernel modulo the seed (`kernel_generators`).
 
     The degree-d matrix is the span matrix of `cols` (`_span_rows`), each
     column reduced by the target's relation echelon, so its nullspace is
-    the degree-d kernel.  The seed's echelon rows seed
-    `kernel_generators`' span, whose check then also asserts that the
-    seed's relations lie in the kernel.
+    the degree-d kernel.  The columns of the seed's degree-d span matrix
+    (every monomial multiple of a relation) seed `kernel_generators`'
+    span, whose check then also asserts that the seed's relations lie in
+    the kernel.  They need no echelon: `kernel_generators` counts the ones
+    that add a pivot.
     """
     if not twists:
-        return []
+        return [], {}
     p = ctx.ring.field.p
     at = _span_rows(ctx, target.row_twists, cols, twists)
 
@@ -482,23 +487,32 @@ def _map_kernel(ctx: RingCtx, cols, twists, target, seed=None) -> list[dict]:
                 rows.setdefault(c, {})[s] = x
         return list(rows.values())
 
-    def seed_at(d):
-        piece = _echelon(seed, d)
-        return [{piece.coord[c]: x for c, x in row.items()} for row in piece.basis.values()]
+    seed_at = None
+    if seed is not None and seed.columns:
+        seed_span = _span_rows(ctx, seed.row_twists, seed.columns, seed.col_degrees)
+
+        def seed_at(d):
+            vecs: dict[int, dict[int, int]] = {}
+            for r, row in enumerate(seed_span(d)):
+                for s, x in row.items():
+                    vecs.setdefault(s, {})[r] = x
+            return list(vecs.values())
 
     degrees = range(min(twists), max(twists) + ctx.top_degree + 1)
-    return kernel_generators(
-        ctx, twists, reduced_at if target.columns else at, degrees,
-        seed_at if seed is not None and seed.columns else None,
-    )
+    return kernel_generators(ctx, twists, reduced_at if target.columns else at, degrees, seed_at)
 
 
-def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, seed=None) -> list[dict]:
+def kernel_generators(
+    ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, seed=None
+) -> tuple[list[dict], dict[int, int]]:
     """Minimal generators of the kernel of a degree-zero linear map out of
     F = (+) R(-twists[s]) over an artinian context, given by its degree-d
     matrix `matrix_at(d)` as sparse rows over F_d; with `seed(d)` (sparse
     rows over F_d spanning the degree-d part of a submodule of the
-    kernel), minimal generators modulo that submodule.
+    kernel), minimal generators modulo that submodule.  Also returns the
+    dimension of the kernel modulo that submodule in each degree walked,
+    where it is nonzero: the Hilbert function of the module the
+    generators generate, when `degrees` covers F.
 
     F_d lists copy after copy, each piece R_{d - twists[s]} in
     `ctx.std_monomials` order.  Walks `degrees` upward (they must include
@@ -506,7 +520,9 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, s
     kernel is `nullspace_rows`, and the new generators are the kernel
     vectors, in order, that extend the span of the seed rows and the
     variable multiples of the kernels one weight below (graded Nakayama,
-    through `insert_row`).
+    through `insert_row`).  The seed rows go in first, so the rank of
+    their span is the number of them that add a pivot, and the degree-d
+    dimension is the kernel's minus that rank.
 
     Two eliminations are skipped because their outcome is already fixed,
     so the generators and the check are those of the full walk.  In a
@@ -524,6 +540,7 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, s
     # d -> ((copy, index) label of each coordinate of F_d, kernel vectors)
     kernels: dict[int, tuple[list[tuple[int, int]], list[dict[int, int]]]] = {}
     out = []
+    dims: dict[int, int] = {}
 
     def multiples(d, offsets):
         """The nonzero variable multiples, in F_d, of the kernel vectors
@@ -570,12 +587,19 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, s
             first = next(images, None)
             if first is None:
                 out += [packed(d, labels, u) for u in K]
+                dims[d] = len(K)
                 continue
             images = chain([first], images)
         # With `whole`, everything lies in K = F_d: insertion stops at `full`.
         full = len(K) if whole else -1
         basis: dict[int, dict[int, int]] = {}
-        for row in chain(span, images):
+        for row in span:
+            if len(basis) == full:
+                break
+            insert_row(basis, row, p)
+        if len(K) > len(basis):
+            dims[d] = len(K) - len(basis)
+        for row in images:
             if len(basis) == full:
                 break
             insert_row(basis, row, p)
@@ -590,7 +614,7 @@ def kernel_generators(ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, s
             raise InvariantViolation(
                 "kernel not closed under the ring action, or a seed row outside it"
             )
-    return out
+    return out, dims
 
 
 def _minimal_generator_indices_rows(ctx, vecs, twists, modulo) -> list[int]:

@@ -28,6 +28,7 @@ from extlab.modules import (
     _minimal_generator_indices_gb,
     _sum_of_shifts,
     dual_module,
+    entries_from_vec,
     hom_module,
     minimal_generator_indices,
     stable_hom,
@@ -291,10 +292,28 @@ def test_map_algebra(nilpl):
 def test_vec_from_entries_roundtrip(plane):
     ring = plane.ring
     vec = vec_from_entries(plane, [ring.parse("x^2 + y"), ring.parse("3*x")])
-    from extlab.modules import entries_from_vec
-
     back = entries_from_vec(plane, vec, 2)
     assert [str(f) for f in back] == ["x^2 + y", "3*x"]
+
+
+def test_presentation_matrix_splits_each_column_once(nilsquares, gor5):
+    # Each column is split into its entries once; the matrix, and the
+    # strings replays print from it, must be those of splitting the
+    # column again for every entry.
+    several = 0
+    for ctx in (nilsquares, gor5):
+        cfg = ExperimentConfig(seed=81)
+        for i in range(6):
+            M = random_module(cfg, ctx, i)
+            ref = [
+                [entries_from_vec(ctx, col, M.rank0)[j] for col in M.columns]
+                for j in range(M.rank0)
+            ]
+            got = M.presentation_matrix()
+            assert [[str(e) for e in row] for row in got] == [[str(e) for e in row] for row in ref]
+            assert [[e.raw() for e in row] for row in got] == [[e.raw() for e in row] for row in ref]
+            several += M.rank0 > 1 and len(M.columns) > 1
+    assert several
 
 
 # -- minimal generators: graded Nakayama against leave-one-out ----------------
@@ -670,14 +689,18 @@ def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
     """`rows.kernel_generators` with every elimination made: each seed
     row, each variable multiple of the kernels below and each kernel
     vector is inserted in every degree, and the closure check runs in
-    every degree with a kernel vector or a seed row.  Also returns how
-    many degrees had a zero matrix, and how many had kernel vectors but
-    no seed rows and no nonzero multiples: the degrees where
-    `kernel_generators` skips work."""
+    every degree with a kernel vector or a seed row.  Returns the
+    generators and the dimension of the kernel modulo the seed rows in
+    each degree, where it is nonzero (the kernel's minus the rank of the
+    seed rows, each inserted into a basis of its own), and also how many
+    degrees had a zero matrix, and how many had kernel vectors but no seed
+    rows and no nonzero multiples: the degrees where `kernel_generators`
+    skips work."""
     real = FiniteLengthRealization.of_ring(ctx)
     p = ctx.ring.field.p
     kernels = {}
     out = []
+    dims = {}
     zero = fresh = 0
     for d in degrees:
         labels, offsets = [], {}
@@ -695,6 +718,11 @@ def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
         span = seed(d) if seed else []
         if not K and not span:
             continue
+        seed_basis = {}
+        for row in span:
+            insert_row(seed_basis, dict(row), p)
+        if len(K) != len(seed_basis):
+            dims[d] = len(K) - len(seed_basis)
         multiples = 0
         basis = {}
         for row in span:
@@ -720,7 +748,7 @@ def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
                 out.append(vec)
         if len(basis) != len(K):
             raise InvariantViolation("kernel not closed under the ring action")
-    return out, zero, fresh
+    return out, dims, zero, fresh
 
 
 @pytest.mark.parametrize("ring, seed", [("gor5", 61), ("nilsquares", 62)])
@@ -728,19 +756,23 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
     # kernel_generators skips eliminations whose outcome is fixed; on every
     # call the linear resolution engine (to step 6) and the row kernel of
     # maps into non-free targets make, it must return the generators the
-    # full walk returns, column for column, term for term.
+    # full walk returns, column for column, term for term, and the same
+    # dimensions of the kernel modulo the seed rows, degree by degree.
     ctx = request.getfixturevalue(ring)
     fast = rows.kernel_generators
-    seen = {"calls": 0, "zero": 0, "fresh": 0}
+    seen = {"calls": 0, "zero": 0, "fresh": 0, "seeded": 0}
 
-    def both(*args):
-        got = fast(*args)
-        ref, zero, fresh = _reference_kernel_generators(*args)
+    def both(*args, **kwargs):
+        got, dims = fast(*args, **kwargs)
+        ref, ref_dims, zero, fresh = _reference_kernel_generators(*args, **kwargs)
         assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+        assert list(dims.items()) == list(ref_dims.items())
         seen["calls"] += 1
         seen["zero"] += zero
         seen["fresh"] += fresh
-        return got
+        seed = args[4] if len(args) > 4 else kwargs.get("seed")
+        seen["seeded"] += seed is not None
+        return got, dims
 
     monkeypatch.setattr(rows, "kernel_generators", both)
     cfg = ExperimentConfig(seed=seed)
@@ -750,7 +782,7 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
     assert maps
     for f in maps:
         _kernel(f, True)
-    assert seen["calls"] and seen["zero"] and seen["fresh"]
+    assert seen["calls"] and seen["zero"] and seen["fresh"] and seen["seeded"]
 
 
 @pytest.mark.parametrize("ring, seed", [("quadric", 61), ("gor5", 62), ("nilsquares", 63)])

@@ -34,6 +34,8 @@ from extlab.modules import (
     _sum_of_shifts,
     dual_module,
     entries_from_vec,
+    subquotient,
+    tensor_module,
     vec_from_entries,
 )
 from extlab.resolution import (
@@ -41,7 +43,9 @@ from extlab.resolution import (
     BettiTable,
     CompleteResolution,
     Resolution,
+    _STEP,
     _incoming_cols,
+    _step_cols,
     _term_shifts,
     complete_resolution,
     depth,
@@ -59,7 +63,7 @@ from extlab.resolution import (
     tor_profile,
     tor_via_complete,
 )
-from extlab.rows import FiniteLengthRealization, _block_builder, _entry_blocks
+from extlab.rows import FiniteLengthRealization, _block_builder, _echelon_hf, _entry_blocks
 from extlab.vanishing import (
     ExperimentConfig,
     free_or_nonvanishing_check,
@@ -389,11 +393,13 @@ def test_symmetry_groebner_work_is_pinned(buchberger_runs):
 
 def test_module_route_checks_composites_on_rows(buchberger_runs):
     # Over an artinian ring the module route leaves the check of d o d to
-    # the row kernel of `subquotient`, with no Groebner basis: it is seeded
-    # with X_i / im(in), and an incoming column whose image is nonzero in
-    # X_o, after reduction by X_o's relation echelon, is a seed row outside
-    # the kernel.  A fresh context keeps the corrupted resolution out of
-    # the shared fixtures.
+    # the row kernel of `subquotient`'s map, with no Groebner basis: it is
+    # seeded with X_i / im(in), and an incoming column whose image is
+    # nonzero in X_o, after reduction by X_o's relation echelon, is a seed
+    # row outside the kernel.  That walk is the one that finds the
+    # generators and the dimensions, so it raises although no
+    # `module(i)` is ever read.  A fresh context keeps the corrupted
+    # resolution out of the shared fixtures.
     ctx = make_ctx(("x", "y"), ("x^2", "y^2"))
     k = k_of(ctx)
     res = resolution_of(k.minimal_presentation()).extend_to(3)
@@ -648,3 +654,82 @@ def test_evicted_resolution_is_rebuilt_identically(request, ring):
     assert [again.twists_of(i) for i in range(6)] == twists
     assert [[list(c.items()) for c in again.diff(i)] for i in range(1, 6)] == cols
     assert (scan_ext(M, N, 6).to_json_dict(), scan_tor(M, N, 6).to_json_dict()) == patterns
+
+
+def _eager_homology(kind, M, N, i):
+    """The i-th value of the direct route as `subquotient` presents it
+    when called on the complex right away (index 0 of tor is M (x) N)."""
+    Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
+    if kind == "tor" and i == 0:
+        return tensor_module(Mm, Nm)
+    res = resolution_of(Mm).extend_to(i + 1)
+    if not res.twists_of(i) or not Nm.rank0:
+        return PresentedModule.zero(M.ctx)
+    o = i + _STEP[kind]
+    X = _sum_of_shifts(Nm, _term_shifts(kind, res, i))
+    Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
+    out_cols = _step_cols(kind, res, max(i, o), Nm.rank0)
+    return subquotient(X, _incoming_cols(kind, res, i, Nm.rank0), Xout, out_cols)
+
+
+def _terms(mod):
+    return mod.row_twists, [list(c.items()) for c in mod.columns]
+
+
+@pytest.mark.parametrize("ring, seed", [("gor5", 73), ("nilsquares", 74)])
+def test_direct_route_presents_modules_on_demand(request, ring, seed):
+    # Over an artinian ring ext/tor take each value's graded dimensions
+    # from the kernel walk and present the module on the first
+    # `module(i)`.  The dimensions must be the Hilbert function of the
+    # module's own relation echelon, and the module must be, term for
+    # term, what `subquotient` builds eagerly on the same complex; it must
+    # still build, and still match, after the resolution it came from has
+    # left the cache and been freed, which the result must not prevent.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=seed)
+    idx = 0
+    evicted = nonzero = 0
+    for pair in range(4):
+        M, N = random_pair(cfg, ctx, pair)
+        eager = {(kind, i): _eager_homology(kind, M, N, i) for kind in _STEP for i in range(4)}
+        results = {"ext": ext(M, N, range(4)), "tor": tor(M, N, range(4))}
+        # Half the pairs are read only once their resolution is gone.
+        if pair % 2:
+            res = weakref.ref(resolution_of(M.minimal_presentation()))
+            key = M.minimal_presentation().value_key()
+            while key in ctx.scratch["res"]:
+                idx += 1
+                for X in random_pair(ExperimentConfig(seed=seed + 100), ctx, idx):
+                    resolution_of(X)
+            gc.collect()
+            assert res() is None
+            evicted += 1
+        for (kind, i), ref in eager.items():
+            got = results[kind].module(i)
+            assert results[kind].module(i) is got
+            assert results[kind].graded_of(i) == _echelon_hf(got)
+            assert _terms(got) == _terms(ref), (pair, kind, i)
+            nonzero += bool(got.columns)
+    assert evicted and nonzero
+
+
+@pytest.mark.parametrize(
+    "names, rels, gens, pair, eager, now",
+    [
+        (("x", "y"), ("x^2", "y^2"), 3, 2, 569, 497),
+        (*GOR5, 1, 1, 535, 312),
+    ],
+)
+def test_direct_route_row_work_is_pinned(axpy_calls, names, rels, gens, pair, eager, now):
+    # The direct route over an artinian ring, pinned by its row work: ext
+    # and tor on [1, 2, 3] of one seed-1 pair (cyclic over gor5, as in the
+    # route benchmark) on a fresh context make `now` row additions
+    # (`eager` when each homology module was presented as it was
+    # computed, its Hilbert function read off its own echelon, and the
+    # walk was seeded with the reduced relation echelon).
+    ctx = make_ctx(names, rels)
+    M, N = random_pair(ExperimentConfig(seed=1, max_generators=gens), ctx, pair)
+    axpy_calls.reset()
+    e, t = ext(M, N, [1, 2, 3]), tor(M, N, [1, 2, 3])
+    assert all(e.totals.values()) and all(t.totals.values())
+    assert axpy_calls.count == now < eager
