@@ -518,47 +518,52 @@ def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
     """Body of `ModuleMap.kernel`, on sparse rows (artinian contexts only)
     or through Groebner bases; the tests hold the two to each other."""
     ctx = f.ctx
-    src, tgt = f.source, f.target
+    src = f.source
+    gens, degs, hf = _kernel_generators(f.columns, src, f.target, rows)
     if rows:
-        gens, degs, hf = _row_kernel_generators(f)
-        K = _row_kernel_module(src, gens, degs, hf)
-        return K, ModuleMap(K, src, gens, check=False, _reduced=True)
-    m = src.rank0
-    gens = _syzygy_heads(
-        ctx, list(f.columns) + list(tgt.columns), src.row_twists + tgt.col_degrees,
-        tgt.row_twists, m,
-    )
-    # On an artinian context this body is the Groebner reference, pruning included.
-    prune = _minimal_generator_indices_gb if ctx.is_artinian else minimal_generator_indices
-    gens = [gens[i] for i in prune(ctx, gens, m, src.row_twists, list(src.columns))]
-    degs = tuple(vec_degree(ctx, g, src.row_twists) for g in gens)
-    rels = _syzygy_heads(
-        ctx, gens + list(src.columns), degs + src.col_degrees, src.row_twists, len(gens)
-    )
-    K = PresentedModule(ctx, degs, rels)
+        # The relations are `_map_kernel` of the map from the generators
+        # into src.  Both are minimal, so K is its own minimal
+        # presentation, and its Hilbert function is the walk's.
+        K = PresentedModule(ctx, degs, _map_kernel(ctx, gens, degs, src)[0], _reduced=True)
+        K._cache["min"] = K
+        K._cache["hf"] = dict(hf)
+    else:
+        rels = _syzygy_heads(
+            ctx, gens + list(src.columns), degs + src.col_degrees, src.row_twists, len(gens)
+        )
+        K = PresentedModule(ctx, degs, rels)
     return K, ModuleMap(K, src, gens, check=False, _reduced=True)
 
 
-def _row_kernel_generators(f: ModuleMap) -> tuple[list[dict], tuple[int, ...], dict[int, int]]:
-    """(generators, their degrees, Hilbert function) of ker(f) on an
-    artinian context: `rows._map_kernel` of f modulo the source relations,
-    whose walk also checks that those relations lie in the kernel."""
-    ctx, src = f.ctx, f.source
-    gens, hf = _map_kernel(ctx, f.columns, src.row_twists, f.target, seed=src)
-    return gens, tuple(vec_degree(ctx, g, src.row_twists) for g in gens), hf
+def _kernel_generators(
+    cols: Sequence[dict], src: PresentedModule, tgt: PresentedModule, rows: bool
+) -> tuple[list[dict], tuple[int, ...], dict[int, int] | None]:
+    """(generators, their degrees, Hilbert function) of the kernel of the
+    map src -> tgt whose j-th generator goes to cols[j], generators
+    minimal modulo src's relations.
 
-
-def _row_kernel_module(src: PresentedModule, gens, degs, hf) -> PresentedModule:
-    """The kernel that `_row_kernel_generators` found in src, presented on
-    its generators: the relations are `_map_kernel` of the map from the
-    generators into src.  Both are minimal, so K is its own minimal
-    presentation, and its Hilbert function is `hf`, from the walk that
-    found the generators."""
+    On sparse rows (artinian contexts only) it is `rows._map_kernel`
+    modulo the source relations, whose walk also checks that those
+    relations lie in the kernel and gives the kernel's Hilbert function
+    modulo them.  Otherwise the syzygies of [cols | target relations],
+    cut to the source components, generate the kernel, and a minimal
+    subfamily modulo the source relations is kept; there the Hilbert
+    function is None.  A resolution step is this map between free
+    modules."""
     ctx = src.ctx
-    K = PresentedModule(ctx, degs, _map_kernel(ctx, gens, degs, src)[0], _reduced=True)
-    K._cache["min"] = K
-    K._cache["hf"] = dict(hf)
-    return K
+    if rows:
+        gens, hf = _map_kernel(ctx, cols, src.row_twists, tgt, seed=src)
+    else:
+        m = src.rank0
+        gens = _syzygy_heads(
+            ctx, list(cols) + list(tgt.columns), src.row_twists + tgt.col_degrees,
+            tgt.row_twists, m,
+        )
+        # On an artinian context this body is the Groebner reference, pruning included.
+        prune = _minimal_generator_indices_gb if ctx.is_artinian else minimal_generator_indices
+        gens = [gens[i] for i in prune(ctx, gens, m, src.row_twists, list(src.columns))]
+        hf = None
+    return gens, tuple(vec_degree(ctx, g, src.row_twists) for g in gens), hf
 
 
 def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int) -> list[dict]:
@@ -640,16 +645,6 @@ def _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo) -> list[int]:
     return sorted(kept)
 
 
-def minimal_generators(
-    ctx: RingCtx,
-    vecs: list[dict],
-    rank: int,
-    twists: Sequence[int],
-    modulo: list[dict] | None = None,
-) -> list[dict]:
-    return [vecs[i] for i in minimal_generator_indices(ctx, vecs, rank, twists, modulo)]
-
-
 # -- duals, hom, tensor -------------------------------------------------------
 
 
@@ -715,10 +710,9 @@ def subquotient(
     target's relation echelon, the kernel is generated modulo the
     relation span of X / im(in), which also checks that in_cols lie in the
     kernel, and it comes minimally presented with its Hilbert function
-    read off that walk (see `ModuleMap.kernel`).  The direct route of
-    `resolution.ext` / `tor` runs the generator half of this
-    (`_row_kernel_generators`) and presents a homology module
-    (`_row_kernel_module`) only when one is asked for.
+    read off that walk (see `ModuleMap.kernel`).  Over an artinian
+    context the direct route of `resolution.ext` / `tor` runs only the
+    generator half of this (`_kernel_generators`), for the dimensions.
     """
     return _subquotient_map(X, in_cols, target, out_cols).kernel()[0].minimal_presentation()
 
@@ -726,11 +720,11 @@ def subquotient(
 def _subquotient_map(
     X: PresentedModule, in_cols: Sequence[dict], target: PresentedModule, out_cols: Sequence[dict]
 ) -> ModuleMap:
-    """The map X / im(in) -> target whose kernel `subquotient` is."""
-    # X's columns are already reduced modulo the ideal; only in_cols are not.
-    ctx = X.ctx
-    in_cols = [reduce_vec_by_ideal(dict(v), ctx) for v in in_cols]
-    Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
+    """The map X / im(in) -> target whose kernel `subquotient` is.  X's
+    columns are reduced modulo the ideal, and so are the callers' in_cols:
+    the incoming columns of the direct route's complex and the
+    functionals of `stable_hom`, both re-keyed normal forms."""
+    Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols), _reduced=True)
     return ModuleMap(Q, target, out_cols, check=False, _reduced=True)
 
 

@@ -1,57 +1,55 @@
 """Minimal free resolutions and the derived-functor calculator on top.
 
-A `Resolution` is grown lazily one syzygy step at a time, with two
-interchangeable engines: a Groebner one (works over any context) and a
-degreewise linear-algebra one for artinian contexts, where every kernel is
-a finite-dimensional nullspace.  Both choose generators by graded
-Nakayama, degree by degree: the linear engine as a complement of the
-image of the kernels below (`rows.kernel_generators`, which also serves
-`realize.to_presentation` and, over artinian contexts,
-`ModuleMap.kernel`), the Groebner engine through
-`modules.minimal_generator_indices`.  Both produce minimal resolutions,
-so ranks are Betti numbers as computed.  The linear engine
-(`rows._map_kernel` into a free module, the step `ModuleMap.kernel` takes
-over artinian contexts) builds the degree-d matrix of d_n with
-`rows._block_builder`, the builder the degreewise derived functors use
-too: F_n -> F_{n-1} is F_n (x) R -> F_{n-1} (x) R over the ring's own
-realization.
+A `Resolution` is grown lazily one syzygy step at a time.  Each step
+takes minimal generators of the kernel of the previous differential, a
+map between free modules, with `modules._kernel_generators`, the
+generator half of `ModuleMap.kernel`: over an artinian context on sparse
+rows (`rows._map_kernel`, degreewise linear algebra that picks a
+complement of the image of the kernels below, building the degree-d
+matrix of d_n with `rows._block_builder`, the builder the degreewise
+derived functors use too), elsewhere as syzygies pruned by
+`modules.minimal_generator_indices`.  Both choose generators by graded
+Nakayama, degree by degree, so resolutions are minimal and ranks are
+Betti numbers as computed.
 
 Derived functors come by two routes that share no homology code.  Each
-route has one body for both functors, keyed by kind ("ext" or "tor"):
+route has one body for both functors, keyed by kind ("ext" or "tor"), and
+returns dimensions only (`ExtTorResult`):
 
-* The direct route resolves the first argument and works with the
-  induced Hom or tensor complex X.  `ext` / `tor` compute the homology as
-  subquotients (`_direct_modules`): the value at i is the kernel of the
-  outgoing map on X_i modulo the incoming image (`modules.subquotient`,
-  the construction Hom and stable Hom use too).  Off the artinian locus
-  each value is presented as it is computed; over an artinian context
-  its graded dimensions come from the row-kernel walk that finds its
-  generators, and `ExtTorResult.module` presents it only when asked.
-  `derived_dims` returns graded dimensions and builds no homology
-  module: over an artinian context as ranks of degreewise matrices
-  (`_degreewise_dims`), elsewhere from Hilbert series (`_hilbert_dims`):
-  with C_j the Hilbert numerator of X_j modulo the image of the map into
-  it, the value at i has series C_i + C_o - HS(X_o), o the index its
-  outgoing map leads to, read as None when it has infinite length.
-  Both the module and the Hilbert-series paths check that the two maps
-  at i compose to zero (`_check_square_zero`, or on rows the kernel
-  walk of `subquotient`), so a broken differential raises instead of
-  giving wrong values.  Ranks and C_j live with the resolution of M,
-  one memo per N (`_derived_memo`), so neighbouring indices of a scan
-  share them and they go when the resolution does.  Under C_j, the
-  Groebner basis of a cokernel is shared by every cokernel with the same
-  span, whatever its twists (`_coker_numerator`); `ext` / `tor` are
-  the cross-check.  `ext_profile` /
-  `tor_profile` are `derived_dims` refusing infinite length.  Ext and Tor differ only in
-  twist sign, degree window and which neighbouring differential is
-  outgoing; one free-cover column builder (`_step_cols`) and one
-  degreewise matrix builder (`_matrix_builder`, a layout over
-  `_block_builder`) serve both.
+* The direct route, `ext` / `tor` (`_direct_modules`), resolves the
+  first argument and takes the homology of the induced Hom or tensor
+  complex X as subquotients: the value at i is the kernel of the
+  outgoing map on X_i modulo the incoming image.  Over an artinian
+  context its graded dimensions come from the row-kernel walk that finds
+  the kernel's generators (`modules._kernel_generators`); elsewhere from
+  the Hilbert function of the module `modules.subquotient` builds (the
+  construction Hom and stable Hom use too).
 * The complete route, `ext_via_complete` / `tor_via_complete`
   (`_via_complete`), passes through a high syzygy and its dual and reads
-  each functor off the opposite one.  It is only valid over a Gorenstein
-  context for maximal Cohen-Macaulay input, in a window of indices
-  determined by how far the syzygy was taken.
+  each functor off the opposite one, through `derived_dims` on both
+  loci.  It is only valid over a Gorenstein context for maximal
+  Cohen-Macaulay input, in a window of indices determined by how far the
+  syzygy was taken.  `derived_dims` builds no homology module: over an
+  artinian context it takes ranks of degreewise matrices
+  (`_degreewise_dims`), elsewhere Hilbert series (`_hilbert_dims`): with
+  C_j the Hilbert numerator of X_j modulo the image of the map into it,
+  the value at i has series C_i + C_o - HS(X_o), o the index its
+  outgoing map leads to, read as None when it has infinite length.
+  Ranks and C_j live with the resolution of M, one memo per N
+  (`_derived_memo`), so neighbouring indices of a scan share them and
+  they go when the resolution does.  Under C_j, the Groebner basis of a
+  cokernel is shared by every cokernel with the same span, whatever its
+  twists (`_coker_numerator`).  `ext_profile` / `tor_profile` are
+  `derived_dims` refusing infinite length; the scans and depth tests
+  use it too.
+
+Both routes check that the two maps at i compose to zero
+(`_check_square_zero`, or on rows the kernel walk of `subquotient`'s
+map), so a broken differential raises instead of giving wrong values.
+Ext and Tor differ only in twist sign, degree window and which
+neighbouring differential is outgoing; one free-cover column builder
+(`_step_cols`) and one degreewise matrix builder (`_matrix_builder`, a
+layout over `_block_builder`) serve both.
 
 Agreement of the two routes on their common range is a regression anchor,
 not an implementation convenience: they must stay independent.
@@ -86,7 +84,6 @@ from .groebner import (
     component_numerators,
     module_gb,
     reduce_vec_by_ideal,
-    syzygies_for,
     twisted_numerator,
 )
 from .linalg import _insert_rows
@@ -95,22 +92,18 @@ from .modules import (
     _combine_columns,
     _dual_kernel,
     _finite_series,
-    _row_kernel_generators,
-    _row_kernel_module,
+    _kernel_generators,
     _split_entries,
     _subquotient_map,
     _sum_of_shifts,
     dual_module,
-    minimal_generators,
     subquotient,
     tensor_module,
-    vec_degree,
 )
 from .rows import (
     FiniteLengthRealization,
     _block_builder,
     _entry_blocks,
-    _map_kernel,
 )
 
 
@@ -134,11 +127,11 @@ def _monic(p: int, col: dict) -> dict:
     return col if inv == 1 else {k: (v * inv) % p for k, v in col.items()}
 
 
-def _canonical_columns(ctx, cols, twists):
-    """Monic columns sorted by (degree, lead), with their degrees."""
+def _canonical_columns(ctx, cols, degs):
+    """Monic columns, of degrees `degs`, sorted by (degree, lead), with
+    their degrees."""
     p = ctx.ring.field.p
     out = [_monic(p, c) for c in cols]
-    degs = [vec_degree(ctx, c, twists) for c in out]
     order = sorted(range(len(out)), key=lambda i: (degs[i], max(out[i])))
     return [out[i] for i in order], tuple(degs[i] for i in order)
 
@@ -153,16 +146,9 @@ class Resolution:
     share across indices (`_derived_memo`).
     """
 
-    def __init__(self, module: PresentedModule, backend: str = "auto"):
+    def __init__(self, module: PresentedModule):
         self.module = module.minimal_presentation()
         self.ctx = module.ctx
-        if backend == "auto":
-            backend = "linear" if self.ctx.is_artinian else "groebner"
-        if backend not in ("linear", "groebner"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "linear" and not self.ctx.is_artinian:
-            raise ValueError("the linear backend needs an artinian context")
-        self.backend = backend
         self._twists: list[tuple[int, ...]] = [tuple(self.module.row_twists)]
         self._diffs: list[list[dict]] = []
         # -1 marks the zero module (empty resolution).
@@ -195,15 +181,13 @@ class Resolution:
             self._twists.append(tuple(self.module.col_degrees))
             return
         cur, prev = self._twists[n], self._twists[n - 1]
-        if self.backend == "linear":
-            gens, _ = _map_kernel(self.ctx, self._diffs[n - 1], cur, PresentedModule(self.ctx, prev))
-        else:
-            syz, _ = syzygies_for(self.ctx, self._diffs[n - 1], len(prev), cur, prev)
-            gens = minimal_generators(self.ctx, syz, len(cur), cur)
+        ctx = self.ctx
+        src, tgt = PresentedModule(ctx, cur), PresentedModule(ctx, prev)
+        gens, degs, _ = _kernel_generators(self._diffs[n - 1], src, tgt, ctx.is_artinian)
         if not gens:
             self._pd = n
             return
-        cols, degs = _canonical_columns(self.ctx, gens, cur)
+        cols, degs = _canonical_columns(ctx, gens, degs)
         self._diffs.append(cols)
         self._twists.append(degs)
 
@@ -334,18 +318,12 @@ class BettiTable:
 
 
 class ExtTorResult:
-    """Derived-functor values over a set of indices.
+    """Derived-functor values over a set of indices, as dimensions only.
 
     `graded[i]` maps internal degree to dimension and `totals[i]` is its
-    sum; both are None when the value has infinite length.  When the
-    computation produces an actual subquotient (the direct route, and the
-    complete route off the artinian locus), `module(i)` returns its
-    minimal presentation.  Over an artinian context the direct route
-    records the dimensions from the kernel walk and keeps only what the
-    module's relations need (`record_kernel`), so the module is presented
-    on the first call of `module(i)`.  For the dual route the graded data
-    is that of the exchanged computation, so only totals are comparable
-    across routes.
+    sum; both are None when the value has infinite length.  For the dual
+    route the graded data is that of the exchanged computation, so only
+    totals are comparable across routes.
     """
 
     def __init__(self, kind: str, route: str, indices: Iterable[int]):
@@ -354,36 +332,13 @@ class ExtTorResult:
         self.indices = sorted(set(indices))
         self.graded: dict[int, dict[int, int] | None] = {}
         self.totals: dict[int, int | None] = {}
-        self._modules: dict[int, PresentedModule] = {}
-        # i -> (Q, generators, degrees): `_row_kernel_module`'s input.
-        self._kernels: dict[int, tuple] = {}
 
-    def record_module(self, i: int, module: PresentedModule):
-        self._modules[i] = module
-        hf = module._finite_hf()
-        self.graded[i] = dict(hf) if hf is not None else None
-        self.totals[i] = sum(hf.values()) if hf is not None else None
-
-    def record_dims(self, i: int, graded: dict[int, int]):
-        graded = {d: int(v) for d, v in graded.items() if v}
-        self.graded[i] = graded
-        self.totals[i] = sum(graded.values())
-
-    def record_kernel(self, i: int, Q: PresentedModule, gens, degs, hf: dict[int, int]):
-        """Record a value that is the row kernel with generators `gens`
-        (of degrees `degs`) inside Q and Hilbert function `hf`; it is
-        presented on the first `module(i)`."""
-        self.record_dims(i, hf)
-        self._kernels[i] = (Q, gens, degs)
-
-    def module(self, i: int) -> PresentedModule:
-        """The i-th value as a minimal presentation, built on first use
-        from a recorded kernel and kept."""
-        hit = self._modules.get(i)
-        if hit is None:
-            Q, gens, degs = self._kernels.pop(i)
-            hit = self._modules[i] = _row_kernel_module(Q, gens, degs, self.graded[i])
-        return hit
+    def record(self, i: int, graded: dict[int, int] | None):
+        """Record the i-th value's graded dimensions (nonzero ones only),
+        None for infinite length; the result keeps its own copy."""
+        finite = graded is not None
+        self.graded[i] = dict(graded) if finite else None
+        self.totals[i] = sum(graded.values()) if finite else None
 
     def total(self, i: int) -> int | None:
         return self.totals[i]
@@ -463,17 +418,17 @@ def _check_pair(M: PresentedModule, N: PresentedModule):
 
 def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) -> ExtTorResult:
     """Body of `ext` and `tor`: homology of Hom(F, N) or F (x) N, with F a
-    minimal resolution of M, as presented modules.  Each value is the
-    kernel of the outgoing map on X_i modulo the incoming image, and a
-    broken differential raises `InvariantViolation`.  Off the artinian
-    locus `_check_square_zero` checks that the two maps compose to zero
-    first, since the Groebner kernel checks nothing, and `subquotient`
-    builds each module.  Over an artinian context the row kernel of
-    `subquotient`'s map makes that check itself: it is seeded with
-    X_i / im(in), and an incoming column whose image is nonzero in X_o is
-    a seed row outside the kernel.  There only that walk runs: it gives
-    the generators and the graded dimensions, and the module is presented
-    when `ExtTorResult.module` asks for it."""
+    minimal resolution of M.  Each value is the kernel of the outgoing map
+    on X_i modulo the incoming image, and a broken differential raises
+    `InvariantViolation`.  Off the artinian locus `_check_square_zero`
+    checks that the two maps compose to zero first, since the Groebner
+    kernel checks nothing, and the value's dimensions are the Hilbert
+    function of the module `subquotient` builds.  Over an artinian context
+    the row kernel of `subquotient`'s map makes that check itself: it is
+    seeded with X_i / im(in), and an incoming column whose image is
+    nonzero in X_o is a seed row outside the kernel.  There only that walk
+    runs (`_kernel_generators`), and its Hilbert function is the value's
+    graded dimensions; no module is presented."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
@@ -490,11 +445,11 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     rb = Nm.rank0
     for i in idxs:
         if kind == "tor" and i == 0:
-            out.record_module(i, tensor_module(Mm, Nm))
+            out.record(i, tensor_module(Mm, Nm)._finite_hf())
             continue
         ti = res.twists_of(i)
         if not ti or rb == 0:
-            out.record_module(i, PresentedModule.zero(ctx))
+            out.record(i, {})
             continue
         o = i + step
         if res.rank(o) and not ctx.is_artinian:
@@ -505,9 +460,9 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         out_cols = _step_cols(kind, res, max(i, o), rb)
         if ctx.is_artinian:
             f = _subquotient_map(X, in_cols, Xout, out_cols)
-            out.record_kernel(i, f.source, *_row_kernel_generators(f))
+            out.record(i, _kernel_generators(f.columns, f.source, f.target, True)[2])
         else:
-            out.record_module(i, subquotient(X, in_cols, Xout, out_cols))
+            out.record(i, subquotient(X, in_cols, Xout, out_cols)._finite_hf())
     return out
 
 
@@ -635,11 +590,11 @@ def _coker_numerator(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
         p = ctx.ring.field.p
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
         r = X.rank0
-        # X's columns are monic and reduced already; only the incoming ones
-        # are not.
+        # X's columns are monic and reduced already; the incoming ones are
+        # reduced (re-keyed resolution columns) but not monic, and an ext
+        # column can be empty.
         cols = list(X.columns)
         for col in _incoming_cols(kind, res, j, Nm.rank0):
-            col = reduce_vec_by_ideal(col, ctx)
             if col:
                 cols.append(_monic(p, col))
         span = (r, frozenset(frozenset(c.items()) for c in cols))
@@ -657,9 +612,10 @@ def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
     Uses only differentials index i already needs.  Over a true
     resolution the composite vanishes modulo the ideal already, so X_o is
     built, and a remainder reduced by its relations (`normal_form`), only
-    when one is left.  Its callers are the Hilbert-series route and, off
-    the artinian locus, the module route (`_direct_modules`); over an
-    artinian context the module route's row kernel checks this itself."""
+    when one is left.  Its callers are the Hilbert-series path of
+    `derived_dims` and, off the artinian locus, the direct route
+    (`_direct_modules`); over an artinian context the direct route's row
+    kernel checks this itself."""
     ctx = res.ctx
     rb = Nm.rank0
     out_cols = _step_cols(kind, res, max(i, o), rb)
@@ -705,9 +661,9 @@ def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> d
     memoized per boundary map and degree.  Elsewhere they come from
     Hilbert series of cokernels of the Hom or tensor complex (one
     Groebner basis per complex term, shared by neighbouring indices),
-    after a check that the two maps at index i compose to zero.  `ext` /
-    `tor` produce the homology modules themselves and serve as the
-    cross-check.
+    after a check that the two maps at index i compose to zero.  This is
+    the complete route's homology body (`_via_complete`); `ext` / `tor`,
+    which take homology as subquotients, are the cross-check.
     """
     if kind not in ("ext", "tor"):
         raise ValueError(f"unknown derived functor {kind!r}")
@@ -885,7 +841,8 @@ def negative_syzygy(mod: PresentedModule, i: int) -> PresentedModule:
 def _via_complete(kind: str, M: PresentedModule, N: PresentedModule, indices, t) -> ExtTorResult:
     """Body of `ext_via_complete` and `tor_via_complete`: the value at i is
     the opposite functor's value at t - i - 1 on the dual of the t-th
-    syzygy of M."""
+    syzygy of M, read off `derived_dims` on both loci, so this route shares
+    no homology code with `_direct_modules`."""
     _check_pair(M, N)
     idxs = sorted(set(indices))
     if not idxs:
@@ -902,14 +859,9 @@ def _via_complete(kind: str, M: PresentedModule, N: PresentedModule, indices, t)
         raise HypothesisNotMet("the dual route needs a maximal Cohen-Macaulay module")
     D = dual_module(syzygy(mm, t))
     out = ExtTorResult(kind, "complete", idxs)
-    if ctx.is_artinian:
-        profile = tor_profile if kind == "ext" else ext_profile
-        for i in idxs:
-            out.record_dims(i, profile(D, N, t - i - 1))
-    else:
-        inner = (tor if kind == "ext" else ext)(D, N, [t - i - 1 for i in idxs])
-        for i in idxs:
-            out.record_module(i, inner.module(t - i - 1))
+    opposite = "tor" if kind == "ext" else "ext"
+    for i in idxs:
+        out.record(i, derived_dims(opposite, D, N, t - i - 1))
     return out
 
 

@@ -31,9 +31,10 @@ basis.  A sum of shifted copies of one module (`modules._sum_of_shifts`)
 reads its echelon off the base's, copy by copy (`_sum_echelon`).
 `_map_kernel` reduces a map's degree-d columns by the target's echelon
 and passes the nullspace to `kernel_generators`, seeded with the
-source's relation span: that is `modules.ModuleMap.kernel` on artinian
-contexts, whose kernel module takes its Hilbert function from that walk,
-and, with a free target, the linear resolution engine.
+source's relation span: that is `modules._kernel_generators` on artinian
+contexts, behind `ModuleMap.kernel` (whose kernel module takes its
+Hilbert function from that walk) and, with a free target, every
+resolution step.
 `_minimal_generator_indices_rows` is the row body of
 `modules.minimal_generator_indices`.
 

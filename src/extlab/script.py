@@ -84,6 +84,16 @@ def _worse(a: int, b: int) -> int:
     return a if _SEVERITY[a] >= _SEVERITY[b] else b
 
 
+def _exit_code_of(e: Exception) -> int:
+    """Exit code of a statement that raised e: a resource cap, a violated
+    invariant, or else a hypothesis or input failure."""
+    if isinstance(e, ResourceCapError):
+        return EXIT_RESOURCE
+    if isinstance(e, InvariantViolation):
+        return EXIT_VIOLATION
+    return EXIT_HYPOTHESIS
+
+
 # -- tokens -------------------------------------------------------------------
 
 _TOKEN = re.compile(
@@ -583,22 +593,10 @@ class _Runner:
                 entry["status"] = "ok"
                 if result is not None:
                     entry["result"] = result
-            except ResourceCapError as e:
-                entry["status"] = "error"
-                entry["error"] = str(e)
-                self.exit_code = _worse(self.exit_code, EXIT_RESOURCE)
-            except HypothesisNotMet as e:
-                entry["status"] = "error"
-                entry["error"] = str(e)
-                self.exit_code = _worse(self.exit_code, EXIT_HYPOTHESIS)
-            except InvariantViolation as e:
-                entry["status"] = "error"
-                entry["error"] = str(e)
-                self.exit_code = _worse(self.exit_code, EXIT_VIOLATION)
             except (ValueError, KeyError, ExtlabError) as e:
                 entry["status"] = "error"
                 entry["error"] = str(e)
-                self.exit_code = _worse(self.exit_code, EXIT_HYPOTHESIS)
+                self.exit_code = _worse(self.exit_code, _exit_code_of(e))
             entry["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
             self.report["statements"].append(entry)
         self.report["exit_code"] = self.exit_code

@@ -15,6 +15,7 @@ from math import comb
 
 import pytest
 
+from extlab import resolution
 from extlab.groebner import RingCtx
 from extlab.modules import PresentedModule, dual_module
 from extlab.poly import FieldSpec, PolyRing
@@ -163,6 +164,52 @@ def test_direct_and_complete_resolution_routes_agree(gor5, nilsquares):
         "direct route vs complete-resolution route",
         not mismatches,
         f"{compared} comparisons over 40 pairs; mismatches: {mismatches or 'none'}",
+    )
+
+
+def test_routes_share_no_homology_body(quadric, gor5, nilsquares):
+    """The route agreement above is an anchor only while the two routes
+    share no homology code.  Over the quadric hypersurface and both
+    artinian rings, the complete route must run with the direct route's
+    body (`_direct_modules`) disabled, the direct route must run with the
+    complete route's (`derived_dims`) disabled, and the two must agree.
+    Over the quadric the pairs are drawn from three maximal Cohen-Macaulay
+    modules: the matrix factorization modules coker [[w, y], [z, x]] and
+    coker [[x, -y], [-z, w]], and the third syzygy of the residue field,
+    each also against k."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a route called the other route's homology body")
+
+    k = PresentedModule.residue_field(quadric)
+    mcm = [
+        PresentedModule.from_matrix(quadric, [["w", "y"], ["z", "x"]]),
+        PresentedModule.from_matrix(quadric, [["x", "-y"], ["-z", "w"]]),
+        syzygy(k, 3),
+    ]
+    cases = [("quadric", M, N, [1, 2], 4) for M in mcm for N in [k] + mcm[:2]]
+    for ctx in (gor5, nilsquares):
+        tag = "/".join(ctx.ring.variables)
+        cases += [(tag, A, B, [1, 2, 3], 5) for A, B in _pairs(ctx, 37, 3)]
+    mismatches = []
+    nonzero = 0
+    for tag, M, N, idx, t in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolution, "_direct_modules", disabled)
+            via = {"ext": ext_via_complete(M, N, idx, t=t), "tor": tor_via_complete(M, N, idx, t=t)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolution, "derived_dims", disabled)
+            direct = {"ext": ext(M, N, idx), "tor": tor(M, N, idx)}
+        for kind in direct:
+            for i in idx:
+                nonzero += bool(direct[kind].total(i))
+                if direct[kind].total(i) != via[kind].total(i):
+                    mismatches.append((tag, kind, i, direct[kind].total(i), via[kind].total(i)))
+    _report(
+        "routes share no homology body",
+        not mismatches and nonzero > 0,
+        f"{len(cases)} pairs, each route run with the other's body disabled, "
+        f"{nonzero} nonzero values; mismatches: {mismatches or 'none'}",
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import extlab
-from extlab import rows
+from extlab import resolution, rows
 
 from extlab.errors import InvariantViolation
 from extlab.groebner import RingCtx, module_gb, reduce_vec_by_ideal, syzygies_for
@@ -50,7 +50,13 @@ from extlab.resolution import (
     tor_via_complete,
 )
 from extlab.rows import _echelon, _echelon_of, _span_rows
-from extlab.vanishing import ExperimentConfig, random_module, random_pair, stable_suite_check
+from extlab.vanishing import (
+    ExperimentConfig,
+    random_module,
+    random_pair,
+    scan_ext,
+    stable_suite_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -754,10 +760,10 @@ def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
 @pytest.mark.parametrize("ring, seed", [("gor5", 61), ("nilsquares", 62)])
 def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, seed):
     # kernel_generators skips eliminations whose outcome is fixed; on every
-    # call the linear resolution engine (to step 6) and the row kernel of
-    # maps into non-free targets make, it must return the generators the
-    # full walk returns, column for column, term for term, and the same
-    # dimensions of the kernel modulo the seed rows, degree by degree.
+    # call the resolution steps (to step 6) and the row kernel of maps into
+    # non-free targets make, it must return the generators the full walk
+    # returns, column for column, term for term, and the same dimensions
+    # of the kernel modulo the seed rows, degree by degree.
     ctx = request.getfixturevalue(ring)
     fast = rows.kernel_generators
     seen = {"calls": 0, "zero": 0, "fresh": 0, "seeded": 0}
@@ -777,7 +783,7 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
     monkeypatch.setattr(rows, "kernel_generators", both)
     cfg = ExperimentConfig(seed=seed)
     for i in range(3):
-        Resolution(random_module(cfg, ctx, i), backend="linear").extend_to(6)
+        Resolution(random_module(cfg, ctx, i)).extend_to(6)
     maps = [f for f in _kernel_corpus(ctx, seed, 2) if f.target.columns]
     assert maps
     for f in maps:
@@ -790,9 +796,14 @@ def test_internal_map_columns_are_normal_forms(request, monkeypatch, ring, seed)
     # Callers inside the package that pass `_reduced=True` skip the ideal
     # reduction: their columns must already be normal forms, and the map
     # keeps them exactly as reducing them would (terms in the same order).
+    # The incoming columns of the Hom and tensor complexes, which
+    # `subquotient` and the cokernels of `derived_dims` take as they come,
+    # must be normal forms too.
     ctx = request.getfixturevalue(ring)
     real = ModuleMap.__init__
+    real_incoming = resolution._incoming_cols
     checked = []
+    incoming = []
 
     def init(self, source, target, columns, *, check=True, _reduced=False):
         columns = list(columns)
@@ -802,14 +813,22 @@ def test_internal_map_columns_are_normal_forms(request, monkeypatch, ring, seed)
             assert [list(c.items()) for c in self.columns] == ref
             checked.append(len(columns))
 
+    def incoming_cols(*args):
+        cols = real_incoming(*args)
+        assert all(c == reduce_vec_by_ideal(dict(c), ctx) for c in cols)
+        incoming.append(len(cols))
+        return cols
+
     monkeypatch.setattr(ModuleMap, "__init__", init)
+    monkeypatch.setattr(resolution, "_incoming_cols", incoming_cols)
     cfg = ExperimentConfig(seed=seed, max_generators=1 if ring == "quadric" else 3)
     for i in range(3):
         A, B = random_pair(cfg, ctx, i)
         ext(A, B, [1, 2])
         tor(A, B, [1, 2])
+        scan_ext(A, B, ctx.dim + 3)
         hom_module(A, B)
         dual_module(B)
         ident = ModuleMap.identity(A)
         assert (ident + (-ident)).is_zero_map()
-    assert sum(checked) > 0
+    assert sum(checked) > 0 and sum(incoming) > 0

@@ -17,7 +17,14 @@ import pytest
 import extlab
 import extlab.script as scr
 from extlab.cli import main
-from extlab.errors import ParseError
+from extlab.errors import (
+    DegreeCapError,
+    ExtlabError,
+    HypothesisNotMet,
+    InvariantViolation,
+    ParseError,
+    ResourceCapError,
+)
 from extlab.script import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
@@ -241,6 +248,32 @@ def test_violation_verdict_sets_exit_three(monkeypatch):
     monkeypatch.setattr(scr, "symmetry_check", fake_check)
     rep = run_text(NILSQUARES + "check symmetry(k, k, 8);\n")
     assert rep["exit_code"] == EXIT_VIOLATION
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ResourceCapError, EXIT_RESOURCE),
+        (DegreeCapError, EXIT_RESOURCE),
+        (InvariantViolation, EXIT_VIOLATION),
+        (HypothesisNotMet, EXIT_HYPOTHESIS),
+        (ExtlabError, EXIT_HYPOTHESIS),
+        (ValueError, EXIT_HYPOTHESIS),
+    ],
+)
+def test_raised_error_sets_exit_code_by_class(monkeypatch, error, code):
+    # A statement that raises is recorded as an error with the message,
+    # the run goes on, and the exit code follows the error's class.
+    def failing_check(M, N, H):
+        raise error("check gave up")
+
+    monkeypatch.setattr(scr, "symmetry_check", failing_check)
+    rep = run_text(NILSQUARES + "check symmetry(k, k, 8);\nbetti k, 2;\n")
+    entry = rep["statements"][1]
+    assert entry["status"] == "error"
+    assert entry["error"] == "check gave up"
+    assert rep["statements"][2]["status"] == "ok"
+    assert rep["exit_code"] == code
 
 
 def test_timeout_stops_the_run():
