@@ -12,9 +12,10 @@ a free module negates generator degrees; Hom(M, N) shifts copy j of N down
 by M's j-th generator degree, and tensors add generator degrees.
 
 Hom, tensor, duals and stable Hom have one construction each, over every
-context.  Over an artinian context the kernels, minimal generators,
-Hilbert functions and normal forms behind them run on sparse GF(p) rows in
-`rows`, which returns packed columns from which this module builds every
+context, and Hom and tensor complexes one layout (`_hom_columns`).  Over
+an artinian context the kernels, minimal generators, Hilbert functions
+and normal forms behind them run on sparse GF(p) rows in `rows`, which
+returns packed columns from which this module builds every
 `PresentedModule`; elsewhere they run on Groebner bases.
 """
 
@@ -670,28 +671,14 @@ def dual_module(mod: PresentedModule) -> PresentedModule:
 
 
 def tensor_module(a: PresentedModule, b: PresentedModule) -> PresentedModule:
-    """a (x) b presented on pairs of generators, relations from both sides,
-    minimized."""
+    """a (x) b presented on pairs of generators, relations from both sides
+    (`_tensor_columns`, `_sum_of_shifts`), minimized."""
     ctx = a.ctx
     if b.ctx is not ctx:
         raise ValueError("tensor across different contexts")
-    codec = ctx.codec
-    rb = b.rank0
-    twists = tuple(x + y for x in a.row_twists for y in b.row_twists)
-    cols = []
-    for c, col in enumerate(a.columns):  # A (x) id
-        for t in range(rb):
-            vec = {}
-            for k, cf in col.items():
-                vec[codec.mkey(codec.mono_of(k), codec.comp_of(k) * rb + t)] = cf
-            cols.append(vec)
-    for j in range(a.rank0):  # id (x) B
-        for col in b.columns:
-            vec = {}
-            for k, cf in col.items():
-                vec[codec.mkey(codec.mono_of(k), j * rb + codec.comp_of(k))] = cf
-            cols.append(vec)
-    return PresentedModule(ctx, twists, cols).minimal_presentation()
+    B = _sum_of_shifts(b, a.row_twists)
+    cols = _tensor_columns(ctx, a.columns, b.rank0) + list(B.columns)
+    return PresentedModule(ctx, B.row_twists, cols).minimal_presentation()
 
 
 def subquotient(
@@ -710,9 +697,9 @@ def subquotient(
     target's relation echelon, the kernel is generated modulo the
     relation span of X / im(in), which also checks that in_cols lie in the
     kernel, and it comes minimally presented with its Hilbert function
-    read off that walk (see `ModuleMap.kernel`).  Over an artinian
-    context the direct route of `resolution.ext` / `tor` runs only the
-    generator half of this (`_kernel_generators`), for the dimensions.
+    read off that walk (see `ModuleMap.kernel`).  The direct route of
+    `resolution.ext` / `tor` reads dimensions off `_subquotient_map`'s
+    kernel and minimalizes nothing.
     """
     return _subquotient_map(X, in_cols, target, out_cols).kernel()[0].minimal_presentation()
 
@@ -748,32 +735,45 @@ def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedMod
     return out
 
 
+def _hom_columns(ctx: RingCtx, cols: Sequence[dict], nrows: int, rb: int) -> list[dict]:
+    """Columns of Hom(d, N), N of rank rb, for the matrix d with columns
+    `cols` and `nrows` rows: d transposed, slot sp * rb + t collecting entry
+    (sp, s) into slot s * rb + t (N's t-th generator in copy s of N, as in
+    `_sum_of_shifts`)."""
+    codec = ctx.codec
+    out: list[dict] = [{} for _ in range(nrows * rb)]
+    for s, col in enumerate(cols):
+        for k, c in col.items():
+            mk, sp = codec.mono_of(k), codec.comp_of(k) * rb
+            for t in range(rb):
+                out[sp + t][codec.mkey(mk, s * rb + t)] = c
+    return out
+
+
+def _tensor_columns(ctx: RingCtx, cols: Sequence[dict], rb: int) -> list[dict]:
+    """Columns of d (x) N, N of rank rb, for the matrix d with columns
+    `cols`: column s * rb + t puts entry (sp, s) into slot sp * rb + t."""
+    codec = ctx.codec
+    out: list[dict] = []
+    for col in cols:
+        terms = [(codec.mono_of(k), codec.comp_of(k) * rb, c) for k, c in col.items()]
+        out += ({codec.mkey(mk, sp + t): c for mk, sp, c in terms} for t in range(rb))
+    return out
+
+
 def _hom_complex(a: PresentedModule, b: PresentedModule):
     """(X, Y, psi_cols) with Hom(a, b) = ker(psi : X -> Y).
 
     X = Hom(F0(a), b) and Y = Hom(F1(a), b) are sums of shifted copies of
-    b, and psi precomposes with a's relations.  Slot j * rb + t of X holds
-    the t-th generator of b in the copy for a's j-th generator.
+    b, and psi = Hom(d, b) precomposes with a's relation matrix d
+    (`_hom_columns`).
     """
     ctx = a.ctx
     if b.ctx is not ctx:
         raise ValueError("hom across different contexts")
-    codec = ctx.codec
-    rb = b.rank0
     X = _sum_of_shifts(b, [-t for t in a.row_twists])
     Y = _sum_of_shifts(b, [-d for d in a.col_degrees])
-    # Row j of a's relation matrix, as (monomial, first slot of its column
-    # in Y, coefficient); every column is split once.
-    by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(a.rank0)]
-    for c, col in enumerate(a.columns):
-        for k, cf in col.items():
-            by_row[codec.comp_of(k)].append((codec.mono_of(k), c * rb, cf))
-    psi_cols = [
-        {codec.mkey(mk, c + t): cf for mk, c, cf in by_row[j]}
-        for j in range(a.rank0)
-        for t in range(rb)
-    ]
-    return X, Y, psi_cols
+    return X, Y, _hom_columns(ctx, a.columns, a.rank0, b.rank0)
 
 
 def hom_module(a: PresentedModule, b: PresentedModule) -> PresentedModule:
@@ -795,12 +795,5 @@ def stable_hom(a: PresentedModule, b: PresentedModule) -> PresentedModule:
     is the kernel of psi on X modulo them.
     """
     X, Y, psi_cols = _hom_complex(a, b)
-    codec = a.ctx.codec
-    rb = b.rank0
     _, functionals = _dual_kernel(a)
-    evals = [
-        {codec.mkey(codec.mono_of(k), codec.comp_of(k) * rb + t): c for k, c in u.items()}
-        for u in functionals
-        for t in range(rb)
-    ]
-    return subquotient(X, evals, Y, psi_cols)
+    return subquotient(X, _tensor_columns(a.ctx, functionals, b.rank0), Y, psi_cols)

@@ -22,8 +22,8 @@ returns dimensions only (`ExtTorResult`):
   outgoing map on X_i modulo the incoming image.  Over an artinian
   context its graded dimensions come from the row-kernel walk that finds
   the kernel's generators (`modules._kernel_generators`); elsewhere from
-  the Hilbert function of the module `modules.subquotient` builds (the
-  construction Hom and stable Hom use too).
+  the Hilbert function of the kernel, unminimized, of the map that
+  `modules._subquotient_map` builds (as for Hom and stable Hom).
 * The complete route, `ext_via_complete` / `tor_via_complete`
   (`_via_complete`), passes through a high syzygy and its dual and reads
   each functor off the opposite one, through `derived_dims` on both
@@ -44,12 +44,13 @@ returns dimensions only (`ExtTorResult`):
   use it too.
 
 Both routes check that the two maps at i compose to zero
-(`_check_square_zero`, or on rows the kernel walk of `subquotient`'s
+(`_check_square_zero`, or on rows the kernel walk of `_subquotient_map`'s
 map), so a broken differential raises instead of giving wrong values.
 Ext and Tor differ only in twist sign, degree window and which
-neighbouring differential is outgoing; one free-cover column builder
-(`_step_cols`) and one degreewise matrix builder (`_matrix_builder`, a
-layout over `_block_builder`) serve both.
+neighbouring differential is outgoing; `_step_cols` lays out their
+free-cover columns with `modules._hom_columns` or `_tensor_columns`, and
+one degreewise matrix builder (`_matrix_builder`, a layout over
+`_block_builder`) serves both.
 
 Agreement of the two routes on their common range is a regression anchor,
 not an implementation convenience: they must stay independent.
@@ -92,13 +93,12 @@ from .modules import (
     _combine_columns,
     _dual_kernel,
     _finite_series,
+    _hom_columns,
     _kernel_generators,
-    _split_entries,
     _subquotient_map,
     _sum_of_shifts,
+    _tensor_columns,
     dual_module,
-    subquotient,
-    tensor_module,
 )
 from .rows import (
     FiniteLengthRealization,
@@ -383,24 +383,10 @@ def _term_shifts(kind, res, j) -> list[int]:
 def _step_cols(kind, res, j, rb):
     """Free-cover columns of the map induced by d_j on sums of copies of N:
     Hom(F_{j-1}, N) -> Hom(F_j, N) for ext, F_j (x) N -> F_{j-1} (x) N for
-    tor.  Generator s * rb + t is the t-th generator of N in copy s.
-    """
-    codec = res.ctx.codec
-    parts = (_split_entries(res.ctx, col) for col in res.diff(j))
+    tor, in the layout of `modules._hom_columns` / `_tensor_columns`."""
     if kind == "ext":
-        # Hom(d_j, N) is d_j transposed: copy sp of the source collects the
-        # (sp, s) entries of d_j into copy s.
-        cols: list[dict] = [{} for _ in range(res.rank(j - 1) * rb)]
-        for s, entries in enumerate(parts):
-            for sp, f in enumerate(entries):
-                for t in range(rb):
-                    cols[sp * rb + t].update({codec.mkey(mk, s * rb + t): c for mk, c in f.items()})
-        return cols
-    return [
-        {codec.mkey(mk, sp * rb + t): c for sp, f in enumerate(entries) for mk, c in f.items()}
-        for entries in parts
-        for t in range(rb)
-    ]
+        return _hom_columns(res.ctx, res.diff(j), res.rank(j - 1), rb)
+    return _tensor_columns(res.ctx, res.diff(j), rb)
 
 
 def _incoming_cols(kind, res, j, rb) -> list[dict]:
@@ -423,12 +409,14 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     `InvariantViolation`.  Off the artinian locus `_check_square_zero`
     checks that the two maps compose to zero first, since the Groebner
     kernel checks nothing, and the value's dimensions are the Hilbert
-    function of the module `subquotient` builds.  Over an artinian context
-    the row kernel of `subquotient`'s map makes that check itself: it is
-    seeded with X_i / im(in), and an incoming column whose image is
-    nonzero in X_o is a seed row outside the kernel.  There only that walk
-    runs (`_kernel_generators`), and its Hilbert function is the value's
-    graded dimensions; no module is presented."""
+    function of the kernel of `_subquotient_map`'s map, not minimalized.
+    Over an artinian context the row kernel of that map makes the check
+    itself: it is seeded with X_i / im(in), and an incoming column whose
+    image is nonzero in X_o is a seed row outside the kernel.  There only
+    that walk runs (`_kernel_generators`), and its Hilbert function is the
+    value's graded dimensions; no module is presented.  Where no map
+    leaves X_i (tor at 0, ext at the projective dimension) the value is
+    the Hilbert function of X_i / im(in) on both loci."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
@@ -444,25 +432,25 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     step = _STEP[kind]
     rb = Nm.rank0
     for i in idxs:
-        if kind == "tor" and i == 0:
-            out.record(i, tensor_module(Mm, Nm)._finite_hf())
-            continue
-        ti = res.twists_of(i)
-        if not ti or rb == 0:
+        if not res.rank(i) or rb == 0:
             out.record(i, {})
             continue
         o = i + step
-        if res.rank(o) and not ctx.is_artinian:
-            _check_square_zero(kind, res, Nm, i, o)
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, i))
-        Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
         in_cols = _incoming_cols(kind, res, i, rb)
-        out_cols = _step_cols(kind, res, max(i, o), rb)
+        if not res.rank(o):
+            # No map leaves X_i: the value is X_i / im(in).
+            Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
+            out.record(i, Q._finite_hf())
+            continue
+        if not ctx.is_artinian:
+            _check_square_zero(kind, res, Nm, i, o)
+        Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
+        f = _subquotient_map(X, in_cols, Xout, _step_cols(kind, res, max(i, o), rb))
         if ctx.is_artinian:
-            f = _subquotient_map(X, in_cols, Xout, out_cols)
             out.record(i, _kernel_generators(f.columns, f.source, f.target, True)[2])
         else:
-            out.record(i, subquotient(X, in_cols, Xout, out_cols)._finite_hf())
+            out.record(i, f.kernel()[0]._finite_hf())
     return out
 
 
@@ -743,16 +731,6 @@ def gorenstein_check(ctx: RingCtx) -> bool:
 # -- complete resolutions and negative syzygies ------------------------------------
 
 
-def _transpose_cols(ctx, cols, nrows):
-    """Columns of the transposed matrix (entry (l, s) becomes (s, l))."""
-    codec = ctx.codec
-    out: list[dict] = [dict() for _ in range(nrows)]
-    for s, col in enumerate(cols):
-        for k, c in col.items():
-            out[codec.comp_of(k)][codec.mkey(codec.mono_of(k), s)] = c
-    return out
-
-
 class CompleteResolution:
     """Doubly infinite exact complex of free modules around a maximal
     Cohen-Macaulay module over a Gorenstein context.
@@ -778,7 +756,7 @@ class CompleteResolution:
         self.ctx = ctx
         self.module = mm
         self._dual, chosen = _dual_kernel(mm)
-        self._d0 = _transpose_cols(ctx, chosen, mm.rank0)
+        self._d0 = _hom_columns(ctx, chosen, mm.rank0, 1)
         self.extend(lo, hi)
 
     @property
@@ -810,7 +788,7 @@ class CompleteResolution:
             return self.pos.diff(i)
         if i == 0:
             return self._d0
-        return _transpose_cols(self.ctx, self.neg.diff(-i), self.neg.rank(-i - 1))
+        return _hom_columns(self.ctx, self.neg.diff(-i), self.neg.rank(-i - 1), 1)
 
 
 def complete_resolution(mod: PresentedModule, lo: int = -2, hi: int = 2) -> CompleteResolution:

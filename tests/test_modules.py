@@ -23,10 +23,12 @@ from extlab.modules import (
     PresentedModule,
     _dual_kernel,
     _entry_of,
+    _hom_columns,
     _hom_complex,
     _kernel,
     _minimal_generator_indices_gb,
     _sum_of_shifts,
+    _tensor_columns,
     dual_module,
     entries_from_vec,
     hom_module,
@@ -41,10 +43,12 @@ from extlab.poly import FieldSpec, PolyRing
 from extlab.realize import FiniteLengthRealization, matlis_dual_module
 from extlab.resolution import (
     Resolution,
+    _step_cols,
     ext,
     ext_via_complete,
     is_mcm,
     minimal_free_resolution,
+    resolution_of,
     syzygy,
     tor,
     tor_via_complete,
@@ -651,18 +655,104 @@ def _psi_per_slot(a, b):
     return out
 
 
+def _tensor_by_loops(a, b):
+    """(twists, columns) of a (x) b before minimizing, re-keyed term by
+    term: A (x) id, then id (x) B."""
+    codec = a.ctx.codec
+    rb = b.rank0
+    cols = []
+    for col in a.columns:
+        for t in range(rb):
+            cols.append({codec.mkey(codec.mono_of(k), codec.comp_of(k) * rb + t): c for k, c in col.items()})
+    for j in range(a.rank0):
+        for col in b.columns:
+            cols.append({codec.mkey(codec.mono_of(k), j * rb + codec.comp_of(k)): c for k, c in col.items()})
+    return tuple(x + y for x in a.row_twists for y in b.row_twists), cols
+
+
+def _evals_by_loop(ctx, functionals, rb):
+    """The functionals u (x) e_t of `stable_hom`, re-keyed term by term."""
+    codec = ctx.codec
+    return [
+        {codec.mkey(codec.mono_of(k), codec.comp_of(k) * rb + t): c for k, c in u.items()}
+        for u in functionals
+        for t in range(rb)
+    ]
+
+
+def _transposed(ctx, cols, nrows):
+    """Columns of the transposed matrix (entry (l, s) becomes (s, l))."""
+    codec = ctx.codec
+    out = [dict() for _ in range(nrows)]
+    for s, col in enumerate(cols):
+        for k, c in col.items():
+            out[codec.comp_of(k)][codec.mkey(codec.mono_of(k), s)] = c
+    return out
+
+
+def _step_cols_by_entries(kind, res, j, rb):
+    """The maps induced by d_j on sums of copies of N, from d_j's entries:
+    Hom(d_j, N) transposed copy by copy for ext, d_j (x) N for tor."""
+    codec = res.ctx.codec
+    parts = (rows._split_entries(res.ctx, col) for col in res.diff(j))
+    if kind == "ext":
+        cols = [{} for _ in range(res.rank(j - 1) * rb)]
+        for s, entries in enumerate(parts):
+            for sp, f in enumerate(entries):
+                for t in range(rb):
+                    cols[sp * rb + t].update({codec.mkey(mk, s * rb + t): c for mk, c in f.items()})
+        return cols
+    return [
+        {codec.mkey(mk, sp * rb + t): c for sp, f in enumerate(entries) for mk, c in f.items()}
+        for entries in parts
+        for t in range(rb)
+    ]
+
+
+def _terms(cols):
+    return [list(v.items()) for v in cols]
+
+
 @pytest.mark.parametrize("ring, seed", [("quadric", 54), ("gor5", 55), ("nilsquares", 56)])
 def test_hom_complex_matches_per_slot_reference(request, ring, seed):
-    # Same columns, with the same terms in the same order.
+    # `_hom_columns`, `_tensor_columns` and `_sum_of_shifts` against the
+    # term-by-term loops they replace: the same columns, with the same
+    # terms in the same order, on seeded modules and on steps 1-3 of their
+    # resolutions.  The one exception is the order of terms inside a tor
+    # column of a step, which the old loop grouped by component and
+    # `_tensor_columns` takes in d_j's own order: there the columns are
+    # compared as vectors.
     ctx = request.getfixturevalue(ring)
     cfg = ExperimentConfig(seed=seed)
     R = PresentedModule.ring_module(ctx)
     for i in range(3):
         A, B = random_pair(cfg, ctx, i)
         for a, b in ((A, B), (B, A), (A.minimal_presentation(), R), (A, A.direct_sum(B))):
+            rb = b.rank0
             _, _, psi = _hom_complex(a, b)
-            ref = _psi_per_slot(a, b)
-            assert [list(v.items()) for v in psi] == [list(v.items()) for v in ref]
+            assert _terms(psi) == _terms(_psi_per_slot(a, b))
+            twists, cols = _tensor_by_loops(a, b)
+            B_sum = _sum_of_shifts(b, a.row_twists)
+            assert B_sum.row_twists == twists
+            n = len(a.columns) * rb
+            assert _terms(_tensor_columns(ctx, a.columns, rb)) == _terms(cols[:n])
+            # A presented module sorts its columns, and so does the sum.
+            id_b = PresentedModule(ctx, twists, cols[n:], _reduced=True)
+            assert _terms(B_sum.columns) == _terms(id_b.columns)
+            assert tensor_module(a, b) == PresentedModule(ctx, twists, cols).minimal_presentation()
+            _, functionals = _dual_kernel(a)
+            assert _terms(_tensor_columns(ctx, functionals, rb)) == _terms(_evals_by_loop(ctx, functionals, rb))
+            for d, nrows in ((a.columns, a.rank0), (functionals, a.rank0)):
+                assert _terms(_hom_columns(ctx, d, nrows, 1)) == _terms(_transposed(ctx, d, nrows))
+        for M in (A, B):
+            res = resolution_of(M).extend_to(3)
+            for j in range(1, 4):
+                d, nrows = res.diff(j), res.rank(j - 1)
+                assert _terms(_hom_columns(ctx, d, nrows, 1)) == _terms(_transposed(ctx, d, nrows))
+                for rb in (1, 2, 3):
+                    ref = _step_cols_by_entries("ext", res, j, rb)
+                    assert _terms(_step_cols("ext", res, j, rb)) == _terms(ref)
+                    assert _step_cols("tor", res, j, rb) == _step_cols_by_entries("tor", res, j, rb)
 
 
 @pytest.mark.parametrize("ring, seed", [("gor5", 57), ("nilsquares", 58)])
