@@ -46,6 +46,23 @@ def _reduce_row(basis: dict[int, dict[int, int]], row: dict[int, int], p: int) -
     return row
 
 
+def _reduce_columns(rows: list[dict[int, int]], basis, coord, off: int, p: int):
+    """Clear every pivot of a reduced echelon `basis` (leading column ->
+    monic row) from each column of the matrix with rows `rows`, in place,
+    where echelon column c is row off + coord[c]: `_reduce_row` of every
+    column at once.  A column loses, for each pivot, its entry there times
+    that pivot's row, which is zero at the other pivots; on the matrix's
+    rows, the row at each pivot, scaled by its echelon row's entries, comes
+    off the rows at that echelon row's other columns, and is cleared."""
+    for lead, brow in basis.items():
+        src = rows[off + coord[lead]]
+        if src:
+            rows[off + coord[lead]] = {}
+            for c, y in brow.items():
+                if c != lead:
+                    _axpy(rows[off + coord[c]], p - y, src, p)
+
+
 def _insert_rows(rows, p: int, reduced: bool) -> dict[int, dict[int, int]]:
     """Echelon basis of the span of `rows`, keyed by leading column.
 

@@ -688,49 +688,46 @@ def subquotient(
 
     `out_cols` are the columns of a map X -> target and `in_cols` are
     free-cover vectors of X lying in its kernel, so the map is defined on
-    X / im(in) and the subquotient is its kernel there
-    (`_subquotient_map`).  Every Hom, stable Hom and homology module of the
-    package is built this way, and so are duals: `_dual_kernel` is the
-    kernel of `_hom_complex` against R, with nothing to divide out.  Over
-    an artinian context this is degreewise linear algebra on sparse GF(p)
-    rows with no Groebner basis: the map's columns are reduced by the
-    target's relation echelon, the kernel is generated modulo the
-    relation span of X / im(in), which also checks that in_cols lie in the
-    kernel, and it comes minimally presented with its Hilbert function
+    Q = X / im(in) and the subquotient is its kernel there.  X's columns
+    are reduced modulo the ideal, and so are the callers' in_cols (the
+    functionals of `stable_hom`, re-keyed normal forms).  Every Hom and
+    stable Hom of the package is built this way, and so are duals:
+    `_dual_kernel` is the kernel of `_hom_complex` against R, with nothing
+    to divide out.  Over an artinian context this is degreewise linear
+    algebra on sparse GF(p) rows with no Groebner basis: the map's columns
+    are reduced by the target's relation echelon, the kernel is generated
+    modulo the relation span of Q, which also checks that in_cols lie in
+    the kernel, and it comes minimally presented with its Hilbert function
     read off that walk (see `ModuleMap.kernel`).  The direct route of
-    `resolution.ext` / `tor` reads dimensions off `_subquotient_map`'s
-    kernel and minimalizes nothing.
+    `resolution.ext` / `tor` runs that walk on X's free module, seeded
+    with X's relations and in_cols, and reads only its dimensions: no
+    module is presented.
     """
-    return _subquotient_map(X, in_cols, target, out_cols).kernel()[0].minimal_presentation()
-
-
-def _subquotient_map(
-    X: PresentedModule, in_cols: Sequence[dict], target: PresentedModule, out_cols: Sequence[dict]
-) -> ModuleMap:
-    """The map X / im(in) -> target whose kernel `subquotient` is.  X's
-    columns are reduced modulo the ideal, and so are the callers' in_cols:
-    the incoming columns of the direct route's complex and the
-    functionals of `stable_hom`, both re-keyed normal forms."""
     Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols), _reduced=True)
-    return ModuleMap(Q, target, out_cols, check=False, _reduced=True)
+    f = ModuleMap(Q, target, out_cols, check=False, _reduced=True)
+    return f.kernel()[0].minimal_presentation()
 
 
 def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:
     """Direct sum of copies of base, copy c shifted by shifts[c]: the
     module the iterated `direct_sum` gives, columns in the same order,
     built once.  Copy c's columns are base's with every component raised
-    by c * base.rank0.  The sum keeps (base, shifts) in its cache, so over
-    an artinian context its relation echelon is read off base's
-    (`rows._sum_echelon`)."""
-    codec = base.ctx.codec
+    by c * base.rank0, of base's degrees plus shifts[c], sorted as the
+    constructor sorts columns; base's are monic normal forms already, so
+    nothing is re-derived.  The sum keeps (base, shifts) in its cache, so
+    over an artinian context a row kernel into or out of it reads its
+    relation echelon copy by copy off base's (`rows._copy_pieces`)."""
     r = base.rank0
-    cols = [
-        {codec.mkey(codec.mono_of(k), codec.comp_of(k) + c * r): x for k, x in vec.items()}
-        for c in range(len(shifts))
-        for vec in base.columns
-    ]
-    twists = [a + s for s in shifts for a in base.row_twists]
-    out = PresentedModule(base.ctx, twists, cols, _reduced=True)
+    cols: list[dict] = []
+    degs: list[int] = []
+    for c, s in enumerate(shifts):
+        # A packed key stores COMP_MASK - component in its low bits.
+        cols += ({k - c * r: x for k, x in vec.items()} for vec in base.columns)
+        degs += (d + s for d in base.col_degrees)
+    out = PresentedModule(base.ctx, [a + s for s in shifts for a in base.row_twists])
+    order = sorted(range(len(cols)), key=lambda i: (degs[i], max(cols[i])))
+    out.columns = tuple(cols[i] for i in order)
+    out.col_degrees = tuple(degs[i] for i in order)
     out._cache["sum_of"] = (base, tuple(shifts))
     return out
 

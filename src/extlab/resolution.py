@@ -19,11 +19,12 @@ returns dimensions only (`ExtTorResult`):
 * The direct route, `ext` / `tor` (`_direct_modules`), resolves the
   first argument and takes the homology of the induced Hom or tensor
   complex X as subquotients: the value at i is the kernel of the
-  outgoing map on X_i modulo the incoming image.  Over an artinian
-  context its graded dimensions come from the row-kernel walk that finds
-  the kernel's generators (`modules._kernel_generators`); elsewhere from
-  the Hilbert function of the kernel, unminimized, of the map that
-  `modules._subquotient_map` builds (as for Hom and stable Hom).
+  outgoing map on X_i modulo the incoming image, and no module is
+  presented.  Each term X_j is built once per call.  Over an artinian
+  context the graded dimensions come from the row-kernel walk that finds
+  the kernel's generators (`rows._map_kernel`), reading X_j copy by copy
+  off N's relation echelons; elsewhere from Hilbert series, HS(Q) minus
+  HS(Q modulo the kernel's unpruned generators), Q = X_i / im(in).
 * The complete route, `ext_via_complete` / `tor_via_complete`
   (`_via_complete`), passes through a high syzygy and its dual and reads
   each functor off the opposite one, through `derived_dims` on both
@@ -44,8 +45,8 @@ returns dimensions only (`ExtTorResult`):
   use it too.
 
 Both routes check that the two maps at i compose to zero
-(`_check_square_zero`, or on rows the kernel walk of `_subquotient_map`'s
-map), so a broken differential raises instead of giving wrong values.
+(`_check_square_zero`, or on rows the direct route's kernel walk), so a
+broken differential raises instead of giving wrong values.
 Ext and Tor differ only in twist sign, degree window and which
 neighbouring differential is outgoing; `_step_cols` lays out their
 free-cover columns with `modules._hom_columns` or `_tensor_columns`, and
@@ -95,8 +96,8 @@ from .modules import (
     _finite_series,
     _hom_columns,
     _kernel_generators,
-    _subquotient_map,
     _sum_of_shifts,
+    _syzygy_heads,
     _tensor_columns,
     dual_module,
 )
@@ -104,6 +105,7 @@ from .rows import (
     FiniteLengthRealization,
     _block_builder,
     _entry_blocks,
+    _map_kernel,
 )
 
 
@@ -406,17 +408,25 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     """Body of `ext` and `tor`: homology of Hom(F, N) or F (x) N, with F a
     minimal resolution of M.  Each value is the kernel of the outgoing map
     on X_i modulo the incoming image, and a broken differential raises
-    `InvariantViolation`.  Off the artinian locus `_check_square_zero`
-    checks that the two maps compose to zero first, since the Groebner
-    kernel checks nothing, and the value's dimensions are the Hilbert
-    function of the kernel of `_subquotient_map`'s map, not minimalized.
-    Over an artinian context the row kernel of that map makes the check
-    itself: it is seeded with X_i / im(in), and an incoming column whose
-    image is nonzero in X_o is a seed row outside the kernel.  There only
-    that walk runs (`_kernel_generators`), and its Hilbert function is the
-    value's graded dimensions; no module is presented.  Where no map
-    leaves X_i (tor at 0, ext at the projective dimension) the value is
-    the Hilbert function of X_i / im(in) on both loci."""
+    `InvariantViolation`.  Each term X_j, a sum of shifted copies of N, is
+    built once per call and serves both as X_i and as the target of the
+    map out of its neighbour.
+
+    Over an artinian context one row-kernel walk (`rows._map_kernel`) on
+    X_i's free module gives the value's graded dimensions and makes the
+    check itself; X_i / im(in) is never presented.  Its map columns are
+    reduced copy by copy by N's own relation echelons, and its seed is
+    X_i's relation echelon, read off the same pieces of N, plus the
+    multiples of the incoming columns: an incoming column whose image is
+    nonzero in X_o is a seed row outside the kernel.  Off the artinian
+    locus `_check_square_zero` checks that the two maps compose to zero
+    first, since the Groebner kernel checks nothing; with Q = X_i / im(in)
+    = F / U and G the kernel's generators, the syzygies of [out | X_o's
+    relations] cut to X_i (`modules._syzygy_heads`, not pruned), the
+    value's series is HS(Q) - HS(F / (U + G)), and the kernel is never
+    presented.  Where no map leaves X_i (tor at 0, ext at the projective
+    dimension) the value is the Hilbert function of X_i / im(in) on both
+    loci."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
@@ -431,26 +441,37 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     out = ExtTorResult(kind, "direct", idxs)
     step = _STEP[kind]
     rb = Nm.rank0
+    terms: dict[int, PresentedModule] = {}
+
+    def term(j):
+        if j not in terms:
+            terms[j] = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
+        return terms[j]
+
     for i in idxs:
         if not res.rank(i) or rb == 0:
             out.record(i, {})
             continue
         o = i + step
-        X = _sum_of_shifts(Nm, _term_shifts(kind, res, i))
+        X = term(i)
         in_cols = _incoming_cols(kind, res, i, rb)
-        if not res.rank(o):
+        out_cols = _step_cols(kind, res, max(i, o), rb) if res.rank(o) else None
+        if out_cols is not None and ctx.is_artinian:
+            dims = _map_kernel(ctx, out_cols, X.row_twists, term(o), seed=X, seed_cols=in_cols)[1]
+            out.record(i, dims)
+            continue
+        Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
+        if out_cols is None:
             # No map leaves X_i: the value is X_i / im(in).
-            Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
             out.record(i, Q._finite_hf())
             continue
-        if not ctx.is_artinian:
-            _check_square_zero(kind, res, Nm, i, o)
-        Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
-        f = _subquotient_map(X, in_cols, Xout, _step_cols(kind, res, max(i, o), rb))
-        if ctx.is_artinian:
-            out.record(i, _kernel_generators(f.columns, f.source, f.target, True)[2])
-        else:
-            out.record(i, f.kernel()[0]._finite_hf())
+        _check_square_zero(kind, res, Nm, i, o)
+        Xo = term(o)
+        gens = _syzygy_heads(
+            ctx, out_cols + list(Xo.columns), X.row_twists + Xo.col_degrees, Xo.row_twists, X.rank0
+        )
+        C = PresentedModule(ctx, X.row_twists, list(Q.columns) + gens)
+        out.record(i, _finite_series(ctx, _tp_sub(Q.hilbert_numerator(), C.hilbert_numerator())))
     return out
 
 

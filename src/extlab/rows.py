@@ -28,13 +28,19 @@ pivots are the Groebner leads of U in degree d and reducing by it gives
 the Groebner normal form, so the Hilbert function (dim F_d minus the
 rank), normal forms and `from_module` are read off it with no Groebner
 basis.  A sum of shifted copies of one module (`modules._sum_of_shifts`)
-reads its echelon off the base's, copy by copy (`_sum_echelon`).
-`_map_kernel` reduces a map's degree-d columns by the target's echelon
-and passes the nullspace to `kernel_generators`, seeded with the
-source's relation span: that is `modules._kernel_generators` on artinian
+is read copy by copy off its base's echelons, which the base keeps:
+`_copy_pieces` gives each copy's piece and the offset of its coordinates
+in F_d, and no other code knows that layout.
+`_map_kernel` reduces a map's degree-d columns by the target's echelon,
+copy by copy, and passes the nullspace to `kernel_generators`, seeded
+with the source's relation span (for a sum, its echelon rows read off
+the base's pieces; otherwise every multiple of a relation) and the span
+of any extra vectors.  That is `modules._kernel_generators` on artinian
 contexts, behind `ModuleMap.kernel` (whose kernel module takes its
 Hilbert function from that walk) and, with a free target, every
-resolution step.
+resolution step; with a term of a Hom or tensor complex as the source
+and the incoming columns as the extra vectors, it is the direct route
+of `resolution.ext` / `tor`.
 `_minimal_generator_indices_rows` is the row body of
 `modules.minimal_generator_indices`.
 
@@ -52,7 +58,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation
 from .groebner import COMP_BITS, COMP_MASK, RingCtx, reduce_vec_by_ideal
-from .linalg import _insert_rows, _reduce_row, insert_row, nullspace_rows
+from .linalg import _insert_rows, _reduce_columns, _reduce_row, insert_row, nullspace_rows
 
 
 def vec_degree(ctx: RingCtx, vec: dict, twists: Sequence[int]) -> int:
@@ -356,49 +362,39 @@ def _echelon_of(ctx: RingCtx, twists, span_at, d: int) -> _Piece:
     return _Piece(keys, offsets, col, coord, basis)
 
 
-def _sum_echelon(base, shifts, d: int) -> _Piece:
-    """The degree-d relation echelon of a sum of shifted copies of `base`
-    (`modules._sum_of_shifts`), read off base's echelons: copy c is base's
-    piece in degree d - shifts[c] with every component raised by
-    c * base.rank0.  That raise keeps the order of the copy's keys, so
-    its rows, re-indexed, keep their pivots, and the copies' rows
-    together are the reduced echelon form: no elimination."""
-    r = base.rank0
-    pieces = [_echelon(base, d - s) for s in shifts]
-    keys: list[int] = []
-    offsets: list[int] = []
-    for c, piece in enumerate(pieces):
-        offsets += [len(keys) + o for o in piece.offsets]
-        # A packed key stores COMP_MASK - component in its low bits.
-        keys += [k - c * r for k in piece.keys]
-    col, coord = _columns_of(keys)
-    basis: dict[int, dict[int, int]] = {}
-    first = 0
-    for piece in pieces:
-        at = [col[first + i] for i in piece.coord]
-        for lead, row in piece.basis.items():
-            basis[at[lead]] = {at[b]: x for b, x in row.items()}
-        first += len(piece.keys)
-    return _Piece(keys, offsets, col, coord, basis)
+def _copy_pieces(mod, d: int):
+    """(offset, piece) for each copy making up F_d of `mod`, copy after
+    copy.  For a sum of shifted copies of a base (`modules._sum_of_shifts`)
+    the piece of copy c is base's relation echelon in degree d - shifts[c],
+    kept with base, and copy c's coordinates of F_d are that piece's, from
+    `offset` on.  Copy c's components are base's raised by c * base.rank0,
+    which keeps the order of its packed keys, so reducing by the piece
+    gives the normal form the sum's own echelon would.  A module that is
+    no sum is one copy of itself, its own echelon at offset 0.  No other
+    code knows how a sum's coordinates are laid out."""
+    summed = mod._cache.get("sum_of")
+    if summed is None:
+        yield 0, _echelon(mod, d)
+        return
+    base, shifts = summed
+    offset = 0
+    for s in shifts:
+        piece = _echelon(base, d - s)
+        yield offset, piece
+        offset += len(piece.keys)
 
 
 def _echelon(mod, d: int) -> _Piece:
     """The degree-d relation echelon of a module over an artinian context,
-    built on first use and kept with the module; a sum of shifted copies
-    reads it off its base (`_sum_echelon`)."""
+    built on first use and kept with the module."""
     cache = mod._cache.setdefault("echelon", {})
     hit = cache.get(d)
     if hit is None:
-        summed = mod._cache.get("sum_of")
-        if summed is not None:
-            hit = _sum_echelon(*summed, d)
-        else:
-            at = cache.get("rows")
-            if at is None and mod.columns:
-                at = _span_rows(mod.ctx, mod.row_twists, mod.columns, mod.col_degrees)
-                cache["rows"] = at
-            hit = _echelon_of(mod.ctx, mod.row_twists, at, d)
-        cache[d] = hit
+        at = cache.get("rows")
+        if at is None and mod.columns:
+            at = _span_rows(mod.ctx, mod.row_twists, mod.columns, mod.col_degrees)
+            cache["rows"] = at
+        hit = cache[d] = _echelon_of(mod.ctx, mod.row_twists, at, d)
     return hit
 
 
@@ -455,19 +451,26 @@ def _from_module_rows(mod) -> FiniteLengthRealization:
     return FiniteLengthRealization(ctx, {d: len(c) for d, c in coords.items()}, actions)
 
 
-def _map_kernel(ctx: RingCtx, cols, twists, target, seed=None) -> tuple[list[dict], dict[int, int]]:
+def _map_kernel(
+    ctx: RingCtx, cols, twists, target, seed=None, seed_cols=()
+) -> tuple[list[dict], dict[int, int]]:
     """Minimal generators of {x in F : sum_s x_s cols[s] = 0 in target},
     F = (+) R(-twists[s]), over an artinian context, modulo the relation
-    span of `seed` (a module presented on F) when one is given, and the
-    Hilbert function of that kernel modulo the seed (`kernel_generators`).
+    span of `seed` (a module presented on F) and the vectors `seed_cols`
+    of F when they are given, and the Hilbert function of that kernel
+    modulo them (`kernel_generators`).
 
     The degree-d matrix is the span matrix of `cols` (`_span_rows`), each
-    column reduced by the target's relation echelon, so its nullspace is
-    the degree-d kernel.  The columns of the seed's degree-d span matrix
-    (every monomial multiple of a relation) seed `kernel_generators`'
-    span, whose check then also asserts that the seed's relations lie in
-    the kernel.  They need no echelon: `kernel_generators` counts the ones
-    that add a pivot.
+    column reduced copy by copy by the target's relation echelon
+    (`_copy_pieces`: for a sum of shifted copies, its base's pieces), so
+    its nullspace is the degree-d kernel.  The seed rows, the degree-d
+    relation span of the seed and the span of `seed_cols`, seed
+    `kernel_generators`' span, whose check then also asserts that they
+    lie in the kernel.  A seed that is a sum gives its relation echelon
+    rows, read off its base's pieces with no elimination; otherwise the
+    rows are the columns of the span matrices (every monomial multiple of
+    a relation), which need no echelon either: `kernel_generators` counts
+    the ones that add a pivot.
     """
     if not twists:
         return [], {}
@@ -475,32 +478,39 @@ def _map_kernel(ctx: RingCtx, cols, twists, target, seed=None) -> tuple[list[dic
     at = _span_rows(ctx, target.row_twists, cols, twists)
 
     def reduced_at(d):
-        piece = _echelon(target, d)
-        if not piece.basis:
-            return at(d)
-        by_col: dict[int, dict[int, int]] = {}
-        for r, row in enumerate(at(d)):
-            for s, x in row.items():
-                by_col.setdefault(s, {})[piece.col[r]] = x
-        rows: dict[int, dict[int, int]] = {}
-        for s, vec in by_col.items():
-            for c, x in _reduce_row(piece.basis, vec, p).items():
-                rows.setdefault(c, {})[s] = x
-        return list(rows.values())
+        rows = at(d)
+        for off, piece in _copy_pieces(target, d):
+            _reduce_columns(rows, piece.basis, piece.coord, off, p)
+        return rows
 
-    seed_at = None
-    if seed is not None and seed.columns:
-        seed_span = _span_rows(ctx, seed.row_twists, seed.columns, seed.col_degrees)
+    rels = seed.columns if seed is not None else ()
+    summed = bool(rels) and "sum_of" in seed._cache
+    span_cols = [c for c in seed_cols if c]
+    span_degs = [vec_degree(ctx, c, twists) for c in span_cols]
+    if rels and not summed:
+        span_cols += rels
+        span_degs += seed.col_degrees
+    span = _span_rows(ctx, twists, span_cols, span_degs) if span_cols else None
 
-        def seed_at(d):
+    def seed_at(d):
+        out = []
+        if summed:
+            for off, piece in _copy_pieces(seed, d):
+                coord = piece.coord
+                out += ({off + coord[c]: x for c, x in row.items()} for row in piece.basis.values())
+        if span is not None:
             vecs: dict[int, dict[int, int]] = {}
-            for r, row in enumerate(seed_span(d)):
+            for r, row in enumerate(span(d)):
                 for s, x in row.items():
                     vecs.setdefault(s, {})[r] = x
-            return list(vecs.values())
+            out += vecs.values()
+        return out
 
     degrees = range(min(twists), max(twists) + ctx.top_degree + 1)
-    return kernel_generators(ctx, twists, reduced_at if target.columns else at, degrees, seed_at)
+    seeded = summed or span is not None
+    return kernel_generators(
+        ctx, twists, reduced_at if target.columns else at, degrees, seed_at if seeded else None
+    )
 
 
 def kernel_generators(

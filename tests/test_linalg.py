@@ -5,7 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from extlab.linalg import _insert_rows, insert_row, nullspace_rows, rank_rows
+from extlab.linalg import (
+    _insert_rows,
+    _reduce_columns,
+    _reduce_row,
+    insert_row,
+    nullspace_rows,
+    rank_rows,
+)
 from extlab.resolution import _matrix_builder, resolution_of
 from extlab.rows import FiniteLengthRealization, _split_entries
 from extlab.vanishing import ExperimentConfig, random_pair
@@ -199,6 +206,33 @@ def test_sparse_kernel_matches_naive(p, density, shapes):
             kept = [j for j in range(n) if insert_row(basis, {j: 1}, p)]
             rpiv = naive_rref(a[:, ::-1], p)[1]
             assert kept == [j for j in range(n) if n - 1 - j not in rpiv]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_columns_matches_reduce_row_per_column(p):
+    # `_reduce_columns` works on a matrix's rows, a pivot's row at a time;
+    # every column must come out as `_reduce_row` leaves it on its own,
+    # with the echelon's columns scattered over a block of the rows (echelon
+    # column c at row off + coord[c]) and the rows outside the block kept.
+    rng = random.Random(p)
+    shapes = ((12, 9, 5, 0.3), (40, 25, 30, 0.05), (8, 6, 8, 1.0), (30, 3, 12, 0.1))
+    for m, t, k, density in shapes:
+        basis = _insert_rows(as_rows(sparse_matrix(rng, k, m, p, density, True)), p, reduced=True)
+        coord = rng.sample(range(m), m)
+        off = rng.randrange(4)
+        a = sparse_matrix(rng, off + m + 2, t, p, density, False)
+        got = as_rows(a)
+        _reduce_columns(got, basis, coord, off, p)
+        want = as_rows(a)
+        for s in range(t):
+            col = {c: int(a[off + i, s]) for c, i in enumerate(coord) if a[off + i, s]}
+            red = _reduce_row(basis, col, p)
+            for c, i in enumerate(coord):
+                want[off + i].pop(s, None)
+                if c in red:
+                    want[off + i][s] = red[c]
+        assert got == want, (m, t, k)
+        assert all(not got[off + coord[c]] for c in basis)
 
 
 def test_rank_rows_reduces_coefficients():

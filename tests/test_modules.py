@@ -53,7 +53,7 @@ from extlab.resolution import (
     tor,
     tor_via_complete,
 )
-from extlab.rows import _echelon, _echelon_of, _span_rows
+from extlab.rows import _Piece, _columns_of, _copy_pieces, _echelon_of, _span_rows
 from extlab.vanishing import (
     ExperimentConfig,
     random_module,
@@ -755,11 +755,32 @@ def test_hom_complex_matches_per_slot_reference(request, ring, seed):
                     assert _step_cols("tor", res, j, rb) == _step_cols_by_entries("tor", res, j, rb)
 
 
+def _summed_piece(X, d):
+    """The degree-d echelon of a sum of shifted copies assembled from its
+    copies' pieces (`_copy_pieces`): copy c's keys are its base's with
+    every component raised by c * base.rank0, and its rows re-indexed."""
+    codec = X.ctx.codec
+    r = X._cache["sum_of"][0].rank0
+    copies = list(_copy_pieces(X, d))
+    keys, offsets = [], []
+    for c, (off, piece) in enumerate(copies):
+        assert off == len(keys)
+        offsets += [off + o for o in piece.offsets]
+        keys += [codec.mkey(codec.mono_of(k), codec.comp_of(k) + c * r) for k in piece.keys]
+    col, coord = _columns_of(keys)
+    basis = {}
+    for off, piece in copies:
+        at = [col[off + i] for i in piece.coord]
+        for lead, row in piece.basis.items():
+            basis[at[lead]] = {at[b]: x for b, x in row.items()}
+    return _Piece(keys, offsets, col, coord, basis)
+
+
 @pytest.mark.parametrize("ring, seed", [("gor5", 57), ("nilsquares", 58)])
 def test_sum_echelon_matches_echelon_from_scratch(request, ring, seed):
-    # A sum of shifted copies reads its relation echelon off its base's,
-    # re-keyed copy by copy; it must equal the echelon eliminated from the
-    # sum's own relation span, piece for piece, in every degree.
+    # A sum of shifted copies is read copy by copy off its base's relation
+    # echelons; re-keyed, the copies' pieces must be the echelon eliminated
+    # from the sum's own relation span, piece for piece, in every degree.
     ctx = request.getfixturevalue(ring)
     cfg = ExperimentConfig(seed=seed)
     checked = nontrivial = 0
@@ -774,7 +795,7 @@ def test_sum_echelon_matches_echelon_from_scratch(request, ring, seed):
                     span = _span_rows(ctx, X.row_twists, X.columns, X.col_degrees)
                 lo = min(X.row_twists) - 1
                 for d in range(lo, max(X.row_twists) + ctx.top_degree + 2):
-                    piece = _echelon(X, d)
+                    piece = _summed_piece(X, d)
                     assert piece == _echelon_of(ctx, X.row_twists, span, d), (shifts, d)
                     checked += 1
                     nontrivial += bool(piece.basis)

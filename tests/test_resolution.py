@@ -26,7 +26,7 @@ import pytest
 from extlab import resolution
 from extlab.errors import HypothesisNotMet, InvariantViolation, ResourceCapError
 from extlab.groebner import RingCtx, reduce_vec_by_ideal
-from extlab.linalg import rank_rows
+from extlab.linalg import _reduce_row, rank_rows
 from extlab.modules import (
     ModuleMap,
     PresentedModule,
@@ -64,7 +64,16 @@ from extlab.resolution import (
     tor_profile,
     tor_via_complete,
 )
-from extlab.rows import FiniteLengthRealization, _block_builder, _echelon_hf, _entry_blocks
+from extlab.rows import (
+    FiniteLengthRealization,
+    _block_builder,
+    _echelon_hf,
+    _echelon_of,
+    _entry_blocks,
+    _map_kernel,
+    _span_rows,
+    kernel_generators,
+)
 from extlab.vanishing import (
     ExperimentConfig,
     free_or_nonvanishing_check,
@@ -436,9 +445,11 @@ def test_module_route_checks_composites_on_rows(buchberger_runs):
 
 def test_module_route_groebner_work_is_pinned(buchberger_runs):
     # Buchberger runs are deterministic, so the module route's Groebner
-    # work on a fresh quadric context is pinned as an exact count: 37 with
-    # each homology module taken as a kernel on a cokernel (46 when the
-    # incoming image was read off a tagged basis of the kernel).
+    # work on a fresh quadric context is pinned as an exact count: 27 with
+    # each value's series read as HS(Q) - HS(Q / kernel generators), the
+    # generators unpruned (37 when the kernel was pruned and presented to
+    # read its Hilbert function, 46 when the incoming image was read off a
+    # tagged basis of the kernel).
     ctx = make_ctx(("w", "x", "y", "z"), ("w*x - y*z",))
     k = k_of(ctx)
     N = PresentedModule.from_matrix(ctx, [["w"], ["x"], ["y"], ["z"]])
@@ -447,7 +458,7 @@ def test_module_route_groebner_work_is_pinned(buchberger_runs):
     t = tor(k, N, range(4))
     assert [e.total(i) for i in range(4)] == [0, 0, 1, 8]
     assert [t.total(i) for i in range(4)] == [4, 1, 0, 0]
-    assert buchberger_runs.count == 37
+    assert buchberger_runs.count == 27
 
 
 @pytest.mark.parametrize(
@@ -722,20 +733,133 @@ def test_direct_route_dims_match_eager_homology(request, ring, seed):
     assert evicted and nonzero
 
 
+def _complex_at(kind, M, N, i):
+    """(X_i, incoming columns, X_o, outgoing columns) of the direct
+    route's complex at index i, or None where no map leaves X_i or X_i is
+    zero."""
+    Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
+    res = resolution_of(Mm).extend_to(i + 1)
+    o = i + _STEP[kind]
+    if not (res.rank(i) and Nm.rank0 and o >= 0 and res.rank(o)):
+        return None
+    X = _sum_of_shifts(Nm, _term_shifts(kind, res, i))
+    Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
+    rb = Nm.rank0
+    return X, _incoming_cols(kind, res, i, rb), Xout, _step_cols(kind, res, max(i, o), rb)
+
+
+def _walk_on_quotient(X, in_cols, Xout, out_cols):
+    """Graded dimensions of ker(X / im(in) -> X_o) by the walk the direct
+    route made before it read terms copy by copy: on the map out of
+    Q = X / im(in), presented, seeded with every multiple of Q's
+    relations, into a copy of X_o that is no sum, so that its columns
+    are reduced by an echelon eliminated from X_o's own span."""
+    ctx = X.ctx
+    Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
+    whole = PresentedModule(ctx, Xout.row_twists, Xout.columns, _reduced=True)
+    f = ModuleMap(Q, whole, out_cols, check=False, _reduced=True)
+    return _kernel_generators(f.columns, f.source, f.target, True)[2]
+
+
+def _kernel_by_whole_echelon(cols, twists, target):
+    """Unseeded kernel generators and dimensions of the map F -> target
+    with columns `cols`, each degree-d column reduced by the echelon
+    `_echelon_of` eliminates from the target's own relation span."""
+    ctx = target.ctx
+    p = ctx.ring.field.p
+    at = _span_rows(ctx, target.row_twists, cols, twists)
+    span = _span_rows(ctx, target.row_twists, target.columns, target.col_degrees)
+
+    def reduced_at(d):
+        piece = _echelon_of(ctx, target.row_twists, span, d)
+        by_col = {}
+        for r, row in enumerate(at(d)):
+            for s, x in row.items():
+                by_col.setdefault(s, {})[piece.col[r]] = x
+        rows = {}
+        for s, vec in by_col.items():
+            for c, x in _reduce_row(piece.basis, vec, p).items():
+                rows.setdefault(c, {})[s] = x
+        return list(rows.values())
+
+    degrees = range(min(twists), max(twists) + ctx.top_degree + 1)
+    return kernel_generators(ctx, twists, reduced_at, degrees)
+
+
+@pytest.mark.parametrize("ring, seed", [("gor5", 75), ("nilsquares", 76)])
+def test_direct_route_reads_terms_copy_by_copy(request, ring, seed):
+    # Over an artinian ring the direct route reduces the outgoing map's
+    # columns copy by copy by N's echelons and seeds its walk with X_i's
+    # relation echelon, read off the same pieces, plus the multiples of
+    # the incoming columns.  Its dimensions must be those of the walk on
+    # the presented quotient X_i / im(in) into X_o as a whole, and the
+    # kernel of a map into a sum, reduced copy by copy, must be the one
+    # reduced by the sum's own echelon: the same generators, term for
+    # term, and the same dimensions.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=seed)
+    compared = nonzero = reduced = 0
+    for pair in range(3):
+        M, N = random_pair(cfg, ctx, pair)
+        for kind, route in (("ext", ext), ("tor", tor)):
+            result = route(M, N, range(5))
+            for i in range(5):
+                at = _complex_at(kind, M, N, i)
+                if at is None:
+                    continue
+                X, in_cols, Xout, out_cols = at
+                assert result.graded_of(i) == _walk_on_quotient(*at), (pair, kind, i)
+                gens, dims = _map_kernel(ctx, out_cols, X.row_twists, Xout)
+                ref_gens, ref_dims = _kernel_by_whole_echelon(out_cols, X.row_twists, Xout)
+                assert [list(g.items()) for g in gens] == [list(g.items()) for g in ref_gens]
+                assert dims == ref_dims
+                compared += 1
+                nonzero += bool(result.total(i))
+                reduced += bool(Xout.columns)
+    assert nonzero and reduced and compared >= 20
+
+
+def test_direct_route_builds_each_term_once(monkeypatch):
+    # One call builds each term X_j of the complex once, as the source at
+    # its own index and as the target of its neighbour's map: ext on
+    # [1, 2, 3] needs X_1 .. X_4 and tor X_0 .. X_3, 4 sums each (6 when
+    # every index built both of its terms).
+    ctx = make_ctx(*GOR5)
+    M, N = random_pair(ExperimentConfig(seed=1, max_generators=1), ctx, 1)
+    real = resolution._sum_of_shifts
+    built = []
+
+    def counted(base, shifts):
+        built.append(tuple(shifts))
+        return real(base, shifts)
+
+    monkeypatch.setattr(resolution, "_sum_of_shifts", counted)
+    for route in (ext, tor):
+        built.clear()
+        result = route(M, N, [1, 2, 3])
+        assert all(result.totals.values())
+        assert len(built) == len(set(built)) == 4
+
+
 @pytest.mark.parametrize(
     "names, rels, gens, pair, eager, now",
     [
-        (("x", "y"), ("x^2", "y^2"), 3, 2, 569, 497),
-        (*GOR5, 1, 1, 535, 312),
+        (("x", "y"), ("x^2", "y^2"), 3, 2, 569, 422),
+        (*GOR5, 1, 1, 535, 185),
     ],
 )
 def test_direct_route_row_work_is_pinned(axpy_calls, names, rels, gens, pair, eager, now):
     # The direct route over an artinian ring, pinned by its row work: ext
     # and tor on [1, 2, 3] of one seed-1 pair (cyclic over gor5, as in the
-    # route benchmark) on a fresh context make `now` row additions
-    # (`eager` when each homology module was presented as it was
-    # computed, its Hilbert function read off its own echelon, and the
-    # walk was seeded with the reduced relation echelon).
+    # route benchmark) on a fresh context make `now` row additions, with
+    # the walk seeded by X_i's relation echelon read off N's and the map
+    # reduced copy by copy, a pivot's row at a time (477 and 224 when the
+    # map's columns were reduced one by one, 497 and 312 when the walk
+    # was seeded with every multiple of X_i / im(in)'s relations and the
+    # columns were reduced by X_o's whole echelon; `eager` when each
+    # homology module was presented as it was computed, its Hilbert
+    # function read off its own echelon, and the walk was seeded with the
+    # reduced relation echelon).
     ctx = make_ctx(names, rels)
     M, N = random_pair(ExperimentConfig(seed=1, max_generators=gens), ctx, pair)
     axpy_calls.reset()
