@@ -330,65 +330,36 @@ def _finite_series(ctx: RingCtx, num: dict[int, int]) -> dict[int, int] | None:
     return hf
 
 
-def _unit_entry(ctx: RingCtx, vec: dict) -> tuple[int, int] | None:
-    """(component, coefficient) of a degree-zero entry, if any."""
-    unit = ctx.ring.unit_key
-    codec = ctx.codec
-    for k, c in vec.items():
-        if codec.mono_of(k) == unit:
-            return codec.comp_of(k), c
-    return None
-
-
-def _drop_component(ctx: RingCtx, vec: dict, j0: int) -> dict:
-    codec = ctx.codec
-    out = {}
-    for k, c in vec.items():
-        comp = codec.comp_of(k)
-        if comp == j0:
-            raise InvariantViolation("pivot row failed to cancel")
-        out[codec.mkey(codec.mono_of(k), comp - (comp > j0))] = c
-    return out
-
-
-def _entry_of(ctx: RingCtx, vec: dict, j: int) -> dict[int, int]:
-    codec = ctx.codec
-    return {codec.mono_of(k): c for k, c in vec.items() if codec.comp_of(k) == j}
-
-
 def _minimalize(mod: PresentedModule) -> PresentedModule:
-    """Unit-pivot elimination, which leaves a minimal set of generators,
-    then `minimal_generator_indices` on the relation columns."""
-    ctx = mod.ctx
-    p = ctx.ring.field.p
-    cols = [dict(c) for c in mod.columns]
-    twists = list(mod.row_twists)
-    while True:
-        pivot = None
-        for ci, vec in enumerate(cols):
-            hit = _unit_entry(ctx, vec)
-            if hit is not None:
-                pivot = (ci, *hit)
-                break
-        if pivot is None:
-            break
-        ci, j0, u = pivot
-        pivcol = cols.pop(ci)
-        uinv = pow(u, p - 2, p)
-        new_cols = []
-        for vec in cols:
-            f = _entry_of(ctx, vec, j0)
-            if f:
-                f = {mk: c * uinv % p for mk, c in f.items()}
-                vec = vec_poly_submul(dict(vec), f, pivcol, ctx)
-                vec = reduce_vec_by_ideal(vec, ctx)
-            if vec:
-                new_cols.append(_drop_component(ctx, vec, j0))
-            # A column that cancelled entirely is simply dropped.
-        cols = new_cols
-        twists.pop(j0)
-    keep = minimal_generator_indices(ctx, cols, len(twists), twists)
-    return PresentedModule(ctx, twists, [cols[i] for i in keep])
+    """The relations' constant parts go into one GF(p) echelon keyed by
+    component (`insert_row`); the generators at its non-pivot components
+    span M / mM, so they generate M minimally.  If that is all of them,
+    a minimal subfamily of the relations is kept
+    (`minimal_generator_indices`); otherwise `_submodule` presents M on
+    them."""
+    ctx, codec, unit = mod.ctx, mod.ctx.codec, mod.ctx.ring.unit_key
+    basis: dict[int, dict[int, int]] = {}
+    for vec in mod.columns:
+        const = {codec.comp_of(k): c for k, c in vec.items() if codec.mono_of(k) == unit}
+        insert_row(basis, const, ctx.ring.field.p)
+    if not basis:
+        keep = minimal_generator_indices(ctx, list(mod.columns), mod.rank0, mod.row_twists)
+        return PresentedModule(ctx, mod.row_twists, [mod.columns[i] for i in keep], _reduced=True)
+    kept = [j for j in range(mod.rank0) if j not in basis]
+    gens = [{codec.mkey(unit, j): 1} for j in kept]
+    return _submodule(gens, tuple(mod.row_twists[j] for j in kept), mod, ctx.is_artinian)
+
+
+def _submodule(gens, degs, target: PresentedModule, rows: bool) -> PresentedModule:
+    """The submodule of `target` generated by `gens` (of degrees `degs`,
+    minimal modulo target's relations), presented by minimal generators
+    of the kernel of the free module on `degs` onto it
+    (`_kernel_generators`): its own minimal presentation."""
+    ctx = target.ctx
+    rels = _kernel_generators(gens, PresentedModule.free(ctx, degs), target, rows)[0]
+    out = PresentedModule(ctx, degs, rels, _reduced=True)
+    out._cache["min"] = out
+    return out
 
 
 class ModuleMap:
@@ -486,24 +457,23 @@ class ModuleMap:
         return not any(self.target.normal_form(c) for c in self.columns)
 
     def kernel(self) -> tuple[PresentedModule, "ModuleMap"]:
-        """(K, inclusion K -> source), K on minimal generators.
+        """(K, inclusion K -> source), K minimally presented.
 
-        On an artinian context everything is degreewise linear algebra on
-        sparse GF(p) rows (`rows._map_kernel`), with no Groebner basis:
-        in degree d, ker(F_source -> target) is the nullspace of the map's
-        columns reduced by the target's relation echelon, and
-        `rows.kernel_generators`, seeded with the source's relation
-        span, returns minimal generators of K modulo the source
-        relations, checking that those relations lie in the kernel (the map
-        is well defined).  The same walk gives K's Hilbert function, the
+        K's generators are minimal generators of the kernel modulo the
+        source relations (`_kernel_generators`), and K is the submodule of
+        the source they generate, presented by the same step applied to
+        them against the source (`_submodule`), so K is its own minimal
+        presentation.  On an artinian context both steps are degreewise
+        linear algebra on sparse GF(p) rows (`rows._map_kernel`), with no
+        Groebner basis: in degree d, ker(F_source -> target) is the
+        nullspace of the map's columns reduced by the target's relation
+        echelon, and `rows.kernel_generators`, seeded with the source's
+        relation span, returns minimal generators modulo it, checking
+        that the source relations lie in the kernel (the map is well
+        defined).  The same walk gives K's Hilbert function, the
         nullspace's dimension minus the seed's rank in each degree, and K
-        keeps it.  K's relations come from the same step applied to K's
-        generators against the source, so K is minimally presented.
-        Elsewhere the syzygies of [columns | target relations], cut to the
-        source components, generate the kernel; a minimal subfamily modulo
-        the source relations (`minimal_generator_indices`) is K's
-        generators, and the syzygies of [kept | source relations], cut to
-        the kept components, are K's relations.
+        keeps it.  Elsewhere both steps are syzygies pruned by
+        `minimal_generator_indices`.
         """
         return _kernel(self, self.ctx.is_artinian)
 
@@ -518,22 +488,11 @@ class ModuleMap:
 def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
     """Body of `ModuleMap.kernel`, on sparse rows (artinian contexts only)
     or through Groebner bases; the tests hold the two to each other."""
-    ctx = f.ctx
-    src = f.source
-    gens, degs, hf = _kernel_generators(f.columns, src, f.target, rows)
-    if rows:
-        # The relations are `_map_kernel` of the map from the generators
-        # into src.  Both are minimal, so K is its own minimal
-        # presentation, and its Hilbert function is the walk's.
-        K = PresentedModule(ctx, degs, _map_kernel(ctx, gens, degs, src)[0], _reduced=True)
-        K._cache["min"] = K
+    gens, degs, hf = _kernel_generators(f.columns, f.source, f.target, rows)
+    K = _submodule(gens, degs, f.source, rows)
+    if hf is not None:
         K._cache["hf"] = dict(hf)
-    else:
-        rels = _syzygy_heads(
-            ctx, gens + list(src.columns), degs + src.col_degrees, src.row_twists, len(gens)
-        )
-        K = PresentedModule(ctx, degs, rels)
-    return K, ModuleMap(K, src, gens, check=False, _reduced=True)
+    return K, ModuleMap(K, f.source, gens, check=False, _reduced=True)
 
 
 def _kernel_generators(
@@ -550,7 +509,8 @@ def _kernel_generators(
     cut to the source components, generate the kernel, and a minimal
     subfamily modulo the source relations is kept; there the Hilbert
     function is None.  A resolution step is this map between free
-    modules."""
+    modules, and `_submodule`'s relations are this map from a free
+    module: the one kernel-generator body."""
     ctx = src.ctx
     if rows:
         gens, hf = _map_kernel(ctx, cols, src.row_twists, tgt, seed=src)
@@ -665,7 +625,7 @@ def _dual_kernel(mod: PresentedModule) -> tuple[PresentedModule, tuple[dict, ...
 def dual_module(mod: PresentedModule) -> PresentedModule:
     hit = mod._cache.get("dual")
     if hit is None:
-        hit = _dual_kernel(mod)[0].minimal_presentation()
+        hit = _dual_kernel(mod)[0]
         mod._cache["dual"] = hit
     return hit
 
@@ -693,19 +653,19 @@ def subquotient(
     functionals of `stable_hom`, re-keyed normal forms).  Every Hom and
     stable Hom of the package is built this way, and so are duals:
     `_dual_kernel` is the kernel of `_hom_complex` against R, with nothing
-    to divide out.  Over an artinian context this is degreewise linear
-    algebra on sparse GF(p) rows with no Groebner basis: the map's columns
-    are reduced by the target's relation echelon, the kernel is generated
-    modulo the relation span of Q, which also checks that in_cols lie in
-    the kernel, and it comes minimally presented with its Hilbert function
-    read off that walk (see `ModuleMap.kernel`).  The direct route of
-    `resolution.ext` / `tor` runs that walk on X's free module, seeded
-    with X's relations and in_cols, and reads only its dimensions: no
-    module is presented.
+    to divide out.  The kernel comes minimally presented on both loci
+    (`ModuleMap.kernel`).  Over an artinian context this is degreewise
+    linear algebra on sparse GF(p) rows with no Groebner basis: the map's
+    columns are reduced by the target's relation echelon, the kernel is
+    generated modulo the relation span of Q, which also checks that
+    in_cols lie in the kernel, and its Hilbert function is read off that
+    walk.  The direct route of `resolution.ext` / `tor` runs that walk on
+    X's free module, seeded with X's relations and in_cols, and reads only
+    its dimensions: no module is presented.
     """
     Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols), _reduced=True)
     f = ModuleMap(Q, target, out_cols, check=False, _reduced=True)
-    return f.kernel()[0].minimal_presentation()
+    return f.kernel()[0]
 
 
 def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:

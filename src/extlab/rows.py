@@ -33,14 +33,15 @@ is read copy by copy off its base's echelons, which the base keeps:
 in F_d, and no other code knows that layout.
 `_map_kernel` reduces a map's degree-d columns by the target's echelon,
 copy by copy, and passes the nullspace to `kernel_generators`, seeded
-with the source's relation span (for a sum, its echelon rows read off
-the base's pieces; otherwise every multiple of a relation) and the span
-of any extra vectors.  That is `modules._kernel_generators` on artinian
+with the source's relation echelon rows, copy by copy (`_copy_pieces`;
+a module that is no sum is one copy of itself), and the span of any
+extra vectors.  That is `modules._kernel_generators` on artinian
 contexts, behind `ModuleMap.kernel` (whose kernel module takes its
-Hilbert function from that walk) and, with a free target, every
-resolution step; with a term of a Hom or tensor complex as the source
-and the incoming columns as the extra vectors, it is the direct route
-of `resolution.ext` / `tor`.
+Hilbert function from that walk), every presentation built by
+`modules._submodule` and, with a free target, every resolution step;
+with a term of a Hom or tensor complex as the source and the incoming
+columns as the extra vectors, it is the direct route of
+`resolution.ext` / `tor`.
 `_minimal_generator_indices_rows` is the row body of
 `modules.minimal_generator_indices`.
 
@@ -466,11 +467,10 @@ def _map_kernel(
     its nullspace is the degree-d kernel.  The seed rows, the degree-d
     relation span of the seed and the span of `seed_cols`, seed
     `kernel_generators`' span, whose check then also asserts that they
-    lie in the kernel.  A seed that is a sum gives its relation echelon
-    rows, read off its base's pieces with no elimination; otherwise the
-    rows are the columns of the span matrices (every monomial multiple of
-    a relation), which need no echelon either: `kernel_generators` counts
-    the ones that add a pivot.
+    lie in the kernel.  The seed gives its relation echelon rows, copy by
+    copy (`_copy_pieces`; a module that is no sum is one copy of itself),
+    and `seed_cols` every monomial multiple, with no echelon:
+    `kernel_generators` counts the rows that add a pivot.
     """
     if not twists:
         return [], {}
@@ -483,18 +483,14 @@ def _map_kernel(
             _reduce_columns(rows, piece.basis, piece.coord, off, p)
         return rows
 
-    rels = seed.columns if seed is not None else ()
-    summed = bool(rels) and "sum_of" in seed._cache
+    rels = seed is not None and bool(seed.columns)
     span_cols = [c for c in seed_cols if c]
     span_degs = [vec_degree(ctx, c, twists) for c in span_cols]
-    if rels and not summed:
-        span_cols += rels
-        span_degs += seed.col_degrees
     span = _span_rows(ctx, twists, span_cols, span_degs) if span_cols else None
 
     def seed_at(d):
         out = []
-        if summed:
+        if rels:
             for off, piece in _copy_pieces(seed, d):
                 coord = piece.coord
                 out += ({off + coord[c]: x for c, x in row.items()} for row in piece.basis.values())
@@ -507,7 +503,7 @@ def _map_kernel(
         return out
 
     degrees = range(min(twists), max(twists) + ctx.top_degree + 1)
-    seeded = summed or span is not None
+    seeded = rels or span is not None
     return kernel_generators(
         ctx, twists, reduced_at if target.columns else at, degrees, seed_at if seeded else None
     )

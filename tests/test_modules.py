@@ -5,6 +5,7 @@ the artinian cases use GF(101)[x,y]/(x^2,y^2), whose socle is spanned by
 x*y in degree 2.
 """
 
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -22,7 +23,6 @@ from extlab.modules import (
     ModuleMap,
     PresentedModule,
     _dual_kernel,
-    _entry_of,
     _hom_columns,
     _hom_complex,
     _kernel,
@@ -93,6 +93,36 @@ def test_minimal_presentation_drops_spanned_columns(plane):
     mm = k_ish.minimal_presentation()
     assert len(mm.columns) == 2
     assert mm == PresentedModule.residue_field(plane)
+
+
+@pytest.mark.parametrize("ring, seed", [("quadric", 61), ("gor5", 62), ("nilsquares", 63)])
+def test_minimal_presentation_drops_unit_generators(request, ring, seed):
+    # A generator g of twist a_j + e with the relation g - f*e_j (f a
+    # nonzero constant when e = 0, a form of degree e otherwise) adds
+    # nothing to M: the minimal presentation is M's up to the choice of
+    # generators (for e = 0 it is e_j that goes, and g stays), and no
+    # relation keeps a constant entry.
+    ctx = request.getfixturevalue(ring)
+    codec, unit, p = ctx.codec, ctx.ring.unit_key, ctx.ring.field.p
+    rng = random.Random(seed)
+    cfg = ExperimentConfig(seed=seed)
+    for i in range(4):
+        M = random_module(cfg, ctx, i)
+        want = M.minimal_presentation()
+        r = M.rank0
+        j = rng.randrange(r)
+        for e in range(3):
+            f = ctx.ring.random_homogeneous(rng, e) if e else ctx.ring.constant(rng.randrange(1, p))
+            rel = {codec.mkey(m, j): p - c for m, c in f.raw().items()}
+            rel[codec.mkey(unit, r)] = 1
+            bigger = PresentedModule(ctx, M.row_twists + (M.row_twists[j] + e,), [*M.columns, rel])
+            got = bigger.minimal_presentation()
+            assert sorted(got.row_twists) == sorted(want.row_twists)
+            assert got.hilbert_numerator() == want.hilbert_numerator()
+            assert len(got.columns) == len(want.columns)
+            assert minimal_free_resolution(got, 3)[1] == minimal_free_resolution(want, 3)[1]
+            assert not any(codec.mono_of(k) == unit for col in got.columns for k in col)
+    assert PresentedModule.from_matrix(ctx, [[1]]).minimal_presentation() == PresentedModule.zero(ctx)
 
 
 def test_column_order_is_canonical(plane):
@@ -543,6 +573,11 @@ def test_row_kernel_matches_groebner_kernel(request, ring, seed):
         by_rows, incl = _kernel(f, True)
         by_gb, _ = _kernel(f, False)
         assert sorted(by_rows.row_twists) == sorted(by_gb.row_twists)
+        # Both kernels come minimally presented: minimalizing a fresh copy
+        # of the Groebner one gives it back, and both have beta_1 relations.
+        fresh = PresentedModule(ctx, by_gb.row_twists, by_gb.columns)
+        assert fresh.minimal_presentation() == by_gb
+        assert len(by_gb.columns) == len(by_rows.columns)
         # The inclusion must kill K's relations (checked on construction)
         # and compose with f to zero.
         incl = ModuleMap(by_rows, f.source, incl.columns)
@@ -648,7 +683,8 @@ def _psi_per_slot(a, b):
         for t in range(rb):
             vec: dict[int, int] = {}
             for c, col in enumerate(a.columns):
-                for mk, cf in _entry_of(ctx, col, j).items():
+                entry = {codec.mono_of(k): x for k, x in col.items() if codec.comp_of(k) == j}
+                for mk, cf in entry.items():
                     key = codec.mkey(mk, c * rb + t)
                     vec[key] = (vec.get(key, 0) + cf) % p
             out.append({k: c for k, c in vec.items() if c})
