@@ -350,15 +350,18 @@ def _minimalize(mod: PresentedModule) -> PresentedModule:
     return _submodule(gens, tuple(mod.row_twists[j] for j in kept), mod, ctx.is_artinian)
 
 
-def _submodule(gens, degs, target: PresentedModule, rows: bool) -> PresentedModule:
+def _submodule(gens, degs, target: PresentedModule, rows: bool, hf=None) -> PresentedModule:
     """The submodule of `target` generated by `gens` (of degrees `degs`,
     minimal modulo target's relations), presented by minimal generators
     of the kernel of the free module on `degs` onto it
-    (`_kernel_generators`): its own minimal presentation."""
+    (`_kernel_generators`): its own minimal presentation.  `hf`, its
+    Hilbert function when the caller knows it, is kept."""
     ctx = target.ctx
     rels = _kernel_generators(gens, PresentedModule.free(ctx, degs), target, rows)[0]
     out = PresentedModule(ctx, degs, rels, _reduced=True)
     out._cache["min"] = out
+    if hf is not None:
+        out._cache["hf"] = dict(hf)
     return out
 
 
@@ -489,9 +492,7 @@ def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
     """Body of `ModuleMap.kernel`, on sparse rows (artinian contexts only)
     or through Groebner bases; the tests hold the two to each other."""
     gens, degs, hf = _kernel_generators(f.columns, f.source, f.target, rows)
-    K = _submodule(gens, degs, f.source, rows)
-    if hf is not None:
-        K._cache["hf"] = dict(hf)
+    K = _submodule(gens, degs, f.source, rows, hf)
     return K, ModuleMap(K, f.source, gens, check=False, _reduced=True)
 
 
@@ -609,24 +610,29 @@ def _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo) -> list[int]:
 # -- duals, hom, tensor -------------------------------------------------------
 
 
-def _dual_kernel(mod: PresentedModule) -> tuple[PresentedModule, tuple[dict, ...]]:
-    """(K, functionals) with K = Hom(M, R) on minimal generators.
-
-    K is the kernel of M's transposed relation matrix (`_hom_complex`
-    against R), and functionals[j] is its j-th generator as a vector u
-    over the free cover of M, with negated generator degrees, such that
-    u . column = 0 mod I for every relation column.
-    """
-    X, Y, psi_cols = _hom_complex(mod, PresentedModule.ring_module(mod.ctx))
-    K, incl = ModuleMap(X, Y, psi_cols, check=False, _reduced=True).kernel()
-    return K, incl.columns
+def _dual_generators(mod: PresentedModule) -> tuple:
+    """(X, functionals, degrees, Hilbert function or None) of Hom(M, R),
+    the kernel of M's transposed relation matrix psi : X -> Y
+    (`_hom_complex` against R), from one `_kernel_generators` walk kept
+    on the module: `dual_module`, `stable_hom` and complete resolutions
+    all read it.  functionals[j] is the j-th minimal generator as a
+    vector u over the free cover of M, with negated generator degrees,
+    such that u . column = 0 mod I for every relation column."""
+    hit = mod._cache.get("dual_gens")
+    if hit is None:
+        X, Y, psi_cols = _hom_complex(mod, PresentedModule.ring_module(mod.ctx))
+        gens = _kernel_generators(psi_cols, X, Y, mod.ctx.is_artinian)
+        hit = mod._cache["dual_gens"] = (X, *gens)
+    return hit
 
 
 def dual_module(mod: PresentedModule) -> PresentedModule:
+    """Hom(M, R), the submodule of X its functionals generate
+    (`_dual_generators`, `_submodule`), as `_kernel` presents a kernel."""
     hit = mod._cache.get("dual")
     if hit is None:
-        hit = _dual_kernel(mod)[0]
-        mod._cache["dual"] = hit
+        X, gens, degs, hf = _dual_generators(mod)
+        hit = mod._cache["dual"] = _submodule(gens, degs, X, mod.ctx.is_artinian, hf)
     return hit
 
 
@@ -652,8 +658,9 @@ def subquotient(
     are reduced modulo the ideal, and so are the callers' in_cols (the
     functionals of `stable_hom`, re-keyed normal forms).  Every Hom and
     stable Hom of the package is built this way, and so are duals:
-    `_dual_kernel` is the kernel of `_hom_complex` against R, with nothing
-    to divide out.  The kernel comes minimally presented on both loci
+    `dual_module` is the kernel of `_hom_complex` against R, with nothing
+    to divide out, presented from its cached generators
+    (`_dual_generators`).  The kernel comes minimally presented on both loci
     (`ModuleMap.kernel`).  Over an artinian context this is degreewise
     linear algebra on sparse GF(p) rows with no Groebner basis: the map's
     columns are reduced by the target's relation echelon, the kernel is
@@ -752,5 +759,5 @@ def stable_hom(a: PresentedModule, b: PresentedModule) -> PresentedModule:
     is the kernel of psi on X modulo them.
     """
     X, Y, psi_cols = _hom_complex(a, b)
-    _, functionals = _dual_kernel(a)
+    functionals = _dual_generators(a)[1]
     return subquotient(X, _tensor_columns(a.ctx, functionals, b.rank0), Y, psi_cols)

@@ -30,23 +30,24 @@ returns dimensions only (`ExtTorResult`):
   each functor off the opposite one, through `derived_dims` on both
   loci.  It is only valid over a Gorenstein context for maximal
   Cohen-Macaulay input, in a window of indices determined by how far the
-  syzygy was taken.  `derived_dims` builds no homology module: over an
-  artinian context it takes ranks of degreewise matrices
-  (`_degreewise_dims`), elsewhere Hilbert series (`_hilbert_dims`): with
-  C_j the Hilbert numerator of X_j modulo the image of the map into it,
-  the value at i has series C_i + C_o - HS(X_o), o the index its
-  outgoing map leads to, read as None when it has infinite length.
-  Ranks and C_j live with the resolution of M, one memo per N
-  (`_derived_memo`), so neighbouring indices of a scan share them and
-  they go when the resolution does.  Under C_j, the Groebner basis of a
-  cokernel is shared by every cokernel with the same span, whatever its
-  twists (`_coker_numerator`).  `ext_profile` / `tor_profile` are
-  `derived_dims` refusing infinite length; the scans and depth tests
-  use it too.
+  syzygy was taken.  `derived_dims` builds no homology module and has
+  one body on both loci: with C_j the series of X_j modulo the image of
+  the map into it (`_coker_series`), the value at i has series
+  C_i + C_o - HS(X_o), o the index its outgoing map leads to, read as
+  None when it has infinite length.  The locus picks only how C_j is
+  built and how series are held: over an artinian context C_j is a
+  Hilbert function, dim X_j minus ranks of degreewise matrices;
+  elsewhere it is a Hilbert numerator, from one Groebner basis shared by
+  every cokernel with the same span, whatever its twists.  C_j lives
+  with the resolution of M, one memo per N (`_derived_memo`), so
+  neighbouring indices of a scan share it and it goes when the
+  resolution does.  `ext_profile` / `tor_profile` are `derived_dims`
+  refusing infinite length; the scans and depth tests use it too.
 
-Both routes check that the two maps at i compose to zero
-(`_check_square_zero`, or on rows the direct route's kernel walk), so a
-broken differential raises instead of giving wrong values.
+Both routes check the complex, so a broken differential raises instead
+of giving wrong values: off the artinian locus `_check_square_zero`
+checks that the two maps at i compose to zero; on it the direct route's
+kernel walk does, and `derived_dims` refuses a negative dimension.
 Ext and Tor differ only in twist sign, degree window and which
 neighbouring differential is outgoing; `_step_cols` lays out their
 free-cover columns with `modules._hom_columns` or `_tensor_columns`, and
@@ -62,7 +63,7 @@ an explicit pairing differential in homological degree zero.
 
 Resolutions are shared per context (`resolution_of`), and so are complete
 resolutions (`complete_resolution`) and the twist-free numerators of
-cokernel spans (`_coker_numerator`), each in a cache of at most
+cokernel spans (`_coker_series`), each in a cache of at most
 `CACHE_BOUND` entries that drops the least recently used one.  A
 resolution owns everything derived from it (differentials, syzygy
 modules, the derived-functor memo), and nothing outside its cache refers
@@ -81,7 +82,6 @@ from .groebner import (
     RingCtx,
     _lru_get,
     _tp_add,
-    _tp_shift,
     _tp_sub,
     component_numerators,
     module_gb,
@@ -92,7 +92,7 @@ from .linalg import _insert_rows
 from .modules import (
     PresentedModule,
     _combine_columns,
-    _dual_kernel,
+    _dual_generators,
     _finite_series,
     _hom_columns,
     _kernel_generators,
@@ -501,9 +501,8 @@ def _matrix_builder(kind, nreal, res, j):
 
 def _derived_memo(res: Resolution, Nm: PresentedModule) -> dict:
     """Work on `res` shared across indices for one second argument, the
-    minimal presentation Nm of N: ("coker", kind, j) -> the numerator C_j
-    of `_coker_numerator`, ("rank", kind, j, d) -> the rank of
-    `_matrix_builder`'s degree-d matrix for d_j.
+    minimal presentation Nm of N: ("coker", kind, j) -> C_j, the series of
+    X_j modulo the image of the map into it (`_coker_series`).
 
     The memo lives on the resolution, so it goes when the resolution
     leaves its cache.  It holds Nm by a weak reference and finds it by
@@ -519,84 +518,57 @@ def _derived_memo(res: Resolution, Nm: PresentedModule) -> dict:
     return hit[1]
 
 
-def _degreewise_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int]:
-    """Graded dimensions of the i-th value over an artinian context, as
-    dim - rank - rank of degree-d matrices; no homology module is built.
-    The matrices are built as sparse rows (`_matrix_builder`), fresh on
-    every call with values in [1, p), so their rank is the size of the
-    echelon basis `_insert_rows` makes of them, consuming them: no dense
-    copy and none of `rank_rows`' cleaning copy.  Ranks are memoized on
-    the resolution (`_derived_memo`), so a scan ranks each boundary map
-    once.  The dimension of X_j in degree d is read off N's dimensions
-    once per (j, d), one lookup per distinct twist of F_j."""
-    res = resolution_of(M.minimal_presentation())
-    res.extend_to(i + 1)
-    ti = res.twists_of(i)
-    Nm = N.minimal_presentation()
-    nreal = FiniteLengthRealization.from_module(Nm)
-    if not ti or nreal.is_zero():
-        return {}
-    p = M.ctx.ring.field.p
-    memo = _derived_memo(res, Nm)
-    sign = 1 if kind == "ext" else -1
-    dims = nreal.dims
-    twist_counts = {j: Counter(res.twists_of(j)).items() for j in (i - 1, i, i + 1)}
-
-    def piece(j, d):
-        """dim of X_j in degree d."""
-        return sum(n * dims.get(d + sign * a, 0) for a, n in twist_counts[j])
-
-    # d_i, between X_{i-1} and X_i, and d_{i+1}, between X_i and X_{i+1},
-    # each where both of its ends are nonzero.  In a degree where its other
-    # end is zero its rank is 0; otherwise it comes from the memo, and a
-    # map's matrix builder is made on its first miss.
-    maps = [
-        (j, o) for j, o in ((i, i - 1), (i + 1, i + 1)) if j >= 1 and res.rank(j - 1) and res.rank(j)
-    ]
-    builders = {}
-    shifts = [sign * a for a in ti]
-    nbot, ntop = min(nreal.degrees()), max(nreal.degrees())
+def _term_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
+    """The series of X_j, a sum of shifted copies of N's: its Hilbert
+    function over an artinian context, its Hilbert numerator elsewhere,
+    added once per distinct twist of F_j.  A numerator's coefficients can
+    cancel to zero here; its callers only subtract it."""
+    base = Nm._finite_hf() if res.ctx.is_artinian else Nm.hilbert_numerator()
     out: dict[int, int] = {}
-    for d in range(nbot - max(shifts), ntop - min(shifts) + 1):
-        h = piece(i, d)
-        if not h:
-            continue
-        for j, o in maps:
-            if not piece(o, d):
-                continue
-            key = ("rank", kind, j, d)
-            if key not in memo:
-                if j not in builders:
-                    builders[j] = _matrix_builder(kind, nreal, res, j)
-                memo[key] = len(_insert_rows(builders[j](d), p, reduced=False))
-            h -= memo[key]
-        if h < 0:
-            raise InvariantViolation("negative homology dimension")
-        if h:
-            out[d] = h
+    for s, n in Counter(_term_shifts(kind, res, j)).items():
+        for d, c in base.items():
+            out[d + s] = out.get(d + s, 0) + n * c
     return out
 
 
-def _coker_numerator(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
-    """C_j: Hilbert numerator of X_j modulo the image U of the map into X_j.
+def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
+    """C_j, the series of X_j modulo the image U of the map into X_j, in
+    `_term_series`' representation, memoized on the resolution
+    (`_derived_memo`), so indices j - 1 and j + 1 of a scan share it.
 
-    C_j is the sum over components c of t^{twist_c} HN(S / in(U)_c), and
-    the lead module in(U) depends on U and the monomial order alone, not
-    on the twists or on the order of U's generators.  So the twist-free
-    per-component numerators are kept per context (`_cached`, under
-    "coker"), keyed by the rank and the set of monic, ideal-reduced
-    columns spanning U, and assembled with X_j's twists on every use: one
-    Groebner basis serves every cokernel with the same span, such as the
-    top cokernels of the two scans of `symmetry_check` over cyclic
-    complete intersections, which agree up to a twist.  C_j itself is
-    memoized on the resolution too, so indices j - 1 and j + 1 of a scan
-    share it."""
+    Over an artinian context C_j is dim X_j,d minus the rank of
+    `_matrix_builder`'s degree-d matrix of the map into X_j, ranked only
+    where its source is nonzero too.  The matrices are fresh sparse rows
+    with values in [1, p), so their rank is the size of the echelon basis
+    `_insert_rows` makes of them, consuming them: no dense copy and none
+    of `rank_rows`' cleaning copy.
+
+    Elsewhere C_j is the sum over components c of t^{twist_c}
+    HN(S / in(U)_c), and the lead module in(U) depends on U and the
+    monomial order alone, not on the twists or on the order of U's
+    generators.  So the twist-free per-component numerators are kept per
+    context (`_cached`, under "coker"), keyed by the rank and the set of
+    monic, ideal-reduced columns spanning U, and assembled with X_j's
+    twists on every use: one Groebner basis serves every cokernel with
+    the same span, such as the top cokernels of the two scans of
+    `symmetry_check` over cyclic complete intersections, which agree up
+    to a twist."""
     memo = _derived_memo(res, Nm)
     key = ("coker", kind, j)
     hit = memo.get(key)
-    if hit is None:
-        ctx = res.ctx
-        p = ctx.ring.field.p
+    if hit is not None:
+        return hit
+    ctx = res.ctx
+    p = ctx.ring.field.p
+    if ctx.is_artinian:
+        hit = _term_series(kind, res, Nm, j)
+        src = j - _STEP[kind]
+        if src >= 0 and res.rank(src):
+            below = _term_series(kind, res, Nm, src)
+            at = _matrix_builder(kind, FiniteLengthRealization.from_module(Nm), res, max(j, src))
+            ranks = {d: len(_insert_rows(at(d), p, reduced=False)) for d in hit if d in below}
+            hit = _tp_sub(hit, ranks)
+    else:
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
         r = X.rank0
         # X's columns are monic and reduced already; the incoming ones are
@@ -611,7 +583,8 @@ def _coker_numerator(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
             ctx, "coker", span,
             lambda: component_numerators(ctx, module_gb(ctx, cols, r, X.row_twists), r),
         )
-        hit = memo[key] = twisted_numerator(parts, X.row_twists)
+        hit = twisted_numerator(parts, X.row_twists)
+    memo[key] = hit
     return hit
 
 
@@ -621,10 +594,10 @@ def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
     Uses only differentials index i already needs.  Over a true
     resolution the composite vanishes modulo the ideal already, so X_o is
     built, and a remainder reduced by its relations (`normal_form`), only
-    when one is left.  Its callers are the Hilbert-series path of
-    `derived_dims` and, off the artinian locus, the direct route
-    (`_direct_modules`); over an artinian context the direct route's row
-    kernel checks this itself."""
+    when one is left.  Its callers, off the artinian locus only, are
+    `derived_dims` and the direct route (`_direct_modules`); over an
+    artinian context the direct route's row kernel checks this itself,
+    and `derived_dims` refuses a negative dimension."""
     ctx = res.ctx
     rb = Nm.rank0
     out_cols = _step_cols(kind, res, max(i, o), rb)
@@ -639,49 +612,48 @@ def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
             raise InvariantViolation("consecutive maps of the complex do not compose to zero")
 
 
-def _hilbert_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int] | None:
-    """Graded dimensions of the i-th value from Hilbert series, off the
-    artinian locus: HS(H_i) = C_i + C_o - HS(X_o) with o = i + 1 (ext) or
-    i - 1 (tor), since Hilbert series are additive on the exact sequences
-    0 -> ker -> X_i -> im -> 0 and 0 -> im -> X_o -> coker -> 0."""
-    Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
-    res = resolution_of(Mm)
-    res.extend_to(i + 1)
-    if not res.twists_of(i) or Nm.rank0 == 0:
-        return {}
-    o = i + _STEP[kind]
-    num = _coker_numerator(kind, res, Nm, i)
-    if o >= 0 and res.rank(o):
-        _check_square_zero(kind, res, Nm, i, o)
-        num = _tp_add(num, _coker_numerator(kind, res, Nm, o))
-        # X_o is a sum of shifted copies of N, and so is its series.
-        nnum = Nm.hilbert_numerator()
-        for s in _term_shifts(kind, res, o):
-            num = _tp_sub(num, _tp_shift(nnum, s))
-    return _finite_series(M.ctx, num)
-
-
 def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> dict[int, int] | None:
     """Graded dimensions of Ext^i(M, N) (kind "ext") or Tor_i(M, N) ("tor"),
     or None when the value has infinite length.  No homology module is
-    built.
+    built: with o = i + 1 (ext) or i - 1 (tor), HS(H_i) = C_i + C_o -
+    HS(X_o), since Hilbert series are additive on the exact sequences
+    0 -> ker -> X_i -> im -> 0 and 0 -> im -> X_o -> coker -> 0, and C_j
+    (`_coker_series`) is memoized per resolution, so a scan builds each
+    once.
 
-    Over an artinian context these are ranks of degreewise matrices,
-    memoized per boundary map and degree.  Elsewhere they come from
-    Hilbert series of cokernels of the Hom or tensor complex (one
-    Groebner basis per complex term, shared by neighbouring indices),
-    after a check that the two maps at index i compose to zero.  This is
-    the complete route's homology body (`_via_complete`); `ext` / `tor`,
-    which take homology as subquotients, are the cross-check.
+    The locus picks how C_j is built (ranks of degreewise matrices over
+    an artinian context, one Groebner basis per cokernel span elsewhere),
+    the series' representation (Hilbert functions or numerators, see
+    `_term_series`), and the check of the complex: off the artinian locus
+    `_check_square_zero` checks that the two maps at index i compose to
+    zero, on it a negative dimension raises.  This is the complete
+    route's homology body (`_via_complete`); `ext` / `tor`, which take
+    homology as subquotients, are the cross-check.
     """
     if kind not in ("ext", "tor"):
         raise ValueError(f"unknown derived functor {kind!r}")
     if i < 0:
         raise ValueError("derived-functor indices start at 0")
     _check_pair(M, N)
-    if M.ctx.is_artinian:
-        return _degreewise_dims(kind, M, N, i)
-    return _hilbert_dims(kind, M, N, i)
+    ctx = M.ctx
+    rows = ctx.is_artinian
+    Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
+    res = resolution_of(Mm)
+    res.extend_to(i + 1)
+    if not res.twists_of(i) or Nm.rank0 == 0:
+        return {}
+    o = i + _STEP[kind]
+    hs = _coker_series(kind, res, Nm, i)
+    if o >= 0 and res.rank(o):
+        if not rows:
+            _check_square_zero(kind, res, Nm, i, o)
+        hs = _tp_add(hs, _coker_series(kind, res, Nm, o))
+        hs = _tp_sub(hs, _term_series(kind, res, Nm, o))
+    if not rows:
+        return _finite_series(ctx, hs)
+    if any(v < 0 for v in hs.values()):
+        raise InvariantViolation("negative homology dimension")
+    return dict(hs)  # not the memo's C_i itself
 
 
 def _finite_profile(dims: dict[int, int] | None) -> dict[int, int]:
@@ -757,11 +729,12 @@ class CompleteResolution:
     Cohen-Macaulay module over a Gorenstein context.
 
     Nonnegative terms come from the minimal resolution.  The negative half
-    comes from `modules._dual_kernel`, which gives Hom(M, R) on minimal
-    generators together with those generators as functionals on M's free
-    cover: terms below zero are duals of the terms of a minimal resolution
-    of that Hom(M, R), with transposed differentials, and the degree-zero
-    differential is the evaluation pairing, the functionals transposed.
+    comes from Hom(M, R) (`dual_module`) and its minimal generators as
+    functionals on M's free cover (`modules._dual_generators`, the walk
+    the dual is presented from): terms below zero are duals of the terms
+    of a minimal resolution of that Hom(M, R), with transposed
+    differentials, and the degree-zero differential is the evaluation
+    pairing, the functionals transposed.
     `term(i)` and `diff(i)` accept any integer index.  The two halves are
     looked up through `resolution_of` on every use, never held, so they
     stay under that cache's bound.
@@ -776,8 +749,8 @@ class CompleteResolution:
             raise HypothesisNotMet("module is not maximal Cohen-Macaulay")
         self.ctx = ctx
         self.module = mm
-        self._dual, chosen = _dual_kernel(mm)
-        self._d0 = _hom_columns(ctx, chosen, mm.rank0, 1)
+        self._dual = dual_module(mm)
+        self._d0 = _hom_columns(ctx, _dual_generators(mm)[1], mm.rank0, 1)
         self.extend(lo, hi)
 
     @property

@@ -267,9 +267,9 @@ def dense_degreewise_matrix(kind, nreal, res, j, d):
 
 @pytest.mark.parametrize("ring", ["gor5", "nilsquares"])
 def test_rank_rows_on_degreewise_matrices(ring, request):
-    # The rows `_degreewise_dims` ranks, from seeded pairs: they must be
-    # the rows of the dense block matrix, and rank_rows must agree with
-    # the naive rank of it.
+    # The rows `_coker_series` ranks for C_j over an artinian ring, from
+    # seeded pairs: they must be the rows of the dense block matrix, and
+    # rank_rows must agree with the naive rank of it.
     ctx = request.getfixturevalue(ring)
     p = ctx.ring.field.p
     cfg = ExperimentConfig(seed=41, trials=8)

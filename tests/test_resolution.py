@@ -309,14 +309,18 @@ def test_infinite_length_values_are_reported(quadric):
     assert derived_dims("ext", a, r, 1) is None
 
 
-def test_hilbert_series_route_matches_homology_modules(quadric, affine_plane):
-    # Off the artinian locus derived_dims reads values off Hilbert series of
-    # cokernels; ext/tor build the homology modules.  The graded dimensions
-    # must agree exactly, None (infinite length) included.
+def test_hilbert_series_route_matches_homology_modules(quadric, affine_plane, gor5, nilsquares):
+    # derived_dims reads each value as C_i + C_o - HS(X_o): off the artinian
+    # locus from Hilbert series of cokernels, over an artinian ring from
+    # ranks of degreewise matrices; ext/tor take homology as subquotients.
+    # The graded dimensions must agree exactly, None (infinite length)
+    # included.
     pairs = []
-    for gens, count in ((1, 8), (3, 6)):
+    for ctx, gens, count in ((quadric, 1, 8), (quadric, 3, 6), (gor5, 1, 4), (gor5, 2, 3),
+                             (nilsquares, 3, 6)):
         cfg = ExperimentConfig(seed=29, trials=count, max_generators=gens)
-        pairs += [random_pair(cfg, quadric, j) for j in range(count)]
+        pairs += [random_pair(cfg, ctx, j) for j in range(count)]
+    assert any(N.minimal_presentation().rank0 > 1 for M, N in pairs if M.ctx.is_artinian)
     x = cyclic(affine_plane, "x")
     pairs += [(x, PresentedModule.ring_module(affine_plane)), (x, cyclic(affine_plane, "y^2"))]
     infinite = 0
@@ -353,14 +357,18 @@ def test_hilbert_series_route_checks_composites():
 
 QUADRIC = (("w", "x", "y", "z"), ("w*x - y*z",))
 CUBIC = (("w", "x", "y", "z"), ("w^3 + x^3 + y^3 + z^3",))
+GOR5 = (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"))
+NILSQUARES = (("x", "y"), ("x^2", "y^2"))
 
 
 def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
-    # Cokernels with the same span share one Groebner basis and its
-    # twist-free component numerators: each C_j must still be the Hilbert
-    # numerator of a freshly built cokernel, also when the shared entry was
-    # made under other twists.
-    real_coker, real_cached = resolution._coker_numerator, resolution._cached
+    # Each C_j must be the series of a freshly presented cokernel
+    # X_j / im(in).  Off the artinian locus that is its Hilbert numerator,
+    # also when cokernels with the same span share one Groebner basis and
+    # its twist-free component numerators, made under other twists.  Over
+    # an artinian ring it is its Hilbert function, read off its own
+    # relation echelon, where C_j comes from ranks of degreewise matrices.
+    real_coker, real_cached = resolution._coker_series, resolution._cached
     twists = []  # of the cokernel being computed
     made_with = {}  # "coker" key -> twists of the cokernel that built it
     hits = Counter()
@@ -371,8 +379,13 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
         got = real_coker(kind, res, Nm, j)
         twists.pop()
         cols = list(X.columns) + _incoming_cols(kind, res, j, Nm.rank0)
-        assert got == PresentedModule(res.ctx, X.row_twists, cols).hilbert_numerator()
-        hits["checked"] += 1
+        fresh = PresentedModule(res.ctx, X.row_twists, cols)
+        if res.ctx.is_artinian:
+            assert got == fresh._finite_hf()
+            hits["rows"] += 1
+        else:
+            assert got == fresh.hilbert_numerator()
+            hits["checked"] += 1
         return got
 
     def cached(ctx, name, key, build):
@@ -383,7 +396,7 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
                 made_with[key] = twists[-1]
         return real_cached(ctx, name, key, build)
 
-    monkeypatch.setattr(resolution, "_coker_numerator", coker)
+    monkeypatch.setattr(resolution, "_coker_series", coker)
     monkeypatch.setattr(resolution, "_cached", cached)
     quadric = make_ctx(*QUADRIC)
     cfg = ExperimentConfig(seed=1, max_generators=1)
@@ -399,6 +412,14 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     assert hits["checked"] and hits["shifted"]
     for ctx in (quadric, cubic):
         assert len(ctx.scratch["coker"]) <= CACHE_BOUND
+    cfg = ExperimentConfig(seed=43)
+    for ring in (GOR5, NILSQUARES):
+        ctx = make_ctx(*ring)
+        for idx in range(12):
+            M, N = random_pair(cfg, ctx, idx)
+            scan_ext(M, N, 6), scan_tor(M, N, 6)
+        assert "coker" not in ctx.scratch
+    assert hits["rows"]
 
 
 def test_symmetry_groebner_work_is_pinned(buchberger_runs):
@@ -489,6 +510,30 @@ def test_complete_route_groebner_work_is_pinned(buchberger_runs, names, rels, le
     tt = tor_via_complete(M, k, idx, t=t)
     assert [e.total(i) for i in idx] == [tt.total(i) for i in idx] == totals
     assert buchberger_runs.count == runs
+
+
+@pytest.mark.parametrize("ring, now", [("gor5", 794), ("nilsquares", 126)])
+def test_complete_route_row_work_is_pinned(axpy_calls, ring, now):
+    # The complete route over an artinian ring, pinned by its row work:
+    # ext_via_complete and tor_via_complete on [1, 2, 3] at t = 5 of six
+    # seed-37 pairs on a fresh context, with the resolutions of the
+    # dualized syzygies and the minimal presentations of N warmed first,
+    # make `now` row additions, nearly all of them the rank eliminations
+    # behind C_j (`_coker_series`).  The count was the same when the
+    # artinian locus ranked each map per index and degree in a body of
+    # its own.
+    ctx = make_ctx(*{"gor5": GOR5, "nilsquares": NILSQUARES}[ring])
+    pairs = [random_pair(ExperimentConfig(seed=37), ctx, j) for j in range(6)]
+    for M, N in pairs:
+        resolution_of(dual_module(syzygy(M, 5))).extend_to(4)
+        N.minimal_presentation()
+    idx = [1, 2, 3]
+    axpy_calls.reset()
+    complete = [(ext_via_complete(M, N, idx, t=5), tor_via_complete(M, N, idx, t=5)) for M, N in pairs]
+    assert axpy_calls.count == now
+    for (M, N), results in zip(pairs, complete):
+        for route, result in zip((ext, tor), results):
+            assert [result.total(i) for i in idx] == [route(M, N, idx).total(i) for i in idx]
 
 
 # -- depth, MCM, Gorenstein ----------------------------------------------------
@@ -613,9 +658,6 @@ def test_dual_route_validation(nilsquares, quadric):
     n = PresentedModule.from_matrix(quadric, [["w"], ["x"], ["y"], ["z"]])
     with pytest.raises(HypothesisNotMet):
         ext_via_complete(n, k_of(quadric), [1], t=4)
-
-
-GOR5 = (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"))
 
 
 def _holds(value, kind) -> bool:
