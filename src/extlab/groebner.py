@@ -30,7 +30,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .errors import DegreeCapError, InvariantViolation
-from .poly import GREVLEX, Polynomial, PolyRing
+from .poly import Polynomial, PolyRing
 
 COMP_BITS = 24
 COMP_MASK = (1 << COMP_BITS) - 1
@@ -269,16 +269,23 @@ def buchberger(
     is only applied to pairs of single-component elements and never when
     collecting syzygies: such a pair reduces to zero, but its tag is an
     essential Koszul syzygy.
+
+    Tag terms may sit above their lead's degree, so in syzygy runs both
+    members of a pair pass the degree-cap test of `_ReducerSet.reduce`
+    before their S-vector is formed.  In the working block the lead has
+    the top degree, so plain runs need no such test.
     """
     codec = module_codec(ring)
     rc = ring._codec
     divides, div, degree = rc.divides, rc.div, rc.degree
     lcm = ring.mono_lcm
     p = ring.field.p
+    cap = ring.degree_cap
     unit = ring.unit_key
     tagbit = codec.tagbit
     red = _ReducerSet(ring, codec)
     vecs, monos, invs, idents, buckets = red.vecs, red.monos, red.invs, red.idents, red.buckets
+    maxdegs = red.maxdegs
     single: list[bool] = []  # product criterion allowed: working block, one component
     syz: list[dict] = []
     pairs: list[tuple[int, int, int, int]] = []  # heap of (degree, lcm, i, j)
@@ -342,11 +349,17 @@ def buchberger(
         if (i, j) not in live:
             continue  # dropped by the B criterion
         del live[(i, j)]
+        qi, qj = div(tau, monos[i]), div(tau, monos[j])
+        if collect_syz:
+            for m, q in ((i, qi), (j, qj)):
+                deg = degree(q) + (maxdegs[m] if maxdegs[m] >= 0 else red._maxdeg(m))
+                if deg > cap:
+                    raise DegreeCapError(f"S-vector would pass degree {deg} > cap {cap}")
         fi = invs[i]
-        di = (div(tau, monos[i]) - unit) << COMP_BITS
+        di = (qi - unit) << COMP_BITS
         s = {k + di: c * fi % p for k, c in vecs[i].items()}
         fj = invs[j]
-        dj = (div(tau, monos[j]) - unit) << COMP_BITS
+        dj = (qj - unit) << COMP_BITS
         get = s.get
         for k, c in vecs[j].items():
             k += dj

@@ -522,8 +522,8 @@ def _kernel_generators(
             tgt.row_twists, m,
         )
         # On an artinian context this body is the Groebner reference, pruning included.
-        prune = _minimal_generator_indices_gb if ctx.is_artinian else minimal_generator_indices
-        gens = [gens[i] for i in prune(ctx, gens, m, src.row_twists, list(src.columns))]
+        keep = _minimal_generator_indices_gb(ctx, gens, m, src.row_twists, list(src.columns))
+        gens = [gens[i] for i in keep]
         hf = None
     return gens, tuple(vec_degree(ctx, g, src.row_twists) for g in gens), hf
 

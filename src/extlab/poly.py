@@ -1,14 +1,12 @@
 """Polynomial rings over small prime fields with packed-integer monomials.
 
 Each monomial lives in a single Python int, laid out so that ordinary
-integer comparison realizes the ring's term order:
-
-* grevlex: the weighted degree occupies the high bits, below it one byte
-  per variable holding the complemented exponent 127 - e, with the last
-  variable in the most significant byte.  Bigger int = bigger monomial.
-* lex: straight exponent bytes, first variable most significant, with the
-  weighted degree tucked into the low byte (it never influences the order,
-  it is just cached there).
+integer comparison realizes the one term order, weighted grevlex: the
+weighted degree occupies the high bits, below it one byte per variable
+holding the complemented exponent 127 - e, with the last variable in the
+most significant byte.  Bigger int = bigger monomial.  Every question the
+program asks (resolutions, Betti numbers, Hilbert series, Ext and Tor
+dimensions) reads graded data that no term order changes.
 
 Multiplication and division of monomials are then single integer additions
 or subtractions, and divisibility is a three-operation SWAR test.  Exponents
@@ -23,10 +21,6 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DegreeCapError, ParseError
-
-GREVLEX = "grevlex"
-LEX = "lex"
-TERM_ORDERS = (GREVLEX, LEX)
 
 _MAX_VARS = 12
 _MAX_CAP = 127
@@ -56,15 +50,6 @@ class FieldSpec:
 
     def coerce(self, a: int) -> int:
         return a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldSpec) and other.p == self.p
@@ -124,52 +109,8 @@ class _GrevlexCodec:
         return (deg << self.expbits) | exps
 
 
-class _LexCodec:
-    def __init__(self, nvars: int, weights: tuple[int, ...]):
-        self.nvars = nvars
-        self.weights = weights
-        self.expbits = 8 * nvars
-        self.expmask = ((1 << self.expbits) - 1) << 8
-        self.swar_high = int.from_bytes(b"\x80" * nvars, "big") << 8
-        self.unit_exp = 0
-
-    def encode(self, exps: Sequence[int], deg: int) -> int:
-        key = deg
-        for v, e in enumerate(exps):
-            key |= e << (8 * (self.nvars - v))
-        return key
-
-    def decode(self, key: int) -> tuple[int, ...]:
-        return tuple((key >> (8 * (self.nvars - v))) & 0xFF for v in range(self.nvars))
-
-    def degree(self, key: int) -> int:
-        return key & 0xFF
-
-    def mul(self, a: int, b: int) -> int:
-        return a + b
-
-    def div(self, a: int, b: int) -> int:
-        return a - b
-
-    def divides(self, b: int, a: int) -> bool:
-        be = b & self.expmask
-        ae = a & self.expmask
-        h = self.swar_high
-        return ((ae | h) - be) & h == h
-
-    def lcm(self, a: int, b: int) -> int:
-        # `ge` holds 0xFF in each exponent byte where a's byte >= b's.
-        ea = a & self.expmask
-        eb = b & self.expmask
-        h = self.swar_high
-        ge = ((((ea | h) - eb) & h) >> 7) * 0xFF
-        exps = (ea & ge) | (eb & ~ge)
-        deg = sum(map(mul, self.weights, (exps >> 8).to_bytes(self.nvars, "big")))
-        return exps | deg
-
-
 class PolyRing:
-    """GF(p)[x_1..x_n] with a fixed term order and total degree cap.
+    """GF(p)[x_1..x_n] in weighted grevlex, with a total degree cap.
 
     The cap protects the packed representation (every exponent and every
     weighted degree must fit in seven bits) and doubles as the resource
@@ -181,7 +122,6 @@ class PolyRing:
         self,
         field: FieldSpec,
         variables: Sequence[str],
-        order: str = GREVLEX,
         weights: Sequence[int] | None = None,
         degree_cap: int = 64,
     ):
@@ -195,8 +135,6 @@ class PolyRing:
         for nm in names:
             if not _IDENT.match(nm):
                 raise ValueError(f"invalid variable name {nm!r}")
-        if order not in TERM_ORDERS:
-            raise ValueError(f"unknown term order {order!r}; pick one of {TERM_ORDERS}")
         w = tuple(weights) if weights is not None else (1,) * len(names)
         if len(w) != len(names) or any(not isinstance(x, int) or x < 1 for x in w):
             raise ValueError(f"weights must be positive ints, one per variable, got {w}")
@@ -204,11 +142,10 @@ class PolyRing:
             raise ValueError(f"degree cap must lie in 1..{_MAX_CAP}, got {degree_cap}")
         self.field = field
         self.variables = names
-        self.order = order
         self.weights = w
         self.degree_cap = degree_cap
         self.nvars = len(names)
-        self._codec = (_GrevlexCodec if order == GREVLEX else _LexCodec)(self.nvars, w)
+        self._codec = _GrevlexCodec(self.nvars, w)
         self.unit_key = self._codec.encode((0,) * self.nvars, 0)
         self._var_index = {nm: v for v, nm in enumerate(names)}
         self._var_keys = tuple(
@@ -281,10 +218,6 @@ class PolyRing:
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(v) for v in range(self.nvars))
 
-    def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
-        c = self.field.coerce(coeff)
-        return Polynomial(self, {self.encode_monomial(exps): c} if c else {})
-
     def parse(self, text: str) -> "Polynomial":
         return _PolyParser(self, text).parse()
 
@@ -338,7 +271,8 @@ class PolyRing:
         return "*".join(parts) if parts else "1"
 
     def __repr__(self) -> str:
-        return f"GF({self.field.p})[{', '.join(self.variables)}] ({self.order})"
+        # Error messages, and so reports, embed this; keep its text stable.
+        return f"GF({self.field.p})[{', '.join(self.variables)}] (grevlex)"
 
 
 class Polynomial:
@@ -386,11 +320,6 @@ class Polynomial:
         d = self.ring.mono_degree
         degs = {d(k) for k in self._t}
         return len(degs) == 1
-
-    def terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """(exponents, coefficient) pairs, largest monomial first."""
-        dec = self.ring.decode_monomial
-        return [(dec(k), self._t[k]) for k in sorted(self._t, reverse=True)]
 
     # -- arithmetic -----------------------------------------------------
 

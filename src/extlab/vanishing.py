@@ -311,6 +311,12 @@ def _pair_replay(M, N) -> dict:
     }
 
 
+def _report(name, verdict, window, details, M, N) -> CheckReport:
+    """A checker's report; a VIOLATION carries the pair's replay data."""
+    replay = _pair_replay(M, N) if verdict == "VIOLATION" else None
+    return CheckReport(name, verdict, window, details, replay=replay)
+
+
 # -- pattern checkers --------------------------------------------------------
 
 
@@ -344,10 +350,7 @@ def tail_equivalence_check(M, N, H, *, require_mcm=True) -> CheckReport:
         ]
 
     verdict, pats, window = _pattern_agreement(scans, H)
-    rep = CheckReport("tail_equivalence", verdict, window, {"patterns": pats})
-    if verdict == "VIOLATION":
-        rep.replay = _pair_replay(M, N)
-    return rep
+    return _report("tail_equivalence", verdict, window, {"patterns": pats}, M, N)
 
 
 def symmetry_check(M, N, H) -> CheckReport:
@@ -366,10 +369,10 @@ def symmetry_check(M, N, H) -> CheckReport:
     )
 
 
-def tor_duality_check(M, N, H, *, require_mcm=True) -> CheckReport:
+def tor_duality_check(M, N, H) -> CheckReport:
     """Tail-vanishing of Tor(M,N) and of Ext(dual M, N) must agree for
     maximal Cohen-Macaulay modules over a Gorenstein ring."""
-    _require_gorenstein_mcm(M, N, require_mcm)
+    _require_gorenstein_mcm(M, N)
     Ms = dual_module(M)
 
     def scans(h):
@@ -379,10 +382,7 @@ def tor_duality_check(M, N, H, *, require_mcm=True) -> CheckReport:
         ]
 
     verdict, pats, window = _pattern_agreement(scans, H)
-    rep = CheckReport("tor_duality", verdict, window, {"patterns": pats})
-    if verdict == "VIOLATION":
-        rep.replay = _pair_replay(M, N)
-    return rep
+    return _report("tor_duality", verdict, window, {"patterns": pats}, M, N)
 
 
 # -- numerical checkers ------------------------------------------------------
@@ -468,10 +468,7 @@ def free_or_nonvanishing_check(M, N) -> CheckReport:
     A, B = _smaller_resolution_first(Mm, Nm)
     dims = {i: sum(tor_profile(A, B, i).values()) for i in (3, 4, 5)}
     verdict = "consistent" if any(dims.values()) else "VIOLATION"
-    rep = CheckReport("free_or_nonvanishing", verdict, None, {"tor_dims": dims})
-    if verdict == "VIOLATION":
-        rep.replay = _pair_replay(M, N)
-    return rep
+    return _report("free_or_nonvanishing", verdict, None, {"tor_dims": dims}, M, N)
 
 
 def tensor_mcm_check(M, N) -> CheckReport:
@@ -519,10 +516,7 @@ def tensor_mcm_check(M, N) -> CheckReport:
         if not (hom_mcm and dims_match):
             verdict = "VIOLATION"
             details["reason"] = "vanishing held but an attached conclusion failed"
-    rep = CheckReport("tensor_mcm", verdict, None, details)
-    if verdict == "VIOLATION":
-        rep.replay = _pair_replay(M, N)
-    return rep
+    return _report("tensor_mcm", verdict, None, details, M, N)
 
 
 def stable_suite_check(M, N, indices=(2, 3, 4)) -> CheckReport:
@@ -583,11 +577,8 @@ def stable_suite_check(M, N, indices=(2, 3, 4)) -> CheckReport:
     else:
         broken |= not (base == shifted == swapped)
     verdict = "VIOLATION" if broken else ("not established" if undecided else "consistent")
-    rep = CheckReport("stable_suite", verdict, None,
-                      {"per_index": per_index, "stable_shifts": shift_detail})
-    if verdict == "VIOLATION":
-        rep.replay = _pair_replay(M, N)
-    return rep
+    return _report("stable_suite", verdict, None,
+                   {"per_index": per_index, "stable_shifts": shift_detail}, M, N)
 
 
 # -- change of rings ---------------------------------------------------------
@@ -676,9 +667,9 @@ def change_of_rings_check(Sctx: RingCtx, f: Polynomial, M, N, H) -> CheckReport:
     w = f.degree()
     MS = restrict_through_quotient(M, Sctx, f)
     NS = restrict_through_quotient(N, Sctx, f)
-    eR = {i: derived_dims("ext", M, N, i) for i in range(0, H + 3)}
+    eR = {i: derived_dims("ext", M, N, i) for i in range(0, H + 1)}
     tR = {i: derived_dims("tor", M, N, i) for i in range(0, H + 1)}
-    eS = {i: derived_dims("ext", MS, NS, i) for i in range(0, H + 3)}
+    eS = {i: derived_dims("ext", MS, NS, i) for i in range(0, H + 1)}
     tS = {i: derived_dims("tor", MS, NS, i) for i in range(0, H + 1)}
     details: dict = {"relation_degree": w}
     undecided = []
@@ -747,10 +738,7 @@ def change_of_rings_check(Sctx: RingCtx, f: Polynomial, M, N, H) -> CheckReport:
         verdict = "not established"
     else:
         verdict = "consistent"
-    rep = CheckReport("change_of_rings", verdict, H, details)
-    if verdict == "VIOLATION":
-        rep.replay = _pair_replay(M, N)
-    return rep
+    return _report("change_of_rings", verdict, H, details, M, N)
 
 
 # -- external tensor product -------------------------------------------------

@@ -1,42 +1,32 @@
-"""Field, packed monomial codec, term orders, parser and printer."""
+"""Field, packed monomial codec, term order, parser and printer."""
 
 import random
 
 import pytest
 
 from extlab.errors import DegreeCapError, ParseError
-from extlab.poly import GREVLEX, LEX, FieldSpec, PolyRing
+from extlab.poly import FieldSpec, PolyRing
 
 
-def ref_compare(exps_a, exps_b, weights, order):
-    """Reference term-order comparison on raw exponent vectors."""
+def ref_compare(exps_a, exps_b, weights):
+    """Reference weighted grevlex comparison on raw exponent vectors."""
     da = sum(w * e for w, e in zip(weights, exps_a))
     db = sum(w * e for w, e in zip(weights, exps_b))
-    if order == GREVLEX:
-        if da != db:
-            return 1 if da > db else -1
-        for v in reversed(range(len(exps_a))):
-            if exps_a[v] != exps_b[v]:
-                # Smaller exponent in the last differing slot wins.
-                return 1 if exps_a[v] < exps_b[v] else -1
-        return 0
-    for v in range(len(exps_a)):
+    if da != db:
+        return 1 if da > db else -1
+    for v in reversed(range(len(exps_a))):
         if exps_a[v] != exps_b[v]:
-            return 1 if exps_a[v] > exps_b[v] else -1
+            # Smaller exponent in the last differing slot wins.
+            return 1 if exps_a[v] < exps_b[v] else -1
     return 0
 
 
 def test_field_validation():
     assert FieldSpec(101).p == 101
-    assert FieldSpec(2).inv(1) == 1
-    f = FieldSpec(101)
-    assert f.inv(2) * 2 % 101 == 1
-    assert f.neg(1) == 100
+    assert FieldSpec(2).p == 2
     for bad in [0, 1, 4, 100, 2**21 + 1, "x"]:
         with pytest.raises(ValueError):
             FieldSpec(bad)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
 
 
 def test_ring_validation():
@@ -45,17 +35,18 @@ def test_ring_validation():
     with pytest.raises(ValueError):
         PolyRing(FieldSpec(101), ["2bad"])
     with pytest.raises(ValueError):
-        PolyRing(FieldSpec(101), ["x"], order="degrevlex")
-    with pytest.raises(ValueError):
         PolyRing(FieldSpec(101), ["x"], degree_cap=128)
     with pytest.raises(ValueError):
         PolyRing(FieldSpec(101), ["x", "y"], weights=[1])
+    # Error messages embed module reprs, so the order's name stays printed.
+    assert repr(PolyRing(FieldSpec(101), ("x",))) == "GF(101)[x] (grevlex)"
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("order", ["grevlex"])
 @pytest.mark.parametrize("weights", [None, (1, 2, 1)])
 def test_codec_roundtrip_and_compare(order, weights):
-    ring = PolyRing(FieldSpec(101), ["x", "y", "z"], order=order, weights=weights)
+    ring = PolyRing(FieldSpec(101), ["x", "y", "z"], weights=weights)
+    assert repr(ring).endswith(f"({order})")
     w = ring.weights
     rng = random.Random(42)
     vecs = [tuple(rng.randrange(0, 9) for _ in range(3)) for _ in range(60)]
@@ -66,7 +57,7 @@ def test_codec_roundtrip_and_compare(order, weights):
     for ea in vecs[:25]:
         for eb in vecs[:25]:
             ka, kb = ring.encode_monomial(ea), ring.encode_monomial(eb)
-            assert (ka > kb) - (ka < kb) == ref_compare(ea, eb, w, order)
+            assert (ka > kb) - (ka < kb) == ref_compare(ea, eb, w)
 
 
 def test_grevlex_degree_two_chain():
@@ -76,9 +67,10 @@ def test_grevlex_degree_two_chain():
     assert keys == sorted(keys, reverse=True)
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("order", ["grevlex"])
 def test_monomial_arithmetic(order):
-    ring = PolyRing(FieldSpec(101), ["w", "x", "y", "z"], order=order)
+    ring = PolyRing(FieldSpec(101), ["w", "x", "y", "z"])
+    assert repr(ring).endswith(f"({order})")
     rng = random.Random(5)
     for _ in range(80):
         ea = tuple(rng.randrange(0, 7) for _ in range(4))
@@ -94,16 +86,17 @@ def test_monomial_arithmetic(order):
         assert lcm == ring.encode_monomial(tuple(max(a, b) for a, b in zip(ea, eb)))
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("order", ["grevlex"])
 def test_weighted_lcm_and_degree_cap(order):
-    ring = PolyRing(FieldSpec(101), ["w", "x", "y", "z"], order=order, weights=(1, 2, 3, 1))
+    ring = PolyRing(FieldSpec(101), ["w", "x", "y", "z"], weights=(1, 2, 3, 1))
+    assert repr(ring).endswith(f"({order})")
     rng = random.Random(6)
     for _ in range(80):
         ea = tuple(rng.randrange(0, 5) for _ in range(4))
         eb = tuple(rng.randrange(0, 5) for _ in range(4))
         lcm = ring.mono_lcm(ring.encode_monomial(ea), ring.encode_monomial(eb))
         assert lcm == ring.encode_monomial(tuple(max(a, b) for a, b in zip(ea, eb)))
-    ring = PolyRing(FieldSpec(101), ["x", "y"], order=order, weights=(1, 2), degree_cap=10)
+    ring = PolyRing(FieldSpec(101), ["x", "y"], weights=(1, 2), degree_cap=10)
     a, b = ring.encode_monomial((4, 3)), ring.encode_monomial((6, 1))
     assert ring.mono_lcm(a, ring.encode_monomial((2, 1))) == a
     with pytest.raises(DegreeCapError):

@@ -28,7 +28,7 @@ from extlab.groebner import (
     tp_value_at_one,
 )
 from extlab.modules import PresentedModule
-from extlab.poly import LEX, FieldSpec, Polynomial, PolyRing
+from extlab.poly import FieldSpec, Polynomial, PolyRing
 from extlab.realize import FiniteLengthRealization
 from extlab.vanishing import ExperimentConfig, random_pair, symmetry_check
 
@@ -303,11 +303,30 @@ def test_degree_cap_aborts_runs():
         buchberger([poly_vec(f), poly_vec(g)], ring)
     with pytest.raises(DegreeCapError):
         module_gb(RingCtx(ring), [poly_vec(f), poly_vec(g)], rank=1)
-    # x + y^3 leads in lex, so dividing x^2 by it would reach y^3 * x.
-    line = ring_with(["x", "y"], order=LEX, degree_cap=3)
-    gbv = module_gb(RingCtx(line), [poly_vec(line.parse("x + y^3"))], rank=1)
-    with pytest.raises(DegreeCapError):
-        gbv.reduce(poly_vec(line.parse("x^2")))
+    # In a syzygy run tag terms may outgrow their working lead (t_j is the
+    # tag of input j): input 2 reduces by e1 to e0 + t2 - z^2 t1, and
+    # reducing the S-vector x*y e0 + t0 - z^3 t1 by it would reach x*y*z^2.
+    ring = ring_with(["x", "y", "z"], degree_cap=3)
+    inputs = ["x*y", "z^3"], ["0", "1"], ["1", "z^2"]
+    vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
+    with pytest.raises(DegreeCapError, match="reduction would pass degree 4 > cap 3"):
+        buchberger(vecs, ring, collect_syz=True, twists_f=(0, 2))
+
+
+def test_degree_cap_checked_before_s_vectors():
+    # The S-vector of x^2 e0 + e1 and y e0 is y e1 + y t0 - x^2 t1 (t_j the
+    # tag of input j); pairing it with y*z^2 e1 multiplies it by z^2, which
+    # would take x^2 t1 past the cap before any reduction runs.
+    inputs = ["x^2", "1"], ["y", "0"], ["0", "y*z^2"]
+    ring = ring_with(["x", "y", "z"], degree_cap=3)
+    vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
+    with pytest.raises(DegreeCapError, match="S-vector would pass degree 4 > cap 3"):
+        buchberger(vecs, ring, collect_syz=True, twists_f=(0, 2))
+    # One degree more of room, and the syzygy holds the degree-4 term.
+    ring = ring_with(["x", "y", "z"], degree_cap=4)
+    vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
+    _, syz = buchberger(vecs, ring, collect_syz=True, twists_f=(0, 2))
+    assert max(ring.mono_degree(module_codec(ring).mono_of(k)) for v in syz for k in v) == 4
 
 
 def test_reduce_vec_by_ideal_touches_all_components():
