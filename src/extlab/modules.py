@@ -506,26 +506,26 @@ def _kernel_generators(
     On sparse rows (artinian contexts only) it is `rows._map_kernel`
     modulo the source relations, whose walk also checks that those
     relations lie in the kernel and gives the kernel's Hilbert function
-    modulo them.  Otherwise the syzygies of [cols | target relations],
+    modulo them, and each generator's degree is the degree of the walk
+    that found it.  Otherwise the syzygies of [cols | target relations],
     cut to the source components, generate the kernel, and a minimal
     subfamily modulo the source relations is kept; there the Hilbert
-    function is None.  A resolution step is this map between free
+    function is None and the degrees are read off the generators.  A resolution step is this map between free
     modules, and `_submodule`'s relations are this map from a free
     module: the one kernel-generator body."""
     ctx = src.ctx
     if rows:
-        gens, hf = _map_kernel(ctx, cols, src.row_twists, tgt, seed=src)
-    else:
-        m = src.rank0
-        gens = _syzygy_heads(
-            ctx, list(cols) + list(tgt.columns), src.row_twists + tgt.col_degrees,
-            tgt.row_twists, m,
-        )
-        # On an artinian context this body is the Groebner reference, pruning included.
-        keep = _minimal_generator_indices_gb(ctx, gens, m, src.row_twists, list(src.columns))
-        gens = [gens[i] for i in keep]
-        hf = None
-    return gens, tuple(vec_degree(ctx, g, src.row_twists) for g in gens), hf
+        gens, degs, hf = _map_kernel(ctx, cols, src.row_twists, tgt, seed=src)
+        return gens, tuple(degs), hf
+    m = src.rank0
+    gens = _syzygy_heads(
+        ctx, list(cols) + list(tgt.columns), src.row_twists + tgt.col_degrees,
+        tgt.row_twists, m,
+    )
+    # On an artinian context this body is the Groebner reference, pruning included.
+    keep = _minimal_generator_indices_gb(ctx, gens, m, src.row_twists, list(src.columns))
+    gens = [gens[i] for i in keep]
+    return gens, tuple(vec_degree(ctx, g, src.row_twists) for g in gens), None
 
 
 def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int) -> list[dict]:

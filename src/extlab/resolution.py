@@ -36,7 +36,9 @@ returns dimensions only (`ExtTorResult`):
   C_i + C_o - HS(X_o), o the index its outgoing map leads to, read as
   None when it has infinite length.  The locus picks only how C_j is
   built and how series are held: over an artinian context C_j is a
-  Hilbert function, dim X_j minus ranks of degreewise matrices;
+  Hilbert function, dim X_j minus ranks of degreewise matrices, and for
+  tor, while F_{j+1} is not built, HS(Omega_j (x) N) read off d_j and
+  N's relations, so `derived_dims` reads Tor_i without F_{i+1};
   elsewhere it is a Hilbert numerator, from one Groebner basis shared by
   every cokernel with the same span, whatever its twists.  C_j lives
   with the resolution of M, one memo per N (`_derived_memo`), so
@@ -101,6 +103,7 @@ from .modules import (
     _tensor_columns,
     dual_module,
 )
+from .poly import Polynomial
 from .rows import (
     FiniteLengthRealization,
     _block_builder,
@@ -457,7 +460,7 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         in_cols = _incoming_cols(kind, res, i, rb)
         out_cols = _step_cols(kind, res, max(i, o), rb) if res.rank(o) else None
         if out_cols is not None and ctx.is_artinian:
-            dims = _map_kernel(ctx, out_cols, X.row_twists, term(o), seed=X, seed_cols=in_cols)[1]
+            dims = _map_kernel(ctx, out_cols, X.row_twists, term(o), seed=X, seed_cols=in_cols)[2]
             out.record(i, dims)
             continue
         Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
@@ -502,7 +505,8 @@ def _matrix_builder(kind, nreal, res, j):
 def _derived_memo(res: Resolution, Nm: PresentedModule) -> dict:
     """Work on `res` shared across indices for one second argument, the
     minimal presentation Nm of N: ("coker", kind, j) -> C_j, the series of
-    X_j modulo the image of the map into it (`_coker_series`).
+    X_j modulo the image of the map into it (`_coker_series`), and
+    ("term", kind, j) -> the series of X_j (`_term_series`).
 
     The memo lives on the resolution, so it goes when the resolution
     leaves its cache.  It holds Nm by a weak reference and finds it by
@@ -518,17 +522,68 @@ def _derived_memo(res: Resolution, Nm: PresentedModule) -> dict:
     return hit[1]
 
 
-def _term_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
-    """The series of X_j, a sum of shifted copies of N's: its Hilbert
-    function over an artinian context, its Hilbert numerator elsewhere,
-    added once per distinct twist of F_j.  A numerator's coefficients can
-    cancel to zero here; its callers only subtract it."""
-    base = Nm._finite_hf() if res.ctx.is_artinian else Nm.hilbert_numerator()
+def _shifted_sum(base: dict[int, int], shifts) -> dict[int, int]:
+    """The sum of t^s * base over `shifts`, added once per distinct shift."""
     out: dict[int, int] = {}
-    for s, n in Counter(_term_shifts(kind, res, j)).items():
+    for s, n in Counter(shifts).items():
         for d, c in base.items():
             out[d + s] = out.get(d + s, 0) + n * c
     return out
+
+
+def _term_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
+    """The series of X_j, a sum of shifted copies of N's: its Hilbert
+    function over an artinian context, its Hilbert numerator elsewhere.
+    Memoized on the resolution (`_derived_memo`, under ("term", kind,
+    j)), so callers must not mutate it.  A numerator's coefficients can
+    cancel to zero here; its callers only subtract it."""
+    memo = _derived_memo(res, Nm)
+    key = ("term", kind, j)
+    hit = memo.get(key)
+    if hit is None:
+        base = Nm._finite_hf() if res.ctx.is_artinian else Nm.hilbert_numerator()
+        hit = memo[key] = _shifted_sum(base, _term_shifts(kind, res, j))
+    return hit
+
+
+def _syzygy_series(res, j: int) -> dict[int, int]:
+    """Hilbert function of Omega_j = im d_j inside F_{j-1}, j >= 1, over an
+    artinian context, from the Betti numbers alone: the exact sequences
+    0 -> Omega_k -> F_{k-1} -> Omega_{k-1} -> 0, with Omega_0 = M, give
+    HS(Omega_k) = HS(F_{k-1}) - HS(Omega_{k-1})."""
+    ring_hf = res.ctx._hf
+    hs = res.module._finite_hf()
+    for k in range(j):
+        hs = _tp_sub(_shifted_sum(ring_hf, res.twists_of(k)), hs)
+    return hs
+
+
+def _syzygy_tensor_series(res, Nm: PresentedModule, j: int) -> dict[int, int]:
+    """HS(Omega_j (x) N), j >= 1, over an artinian context, read off d_j
+    and N's presentation del_N : G_1 -> G_0 alone.  G_0 is free and
+    F_j maps onto Omega_j, so Omega_j (x) N is (Omega_j (x) G_0) modulo
+    the image of d_j (x) del_N : F_j (x) G_1 -> F_{j-1} (x) G_0: the sum
+    of t^g HS(Omega_j) over the generators g of N (`_syzygy_series`)
+    minus the degreewise ranks of that map, built by `_block_builder`
+    over the ring's realization.  Entry f of d_j at (sp, s) and entry e
+    of del_N at (g, h) make its block (sp |G_0| + g, s |G_1| + h, f e)."""
+    ctx = res.ctx
+    hit = _shifted_sum(_syzygy_series(res, j), Nm.row_twists)
+    if not Nm.columns:
+        return hit
+    g0, g1 = Nm.rank0, len(Nm.columns)
+    rels = _entry_blocks(ctx, Nm.columns)
+    blocks = [
+        (sp * g0 + g, s * g1 + h, (Polynomial(ctx.ring, f) * Polynomial(ctx.ring, e)).raw())
+        for sp, s, f in _entry_blocks(ctx, res.diff(j))
+        for g, h, e in rels
+    ]
+    row_tw = [b + a for b in res.twists_of(j - 1) for a in Nm.row_twists]
+    col_tw = [b + a for b in res.twists_of(j) for a in Nm.col_degrees]
+    at = _block_builder(FiniteLengthRealization.of_ring(ctx), blocks, row_tw, col_tw, -1)
+    below = {a + d for a in set(col_tw) for d in ctx._hf}
+    p = ctx.ring.field.p
+    return _tp_sub(hit, {d: len(_insert_rows(at(d), p, reduced=False)) for d in hit if d in below})
 
 
 def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
@@ -541,7 +596,15 @@ def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
     where its source is nonzero too.  The matrices are fresh sparse rows
     with values in [1, p), so their rank is the size of the echelon basis
     `_insert_rows` makes of them, consuming them: no dense copy and none
-    of `rank_rows`' cleaning copy.
+    of `rank_rows`' cleaning copy.  For tor at j >= 1, while the
+    resolution has not built F_{j+1} (nor ended), C_j is read instead as
+    HS(Omega_j (x) N) (`_syzygy_tensor_series`), since F_j / im d_{j+1}
+    is Omega_j and tensoring is right exact: Tor_i stops at F_i.  Where
+    F_{j+1} exists (scans build it under their rank budget, and ext and
+    the routes need it) C_j stays the image of d_{j+1} (x) N, which costs
+    less there: where Betti numbers grow slowly, as over nilsquares, the
+    |G_1| copies of R per generator of F_j outweigh F_{j+1} (x) N.  With
+    no incoming map C_j is `_term_series`' own dict.
 
     Elsewhere C_j is the sum over components c of t^{twist_c}
     HN(S / in(U)_c), and the lead module in(U) depends on U and the
@@ -561,13 +624,17 @@ def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
     ctx = res.ctx
     p = ctx.ring.field.p
     if ctx.is_artinian:
-        hit = _term_series(kind, res, Nm, j)
         src = j - _STEP[kind]
-        if src >= 0 and res.rank(src):
-            below = _term_series(kind, res, Nm, src)
-            at = _matrix_builder(kind, FiniteLengthRealization.from_module(Nm), res, max(j, src))
-            ranks = {d: len(_insert_rows(at(d), p, reduced=False)) for d in hit if d in below}
-            hit = _tp_sub(hit, ranks)
+        if kind == "tor" and j >= 1 and res.known_pd() is None and len(res._twists) <= src:
+            # F_{j+1} is not built: C_j = HS(Omega_j (x) N), read off d_j.
+            hit = _syzygy_tensor_series(res, Nm, j)
+        else:
+            hit = _term_series(kind, res, Nm, j)
+            if src >= 0 and res.rank(src):
+                below = _term_series(kind, res, Nm, src)
+                at = _matrix_builder(kind, FiniteLengthRealization.from_module(Nm), res, max(j, src))
+                ranks = {d: len(_insert_rows(at(d), p, reduced=False)) for d in hit if d in below}
+                hit = _tp_sub(hit, ranks)
     else:
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
         r = X.rank0
@@ -619,7 +686,10 @@ def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> d
     HS(X_o), since Hilbert series are additive on the exact sequences
     0 -> ker -> X_i -> im -> 0 and 0 -> im -> X_o -> coker -> 0, and C_j
     (`_coker_series`) is memoized per resolution, so a scan builds each
-    once.
+    once.  The resolution is extended only as far as the terms need: to
+    i for tor over an artinian context, where C_i is read off d_i while
+    F_{i + 1} is not built; ext's C_{i + 1} and the off-locus check reach
+    i + 1 through `res.rank` / `res.diff`.
 
     The locus picks how C_j is built (ranks of degreewise matrices over
     an artinian context, one Groebner basis per cokernel span elsewhere),
@@ -639,7 +709,6 @@ def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> d
     rows = ctx.is_artinian
     Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
     res = resolution_of(Mm)
-    res.extend_to(i + 1)
     if not res.twists_of(i) or Nm.rank0 == 0:
         return {}
     o = i + _STEP[kind]

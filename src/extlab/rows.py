@@ -14,12 +14,13 @@ realization of its own: F_d is copy after copy of R_{d - a_s}, each in
 shifted copies of a realization as sparse rows; over the ring's own
 realization that is a map between free modules.  `kernel_generators`
 takes a degree-zero map out of such an F as those rows and returns
-minimal generators of its kernel, all on rows (`linalg`), with the
-kernel's dimension in each degree, read off the same walk.  It skips two
-eliminations whose outcome is fixed: in a degree with no seed rows and
-no nonzero multiples from below, every kernel vector is a generator
-(each has its own unit free column), and in a degree where the map is
-zero, insertion stops once the span is all of F_d.
+minimal generators of its kernel, all on rows (`linalg`), with each
+generator's degree and the kernel's dimension in each degree, read off
+the same walk.  It skips two eliminations whose outcome is fixed: in a
+degree with no seed rows and no nonzero multiples from below, every
+kernel vector is a generator (each has its own unit free column), and
+in a degree where the map is zero, insertion stops once the span is all
+of F_d.
 
 A presented module M = F / U over an artinian context carries, per degree
 and built on first use, the reduced row echelon form of U_d with the
@@ -454,12 +455,12 @@ def _from_module_rows(mod) -> FiniteLengthRealization:
 
 def _map_kernel(
     ctx: RingCtx, cols, twists, target, seed=None, seed_cols=()
-) -> tuple[list[dict], dict[int, int]]:
+) -> tuple[list[dict], list[int], dict[int, int]]:
     """Minimal generators of {x in F : sum_s x_s cols[s] = 0 in target},
     F = (+) R(-twists[s]), over an artinian context, modulo the relation
     span of `seed` (a module presented on F) and the vectors `seed_cols`
-    of F when they are given, and the Hilbert function of that kernel
-    modulo them (`kernel_generators`).
+    of F when they are given, their degrees, and the Hilbert function of
+    that kernel modulo them (`kernel_generators`).
 
     The degree-d matrix is the span matrix of `cols` (`_span_rows`), each
     column reduced copy by copy by the target's relation echelon
@@ -473,7 +474,7 @@ def _map_kernel(
     `kernel_generators` counts the rows that add a pivot.
     """
     if not twists:
-        return [], {}
+        return [], [], {}
     p = ctx.ring.field.p
     at = _span_rows(ctx, target.row_twists, cols, twists)
 
@@ -511,12 +512,13 @@ def _map_kernel(
 
 def kernel_generators(
     ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, seed=None
-) -> tuple[list[dict], dict[int, int]]:
+) -> tuple[list[dict], list[int], dict[int, int]]:
     """Minimal generators of the kernel of a degree-zero linear map out of
     F = (+) R(-twists[s]) over an artinian context, given by its degree-d
     matrix `matrix_at(d)` as sparse rows over F_d; with `seed(d)` (sparse
     rows over F_d spanning the degree-d part of a submodule of the
-    kernel), minimal generators modulo that submodule.  Also returns the
+    kernel), minimal generators modulo that submodule.  Also returns each
+    generator's degree, the degree of the walk that found it, and the
     dimension of the kernel modulo that submodule in each degree walked,
     where it is nonzero: the Hilbert function of the module the
     generators generate, when `degrees` covers F.
@@ -547,6 +549,7 @@ def kernel_generators(
     # d -> ((copy, index) label of each coordinate of F_d, kernel vectors)
     kernels: dict[int, tuple[list[tuple[int, int]], list[dict[int, int]]]] = {}
     out = []
+    degs: list[int] = []
     dims: dict[int, int] = {}
 
     def multiples(d, offsets):
@@ -594,6 +597,7 @@ def kernel_generators(
             first = next(images, None)
             if first is None:
                 out += [packed(d, labels, u) for u in K]
+                degs += [d] * len(K)
                 dims[d] = len(K)
                 continue
             images = chain([first], images)
@@ -615,13 +619,14 @@ def kernel_generators(
                 break
             if insert_row(basis, dict(u), p):
                 out.append(packed(d, labels, u))
+                degs.append(d)
         # The seed rows and the multiples lie in the kernel exactly when
         # they span no more than the kernel vectors do.
         if len(basis) != len(K):
             raise InvariantViolation(
                 "kernel not closed under the ring action, or a seed row outside it"
             )
-    return out, dims
+    return out, degs, dims
 
 
 def _minimal_generator_indices_rows(ctx, vecs, twists, modulo) -> list[int]:

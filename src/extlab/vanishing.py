@@ -455,7 +455,8 @@ def free_or_nonvanishing_check(M, N) -> CheckReport:
     dimensions.  So the check resolves whichever argument's resolution is
     smaller (`_smaller_resolution_first`).  Over a short Gorenstein ring
     the ranks grow about geometrically (the residue field's go 1, 3, 8,
-    21, ...), so the first terms set the size of F_6, which Tor_5 needs.
+    21, ...), so the first terms set the size of F_5, which Tor_5 needs:
+    its top cokernel is read off d_5 (`resolution._coker_series`).
     Only this check picks the side: it asks for Tor alone, while the
     other Tor callers resolve M for Ext as well.  The report names M and
     N in the order given."""

@@ -916,7 +916,7 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
     seen = {"calls": 0, "zero": 0, "fresh": 0, "seeded": 0}
 
     def both(*args, **kwargs):
-        got, dims = fast(*args, **kwargs)
+        got, degs, dims = fast(*args, **kwargs)
         ref, ref_dims, zero, fresh = _reference_kernel_generators(*args, **kwargs)
         assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
         assert list(dims.items()) == list(ref_dims.items())
@@ -925,7 +925,7 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
         seen["fresh"] += fresh
         seed = args[4] if len(args) > 4 else kwargs.get("seed")
         seen["seeded"] += seed is not None
-        return got, dims
+        return got, degs, dims
 
     monkeypatch.setattr(rows, "kernel_generators", both)
     cfg = ExperimentConfig(seed=seed)

@@ -77,6 +77,7 @@ from extlab.rows import (
 from extlab.vanishing import (
     ExperimentConfig,
     free_or_nonvanishing_check,
+    random_module,
     random_pair,
     scan_ext,
     scan_tor,
@@ -361,32 +362,68 @@ GOR5 = (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"))
 NILSQUARES = (("x", "y"), ("x^2", "y^2"))
 
 
+def _module_with_generators(ctx, cfg, n):
+    """The first seeded module (`random_module`) minimally presented on
+    n generators, with relations."""
+    for idx in range(200):
+        N = random_module(cfg, ctx, idx).minimal_presentation()
+        if N.rank0 == n and N.columns:
+            return N
+    raise AssertionError(f"no seeded module on {n} generators")
+
+
+def _tor_cases(ctx, cfg, pairs):
+    """Seeded pairs plus M against k, against R (no relations) and
+    against a module on three generators."""
+    cases = [random_pair(cfg, ctx, idx) for idx in range(pairs)]
+    M = cases[0][0]
+    N3 = _module_with_generators(ctx, cfg, 3)
+    return cases + [(M, k_of(ctx)), (M, PresentedModule.ring_module(ctx)), (M, N3)]
+
+
 def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     # Each C_j must be the series of a freshly presented cokernel
     # X_j / im(in).  Off the artinian locus that is its Hilbert numerator,
     # also when cokernels with the same span share one Groebner basis and
     # its twist-free component numerators, made under other twists.  Over
     # an artinian ring it is its Hilbert function, read off its own
-    # relation echelon, where C_j comes from ranks of degreewise matrices.
+    # relation echelon, where C_j comes from ranks of degreewise matrices:
+    # of the incoming map, or, for tor when F_{j+1} is not built yet, of
+    # d_j (x) del_N, C_j being HS(Omega_j (x) N).  Tor values read in
+    # ascending order on fresh contexts, before any scan, take that path;
+    # every cokernel is presented only after the values are read, since
+    # presenting one builds F_{j+1}.
     real_coker, real_cached = resolution._coker_series, resolution._cached
+    real_omega = resolution._syzygy_series
     twists = []  # of the cokernel being computed
     made_with = {}  # "coker" key -> twists of the cokernel that built it
     hits = Counter()
+    pending = []  # (kind, res, Nm, j, X_j, C_j, whether it took the Omega path)
 
     def coker(kind, res, Nm, j):
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
         twists.append(X.row_twists)
+        before = hits["omega"]
         got = real_coker(kind, res, Nm, j)
         twists.pop()
-        cols = list(X.columns) + _incoming_cols(kind, res, j, Nm.rank0)
-        fresh = PresentedModule(res.ctx, X.row_twists, cols)
-        if res.ctx.is_artinian:
-            assert got == fresh._finite_hf()
-            hits["rows"] += 1
-        else:
-            assert got == fresh.hilbert_numerator()
-            hits["checked"] += 1
+        pending.append((kind, res, Nm, j, X, got, hits["omega"] > before))
         return got
+
+    def omega(res, j):
+        hits["omega"] += 1
+        return real_omega(res, j)
+
+    def check_pending():
+        for kind, res, Nm, j, X, got, _ in pending:
+            cols = list(X.columns) + _incoming_cols(kind, res, j, Nm.rank0)
+            fresh = PresentedModule(res.ctx, X.row_twists, cols)
+            if res.ctx.is_artinian:
+                assert got == fresh._finite_hf(), (kind, j)
+                hits["rows"] += 1
+            else:
+                assert got == fresh.hilbert_numerator()
+                hits["checked"] += 1
+        pending.clear()
 
     def cached(ctx, name, key, build):
         if name == "coker":
@@ -397,6 +434,7 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
         return real_cached(ctx, name, key, build)
 
     monkeypatch.setattr(resolution, "_coker_series", coker)
+    monkeypatch.setattr(resolution, "_syzygy_series", omega)
     monkeypatch.setattr(resolution, "_cached", cached)
     quadric = make_ctx(*QUADRIC)
     cfg = ExperimentConfig(seed=1, max_generators=1)
@@ -409,17 +447,58 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     k = k_of(cubic)
     for N in (k, cyclic(cubic, "w + x")):
         scan_ext(k, N, 12), scan_tor(k, N, 12)
-    assert hits["checked"] and hits["shifted"]
+    check_pending()
+    assert hits["checked"] and hits["shifted"] and not hits["omega"]
     for ctx in (quadric, cubic):
         assert len(ctx.scratch["coker"]) <= CACHE_BOUND
     cfg = ExperimentConfig(seed=43)
     for ring in (GOR5, NILSQUARES):
         ctx = make_ctx(*ring)
+        cases = _tor_cases(ctx, cfg, 4)
+        for i in range(1, 6):
+            for M, N in cases:
+                tor_profile(M, N, i)
+        omega_for = Counter(id(Nm) for _, _, Nm, _, _, _, took in pending if took)
+        for M, N in cases:
+            if not M.minimal_presentation().is_free():
+                assert omega_for[id(N.minimal_presentation())] >= 5, ring
+        check_pending()
         for idx in range(12):
             M, N = random_pair(cfg, ctx, idx)
             scan_ext(M, N, 6), scan_tor(M, N, 6)
+        check_pending()
         assert "coker" not in ctx.scratch
-    assert hits["rows"]
+    assert hits["rows"] and hits["omega"]
+
+
+@pytest.mark.parametrize("ring", [GOR5, NILSQUARES], ids=["gor5", "nilsquares"])
+def test_tor_top_cokernel_agrees_with_direct_route(monkeypatch, ring):
+    # On fresh caches, Tor values read in ascending order through
+    # `derived_dims` take each top cokernel C_i as Omega_i (x) N, since
+    # F_{i+1} is not built yet; they must equal the direct route's, graded,
+    # which `tor` computes afterwards on the same resolutions.
+    real_omega = resolution._syzygy_series
+    seen = []
+
+    def omega(res, j):
+        seen.append(j)
+        return real_omega(res, j)
+
+    monkeypatch.setattr(resolution, "_syzygy_series", omega)
+    ctx = make_ctx(*ring)
+    cases = _tor_cases(ctx, ExperimentConfig(seed=43), 4)
+    profiles = {}
+    for i in range(1, 5):
+        for c, (A, B) in enumerate(cases):
+            profiles[c, i] = tor_profile(A, B, i)
+    assert set(seen) == {1, 2, 3, 4}
+    nonzero = 0
+    for c, (A, B) in enumerate(cases):
+        direct = tor(A, B, range(1, 5))
+        for i in range(1, 5):
+            assert profiles[c, i] == direct.graded_of(i), (c, i)
+            nonzero += bool(direct.total(i))
+    assert nonzero
 
 
 def test_symmetry_groebner_work_is_pinned(buchberger_runs):
@@ -851,8 +930,8 @@ def test_direct_route_reads_terms_copy_by_copy(request, ring, seed):
                     continue
                 X, in_cols, Xout, out_cols = at
                 assert result.graded_of(i) == _walk_on_quotient(*at), (pair, kind, i)
-                gens, dims = _map_kernel(ctx, out_cols, X.row_twists, Xout)
-                ref_gens, ref_dims = _kernel_by_whole_echelon(out_cols, X.row_twists, Xout)
+                gens, _, dims = _map_kernel(ctx, out_cols, X.row_twists, Xout)
+                ref_gens, _, ref_dims = _kernel_by_whole_echelon(out_cols, X.row_twists, Xout)
                 assert [list(g.items()) for g in gens] == [list(g.items()) for g in ref_gens]
                 assert dims == ref_dims
                 compared += 1

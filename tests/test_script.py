@@ -491,20 +491,24 @@ def test_example_2_3_groebner_reductions_are_pinned(buchberger_reductions):
 def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
     # The canned artinian search, pinned by its row work: the multiples of
     # stored rows added to other rows in all of its eliminations.  The
-    # Tor check resolves the argument with the smaller resolution (14392
-    # when it always resolved the left one).
+    # Tor check resolves the argument with the smaller resolution, and
+    # reads the top cokernel C_5 as Omega_5 (x) N off d_5, so F_6 is never
+    # built (14392 when it always resolved the left one, 8898 when C_5
+    # was the image of d_6 (x) N).
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert axpy_calls.count == 8898
+    assert axpy_calls.count == 2713
 
 
 def test_lemma_3_6_search_resolution_work_is_pinned(resolution_rank):
     # The same search, pinned by the ranks of the resolution terms it
-    # builds: a wrong choice of side in the Tor check shows up here as an
-    # exact number (9120 when the check always resolved the left one).
+    # builds: a wrong choice of side in the Tor check, or a resolution
+    # extended past F_5 for Tor_5, shows up here as an exact number (9120
+    # when the check always resolved the left one, 6674 when Tor_5 built
+    # F_6 for its top cokernel).
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert resolution_rank.count == 6674
+    assert resolution_rank.count == 2703
 
 
 def test_cli_imports_no_numpy():

@@ -19,6 +19,7 @@ Frozen oracles used below, all derivable by hand:
 
 import pytest
 
+from extlab import resolution
 from extlab.errors import HypothesisNotMet, InvariantViolation
 from extlab.groebner import RingCtx
 from extlab.modules import PresentedModule, dual_module
@@ -253,6 +254,30 @@ def test_free_or_nonvanishing_matches_unswapped_tor(gor5):
             i: sum(tor_profile(Mm, Nm, i).values()) for i in (3, 4, 5)
         }, t
     assert swapped
+
+
+def test_free_or_nonvanishing_builds_no_sixth_term(monkeypatch):
+    # Tor_5's top cokernel is read as Omega_5 (x) N off d_5 and N's
+    # relations, so the check resolves its side to F_5 and no further.  A
+    # fresh context keeps resolutions the other tests extended out of it.
+    ctx = _ctx(("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"))
+    real = resolution.Resolution._step
+    built = []  # homological index of every term a step builds
+
+    def step(self):
+        n = len(self._twists)
+        real(self)
+        if len(self._twists) > n:
+            built.append(n)
+
+    monkeypatch.setattr(resolution.Resolution, "_step", step)
+    cfg = ExperimentConfig(seed=23)
+    checked = 0
+    for t in range(12):
+        rep = free_or_nonvanishing_check(*random_pair(cfg, ctx, t))
+        assert rep.verdict == "consistent", t
+        checked += "tor_dims" in rep.details
+    assert checked and max(built) == 5
 
 
 def test_smaller_resolution_first_keeps_order_on_ties(gor5):
