@@ -38,7 +38,8 @@ returns dimensions only (`ExtTorResult`):
   built and how series are held: over an artinian context C_j is a
   Hilbert function, dim X_j minus ranks of degreewise matrices, and for
   tor, while F_{j+1} is not built, HS(Omega_j (x) N) read off d_j and
-  N's relations, so `derived_dims` reads Tor_i without F_{i+1};
+  N's relation echelon, with HS(Omega_j) kept per resolution, so
+  `derived_dims` reads Tor_i without F_{i+1};
   elsewhere it is a Hilbert numerator, from one Groebner basis shared by
   every cokernel with the same span, whatever its twists.  C_j lives
   with the resolution of M, one memo per N (`_derived_memo`), so
@@ -64,19 +65,26 @@ resolution of the dual module (transposed) onto the positive half through
 an explicit pairing differential in homological degree zero.
 
 Resolutions are shared per context (`resolution_of`), and so are complete
-resolutions (`complete_resolution`) and the twist-free numerators of
-cokernel spans (`_coker_series`), each in a cache of at most
-`CACHE_BOUND` entries that drops the least recently used one.  A
-resolution owns everything derived from it (differentials, syzygy
-modules, the derived-functor memo), and nothing outside its cache refers
-to it, so dropping it frees all of that: a long search holds a bounded
-number of resolutions, and one it needs again is recomputed, identically.
+resolutions (`complete_resolution`), the twist-free numerators of
+cokernel spans (`_coker_series`) and, over an artinian context, the
+resolution steps themselves (`Resolution._step`: a step is keyed by its
+differential and its twists relative to the lowest twist of the target,
+so syzygy tails that modules share, and resolutions that repeat
+themselves up to a shift, such as R/(x) over (x^2, y^2), take each step
+once), each in a cache of at most `CACHE_BOUND` entries that drops the
+least recently used one.  A resolution owns everything derived from it
+(differentials, syzygy modules, the derived-functor memo), and nothing
+outside its cache refers to it, so dropping it frees all of that: a long
+search holds a bounded number of resolutions, and one it needs again is
+recomputed, identically.  The step memo holds columns and twists only,
+never a resolution.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import HypothesisNotMet, InvariantViolation, ResourceCapError
@@ -103,10 +111,10 @@ from .modules import (
     _tensor_columns,
     dual_module,
 )
-from .poly import Polynomial
 from .rows import (
     FiniteLengthRealization,
     _block_builder,
+    _echelon,
     _entry_blocks,
     _map_kernel,
 )
@@ -141,6 +149,15 @@ def _canonical_columns(ctx, cols, degs):
     return [out[i] for i in order], tuple(degs[i] for i in order)
 
 
+def _syzygy_step(ctx, cols, cur, prev):
+    """Canonical minimal generators of the kernel of the map F -> G, F and
+    G free on the twists `cur` and `prev`, sending F's j-th generator to
+    cols[j], with their degrees; both empty when the map is injective."""
+    src, tgt = PresentedModule(ctx, cur), PresentedModule(ctx, prev)
+    gens, degs, _ = _kernel_generators(cols, src, tgt, ctx.is_artinian)
+    return _canonical_columns(ctx, gens, degs) if gens else ([], ())
+
+
 class Resolution:
     """Lazily extended minimal graded free resolution.
 
@@ -159,6 +176,8 @@ class Resolution:
         # -1 marks the zero module (empty resolution).
         self._pd: int | None = -1 if self.module.rank0 == 0 else None
         self._syz: dict[int, PresentedModule] = {}
+        # HS(Omega_0), HS(Omega_1), ...: see `_syzygy_series`.
+        self._omega: list[dict[int, int]] = []
         # id(N) -> (weak reference to N, memo): see `_derived_memo`.
         self._derived: dict[int, tuple[weakref.ref, dict]] = {}
 
@@ -176,6 +195,17 @@ class Resolution:
         return self
 
     def _step(self):
+        """Build F_{n+1} and d_{n+1} from d_n, or record pd = n when d_n is
+        injective.  Over an artinian context the step is looked up first
+        in the context's step memo (`_cached`, under "step"), keyed by d_n's
+        columns and the twists of F_n and F_{n-1}, each minus min F_{n-1}.
+        The kernel walk reads only degrees relative to the twists, so a
+        step taken before, by this resolution or another, at another
+        uniform twist shift is the same step shifted: a hit appends the
+        stored columns, shared read-only as `diff` hands them out, with
+        the twists shifted by the difference.  Off the locus Groebner's
+        degree-cap tests read absolute degrees, and every step is
+        computed."""
         n = len(self._twists) - 1
         if n == 0:
             cols = [dict(c) for c in self.module.columns]
@@ -185,14 +215,22 @@ class Resolution:
             self._diffs.append(cols)
             self._twists.append(tuple(self.module.col_degrees))
             return
-        cur, prev = self._twists[n], self._twists[n - 1]
+        cur, prev, d = self._twists[n], self._twists[n - 1], self._diffs[n - 1]
         ctx = self.ctx
-        src, tgt = PresentedModule(ctx, cur), PresentedModule(ctx, prev)
-        gens, degs, _ = _kernel_generators(self._diffs[n - 1], src, tgt, ctx.is_artinian)
-        if not gens:
+        if ctx.is_artinian:
+            base = min(prev)
+            key = (
+                tuple(tuple(sorted(c.items())) for c in d),
+                tuple(a - base for a in cur),
+                tuple(a - base for a in prev),
+            )
+            cols, degs, at = _cached(ctx, "step", key, lambda: (*_syzygy_step(ctx, d, cur, prev), base))
+            degs = tuple(a + base - at for a in degs)
+        else:
+            cols, degs = _syzygy_step(ctx, d, cur, prev)
+        if not cols:
             self._pd = n
             return
-        cols, degs = _canonical_columns(ctx, gens, degs)
         self._diffs.append(cols)
         self._twists.append(degs)
 
@@ -550,40 +588,105 @@ def _syzygy_series(res, j: int) -> dict[int, int]:
     """Hilbert function of Omega_j = im d_j inside F_{j-1}, j >= 1, over an
     artinian context, from the Betti numbers alone: the exact sequences
     0 -> Omega_k -> F_{k-1} -> Omega_{k-1} -> 0, with Omega_0 = M, give
-    HS(Omega_k) = HS(F_{k-1}) - HS(Omega_{k-1})."""
+    HS(Omega_k) = HS(F_{k-1}) - HS(Omega_{k-1}).  They do not depend on N,
+    so the resolution keeps the list HS(Omega_0), HS(Omega_1), ... and
+    extends it as j grows; callers must not mutate what it returns."""
+    hs = res._omega
+    if not hs:
+        hs.append(res.module._finite_hf())
     ring_hf = res.ctx._hf
-    hs = res.module._finite_hf()
-    for k in range(j):
-        hs = _tp_sub(_shifted_sum(ring_hf, res.twists_of(k)), hs)
-    return hs
+    while len(hs) <= j:
+        k = len(hs) - 1
+        hs.append(_tp_sub(_shifted_sum(ring_hf, res.twists_of(k)), hs[k]))
+    return hs[j]
 
 
 def _syzygy_tensor_series(res, Nm: PresentedModule, j: int) -> dict[int, int]:
     """HS(Omega_j (x) N), j >= 1, over an artinian context, read off d_j
     and N's presentation del_N : G_1 -> G_0 alone.  G_0 is free and
     F_j maps onto Omega_j, so Omega_j (x) N is (Omega_j (x) G_0) modulo
-    the image of d_j (x) del_N : F_j (x) G_1 -> F_{j-1} (x) G_0: the sum
-    of t^g HS(Omega_j) over the generators g of N (`_syzygy_series`)
-    minus the degreewise ranks of that map, built by `_block_builder`
-    over the ring's realization.  Entry f of d_j at (sp, s) and entry e
-    of del_N at (g, h) make its block (sp |G_0| + g, s |G_1| + h, f e)."""
+    the image of d_j (x) del_N, which is (d_j (x) 1)(F_j (x) U), U = im
+    del_N: the sum of t^g HS(Omega_j) over the generators g of N
+    (`_syzygy_series`) minus the degreewise ranks of that image.
+
+    In degree d, copy s of F_j (x) U is U_{d - b_s}, b_s the twist of F_j's
+    s-th generator, and its basis is N's cached relation echelon in that
+    degree (`rows._echelon`).  An echelon row u, with component u_g in
+    copy g of G_0, maps to the sum over the entries f of d_j at (sp, s) of
+    f u_g in copy (sp, g) of F_{j-1} (x) G_0.  Each monomial of d_j acts
+    on each echelon row once per call, copy by copy through the ring
+    realization's `monomial_columns`, and f u sums those images with f's
+    coefficients, so no product of polynomials is formed.  The rank is
+    taken on rows indexed by the target coordinates, one column per
+    mapped echelon row."""
     ctx = res.ctx
     hit = _shifted_sum(_syzygy_series(res, j), Nm.row_twists)
     if not Nm.columns:
         return hit
-    g0, g1 = Nm.rank0, len(Nm.columns)
-    rels = _entry_blocks(ctx, Nm.columns)
-    blocks = [
-        (sp * g0 + g, s * g1 + h, (Polynomial(ctx.ring, f) * Polynomial(ctx.ring, e)).raw())
-        for sp, s, f in _entry_blocks(ctx, res.diff(j))
-        for g, h, e in rels
-    ]
-    row_tw = [b + a for b in res.twists_of(j - 1) for a in Nm.row_twists]
-    col_tw = [b + a for b in res.twists_of(j) for a in Nm.col_degrees]
-    at = _block_builder(FiniteLengthRealization.of_ring(ctx), blocks, row_tw, col_tw, -1)
-    below = {a + d for a in set(col_tw) for d in ctx._hf}
+    real = FiniteLengthRealization.of_ring(ctx)
+    cols_of, dims = real.monomial_columns, real.dims
     p = ctx.ring.field.p
-    return _tp_sub(hit, {d: len(_insert_rows(at(d), p, reduced=False)) for d in hit if d in below})
+    lo, a = res.twists_of(j - 1), Nm.row_twists
+    # entries[s]: (first target copy sp |G_0|, f) for each entry f of d_j at (sp, s)
+    entries: list[list[tuple[int, dict]]] = [[] for _ in res.twists_of(j)]
+    for sp, s, f in _entry_blocks(ctx, res.diff(j)):
+        entries[s].append((sp * len(a), f))
+    rels: dict[int, list] = {}
+
+    def rel_rows(e):
+        """The rows of N's relation echelon in degree e, each as (copy g,
+        entry t of R_{e - a_g}, coefficient) triples."""
+        out = rels.get(e)
+        if out is None:
+            sizes = [dims.get(e - x, 0) for x in a]
+            out = rels[e] = []
+            if any(sizes):
+                piece = _echelon(Nm, e)
+                where = [(g, t) for g, n in enumerate(sizes) for t in range(n)]
+                out += ([(*where[piece.coord[c]], x) for c, x in u.items()] for u in piece.basis.values())
+        return out
+
+    prods: dict[tuple[int, int], list] = {}
+
+    def times(e, mono):
+        """mono times each row of `rel_rows(e)`, as (copy g, entry r,
+        value) triples: the ring realization's columns of mono applied
+        copy by copy."""
+        out = prods.get((e, mono))
+        if out is None:
+            out = prods[e, mono] = []
+            for u in rel_rows(e):
+                acc: dict[tuple[int, int], int] = {}
+                for g, t, x in u:
+                    for r, v in cols_of(mono, e - a[g])[t].items():
+                        acc[g, r] = acc.get((g, r), 0) + x * v
+                out.append([(g, r, v % p) for (g, r), v in acc.items() if v % p])
+        return out
+
+    ranks = {}
+    for d in hit:
+        off = [0, *accumulate(dims.get(d - c - x, 0) for c in lo for x in a)]
+        rows: list[dict[int, int]] = [{} for _ in range(off[-1])]
+        k = 0
+        for s, b in enumerate(res.twists_of(j)):
+            e = d - b
+            n = len(rel_rows(e))
+            if not n:
+                continue
+            terms = [(r0, y, times(e, mono)) for r0, f in entries[s] for mono, y in f.items()]
+            for i in range(n):
+                acc: dict[int, int] = {}
+                for r0, y, prod in terms:
+                    for g, r, v in prod[i]:
+                        r += off[r0 + g]
+                        acc[r] = acc.get(r, 0) + y * v
+                for r, v in acc.items():
+                    if v % p:
+                        rows[r][k] = v % p
+                k += 1
+        if k:
+            ranks[d] = len(_insert_rows(rows, p, reduced=False))
+    return _tp_sub(hit, ranks)
 
 
 def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
@@ -602,8 +705,8 @@ def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
     is Omega_j and tensoring is right exact: Tor_i stops at F_i.  Where
     F_{j+1} exists (scans build it under their rank budget, and ext and
     the routes need it) C_j stays the image of d_{j+1} (x) N, which costs
-    less there: where Betti numbers grow slowly, as over nilsquares, the
-    |G_1| copies of R per generator of F_j outweigh F_{j+1} (x) N.  With
+    less there: where Betti numbers grow slowly, as over nilsquares,
+    mapping N's relation echelon through d_j costs more than F_{j+1} (x) N.  With
     no incoming map C_j is `_term_series`' own dict.
 
     Elsewhere C_j is the sum over components c of t^{twist_c}

@@ -142,3 +142,22 @@ def resolution_rank(monkeypatch):
 
     monkeypatch.setattr(resolution.Resolution, "_step", counted)
     return runs
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """Counts, for the rest of the test, the resolution steps that ran the
+    kernel walk (`resolution._syzygy_step`).  Over an artinian ring a step
+    taken before in the same context, up to a twist shift, is served from
+    the context's step memo and runs none, so a test can pin how many
+    kernels a computation really took as an exact number.
+    """
+    runs = _Runs()
+    real = resolution._syzygy_step
+
+    def counted(*args):
+        runs.count += 1
+        return real(*args)
+
+    monkeypatch.setattr(resolution, "_syzygy_step", counted)
+    return runs

@@ -96,15 +96,27 @@ def cyclic(ctx, gen):
     return PresentedModule.from_matrix(ctx, [[gen]])
 
 
+def no_step_memo(mp):
+    """Make every resolution step run its kernel walk: `_cached` misses
+    the step memo, and every other cache behaves as before."""
+    real = resolution._cached
+    mp.setattr(
+        resolution, "_cached",
+        lambda ctx, name, key, build: build() if name == "step" else real(ctx, name, key, build),
+    )
+
+
 def groebner_resolution(M, n):
     """A resolution of M to step n whose every step takes its kernel
-    through Groebner bases (`_kernel_generators` with rows=False): the
-    reference for the row steps over an artinian context."""
+    through Groebner bases (`_kernel_generators` with rows=False), none
+    served from the step memo: the reference for the row steps over an
+    artinian context."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             resolution, "_kernel_generators",
             lambda cols, src, tgt, rows: _kernel_generators(cols, src, tgt, False),
         )
+        no_step_memo(mp)
         return Resolution(M).extend_to(n)
 
 
@@ -360,14 +372,98 @@ QUADRIC = (("w", "x", "y", "z"), ("w*x - y*z",))
 CUBIC = (("w", "x", "y", "z"), ("w^3 + x^3 + y^3 + z^3",))
 GOR5 = (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"))
 NILSQUARES = (("x", "y"), ("x^2", "y^2"))
+NONGOR = (("x", "y", "z"), ("x^2", "y^2", "z^2", "x*y", "x*y*z"))  # artinian, socle of dimension 2
 
 
-def _module_with_generators(ctx, cfg, n):
+def _resolve_all(mods, n, budget):
+    """Fresh resolutions of `mods`, each extended to step n or until the
+    rank budget stops it."""
+    out = []
+    for M in mods:
+        res = Resolution(M)
+        try:
+            res.extend_to(n, rank_budget=budget)
+        except ResourceCapError:
+            pass
+        out.append(res)
+    return out
+
+
+def test_steps_served_from_the_memo_equal_computed_ones(monkeypatch):
+    # Over an artinian ring a resolution step is served from the context's
+    # step memo when one with the same differential and the same relative
+    # twists was taken before, by another resolution or by the same one,
+    # and shifted to its twists.  On fresh contexts, seeded modules, k and
+    # R/(x) are resolved to step 8 under a rank budget with the memo and
+    # then with every step computed, and the two must agree term by term.
+    real_step, real_cached = Resolution._step, resolution._cached
+    current = []  # the resolution taking a step
+    made_by = {}  # step key -> the resolution whose step filled it
+    hits = Counter()
+
+    def step(self):
+        current.append(self)
+        try:
+            real_step(self)
+        finally:
+            current.pop()
+
+    def cached(ctx, name, key, build):
+        if name == "step":
+            if key in ctx.scratch.get("step", {}):
+                hits[("self" if made_by[key] is current[-1] else "cross", id(current[-1]))] += 1
+            else:
+                made_by[key] = current[-1]
+        return real_cached(ctx, name, key, build)
+
+    monkeypatch.setattr(Resolution, "_step", step)
+    monkeypatch.setattr(resolution, "_cached", cached)
+    cfg = ExperimentConfig(seed=5)
+    for ring in (NILSQUARES, GOR5, NONGOR):
+        ctx = make_ctx(*ring)
+        mods = [random_module(cfg, ctx, idx) for idx in range(8)] + [k_of(ctx), cyclic(ctx, "x")]
+        served = _resolve_all(mods, 8, 300)
+        with pytest.MonkeyPatch.context() as mp:
+            no_step_memo(mp)
+            computed = _resolve_all(mods, 8, 300)
+        for a, b in zip(served, computed):
+            assert a._twists == b._twists
+            assert a._diffs == b._diffs
+            assert a.known_pd() == b.known_pd()
+        assert len(ctx.scratch["step"]) <= CACHE_BOUND
+        if ring is NILSQUARES:
+            # R/(x): d_n = (x) on F_n = R(-n) from n = 1 on, so every step
+            # from the second on repeats the one before it, one degree up.
+            assert served[-1].rank(8) == 1
+            assert hits[("self", id(served[-1]))] == 6
+    assert sum(n for (kind, _), n in hits.items() if kind == "cross")
+
+
+def test_nilsquares_scan_kernel_steps_are_pinned(kernel_steps, resolution_rank):
+    # Seeded nilsquares harness scans on a fresh context, pinned by the
+    # resolution steps that ran the kernel walk: a step the context took
+    # before, up to a twist shift, is served from its step memo.  The
+    # terms built are pinned beside it, served ones included: a served
+    # term counts as built (every step ran the walk before the memo, 250
+    # of them).
+    ctx = make_ctx(*NILSQUARES)
+    cfg = ExperimentConfig(seed=1)
+    pairs = [random_pair(cfg, ctx, idx) for idx in range(40)]
+    kernel_steps.reset()
+    resolution_rank.reset()
+    for M, N in pairs:
+        scan_ext(M, N, 10, full=True, rank_budget=cfg.rank_budget)
+    assert kernel_steps.count == 106
+    assert resolution_rank.count == 1424
+
+
+def _module_with_generators(ctx, cfg, n, twists=None):
     """The first seeded module (`random_module`) minimally presented on
-    n generators, with relations."""
+    n generators, with relations, and with generators in exactly the
+    degrees `twists` when it is given."""
     for idx in range(200):
         N = random_module(cfg, ctx, idx).minimal_presentation()
-        if N.rank0 == n and N.columns:
+        if N.rank0 == n and N.columns and twists in (None, set(N.row_twists)):
             return N
     raise AssertionError(f"no seeded module on {n} generators")
 
@@ -389,8 +485,9 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     # an artinian ring it is its Hilbert function, read off its own
     # relation echelon, where C_j comes from ranks of degreewise matrices:
     # of the incoming map, or, for tor when F_{j+1} is not built yet, of
-    # d_j (x) del_N, C_j being HS(Omega_j (x) N).  Tor values read in
-    # ascending order on fresh contexts, before any scan, take that path;
+    # the image of d_j (x) del_N, C_j being HS(Omega_j (x) N).  Tor values
+    # read in ascending order on fresh contexts, before any scan, take
+    # that path, over gor5, nilsquares and a ring that is not Gorenstein;
     # every cokernel is presented only after the values are read, since
     # presenting one builds F_{j+1}.
     real_coker, real_cached = resolution._coker_series, resolution._cached
@@ -452,9 +549,13 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     for ctx in (quadric, cubic):
         assert len(ctx.scratch["coker"]) <= CACHE_BOUND
     cfg = ExperimentConfig(seed=43)
-    for ring in (GOR5, NILSQUARES):
+    for ring in (GOR5, NILSQUARES, NONGOR):
         ctx = make_ctx(*ring)
         cases = _tor_cases(ctx, cfg, 4)
+        if ring is NONGOR:
+            # Generators of N in two degrees give the copies of F_{j-1}
+            # (x) G_0 two sizes, so the Omega path must place each copy.
+            cases.append((cases[0][0], _module_with_generators(ctx, cfg, 3, {0, 1})))
         for i in range(1, 6):
             for M, N in cases:
                 tor_profile(M, N, i)
@@ -768,6 +869,7 @@ def test_resolution_cache_is_bounded_and_owns_its_memos():
     cache = ctx.scratch["res"]
     assert len(cache) == CACHE_BOUND
     assert len(ctx.scratch["cres"]) == CACHE_BOUND
+    assert len(ctx.scratch["step"]) <= CACHE_BOUND
     gc.collect()
     alive = [r for r in gc.get_objects() if isinstance(r, Resolution) and r.ctx is ctx]
     assert len(alive) <= CACHE_BOUND
