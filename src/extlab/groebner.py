@@ -61,9 +61,6 @@ class ModuleCodec:
     def comp_of(self, mkey: int) -> int:
         return COMP_MASK - (mkey & COMP_MASK)
 
-    def is_tag(self, mkey: int) -> bool:
-        return not (mkey & self.tagbit)
-
     def delta(self, mono: int) -> int:
         """Additive shift realizing multiplication by the given monomial."""
         return (mono - self._unit) << COMP_BITS
@@ -195,7 +192,7 @@ class _ReducerSet:
 class VectorGB:
     """A Groebner basis of a submodule, usable as a reducer.
 
-    `reduce` and `contains` divide by the minimal basis that `buchberger`
+    `reduce` divides by the minimal basis that `buchberger`
     kept: a full normal form is the same for every Groebner basis of the
     span.  `leads()` gives the lead keys, ascending.  Iterating, or reading
     `elements`, gives the reduced basis: monic, pairwise tail-reduced and
@@ -229,9 +226,6 @@ class VectorGB:
 
     def reduce(self, vec: dict) -> dict:
         return self._red.reduce(vec) if vec else {}
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
 
     def __len__(self) -> int:
         return len(self._red.vecs)
@@ -591,14 +585,6 @@ class RingCtx:
         if self._hf is not None:
             return self._hf.get(degree, 0)
         return tp_series(self.numerator, self.ring.weights, degree).get(degree, 0)
-
-    def nf_poly(self, f: Polynomial) -> Polynomial:
-        """Normal form of f modulo the defining ideal."""
-        if f.ring is not self.ring:
-            raise ValueError("polynomial from a different ring")
-        vec = {self.codec.mkey(k, 0): c for k, c in f.raw().items()}
-        red = reduce_vec_by_ideal(vec, self)
-        return Polynomial(self.ring, {self.codec.mono_of(k): c for k, c in red.items()})
 
     def std_monomials(self, degree: int) -> list[int]:
         """Monomial basis of R_degree (packed keys, descending)."""

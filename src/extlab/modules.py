@@ -16,7 +16,9 @@ context, and Hom and tensor complexes one layout (`_hom_columns`).  Over
 an artinian context the kernels, minimal generators, Hilbert functions
 and normal forms behind them run on sparse GF(p) rows in `rows`, which
 returns packed columns from which this module builds every
-`PresentedModule`; elsewhere they run on Groebner bases.
+`PresentedModule`; elsewhere they run on Groebner bases.  Each step reads
+the locus off its context; the Groebner bodies (`_kernel_generators_gb`,
+`_minimal_generator_indices_gb`) run anywhere, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .groebner import (
     reduce_vec_by_ideal,
     syzygies_for,
     tp_exact_quotient,
-    tp_one_minus_t_valuation,
     tp_series,
     tp_value_at_one,
 )
@@ -150,6 +151,8 @@ class PresentedModule:
             raise ValueError("ragged matrix")
         if row_twists is None:
             row_twists = (0,) * len(parsed)
+        elif len(row_twists) != len(parsed):
+            raise ValueError(f"need {len(parsed)} row twists, got {len(row_twists)}")
         cols = []
         for c in range(ncols.pop()):
             cols.append(vec_from_entries(ctx, [r[c] for r in parsed]))
@@ -246,13 +249,6 @@ class PresentedModule:
     def is_zero(self) -> bool:
         return not self.hilbert_numerator()
 
-    def krull_dim(self) -> int:
-        """Dimension of the support; -1 for the zero module."""
-        num = self.hilbert_numerator()
-        if not num:
-            return -1
-        return self.ctx.ring.nvars - tp_one_minus_t_valuation(num)
-
     def is_finite_length(self) -> bool:
         return self._finite_hf() is not None
 
@@ -270,12 +266,6 @@ class PresentedModule:
     def length(self) -> int | None:
         hf = self._finite_hf()
         return tp_value_at_one(hf) if hf is not None else None
-
-    def top_degree(self) -> int | None:
-        hf = self._finite_hf()
-        if hf is None:
-            return None
-        return max(hf) if hf else min(self.row_twists, default=0) - 1
 
     # -- elementary constructions ------------------------------------------------
 
@@ -312,10 +302,6 @@ class PresentedModule:
     def is_free(self) -> bool:
         return not self.minimal_presentation().columns
 
-    def free_rank(self) -> int | None:
-        m = self.minimal_presentation()
-        return m.rank0 if not m.columns else None
-
 
 def _finite_series(ctx: RingCtx, num: dict[int, int]) -> dict[int, int] | None:
     """Hilbert function of a series num / prod(1 - t^w), or None when the
@@ -347,17 +333,17 @@ def _minimalize(mod: PresentedModule) -> PresentedModule:
         return PresentedModule(ctx, mod.row_twists, [mod.columns[i] for i in keep], _reduced=True)
     kept = [j for j in range(mod.rank0) if j not in basis]
     gens = [{codec.mkey(unit, j): 1} for j in kept]
-    return _submodule(gens, tuple(mod.row_twists[j] for j in kept), mod, ctx.is_artinian)
+    return _submodule(gens, tuple(mod.row_twists[j] for j in kept), mod)
 
 
-def _submodule(gens, degs, target: PresentedModule, rows: bool, hf=None) -> PresentedModule:
+def _submodule(gens, degs, target: PresentedModule, hf=None) -> PresentedModule:
     """The submodule of `target` generated by `gens` (of degrees `degs`,
     minimal modulo target's relations), presented by minimal generators
     of the kernel of the free module on `degs` onto it
     (`_kernel_generators`): its own minimal presentation.  `hf`, its
     Hilbert function when the caller knows it, is kept."""
     ctx = target.ctx
-    rels = _kernel_generators(gens, PresentedModule.free(ctx, degs), target, rows)[0]
+    rels = _kernel_generators(gens, PresentedModule.free(ctx, degs), target)[0]
     out = PresentedModule(ctx, degs, rels, _reduced=True)
     out._cache["min"] = out
     if hf is not None:
@@ -412,12 +398,14 @@ class ModuleMap:
 
     @classmethod
     def from_matrix(cls, source, target, rows, *, check: bool = True) -> "ModuleMap":
-        """Row-major matrix with rows indexed by target generators."""
+        """Row-major matrix, rows indexed by target generators."""
         ring = source.ctx.ring
         parsed = [
             [ring.parse(e) if isinstance(e, str) else (ring.constant(e) if isinstance(e, int) else e) for e in row]
             for row in rows
         ]
+        if len(parsed) != target.rank0 or any(len(row) != source.rank0 for row in parsed):
+            raise ValueError(f"need a {target.rank0} x {source.rank0} matrix")
         cols = []
         for c in range(source.rank0):
             cols.append(vec_from_entries(source.ctx, [row[c] for row in parsed]))
@@ -456,9 +444,6 @@ class ModuleMap:
             self.source, self.target, [_neg(c, p) for c in self.columns], check=False, _reduced=True
         )
 
-    def is_zero_map(self) -> bool:
-        return not any(self.target.normal_form(c) for c in self.columns)
-
     def kernel(self) -> tuple[PresentedModule, "ModuleMap"]:
         """(K, inclusion K -> source), K minimally presented.
 
@@ -476,9 +461,11 @@ class ModuleMap:
         defined).  The same walk gives K's Hilbert function, the
         nullspace's dimension minus the seed's rank in each degree, and K
         keeps it.  Elsewhere both steps are syzygies pruned by
-        `minimal_generator_indices`.
+        `minimal_generator_indices` (`_kernel_generators_gb`).
         """
-        return _kernel(self, self.ctx.is_artinian)
+        gens, degs, hf = _kernel_generators(self.columns, self.source, self.target)
+        K = _submodule(gens, degs, self.source, hf)
+        return K, ModuleMap(K, self.source, gens, check=False, _reduced=True)
 
     def cokernel(self) -> PresentedModule:
         return PresentedModule(
@@ -488,41 +475,39 @@ class ModuleMap:
         )
 
 
-def _kernel(f: ModuleMap, rows: bool) -> tuple[PresentedModule, ModuleMap]:
-    """Body of `ModuleMap.kernel`, on sparse rows (artinian contexts only)
-    or through Groebner bases; the tests hold the two to each other."""
-    gens, degs, hf = _kernel_generators(f.columns, f.source, f.target, rows)
-    K = _submodule(gens, degs, f.source, rows, hf)
-    return K, ModuleMap(K, f.source, gens, check=False, _reduced=True)
-
-
 def _kernel_generators(
-    cols: Sequence[dict], src: PresentedModule, tgt: PresentedModule, rows: bool
+    cols: Sequence[dict], src: PresentedModule, tgt: PresentedModule
 ) -> tuple[list[dict], tuple[int, ...], dict[int, int] | None]:
     """(generators, their degrees, Hilbert function) of the kernel of the
     map src -> tgt whose j-th generator goes to cols[j], generators
     minimal modulo src's relations.
 
-    On sparse rows (artinian contexts only) it is `rows._map_kernel`
-    modulo the source relations, whose walk also checks that those
-    relations lie in the kernel and gives the kernel's Hilbert function
-    modulo them, and each generator's degree is the degree of the walk
-    that found it.  Otherwise the syzygies of [cols | target relations],
-    cut to the source components, generate the kernel, and a minimal
-    subfamily modulo the source relations is kept; there the Hilbert
-    function is None and the degrees are read off the generators.  A resolution step is this map between free
-    modules, and `_submodule`'s relations are this map from a free
-    module: the one kernel-generator body."""
+    Over an artinian context it is `rows._map_kernel` modulo the source
+    relations, whose walk also checks that those relations lie in the
+    kernel and gives the kernel's Hilbert function modulo them, and each
+    generator's degree is the degree of the walk that found it.
+    Elsewhere it is `_kernel_generators_gb`.  A resolution step is this
+    map between free modules, and `_submodule`'s relations are this map
+    from a free module: the one kernel-generator step."""
+    if not src.ctx.is_artinian:
+        return _kernel_generators_gb(cols, src, tgt)
+    gens, degs, hf = _map_kernel(src.ctx, cols, src.row_twists, tgt, seed=src)
+    return gens, tuple(degs), hf
+
+
+def _kernel_generators_gb(cols, src, tgt) -> tuple:
+    """Groebner body of `_kernel_generators`: the syzygies of [cols |
+    target relations], cut to the source components, generate the
+    kernel, and a minimal subfamily modulo the source relations is kept;
+    the Hilbert function is None and the degrees are read off the
+    generators.  On an artinian context it is the tests' reference for
+    the row walk, pruning included."""
     ctx = src.ctx
-    if rows:
-        gens, degs, hf = _map_kernel(ctx, cols, src.row_twists, tgt, seed=src)
-        return gens, tuple(degs), hf
     m = src.rank0
     gens = _syzygy_heads(
         ctx, list(cols) + list(tgt.columns), src.row_twists + tgt.col_degrees,
         tgt.row_twists, m,
     )
-    # On an artinian context this body is the Groebner reference, pruning included.
     keep = _minimal_generator_indices_gb(ctx, gens, m, src.row_twists, list(src.columns))
     gens = [gens[i] for i in keep]
     return gens, tuple(vec_degree(ctx, g, src.row_twists) for g in gens), None
@@ -621,18 +606,19 @@ def _dual_generators(mod: PresentedModule) -> tuple:
     hit = mod._cache.get("dual_gens")
     if hit is None:
         X, Y, psi_cols = _hom_complex(mod, PresentedModule.ring_module(mod.ctx))
-        gens = _kernel_generators(psi_cols, X, Y, mod.ctx.is_artinian)
+        gens = _kernel_generators(psi_cols, X, Y)
         hit = mod._cache["dual_gens"] = (X, *gens)
     return hit
 
 
 def dual_module(mod: PresentedModule) -> PresentedModule:
     """Hom(M, R), the submodule of X its functionals generate
-    (`_dual_generators`, `_submodule`), as `_kernel` presents a kernel."""
+    (`_dual_generators`, `_submodule`), as `ModuleMap.kernel` presents a
+    kernel."""
     hit = mod._cache.get("dual")
     if hit is None:
         X, gens, degs, hf = _dual_generators(mod)
-        hit = mod._cache["dual"] = _submodule(gens, degs, X, mod.ctx.is_artinian, hf)
+        hit = mod._cache["dual"] = _submodule(gens, degs, X, hf)
     return hit
 
 
@@ -660,19 +646,20 @@ def subquotient(
     stable Hom of the package is built this way, and so are duals:
     `dual_module` is the kernel of `_hom_complex` against R, with nothing
     to divide out, presented from its cached generators
-    (`_dual_generators`).  The kernel comes minimally presented on both loci
-    (`ModuleMap.kernel`).  Over an artinian context this is degreewise
-    linear algebra on sparse GF(p) rows with no Groebner basis: the map's
-    columns are reduced by the target's relation echelon, the kernel is
-    generated modulo the relation span of Q, which also checks that
-    in_cols lie in the kernel, and its Hilbert function is read off that
-    walk.  The direct route of `resolution.ext` / `tor` runs that walk on
-    X's free module, seeded with X's relations and in_cols, and reads only
-    its dimensions: no module is presented.
+    (`_dual_generators`).  The kernel comes minimally presented on both
+    loci from `ModuleMap.kernel`'s two steps, with no inclusion map built.
+    Over an artinian context this is degreewise linear algebra on sparse
+    GF(p) rows with no Groebner basis: the map's columns are reduced by
+    the target's relation echelon, the kernel is generated modulo the
+    relation span of Q, which also checks that in_cols lie in the kernel,
+    and its Hilbert function is read off that walk.  The direct route of
+    `resolution.ext` / `tor` runs that walk on X's free module, seeded
+    with X's relations and in_cols, and reads only its dimensions: no
+    module is presented.
     """
     Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols), _reduced=True)
-    f = ModuleMap(Q, target, out_cols, check=False, _reduced=True)
-    return f.kernel()[0]
+    gens, degs, hf = _kernel_generators(out_cols, Q, target)
+    return _submodule(gens, degs, Q, hf)
 
 
 def _sum_of_shifts(base: PresentedModule, shifts: Sequence[int]) -> PresentedModule:

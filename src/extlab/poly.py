@@ -180,11 +180,6 @@ class PolyRing:
     def mono_divides(self, b: int, a: int) -> bool:
         return self._codec.divides(b, a)
 
-    def mono_div(self, a: int, b: int) -> int:
-        if not self._codec.divides(b, a):
-            raise ValueError("monomial does not divide")
-        return self._codec.div(a, b)
-
     def mono_lcm(self, a: int, b: int) -> int:
         codec = self._codec
         if codec.divides(a, b):
@@ -301,11 +296,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self._t)
-
-    def leading_key(self) -> int:
-        if not self._t:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self._t)
 
     def degree(self) -> int:
         """Max weighted degree of a term; -1 for the zero polynomial."""

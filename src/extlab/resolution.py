@@ -7,8 +7,8 @@ generator half of `ModuleMap.kernel`: over an artinian context on sparse
 rows (`rows._map_kernel`, degreewise linear algebra that picks a
 complement of the image of the kernels below, building the degree-d
 matrix of d_n with `rows._block_builder`, the builder the degreewise
-derived functors use too), elsewhere as syzygies pruned by
-`modules.minimal_generator_indices`.  Both choose generators by graded
+derived functors use too), elsewhere as pruned syzygies
+(`modules._kernel_generators_gb`).  Both choose generators by graded
 Nakayama, degree by degree, so resolutions are minimal and ranks are
 Betti numbers as computed.
 
@@ -154,7 +154,7 @@ def _syzygy_step(ctx, cols, cur, prev):
     G free on the twists `cur` and `prev`, sending F's j-th generator to
     cols[j], with their degrees; both empty when the map is injective."""
     src, tgt = PresentedModule(ctx, cur), PresentedModule(ctx, prev)
-    gens, degs, _ = _kernel_generators(cols, src, tgt, ctx.is_artinian)
+    gens, degs, _ = _kernel_generators(cols, src, tgt)
     return _canonical_columns(ctx, gens, degs) if gens else ([], ())
 
 
@@ -369,9 +369,7 @@ class ExtTorResult:
     totals are comparable across routes.
     """
 
-    def __init__(self, kind: str, route: str, indices: Iterable[int]):
-        self.kind = kind
-        self.route = route
+    def __init__(self, indices: Iterable[int]):
         self.indices = sorted(set(indices))
         self.graded: dict[int, dict[int, int] | None] = {}
         self.totals: dict[int, int | None] = {}
@@ -391,25 +389,6 @@ class ExtTorResult:
 
     def is_zero(self, i: int) -> bool:
         return self.totals[i] == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "route": self.route,
-            "indices": self.indices,
-            "dimensions": {
-                str(i): (self.totals[i] if self.totals[i] is not None else "infinite")
-                for i in self.indices
-            },
-            "graded": {
-                str(i): (
-                    {str(d): v for d, v in sorted(self.graded[i].items())}
-                    if self.graded[i] is not None
-                    else "infinite"
-                )
-                for i in self.indices
-            },
-        }
 
 
 # X_j, the j-th term of the complex, is Hom(F_j, N), a sum of copies N(-a),
@@ -472,14 +451,14 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     ctx = M.ctx
     idxs = sorted(set(indices))
     if not idxs:
-        return ExtTorResult(kind, "direct", [])
+        return ExtTorResult([])
     if idxs[0] < 0:
         raise ValueError("derived-functor indices start at 0")
     Mm = M.minimal_presentation()
     Nm = N.minimal_presentation()
     res = resolution_of(Mm)
     res.extend_to(idxs[-1] + 1)
-    out = ExtTorResult(kind, "direct", idxs)
+    out = ExtTorResult(idxs)
     step = _STEP[kind]
     rb = Nm.rank0
     terms: dict[int, PresentedModule] = {}
@@ -990,7 +969,7 @@ def _via_complete(kind: str, M: PresentedModule, N: PresentedModule, indices, t)
     _check_pair(M, N)
     idxs = sorted(set(indices))
     if not idxs:
-        return ExtTorResult(kind, "complete", [])
+        return ExtTorResult([])
     if t is None:
         t = max(idxs) + 2
     if min(idxs) < 1 or max(idxs) > t - 2:
@@ -1002,7 +981,7 @@ def _via_complete(kind: str, M: PresentedModule, N: PresentedModule, indices, t)
     if mm.rank0 and not is_mcm(mm):
         raise HypothesisNotMet("the dual route needs a maximal Cohen-Macaulay module")
     D = dual_module(syzygy(mm, t))
-    out = ExtTorResult(kind, "complete", idxs)
+    out = ExtTorResult(idxs)
     opposite = "tor" if kind == "ext" else "ext"
     for i in idxs:
         out.record(i, derived_dims(opposite, D, N, t - i - 1))

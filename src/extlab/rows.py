@@ -37,9 +37,10 @@ copy by copy, and passes the nullspace to `kernel_generators`, seeded
 with the source's relation echelon rows, copy by copy (`_copy_pieces`;
 a module that is no sum is one copy of itself), and the span of any
 extra vectors.  That is `modules._kernel_generators` on artinian
-contexts, behind `ModuleMap.kernel` (whose kernel module takes its
-Hilbert function from that walk), every presentation built by
-`modules._submodule` and, with a free target, every resolution step;
+contexts, behind `ModuleMap.kernel` and `modules.subquotient` (whose
+kernel module takes its Hilbert function from that walk), every
+presentation built by `modules._submodule` and, with a free target,
+every resolution step;
 with a term of a Hom or tensor complex as the source and the incoming
 columns as the extra vectors, it is the direct route of
 `resolution.ext` / `tor`.

@@ -482,7 +482,7 @@ class _Parser:
                 name.line, name.col)
         self._expect("(")
         args = [int(self._expect_kind("int").text)]
-        while self._peek() and self._peek().text == ",":
+        if self._peek() and self._peek().text == ",":
             self._next()
             args.append(int(self._expect_kind("int").text))
         self._expect(")")
@@ -702,8 +702,11 @@ class _Runner:
             payload = report_json(snapshot)
         else:
             payload = render_report_text(snapshot)
-        with open(stmt.path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(stmt.path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as e:
+            raise ValueError(f"cannot write {stmt.path!r}: {e.strerror}") from None
         return {"wrote": stmt.path, "format": stmt.format}
 
 

@@ -152,11 +152,6 @@ class VanishingPattern:
             self.dims[i] == 0 for i in range(self.ring_dim + 1, hi + 1)
         )
 
-    def dim_at(self, i: int) -> int | None:
-        if i not in self.dims:
-            raise ValueError(f"index {i} was not computed (stopped at {self.computed_to})")
-        return self.dims[i]
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -320,26 +315,24 @@ def _report(name, verdict, window, details, M, N) -> CheckReport:
 # -- pattern checkers --------------------------------------------------------
 
 
-def _require_gorenstein_mcm(M, N, require_mcm=True):
-    """Gate for the statements about maximal Cohen-Macaulay modules over a
-    Gorenstein ring; require_mcm=False keeps only the ring condition."""
+def _require_gorenstein_mcm(M, N):
+    """Gate for the statements about MCM modules over a Gorenstein ring."""
     if not gorenstein_check(M.ctx):
         raise HypothesisNotMet("ring is not Gorenstein")
-    if require_mcm:
-        for lab, X in (("left", M), ("right", N)):
-            if X.rank0 and not is_mcm(X):
-                raise HypothesisNotMet(f"{lab} argument not maximal Cohen-Macaulay")
+    for lab, X in (("left", M), ("right", N)):
+        if X.rank0 and not is_mcm(X):
+            raise HypothesisNotMet(f"{lab} argument not maximal Cohen-Macaulay")
 
 
-def tail_equivalence_check(M, N, H, *, require_mcm=True) -> CheckReport:
+def tail_equivalence_check(M, N, H) -> CheckReport:
     """Tail-vanishing of Tor(M,N), Ext(M,dual N) and Ext(N,dual M) must agree
     for maximal Cohen-Macaulay modules over a Gorenstein ring.
 
-    With require_mcm=False the hypothesis gate is bypassed; a VIOLATION
-    from a bypassed run demonstrates that the gate is load-bearing, it
+    Other modules are refused (`HypothesisNotMet`): a VIOLATION from a
+    run with the gate bypassed shows that the gate is load-bearing, and
     is not a counterexample.
     """
-    _require_gorenstein_mcm(M, N, require_mcm)
+    _require_gorenstein_mcm(M, N)
     Ms, Ns = dual_module(M), dual_module(N)
 
     def scans(h):

@@ -63,7 +63,7 @@ def test_codec_roundtrip_and_compare(order, weights):
 def test_grevlex_degree_two_chain():
     ring = PolyRing(FieldSpec(101), ["x", "y", "z"])
     named = ["x^2", "x*y", "y^2", "x*z", "y*z", "z^2"]
-    keys = [ring.parse(s).leading_key() for s in named]
+    keys = [max(ring.parse(s).raw()) for s in named]
     assert keys == sorted(keys, reverse=True)
 
 
@@ -79,7 +79,7 @@ def test_monomial_arithmetic(order):
         kab = ring.mono_mul(ka, kb)
         assert ring.decode_monomial(kab) == tuple(a + b for a, b in zip(ea, eb))
         assert ring.mono_divides(ka, kab) and ring.mono_divides(kb, kab)
-        assert ring.mono_div(kab, kb) == ka
+        assert ring._codec.div(kab, kb) == ka
         divides = all(b <= a for a, b in zip(ea, eb))
         assert ring.mono_divides(kb, ka) == divides
         lcm = ring.mono_lcm(ka, kb)

@@ -62,6 +62,12 @@ def vec_entries(vec, ring, rank):
     return [Polynomial(ring, d) for d in polys]
 
 
+def nf_poly(ctx, f):
+    """Normal form of the polynomial f modulo ctx's defining ideal."""
+    red = reduce_vec_by_ideal(poly_vec(f), ctx)
+    return vec_entries(red, f.ring, 1)[0]
+
+
 def gb_strings(gbv, rank=1):
     ring = gbv.ring
     out = []
@@ -94,18 +100,18 @@ def test_basis_canonical_under_input_shuffle():
         assert gb1.elements == gb2.elements
         # Membership: every generator reduces to zero.
         for v in vecs:
-            assert gb1.contains(v)
+            assert not gb1.reduce(v)
         for f in polys:
-            assert gb1.contains(poly_vec(f * polys[0]))
+            assert not gb1.reduce(poly_vec(f * polys[0]))
 
 
 def test_quadric_quotient_normal_forms():
     ring = ring_with(["w", "x", "y", "z"])
     ctx = RingCtx(ring, [ring.parse("w*x - y*z")])
     assert [str(Polynomial(ring, g)) for g in ctx.ideal_gb] == ["w*x - y*z"]
-    assert str(ctx.nf_poly(ring.parse("w*x"))) == "y*z"
-    assert str(ctx.nf_poly(ring.parse("w*x*y"))) == "y^2*z"
-    assert ctx.nf_poly(ring.parse("w*x - y*z")).is_zero()
+    assert str(nf_poly(ctx, ring.parse("w*x"))) == "y*z"
+    assert str(nf_poly(ctx, ring.parse("w*x*y"))) == "y^2*z"
+    assert nf_poly(ctx, ring.parse("w*x - y*z")).is_zero()
     assert ctx.dim == 3
     # Graded pieces of the quadric hypersurface: 4, 10-1, 20-4, ...
     assert [ctx.hilbert_function(d) for d in range(4)] == [1, 4, 9, 16]
@@ -153,7 +159,7 @@ def test_syzygies_satisfy_defining_relations():
     rng = random.Random(23)
     for _ in range(6):
         cols = [ring.random_homogeneous(rng, rng.randrange(1, 3)) for _ in range(3)]
-        cols = [ctx.nf_poly(f) for f in cols]
+        cols = [nf_poly(ctx, f) for f in cols]
         if not all(cols):
             continue
         syz, _ = syzygies_for(ctx, [poly_vec(f) for f in cols], rank=1)
@@ -163,7 +169,7 @@ def test_syzygies_satisfy_defining_relations():
             total = ring.zero
             for f, g in zip(coords, cols):
                 total = total + f * g
-            assert ctx.nf_poly(total).is_zero()
+            assert nf_poly(ctx, total).is_zero()
 
 
 def test_zero_and_duplicate_columns_give_unit_syzygies():
@@ -289,7 +295,7 @@ def test_top_order_leads():
     x, y = ring.gens()
     codec = module_codec(ring)
     vec = entries_vec([x, y])
-    assert codec.comp_of(max(vec)) == 0 and codec.mono_of(max(vec)) == x.leading_key()
+    assert codec.comp_of(max(vec)) == 0 and codec.mono_of(max(vec)) == max(x.raw())
     # Same monomial in both slots: lower component wins.
     vec2 = entries_vec([y, y])
     assert codec.comp_of(max(vec2)) == 0
@@ -408,7 +414,7 @@ def _normal_form(vec, by, ring):
             lead = max(g)
             same = lead & codec.identmask == k & codec.identmask
             if same and ring.mono_divides(codec.mono_of(lead), codec.mono_of(k)):
-                quot = ring.mono_div(codec.mono_of(k), codec.mono_of(lead))
+                quot = ring._codec.div(codec.mono_of(k), codec.mono_of(lead))
                 factor = -work[k] * pow(g[lead], p - 2, p)
                 _shift_add(work, g, factor, codec.delta(quot), p)
                 break
@@ -434,7 +440,7 @@ def _reference_buchberger(inputs, ring, collect_syz=False):
         r = _normal_form(vec, basis, ring)
         if not r:
             return
-        if codec.is_tag(max(r)):
+        if not max(r) & codec.tagbit:
             syz.append({k | codec.tagbit: c for k, c in r.items()})
         else:
             ident = max(r) & codec.identmask
@@ -453,11 +459,11 @@ def _reference_buchberger(inputs, ring, collect_syz=False):
         mf, mg = codec.mono_of(max(f)), codec.mono_of(max(g))
         tau = ring.mono_lcm(mf, mg)
         s = {}
-        _shift_add(s, f, pow(f[max(f)], p - 2, p), codec.delta(ring.mono_div(tau, mf)), p)
-        _shift_add(s, g, -pow(g[max(g)], p - 2, p), codec.delta(ring.mono_div(tau, mg)), p)
+        _shift_add(s, f, pow(f[max(f)], p - 2, p), codec.delta(ring._codec.div(tau, mf)), p)
+        _shift_add(s, g, -pow(g[max(g)], p - 2, p), codec.delta(ring._codec.div(tau, mg)), p)
         insert(s)
 
-    work = [g for g in basis if not codec.is_tag(max(g))]
+    work = [g for g in basis if max(g) & codec.tagbit]
     minimal = [
         g for g in work
         if not any(
@@ -471,7 +477,7 @@ def _reference_buchberger(inputs, ring, collect_syz=False):
     for g in minimal:
         r = _normal_form(g, [h for h in minimal if h is not g], ring)
         inv = pow(r[max(r)], p - 2, p)
-        out.append({k: c * inv % p for k, c in r.items() if not codec.is_tag(k)})
+        out.append({k: c * inv % p for k, c in r.items() if k & codec.tagbit})
     return sorted(out, key=max), syz, reductions
 
 

@@ -131,6 +131,54 @@ def test_unknown_statement_check_and_search():
         parse_script(NILSQUARES + "let M = kernel(k);")
 
 
+def test_search_takes_at_most_two_integers(tmp_path, capsys):
+    # search-stmt takes the trial count and an optional window: a third
+    # integer is refused where it starts, and the CLI exits 5.
+    text = NILSQUARES + "search lemma36(2, 6, 99, 7);\n"
+    with pytest.raises(ParseError) as e:
+        parse_script(text)
+    assert (e.value.line, e.value.column) == (2, 20)
+    assert main([write_script(tmp_path, text)]) == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
+    assert parse_script(NILSQUARES + "search harness(2, 5);").statements[1].args == (2, 5)
+
+
+GRAMMAR = Path(__file__).resolve().parent.parent / "docs" / "script-grammar.ebnf"
+
+
+def _grammar_keywords(text):
+    """(expression functions, windowed checks, unwindowed checks,
+    searches) named by the keyword alternatives of the EBNF rules."""
+    text = re.sub(r"\(\*.*?\*\)", "", text, flags=re.S)
+    rules = dict(re.findall(r"^([a-z][a-z-]*)\s*=(.*?);\s*$", text, flags=re.M | re.S))
+
+    def words(rule):
+        return set(re.findall(r'"([a-z][a-z0-9]*)"', rules[rule]))
+
+    return (words("expr"), words("windowed-check"),
+            words("plain-check") | words("check-call"), words("search-stmt") - {"search"})
+
+
+def test_grammar_keywords_match_parser_tables():
+    text = GRAMMAR.read_text()
+    tables = (
+        set(scr._EXPR_FUNCS),
+        {name for name, (_, _, windowed) in scr._CHECKS.items() if windowed},
+        {name for name, (_, _, windowed) in scr._CHECKS.items() if not windowed},
+        set(scr._SEARCHES),
+    )
+    assert _grammar_keywords(text) == tables
+    # A name on one side only must show, in each of the four lists.
+    for old, new in (
+        ('"stablehom", "("', '"lift", "(", expr, ")" | "stablehom", "("'),
+        ('"prop43"', '"prop43" | "prop44"'),
+        ('"stablesuite"', '"stablesuite" | "theorem60"'),
+        ('"symmetry" )', '"symmetry" | "tor" )'),
+    ):
+        assert old in text
+        assert _grammar_keywords(text.replace(old, new)) != tables
+
+
 def test_ragged_matrix_rejected():
     with pytest.raises(ParseError, match="unequal"):
         parse_script(NILSQUARES + "module M = coker A [[x, y], [x]];")
@@ -445,6 +493,19 @@ def test_cli_parse_error_exit_five(tmp_path, capsys):
 def test_cli_missing_file_exit_five(capsys):
     assert main(["/nonexistent/script.gor"]) == EXIT_PARSE
     assert "extlab:" in capsys.readouterr().err
+
+
+def test_cli_emit_to_missing_directory_is_a_statement_error(tmp_path, capsys):
+    # A path that cannot be opened is input rejected at run time (exit 2),
+    # and the statements after it still run.
+    out = tmp_path / "missing" / "out.json"
+    path = write_script(tmp_path, NILSQUARES + f'emit json "{out}";\nbetti k, 2;\n')
+    assert main([path]) == EXIT_HYPOTHESIS
+    data = json.loads(capsys.readouterr().out)
+    emit, betti = data["statements"][1:]
+    assert emit["status"] == "error" and str(out) in emit["error"]
+    assert betti["status"] == "ok"
+    assert data["exit_code"] == EXIT_HYPOTHESIS
 
 
 def test_cli_seed_flag_reaches_harness(tmp_path, capsys):
