@@ -106,8 +106,7 @@ class PresentedModule:
         _reduced: bool = False,
     ):
         self.ctx = ctx
-        self.row_twists = tuple(int(a) for a in row_twists)
-        rank = len(self.row_twists)
+        self.row_twists = tuple(map(int, row_twists))
         p = ctx.ring.field.p
         cols = []
         for vec in columns:
@@ -115,14 +114,15 @@ class PresentedModule:
                 vec = reduce_vec_by_ideal(dict(vec), ctx)
             if not vec:
                 continue
-            for k in vec:
-                if ctx.codec.comp_of(k) >= rank:
-                    raise ValueError("column has a component beyond the row count")
             inv = pow(vec[max(vec)], p - 2, p)
             if inv != 1:
                 vec = {k: c * inv % p for k, c in vec.items()}
             cols.append(vec)
-        degs = [vec_degree(ctx, v, self.row_twists) for v in cols]
+        try:
+            # vec_degree indexes the row twists by each key's component
+            degs = [vec_degree(ctx, v, self.row_twists) for v in cols]
+        except IndexError:
+            raise ValueError("column has a component beyond the row count") from None
         order = sorted(range(len(cols)), key=lambda i: (degs[i], max(cols[i])))
         self.columns = tuple(cols[i] for i in order)
         self.col_degrees = tuple(degs[i] for i in order)

@@ -4,13 +4,14 @@ A realization (`rows.FiniteLengthRealization`, re-exported here) stores,
 for a module of finite length, the dimension of every graded piece and the
 sparse columns of each variable's multiplication map between consecutive
 pieces.
-`FiniteLengthRealization.from_module` reads it off a presented module;
-`to_presentation` goes the other way, building a minimal presentation by
-choosing generators with Nakayama and cutting out the kernel of the induced
-cover.  Relations of that cover live in degrees at most top(M) + max
-weight, because above the generators every piece of a free module is
-spanned by variable multiples from one weight below.  The graded Matlis
-dual (`matlis_dual_module`) and the ring's socle (`socle_module`,
+`FiniteLengthRealization.from_module` reads it off a presented module
+over an artinian context (it refuses any other); `to_presentation` goes
+the other way, building a minimal presentation by choosing generators
+with Nakayama and cutting out the kernel of the induced cover.
+Relations of that cover live in degrees at most top(M) + max weight,
+because above the generators every piece of a free module is spanned by
+variable multiples from one weight below.  The graded Matlis dual
+(`matlis_dual_module`) and the ring's socle (`socle_module`,
 `socle_generators`) are built on top.
 """
 

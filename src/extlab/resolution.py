@@ -64,20 +64,20 @@ Negative indices are served by `CompleteResolution`, which splices the
 resolution of the dual module (transposed) onto the positive half through
 an explicit pairing differential in homological degree zero.
 
-Resolutions are shared per context (`resolution_of`), and so are complete
-resolutions (`complete_resolution`), the twist-free numerators of
-cokernel spans (`_coker_series`) and, over an artinian context, the
-resolution steps themselves (`Resolution._step`: a step is keyed by its
-differential and its twists relative to the lowest twist of the target,
-so syzygy tails that modules share, and resolutions that repeat
-themselves up to a shift, such as R/(x) over (x^2, y^2), take each step
-once), each in a cache of at most `CACHE_BOUND` entries that drops the
-least recently used one.  A resolution owns everything derived from it
-(differentials, syzygy modules, the derived-functor memo), and nothing
-outside its cache refers to it, so dropping it frees all of that: a long
-search holds a bounded number of resolutions, and one it needs again is
-recomputed, identically.  The step memo holds columns and twists only,
-never a resolution.
+Resolutions are shared per context (`resolution_of`), and so are the
+twist-free numerators of cokernel spans (`_coker_series`) and, over an
+artinian context, the resolution steps themselves (`Resolution._step`: a
+step is keyed by its differential and its twists relative to the lowest
+twist of the target, so syzygy tails that modules share, and resolutions
+that repeat themselves up to a shift, such as R/(x) over (x^2, y^2),
+take each step once), each in a cache of at most `CACHE_BOUND` entries
+that drops the least recently used one.  A complete resolution is not
+cached: it looks up both halves through `resolution_of`.  A resolution
+owns everything derived from it (differentials, syzygy modules, the
+derived-functor memo), and nothing outside its cache refers to it, so
+dropping it frees all of that: a long search holds a bounded number of
+resolutions, and one it needs again is recomputed, identically.  The
+step memo holds columns and twists only, never a resolution.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ from .rows import (
 
 # -- resolutions ---------------------------------------------------------------
 
-# Resolutions (and complete resolutions) each context keeps; past this many
-# the least recently used one is dropped.
+# Entries each of a context's caches keeps (resolutions, cokernel
+# numerators, resolution steps); past this many the least recently used
+# one is dropped.
 CACHE_BOUND = 32
 
 
@@ -134,28 +135,16 @@ def _cached(ctx: RingCtx, name: str, key, build):
     return _lru_get(ctx.scratch.setdefault(name, {}), key, build, CACHE_BOUND)
 
 
-def _monic(p: int, col: dict) -> dict:
-    """col scaled so that its lead coefficient is 1."""
-    inv = pow(col[max(col)], p - 2, p)
-    return col if inv == 1 else {k: (v * inv) % p for k, v in col.items()}
-
-
-def _canonical_columns(ctx, cols, degs):
-    """Monic columns, of degrees `degs`, sorted by (degree, lead), with
-    their degrees."""
-    p = ctx.ring.field.p
-    out = [_monic(p, c) for c in cols]
-    order = sorted(range(len(out)), key=lambda i: (degs[i], max(out[i])))
-    return [out[i] for i in order], tuple(degs[i] for i in order)
-
-
 def _syzygy_step(ctx, cols, cur, prev):
     """Canonical minimal generators of the kernel of the map F -> G, F and
     G free on the twists `cur` and `prev`, sending F's j-th generator to
-    cols[j], with their degrees; both empty when the map is injective."""
+    cols[j], with their degrees: the columns of the syzygy module
+    `PresentedModule` presents on them (monic, sorted by degree and
+    lead); both empty when the map is injective."""
     src, tgt = PresentedModule(ctx, cur), PresentedModule(ctx, prev)
-    gens, degs, _ = _kernel_generators(cols, src, tgt)
-    return _canonical_columns(ctx, gens, degs) if gens else ([], ())
+    gens, _, _ = _kernel_generators(cols, src, tgt)
+    syz = PresentedModule(ctx, cur, gens, _reduced=True)
+    return list(syz.columns), syz.col_degrees
 
 
 class Resolution:
@@ -720,13 +709,12 @@ def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
     else:
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
         r = X.rank0
-        # X's columns are monic and reduced already; the incoming ones are
-        # reduced (re-keyed resolution columns) but not monic, and an ext
-        # column can be empty.
-        cols = list(X.columns)
-        for col in _incoming_cols(kind, res, j, Nm.rank0):
-            if col:
-                cols.append(_monic(p, col))
+        # The incoming columns are reduced (re-keyed resolution columns)
+        # but not monic, and an ext column can be empty: presenting the
+        # span on X's twists makes them monic and drops the empty ones.
+        incoming = _incoming_cols(kind, res, j, Nm.rank0)
+        U = PresentedModule(ctx, X.row_twists, [*X.columns, *incoming], _reduced=True)
+        cols = list(U.columns)
         span = (r, frozenset(frozenset(c.items()) for c in cols))
         parts = _cached(
             ctx, "coker", span,
@@ -937,11 +925,11 @@ class CompleteResolution:
 
 
 def complete_resolution(mod: PresentedModule, lo: int = -2, hi: int = 2) -> CompleteResolution:
-    """Shared per-context complete resolution, cached by minimal
-    presentation like `resolution_of` (`_cached`) and extended to
-    [lo, hi]."""
-    key = mod.minimal_presentation().value_key()
-    return _cached(mod.ctx, "cres", key, lambda: CompleteResolution(mod, lo, hi)).extend(lo, hi)
+    """The complete resolution of mod, extended to [lo, hi].  It is not
+    cached itself: its two halves come from `resolution_of`, and the
+    dual and dual generators it reads are cached on the minimal
+    presentation."""
+    return CompleteResolution(mod, lo, hi)
 
 
 def negative_syzygy(mod: PresentedModule, i: int) -> PresentedModule:

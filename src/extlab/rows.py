@@ -4,8 +4,11 @@ A realization stores, for a module of finite length, the dimension of every
 graded piece and the matrix of each variable's multiplication map between
 consecutive pieces, as sparse columns; a monomial's matrix is composed
 from them on first use.  `FiniteLengthRealization.from_module` reads the
-piece bases and actions off a module's relation span (the non-leads and
-normal forms); `of_ring` is the ring's own realization.
+piece bases and actions off a module's relation echelon (the non-pivots
+and normal forms, below); `of_ring` is the ring's own realization.  Both
+refuse a context that is not artinian: every use of a realization
+(`realize.to_presentation`, the degreewise derived functors) goes
+through the ring's realization too.
 
 A free module F = (+) R(-a_s) over an artinian context needs no
 realization of its own: F_d is copy after copy of R_{d - a_s}, each in
@@ -66,11 +69,12 @@ from .linalg import _insert_rows, _reduce_columns, _reduce_row, insert_row, null
 
 def vec_degree(ctx: RingCtx, vec: dict, twists: Sequence[int]) -> int:
     """Degree of a homogeneous vector; raises if the terms disagree.  Keys
-    are decoded inline (`ModuleCodec.mono_of`, `comp_of`), as in
+    are decoded inline (`ModuleCodec.mono_of`, `comp_of`, and the ring
+    codec's `degree`, the bits above its exponents), as in
     `_split_entries`."""
     monomask = ctx.codec.monomask
-    degree = ctx.ring._codec.degree
-    degs = {degree((k & monomask) >> COMP_BITS) + twists[COMP_MASK - (k & COMP_MASK)] for k in vec}
+    shift = COMP_BITS + ctx.ring._codec.expbits
+    degs = {((k & monomask) >> shift) + twists[COMP_MASK - (k & COMP_MASK)] for k in vec}
     if len(degs) != 1:
         raise ValueError(f"vector is not homogeneous: degrees {sorted(degs)}")
     return degs.pop()
@@ -171,21 +175,18 @@ class FiniteLengthRealization:
 
     @classmethod
     def from_module(cls, mod) -> "FiniteLengthRealization":
-        """Read the pieces off a presented module's relation span.
+        """Read the pieces off a presented module's relation echelon
+        (`_from_module_rows`), over an artinian context only.
 
         The degree-d basis consists of the keys (generator j, standard
         monomial m) that are not Groebner leads, copy after copy; the action
         of a variable is the normal form of each basis element's multiple.
-        Over an artinian context both come from the relation echelon
-        (`_from_module_rows`), elsewhere from a Groebner basis
-        (`_from_module_gb`); the two give identical realizations.
         """
+        if not mod.ctx.is_artinian:
+            raise ValueError("realizations need an artinian context")
         hit = mod._cache.get("real")
         if hit is None:
-            if mod._finite_hf() is None:
-                raise ValueError("module has infinite length")
-            body = _from_module_rows if mod.ctx.is_artinian else _from_module_gb
-            hit = mod._cache["real"] = body(mod)
+            hit = mod._cache["real"] = _from_module_rows(mod)
         return hit
 
     @classmethod
@@ -256,47 +257,6 @@ def _transpose(cols: list[dict[int, int]], n: int) -> list[dict[int, int]]:
         for r, x in col.items():
             out[r][c] = x
     return out
-
-
-def _from_module_gb(mod) -> FiniteLengthRealization:
-    """`from_module` through the module's Groebner basis: basis keys are
-    those no lead divides, and each action column is one normal form."""
-    ctx = mod.ctx
-    hf = mod._finite_hf()
-    ring = ctx.ring
-    codec = ctx.codec
-    gbv = mod.gb()
-    leads: list[list[int]] = [[] for _ in range(mod.rank0)]
-    for k in gbv.leads():
-        leads[codec.comp_of(k)].append(codec.mono_of(k))
-    divides = ring.mono_divides
-    basis: dict[int, list[int]] = {}
-    index: dict[int, dict[int, int]] = {}
-    if hf:
-        lo, hi = min(hf), max(hf)
-        for d in range(lo, hi + 1):
-            keys = []
-            for j, tw in enumerate(mod.row_twists):
-                for m in ctx.std_monomials(d - tw):
-                    if not any(divides(L, m) for L in leads[j]):
-                        keys.append(codec.mkey(m, j))
-            if len(keys) != hf.get(d, 0):
-                raise InvariantViolation(
-                    f"piece basis size {len(keys)} != series value {hf.get(d, 0)}"
-                )
-            if keys:
-                basis[d] = keys
-                index[d] = {k: i for i, k in enumerate(keys)}
-    dims = {d: len(ks) for d, ks in basis.items()}
-    actions = {}
-    for v, w in enumerate(ring.weights):
-        delta = codec.delta(ring._var_keys[v])
-        for d, keys in basis.items():
-            tgt = index.get(d + w)
-            if tgt is not None:
-                reds = (gbv.reduce(reduce_vec_by_ideal({k + delta: 1}, ctx)) for k in keys)
-                actions[(v, d)] = [{tgt[kk]: c for kk, c in red.items()} for red in reds]
-    return FiniteLengthRealization(ctx, dims, actions)
 
 
 # -- relation echelons on the artinian locus -------------------------------------
@@ -659,13 +619,12 @@ def _minimal_generator_indices_rows(ctx, vecs, twists, modulo) -> list[int]:
     return sorted(kept)
 
 
-def _entry_blocks(ctx, cols, first: int = 0) -> list[tuple[int, int, dict]]:
+def _entry_blocks(ctx, cols) -> list[tuple[int, int, dict]]:
     """(sp, s, f) for each nonzero entry f of a matrix given by columns:
-    f is the sp-th component of the s-th column, columns numbered from
-    `first`."""
+    f is the sp-th component of the s-th column."""
     return [
         (sp, s, f)
-        for s, col in enumerate(cols, first)
+        for s, col in enumerate(cols)
         for sp, f in enumerate(_split_entries(ctx, col))
         if f
     ]

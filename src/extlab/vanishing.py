@@ -49,7 +49,6 @@ from .resolution import (
     syzygy,
     tor_profile,
 )
-from .rows import FiniteLengthRealization
 
 __all__ = [
     "VanishingPattern",
@@ -386,9 +385,8 @@ def _require_short_gorenstein(ctx) -> int:
     socle, length = embdim + 2, embdim > 2.  Returns the embedding dimension."""
     if not ctx.is_artinian:
         raise HypothesisNotMet("ring is not artinian")
-    socle = sum(FiniteLengthRealization.of_ring(ctx).socle_profile().values())
-    if socle != 1:
-        raise HypothesisNotMet(f"socle dimension {socle}, need 1")
+    if not gorenstein_check(ctx):
+        raise HypothesisNotMet("ring is not Gorenstein: its socle is not one-dimensional")
     emb = ctx.hilbert_function(1)
     if ctx.length != emb + 2:
         raise HypothesisNotMet(
@@ -845,31 +843,24 @@ def external_product_check(M_R, N_S, H) -> CheckReport:
 class ExperimentConfig:
     """Shared knobs for randomized runs.
 
-    The generator and relation-degree caps are hard limits (small
-    presentations keep every scan tractable); window and trials scale
-    the work.  rank_budget bounds the total width of any one resolution
-    so a single bad draw aborts with ResourceCapError instead of eating
-    the run.
+    The generator cap is a hard limit (small presentations keep every
+    scan tractable); `random_module` fixes the rest of a draw's shape.
+    window and trials scale the work.  rank_budget bounds the total width
+    of any one resolution so a single bad draw aborts with
+    ResourceCapError instead of eating the run.
     """
 
     window: int = 10
     seed: int = 0
     trials: int = 20
     max_generators: int = 3
-    max_relation_degree: int = 3
-    max_twist: int = 1
-    density: float = 0.7
     rank_budget: int | None = 6000
 
     def __post_init__(self):
         if not 1 <= self.max_generators <= 3:
             raise ValueError("generator cap must lie in 1..3")
-        if not 1 <= self.max_relation_degree <= 3:
-            raise ValueError("relation degree cap must lie in 1..3")
         if self.window < 1 or self.trials < 0:
             raise ValueError("window must be positive and trials nonnegative")
-        if not 0.0 < self.density <= 1.0:
-            raise ValueError("density must lie in (0, 1]")
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -878,24 +869,24 @@ class ExperimentConfig:
 def random_module(cfg: ExperimentConfig, ctx: RingCtx, index: int = 0) -> PresentedModule:
     """Seeded homogeneous presentation, reproducible across runs.
 
-    Draws 1..max_generators generators with twists in 0..max_twist, then
-    up to generators+1 relation columns: each column picks a total degree
-    in 1..max_relation_degree and fills every component whose forced
-    entry degree is nonnegative with a dense-ish random form (uniform
-    coefficients over all monomials of that degree, thinned by
-    `density`).  The same (seed, index) always yields the same module.
+    Draws 1..max_generators generators with twists in 0..1, then up to
+    generators+1 relation columns: each column picks a total degree in
+    1..3 and fills every component whose forced entry degree is positive
+    with a dense-ish random form (uniform coefficients over all monomials
+    of that degree, each kept with probability 0.7).  The same (seed,
+    index) always yields the same module.
     """
     rng = random.Random(cfg.seed * 1_000_003 + index)
     g = rng.randint(1, cfg.max_generators)
-    twists = tuple(sorted(rng.randint(0, cfg.max_twist) for _ in range(g)))
+    twists = tuple(sorted(rng.randint(0, 1) for _ in range(g)))
     cols = []
     for _ in range(rng.randint(1, g + 1)):
-        d = rng.randint(1, cfg.max_relation_degree)
+        d = rng.randint(1, 3)
         entries = []
         for a in twists:
             e = d - a
             if e > 0:
-                entries.append(ctx.ring.random_homogeneous(rng, e, cfg.density))
+                entries.append(ctx.ring.random_homogeneous(rng, e, 0.7))
             else:
                 # Constant entries would just cancel a generator; keep the
                 # draw honest by leaving the slot empty instead.

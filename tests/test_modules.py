@@ -159,6 +159,14 @@ def test_from_matrix_needs_one_twist_per_row(plane):
     assert PresentedModule.from_matrix(plane, [["x"], ["y"]], row_twists=(0, 0)).rank0 == 2
 
 
+def test_column_beyond_the_row_count_is_refused(plane):
+    # Component 1 of a column over one row twist, raw or reduced.
+    col = vec_from_entries(plane, [plane.ring.parse("x"), plane.ring.parse("y")])
+    for reduced in (False, True):
+        with pytest.raises(ValueError, match="component beyond the row count"):
+            PresentedModule(plane, (0,), [col], _reduced=reduced)
+
+
 @pytest.mark.parametrize("rows", [
     [["x", "y", "x"]],          # an extra entry
     [["x", "y"], ["x", "y"]],   # an extra row

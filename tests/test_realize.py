@@ -26,7 +26,7 @@ from extlab.modules import (
 from extlab.poly import FieldSpec, PolyRing
 from extlab.realize import FiniteLengthRealization, to_presentation
 from extlab.resolution import syzygy
-from extlab.rows import _block_builder, _entry_blocks, _from_module_gb, _from_module_rows
+from extlab.rows import _block_builder, _entry_blocks, _from_module_rows
 from extlab.vanishing import ExperimentConfig, random_module
 
 
@@ -49,6 +49,15 @@ def xcyc(nilpl):
 
 def _dims(mod):
     return FiniteLengthRealization.from_module(mod).dims
+
+
+def test_from_module_refuses_a_context_that_is_not_artinian(quadric):
+    # k has finite length over the quadric, but a realization is refused
+    # before any work: no Groebner basis is built for it.
+    k = PresentedModule.residue_field(quadric)
+    with pytest.raises(ValueError, match="realizations need an artinian context"):
+        FiniteLengthRealization.from_module(k)
+    assert "gb" not in k._cache and "real" not in k._cache
 
 
 def test_ring_realization(nilpl):
@@ -180,6 +189,44 @@ def _echelon_corpus(ctx, seed, count):
         out.append(M.direct_sum(mm.shifted(1)).direct_sum(PresentedModule.free(ctx, (2,))))
         out.append(cyc.shifted(-1).direct_sum(M))
     return out
+
+
+def _from_module_gb(mod) -> FiniteLengthRealization:
+    """The reference realization, through the module's Groebner basis:
+    basis keys are those no lead divides, copy after copy, and each action
+    column is one normal form."""
+    ctx = mod.ctx
+    hf = mod._finite_hf()
+    ring = ctx.ring
+    codec = ctx.codec
+    gbv = mod.gb()
+    leads: list[list[int]] = [[] for _ in range(mod.rank0)]
+    for k in gbv.leads():
+        leads[codec.comp_of(k)].append(codec.mono_of(k))
+    divides = ring.mono_divides
+    basis: dict[int, list[int]] = {}
+    index: dict[int, dict[int, int]] = {}
+    if hf:
+        for d in range(min(hf), max(hf) + 1):
+            keys = []
+            for j, tw in enumerate(mod.row_twists):
+                for m in ctx.std_monomials(d - tw):
+                    if not any(divides(L, m) for L in leads[j]):
+                        keys.append(codec.mkey(m, j))
+            assert len(keys) == hf.get(d, 0)
+            if keys:
+                basis[d] = keys
+                index[d] = {k: i for i, k in enumerate(keys)}
+    dims = {d: len(ks) for d, ks in basis.items()}
+    actions = {}
+    for v, w in enumerate(ring.weights):
+        delta = codec.delta(ring._var_keys[v])
+        for d, keys in basis.items():
+            tgt = index.get(d + w)
+            if tgt is not None:
+                reds = (gbv.reduce(reduce_vec_by_ideal({k + delta: 1}, ctx)) for k in keys)
+                actions[(v, d)] = [{tgt[kk]: c for kk, c in red.items()} for red in reds]
+    return FiniteLengthRealization(ctx, dims, actions)
 
 
 @pytest.mark.parametrize("ring, seed", [("gor5", 41), ("nilsquares", 42)])

@@ -508,6 +508,20 @@ def test_cli_emit_to_missing_directory_is_a_statement_error(tmp_path, capsys):
     assert data["exit_code"] == EXIT_HYPOTHESIS
 
 
+def test_cli_matlis_off_the_artinian_locus_is_refused(tmp_path, capsys):
+    # A realization needs an artinian context, so the Matlis dual over the
+    # quadric is refused by `from_module` itself, before any Groebner work,
+    # as a statement error (exit 2); the statements after it still run.
+    quadric = "ring Q = GF(101)[w,x,y,z] / (w*x - y*z);\n"
+    path = write_script(tmp_path, quadric + "let D = matlis(k);\nbetti k, 1;\n")
+    assert main([path]) == EXIT_HYPOTHESIS
+    data = json.loads(capsys.readouterr().out)
+    matlis, betti = data["statements"][1:]
+    assert matlis["status"] == "error"
+    assert matlis["error"] == "realizations need an artinian context"
+    assert betti["status"] == "ok"
+
+
 def test_cli_seed_flag_reaches_harness(tmp_path, capsys):
     path = write_script(tmp_path, NILSQUARES + "search harness(1);\n")
     assert main([path, "--seed", "9"]) == 0
@@ -559,10 +573,11 @@ def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
     # before, up to a twist shift, are served from its step memo, and
     # Omega_5 (x) N ranks the images of N's relation echelon rows instead
     # of the columns of d_5 (x) del_N (2713 before both, 2706 with the
-    # second alone).
+    # second alone).  The ring's socle is eliminated once, by the cached
+    # `gorenstein_check`, not again on every trial's gate (2650 before).
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert axpy_calls.count == 2650
+    assert axpy_calls.count == 2552
 
 
 def test_lemma_3_6_search_kernel_steps_are_pinned(kernel_steps):
