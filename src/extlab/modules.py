@@ -225,6 +225,11 @@ class PresentedModule:
         return self.gb().reduce(vec)
 
     def hilbert_numerator(self) -> dict[int, int]:
+        """Numerator of the Hilbert series over prod(1 - t^w), kept.  Off
+        the artinian locus it is read off the lead terms of a Groebner
+        basis of the relations: `gb()`'s if it holds one, else one built
+        for the numerator and not kept, since most modules whose series is
+        read are never reduced against."""
         hit = self._cache.get("numerator")
         if hit is None:
             if self.ctx.is_artinian:
@@ -232,7 +237,10 @@ class PresentedModule:
                 for w in self.ctx.ring.weights:
                     hit = _tp_sub(hit, _tp_shift(hit, w))
             else:
-                hit = presented_numerator(self.ctx, self.gb(), self.rank0, self.row_twists)
+                gbv = self._cache.get("gb")
+                if gbv is None:
+                    gbv = module_gb(self.ctx, list(self.columns), self.rank0, self.row_twists)
+                hit = presented_numerator(self.ctx, gbv, self.rank0, self.row_twists)
             self._cache["numerator"] = hit
         return hit
 

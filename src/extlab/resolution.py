@@ -10,7 +10,12 @@ matrix of d_n with `rows._block_builder`, the builder the degreewise
 derived functors use too), elsewhere as pruned syzygies
 (`modules._kernel_generators_gb`).  Both choose generators by graded
 Nakayama, degree by degree, so resolutions are minimal and ranks are
-Betti numbers as computed.
+Betti numbers as computed.  Off the artinian locus a step that Hilbert
+series decide runs no syzygy computation (`_certified_step`): each
+resolution keeps HS(Omega_0), HS(Omega_1), ... (`_syzygy_series`), a
+zero kernel series ends the resolution wherever HS(M) is known, and a
+cyclic module whose one or two relations form a regular sequence, which
+its Hilbert series tests, is resolved by its Koszul complex.
 
 Derived functors come by two routes that share no homology code.  Each
 route has one body for both functors, keyed by kind ("ext" or "tor"), and
@@ -147,6 +152,46 @@ def _syzygy_step(ctx, cols, cur, prev):
     return list(syz.columns), syz.col_degrees
 
 
+def _certified_step(res, n):
+    """The step from d_n, as `_syzygy_step` returns it, when Hilbert series
+    decide it off the artinian locus, else None.  The kernel of d_n is
+    Omega_{n+1}, whose series `_syzygy_series` reads off HS(M) and the
+    Betti numbers, so wherever HS(M) is known a zero kernel series proves
+    d_n injective: pd = n, with no syzygy computation.
+
+    For a cyclic M = R(-a)/(g_1[, g_2]), with relations of degrees d_i,
+    HS(M) is read at n = 1 (`hilbert_numerator`, one plain Groebner basis
+    of M).  The g_i form a regular sequence on R exactly when HS(M) =
+    t^a HS(R) prod(1 - t^{d_i - a}) (Stanley, Adv. Math. 28, 1978), that
+    is when HS(Omega_2) is 0 for one relation and t^{d_1 + d_2 - a} HS(R)
+    for two.  The Koszul complex then resolves M: the kernel of
+    (g_1, g_2) is free on the one column (g_2, -g_1), and its part of
+    degree d_1 + d_2 - a is one-dimensional, so the monic form of that
+    column is the one a Groebner step finds; the next kernel series is
+    zero.
+    Numerators can keep coefficients that cancelled to zero, so series
+    are compared by their nonzero coefficients."""
+    mod = res.module
+    cyclic = n == 1 and mod.rank0 == 1 and len(mod.columns) <= 2
+    if not cyclic and "numerator" not in mod._cache:
+        return None
+    kernel = _syzygy_series(res, n + 1)
+    if not any(kernel.values()):
+        return [], ()
+    if not cyclic or len(mod.columns) == 1:
+        return None
+    ctx = res.ctx
+    (a,), (d1, d2) = mod.row_twists, mod.col_degrees
+    if any(_tp_sub(kernel, _shifted_sum(ctx.numerator, [d1 + d2 - a])).values()):
+        return None
+    g1, g2 = mod.columns
+    codec, p = ctx.codec, ctx.ring.field.p
+    col = dict(g2)  # R^1 keys are component 0 keys
+    col.update((codec.mkey(codec.mono_of(k), 1), p - c) for k, c in g1.items())
+    syz = PresentedModule(ctx, (d1, d2), [col], _reduced=True)
+    return list(syz.columns), syz.col_degrees
+
+
 class Resolution:
     """Lazily extended minimal graded free resolution.
 
@@ -165,7 +210,8 @@ class Resolution:
         # -1 marks the zero module (empty resolution).
         self._pd: int | None = -1 if self.module.rank0 == 0 else None
         self._syz: dict[int, PresentedModule] = {}
-        # HS(Omega_0), HS(Omega_1), ...: see `_syzygy_series`.
+        # HS(Omega_0), HS(Omega_1), ...: Hilbert functions over an artinian
+        # context, numerators elsewhere; see `_syzygy_series`.
         self._omega: list[dict[int, int]] = []
         # id(N) -> (weak reference to N, memo): see `_derived_memo`.
         self._derived: dict[int, tuple[weakref.ref, dict]] = {}
@@ -193,8 +239,9 @@ class Resolution:
         uniform twist shift is the same step shifted: a hit appends the
         stored columns, shared read-only as `diff` hands them out, with
         the twists shifted by the difference.  Off the locus Groebner's
-        degree-cap tests read absolute degrees, and every step is
-        computed."""
+        degree-cap tests read absolute degrees, so nothing is memoized;
+        a step the Hilbert series certify (`_certified_step`) runs no
+        syzygy computation, and every other step is computed."""
         n = len(self._twists) - 1
         if n == 0:
             cols = [dict(c) for c in self.module.columns]
@@ -216,7 +263,7 @@ class Resolution:
             cols, degs, at = _cached(ctx, "step", key, lambda: (*_syzygy_step(ctx, d, cur, prev), base))
             degs = tuple(a + base - at for a in degs)
         else:
-            cols, degs = _syzygy_step(ctx, d, cur, prev)
+            cols, degs = _certified_step(self, n) or _syzygy_step(ctx, d, cur, prev)
         if not cols:
             self._pd = n
             return
@@ -553,19 +600,26 @@ def _term_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
 
 
 def _syzygy_series(res, j: int) -> dict[int, int]:
-    """Hilbert function of Omega_j = im d_j inside F_{j-1}, j >= 1, over an
-    artinian context, from the Betti numbers alone: the exact sequences
-    0 -> Omega_k -> F_{k-1} -> Omega_{k-1} -> 0, with Omega_0 = M, give
-    HS(Omega_k) = HS(F_{k-1}) - HS(Omega_{k-1}).  They do not depend on N,
-    so the resolution keeps the list HS(Omega_0), HS(Omega_1), ... and
-    extends it as j grows; callers must not mutate what it returns."""
+    """HS(Omega_j), Omega_j = im d_j inside F_{j-1} for j >= 1, from HS(M)
+    and the Betti numbers alone: the exact sequences 0 -> Omega_k ->
+    F_{k-1} -> Omega_{k-1} -> 0, with Omega_0 = M, give HS(Omega_k) =
+    HS(F_{k-1}) - HS(Omega_{k-1}), which needs F_0, ..., F_{j-1} only.
+    Series are held as `_term_series` holds them: over an artinian
+    context Hilbert functions (M's `_finite_hf`, the ring's), elsewhere
+    Hilbert numerators (M's `hilbert_numerator`, the ring's), whose
+    coefficients can cancel to zero.  The artinian Omega path
+    (`_syzygy_tensor_series`) and the certified steps off the locus
+    (`_certified_step`) read them.  They do not depend on N, so the
+    resolution keeps the list HS(Omega_0), HS(Omega_1), ... and extends
+    it as j grows; callers must not mutate what it returns."""
     hs = res._omega
+    ctx = res.ctx
     if not hs:
-        hs.append(res.module._finite_hf())
-    ring_hf = res.ctx._hf
+        hs.append(res.module._finite_hf() if ctx.is_artinian else res.module.hilbert_numerator())
+    ring = ctx._hf if ctx.is_artinian else ctx.numerator
     while len(hs) <= j:
         k = len(hs) - 1
-        hs.append(_tp_sub(_shifted_sum(ring_hf, res.twists_of(k)), hs[k]))
+        hs.append(_tp_sub(_shifted_sum(ring, res.twists_of(k)), hs[k]))
     return hs[j]
 
 

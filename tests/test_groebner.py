@@ -583,7 +583,10 @@ def test_reducer_lookup_keeps_runs_identical(request, monkeypatch, source):
     # the member-by-member scan picks, so every run keeps the same members
     # and finds the same syzygies, term for term.
     if source == "symmetry":
-        ctx, runs = _symmetry_runs(monkeypatch, 8)
+        # Resolutions of cyclic modules whose relations form a regular
+        # sequence make no tagged run; pair 70 is the first seed-1 pair
+        # with a side whose two relations do not.
+        ctx, runs = _symmetry_runs(monkeypatch, 71)
         assert any(kw.get("collect_syz") for _, kw in runs)
     else:
         ctx = _cubic_ctx() if source == "cubic" else request.getfixturevalue(source)

@@ -24,7 +24,7 @@ from collections import Counter
 import pytest
 
 from extlab import resolution
-from extlab.errors import HypothesisNotMet, InvariantViolation, ResourceCapError
+from extlab.errors import DegreeCapError, HypothesisNotMet, InvariantViolation, ResourceCapError
 from extlab.groebner import RingCtx, reduce_vec_by_ideal
 from extlab.linalg import _reduce_row, rank_rows
 from extlab.modules import (
@@ -40,6 +40,7 @@ from extlab.modules import (
     tensor_module,
     vec_from_entries,
 )
+from extlab.poly import FieldSpec, PolyRing
 from extlab.resolution import (
     CACHE_BOUND,
     BettiTable,
@@ -489,7 +490,7 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     # every cokernel is presented only after the values are read, since
     # presenting one builds F_{j+1}.
     real_coker, real_cached = resolution._coker_series, resolution._cached
-    real_omega = resolution._syzygy_series
+    real_omega = resolution._syzygy_tensor_series
     twists = []  # of the cokernel being computed
     made_with = {}  # "coker" key -> twists of the cokernel that built it
     hits = Counter()
@@ -504,9 +505,9 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
         pending.append((kind, res, Nm, j, X, got, hits["omega"] > before))
         return got
 
-    def omega(res, j):
+    def omega(res, Nm, j):
         hits["omega"] += 1
-        return real_omega(res, j)
+        return real_omega(res, Nm, j)
 
     def check_pending():
         for kind, res, Nm, j, X, got, _ in pending:
@@ -529,7 +530,7 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
         return real_cached(ctx, name, key, build)
 
     monkeypatch.setattr(resolution, "_coker_series", coker)
-    monkeypatch.setattr(resolution, "_syzygy_series", omega)
+    monkeypatch.setattr(resolution, "_syzygy_tensor_series", omega)
     monkeypatch.setattr(resolution, "_cached", cached)
     quadric = make_ctx(*QUADRIC)
     cfg = ExperimentConfig(seed=1, max_generators=1)
@@ -600,16 +601,79 @@ def test_tor_top_cokernel_agrees_with_direct_route(monkeypatch, ring):
     assert nonzero
 
 
+def _resolved(M, n):
+    """Twists, differentials and pd of a fresh resolution of M to step n."""
+    res = Resolution(M.minimal_presentation()).extend_to(n)
+    return (
+        [res.twists_of(i) for i in range(n + 1)],
+        [res.diff(i) for i in range(1, n + 1)],
+        res.known_pd(),
+    )
+
+
+@pytest.mark.parametrize(
+    "ring,line",
+    [(QUADRIC, ("w - 7*y", "z - 7*x")), (CUBIC, ("w + x", "y + z"))],
+    ids=["quadric", "cubic"],
+)
+def test_certified_steps_equal_groebner_steps(monkeypatch, ring, line):
+    # Off the artinian locus, the steps of a cyclic module whose one or two
+    # relations form a regular sequence are read off Hilbert series, with
+    # no syzygy run: its resolution must equal, twist for twist and column
+    # for column, the one Groebner steps give.  A line on the hypersurface
+    # (w = 7y, z = 7x on wx = yz; w = -x, z = -y on the cubic) is cut out
+    # by two linear forms that are not a regular sequence, and has Betti
+    # numbers 1, 2, 2, 2, ...: it must take the Groebner steps.
+    ctx = make_ctx(*ring)
+    cfg = ExperimentConfig(seed=61, max_generators=1)
+    mods = [random_module(cfg, ctx, i).minimal_presentation() for i in range(40)]
+    L = PresentedModule.from_matrix(ctx, [list(line)]).minimal_presentation()
+    real = resolution._certified_step
+    served = []  # (relations, step, whether it built a term)
+
+    def spy(res, n):
+        got = real(res, n)
+        if got is not None:
+            assert res.module is not L
+            served.append((len(res.module.columns), n, bool(got[0])))
+        return got
+
+    monkeypatch.setattr(resolution, "_certified_step", spy)
+    got = [_resolved(M, 5) for M in [*mods, L]]
+    monkeypatch.setattr(resolution, "_certified_step", lambda res, n: None)
+    assert got == [_resolved(M, 5) for M in [*mods, L]]
+    assert {(1, 1, False), (2, 1, True), (2, 2, False)} <= set(served)
+    assert [len(t) for t in got[-1][0]] == [1, 2, 2, 2, 2, 2]
+
+
+def test_certified_step_passes_a_degree_cap_groebner_steps_do_not(monkeypatch):
+    # A certified step reads only a plain Groebner basis of M, while the
+    # tagged syzygy run it replaces applies no product criterion.  Under
+    # degree cap 6, seed-1 draw 10 over the quadric, cut out by a regular
+    # sequence of a linear and a cubic form, resolves with pd 2, where
+    # the Groebner steps pass the cap.
+    ring = PolyRing(FieldSpec(101), QUADRIC[0], degree_cap=6)
+    ctx = RingCtx(ring, [ring.parse(QUADRIC[1][0])])
+    M = random_module(ExperimentConfig(seed=1, max_generators=1), ctx, 10)
+    twists, _, pd = _resolved(M, 5)
+    assert twists[:3] == [(0,), (1, 3), (4,)] and pd == 2
+    monkeypatch.setattr(resolution, "_certified_step", lambda res, n: None)
+    with pytest.raises(DegreeCapError):
+        _resolved(M, 5)
+
+
 def test_symmetry_groebner_work_is_pinned(buchberger_runs):
     # The symmetry checks of the first 40 seed-1 cyclic quadric pairs make
-    # 224 Buchberger runs with cokernel numerators shared by span (255 with
-    # one basis per cokernel).
+    # 155 Buchberger runs.  The relations of every side form a regular
+    # sequence, so its resolution is certified by Hilbert series, read off
+    # one plain basis of the module, with no tagged syzygy run (224 when
+    # every step ran one, 255 with one basis per cokernel besides).
     ctx = make_ctx(*QUADRIC)
     cfg = ExperimentConfig(seed=1, max_generators=1)
     pairs = [random_pair(cfg, ctx, idx) for idx in range(40)]
     buchberger_runs.reset()
     assert all(symmetry_check(A, B, 12).verdict == "consistent" for A, B in pairs)
-    assert buchberger_runs.count == 224
+    assert buchberger_runs.count == 155
 
 
 def test_module_route_checks_composites_on_rows(buchberger_runs):
