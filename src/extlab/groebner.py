@@ -1,28 +1,35 @@
-"""Buchberger engine for submodules of free modules over graded quotient rings.
+"""Buchberger engines for submodules of free modules over graded quotient rings.
 
 A vector in a free module is a flat dict from packed keys to nonzero
 coefficients.  A key stacks three fields:
 
     [block bit] [packed ring monomial] [complemented component, 24 bits]
 
-so plain integer comparison realizes the position-over-term... rather,
-term-over-position order: monomials are compared first (in the ring's own
-order) and ties go to the lower component index.  The block bit splits the
-key space into a working block (bit set) and a tag block (bit clear) that
-always sorts below it.  Syzygies are computed by augmenting each input with
-a unit tag and running Buchberger to completion: elements whose working
-part collapses to zero carry, in their tags, exactly the coordinates of a
-syzygy of the inputs.
+so plain integer comparison realizes a term-over-position order:
+monomials are compared first (in the ring's own order) and ties go to
+the lower component index.  The block bit splits the key space into a
+working block (bit set) and a tag block (bit clear) that always sorts
+below it.
+
+Two bodies build bases.  Plain runs, which want only a basis of the
+span (`module_gb`, the ideal basis of `RingCtx`), go through
+`signature_gb`: a signature-based run that skips S-pairs known to reduce
+to zero before reducing them.  Tagged runs, which also want the
+syzygies of the inputs (`syzygies_for`), go through `buchberger`: each
+input is augmented with a unit tag and the run goes to completion, and
+elements whose working part collapses to zero carry, in their tags,
+exactly the coordinates of a syzygy of the inputs.
 
 Coefficient bookkeeping note: a tag t of an element (f, t) always satisfies
 f = sum_j t_j * a_j over the original inputs a_j, because inputs start that
 way and both reduction and S-vector formation are linear.
 
 `buchberger` runs one S-pair queue, pruned by the Gebauer-Moeller criteria
-each time an element is inserted, and returns the minimal basis it found.
-Normal forms and lead terms, which is all that membership tests and
-Hilbert series read, come straight from that basis; the reduced basis
-(monic, tail-reduced, sorted) is built only when something iterates it.
+each time an element is inserted.  Both bodies return the minimal basis
+they found.  Normal forms and lead terms, which is all that membership
+tests and Hilbert series read, come straight from that basis; the reduced
+basis (monic, tail-reduced, sorted) is built only when something iterates
+it.
 """
 
 from __future__ import annotations
@@ -74,19 +81,25 @@ def module_codec(ring: PolyRing) -> ModuleCodec:
     return codec
 
 
-class _ReducerSet:
-    """Mutable family of vectors indexed for division: find and apply reducers.
+def _subtract(work: dict, factor: int, delta: int, vec: dict, p: int):
+    """work -= factor * (vec shifted by delta), in place; factor is nonzero."""
+    get = work.get
+    for k, c in vec.items():
+        k += delta
+        v = (get(k, 0) - factor * c) % p
+        if v:
+            work[k] = v
+        else:
+            del work[k]  # factor * c is nonzero, so k was present
+
+
+class _Members:
+    """Mutable family of vectors indexed by lead.
 
     `buckets` maps a lead ident (component and block) to the members that
     reduce with that ident, in the order they were added.  `drop_multiples`
     takes out the members whose leads a newer member's lead divides: every
     term they could reduce, the newer member reduces too.
-
-    `reduce` uses the first bucket member whose lead divides the term.
-    Members are only appended, so that member stays first until
-    `drop_multiples` takes it out; `found` remembers it per term key, and a
-    term is matched against the bucket again only when its remembered
-    member is no longer `alive` or is the member to skip.
     """
 
     def __init__(self, ring: PolyRing, codec: ModuleCodec):
@@ -98,10 +111,8 @@ class _ReducerSet:
         self.monos: list[int] = []
         self.invs: list[int] = []
         self.idents: list[int] = []
-        self.maxdegs: list[int] = []  # -1 until a degree-cap check needs it
         self.alive: list[bool] = []
         self.buckets: dict[int, list[int]] = {}
-        self.found: dict[int, int] = {}  # term key -> first member dividing it
 
     def add(self, vec: dict) -> int:
         lead = max(vec)
@@ -112,7 +123,6 @@ class _ReducerSet:
         self.invs.append(pow(vec[lead], self.p - 2, self.p))
         ident = lead & self.codec.identmask
         self.idents.append(ident)
-        self.maxdegs.append(-1)
         self.alive.append(True)
         self.buckets.setdefault(ident, []).append(idx)
         return idx
@@ -132,6 +142,35 @@ class _ReducerSet:
                 alive[i] = False
         bucket[:] = kept
 
+    def s_vector(self, i: int, qi: int, j: int, qj: int) -> dict:
+        """qi * vec_i / lc_i - qj * vec_j / lc_j, where the monomials qi
+        and qj take the leads of members i and j to their lcm."""
+        p, unit = self.p, self.ring.unit_key
+        fi, di = self.invs[i], (qi - unit) << COMP_BITS
+        s = {k + di: c * fi % p for k, c in self.vecs[i].items()}
+        _subtract(s, self.invs[j], (qj - unit) << COMP_BITS, self.vecs[j], p)
+        return s
+
+
+class _ReducerSet(_Members):
+    """Members that full normal forms are taken against.
+
+    `reduce` uses the first bucket member whose lead divides the term.
+    Members are only appended, so that member stays first until
+    `drop_multiples` takes it out; `found` remembers it per term key, and a
+    term is matched against the bucket again only when its remembered
+    member is no longer `alive` or is the member to skip.
+    """
+
+    def __init__(self, ring: PolyRing, codec: ModuleCodec):
+        super().__init__(ring, codec)
+        self.maxdegs: list[int] = []  # -1 until a degree-cap check needs it
+        self.found: dict[int, int] = {}  # term key -> first member dividing it
+
+    def add(self, vec: dict) -> int:
+        self.maxdegs.append(-1)
+        return super().add(vec)
+
     def _maxdeg(self, idx: int) -> int:
         degree = self.ring._codec.degree
         mono_of = self.codec.mono_of
@@ -146,13 +185,11 @@ class _ReducerSet:
         unit = self.ring.unit_key
         identmask = self.codec.identmask
         monomask = self.codec.monomask
-        buckets, monos, vecs, invs, maxdegs = (
-            self.buckets, self.monos, self.vecs, self.invs, self.maxdegs)
-        alive, found = self.alive, self.found
+        buckets, monos, vecs, invs = self.buckets, self.monos, self.vecs, self.invs
+        alive, found, maxdegs = self.alive, self.found, self.maxdegs
         p = self.p
         cap = self.ring.degree_cap
         work = dict(vec)
-        get = work.get
         out: dict[int, int] = {}
         while work:
             k = max(work)
@@ -177,27 +214,20 @@ class _ReducerSet:
                     top = self._maxdeg(hit)
                 if qdeg + top > cap:
                     raise DegreeCapError(f"reduction would pass degree {qdeg + top} > cap {cap}")
-            factor = work[k] * invs[hit] % p
-            delta = (quot - unit) << COMP_BITS
-            for kk, c in vecs[hit].items():
-                kk += delta
-                v = (get(kk, 0) - factor * c) % p
-                if v:
-                    work[kk] = v
-                else:
-                    del work[kk]  # factor * c is nonzero, so kk was present
+            _subtract(work, work[k] * invs[hit] % p, (quot - unit) << COMP_BITS, vecs[hit], p)
         return out
 
 
 class VectorGB:
     """A Groebner basis of a submodule, usable as a reducer.
 
-    `reduce` divides by the minimal basis that `buchberger`
-    kept: a full normal form is the same for every Groebner basis of the
-    span.  `leads()` gives the lead keys, ascending.  Iterating, or reading
-    `elements`, gives the reduced basis: monic, pairwise tail-reduced and
-    sorted by ascending lead key, so equal submodules yield identical
-    lists term for term.  It is built on first use.
+    `reduce` divides by the minimal basis that the run (`buchberger`,
+    `signature_gb`) kept: a full normal form is the same for every
+    Groebner basis of the span.  `leads()` gives the lead keys, ascending.
+    Iterating, or reading `elements`, gives the reduced basis: monic,
+    pairwise tail-reduced and sorted by ascending lead key, so equal
+    submodules yield identical lists term for term.  It is built on first
+    use.
     """
 
     def __init__(self, ring: PolyRing, minimal: list[dict]):
@@ -238,18 +268,17 @@ def buchberger(
     inputs: list[dict],
     ring: PolyRing,
     *,
-    collect_syz: bool = False,
     twists_f: tuple[int, ...] = (),
     twists_t: tuple[int, ...] = (),
 ) -> tuple[VectorGB, list[dict]]:
     """Groebner basis of the span of `inputs`, plus syzygy generators.
 
-    With `collect_syz`, every input is augmented by a unit tag before the
-    run and the returned second component holds generators of the syzygy
-    module of the inputs, written as plain working-block vectors whose
-    component j stands for input j.  Without it the second component is [].
-    The basis is the minimal one, without tag parts; its reduced form is
-    built when something iterates it (see `VectorGB`).
+    Every input is augmented by a unit tag before the run, and the
+    returned second component holds generators of the syzygy module of
+    the inputs, written as plain working-block vectors whose component j
+    stands for input j.  The basis is the minimal one, without tag parts;
+    its reduced form is built when something iterates it (see
+    `VectorGB`).  Plain bases, with no syzygies, come from `signature_gb`.
 
     S-pairs are pruned by the criteria of Gebauer and Moeller ("On an
     installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988),
@@ -260,27 +289,25 @@ def buchberger(
     Elements whose leads lead(h) divides pair with nothing new.  These
     criteria keep a generating set of the lead-term syzygies, so the
     collected tags still generate.  The product criterion (coprime leads)
-    is only applied to pairs of single-component elements and never when
-    collecting syzygies: such a pair reduces to zero, but its tag is an
-    essential Koszul syzygy.
+    is not applied: such a pair reduces to zero, but its tag is an
+    essential Koszul syzygy.  Pairs are taken by degree, the lcm's degree
+    plus the twist of its component: `twists_f` for the working block,
+    `twists_t` for the tag block.
 
-    Tag terms may sit above their lead's degree, so in syzygy runs both
-    members of a pair pass the degree-cap test of `_ReducerSet.reduce`
-    before their S-vector is formed.  In the working block the lead has
-    the top degree, so plain runs need no such test.
+    Tag terms may sit above their lead's degree, so both members of a
+    pair pass the degree-cap test of `_ReducerSet.reduce` before their
+    S-vector is formed.
     """
     codec = module_codec(ring)
     rc = ring._codec
     divides, div, degree = rc.divides, rc.div, rc.degree
     lcm = ring.mono_lcm
-    p = ring.field.p
     cap = ring.degree_cap
     unit = ring.unit_key
     tagbit = codec.tagbit
     red = _ReducerSet(ring, codec)
-    vecs, monos, invs, idents, buckets = red.vecs, red.monos, red.invs, red.idents, red.buckets
+    vecs, monos, idents, buckets = red.vecs, red.monos, red.idents, red.buckets
     maxdegs = red.maxdegs
-    single: list[bool] = []  # product criterion allowed: working block, one component
     syz: list[dict] = []
     pairs: list[tuple[int, int, int, int]] = []  # heap of (degree, lcm, i, j)
     queued: dict[int, dict[tuple[int, int], int]] = {}  # ident -> live pairs -> lcm
@@ -300,41 +327,30 @@ def buchberger(
         h = red.add(r)
         ident = idents[h]
         if not ident & tagbit:  # a syzygy: it pairs with nothing
-            if collect_syz:
-                syz.append({k | tagbit: c for k, c in r.items()})
-            single.append(False)
+            syz.append({k | tagbit: c for k, c in r.items()})
             red.drop_multiples(h)
             return
-        single.append(not collect_syz and len({k & COMP_MASK for k in r}) == 1)
         mh = monos[h]
         live = queued.setdefault(ident, {})
         for (i, j), tau in list(live.items()):  # B
             if divides(mh, tau) and lcm(monos[i], mh) != tau and lcm(monos[j], mh) != tau:
                 del live[(i, j)]
-        new = []
-        for g in buckets[ident][:-1]:
-            tau = lcm(monos[g], mh)
-            coprime = single[h] and single[g] and degree(tau) == degree(mh) + degree(monos[g])
-            new.append((tau, g, coprime))
-        kept: list[tuple[int, int, bool]] = []
-        for n, (tau, g, coprime) in enumerate(new):  # M and F
-            if coprime or not (
-                any(divides(t, tau) for t, _, _ in new[n + 1 :])
-                or any(divides(t, tau) for t, _, _ in kept)
+        new = [(lcm(monos[g], mh), g) for g in buckets[ident][:-1]]
+        kept: list[tuple[int, int]] = []
+        for n, (tau, g) in enumerate(new):  # M and F
+            if not (
+                any(divides(t, tau) for t, _ in new[n + 1 :])
+                or any(divides(t, tau) for t, _ in kept)
             ):
-                kept.append((tau, g, coprime))
-        for tau, g, coprime in kept:
-            if not coprime:
-                live[(g, h)] = tau
-                heappush(pairs, (queue_degree(tau, ident), tau, g, h))
+                kept.append((tau, g))
+        for tau, g in kept:
+            live[(g, h)] = tau
+            heappush(pairs, (queue_degree(tau, ident), tau, g, h))
         red.drop_multiples(h)
 
     for j, vec in enumerate(inputs):
-        if collect_syz:
-            vec = dict(vec)
-            vec[codec.mkey(unit, j, tag=True)] = 1
-        elif not vec:
-            continue
+        vec = dict(vec)
+        vec[codec.mkey(unit, j, tag=True)] = 1
         insert(vec)
 
     while pairs:
@@ -344,33 +360,203 @@ def buchberger(
             continue  # dropped by the B criterion
         del live[(i, j)]
         qi, qj = div(tau, monos[i]), div(tau, monos[j])
-        if collect_syz:
-            for m, q in ((i, qi), (j, qj)):
-                deg = degree(q) + (maxdegs[m] if maxdegs[m] >= 0 else red._maxdeg(m))
-                if deg > cap:
-                    raise DegreeCapError(f"S-vector would pass degree {deg} > cap {cap}")
-        fi = invs[i]
-        di = (qi - unit) << COMP_BITS
-        s = {k + di: c * fi % p for k, c in vecs[i].items()}
-        fj = invs[j]
-        dj = (qj - unit) << COMP_BITS
-        get = s.get
-        for k, c in vecs[j].items():
-            k += dj
-            v = (get(k, 0) - fj * c) % p
-            if v:
-                s[k] = v
-            else:
-                del s[k]
-        insert(s)
+        for m, q in ((i, qi), (j, qj)):
+            deg = degree(q) + (maxdegs[m] if maxdegs[m] >= 0 else red._maxdeg(m))
+            if deg > cap:
+                raise DegreeCapError(f"S-vector would pass degree {deg} > cap {cap}")
+        insert(red.s_vector(i, qi, j, qj))
 
     minimal = []
     for ident, bucket in buckets.items():
         if ident & tagbit:
             for i in bucket:
-                vec = vecs[i]
-                minimal.append({k: c for k, c in vec.items() if k & tagbit} if collect_syz else vec)
+                minimal.append({k: c for k, c in vecs[i].items() if k & tagbit})
     return VectorGB(ring, minimal), syz
+
+
+class _SignatureSet(_Members):
+    """The members of a `signature_gb` run, each with its signature.
+
+    The run takes its inputs one at a time; a member made while input j
+    is processed has signature sig * e_j, and `sigs` holds sig as a
+    packed monomial.  Members below `start` come from earlier inputs, so
+    every multiple of them has a signature below each of input j's.
+    `dms` holds each lead's exponent bytes with the SWAR guard bits set,
+    so that `reduce_below` tests divisibility inline.
+    """
+
+    def __init__(self, ring: PolyRing, codec: ModuleCodec):
+        super().__init__(ring, codec)
+        self.sigs: list[int] = []
+        self.dms: list[int] = []
+        self.start = 0
+
+    def add(self, vec: dict, sig: int) -> int:
+        idx = super().add(vec)
+        self.sigs.append(sig)
+        rc = self.ring._codec
+        self.dms.append((self.monos[idx] & rc.expmask) | rc.swar_high)
+        return idx
+
+    def reduce_below(self, vec: dict, sig: int) -> dict | None:
+        """vec, a vector of signature sig * e_j, top-reduced by the
+        multiples of members whose signature lies below it, until no such
+        multiple reduces its lead; the tail is left as it comes.  None
+        when the lead can be reduced only at signature sig itself: vec is
+        then a multiple of a member up to lower signatures, and
+        redundant."""
+        rc = self.ring._codec
+        div, mul = rc.div, rc.mul
+        unit = self.ring.unit_key
+        identmask, monomask = self.codec.identmask, self.codec.monomask
+        buckets, monos, vecs, invs, sigs = self.buckets, self.monos, self.vecs, self.invs, self.sigs
+        dms, start = self.dms, self.start
+        expmask, high = rc.expmask, rc.swar_high
+        p = self.p
+        work = dict(vec)
+        while work:
+            k = max(work)
+            mono = (k & monomask) >> COMP_BITS
+            hit = -1
+            singular = False
+            me = mono & expmask
+            for i in buckets.get(k & identmask, ()):
+                if (dms[i] - me) & high == high:  # lead i divides the term
+                    if i < start:  # members of earlier inputs come first
+                        hit = i
+                        break
+                    s = mul(div(mono, monos[i]), sigs[i])
+                    if s < sig:
+                        hit = i
+                        break
+                    singular = singular or s == sig
+            if hit < 0:
+                return None if singular else work
+            delta = (div(mono, monos[hit]) - unit) << COMP_BITS
+            _subtract(work, work[k] * invs[hit] % p, delta, vecs[hit], p)
+        return work
+
+
+def signature_gb(inputs: list[dict], ring: PolyRing) -> VectorGB:
+    """Groebner basis of the span of `inputs`, with no syzygies: a
+    signature-based run, which throws out most S-pairs that would reduce
+    to zero before reducing them (Faugere, "A new efficient algorithm for
+    computing Groebner bases without reduction to zero (F5)", ISSAC 2002;
+    Eder and Faugere, "A survey on signature-based algorithms for
+    computing Groebner bases", J. Symbolic Comput. 80, 2017).
+
+    Input j stands for the basis vector e_j of a free module, and each
+    element made carries as its signature the lead of a representation
+    there, in the position-over-term order: index first, then the ring's
+    monomial order.  Inputs with fewer components get lower indices, then
+    those with lower lead keys.  The run takes the inputs one at a time,
+    and each one's S-pairs by ascending signature.  A pair is skipped when
+      * a known syzygy signature divides its signature: lm(s) e_j for
+        each polynomial s with s*e_c an earlier single-component input or
+        element for every component c that input j uses (the lifting
+        helpers and copies of relations are such), and the signature of
+        each S-vector that reduced to zero;
+      * an element of the same input newer than the pair's upper half
+        has a signature dividing the pair's (F5's rewritten criterion);
+      * an earlier pair with the same signature was reduced.
+    Only leads are reduced, and only by multiples whose signature lies
+    below the S-vector's (`_SignatureSet.reduce_below`); an S-vector whose
+    lead can be reduced only at its own signature is dropped.  Before the
+    next input, elements whose leads another element's lead divides are
+    taken out; those left at the end are the minimal basis `VectorGB`
+    keeps, which tail-reduces them only when asked for the reduced basis.
+
+    Monomials past the degree cap raise before they are formed.  A
+    signature is checked as it is formed; a pair's lcm is formed, by
+    `mono_lcm`, which checks it, only when the pair is reduced.  Other
+    monomials lie below one already formed: gcds and quotients of leads,
+    and the terms of a reducer's multiple, since in the working block a
+    lead has the top degree.
+    """
+    codec = module_codec(ring)
+    rc = ring._codec
+    divides, div, mul, degree, gcd = rc.divides, rc.div, rc.mul, rc.degree, rc.gcd
+    lcm = ring.mono_lcm
+    p = ring.field.p
+    cap = ring.degree_cap
+    unit = ring.unit_key
+    monomask = codec.monomask
+    expmask, high = rc.expmask, rc.swar_high
+    red = _SignatureSet(ring, codec)
+    vecs, monos, sigs, idents, buckets = red.vecs, red.monos, red.sigs, red.idents, red.buckets
+    alone: dict[frozenset, tuple[int, set]] = {}  # monic s at component 0 -> (lm(s), {c})
+    syz: list[int] = []  # known syzygy signatures of the current input
+    pairs: list[tuple[int, int, int]] = []  # heap of (signature, upper half, lower half)
+
+    todo = [(v, {k & COMP_MASK for k in v}) for v in inputs if v]
+    todo.sort(key=lambda t: (len(t[1]), max(t[0])))
+
+    def note_alone(vec: dict):
+        comps = {k & COMP_MASK for k in vec}
+        if len(comps) == 1:
+            lead = max(vec)
+            inv = pow(vec[lead], p - 2, p)
+            key = frozenset((k | COMP_MASK, v * inv % p) for k, v in vec.items())
+            alone.setdefault(key, ((lead & monomask) >> COMP_BITS, set()))[1].update(comps)
+
+    def times(q: int, sig: int) -> int:
+        deg = degree(q) + degree(sig)
+        if deg > cap:
+            raise DegreeCapError(f"signature would pass degree {deg} > cap {cap}")
+        return mul(q, sig)
+
+    def add(vec: dict, sig: int):
+        # Pair (g, h) has signature max(lcm / lm(h) * sig(h), lcm / lm(g) *
+        # sig(g)), and lcm / lm(h) = lm(g) / gcd.
+        h = red.add(vec, sig)
+        mh = monos[h]
+        for g in buckets[idents[h]][:-1]:
+            mg = monos[g]
+            d = gcd(mg, mh)
+            s, top, low = times(div(mg, d), sig), h, g
+            if g >= red.start:
+                sg = times(div(mh, d), sigs[g])
+                if sg == s:
+                    continue  # not a regular pair
+                if sg > s:
+                    s, top, low = sg, g, h
+            se = s & expmask
+            if not any((z - se) & high == high for z in syz):
+                heappush(pairs, (s, top, low))
+
+    for vec, comps in todo:
+        for h in range(red.start, len(vecs)):  # the previous input's members
+            if red.alive[h]:
+                note_alone(vecs[h])
+        syz = [(lead & expmask) | high for lead, cs in alone.values() if comps <= cs]
+        note_alone(vec)
+        red.start = len(vecs)
+        r = red.reduce_below(vec, 0)  # every member lies below e_j
+        if not r:
+            continue
+        add(r, unit)
+        last = -1
+        while pairs:
+            s, g, h = heappop(pairs)
+            se = s & expmask
+            if (
+                s == last
+                or any((z - se) & high == high for z in syz)
+                or any(divides(sigs[k], s) for k in range(g + 1, len(vecs)))
+            ):
+                continue
+            last = s
+            tau = lcm(monos[g], monos[h])
+            sv = red.s_vector(g, div(tau, monos[g]), h, div(tau, monos[h]))
+            r = red.reduce_below(sv, s)
+            if r:
+                add(r, s)
+            elif r is not None:
+                syz.append(se | high)
+        for h in range(red.start, len(vecs)):
+            if red.alive[h]:
+                red.drop_multiples(h)
+    return VectorGB(ring, [vecs[i] for b in buckets.values() for i in b])
 
 
 # -- t-polynomials: numerators of Hilbert series ---------------------------
@@ -539,7 +725,7 @@ class RingCtx:
         self.codec = module_codec(ring)
         self.relations = tuple(rels)
         vecs = [{self.codec.mkey(k, 0): c for k, c in f.raw().items()} for f in rels]
-        gbv, _ = buchberger(vecs, ring)
+        gbv = signature_gb(vecs, ring)
         mono_of = self.codec.mono_of
         self.ideal_gb: tuple[dict[int, int], ...] = tuple(
             {mono_of(k): c for k, c in vec.items()} for vec in gbv
@@ -658,17 +844,15 @@ def quotient_helpers(ctx: RingCtx, rank: int) -> list[dict]:
     return out
 
 
-def module_gb(
-    ctx: RingCtx, vectors: list[dict], rank: int, twists: tuple[int, ...] = ()
-) -> VectorGB:
+def module_gb(ctx: RingCtx, vectors: list[dict], rank: int) -> VectorGB:
     """Groebner basis over R of the span of `vectors` inside R^rank.
 
     Computed by lifting: the basis of the span over S of the vectors plus
-    the ideal helpers reduces vectors exactly as the quotient would.
+    the ideal helpers reduces vectors exactly as the quotient would.  It
+    is a plain run (`signature_gb`), which needs no twists: it takes its
+    S-pairs by signature, not by degree.
     """
-    return buchberger(
-        list(vectors) + quotient_helpers(ctx, rank), ctx.ring, twists_f=twists
-    )[0]
+    return signature_gb(list(vectors) + quotient_helpers(ctx, rank), ctx.ring)
 
 
 def syzygies_for(
@@ -694,7 +878,6 @@ def syzygies_for(
     gbv, syz = buchberger(
         list(vectors) + helpers,
         ctx.ring,
-        collect_syz=True,
         twists_f=row_twists,
         twists_t=tuple(col_degrees) + tuple(helper_degs),
     )

@@ -95,7 +95,13 @@ def _freeze(vec: dict) -> tuple:
 
 
 class PresentedModule:
-    """coker of a column family inside a graded free module over ctx."""
+    """coker of a column family inside a graded free module over ctx.
+
+    Callers inside the package pass `_reduced=True` for columns that are
+    normal forms already, and `_degrees`, one per column, when they hold
+    the columns' degrees (a kernel walk's generator degrees).  Those are
+    then not read off the columns again, so the check that no column has
+    a component beyond the row count is skipped too."""
 
     def __init__(
         self,
@@ -104,12 +110,15 @@ class PresentedModule:
         columns: Iterable[dict] = (),
         *,
         _reduced: bool = False,
+        _degrees: Sequence[int] | None = None,
     ):
         self.ctx = ctx
         self.row_twists = tuple(map(int, row_twists))
         p = ctx.ring.field.p
-        cols = []
-        for vec in columns:
+        columns = list(columns)
+        given = [0] * len(columns) if _degrees is None else _degrees
+        cols, degs = [], []
+        for vec, deg in zip(columns, given, strict=True):
             if not _reduced:
                 vec = reduce_vec_by_ideal(dict(vec), ctx)
             if not vec:
@@ -118,11 +127,13 @@ class PresentedModule:
             if inv != 1:
                 vec = {k: c * inv % p for k, c in vec.items()}
             cols.append(vec)
-        try:
-            # vec_degree indexes the row twists by each key's component
-            degs = [vec_degree(ctx, v, self.row_twists) for v in cols]
-        except IndexError:
-            raise ValueError("column has a component beyond the row count") from None
+            degs.append(deg)
+        if _degrees is None:
+            try:
+                # vec_degree indexes the row twists by each key's component
+                degs = [vec_degree(ctx, v, self.row_twists) for v in cols]
+            except IndexError:
+                raise ValueError("column has a component beyond the row count") from None
         order = sorted(range(len(cols)), key=lambda i: (degs[i], max(cols[i])))
         self.columns = tuple(cols[i] for i in order)
         self.col_degrees = tuple(degs[i] for i in order)
@@ -211,7 +222,7 @@ class PresentedModule:
     def gb(self) -> VectorGB:
         hit = self._cache.get("gb")
         if hit is None:
-            hit = module_gb(self.ctx, list(self.columns), self.rank0, self.row_twists)
+            hit = module_gb(self.ctx, list(self.columns), self.rank0)
             self._cache["gb"] = hit
         return hit
 
@@ -239,7 +250,7 @@ class PresentedModule:
             else:
                 gbv = self._cache.get("gb")
                 if gbv is None:
-                    gbv = module_gb(self.ctx, list(self.columns), self.rank0, self.row_twists)
+                    gbv = module_gb(self.ctx, list(self.columns), self.rank0)
                 hit = presented_numerator(self.ctx, gbv, self.rank0, self.row_twists)
             self._cache["numerator"] = hit
         return hit
@@ -294,7 +305,8 @@ class PresentedModule:
         for vec in other.columns:
             cols.append({codec.mkey(codec.mono_of(k), codec.comp_of(k) + r): c for k, c in vec.items()})
         return PresentedModule(
-            self.ctx, self.row_twists + other.row_twists, cols, _reduced=True
+            self.ctx, self.row_twists + other.row_twists, cols, _reduced=True,
+            _degrees=self.col_degrees + other.col_degrees,
         )
 
     # -- minimal presentations -----------------------------------------------------
@@ -338,7 +350,10 @@ def _minimalize(mod: PresentedModule) -> PresentedModule:
         insert_row(basis, const, ctx.ring.field.p)
     if not basis:
         keep = minimal_generator_indices(ctx, list(mod.columns), mod.rank0, mod.row_twists)
-        return PresentedModule(ctx, mod.row_twists, [mod.columns[i] for i in keep], _reduced=True)
+        return PresentedModule(
+            ctx, mod.row_twists, [mod.columns[i] for i in keep], _reduced=True,
+            _degrees=[mod.col_degrees[i] for i in keep],
+        )
     kept = [j for j in range(mod.rank0) if j not in basis]
     gens = [{codec.mkey(unit, j): 1} for j in kept]
     return _submodule(gens, tuple(mod.row_twists[j] for j in kept), mod)
@@ -351,8 +366,8 @@ def _submodule(gens, degs, target: PresentedModule, hf=None) -> PresentedModule:
     (`_kernel_generators`): its own minimal presentation.  `hf`, its
     Hilbert function when the caller knows it, is kept."""
     ctx = target.ctx
-    rels = _kernel_generators(gens, PresentedModule.free(ctx, degs), target)[0]
-    out = PresentedModule(ctx, degs, rels, _reduced=True)
+    rels, rel_degs, _ = _kernel_generators(gens, PresentedModule.free(ctx, degs), target)
+    out = PresentedModule(ctx, degs, rels, _reduced=True, _degrees=rel_degs)
     out._cache["min"] = out
     if hf is not None:
         out._cache["hf"] = dict(hf)
@@ -590,7 +605,7 @@ def _minimal_generator_indices_gb(ctx, vecs, rank, twists, modulo) -> list[int]:
         group = list(group)
         if basis_of != len(kept):
             span = [vecs[i] for i in kept] + modulo
-            gbv = module_gb(ctx, span, rank, tuple(twists)) if span else None
+            gbv = module_gb(ctx, span, rank) if span else None
             basis_of = len(kept)
         basis: dict[int, dict[int, int]] = {}
         for i in group:

@@ -104,6 +104,17 @@ class _GrevlexCodec:
         h = self.swar_high
         ge = ((((ea | h) - eb) & h) >> 7) * 0xFF
         exps = (eb & ge) | (ea & ~ge)
+        return self._with_degree(exps)
+
+    def gcd(self, a: int, b: int) -> int:
+        # Bytewise min of the exponents: the max of the complemented bytes.
+        ea = a & self.expmask
+        eb = b & self.expmask
+        h = self.swar_high
+        ge = ((((ea | h) - eb) & h) >> 7) * 0xFF
+        return self._with_degree((ea & ge) | (eb & ~ge))
+
+    def _with_degree(self, exps: int) -> int:
         comp = exps.to_bytes(self.nvars, "little")  # byte v is 127 - e_v
         deg = self.full_weight - sum(map(mul, self.weights, comp))
         return (deg << self.expbits) | exps

@@ -147,8 +147,8 @@ def _syzygy_step(ctx, cols, cur, prev):
     `PresentedModule` presents on them (monic, sorted by degree and
     lead); both empty when the map is injective."""
     src, tgt = PresentedModule(ctx, cur), PresentedModule(ctx, prev)
-    gens, _, _ = _kernel_generators(cols, src, tgt)
-    syz = PresentedModule(ctx, cur, gens, _reduced=True)
+    gens, degs, _ = _kernel_generators(cols, src, tgt)
+    syz = PresentedModule(ctx, cur, gens, _reduced=True, _degrees=degs)
     return list(syz.columns), syz.col_degrees
 
 
@@ -772,7 +772,7 @@ def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
         span = (r, frozenset(frozenset(c.items()) for c in cols))
         parts = _cached(
             ctx, "coker", span,
-            lambda: component_numerators(ctx, module_gb(ctx, cols, r, X.row_twists), r),
+            lambda: component_numerators(ctx, module_gb(ctx, cols, r), r),
         )
         hit = twisted_numerator(parts, X.row_twists)
     memo[key] = hit

@@ -53,9 +53,14 @@ class _Runs:
         self.count = 0
 
 
+# The two Buchberger bodies: tagged runs (syzygies) and plain runs.
+RUNS = ("buchberger", "signature_gb")
+
+
 @pytest.fixture
 def buchberger_runs(monkeypatch):
-    """Counts `groebner.buchberger` runs for the rest of the test.
+    """Counts Buchberger runs, tagged (`groebner.buchberger`) and plain
+    (`groebner.signature_gb`), for the rest of the test.
 
     Buchberger runs are deterministic, so a test can pin a computation's
     Groebner work as an exact number.  A test that builds its own rings
@@ -63,43 +68,53 @@ def buchberger_runs(monkeypatch):
     test.
     """
     runs = _Runs()
-    real = groebner.buchberger
 
-    def counted(*args, **kwargs):
-        runs.count += 1
-        return real(*args, **kwargs)
+    def counted(real):
+        def run(*args, **kwargs):
+            runs.count += 1
+            return real(*args, **kwargs)
+        return run
 
-    monkeypatch.setattr(groebner, "buchberger", counted)
+    for name in RUNS:
+        monkeypatch.setattr(groebner, name, counted(getattr(groebner, name)))
     return runs
 
 
 @pytest.fixture
 def buchberger_reductions(monkeypatch):
-    """Counts the reductions `groebner.buchberger` performs for the rest of
-    the test: one per input it reduces and one per S-pair the criteria
-    keep.  Normal forms taken outside a run (`VectorGB.reduce`, the
-    reduced basis built on demand) are not counted.  Calls must go through
-    the module attribute `groebner.buchberger`, as the package's own do.
+    """Counts the reductions Buchberger runs perform for the rest of the
+    test: one per input they reduce and one per S-pair their criteria
+    keep (`_ReducerSet.reduce` in tagged runs, `_SignatureSet.reduce_below`
+    in plain ones).  Normal forms taken outside a run (`VectorGB.reduce`,
+    the reduced basis built on demand) are not counted.  Calls must go
+    through the module attributes `groebner.buchberger` and
+    `groebner.signature_gb`, as the package's own do.
     """
     runs = _Runs()
-    real_run = groebner.buchberger
-    real_reduce = groebner._ReducerSet.reduce
     depth = [0]
 
-    def counted_run(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return real_run(*args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def counted_run(real):
+        def run(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return run
 
-    def counted_reduce(self, vec, skip=-1):
-        if depth[0]:
-            runs.count += 1
-        return real_reduce(self, vec, skip)
+    def counted(real):
+        def reduce(self, *args, **kwargs):
+            if depth[0]:
+                runs.count += 1
+            return real(self, *args, **kwargs)
+        return reduce
 
-    monkeypatch.setattr(groebner, "buchberger", counted_run)
-    monkeypatch.setattr(groebner._ReducerSet, "reduce", counted_reduce)
+    for name in RUNS:
+        monkeypatch.setattr(groebner, name, counted_run(getattr(groebner, name)))
+    monkeypatch.setattr(groebner._ReducerSet, "reduce", counted(groebner._ReducerSet.reduce))
+    monkeypatch.setattr(
+        groebner._SignatureSet, "reduce_below", counted(groebner._SignatureSet.reduce_below)
+    )
     return runs
 
 

@@ -21,6 +21,7 @@ from extlab.groebner import (
     presented_numerator,
     quotient_helpers,
     reduce_vec_by_ideal,
+    signature_gb,
     syzygies_for,
     tp_exact_quotient,
     tp_one_minus_t_valuation,
@@ -80,7 +81,7 @@ def gb_strings(gbv, rank=1):
 def test_hand_worked_basis():
     ring = ring_with(["x", "y"])
     x, y = ring.gens()
-    gbv, _ = buchberger([poly_vec(x**2), poly_vec(x * y + y**2)], ring)
+    gbv = signature_gb([poly_vec(x**2), poly_vec(x * y + y**2)], ring)
     # By hand: S(x^2, xy+y^2) -> -xy^2 -> +y^3 after one more step.
     # Canonical output order is ascending lead: xy < x^2 < y^3 in grevlex.
     assert gb_strings(gbv) == ["x*y + y^2", "x^2", "y^3"]
@@ -93,10 +94,10 @@ def test_basis_canonical_under_input_shuffle():
         polys = [ring.random_homogeneous(rng, rng.randrange(1, 4)) for _ in range(4)]
         polys = [f for f in polys if f]
         vecs = [poly_vec(f) for f in polys]
-        gb1, _ = buchberger(vecs, ring)
+        gb1 = signature_gb(vecs, ring)
         shuffled = vecs[:]
         rng.shuffle(shuffled)
-        gb2, _ = buchberger(shuffled, ring)
+        gb2 = signature_gb(shuffled, ring)
         assert gb1.elements == gb2.elements
         # Membership: every generator reduces to zero.
         for v in vecs:
@@ -306,7 +307,7 @@ def test_degree_cap_aborts_runs():
     f = ring.parse("x^2*y")
     g = ring.parse("x*y^2 + y^3")
     with pytest.raises(DegreeCapError):
-        buchberger([poly_vec(f), poly_vec(g)], ring)
+        signature_gb([poly_vec(f), poly_vec(g)], ring)
     with pytest.raises(DegreeCapError):
         module_gb(RingCtx(ring), [poly_vec(f), poly_vec(g)], rank=1)
     # In a syzygy run tag terms may outgrow their working lead (t_j is the
@@ -316,7 +317,7 @@ def test_degree_cap_aborts_runs():
     inputs = ["x*y", "z^3"], ["0", "1"], ["1", "z^2"]
     vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
     with pytest.raises(DegreeCapError, match="reduction would pass degree 4 > cap 3"):
-        buchberger(vecs, ring, collect_syz=True, twists_f=(0, 2))
+        buchberger(vecs, ring, twists_f=(0, 2))
 
 
 def test_degree_cap_checked_before_s_vectors():
@@ -327,11 +328,11 @@ def test_degree_cap_checked_before_s_vectors():
     ring = ring_with(["x", "y", "z"], degree_cap=3)
     vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
     with pytest.raises(DegreeCapError, match="S-vector would pass degree 4 > cap 3"):
-        buchberger(vecs, ring, collect_syz=True, twists_f=(0, 2))
+        buchberger(vecs, ring, twists_f=(0, 2))
     # One degree more of room, and the syzygy holds the degree-4 term.
     ring = ring_with(["x", "y", "z"], degree_cap=4)
     vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
-    _, syz = buchberger(vecs, ring, collect_syz=True, twists_f=(0, 2))
+    _, syz = buchberger(vecs, ring, twists_f=(0, 2))
     assert max(ring.mono_degree(module_codec(ring).mono_of(k)) for v in syz for k in v) == 4
 
 
@@ -506,8 +507,10 @@ def _family(ctx, rng, rank):
 @pytest.mark.parametrize("ring", ["quadric", "cubic"])
 def test_pair_criteria_match_every_pair(request, ring, buchberger_reductions):
     # Both bodies see the vectors plus the lifting helpers, as `module_gb`
-    # and `syzygies_for` pass them; syzygies are compared as spans over
-    # the polynomial ring, since the criteria change which ones are found.
+    # and `syzygies_for` pass them.  The plain body's reduced basis must be
+    # the reference's and the working basis of the tagged run on the same
+    # inputs; syzygies are compared as spans over the polynomial ring,
+    # since the criteria change which ones are found.
     ctx = _cubic_ctx() if ring == "cubic" else request.getfixturevalue(ring)
     free = RingCtx(ctx.ring)
     rng = random.Random(31)
@@ -515,17 +518,41 @@ def test_pair_criteria_match_every_pair(request, ring, buchberger_reductions):
     for rank in (1, 2, 3, 1, 2, 3):
         vecs, twists = _family(ctx, rng, rank)
         inputs = vecs + quotient_helpers(ctx, rank)
-        for collect in (False, True):
-            before = buchberger_reductions.count
-            gbv, syz = groebner.buchberger(inputs, ctx.ring, collect_syz=collect, twists_f=twists)
-            used = buchberger_reductions.count - before
-            want, want_syz, want_used = _reference_buchberger(inputs, ctx.ring, collect)
-            assert gbv.elements == want
-            if collect:
-                m = len(inputs)
-                assert module_gb(free, syz, m).elements == module_gb(free, want_syz, m).elements
-            fewer += used < want_used
+        want, want_syz, want_used = _reference_buchberger(inputs, ctx.ring)
+        before = buchberger_reductions.count
+        assert groebner.signature_gb(inputs, ctx.ring).elements == want
+        fewer += buchberger_reductions.count - before < want_used
+        want, want_syz, want_used = _reference_buchberger(inputs, ctx.ring, collect_syz=True)
+        before = buchberger_reductions.count
+        gbv, syz = groebner.buchberger(inputs, ctx.ring, twists_f=twists)
+        fewer += buchberger_reductions.count - before < want_used
+        assert gbv.elements == want
+        m = len(inputs)
+        assert module_gb(free, syz, m).elements == module_gb(free, want_syz, m).elements
     assert fewer
+
+
+def _weighted_ctx():
+    ring = ring_with(["x", "y", "z"], weights=(1, 2, 3))
+    return RingCtx(ring, [ring.parse("x^4 + x*z + y^2"), ring.parse("y^3 - z^2")])
+
+
+@pytest.mark.parametrize("ring", ["weighted", "gor5"])
+def test_signature_basis_matches_the_reference(request, ring):
+    # The plain body on more rings: seeded families with the lifting
+    # helpers over a weighted ring and over gor5, and the ideal basis of
+    # each ring from its relations, against the reference and the
+    # working basis of a tagged run.
+    ctx = _weighted_ctx() if ring == "weighted" else request.getfixturevalue(ring)
+    rng = random.Random(43)
+    runs = [[poly_vec(f) for f in ctx.relations]]
+    for rank in (1, 2, 3, 1, 2, 3):
+        vecs, _ = _family(ctx, rng, rank)
+        runs.append(vecs + quotient_helpers(ctx, rank))
+    for inputs in runs:
+        got = groebner.signature_gb(inputs, ctx.ring).elements
+        assert got == _reference_buchberger(inputs, ctx.ring)[0]
+        assert got == groebner.buchberger(inputs, ctx.ring)[0].elements
 
 
 def _first_divisor_reduce(self, vec, skip=-1):
@@ -557,8 +584,9 @@ def _first_divisor_reduce(self, vec, skip=-1):
 
 
 def _symmetry_runs(monkeypatch, count):
-    """The inputs of every Buchberger run of `symmetry_check(A, B, 12)` on
-    the first `count` seed-1 cyclic pairs over a fresh quadric context."""
+    """The inputs of every tagged Buchberger run of `symmetry_check(A, B,
+    12)` on the first `count` seed-1 cyclic pairs over a fresh quadric
+    context."""
     ctx = make_ctx(("w", "x", "y", "z"), ("w*x - y*z",))
     cfg = ExperimentConfig(seed=1, max_generators=1)
     runs = []
@@ -580,14 +608,15 @@ def _terms(vecs):
 @pytest.mark.parametrize("source", ["quadric", "cubic", "symmetry"])
 def test_reducer_lookup_keeps_runs_identical(request, monkeypatch, source):
     # Remembering each term's first dividing member must pick the reducer
-    # the member-by-member scan picks, so every run keeps the same members
-    # and finds the same syzygies, term for term.
+    # the member-by-member scan picks, so every tagged run keeps the same
+    # members and finds the same syzygies, term for term, and every
+    # reduced basis, of tagged and plain runs, comes out the same.
     if source == "symmetry":
         # Resolutions of cyclic modules whose relations form a regular
         # sequence make no tagged run; pair 70 is the first seed-1 pair
         # with a side whose two relations do not.
         ctx, runs = _symmetry_runs(monkeypatch, 71)
-        assert any(kw.get("collect_syz") for _, kw in runs)
+        assert runs
     else:
         ctx = _cubic_ctx() if source == "cubic" else request.getfixturevalue(source)
         rng = random.Random(31)
@@ -595,14 +624,20 @@ def test_reducer_lookup_keeps_runs_identical(request, monkeypatch, source):
         for rank in (1, 2, 3, 1, 2, 3):
             vecs, twists = _family(ctx, rng, rank)
             inputs = vecs + quotient_helpers(ctx, rank)
-            runs += [(inputs, {"twists_f": twists}), (inputs, {"twists_f": twists, "collect_syz": True})]
+            runs += [(inputs, {"twists_f": twists}), (inputs, None)]
+
+    def run(inputs, kw):
+        if kw is None:  # a plain run
+            return signature_gb(inputs, ctx.ring), []
+        return buchberger(inputs, ctx.ring, **kw)
+
     got = []
     for inputs, kw in runs:
-        gbv, syz = buchberger(inputs, ctx.ring, **kw)
+        gbv, syz = run(inputs, kw)
         got.append((_terms(gbv._red.vecs), _terms(syz), _terms(gbv.elements)))
     monkeypatch.setattr(groebner._ReducerSet, "reduce", _first_divisor_reduce)
     for (inputs, kw), (vecs, syz, elements) in zip(runs, got):
-        gbv, want_syz = buchberger(inputs, ctx.ring, **kw)
+        gbv, want_syz = run(inputs, kw)
         assert vecs == _terms(gbv._red.vecs)
         assert syz == _terms(want_syz)
         assert elements == _terms(gbv.elements)
@@ -641,8 +676,8 @@ def test_minimal_basis_reduces_like_the_reduced_basis(quadric):
     codec = quadric.codec
     ring = quadric.ring
     for rank in (1, 2, 3):
-        vecs, twists = _family(quadric, rng, rank)
-        gbv = module_gb(quadric, vecs, rank, twists)
+        vecs, _ = _family(quadric, rng, rank)
+        gbv = module_gb(quadric, vecs, rank)
         probes = []
         for _ in range(8):
             vec = {}
@@ -661,5 +696,5 @@ def test_hilbert_numerator_leaves_the_basis_unreduced(quadric):
     mod = PresentedModule(quadric, twists, vecs)
     num = mod.hilbert_numerator()
     assert mod.gb()._elements is None
-    assert num == presented_numerator(quadric, module_gb(quadric, vecs, 2, twists), 2, twists)
+    assert num == presented_numerator(quadric, module_gb(quadric, vecs, 2), 2, twists)
 

@@ -167,6 +167,16 @@ def test_column_beyond_the_row_count_is_refused(plane):
             PresentedModule(plane, (0,), [col], _reduced=reduced)
 
 
+def test_given_degrees_are_one_per_column(plane):
+    # Degrees a caller passes in pair with the columns one to one; a
+    # short or long list is refused, not cut to fit.
+    cols = [vec_from_entries(plane, [plane.ring.parse(f)]) for f in ("x", "y")]
+    assert PresentedModule(plane, (0,), cols, _degrees=(1, 1)).col_degrees == (1, 1)
+    for degs in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError):
+            PresentedModule(plane, (0,), cols, _degrees=degs)
+
+
 @pytest.mark.parametrize("rows", [
     [["x", "y", "x"]],          # an extra entry
     [["x", "y"], ["x", "y"]],   # an extra row
@@ -407,7 +417,7 @@ def _leave_one_out(ctx, vecs, rank, twists, modulo):
     order = sorted(kept, key=lambda i: (vec_degree(ctx, vecs[i], twists), max(vecs[i])), reverse=True)
     for i in order:
         others = [kept[j] for j in kept if j != i] + modulo
-        if not module_gb(ctx, others, rank, tuple(twists)).reduce(kept[i]):
+        if not module_gb(ctx, others, rank).reduce(kept[i]):
             del kept[i]
     return sorted(kept)
 
@@ -490,12 +500,12 @@ def test_minimal_generators_match_leave_one_out(request, ring, seed, pairs):
 
         assert by_degree(keep) == by_degree(oracle)
         kept = [vecs[i] for i in keep]
-        span = module_gb(ctx, kept + modulo, rank, tuple(twists))
-        whole = module_gb(ctx, [v for v in vecs if v] + modulo, rank, tuple(twists))
+        span = module_gb(ctx, kept + modulo, rank)
+        whole = module_gb(ctx, [v for v in vecs if v] + modulo, rank)
         assert span.elements == whole.elements
         for i in keep:
             others = [vecs[j] for j in keep if j != i] + modulo
-            assert module_gb(ctx, others, rank, tuple(twists)).reduce(vecs[i])
+            assert module_gb(ctx, others, rank).reduce(vecs[i])
 
 
 @pytest.mark.parametrize("ring, seed, pairs", [("gor5", 6, 3), ("nilsquares", 7, 4)])
@@ -544,7 +554,7 @@ def _pivot_column_indices(ctx, vecs, rank, twists, modulo):
     for d in sorted(set(degs.values())):
         group = [i for i in live if degs[i] == d]
         span = [vecs[i] for i in kept] + modulo
-        gbv = module_gb(ctx, span, rank, tuple(twists)) if span else None
+        gbv = module_gb(ctx, span, rank) if span else None
         chosen = []
         for i in group:
             form = gbv.reduce(vecs[i]) if gbv else reduce_vec_by_ideal(vecs[i], ctx)

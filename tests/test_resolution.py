@@ -23,7 +23,7 @@ from collections import Counter
 
 import pytest
 
-from extlab import resolution
+from extlab import groebner, resolution
 from extlab.errors import DegreeCapError, HypothesisNotMet, InvariantViolation, ResourceCapError
 from extlab.groebner import RingCtx, reduce_vec_by_ideal
 from extlab.linalg import _reduce_row, rank_rows
@@ -674,6 +674,30 @@ def test_symmetry_groebner_work_is_pinned(buchberger_runs):
     buchberger_runs.reset()
     assert all(symmetry_check(A, B, 12).verdict == "consistent" for A, B in pairs)
     assert buchberger_runs.count == 155
+
+
+def test_symmetry_zero_reductions_are_pinned(monkeypatch):
+    # The plain runs of those symmetry checks are signature-based: of the
+    # 453 S-pairs they reduce, 12 reduce to zero.  The Gebauer-Moeller
+    # body they replace reduced 978 S-pairs, 601 of them to zero.  An
+    # S-vector is reduced once its input's own member has joined the run,
+    # so a reduction past `start` is an S-pair's.
+    ctx = make_ctx(*QUADRIC)
+    cfg = ExperimentConfig(seed=1, max_generators=1)
+    pairs = [random_pair(cfg, ctx, idx) for idx in range(40)]
+    real = groebner._SignatureSet.reduce_below
+    counts = Counter()
+
+    def counted(self, vec, sig):
+        out = real(self, vec, sig)
+        if len(self.vecs) > self.start:
+            counts["pairs"] += 1
+            counts["zero"] += out == {}
+        return out
+
+    monkeypatch.setattr(groebner._SignatureSet, "reduce_below", counted)
+    assert all(symmetry_check(A, B, 12).verdict == "consistent" for A, B in pairs)
+    assert counts == {"pairs": 453, "zero": 12}
 
 
 def test_module_route_checks_composites_on_rows(buchberger_runs):
