@@ -1,4 +1,4 @@
-"""Buchberger engines for submodules of free modules over graded quotient rings.
+"""The Buchberger engine for submodules of free modules over graded quotient rings.
 
 A vector in a free module is a flat dict from packed keys to nonzero
 coefficients.  A key stacks three fields:
@@ -11,25 +11,24 @@ the lower component index.  The block bit splits the key space into a
 working block (bit set) and a tag block (bit clear) that always sorts
 below it.
 
-Two bodies build bases.  Plain runs, which want only a basis of the
-span (`module_gb`, the ideal basis of `RingCtx`), go through
-`signature_gb`: a signature-based run that skips S-pairs known to reduce
-to zero before reducing them.  Tagged runs, which also want the
-syzygies of the inputs (`syzygies_for`), go through `buchberger`: each
-input is augmented with a unit tag and the run goes to completion, and
-elements whose working part collapses to zero carry, in their tags,
-exactly the coordinates of a syzygy of the inputs.
+One body builds every basis: `signature_gb`, a signature-based run that
+skips S-pairs known to reduce to zero before reducing them.  Plain runs
+want only a basis of the span (`module_gb`, the ideal basis of
+`RingCtx`).  Runs that also want the syzygies of some inputs
+(`syzygies_for`) give each of those inputs a unit tag in the tag block;
+a reduction whose working part vanishes then leaves in its tags exactly
+the coordinates of a syzygy of the tagged inputs.
 
 Coefficient bookkeeping note: a tag t of an element (f, t) always satisfies
-f = sum_j t_j * a_j over the original inputs a_j, because inputs start that
-way and both reduction and S-vector formation are linear.
+f = sum_j t_j * a_j + h over the tagged inputs a_j, with h in the span
+of the untagged ones, because inputs start that way and both reduction
+and S-vector formation are linear.  So when f vanishes, t is a syzygy of
+the a_j modulo the untagged inputs.
 
-`buchberger` runs one S-pair queue, pruned by the Gebauer-Moeller criteria
-each time an element is inserted.  Both bodies return the minimal basis
-they found.  Normal forms and lead terms, which is all that membership
-tests and Hilbert series read, come straight from that basis; the reduced
-basis (monic, tail-reduced, sorted) is built only when something iterates
-it.
+The run returns the minimal basis it found.  Normal forms and lead terms,
+which is all that membership tests and Hilbert series read, come straight
+from that basis; the reduced basis (monic, tail-reduced, sorted) is built
+only when something iterates it.
 """
 
 from __future__ import annotations
@@ -159,36 +158,26 @@ class _ReducerSet(_Members):
     Members are only appended, so that member stays first until
     `drop_multiples` takes it out; `found` remembers it per term key, and a
     term is matched against the bucket again only when its remembered
-    member is no longer `alive` or is the member to skip.
+    member is no longer `alive` or is the member to skip.  Members carry
+    no tags, so a lead has its member's top degree and no multiple passes
+    the degree of the term it reduces: reducing checks no degree cap.
     """
 
     def __init__(self, ring: PolyRing, codec: ModuleCodec):
         super().__init__(ring, codec)
-        self.maxdegs: list[int] = []  # -1 until a degree-cap check needs it
         self.found: dict[int, int] = {}  # term key -> first member dividing it
-
-    def add(self, vec: dict) -> int:
-        self.maxdegs.append(-1)
-        return super().add(vec)
-
-    def _maxdeg(self, idx: int) -> int:
-        degree = self.ring._codec.degree
-        mono_of = self.codec.mono_of
-        deg = self.maxdegs[idx] = max(degree(mono_of(k)) for k in self.vecs[idx])
-        return deg
 
     def reduce(self, vec: dict, skip: int = -1) -> dict:
         """Full normal form of vec against the current family, never
         reducing by member `skip`."""
         rc = self.ring._codec
-        divides, div, degree = rc.divides, rc.div, rc.degree
+        divides, div = rc.divides, rc.div
         unit = self.ring.unit_key
         identmask = self.codec.identmask
         monomask = self.codec.monomask
         buckets, monos, vecs, invs = self.buckets, self.monos, self.vecs, self.invs
-        alive, found, maxdegs = self.alive, self.found, self.maxdegs
+        alive, found = self.alive, self.found
         p = self.p
-        cap = self.ring.degree_cap
         work = dict(vec)
         out: dict[int, int] = {}
         while work:
@@ -206,24 +195,17 @@ class _ReducerSet(_Members):
                     continue
                 if skip < 0:  # past `skip`, hit need not be the first divisor
                     found[k] = hit
-            quot = div(mono, monos[hit])
-            qdeg = degree(quot)
-            if qdeg:
-                top = maxdegs[hit]
-                if top < 0:
-                    top = self._maxdeg(hit)
-                if qdeg + top > cap:
-                    raise DegreeCapError(f"reduction would pass degree {qdeg + top} > cap {cap}")
-            _subtract(work, work[k] * invs[hit] % p, (quot - unit) << COMP_BITS, vecs[hit], p)
+            delta = (div(mono, monos[hit]) - unit) << COMP_BITS
+            _subtract(work, work[k] * invs[hit] % p, delta, vecs[hit], p)
         return out
 
 
 class VectorGB:
     """A Groebner basis of a submodule, usable as a reducer.
 
-    `reduce` divides by the minimal basis that the run (`buchberger`,
-    `signature_gb`) kept: a full normal form is the same for every
-    Groebner basis of the span.  `leads()` gives the lead keys, ascending.
+    `reduce` divides by the minimal basis that `signature_gb` kept, with
+    any tags taken off: a full normal form is the same for every Groebner
+    basis of the span.  `leads()` gives the lead keys, ascending.
     Iterating, or reading `elements`, gives the reduced basis: monic,
     pairwise tail-reduced and sorted by ascending lead key, so equal
     submodules yield identical lists term for term.  It is built on first
@@ -264,116 +246,6 @@ class VectorGB:
         return iter(self.elements)
 
 
-def buchberger(
-    inputs: list[dict],
-    ring: PolyRing,
-    *,
-    twists_f: tuple[int, ...] = (),
-    twists_t: tuple[int, ...] = (),
-) -> tuple[VectorGB, list[dict]]:
-    """Groebner basis of the span of `inputs`, plus syzygy generators.
-
-    Every input is augmented by a unit tag before the run, and the
-    returned second component holds generators of the syzygy module of
-    the inputs, written as plain working-block vectors whose component j
-    stands for input j.  The basis is the minimal one, without tag parts;
-    its reduced form is built when something iterates it (see
-    `VectorGB`).  Plain bases, with no syzygies, come from `signature_gb`.
-
-    S-pairs are pruned by the criteria of Gebauer and Moeller ("On an
-    installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988),
-    applied when an element h is inserted: a queued pair (i, j) goes when
-    lead(h) divides lcm(i, j) and neither lcm(i, h) nor lcm(j, h) equals it
-    (B); of h's new pairs, one goes when another new pair's lcm properly
-    divides its lcm (M), and of new pairs with equal lcms one stays (F).
-    Elements whose leads lead(h) divides pair with nothing new.  These
-    criteria keep a generating set of the lead-term syzygies, so the
-    collected tags still generate.  The product criterion (coprime leads)
-    is not applied: such a pair reduces to zero, but its tag is an
-    essential Koszul syzygy.  Pairs are taken by degree, the lcm's degree
-    plus the twist of its component: `twists_f` for the working block,
-    `twists_t` for the tag block.
-
-    Tag terms may sit above their lead's degree, so both members of a
-    pair pass the degree-cap test of `_ReducerSet.reduce` before their
-    S-vector is formed.
-    """
-    codec = module_codec(ring)
-    rc = ring._codec
-    divides, div, degree = rc.divides, rc.div, rc.degree
-    lcm = ring.mono_lcm
-    cap = ring.degree_cap
-    unit = ring.unit_key
-    tagbit = codec.tagbit
-    red = _ReducerSet(ring, codec)
-    vecs, monos, idents, buckets = red.vecs, red.monos, red.idents, red.buckets
-    maxdegs = red.maxdegs
-    syz: list[dict] = []
-    pairs: list[tuple[int, int, int, int]] = []  # heap of (degree, lcm, i, j)
-    queued: dict[int, dict[tuple[int, int], int]] = {}  # ident -> live pairs -> lcm
-
-    def queue_degree(tau: int, ident: int) -> int:
-        comp = COMP_MASK - (ident & COMP_MASK)
-        if ident & tagbit:
-            tw = twists_f[comp] if comp < len(twists_f) else 0
-        else:
-            tw = twists_t[comp] if comp < len(twists_t) else 0
-        return degree(tau) + tw
-
-    def insert(vec: dict):
-        r = red.reduce(vec)
-        if not r:
-            return
-        h = red.add(r)
-        ident = idents[h]
-        if not ident & tagbit:  # a syzygy: it pairs with nothing
-            syz.append({k | tagbit: c for k, c in r.items()})
-            red.drop_multiples(h)
-            return
-        mh = monos[h]
-        live = queued.setdefault(ident, {})
-        for (i, j), tau in list(live.items()):  # B
-            if divides(mh, tau) and lcm(monos[i], mh) != tau and lcm(monos[j], mh) != tau:
-                del live[(i, j)]
-        new = [(lcm(monos[g], mh), g) for g in buckets[ident][:-1]]
-        kept: list[tuple[int, int]] = []
-        for n, (tau, g) in enumerate(new):  # M and F
-            if not (
-                any(divides(t, tau) for t, _ in new[n + 1 :])
-                or any(divides(t, tau) for t, _ in kept)
-            ):
-                kept.append((tau, g))
-        for tau, g in kept:
-            live[(g, h)] = tau
-            heappush(pairs, (queue_degree(tau, ident), tau, g, h))
-        red.drop_multiples(h)
-
-    for j, vec in enumerate(inputs):
-        vec = dict(vec)
-        vec[codec.mkey(unit, j, tag=True)] = 1
-        insert(vec)
-
-    while pairs:
-        _, tau, i, j = heappop(pairs)
-        live = queued[idents[i]]
-        if (i, j) not in live:
-            continue  # dropped by the B criterion
-        del live[(i, j)]
-        qi, qj = div(tau, monos[i]), div(tau, monos[j])
-        for m, q in ((i, qi), (j, qj)):
-            deg = degree(q) + (maxdegs[m] if maxdegs[m] >= 0 else red._maxdeg(m))
-            if deg > cap:
-                raise DegreeCapError(f"S-vector would pass degree {deg} > cap {cap}")
-        insert(red.s_vector(i, qi, j, qj))
-
-    minimal = []
-    for ident, bucket in buckets.items():
-        if ident & tagbit:
-            for i in bucket:
-                minimal.append({k: c for k, c in vecs[i].items() if k & tagbit})
-    return VectorGB(ring, minimal), syz
-
-
 class _SignatureSet(_Members):
     """The members of a `signature_gb` run, each with its signature.
 
@@ -382,96 +254,122 @@ class _SignatureSet(_Members):
     packed monomial.  Members below `start` come from earlier inputs, so
     every multiple of them has a signature below each of input j's.
     `dms` holds each lead's exponent bytes with the SWAR guard bits set,
-    so that `reduce_below` tests divisibility inline.
+    so that `reduce_below` tests divisibility inline.  `excess` holds how
+    far a member's tag terms rise above its lead's degree, 0 when they do
+    not: a multiple of the member reaches the degree of the term it
+    reduces plus that.
     """
 
     def __init__(self, ring: PolyRing, codec: ModuleCodec):
         super().__init__(ring, codec)
         self.sigs: list[int] = []
         self.dms: list[int] = []
+        self.excess: list[int] = []
         self.start = 0
 
     def add(self, vec: dict, sig: int) -> int:
         idx = super().add(vec)
         self.sigs.append(sig)
         rc = self.ring._codec
-        self.dms.append((self.monos[idx] & rc.expmask) | rc.swar_high)
+        mono = self.monos[idx]
+        self.dms.append((mono & rc.expmask) | rc.swar_high)
+        tagbit, ex = self.codec.tagbit, 0
+        if min(vec) < tagbit:
+            top = max(k for k in vec if k < tagbit)  # the top tag term
+            ex = max(rc.degree(self.codec.mono_of(top)) - rc.degree(mono), 0)
+        self.excess.append(ex)
         return idx
 
-    def reduce_below(self, vec: dict, sig: int) -> dict | None:
+    def reduce_below(self, vec: dict, sig: int) -> dict:
         """vec, a vector of signature sig * e_j, top-reduced by the
         multiples of members whose signature lies below it, until no such
-        multiple reduces its lead; the tail is left as it comes.  None
-        when the lead can be reduced only at signature sig itself: vec is
-        then a multiple of a member up to lower signatures, and
-        redundant."""
+        multiple reduces its lead; the tail is left as it comes.  The lead
+        is then in the tag block, or vec is empty, when its working part
+        vanished."""
         rc = self.ring._codec
-        div, mul = rc.div, rc.mul
+        div, mul, degree = rc.div, rc.mul, rc.degree
         unit = self.ring.unit_key
         identmask, monomask = self.codec.identmask, self.codec.monomask
         buckets, monos, vecs, invs, sigs = self.buckets, self.monos, self.vecs, self.invs, self.sigs
-        dms, start = self.dms, self.start
+        dms, excess, start = self.dms, self.excess, self.start
         expmask, high = rc.expmask, rc.swar_high
         p = self.p
+        cap = self.ring.degree_cap
         work = dict(vec)
         while work:
             k = max(work)
             mono = (k & monomask) >> COMP_BITS
             hit = -1
-            singular = False
             me = mono & expmask
             for i in buckets.get(k & identmask, ()):
                 if (dms[i] - me) & high == high:  # lead i divides the term
-                    if i < start:  # members of earlier inputs come first
-                        hit = i
+                    if i < start or mul(div(mono, monos[i]), sigs[i]) < sig:
+                        hit = i  # an earlier input's member lies below sig
                         break
-                    s = mul(div(mono, monos[i]), sigs[i])
-                    if s < sig:
-                        hit = i
-                        break
-                    singular = singular or s == sig
             if hit < 0:
-                return None if singular else work
+                return work
+            ex = excess[hit]
+            if ex and degree(mono) + ex > cap:
+                raise DegreeCapError(f"reduction would pass degree {degree(mono) + ex} > cap {cap}")
             delta = (div(mono, monos[hit]) - unit) << COMP_BITS
             _subtract(work, work[k] * invs[hit] % p, delta, vecs[hit], p)
         return work
 
 
-def signature_gb(inputs: list[dict], ring: PolyRing) -> VectorGB:
-    """Groebner basis of the span of `inputs`, with no syzygies: a
-    signature-based run, which throws out most S-pairs that would reduce
-    to zero before reducing them (Faugere, "A new efficient algorithm for
-    computing Groebner bases without reduction to zero (F5)", ISSAC 2002;
-    Eder and Faugere, "A survey on signature-based algorithms for
-    computing Groebner bases", J. Symbolic Comput. 80, 2017).
+def signature_gb(inputs: list[dict], ring: PolyRing) -> tuple[VectorGB, list[dict]]:
+    """Groebner basis of the span of `inputs`, and the syzygies of those
+    inputs that carry tags: a signature-based run, which throws out most
+    S-pairs that would reduce to zero before reducing them (Faugere, "A
+    new efficient algorithm for computing Groebner bases without reduction
+    to zero (F5)", ISSAC 2002; Eder and Faugere, "A survey on
+    signature-based algorithms for computing Groebner bases", J. Symbolic
+    Comput. 80, 2017).
 
     Input j stands for the basis vector e_j of a free module, and each
     element made carries as its signature the lead of a representation
     there, in the position-over-term order: index first, then the ring's
-    monomial order.  Inputs with fewer components get lower indices, then
-    those with lower lead keys.  The run takes the inputs one at a time,
-    and each one's S-pairs by ascending signature.  A pair is skipped when
+    monomial order.  Inputs with fewer working components get lower
+    indices, then those with lower lead keys.  The run takes the inputs
+    one at a time, and each one's S-pairs by ascending signature.  A pair
+    is skipped when
       * a known syzygy signature divides its signature: lm(s) e_j for
-        each polynomial s with s*e_c an earlier single-component input or
-        element for every component c that input j uses (the lifting
-        helpers and copies of relations are such), and the signature of
-        each S-vector that reduced to zero;
+        each polynomial s with s*e_c an earlier untagged single-component
+        input or element for every component c that input j uses (the
+        lifting helpers and copies of relations are such), and the
+        signature of each reduction whose working part vanished;
       * an element of the same input newer than the pair's upper half
         has a signature dividing the pair's (F5's rewritten criterion);
       * an earlier pair with the same signature was reduced.
     Only leads are reduced, and only by multiples whose signature lies
-    below the S-vector's (`_SignatureSet.reduce_below`); an S-vector whose
-    lead can be reduced only at its own signature is dropped.  Before the
-    next input, elements whose leads another element's lead divides are
-    taken out; those left at the end are the minimal basis `VectorGB`
-    keeps, which tail-reduces them only when asked for the reduced basis.
+    below the S-vector's (`_SignatureSet.reduce_below`).  Every S-vector
+    whose working part does not vanish joins the elements, also one whose
+    lead a multiple at its own signature would reduce: the rewritten
+    criterion lets the newest element whose signature divides a pair's
+    stand for it, so dropping such a vector would leave the pair's upper
+    half, whose multiple at that signature is reducible, standing for the
+    signature's multiples, and pairs reaching them would be skipped with
+    none reduced in their place.  Before the next input,
+    elements whose leads another element's lead divides are taken out;
+    those left at the end, with their tags taken off, are the minimal
+    basis `VectorGB` keeps, which tail-reduces them only when asked for
+    the reduced basis.
+
+    Tags (`syzygies_for` gives them) are tag-block terms of the inputs; in
+    a run with tags the untagged inputs are the ideal helpers.  The first
+    criterion skips a syzygy s*e_j - (s times input j, written in earlier
+    elements) without recording it.  Only untagged vectors are noted for
+    it, so s lies in the ideal, and the tags s*e_j that the skipped syzygy
+    would carry vanish over the quotient.  A reduction whose working part
+    vanishes leaves a syzygy in its tags; it is returned, as a tag-block
+    vector, and pairs with nothing.
 
     Monomials past the degree cap raise before they are formed.  A
     signature is checked as it is formed; a pair's lcm is formed, by
-    `mono_lcm`, which checks it, only when the pair is reduced.  Other
-    monomials lie below one already formed: gcds and quotients of leads,
-    and the terms of a reducer's multiple, since in the working block a
-    lead has the top degree.
+    `mono_lcm`, which checks it, only when the pair is reduced.  In the
+    working block a lead has the top degree, but a tag term may sit above
+    it: so the tags of a reducer's multiple and of an S-vector are checked
+    before the vector is formed.  Other monomials lie below one already
+    formed: gcds and quotients of leads, and working terms of multiples.
     """
     codec = module_codec(ring)
     rc = ring._codec
@@ -480,20 +378,22 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> VectorGB:
     p = ring.field.p
     cap = ring.degree_cap
     unit = ring.unit_key
-    monomask = codec.monomask
+    monomask, tagbit = codec.monomask, codec.tagbit
     expmask, high = rc.expmask, rc.swar_high
     red = _SignatureSet(ring, codec)
     vecs, monos, sigs, idents, buckets = red.vecs, red.monos, red.sigs, red.idents, red.buckets
+    excess = red.excess
     alone: dict[frozenset, tuple[int, set]] = {}  # monic s at component 0 -> (lm(s), {c})
     syz: list[int] = []  # known syzygy signatures of the current input
+    syzygies: list[dict] = []  # of the tagged inputs, in tags
     pairs: list[tuple[int, int, int]] = []  # heap of (signature, upper half, lower half)
 
-    todo = [(v, {k & COMP_MASK for k in v}) for v in inputs if v]
+    todo = [(v, {k & COMP_MASK for k in v if k & tagbit}) for v in inputs if v]
     todo.sort(key=lambda t: (len(t[1]), max(t[0])))
 
     def note_alone(vec: dict):
         comps = {k & COMP_MASK for k in vec}
-        if len(comps) == 1:
+        if len(comps) == 1 and min(vec) & tagbit:  # one component, no tags
             lead = max(vec)
             inv = pow(vec[lead], p - 2, p)
             key = frozenset((k | COMP_MASK, v * inv % p) for k, v in vec.items())
@@ -505,7 +405,14 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> VectorGB:
             raise DegreeCapError(f"signature would pass degree {deg} > cap {cap}")
         return mul(q, sig)
 
-    def add(vec: dict, sig: int):
+    def add(vec: dict, sig: int) -> bool:
+        """Make vec, reduced at signature sig, an element and queue its
+        pairs; False, with its tags kept as a syzygy, when its working
+        part vanished."""
+        if not (vec and max(vec) & tagbit):
+            if vec:
+                syzygies.append(vec)
+            return False
         # Pair (g, h) has signature max(lcm / lm(h) * sig(h), lcm / lm(g) *
         # sig(g)), and lcm / lm(h) = lm(g) / gcd.
         h = red.add(vec, sig)
@@ -523,6 +430,7 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> VectorGB:
             se = s & expmask
             if not any((z - se) & high == high for z in syz):
                 heappush(pairs, (s, top, low))
+        return True
 
     for vec, comps in todo:
         for h in range(red.start, len(vecs)):  # the previous input's members
@@ -531,10 +439,8 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> VectorGB:
         syz = [(lead & expmask) | high for lead, cs in alone.values() if comps <= cs]
         note_alone(vec)
         red.start = len(vecs)
-        r = red.reduce_below(vec, 0)  # every member lies below e_j
-        if not r:
+        if not add(red.reduce_below(vec, 0), unit):  # every member lies below e_j
             continue
-        add(r, unit)
         last = -1
         while pairs:
             s, g, h = heappop(pairs)
@@ -547,16 +453,17 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> VectorGB:
                 continue
             last = s
             tau = lcm(monos[g], monos[h])
+            ex = max(excess[g], excess[h])
+            if ex and degree(tau) + ex > cap:
+                raise DegreeCapError(f"S-vector would pass degree {degree(tau) + ex} > cap {cap}")
             sv = red.s_vector(g, div(tau, monos[g]), h, div(tau, monos[h]))
-            r = red.reduce_below(sv, s)
-            if r:
-                add(r, s)
-            elif r is not None:
+            if not add(red.reduce_below(sv, s), s):
                 syz.append(se | high)
         for h in range(red.start, len(vecs)):
             if red.alive[h]:
                 red.drop_multiples(h)
-    return VectorGB(ring, [vecs[i] for b in buckets.values() for i in b])
+    basis = [{k: c for k, c in vecs[i].items() if k & tagbit} for b in buckets.values() for i in b]
+    return VectorGB(ring, basis), syzygies
 
 
 # -- t-polynomials: numerators of Hilbert series ---------------------------
@@ -725,7 +632,7 @@ class RingCtx:
         self.codec = module_codec(ring)
         self.relations = tuple(rels)
         vecs = [{self.codec.mkey(k, 0): c for k, c in f.raw().items()} for f in rels]
-        gbv = signature_gb(vecs, ring)
+        gbv, _ = signature_gb(vecs, ring)
         mono_of = self.codec.mono_of
         self.ideal_gb: tuple[dict[int, int], ...] = tuple(
             {mono_of(k): c for k, c in vec.items()} for vec in gbv
@@ -849,47 +756,32 @@ def module_gb(ctx: RingCtx, vectors: list[dict], rank: int) -> VectorGB:
 
     Computed by lifting: the basis of the span over S of the vectors plus
     the ideal helpers reduces vectors exactly as the quotient would.  It
-    is a plain run (`signature_gb`), which needs no twists: it takes its
+    is a plain run of `signature_gb`, which needs no twists: it takes its
     S-pairs by signature, not by degree.
     """
-    return signature_gb(list(vectors) + quotient_helpers(ctx, rank), ctx.ring)
+    return signature_gb(list(vectors) + quotient_helpers(ctx, rank), ctx.ring)[0]
 
 
-def syzygies_for(
-    ctx: RingCtx,
-    vectors: list[dict],
-    rank: int,
-    col_degrees: tuple[int, ...] = (),
-    row_twists: tuple[int, ...] = (),
-) -> tuple[list[dict], VectorGB]:
-    """Generators of the syzygy module over R of `vectors` in R^rank.
+def syzygies_for(ctx: RingCtx, vectors: list[dict], rank: int) -> list[dict]:
+    """Generators of the syzygy module over R of `vectors` in R^rank, in a
+    free module with one component per input vector, reduced modulo the
+    ideal and sorted by lead.
 
-    Returns (syzygies, gb) where the syzygies live in a free module with
-    one component per input vector and the basis is the lifted one (handy
-    for membership tests against the same span).
+    Vector j carries the unit tag e_j, and the lifting helpers carry none,
+    so each syzygy the run returns holds the coordinates, over the
+    polynomial ring, of a syzygy over R of the vectors alone.
     """
-    m = len(vectors)
-    helpers = quotient_helpers(ctx, rank)
-    helper_degs = []
-    for c in range(rank):
-        base = row_twists[c] if c < len(row_twists) else 0
-        for g in ctx.ideal_gb:
-            helper_degs.append(base + ctx.ring.mono_degree(max(g)))
-    gbv, syz = buchberger(
-        list(vectors) + helpers,
-        ctx.ring,
-        twists_f=row_twists,
-        twists_t=tuple(col_degrees) + tuple(helper_degs),
-    )
     codec = ctx.codec
+    unit = ctx.ring.unit_key
+    tagged = [{**v, codec.mkey(unit, j, tag=True): 1} for j, v in enumerate(vectors)]
+    _, syz = signature_gb(tagged + quotient_helpers(ctx, rank), ctx.ring)
     out = []
     for s in syz:
-        v = {k: c for k, c in s.items() if codec.comp_of(k) < m}
-        v = reduce_vec_by_ideal(v, ctx)
+        v = reduce_vec_by_ideal({k | codec.tagbit: c for k, c in s.items()}, ctx)
         if v:
             out.append(v)
-    out.sort(key=lambda v: max(v))
-    return out, gbv
+    out.sort(key=max)
+    return out
 
 
 def lead_exponents_by_comp(gbv: VectorGB, rank: int) -> list[tuple[tuple[int, ...], ...]]:

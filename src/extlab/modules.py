@@ -527,20 +527,17 @@ def _kernel_generators_gb(cols, src, tgt) -> tuple:
     the row walk, pruning included."""
     ctx = src.ctx
     m = src.rank0
-    gens = _syzygy_heads(
-        ctx, list(cols) + list(tgt.columns), src.row_twists + tgt.col_degrees,
-        tgt.row_twists, m,
-    )
+    gens = _syzygy_heads(ctx, list(cols) + list(tgt.columns), tgt.rank0, m)
     keep = _minimal_generator_indices_gb(ctx, gens, m, src.row_twists, list(src.columns))
     gens = [gens[i] for i in keep]
     return gens, tuple(vec_degree(ctx, g, src.row_twists) for g in gens), None
 
 
-def _syzygy_heads(ctx: RingCtx, fam, degs, twists, m: int) -> list[dict]:
-    """Generators of the syzygies of `fam` (members of degrees `degs` in
-    the free module on `twists`), cut to their first m components; those
-    that vanish there are dropped."""
-    syz, _ = syzygies_for(ctx, fam, len(twists), degs, twists)
+def _syzygy_heads(ctx: RingCtx, fam, rank: int, m: int) -> list[dict]:
+    """Generators of the syzygies of `fam` (members of a free module of
+    rank `rank`), cut to their first m components; those that vanish
+    there are dropped."""
+    syz = syzygies_for(ctx, fam, rank)
     cut = ({k: c for k, c in s.items() if ctx.codec.comp_of(k) < m} for s in syz)
     return [v for v in cut if v]
 

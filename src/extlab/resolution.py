@@ -523,9 +523,7 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
             continue
         _check_square_zero(kind, res, Nm, i, o)
         Xo = term(o)
-        gens = _syzygy_heads(
-            ctx, out_cols + list(Xo.columns), X.row_twists + Xo.col_degrees, Xo.row_twists, X.rank0
-        )
+        gens = _syzygy_heads(ctx, out_cols + list(Xo.columns), Xo.rank0, X.rank0)
         C = PresentedModule(ctx, X.row_twists, list(Q.columns) + gens)
         out.record(i, _finite_series(ctx, _tp_sub(Q.hilbert_numerator(), C.hilbert_numerator())))
     return out

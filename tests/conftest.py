@@ -53,14 +53,15 @@ class _Runs:
         self.count = 0
 
 
-# The two Buchberger bodies: tagged runs (syzygies) and plain runs.
-RUNS = ("buchberger", "signature_gb")
+# The one Buchberger body, which serves tagged runs (syzygies) and plain
+# runs alike.
+RUNS = ("signature_gb",)
 
 
 @pytest.fixture
 def buchberger_runs(monkeypatch):
-    """Counts Buchberger runs, tagged (`groebner.buchberger`) and plain
-    (`groebner.signature_gb`), for the rest of the test.
+    """Counts Buchberger runs (`groebner.signature_gb`), tagged and plain,
+    for the rest of the test.
 
     Buchberger runs are deterministic, so a test can pin a computation's
     Groebner work as an exact number.  A test that builds its own rings
@@ -84,37 +85,18 @@ def buchberger_runs(monkeypatch):
 def buchberger_reductions(monkeypatch):
     """Counts the reductions Buchberger runs perform for the rest of the
     test: one per input they reduce and one per S-pair their criteria
-    keep (`_ReducerSet.reduce` in tagged runs, `_SignatureSet.reduce_below`
-    in plain ones).  Normal forms taken outside a run (`VectorGB.reduce`,
-    the reduced basis built on demand) are not counted.  Calls must go
-    through the module attributes `groebner.buchberger` and
-    `groebner.signature_gb`, as the package's own do.
+    keep, the calls of `_SignatureSet.reduce_below`.  Normal forms taken
+    outside a run (`VectorGB.reduce`, the reduced basis built on demand)
+    are not counted.
     """
     runs = _Runs()
-    depth = [0]
+    real = groebner._SignatureSet.reduce_below
 
-    def counted_run(real):
-        def run(*args, **kwargs):
-            depth[0] += 1
-            try:
-                return real(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-        return run
+    def counted(self, *args):
+        runs.count += 1
+        return real(self, *args)
 
-    def counted(real):
-        def reduce(self, *args, **kwargs):
-            if depth[0]:
-                runs.count += 1
-            return real(self, *args, **kwargs)
-        return reduce
-
-    for name in RUNS:
-        monkeypatch.setattr(groebner, name, counted_run(getattr(groebner, name)))
-    monkeypatch.setattr(groebner._ReducerSet, "reduce", counted(groebner._ReducerSet.reduce))
-    monkeypatch.setattr(
-        groebner._SignatureSet, "reduce_below", counted(groebner._SignatureSet.reduce_below)
-    )
+    monkeypatch.setattr(groebner._SignatureSet, "reduce_below", counted)
     return runs
 
 

@@ -5,8 +5,8 @@ for the small bases, dimension counts by listing monomials) before the
 engine existed; they are frozen, not regenerated.
 """
 
+import heapq
 import random
-from collections import deque
 
 import pytest
 
@@ -14,7 +14,6 @@ from extlab import groebner
 from extlab.errors import DegreeCapError
 from extlab.groebner import (
     RingCtx,
-    buchberger,
     module_codec,
     module_gb,
     monomial_quotient_numerator,
@@ -81,7 +80,7 @@ def gb_strings(gbv, rank=1):
 def test_hand_worked_basis():
     ring = ring_with(["x", "y"])
     x, y = ring.gens()
-    gbv = signature_gb([poly_vec(x**2), poly_vec(x * y + y**2)], ring)
+    gbv, _ = signature_gb([poly_vec(x**2), poly_vec(x * y + y**2)], ring)
     # By hand: S(x^2, xy+y^2) -> -xy^2 -> +y^3 after one more step.
     # Canonical output order is ascending lead: xy < x^2 < y^3 in grevlex.
     assert gb_strings(gbv) == ["x*y + y^2", "x^2", "y^3"]
@@ -94,10 +93,10 @@ def test_basis_canonical_under_input_shuffle():
         polys = [ring.random_homogeneous(rng, rng.randrange(1, 4)) for _ in range(4)]
         polys = [f for f in polys if f]
         vecs = [poly_vec(f) for f in polys]
-        gb1 = signature_gb(vecs, ring)
+        gb1, _ = signature_gb(vecs, ring)
         shuffled = vecs[:]
         rng.shuffle(shuffled)
-        gb2 = signature_gb(shuffled, ring)
+        gb2, _ = signature_gb(shuffled, ring)
         assert gb1.elements == gb2.elements
         # Membership: every generator reduces to zero.
         for v in vecs:
@@ -122,7 +121,7 @@ def test_koszul_syzygy_of_two_variables():
     ring = ring_with(["x", "y"])
     ctx = RingCtx(ring)
     x, y = ring.gens()
-    syz, _ = syzygies_for(ctx, [poly_vec(x), poly_vec(y)], rank=1, col_degrees=(1, 1))
+    syz = syzygies_for(ctx, [poly_vec(x), poly_vec(y)], rank=1)
     gbv = module_gb(ctx, syz, rank=2)
     want = module_gb(ctx, [entries_vec([y, -x])], rank=2)
     assert gbv.elements == want.elements
@@ -132,7 +131,7 @@ def test_syzygy_over_nilpotent_line():
     ring = ring_with(["x"])
     ctx = RingCtx(ring, [ring.parse("x^2")])
     (xv,) = ring.gens()
-    syz, _ = syzygies_for(ctx, [poly_vec(xv)], rank=1, col_degrees=(1,))
+    syz = syzygies_for(ctx, [poly_vec(xv)], rank=1)
     gbv = module_gb(ctx, syz, rank=1)
     want = module_gb(ctx, [poly_vec(xv)], rank=1)
     assert gbv.elements == want.elements
@@ -143,7 +142,7 @@ def test_residue_field_syzygies_over_two_nilpotents():
     ctx = RingCtx(ring, [ring.parse("x^2"), ring.parse("y^2")])
     x, y = ring.gens()
     zero = ring.zero
-    syz, _ = syzygies_for(ctx, [poly_vec(x), poly_vec(y)], rank=1, col_degrees=(1, 1))
+    syz = syzygies_for(ctx, [poly_vec(x), poly_vec(y)], rank=1)
     gbv = module_gb(ctx, syz, rank=2)
     want = module_gb(
         ctx,
@@ -163,7 +162,7 @@ def test_syzygies_satisfy_defining_relations():
         cols = [nf_poly(ctx, f) for f in cols]
         if not all(cols):
             continue
-        syz, _ = syzygies_for(ctx, [poly_vec(f) for f in cols], rank=1)
+        syz = syzygies_for(ctx, [poly_vec(f) for f in cols], rank=1)
         assert syz
         for s in syz:
             coords = vec_entries(s, ring, len(cols))
@@ -177,7 +176,7 @@ def test_zero_and_duplicate_columns_give_unit_syzygies():
     ring = ring_with(["x", "y"])
     ctx = RingCtx(ring)
     x, _ = ring.gens()
-    syz, _ = syzygies_for(ctx, [poly_vec(x), {}, poly_vec(x)], rank=1)
+    syz = syzygies_for(ctx, [poly_vec(x), {}, poly_vec(x)], rank=1)
     gbv = module_gb(ctx, syz, rank=3)
     one = ring.one
     zero = ring.zero
@@ -312,12 +311,13 @@ def test_degree_cap_aborts_runs():
         module_gb(RingCtx(ring), [poly_vec(f), poly_vec(g)], rank=1)
     # In a syzygy run tag terms may outgrow their working lead (t_j is the
     # tag of input j): input 2 reduces by e1 to e0 + t2 - z^2 t1, and
-    # reducing the S-vector x*y e0 + t0 - z^3 t1 by it would reach x*y*z^2.
+    # reducing input 0, x*y e0 + t0 - z^3 t1 once e1 has reduced it, by
+    # that would reach x*y*z^2.
     ring = ring_with(["x", "y", "z"], degree_cap=3)
     inputs = ["x*y", "z^3"], ["0", "1"], ["1", "z^2"]
     vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
     with pytest.raises(DegreeCapError, match="reduction would pass degree 4 > cap 3"):
-        buchberger(vecs, ring, twists_f=(0, 2))
+        syzygies_for(RingCtx(ring), vecs, 2)
 
 
 def test_degree_cap_checked_before_s_vectors():
@@ -328,11 +328,11 @@ def test_degree_cap_checked_before_s_vectors():
     ring = ring_with(["x", "y", "z"], degree_cap=3)
     vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
     with pytest.raises(DegreeCapError, match="S-vector would pass degree 4 > cap 3"):
-        buchberger(vecs, ring, twists_f=(0, 2))
+        syzygies_for(RingCtx(ring), vecs, 2)
     # One degree more of room, and the syzygy holds the degree-4 term.
     ring = ring_with(["x", "y", "z"], degree_cap=4)
     vecs = [entries_vec([ring.parse(f) for f in fs]) for fs in inputs]
-    _, syz = buchberger(vecs, ring, twists_f=(0, 2))
+    syz = syzygies_for(RingCtx(ring), vecs, 2)
     assert max(ring.mono_degree(module_codec(ring).mono_of(k)) for v in syz for k in v) == 4
 
 
@@ -408,11 +408,11 @@ def _normal_form(vec, by, ring):
     `by` whose lead divides it (same component and block)."""
     codec = module_codec(ring)
     p = ring.field.p
+    leads = [(max(g), g) for g in by]
     work, out = dict(vec), {}
     while work:
         k = max(work)
-        for g in by:
-            lead = max(g)
+        for lead, g in leads:
             same = lead & codec.identmask == k & codec.identmask
             if same and ring.mono_divides(codec.mono_of(lead), codec.mono_of(k)):
                 quot = ring._codec.div(codec.mono_of(k), codec.mono_of(lead))
@@ -426,13 +426,15 @@ def _normal_form(vec, by, ring):
 
 def _reference_buchberger(inputs, ring, collect_syz=False):
     """Buchberger with no criterion: every S-pair of two elements with the
-    same lead component and block is reduced, in the order made, and the
-    minimal elements are then tail-reduced, made monic and sorted.  With
-    `collect_syz` the inputs carry unit tags, as in `buchberger`.
+    same lead component and block is reduced, those of lower lcm degree
+    first and otherwise in the order made, and the minimal elements are
+    then tail-reduced, made monic and sorted.  With `collect_syz` every
+    input carries a unit tag, the ideal helpers too; inputs that carry
+    tags already (`_tagged`) leave the syzygies of the tagged ones.
     Returns (reduced basis, syzygies, reductions made)."""
     codec = module_codec(ring)
     p = ring.field.p
-    basis, syz, pairs = [], [], deque()
+    basis, syz, pairs = [], [], []  # pairs: heap of (lcm degree, j, i), i < j
     reductions = 0
 
     def insert(vec):
@@ -445,7 +447,11 @@ def _reference_buchberger(inputs, ring, collect_syz=False):
             syz.append({k | codec.tagbit: c for k, c in r.items()})
         else:
             ident = max(r) & codec.identmask
-            pairs.extend((i, len(basis)) for i, g in enumerate(basis) if max(g) & codec.identmask == ident)
+            mono = codec.mono_of(max(r))
+            for i, g in enumerate(basis):
+                if max(g) & codec.identmask == ident:
+                    tau = ring.mono_lcm(codec.mono_of(max(g)), mono)
+                    heapq.heappush(pairs, (ring.mono_degree(tau), len(basis), i))
         basis.append(r)
 
     for j, vec in enumerate(inputs):
@@ -456,7 +462,8 @@ def _reference_buchberger(inputs, ring, collect_syz=False):
             continue
         insert(vec)
     while pairs:
-        f, g = (basis[i] for i in pairs.popleft())
+        _, j, i = heapq.heappop(pairs)
+        f, g = basis[i], basis[j]
         mf, mg = codec.mono_of(max(f)), codec.mono_of(max(g))
         tau = ring.mono_lcm(mf, mg)
         s = {}
@@ -504,31 +511,46 @@ def _family(ctx, rng, rank):
     return vecs, twists
 
 
+def _tagged(ctx, vecs):
+    """The vectors with the unit tag e_j on vector j, as `syzygies_for`
+    passes them."""
+    codec, unit = ctx.codec, ctx.ring.unit_key
+    return [{**v, codec.mkey(unit, j, tag=True): 1} for j, v in enumerate(vecs)]
+
+
+def _syzygy_span(ctx, syz, m):
+    """Reduced basis over R of the span of the syzygies `syz`, tag-block
+    vectors of a run or working-block ones of the reference, cut to their
+    first m components."""
+    codec = ctx.codec
+    cut = [{k | codec.tagbit: c for k, c in s.items() if codec.comp_of(k) < m} for s in syz]
+    return module_gb(ctx, [v for v in cut if v], m).elements
+
+
 @pytest.mark.parametrize("ring", ["quadric", "cubic"])
 def test_pair_criteria_match_every_pair(request, ring, buchberger_reductions):
-    # Both bodies see the vectors plus the lifting helpers, as `module_gb`
-    # and `syzygies_for` pass them.  The plain body's reduced basis must be
-    # the reference's and the working basis of the tagged run on the same
-    # inputs; syzygies are compared as spans over the polynomial ring,
-    # since the criteria change which ones are found.
+    # The body sees the vectors plus the lifting helpers, as `module_gb`
+    # and `syzygies_for` pass them, the latter with the vectors tagged.
+    # Both runs' reduced bases must be the reference's; syzygies are
+    # compared as spans over R, since the criteria change which ones are
+    # found and the tagged run leaves the helpers' coordinates out.
     ctx = _cubic_ctx() if ring == "cubic" else request.getfixturevalue(ring)
-    free = RingCtx(ctx.ring)
     rng = random.Random(31)
     fewer = 0
     for rank in (1, 2, 3, 1, 2, 3):
-        vecs, twists = _family(ctx, rng, rank)
-        inputs = vecs + quotient_helpers(ctx, rank)
-        want, want_syz, want_used = _reference_buchberger(inputs, ctx.ring)
+        vecs, _ = _family(ctx, rng, rank)
+        helpers = quotient_helpers(ctx, rank)
+        inputs = vecs + helpers
+        want, _, want_used = _reference_buchberger(inputs, ctx.ring)
         before = buchberger_reductions.count
-        assert groebner.signature_gb(inputs, ctx.ring).elements == want
+        assert groebner.signature_gb(inputs, ctx.ring)[0].elements == want
         fewer += buchberger_reductions.count - before < want_used
-        want, want_syz, want_used = _reference_buchberger(inputs, ctx.ring, collect_syz=True)
+        _, want_syz, want_used = _reference_buchberger(inputs, ctx.ring, collect_syz=True)
         before = buchberger_reductions.count
-        gbv, syz = groebner.buchberger(inputs, ctx.ring, twists_f=twists)
+        gbv, syz = groebner.signature_gb(_tagged(ctx, vecs) + helpers, ctx.ring)
         fewer += buchberger_reductions.count - before < want_used
         assert gbv.elements == want
-        m = len(inputs)
-        assert module_gb(free, syz, m).elements == module_gb(free, want_syz, m).elements
+        assert _syzygy_span(ctx, syz, len(vecs)) == _syzygy_span(ctx, want_syz, len(vecs))
     assert fewer
 
 
@@ -541,8 +563,7 @@ def _weighted_ctx():
 def test_signature_basis_matches_the_reference(request, ring):
     # The plain body on more rings: seeded families with the lifting
     # helpers over a weighted ring and over gor5, and the ideal basis of
-    # each ring from its relations, against the reference and the
-    # working basis of a tagged run.
+    # each ring from its relations, against the reference.
     ctx = _weighted_ctx() if ring == "weighted" else request.getfixturevalue(ring)
     rng = random.Random(43)
     runs = [[poly_vec(f) for f in ctx.relations]]
@@ -550,9 +571,90 @@ def test_signature_basis_matches_the_reference(request, ring):
         vecs, _ = _family(ctx, rng, rank)
         runs.append(vecs + quotient_helpers(ctx, rank))
     for inputs in runs:
-        got = groebner.signature_gb(inputs, ctx.ring).elements
+        got = groebner.signature_gb(inputs, ctx.ring)[0].elements
         assert got == _reference_buchberger(inputs, ctx.ring)[0]
-        assert got == groebner.buchberger(inputs, ctx.ring)[0].elements
+
+
+# -- the Buchberger criterion on seeded families ----------------------------------
+
+_CRITERION_RINGS = {
+    "quadric": (("w", "x", "y", "z"), None, ["w*x - y*z"]),
+    "cubic": (("w", "x", "y", "z"), None, ["w^3 + x^3 + y^3 + z^3"]),
+    "weighted": (("x", "y", "z"), (1, 2, 3), ["x^4 + x*z + y^2", "y^3 - z^2"]),
+    "xy": (("x", "y", "z"), None, ["x*y", "x^2 - z^2"]),
+}
+
+
+def _meets_buchberger_criterion(gbv, inputs):
+    """Whether every input's working part, and the S-vector of every pair
+    of members of the minimal basis with one lead component and block,
+    reduce to zero by `VectorGB.reduce`: then the basis is a Groebner
+    basis of the span of the inputs."""
+    tagbit = gbv.codec.tagbit
+    if any(gbv.reduce({k: c for k, c in v.items() if k & tagbit}) for v in inputs):
+        return False
+    red, div = gbv._red, gbv.ring._codec.div
+    for j in range(len(red.vecs)):
+        for i in range(j):
+            if red.idents[i] == red.idents[j]:
+                tau = gbv.ring.mono_lcm(red.monos[i], red.monos[j])
+                if gbv.reduce(red.s_vector(i, div(tau, red.monos[i]), j, div(tau, red.monos[j]))):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003])
+@pytest.mark.parametrize("ring", list(_CRITERION_RINGS))
+def test_signature_runs_meet_the_buchberger_criterion(ring, p):
+    # 64 seeded families per ring and prime, 1024 in all, of ranks 1-3
+    # with the lifting helpers, some with a zero or a repeated vector, each
+    # run plain and with the vectors tagged.  The plain basis must pass the
+    # Buchberger criterion, and the tagged run's must have its reduced
+    # basis, so that it passes too; 5 plain bases over the cubic failed
+    # while an S-vector whose lead only a multiple at its own signature
+    # reduces was dropped.  Over GF(2) and GF(3), at ranks 1 and 2, where
+    # the criterion-free reference stays small, the tagged run's syzygies
+    # must span over R what the reference's span.
+    names, weights, rels = _CRITERION_RINGS[ring]
+    R = PolyRing(FieldSpec(p), names, weights=weights)
+    ctx = RingCtx(R, [R.parse(f) for f in rels])
+    rng = random.Random(f"{ring}-{p}")
+    for n in range(64):
+        rank = 1 + n % 3
+        vecs, _ = _family(ctx, rng, rank)
+        if vecs and rng.random() < 0.25:
+            vecs.insert(rng.randrange(len(vecs) + 1), dict(rng.choice(vecs)))
+        if rng.random() < 0.25:
+            vecs.insert(rng.randrange(len(vecs) + 1), {})
+        helpers = quotient_helpers(ctx, rank)
+        gbv, syz = signature_gb(vecs + helpers, R)
+        assert not syz and _meets_buchberger_criterion(gbv, vecs + helpers), n
+        tagged, syz = signature_gb(_tagged(ctx, vecs) + helpers, R)
+        assert tagged.elements == gbv.elements, n
+        if p < 5 and rank < 3:
+            _, want, _ = _reference_buchberger(vecs + helpers, R, collect_syz=True)
+            assert _syzygy_span(ctx, syz, len(vecs)) == _syzygy_span(ctx, want, len(vecs)), n
+
+
+def test_quadric_module_over_gf32003_has_hilbert_function_55_at_degree_6():
+    # Three columns over GF(32003)[w,x,y,z]/(wx - yz) whose plain basis
+    # missed a pair, and so a lead, while the signature body dropped an
+    # S-vector whose lead only a multiple at its own signature reduces:
+    # the Hilbert function read 56 at degree 6.
+    R = PolyRing(FieldSpec(32003), ("w", "x", "y", "z"))
+    ctx = RingCtx(R, [R.parse("w*x - y*z")])
+    cols = [
+        ("12564*w^2 + 15821*w*y - 4519*x*y - 5915*w*z + 7162*x*z + 12720*z^2",
+         "-6515*w - 11253*x", "-12883*w - 2572*y"),
+        ("4178*w*y + 8474*w*z", "-5438*x", "-1343*w - 14462*x + 8200*y + 14987*z"),
+        ("9285*w^2*x - 11982*w^2*y - 14191*w*x*y - 2578*x*y^2 - 11724*w^2*z"
+         " + 6563*w*z^2 + 10063*y*z^2", "-2552*w^2 - 7329*w*x + 794*w*z", "2859*x^2"),
+    ]
+    M = PresentedModule.from_matrix(ctx, [[c[r] for c in cols] for r in range(3)], row_twists=(0, 1, 1))
+    assert M.col_degrees == (2, 2, 3)
+    assert M.hilbert_function(6) == 55
+    gbv = module_gb(ctx, list(M.columns), 3)
+    assert _meets_buchberger_criterion(gbv, list(M.columns) + quotient_helpers(ctx, 3))
 
 
 def _first_divisor_reduce(self, vec, skip=-1):
@@ -575,27 +677,22 @@ def _first_divisor_reduce(self, vec, skip=-1):
             out[k] = work.pop(k)
             continue
         quot = rc.div(mono, self.monos[hit])
-        if rc.degree(quot):
-            top = self.maxdegs[hit] if self.maxdegs[hit] >= 0 else self._maxdeg(hit)
-            if rc.degree(quot) + top > self.ring.degree_cap:
-                raise DegreeCapError("reduction passes the degree cap")
         _shift_add(work, self.vecs[hit], -work[k] * self.invs[hit], codec.delta(quot), p)
     return out
 
 
 def _symmetry_runs(monkeypatch, count):
-    """The inputs of every tagged Buchberger run of `symmetry_check(A, B,
-    12)` on the first `count` seed-1 cyclic pairs over a fresh quadric
-    context."""
+    """The inputs of every Buchberger run of `symmetry_check(A, B, 12)` on
+    the first `count` seed-1 cyclic pairs over a fresh quadric context."""
     ctx = make_ctx(("w", "x", "y", "z"), ("w*x - y*z",))
     cfg = ExperimentConfig(seed=1, max_generators=1)
     runs = []
 
-    def record(inputs, ring, **kw):
-        runs.append((list(inputs), kw))
-        return buchberger(inputs, ring, **kw)
+    def record(inputs, ring):
+        runs.append(list(inputs))
+        return signature_gb(inputs, ring)
 
-    monkeypatch.setattr(groebner, "buchberger", record)
+    monkeypatch.setattr(groebner, "signature_gb", record)
     for i in range(count):
         symmetry_check(*random_pair(cfg, ctx, i), 12)
     return ctx, runs
@@ -608,39 +705,22 @@ def _terms(vecs):
 @pytest.mark.parametrize("source", ["quadric", "cubic", "symmetry"])
 def test_reducer_lookup_keeps_runs_identical(request, monkeypatch, source):
     # Remembering each term's first dividing member must pick the reducer
-    # the member-by-member scan picks, so every tagged run keeps the same
-    # members and finds the same syzygies, term for term, and every
-    # reduced basis, of tagged and plain runs, comes out the same.
+    # the member-by-member scan picks, so every reduced basis, of tagged
+    # and plain runs, comes out the same term for term.
     if source == "symmetry":
-        # Resolutions of cyclic modules whose relations form a regular
-        # sequence make no tagged run; pair 70 is the first seed-1 pair
-        # with a side whose two relations do not.
         ctx, runs = _symmetry_runs(monkeypatch, 71)
-        assert runs
     else:
         ctx = _cubic_ctx() if source == "cubic" else request.getfixturevalue(source)
         rng = random.Random(31)
         runs = []
         for rank in (1, 2, 3, 1, 2, 3):
-            vecs, twists = _family(ctx, rng, rank)
-            inputs = vecs + quotient_helpers(ctx, rank)
-            runs += [(inputs, {"twists_f": twists}), (inputs, None)]
-
-    def run(inputs, kw):
-        if kw is None:  # a plain run
-            return signature_gb(inputs, ctx.ring), []
-        return buchberger(inputs, ctx.ring, **kw)
-
-    got = []
-    for inputs, kw in runs:
-        gbv, syz = run(inputs, kw)
-        got.append((_terms(gbv._red.vecs), _terms(syz), _terms(gbv.elements)))
+            vecs, _ = _family(ctx, rng, rank)
+            helpers = quotient_helpers(ctx, rank)
+            runs += [_tagged(ctx, vecs) + helpers, vecs + helpers]
+    got = [_terms(signature_gb(inputs, ctx.ring)[0].elements) for inputs in runs]
     monkeypatch.setattr(groebner._ReducerSet, "reduce", _first_divisor_reduce)
-    for (inputs, kw), (vecs, syz, elements) in zip(runs, got):
-        gbv, want_syz = run(inputs, kw)
-        assert vecs == _terms(gbv._red.vecs)
-        assert syz == _terms(want_syz)
-        assert elements == _terms(gbv.elements)
+    for inputs, elements in zip(runs, got):
+        assert elements == _terms(signature_gb(inputs, ctx.ring)[0].elements)
 
 
 def test_reducer_lookup_forgets_dropped_members():

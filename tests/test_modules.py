@@ -424,7 +424,7 @@ def _leave_one_out(ctx, vecs, rank, twists, modulo):
 
 def _syzygy_family(mod):
     """Unpruned syzygies of a module's relation columns."""
-    syz, _ = syzygies_for(mod.ctx, list(mod.columns), mod.rank0, mod.col_degrees, mod.row_twists)
+    syz = syzygies_for(mod.ctx, list(mod.columns), mod.rank0)
     return syz, len(mod.columns), mod.col_degrees, []
 
 
@@ -452,8 +452,7 @@ def _kernel_family(mod):
     phi = _multiplication_map(mod)
     src = phi.source
     fam = list(phi.columns) + list(mod.columns)
-    degs = src.row_twists + mod.col_degrees
-    syz, _ = syzygies_for(ctx, fam, mod.rank0, degs, mod.row_twists)
+    syz = syzygies_for(ctx, fam, mod.rank0)
     m = src.rank0
     gens = [{k: c for k, c in v.items() if codec.comp_of(k) < m} for v in syz]
     return [g for g in gens if g], m, src.row_twists, list(src.columns)

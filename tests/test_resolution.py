@@ -23,9 +23,9 @@ from collections import Counter
 
 import pytest
 
-from extlab import groebner, resolution
+from extlab import groebner, modules, resolution
 from extlab.errors import DegreeCapError, HypothesisNotMet, InvariantViolation, ResourceCapError
-from extlab.groebner import RingCtx, reduce_vec_by_ideal
+from extlab.groebner import RingCtx, quotient_helpers, reduce_vec_by_ideal
 from extlab.linalg import _reduce_row, rank_rows
 from extlab.modules import (
     ModuleMap,
@@ -87,6 +87,7 @@ from extlab.vanishing import (
 )
 
 from conftest import make_ctx
+from test_groebner import _reference_buchberger, _tagged
 
 
 def k_of(ctx):
@@ -646,13 +647,57 @@ def test_certified_steps_equal_groebner_steps(monkeypatch, ring, line):
     assert [len(t) for t in got[-1][0]] == [1, 2, 2, 2, 2, 2]
 
 
+def _reference_syzygies(ctx, vectors, rank):
+    """`syzygies_for` with the criterion-free reference run of
+    tests/test_groebner.py in place of the signature body, on the same
+    inputs: the vectors tagged, the lifting helpers not."""
+    helpers = quotient_helpers(ctx, rank)
+    _, syz, _ = _reference_buchberger(_tagged(ctx, vectors) + helpers, ctx.ring)
+    out = (reduce_vec_by_ideal(s, ctx) for s in syz)
+    return sorted((v for v in out if v), key=max)
+
+
+@pytest.mark.parametrize("ring", [QUADRIC, CUBIC], ids=["quadric", "cubic"])
+def test_groebner_steps_match_the_reference_syzygies(monkeypatch, ring):
+    # Off the artinian locus a step that Hilbert series do not certify
+    # takes its kernel from `syzygies_for`, a tagged run of the signature
+    # body.  The first 12 seed-1 draws of up to three generators, most of
+    # them not cyclic, resolved to step 5 with the certified path off,
+    # must take the twists they take when the reference run gives the
+    # syzygies.
+    ctx = make_ctx(*ring)
+    cfg = ExperimentConfig(seed=1)
+    monkeypatch.setattr(resolution, "_certified_step", lambda res, n: None)
+    got = [_resolved(random_module(cfg, ctx, i), 5)[0] for i in range(12)]
+    assert sum(len(t[0]) > 1 for t in got) >= 6
+    monkeypatch.setattr(modules, "syzygies_for", _reference_syzygies)
+    assert got == [_resolved(random_module(cfg, ctx, i), 5)[0] for i in range(12)]
+
+
+def test_groebner_steps_work_is_pinned(monkeypatch, buchberger_runs, buchberger_reductions):
+    # The quadric half of those resolutions, pinned by its Groebner work:
+    # 24 runs making 211 reductions (272 in as many runs when tagged runs
+    # used the Gebauer-Moeller body).
+    ctx = make_ctx(*QUADRIC)
+    cfg = ExperimentConfig(seed=1)
+    mods = [random_module(cfg, ctx, i) for i in range(12)]
+    monkeypatch.setattr(resolution, "_certified_step", lambda res, n: None)
+    buchberger_runs.reset()
+    buchberger_reductions.reset()
+    for M in mods:
+        _resolved(M, 5)
+    assert (buchberger_runs.count, buchberger_reductions.count) == (24, 211)
+
+
 def test_certified_step_passes_a_degree_cap_groebner_steps_do_not(monkeypatch):
     # A certified step reads only a plain Groebner basis of M, while the
-    # tagged syzygy run it replaces applies no product criterion.  Under
-    # degree cap 6, seed-1 draw 10 over the quadric, cut out by a regular
-    # sequence of a linear and a cubic form, resolves with pd 2, where
-    # the Groebner steps pass the cap.
-    ring = PolyRing(FieldSpec(101), QUADRIC[0], degree_cap=6)
+    # tagged syzygy run it replaces forms higher monomials.  Under degree
+    # cap 4, seed-1 draw 10 over the quadric, cut out by a regular
+    # sequence of a linear and a cubic form, resolves with pd 2, where the
+    # Groebner steps pass the cap.  The syzygy run passes caps 5 and 6 (it
+    # raised up to cap 6 when tagged runs used the Gebauer-Moeller body,
+    # which applies no product criterion).
+    ring = PolyRing(FieldSpec(101), QUADRIC[0], degree_cap=4)
     ctx = RingCtx(ring, [ring.parse(QUADRIC[1][0])])
     M = random_module(ExperimentConfig(seed=1, max_generators=1), ctx, 10)
     twists, _, pd = _resolved(M, 5)
@@ -678,8 +723,12 @@ def test_symmetry_groebner_work_is_pinned(buchberger_runs):
 
 def test_symmetry_zero_reductions_are_pinned(monkeypatch):
     # The plain runs of those symmetry checks are signature-based: of the
-    # 453 S-pairs they reduce, 12 reduce to zero.  The Gebauer-Moeller
-    # body they replace reduced 978 S-pairs, 601 of them to zero.  An
+    # 454 S-pairs they reduce, 12 reduce to zero.  The Gebauer-Moeller
+    # body they replace reduced 978 S-pairs, 601 of them to zero.  It was
+    # 453 while an S-vector whose lead only a multiple at its own
+    # signature reduces was dropped, which the rewritten criterion does
+    # not allow (see `signature_gb`): one such vector now joins the
+    # elements, and one more pair of it is reduced.  An
     # S-vector is reduced once its input's own member has joined the run,
     # so a reduction past `start` is an S-pair's.
     ctx = make_ctx(*QUADRIC)
@@ -697,7 +746,7 @@ def test_symmetry_zero_reductions_are_pinned(monkeypatch):
 
     monkeypatch.setattr(groebner._SignatureSet, "reduce_below", counted)
     assert all(symmetry_check(A, B, 12).verdict == "consistent" for A, B in pairs)
-    assert counts == {"pairs": 453, "zero": 12}
+    assert counts == {"pairs": 454, "zero": 12}
 
 
 def test_module_route_checks_composites_on_rows(buchberger_runs):
@@ -732,11 +781,14 @@ def test_module_route_checks_composites_on_rows(buchberger_runs):
 
 def test_module_route_groebner_work_is_pinned(buchberger_runs):
     # Buchberger runs are deterministic, so the module route's Groebner
-    # work on a fresh quadric context is pinned as an exact count: 27 with
+    # work on a fresh quadric context is pinned as an exact count: 28 with
     # each value's series read as HS(Q) - HS(Q / kernel generators), the
     # generators unpruned (37 when the kernel was pruned and presented to
     # read its Hilbert function, 46 when the incoming image was read off a
-    # tagged basis of the kernel).
+    # tagged basis of the kernel).  It was 27 while tagged runs used the
+    # Gebauer-Moeller body: the signature run's syzygies of the fifth
+    # resolution step hold one beyond the eight minimal ones, in a higher
+    # degree, so pruning them takes one basis.
     ctx = make_ctx(("w", "x", "y", "z"), ("w*x - y*z",))
     k = k_of(ctx)
     N = PresentedModule.from_matrix(ctx, [["w"], ["x"], ["y"], ["z"]])
@@ -745,7 +797,7 @@ def test_module_route_groebner_work_is_pinned(buchberger_runs):
     t = tor(k, N, range(4))
     assert [e.total(i) for i in range(4)] == [0, 0, 1, 8]
     assert [t.total(i) for i in range(4)] == [4, 1, 0, 0]
-    assert buchberger_runs.count == 27
+    assert buchberger_runs.count == 28
 
 
 @pytest.mark.parametrize(
@@ -757,12 +809,15 @@ def test_module_route_groebner_work_is_pinned(buchberger_runs):
         # when the realization still came from a Groebner basis).
         (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"), None, 5,
          [3, 8, 21], 0),
-        # coker [[w, y], [z, x]] against k over the quadric: 28 runs.  The
+        # coker [[w, y], [z, x]] against k over the quadric: 29 runs.  The
         # route reads each value off Hilbert series of cokernels
         # (`derived_dims`), one Groebner basis per complex term; it took 39
         # when it presented each value as a subquotient module (kernel
-        # syzygies, pruning, relations), the direct route's own body.
-        (("w", "x", "y", "z"), ("w*x - y*z",), [["w", "y"], ["z", "x"]], 4, [2, 2], 28),
+        # syzygies, pruning, relations), the direct route's own body.  It
+        # took 28 while tagged runs used the Gebauer-Moeller body: one
+        # kernel's syzygies from the signature run hold a generator beyond
+        # the minimal ones, in a higher degree, and pruning it takes a basis.
+        (("w", "x", "y", "z"), ("w*x - y*z",), [["w", "y"], ["z", "x"]], 4, [2, 2], 29),
     ],
     ids=["gor5", "quadric"],
 )

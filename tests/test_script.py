@@ -535,13 +535,17 @@ def test_cli_seed_flag_reaches_harness(tmp_path, capsys):
 
 def test_example_2_3_groebner_work_is_pinned(buchberger_runs):
     # Buchberger runs are deterministic, so the canned quadric script's
-    # Groebner work is pinned as an exact count: 56 with cokernel numerators
+    # Groebner work is pinned as an exact count: 58 with cokernel numerators
     # shared by span (63 with one basis per cokernel: the matrix
     # factorization M of the theorem21 check resolves periodically, so 7 of
     # the script's 32 cokernels repeat an earlier span up to a twist; 232
     # when every scan index built its homology module, 1886 when every
-    # minimal-generator candidate had its own leave-one-out basis).  The
-    # answers must not move with the count.
+    # minimal-generator candidate had its own leave-one-out basis).  It
+    # was 56 while the 26 tagged runs used the Gebauer-Moeller body: the
+    # signature runs' syzygies hold generators beyond the minimal ones, in
+    # higher degrees, so pruning them takes 4 bases, and 2 fewer distinct
+    # cokernel spans are left to build.  The answers must not move with
+    # the count.
     rep = run_script(parse_script((SCRIPTS / "example-2-3.gor").read_text()), RunFlags())
     assert rep["exit_code"] == EXIT_OK
     by_kind = {st["kind"]: st["result"] for st in rep["statements"]}
@@ -550,23 +554,25 @@ def test_example_2_3_groebner_work_is_pinned(buchberger_runs):
     assert by_kind["betti"]["betti"]["entries"] == [
         {"homological": i, "internal": i + 1, "rank": 8 if i else 7} for i in range(9)
     ]
-    assert buchberger_runs.count == 56
+    assert buchberger_runs.count == 58
 
 
 def test_example_2_3_groebner_reductions_are_pinned(buchberger_reductions):
-    # The reductions inside those 56 runs, one per input and one per S-pair
-    # the criteria keep, pinned the same way: 4694 with the 30 plain runs
-    # signature-based, 3310 when they used the Gebauer-Moeller criteria of
-    # the 26 tagged runs (3434 in the 63 runs before cokernels were shared
-    # by span).  The plain runs reduce 1384 more S-pairs here, most of them
-    # to zero: the cokernels of the Ext scan are wide and linear, and the
-    # signature criteria find each of their syzygies once by a reduction,
-    # where the chain criterion skips it.  Their reduction steps (terms of
-    # reducer multiples applied) still fall, from 14748 to 10007.  The count
-    # leaves out the reduced bases built on demand after a run.
+    # The reductions inside those 58 runs, one per input and one per S-pair
+    # the criteria keep, pinned the same way: 4625, every run
+    # signature-based.  It was 4694 while the 26 tagged runs used the
+    # Gebauer-Moeller body: they now reduce 564 (320 before), since the
+    # signature body finds each syzygy once by a reduction, and the 32
+    # plain runs reduce 4061 (4374 in 30 runs before), on the cokernels
+    # those syzygies give.  It was 3310 when the plain runs used the
+    # Gebauer-Moeller criteria too (3434 in the 63 runs before cokernels
+    # were shared by span): the cokernels of the Ext scan are wide and
+    # linear, and the signature criteria find each of their syzygies by a
+    # reduction, mostly to zero, where the chain criterion skips it.  The
+    # count leaves out the reduced bases built on demand after a run.
     rep = run_script(parse_script((SCRIPTS / "example-2-3.gor").read_text()), RunFlags())
     assert rep["exit_code"] == EXIT_OK
-    assert buchberger_reductions.count == 4694
+    assert buchberger_reductions.count == 4625
 
 
 def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
