@@ -34,6 +34,7 @@ only when something iterates it.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import mul
 
 from .errors import DegreeCapError, InvariantViolation
 from .poly import Polynomial, PolyRing
@@ -549,15 +550,20 @@ def tp_series(a: dict[int, int], weights: tuple[int, ...], upto: int) -> dict[in
 # -- numerators of monomial quotients ---------------------------------------
 
 
-def _exp_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _minimalize_exps(gens) -> tuple[tuple[int, ...], ...]:
-    degs = sorted(set(gens), key=lambda g: (sum(g), g))
-    keep: list[tuple[int, ...]] = []
-    for g in degs:
-        if not any(_exp_divides(h, g) for h in keep):
+def _minimal_packed(gens, high: int) -> tuple[int, ...]:
+    """The minimal generators, ascending, of the monomial ideal generated
+    by `gens`, exponent vectors packed as `monomial_quotient_numerator`
+    packs them.  Ascending order walks divisors before their multiples,
+    and h divides g when every byte of (g | high) - h keeps its high bit
+    (`high` holds 0x80 in each exponent byte): a SWAR test with no borrow
+    between bytes, since exponents stay below 128."""
+    keep: list[int] = []
+    for g in sorted(set(gens)):
+        gh = g | high
+        for h in keep:
+            if (gh - h) & high == high:
+                break
+        else:
             keep.append(g)
     return tuple(keep)
 
@@ -586,21 +592,56 @@ def monomial_quotient_numerator(
     gens: tuple[tuple[int, ...], ...], weights: tuple[int, ...]
 ) -> dict[int, int]:
     """Numerator of the Hilbert series of S/(monomial ideal) over the
-    denominator prod_v (1 - t^{w_v})."""
-    gens = _minimalize_exps(gens)
+    denominator prod_v (1 - t^{w_v}), the ideal given by exponent vectors.
+
+    Each vector is packed into one int: its total degree above one byte
+    per variable, the first variable highest, so integer order is the
+    order by degree, then lexicographic.  The numerator is then
+    `_packed_numerator` of the minimal generators."""
+    n = len(weights)
+    packed = []
+    for g in gens:
+        key = sum(g)
+        for e in g:
+            key = key << 8 | e
+        packed.append(key)
+    return _packed_numerator(_minimal_packed(packed, _swar_high(n)), weights)
+
+
+def _swar_high(nvars: int) -> int:
+    return int.from_bytes(b"\x80" * nvars, "big")
+
+
+def _packed_numerator(gens: tuple[int, ...], weights: tuple[int, ...]) -> dict[int, int]:
+    """Numerator for the packed minimal generators `gens`, ascending: with
+    g the last of them and I' the ideal of the others, HN(S/I) =
+    HN(S/I') - t^{deg g} HN(S/(I' : g)), both memoized on their packed
+    minimal generators.  The colon's generators are h / gcd(h, g), the
+    bytewise max(h_v - g_v, 0), formed with SWAR as `_minimal_packed`
+    tests divisibility: after (h | high) - g a byte keeps its high bit
+    exactly where h_v >= g_v, and its low seven bits are then h_v - g_v."""
     if not gens:
         return {0: 1}
-    if any(sum(g) == 0 for g in gens):
+    if gens[0] == 0:
         return {}
 
     def build():
-        pivot = gens[-1]
-        rest = gens[:-1]
-        colon = tuple(tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in rest)
-        wdeg = sum(w * e for w, e in zip(weights, pivot))
+        n = len(weights)
+        bits = 8 * n
+        mask = (1 << bits) - 1
+        high = _swar_high(n)
+        *rest, pivot = gens
+        low = pivot & mask
+        colon = []
+        for h in rest:
+            t = ((h & mask) | high) - low
+            top = t & high
+            c = t & (top - (top >> 7))
+            colon.append(sum(c.to_bytes(n, "big")) << bits | c)
+        wdeg = sum(map(mul, weights, low.to_bytes(n, "big")))
         return _tp_sub(
-            monomial_quotient_numerator(rest, weights),
-            _tp_shift(monomial_quotient_numerator(colon, weights), wdeg),
+            _packed_numerator(tuple(rest), weights),
+            _tp_shift(_packed_numerator(_minimal_packed(colon, high), weights), wdeg),
         )
 
     return _lru_get(_numerator_memo, (weights, gens), build, NUMERATOR_BOUND)
@@ -784,22 +825,25 @@ def syzygies_for(ctx: RingCtx, vectors: list[dict], rank: int) -> list[dict]:
     return out
 
 
-def lead_exponents_by_comp(gbv: VectorGB, rank: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Exponent vectors of the lead monomials, grouped by component."""
-    ring = gbv.ring
-    codec = gbv.codec
-    groups: list[list[tuple[int, ...]]] = [[] for _ in range(rank)]
-    for k in gbv.leads():
-        groups[codec.comp_of(k)].append(ring.decode_monomial(codec.mono_of(k)))
-    return [tuple(g) for g in groups]
-
-
 def component_numerators(ctx: RingCtx, gbv: VectorGB, rank: int) -> list[dict[int, int]]:
     """Per component c, the Hilbert numerator of S / in(span)_c: the lead
     module depends on the span and the monomial order alone, so these
-    carry no twist."""
-    weights = ctx.ring.weights
-    return [monomial_quotient_numerator(exps, weights) for exps in lead_exponents_by_comp(gbv, rank)]
+    carry no twist.  Lead monomials are packed as
+    `monomial_quotient_numerator` packs exponent vectors, straight from
+    their keys: a key's exponent bytes hold 127 - e_v, the last variable
+    highest, so subtracting them from the unit's gives e_v, and reversing
+    the bytes puts the first variable highest."""
+    ring = ctx.ring
+    codec = gbv.codec
+    n = ring.nvars
+    bits = 8 * n
+    unit, expmask = ring._codec.unit_exp, ring._codec.expmask
+    groups: list[list[int]] = [[] for _ in range(rank)]
+    for k in gbv.leads():
+        exps = (unit - (codec.mono_of(k) & expmask)).to_bytes(n, "little")
+        groups[codec.comp_of(k)].append(sum(exps) << bits | int.from_bytes(exps, "big"))
+    high = _swar_high(n)
+    return [_packed_numerator(_minimal_packed(g, high), ring.weights) for g in groups]
 
 
 def twisted_numerator(parts: list[dict[int, int]], twists: tuple[int, ...]) -> dict[int, int]:

@@ -15,7 +15,13 @@ series decide runs no syzygy computation (`_certified_step`): each
 resolution keeps HS(Omega_0), HS(Omega_1), ... (`_syzygy_series`), a
 zero kernel series ends the resolution wherever HS(M) is known, and a
 cyclic module whose one or two relations form a regular sequence, which
-its Hilbert series tests, is resolved by its Koszul complex.
+its Hilbert series tests, is resolved by its Koszul complex.  Over a
+hypersurface, a context whose ideal has a one-element Groebner basis
+{f}, a resolution of infinite length ends in a matrix factorization of f
+(Eisenbud, Trans. AMS 260, 1980): a step where three neighbouring terms
+have one rank tests for it (`_matrix_factorization`), and once it is
+found every later step is served by a shift of deg f, with no
+computation.
 
 Derived functors come by two routes that share no homology code.  Each
 route has one body for both functors, keyed by kind ("ext" or "tor"), and
@@ -49,8 +55,11 @@ returns dimensions only (`ExtTorResult`):
   every cokernel with the same span, whatever its twists.  C_j lives
   with the resolution of M, one memo per N (`_derived_memo`), so
   neighbouring indices of a scan share it and it goes when the
-  resolution does.  `ext_profile` / `tor_profile` are `derived_dims`
-  refusing infinite length; the scans and depth tests use it too.
+  resolution does.  Past the seam of a periodic tail each value is the
+  one two indices below, shifted, so over a hypersurface a scan costs
+  about as much at H = 320 as at H = 10.  `ext_profile` / `tor_profile`
+  are `derived_dims` refusing infinite length; the scans and depth tests
+  use it too.
 
 Both routes check the complex, so a broken differential raises instead
 of giving wrong values: off the artinian locus `_check_square_zero`
@@ -192,6 +201,54 @@ def _certified_step(res, n):
     return list(syz.columns), syz.col_degrees
 
 
+def _matrix_factorization(ctx, d, e, prev, nxt):
+    """The step d_{n+1} C^{-1} with its twists, as `_syzygy_step` returns a
+    step, when d = d_n and e = d_{n+1}, between free modules of one rank
+    on the twists `prev` (F_{n-1}) and `nxt` (F_{n+1}), lift to S with
+    d e = f C for the one Groebner basis element f of the ideal and a
+    constant invertible C; else None.  Then (d_n, d_{n+1} C^{-1}) is a
+    matrix factorization of f, and its columns are indexed by F_{n-1}'s
+    generators, each of F_{n-1}'s twist plus deg f.
+
+    Columns are normal forms, so they are their own lifts.  A constant
+    graded C maps F_{n+1} onto F_{n-1}(-deg f), so the twists must match
+    first; the entries of d e then have degree at most max(nxt) -
+    min(prev), which the degree cap must bound, since products are formed
+    unchecked.  Each column of d e is f times a constant vector when its
+    keys at f's lead give the vector and it equals that vector times f.
+    C^{-1} is read off the reduced echelon form of [C^T | I]: C is
+    invertible when every pivot lies in the C^T block, and the row with
+    pivot r then holds the coefficients of the column of e C^{-1} at r."""
+    (f,), (lead,) = ctx.ideal_gb, ctx.ideal_leads
+    ring = ctx.ring
+    shift = ring.mono_degree(lead)
+    rank = len(prev)
+    if sorted(nxt) != sorted(a + shift for a in prev) or max(nxt) - min(prev) > ring.degree_cap:
+        return None
+    codec, p = ctx.codec, ring.field.p
+    inv = pow(f[lead], p - 2, p)
+    rows = []
+    for s, col in enumerate(e):
+        img = _combine_columns(ctx, d, col)
+        row = {codec.comp_of(k): c * inv % p for k, c in img.items() if codec.mono_of(k) == lead}
+        if img != {codec.mkey(m, r): x * c % p for r, c in row.items() for m, x in f.items()}:
+            return None
+        row[rank + s] = 1
+        rows.append(row)
+    basis = _insert_rows(rows, p, reduced=True)
+    if any(r >= rank for r in basis):
+        return None
+    out = []
+    for r in range(rank):
+        acc: dict[int, int] = {}
+        for s, a in basis[r].items():
+            if s >= rank:
+                for k, c in e[s - rank].items():
+                    acc[k] = (acc.get(k, 0) + a * c) % p
+        out.append({k: c for k, c in acc.items() if c})
+    return out, tuple(a + shift for a in prev)
+
+
 class Resolution:
     """Lazily extended minimal graded free resolution.
 
@@ -215,6 +272,9 @@ class Resolution:
         self._omega: list[dict[int, int]] = []
         # id(N) -> (weak reference to N, memo): see `_derived_memo`.
         self._derived: dict[int, tuple[weakref.ref, dict]] = {}
+        # (n, deg f) once d_n and d_{n+1} form a matrix factorization of f:
+        # see `_step`.
+        self._period: tuple[int, int] | None = None
 
     def known_pd(self) -> int | None:
         """Projective dimension if the resolution has terminated, else None."""
@@ -241,7 +301,24 @@ class Resolution:
         the twists shifted by the difference.  Off the locus Groebner's
         degree-cap tests read absolute degrees, so nothing is memoized;
         a step the Hilbert series certify (`_certified_step`) runs no
-        syzygy computation, and every other step is computed."""
+        syzygy computation, and every other step is computed.
+
+        Over a hypersurface, a context whose ideal has a one-element
+        Groebner basis {f}, the tail of every minimal resolution of
+        infinite length is a matrix factorization of f (Eisenbud, Trans.
+        AMS 260, 1980).  So each step taken where F_{n-1}, F_n and F_{n+1}
+        have one rank is tested (`_matrix_factorization`): when d_n d_{n+1}
+        = f C over S with C constant and invertible, d_{n+1} becomes
+        d_{n+1} C^{-1} before anything reads it, F_{n+1} takes the twists
+        of F_{n-1} plus deg f, and n is recorded.  The new d_{n+1} has the
+        old one's image, so the resolution stays minimal, and d_{n+1} d_n =
+        f too, so from step n + 2 on every step is served with no
+        computation: d_m = d_{m-2}, shared read-only, and F_m is F_{m-2}
+        plus deg f.  Served differentials need not be what a computed step
+        would give, but ranks and twists are, and so is every Ext and Tor
+        value.  A served step forms no monomial, so it never raises
+        `DegreeCapError`, and `extend_to` counts its rank against the
+        budget like any other."""
         n = len(self._twists) - 1
         if n == 0:
             cols = [dict(c) for c in self.module.columns]
@@ -250,6 +327,10 @@ class Resolution:
                 return
             self._diffs.append(cols)
             self._twists.append(tuple(self.module.col_degrees))
+            return
+        if self._period is not None and n + 1 >= self._period[0] + 2:
+            self._diffs.append(self._diffs[n - 2])
+            self._twists.append(tuple(a + self._period[1] for a in self._twists[n - 1]))
             return
         cur, prev, d = self._twists[n], self._twists[n - 1], self._diffs[n - 1]
         ctx = self.ctx
@@ -267,8 +348,25 @@ class Resolution:
         if not cols:
             self._pd = n
             return
+        if len(ctx.ideal_gb) == 1 and len(prev) == len(cur) == len(cols):
+            mf = _matrix_factorization(ctx, d, cols, prev, degs)
+            if mf is not None:
+                cols, degs = mf
+                self._period = (n, degs[0] - prev[0])
         self._diffs.append(cols)
         self._twists.append(degs)
+
+    def _tail_base(self, i: int) -> tuple[int, int]:
+        """(b, s): past the seam of a periodic resolution (i >= n + 2, n as
+        recorded by `_step`), the complex around F_i, the maps d_i and
+        d_{i+1} between F_{i-1}, F_i and F_{i+1}, is the one around F_b
+        with every twist plus s, b in {n, n + 1} of i's parity; (i, 0)
+        elsewhere."""
+        if self._period is None or i < self._period[0] + 2:
+            return i, 0
+        start, shift = self._period
+        b = start + (i - start) % 2
+        return b, (i - b) // 2 * shift
 
     def rank(self, i: int) -> int:
         return len(self.twists_of(i))
@@ -556,8 +654,10 @@ def _matrix_builder(kind, nreal, res, j):
 def _derived_memo(res: Resolution, Nm: PresentedModule) -> dict:
     """Work on `res` shared across indices for one second argument, the
     minimal presentation Nm of N: ("coker", kind, j) -> C_j, the series of
-    X_j modulo the image of the map into it (`_coker_series`), and
-    ("term", kind, j) -> the series of X_j (`_term_series`).
+    X_j modulo the image of the map into it (`_coker_series`),
+    ("term", kind, j) -> the series of X_j (`_term_series`), and
+    ("value", kind, b) -> the value at b that `derived_dims` reads,
+    shifted, at the indices past the seam of a periodic tail.
 
     The memo lives on the resolution, so it goes when the resolution
     leaves its cache.  It holds Nm by a weak reference and finds it by
@@ -821,6 +921,14 @@ def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> d
     zero, on it a negative dimension raises.  This is the complete
     route's homology body (`_via_complete`); `ext` / `tor`, which take
     homology as subquotients, are the cross-check.
+
+    Past the seam of a periodic tail (`Resolution._tail_base`), the maps
+    and terms around F_i are those around F_b, b in {n, n + 1}, with every
+    twist raised by s, so C_i, C_o and the check at i are the computation
+    at b shifted: the value at b, computed and checked once, is read with
+    its degrees moved by s, down for ext and up for tor, as X_i's copies
+    of N move.  The check is implied there, not skipped.  Seam indices
+    are computed and checked like any other.
     """
     if kind not in ("ext", "tor"):
         raise ValueError(f"unknown derived functor {kind!r}")
@@ -833,6 +941,16 @@ def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> d
     res = resolution_of(Mm)
     if not res.twists_of(i) or Nm.rank0 == 0:
         return {}
+    b, s = res._tail_base(i)
+    if s:
+        # Past the seam the complex at i is the one at b shifted: read its
+        # value, computed and checked once (`_derived_memo`), shifted too.
+        memo = _derived_memo(res, Nm)
+        key = ("value", kind, b)
+        if key not in memo:
+            memo[key] = derived_dims(kind, Mm, Nm, b)
+        hit = memo[key]
+        return None if hit is None else {d - _STEP[kind] * s: v for d, v in hit.items()}
     o = i + _STEP[kind]
     hs = _coker_series(kind, res, Nm, i)
     if o >= 0 and res.rank(o):

@@ -674,6 +674,194 @@ def test_groebner_steps_match_the_reference_syzygies(monkeypatch, ring):
     assert got == [_resolved(random_module(cfg, ctx, i), 5)[0] for i in range(12)]
 
 
+def _no_factorization(mp):
+    """Make every resolution step past a matrix factorization computed:
+    `_matrix_factorization` never finds one."""
+    mp.setattr(resolution, "_matrix_factorization", lambda *args: None)
+
+
+# Per hypersurface: the line cut out by two linear forms that are not a
+# regular sequence (Betti numbers 1, 2, 2, 2, ...), and a matrix
+# factorization of f, whose cokernel has Betti numbers 2, 2, 2, ...
+HYPERSURFACES = {
+    "quadric": (("w - 7*y", "z - 7*x"), [["w", "y"], ["z", "x"]]),
+    "cubic": (("w + x", "y + z"), [["w + x", "-y^2 + y*z - z^2"], ["y + z", "w^2 - w*x + x^2"]]),
+}
+
+
+def _hypersurface_modules(ring, name):
+    """A fresh context of `ring`, the line on the hypersurface, and the
+    modules to resolve: k, dual(N) for N the cokernel of the variable
+    column (`example-2-3.gor`), the line, the matrix factorization's
+    cokernel, the first 20 seed-1 cyclic draws and their third syzygies."""
+    ctx = make_ctx(*ring)
+    rels, mf = HYPERSURFACES[name]
+    N = PresentedModule.from_matrix(ctx, [["w"], ["x"], ["y"], ["z"]])
+    line = PresentedModule.from_matrix(ctx, [list(rels)])
+    cfg = ExperimentConfig(seed=1, max_generators=1)
+    draws = [random_module(cfg, ctx, i) for i in range(20)]
+    mods = [k_of(ctx), dual_module(N), line, PresentedModule.from_matrix(ctx, mf)]
+    return line, mods + draws + [syzygy(M, 3) for M in draws]
+
+
+def _windowed(line, mods, tops):
+    """For each module, resolved to its top: twists, Betti table, the dims
+    of scan_ext and scan_tor against k and against the line on the window
+    [1, top - 1] (ext at H reads F_{H+1}), and the graded dims of each
+    value there."""
+    k = k_of(line.ctx)
+    out = []
+    for M, top in zip(mods, tops):
+        res = resolution_of(M.minimal_presentation()).extend_to(top)
+        scans = [scan(M, N, top - 1).dims for scan in (scan_ext, scan_tor) for N in (k, line)]
+        graded = [derived_dims(kind, M, N, i) for kind in _STEP for N in (k, line) for i in range(top)]
+        out.append(([res.twists_of(i) for i in range(top + 1)], res.betti_table(top), scans, graded))
+    return out
+
+
+@pytest.mark.parametrize("ring", [QUADRIC, CUBIC], ids=["quadric", "cubic"])
+def test_served_steps_equal_computed_ones(monkeypatch, ring, request):
+    # Over a hypersurface, once d_n and d_{n+1} C^{-1} form a matrix
+    # factorization, the resolution serves d_m = d_{m-2} with twists
+    # raised by deg f, and `derived_dims` reads an index past the seam as
+    # the one two below it, shifted.  Each module, resolved three periods
+    # past the start n of its tail, must have the twists, Betti table and
+    # Ext/Tor dims that computing every step gives.  The tail starts at 4
+    # for k (Betti numbers 1, 4, 7, 8, 8, ... over both rings), at 2 for
+    # dual(N) and the line, and at 1 for the matrix factorization.  The
+    # seeded cyclic draws are complete intersections of projective
+    # dimension at most 2, so their third syzygies are zero, and none of
+    # them gets a tail.
+    name = request.node.callspec.id
+    line, mods = _hypersurface_modules(ring, name)
+    starts = []
+    for M in mods:
+        res = resolution_of(M.minimal_presentation()).extend_to(8)
+        starts.append(None if res._period is None else res._period[0])
+        assert (res._period is None) == (res.known_pd() is not None)
+    assert starts[:4] == [4, 2, 2, 1]
+    assert starts[4:] == [None] * 40
+    tops = [7 if s is None else max(s + 6, 7) for s in starts]
+    served = _windowed(line, mods, tops)
+    _no_factorization(monkeypatch)
+    line, again = _hypersurface_modules(ring, name)
+    computed = _windowed(line, again, tops)
+    assert all(resolution_of(M.minimal_presentation())._period is None for M in again)
+    assert served == computed
+
+
+@pytest.mark.parametrize(
+    "ring", [(("x",), ("x^3",)), (("x", "y"), ("x^2*y",))], ids=["x3-artinian", "x2y"]
+)
+def test_served_steps_equal_computed_ones_on_small_hypersurfaces(monkeypatch, ring):
+    # The tail is served on every hypersurface: over GF(101)[x]/(x^3),
+    # which is artinian, and over GF(101)[x, y]/(x^2 y), whose f is not
+    # reduced, k, R/(x) and seeded modules must have the twists and graded
+    # Ext/Tor values that computing every step gives, to step 14.
+    def record():
+        ctx = make_ctx(*ring)
+        cfg = ExperimentConfig(seed=3, max_generators=2)
+        mods = [k_of(ctx), cyclic(ctx, "x")] + [random_module(cfg, ctx, i) for i in range(6)]
+        out = []
+        for M in mods:
+            res = resolution_of(M.minimal_presentation()).extend_to(14)
+            values = [derived_dims(kind, M, N, i) for kind in _STEP for N in mods[:2] for i in range(13)]
+            out.append(([res.twists_of(i) for i in range(15)], values, res._period is not None))
+        return out
+
+    served = record()
+    assert served[0][2] and served[1][2]
+    _no_factorization(monkeypatch)
+    computed = record()
+    assert [a[:2] for a in served] == [b[:2] for b in computed]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [NILSQUARES, GOR5, (("w", "x", "y", "z"), ("w*x", "y*z")), (("w", "x", "y", "z"), ())],
+    ids=["nilsquares", "gor5", "wx-yz", "polynomial"],
+)
+def test_no_tail_off_hypersurfaces(monkeypatch, ring):
+    # Only an ideal with a one-element Groebner basis is tested for a
+    # matrix factorization: k and seeded modules over these rings, two of
+    # them artinian, one a complete intersection of codimension 2 and one
+    # a polynomial ring, never get a tail, and the test never runs.
+    calls = []
+    monkeypatch.setattr(resolution, "_matrix_factorization", lambda *args: calls.append(args))
+    ctx = make_ctx(*ring)
+    cfg = ExperimentConfig(seed=1)
+    for M in [k_of(ctx)] + [random_module(cfg, ctx, i) for i in range(8)]:
+        res = _resolve_all([M.minimal_presentation()], 8, 200)[0]
+        assert res._period is None
+    assert not calls
+
+
+def test_served_steps_count_against_the_rank_budget(monkeypatch):
+    # `extend_to` checks the budget before every step, served or not:
+    # k over the quadric (tail from step 4, ranks 8 from F_3 on) stops
+    # where every step computed stops.
+    ctx = make_ctx(*QUADRIC)
+    budgets = (40, 100, 200)
+    served = [_resolve_all([k_of(ctx)], 60, b)[0] for b in budgets]
+    assert all(res._period == (4, 2) for res in served)
+    _no_factorization(monkeypatch)
+    fresh = make_ctx(*QUADRIC)
+    computed = [_resolve_all([k_of(fresh)], 60, b)[0] for b in budgets]
+    for a, b, budget in zip(served, computed, budgets):
+        assert a._twists == b._twists
+        assert sum(map(len, a._twists[:-1])) <= budget < sum(map(len, a._twists))
+
+
+def test_served_steps_pass_the_degree_cap_where_computed_ones_do(monkeypatch):
+    # A served step forms no monomial, so it raises no DegreeCapError,
+    # although its twists pass the cap: under cap 3 over the quadric, k,
+    # dual(N) and the line resolve to step 40 (twists 40 and above).  With
+    # every step computed, they resolve to step 12 under the same cap,
+    # with the same twists.  Under cap 2 k and dual(N) raise at the same
+    # step both ways, before any tail is found.
+    def resolve(cap, top):
+        ring = PolyRing(FieldSpec(101), QUADRIC[0], degree_cap=cap)
+        ctx = RingCtx(ring, [ring.parse(QUADRIC[1][0])])
+        N = PresentedModule.from_matrix(ctx, [["w"], ["x"], ["y"], ["z"]])
+        line = PresentedModule.from_matrix(ctx, [list(HYPERSURFACES["quadric"][0])])
+        out = []
+        for M in (k_of(ctx), dual_module(N), line):
+            res = Resolution(M.minimal_presentation())
+            try:
+                res.extend_to(top)
+                out.append([res.twists_of(i) for i in range(top + 1)])
+            except DegreeCapError:
+                out.append(("raised at", len(res._twists), res._period))
+        return out
+
+    served = resolve(3, 40)
+    assert all(min(twists[40]) >= 40 for twists in served)
+    low = resolve(2, 12)
+    assert low[:2] == [("raised at", 3, None), ("raised at", 2, None)]
+    _no_factorization(monkeypatch)
+    assert resolve(3, 12) == [twists[:13] for twists in served]
+    assert resolve(2, 12)[:2] == low[:2]
+
+
+def test_wide_window_groebner_work_is_pinned(buchberger_runs):
+    # scan_ext(k, dual(N), H) of `example-2-3.gor`, on a fresh context for
+    # each H, makes 12 Groebner runs at H = 10, 40 and 160: k's tail
+    # starts at step 4, so the scan computes indices up to 5 and reads
+    # every later one off them, shifted, and the served steps form
+    # nothing.  It made 22, 52 and 172 when every step and every index was
+    # computed: 6 more syzygy runs for the steps to F_11, 4 more cokernel
+    # bases up to index 10 and one more basis for each index past 10.
+    runs = []
+    for H in (10, 40, 160):
+        ctx = make_ctx(*QUADRIC)
+        Nd = dual_module(PresentedModule.from_matrix(ctx, [["w"], ["x"], ["y"], ["z"]]))
+        buchberger_runs.reset()
+        dims = scan_ext(k_of(ctx), Nd, H).dims
+        assert list(dims.values()) == [0, 1] + [8] * (H - 2)
+        runs.append(buchberger_runs.count)
+    assert runs == [12, 12, 12]
+
+
 def test_groebner_steps_work_is_pinned(monkeypatch, buchberger_runs, buchberger_reductions):
     # The quadric half of those resolutions, pinned by its Groebner work:
     # 24 runs making 211 reductions (272 in as many runs when tagged runs
@@ -809,7 +997,7 @@ def test_module_route_groebner_work_is_pinned(buchberger_runs):
         # when the realization still came from a Groebner basis).
         (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"), None, 5,
          [3, 8, 21], 0),
-        # coker [[w, y], [z, x]] against k over the quadric: 29 runs.  The
+        # coker [[w, y], [z, x]] against k over the quadric: 25 runs.  The
         # route reads each value off Hilbert series of cokernels
         # (`derived_dims`), one Groebner basis per complex term; it took 39
         # when it presented each value as a subquotient module (kernel
@@ -817,7 +1005,10 @@ def test_module_route_groebner_work_is_pinned(buchberger_runs):
         # took 28 while tagged runs used the Gebauer-Moeller body: one
         # kernel's syzygies from the signature run hold a generator beyond
         # the minimal ones, in a higher degree, and pruning it takes a basis.
-        (("w", "x", "y", "z"), ("w*x - y*z",), [["w", "y"], ["z", "x"]], 4, [2, 2], 29),
+        # It took 29 before resolutions over a hypersurface served their
+        # periodic tail: M is a matrix factorization, so its steps from 3
+        # on are served, and 4 syzygy runs are gone.
+        (("w", "x", "y", "z"), ("w*x - y*z",), [["w", "y"], ["z", "x"]], 4, [2, 2], 25),
     ],
     ids=["gor5", "quadric"],
 )

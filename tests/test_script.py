@@ -535,10 +535,15 @@ def test_cli_seed_flag_reaches_harness(tmp_path, capsys):
 
 def test_example_2_3_groebner_work_is_pinned(buchberger_runs):
     # Buchberger runs are deterministic, so the canned quadric script's
-    # Groebner work is pinned as an exact count: 58 with cokernel numerators
-    # shared by span (63 with one basis per cokernel: the matrix
-    # factorization M of the theorem21 check resolves periodically, so 7 of
-    # the script's 32 cokernels repeat an earlier span up to a twist; 232
+    # Groebner work is pinned as an exact count: 39 with the periodic tails
+    # of its resolutions served (k's from step 4, dual(N)'s from 2 and
+    # M's from 1), which take 15 fewer syzygy runs, and with the scan's
+    # indices past k's seam read off the two before them, which build 4
+    # fewer cokernel bases.  It was 58 with every step computed and
+    # cokernel numerators shared by span (63 with one basis per cokernel:
+    # the matrix factorization M of the theorem21 check resolves
+    # periodically, so 7 of the script's 32 cokernels repeat an earlier
+    # span up to a twist; 232
     # when every scan index built its homology module, 1886 when every
     # minimal-generator candidate had its own leave-one-out basis).  It
     # was 56 while the 26 tagged runs used the Gebauer-Moeller body: the
@@ -554,13 +559,15 @@ def test_example_2_3_groebner_work_is_pinned(buchberger_runs):
     assert by_kind["betti"]["betti"]["entries"] == [
         {"homological": i, "internal": i + 1, "rank": 8 if i else 7} for i in range(9)
     ]
-    assert buchberger_runs.count == 58
+    assert buchberger_runs.count == 39
 
 
 def test_example_2_3_groebner_reductions_are_pinned(buchberger_reductions):
-    # The reductions inside those 58 runs, one per input and one per S-pair
-    # the criteria keep, pinned the same way: 4625, every run
-    # signature-based.  It was 4694 while the 26 tagged runs used the
+    # The reductions inside those 39 runs, one per input and one per S-pair
+    # the criteria keep, pinned the same way: 2638, every run
+    # signature-based.  It was 4625 in 58 runs before the periodic tails
+    # were served (26 tagged runs, now 11, and 23 cokernel bases, now 19).
+    # It was 4694 while the 26 tagged runs used the
     # Gebauer-Moeller body: they now reduce 564 (320 before), since the
     # signature body finds each syzygy once by a reduction, and the 32
     # plain runs reduce 4061 (4374 in 30 runs before), on the cokernels
@@ -572,7 +579,7 @@ def test_example_2_3_groebner_reductions_are_pinned(buchberger_reductions):
     # count leaves out the reduced bases built on demand after a run.
     rep = run_script(parse_script((SCRIPTS / "example-2-3.gor").read_text()), RunFlags())
     assert rep["exit_code"] == EXIT_OK
-    assert buchberger_reductions.count == 4625
+    assert buchberger_reductions.count == 2638
 
 
 def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
