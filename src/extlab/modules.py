@@ -673,9 +673,10 @@ def subquotient(
     the target's relation echelon, the kernel is generated modulo the
     relation span of Q, which also checks that in_cols lie in the kernel,
     and its Hilbert function is read off that walk.  The direct route of
-    `resolution.ext` / `tor` runs that walk on X's free module, seeded
-    with X's relations and in_cols, and reads only its dimensions: no
-    module is presented.
+    `resolution.ext` / `tor` takes the same subquotient's dimensions on
+    N's realization instead (`resolution._realized_homology`), where no
+    relation is eliminated and no module is presented; the tests compare
+    the two.
     """
     Q = PresentedModule(X.ctx, X.row_twists, list(X.columns) + list(in_cols), _reduced=True)
     gens, degs, hf = _kernel_generators(out_cols, Q, target)

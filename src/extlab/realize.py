@@ -21,7 +21,7 @@ from .groebner import RingCtx
 from .linalg import insert_row
 from .modules import PresentedModule
 from .poly import Polynomial
-from .rows import FiniteLengthRealization, kernel_generators
+from .rows import FiniteLengthRealization, _packed, kernel_generators
 
 
 def to_presentation(real: FiniteLengthRealization) -> PresentedModule:
@@ -30,7 +30,8 @@ def to_presentation(real: FiniteLengthRealization) -> PresentedModule:
 
     In each degree the generators are the earliest unit vectors that
     extend the span of the variable images from below (`insert_row`);
-    the relations are `kernel_generators` of the induced cover.
+    the relations are `kernel_generators` of the induced cover, over the
+    ring's realization, packed as vectors of the cover (`rows._packed`).
     """
     ctx = real.ctx
     p = ctx.ring.field.p
@@ -61,7 +62,9 @@ def to_presentation(real: FiniteLengthRealization) -> PresentedModule:
 
     hi = (real.top or 0) + max(weights)
     degrees = range(min(twists), hi + 1)
-    return PresentedModule(ctx, twists, kernel_generators(ctx, twists, matrix_at, degrees)[0])
+    ring_real = FiniteLengthRealization.of_ring(ctx)
+    gens, degs, _ = kernel_generators(ring_real, twists, matrix_at, degrees)
+    return PresentedModule(ctx, twists, _packed(ctx, twists, gens, degs))
 
 
 def matlis_dual_module(mod: PresentedModule) -> PresentedModule:

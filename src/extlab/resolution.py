@@ -31,11 +31,14 @@ returns dimensions only (`ExtTorResult`):
   first argument and takes the homology of the induced Hom or tensor
   complex X as subquotients: the value at i is the kernel of the
   outgoing map on X_i modulo the incoming image, and no module is
-  presented.  Each term X_j is built once per call.  Over an artinian
-  context the graded dimensions come from the row-kernel walk that finds
-  the kernel's generators (`rows._map_kernel`), reading X_j copy by copy
-  off N's relation echelons; elsewhere from Hilbert series, HS(Q) minus
-  HS(Q modulo the kernel's unpruned generators), Q = X_i / im(in).
+  presented.  Over an artinian context X_i is taken in the coordinates
+  of N's realization, X_i,d the sum of N's pieces N_{d - t}
+  (`_realized_homology`): the graded dimensions come from the
+  row-kernel walk (`rows.kernel_generators`) over that realization,
+  seeded with the incoming map's columns, and each induced map is laid
+  out once per call.  Elsewhere each term X_j is built once per call,
+  and the dimensions come from Hilbert series, HS(Q) minus HS(Q modulo
+  the kernel's unpruned generators), Q = X_i / im(in).
 * The complete route, `ext_via_complete` / `tor_via_complete`
   (`_via_complete`), passes through a high syzygy and its dual and reads
   each functor off the opposite one, through `derived_dims` on both
@@ -64,12 +67,14 @@ returns dimensions only (`ExtTorResult`):
 Both routes check the complex, so a broken differential raises instead
 of giving wrong values: off the artinian locus `_check_square_zero`
 checks that the two maps at i compose to zero; on it the direct route's
-kernel walk does, and `derived_dims` refuses a negative dimension.
+kernel walk does (an incoming column outside the kernel is a seed row
+outside it), and `derived_dims` refuses a negative dimension.
 Ext and Tor differ only in twist sign, degree window and which
-neighbouring differential is outgoing; `_step_cols` lays out their
-free-cover columns with `modules._hom_columns` or `_tensor_columns`, and
-one degreewise matrix builder (`_matrix_builder`, a layout over
-`_block_builder`) serves both.
+neighbouring differential is outgoing; off the artinian locus
+`_step_cols` lays out their free-cover columns with
+`modules._hom_columns` or `_tensor_columns`, and on it one degreewise
+matrix builder on N's realization (`_matrix_builder`, a layout over
+`_block_builder`) serves both, and both routes.
 
 Agreement of the two routes on their common range is a regression anchor,
 not an implementation convenience: they must stay independent.
@@ -130,7 +135,7 @@ from .rows import (
     _block_builder,
     _echelon,
     _entry_blocks,
-    _map_kernel,
+    kernel_generators,
 )
 
 
@@ -562,25 +567,21 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     """Body of `ext` and `tor`: homology of Hom(F, N) or F (x) N, with F a
     minimal resolution of M.  Each value is the kernel of the outgoing map
     on X_i modulo the incoming image, and a broken differential raises
-    `InvariantViolation`.  Each term X_j, a sum of shifted copies of N, is
-    built once per call and serves both as X_i and as the target of the
-    map out of its neighbour.
+    `InvariantViolation`.
 
-    Over an artinian context one row-kernel walk (`rows._map_kernel`) on
-    X_i's free module gives the value's graded dimensions and makes the
-    check itself; X_i / im(in) is never presented.  Its map columns are
-    reduced copy by copy by N's own relation echelons, and its seed is
-    X_i's relation echelon, read off the same pieces of N, plus the
-    multiples of the incoming columns: an incoming column whose image is
-    nonzero in X_o is a seed row outside the kernel.  Off the artinian
-    locus `_check_square_zero` checks that the two maps compose to zero
-    first, since the Groebner kernel checks nothing; with Q = X_i / im(in)
-    = F / U and G the kernel's generators, the syzygies of [out | X_o's
+    Over an artinian context each value is taken on N's realization
+    (`_realized_homology`), and each induced map is laid out once per
+    call (`_matrix_builder`), serving as one index's outgoing map and as
+    its neighbour's incoming one.  Off the artinian locus each term X_j,
+    a sum of shifted copies of N, is built once per call and serves both
+    as X_i and as the target of the map out of its neighbour;
+    `_check_square_zero` checks that the two maps compose to zero first,
+    since the Groebner kernel checks nothing; with Q = X_i / im(in) =
+    F / U and G the kernel's generators, the syzygies of [out | X_o's
     relations] cut to X_i (`modules._syzygy_heads`, not pruned), the
     value's series is HS(Q) - HS(F / (U + G)), and the kernel is never
     presented.  Where no map leaves X_i (tor at 0, ext at the projective
-    dimension) the value is the Hilbert function of X_i / im(in) on both
-    loci."""
+    dimension) the value is the series of X_i / im(in)."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
@@ -596,6 +597,7 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     step = _STEP[kind]
     rb = Nm.rank0
     terms: dict[int, PresentedModule] = {}
+    maps: dict = {}  # j -> the map induced by d_j, on the artinian locus
 
     def term(j):
         if j not in terms:
@@ -606,14 +608,14 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         if not res.rank(i) or rb == 0:
             out.record(i, {})
             continue
+        if ctx.is_artinian:
+            real = FiniteLengthRealization.from_module(Nm)
+            out.record(i, _realized_homology(kind, res, real, i, maps))
+            continue
         o = i + step
         X = term(i)
         in_cols = _incoming_cols(kind, res, i, rb)
         out_cols = _step_cols(kind, res, max(i, o), rb) if res.rank(o) else None
-        if out_cols is not None and ctx.is_artinian:
-            dims = _map_kernel(ctx, out_cols, X.row_twists, term(o), seed=X, seed_cols=in_cols)[2]
-            out.record(i, dims)
-            continue
         Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
         if out_cols is None:
             # No map leaves X_i: the value is X_i / im(in).
@@ -625,6 +627,51 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         C = PresentedModule(ctx, X.row_twists, list(Q.columns) + gens)
         out.record(i, _finite_series(ctx, _tp_sub(Q.hilbert_numerator(), C.hilbert_numerator())))
     return out
+
+
+def _realized_homology(kind, res, real, i: int, maps: dict) -> dict[int, int]:
+    """Graded dimensions of ker(out) / im(in) at X_i, over an artinian
+    context, in the coordinates of N's realization `real`
+    (`FiniteLengthRealization.from_module`): X_i,d is the sum of N's
+    pieces N_{d - t}, t in `_term_shifts`.  `maps[j]` is the
+    `_matrix_builder` of the map induced by d_j on those coordinates,
+    made on first use and kept by the caller, so one builder serves as
+    one index's outgoing map and as its neighbour's incoming one.
+
+    The value is the walk `rows.kernel_generators` makes over N's
+    realization, on the outgoing map's matrices, seeded with the columns
+    of the incoming map's matrix, degree by degree: its dimensions are
+    the kernel's minus the rank of the incoming image, and its check
+    raises when an incoming column is not in the kernel, a d o d that is
+    not zero.  Where no map leaves X_i (tor at 0, ext at the projective
+    dimension) the value is dim X_i,d minus the rank of the incoming
+    matrix.  No module is presented."""
+    p = res.ctx.ring.field.p
+
+    def induced(j):
+        if j not in maps:
+            maps[j] = _matrix_builder(kind, real, res, j)
+        return maps[j]
+
+    twists = _term_shifts(kind, res, i)
+    src, o = i - _STEP[kind], i + _STEP[kind]
+    into = induced(max(i, src)) if src >= 0 and res.rank(src) else None
+    if not (o >= 0 and res.rank(o)):
+        hf = _shifted_sum(real.dims, twists)
+        if into is not None:
+            hf = _tp_sub(hf, {d: len(_insert_rows(into(d), p, reduced=False)) for d in hf})
+        return hf
+
+    def seed(d):
+        cols: dict[int, dict[int, int]] = {}
+        for r, row in enumerate(into(d)):
+            for c, x in row.items():
+                cols.setdefault(c, {})[r] = x
+        return list(cols.values())
+
+    degrees = range(min(twists) + min(real.dims), max(twists) + real.top + 1)
+    walk = kernel_generators(real, twists, induced(max(i, o)), degrees, seed if into else None)
+    return walk[2]
 
 
 def ext(M: PresentedModule, N: PresentedModule, indices: Iterable[int]) -> ExtTorResult:

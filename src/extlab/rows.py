@@ -15,15 +15,19 @@ realization of its own: F_d is copy after copy of R_{d - a_s}, each in
 `ctx.std_monomials` order, and the ring's realization acts on each copy.
 `_block_builder` writes the degree-d matrix of any map between sums of
 shifted copies of a realization as sparse rows; over the ring's own
-realization that is a map between free modules.  `kernel_generators`
-takes a degree-zero map out of such an F as those rows and returns
-minimal generators of its kernel, all on rows (`linalg`), with each
-generator's degree and the kernel's dimension in each degree, read off
-the same walk.  It skips two eliminations whose outcome is fixed: in a
-degree with no seed rows and no nonzero multiples from below, every
-kernel vector is a generator (each has its own unit free column), and
-in a degree where the map is zero, insertion stops once the span is all
-of F_d.
+realization that is a map between free modules, over a module N's a map
+between terms of a Hom or tensor complex into N.  `kernel_generators`
+takes a degree-zero map out of such a sum, given the realization whose
+copies make it up, as those rows and returns minimal generators of its
+kernel, all on rows (`linalg`), with each generator's degree and the
+kernel's dimension in each degree, read off the same walk.  Generators
+come in the sum's coordinates; over the ring's realization `_packed`
+turns them into vectors of F, for the free-module callers
+(`_map_kernel`, `realize.to_presentation`).  The walk skips two
+eliminations whose outcome is fixed: in a degree with no seed rows and
+no nonzero multiples from below, every kernel vector is a generator
+(each has its own unit free column), and in a degree where the map is
+zero, insertion stops once the span is the whole piece.
 
 A presented module M = F / U over an artinian context carries, per degree
 and built on first use, the reduced row echelon form of U_d with the
@@ -36,17 +40,17 @@ is read copy by copy off its base's echelons, which the base keeps:
 `_copy_pieces` gives each copy's piece and the offset of its coordinates
 in F_d, and no other code knows that layout.
 `_map_kernel` reduces a map's degree-d columns by the target's echelon,
-copy by copy, and passes the nullspace to `kernel_generators`, seeded
-with the source's relation echelon rows, copy by copy (`_copy_pieces`;
-a module that is no sum is one copy of itself), and the span of any
-extra vectors.  That is `modules._kernel_generators` on artinian
-contexts, behind `ModuleMap.kernel` and `modules.subquotient` (whose
-kernel module takes its Hilbert function from that walk), every
-presentation built by `modules._submodule` and, with a free target,
-every resolution step;
-with a term of a Hom or tensor complex as the source and the incoming
-columns as the extra vectors, it is the direct route of
-`resolution.ext` / `tor`.
+copy by copy, and passes the nullspace to `kernel_generators` over the
+ring's realization, seeded with the source's relation echelon rows,
+copy by copy (`_copy_pieces`; a module that is no sum is one copy of
+itself).  That is `modules._kernel_generators` on artinian contexts,
+behind `ModuleMap.kernel` and `modules.subquotient` (whose kernel
+module takes its Hilbert function from that walk), every presentation
+built by `modules._submodule` and, with a free target, every resolution
+step.  The direct route of `resolution.ext` / `tor` calls
+`kernel_generators` itself, over N's realization
+(`FiniteLengthRealization.from_module`), seeded with the incoming map's
+columns: it never eliminates N's relations again.
 `_minimal_generator_indices_rows` is the row body of
 `modules.minimal_generator_indices`.
 
@@ -415,24 +419,22 @@ def _from_module_rows(mod) -> FiniteLengthRealization:
 
 
 def _map_kernel(
-    ctx: RingCtx, cols, twists, target, seed=None, seed_cols=()
+    ctx: RingCtx, cols, twists, target, seed=None
 ) -> tuple[list[dict], list[int], dict[int, int]]:
     """Minimal generators of {x in F : sum_s x_s cols[s] = 0 in target},
     F = (+) R(-twists[s]), over an artinian context, modulo the relation
-    span of `seed` (a module presented on F) and the vectors `seed_cols`
-    of F when they are given, their degrees, and the Hilbert function of
-    that kernel modulo them (`kernel_generators`).
+    span of `seed` (a module presented on F) when it is given, their
+    degrees, and the Hilbert function of that kernel modulo the seed
+    (`kernel_generators` over the ring's realization, its generators
+    packed as vectors of F by `_packed`).
 
     The degree-d matrix is the span matrix of `cols` (`_span_rows`), each
     column reduced copy by copy by the target's relation echelon
     (`_copy_pieces`: for a sum of shifted copies, its base's pieces), so
-    its nullspace is the degree-d kernel.  The seed rows, the degree-d
-    relation span of the seed and the span of `seed_cols`, seed
-    `kernel_generators`' span, whose check then also asserts that they
-    lie in the kernel.  The seed gives its relation echelon rows, copy by
-    copy (`_copy_pieces`; a module that is no sum is one copy of itself),
-    and `seed_cols` every monomial multiple, with no echelon:
-    `kernel_generators` counts the rows that add a pivot.
+    its nullspace is the degree-d kernel.  The seed's degree-d relation
+    echelon rows, copy by copy (`_copy_pieces`; a module that is no sum
+    is one copy of itself), seed `kernel_generators`' span, whose check
+    then also asserts that they lie in the kernel.
     """
     if not twists:
         return [], [], {}
@@ -445,76 +447,86 @@ def _map_kernel(
             _reduce_columns(rows, piece.basis, piece.coord, off, p)
         return rows
 
-    rels = seed is not None and bool(seed.columns)
-    span_cols = [c for c in seed_cols if c]
-    span_degs = [vec_degree(ctx, c, twists) for c in span_cols]
-    span = _span_rows(ctx, twists, span_cols, span_degs) if span_cols else None
-
     def seed_at(d):
         out = []
-        if rels:
-            for off, piece in _copy_pieces(seed, d):
-                coord = piece.coord
-                out += ({off + coord[c]: x for c, x in row.items()} for row in piece.basis.values())
-        if span is not None:
-            vecs: dict[int, dict[int, int]] = {}
-            for r, row in enumerate(span(d)):
-                for s, x in row.items():
-                    vecs.setdefault(s, {})[r] = x
-            out += vecs.values()
+        for off, piece in _copy_pieces(seed, d):
+            coord = piece.coord
+            out += ({off + coord[c]: x for c, x in row.items()} for row in piece.basis.values())
         return out
 
     degrees = range(min(twists), max(twists) + ctx.top_degree + 1)
-    seeded = rels or span is not None
-    return kernel_generators(
-        ctx, twists, reduced_at if target.columns else at, degrees, seed_at if seeded else None
+    real = FiniteLengthRealization.of_ring(ctx)
+    seeded = seed is not None and bool(seed.columns)
+    gens, degs, dims = kernel_generators(
+        real, twists, reduced_at if target.columns else at, degrees, seed_at if seeded else None
     )
+    return _packed(ctx, twists, gens, degs), degs, dims
+
+
+def _packed(ctx: RingCtx, twists: Sequence[int], gens, degs) -> list[dict]:
+    """Kernel vectors of a map out of F = (+) R(-twists[s]), as
+    `kernel_generators` returns them over the ring's realization, as
+    packed vectors of F: coordinate i of copy s in degree d is the i-th
+    monomial of `ctx.std_monomials(d - twists[s])` in component s."""
+    mkey = ctx.codec.mkey
+    keys_at: dict[int, list[int]] = {}
+    out = []
+    for u, d in zip(gens, degs):
+        keys = keys_at.get(d)
+        if keys is None:
+            keys = keys_at[d] = [
+                mkey(m, s) for s, a in enumerate(twists) for m in ctx.std_monomials(d - a)
+            ]
+        out.append({keys[k]: u[k] for k in sorted(u)})
+    return out
 
 
 def kernel_generators(
-    ctx: RingCtx, twists: Sequence[int], matrix_at, degrees, seed=None
+    real: FiniteLengthRealization, twists: Sequence[int], matrix_at, degrees, seed=None
 ) -> tuple[list[dict], list[int], dict[int, int]]:
     """Minimal generators of the kernel of a degree-zero linear map out of
-    F = (+) R(-twists[s]) over an artinian context, given by its degree-d
-    matrix `matrix_at(d)` as sparse rows over F_d; with `seed(d)` (sparse
-    rows over F_d spanning the degree-d part of a submodule of the
-    kernel), minimal generators modulo that submodule.  Also returns each
-    generator's degree, the degree of the walk that found it, and the
-    dimension of the kernel modulo that submodule in each degree walked,
-    where it is nonzero: the Hilbert function of the module the
-    generators generate, when `degrees` covers F.
+    X = (+) V(-twists[s]), V the finite-length module the realization
+    `real` realizes, given by its degree-d matrix `matrix_at(d)` as sparse
+    rows over X_d; with `seed(d)` (sparse rows over X_d spanning the
+    degree-d part of a submodule of the kernel), minimal generators
+    modulo that submodule.  Also returns each generator's degree, the
+    degree of the walk that found it, and the dimension of the kernel
+    modulo that submodule in each degree walked, where it is nonzero: the
+    Hilbert function of the module the generators generate, when
+    `degrees` covers X.  Over the ring's realization X is a free module;
+    over a module N's, X is a term of a Hom or tensor complex into N.
 
-    F_d lists copy after copy, each piece R_{d - twists[s]} in
-    `ctx.std_monomials` order.  Walks `degrees` upward (they must include
-    every degree of F up to the last kernel generator).  In each one the
-    kernel is `nullspace_rows`, and the new generators are the kernel
-    vectors, in order, that extend the span of the seed rows and the
-    variable multiples of the kernels one weight below (graded Nakayama,
-    through `insert_row`).  The seed rows go in first, so the rank of
-    their span is the number of them that add a pivot, and the degree-d
-    dimension is the kernel's minus that rank.
+    X_d lists copy after copy, each piece V_{d - twists[s]} in `real`'s
+    basis order, and a generator is a sparse vector over those
+    coordinates (`_packed` turns them into vectors of a free module).
+    Walks `degrees` upward (they must include every degree of X up to the
+    last kernel generator).  In each one the kernel is `nullspace_rows`,
+    and the new generators are the kernel vectors, in order, that extend
+    the span of the seed rows and the variable multiples of the kernels
+    one weight below (graded Nakayama, through `insert_row`).  The seed
+    rows go in first, so the rank of their span is the number of them
+    that add a pivot, and the degree-d dimension is the kernel's minus
+    that rank.
 
     Two eliminations are skipped because their outcome is already fixed,
     so the generators and the check are those of the full walk.  In a
     degree with no seed rows and no nonzero multiples every kernel vector
     is a generator: each has its own unit free column, so they are
     independent and the check holds.  In a degree where the matrix is
-    zero the kernel is all of F_d, so insertion stops once the span has
-    dimension dim F_d: no later vector can extend it, and none can lie
+    zero the kernel is all of X_d, so insertion stops once the span has
+    dimension dim X_d: no later vector can extend it, and none can lie
     outside the kernel, so the check cannot fail there.
     """
-    real = FiniteLengthRealization.of_ring(ctx)
-    p = ctx.ring.field.p
-    weights = ctx.ring.weights
-    mkey = ctx.codec.mkey
-    # d -> ((copy, index) label of each coordinate of F_d, kernel vectors)
+    p = real.ctx.ring.field.p
+    weights = real.ctx.ring.weights
+    # d -> ((copy, index) label of each coordinate of X_d, kernel vectors)
     kernels: dict[int, tuple[list[tuple[int, int]], list[dict[int, int]]]] = {}
-    out = []
+    out: list[dict[int, int]] = []
     degs: list[int] = []
     dims: dict[int, int] = {}
 
     def multiples(d, offsets):
-        """The nonzero variable multiples, in F_d, of the kernel vectors
+        """The nonzero variable multiples, in X_d, of the kernel vectors
         one weight below."""
         for v, w in enumerate(weights):
             below_labels, below = kernels.get(d - w, ((), ()))
@@ -528,13 +540,6 @@ def kernel_generators(
                 row = {r: x % p for r, x in img.items() if x % p}
                 if row:
                     yield row
-
-    def packed(d, labels, u):
-        vec = {}
-        for k in sorted(u):
-            s, i = labels[k]
-            vec[mkey(ctx.std_monomials(d - twists[s])[i], s)] = u[k]
-        return vec
 
     for d in degrees:
         labels: list[tuple[int, int]] = []
@@ -557,12 +562,12 @@ def kernel_generators(
         if not span:
             first = next(images, None)
             if first is None:
-                out += [packed(d, labels, u) for u in K]
+                out += K
                 degs += [d] * len(K)
                 dims[d] = len(K)
                 continue
             images = chain([first], images)
-        # With `whole`, everything lies in K = F_d: insertion stops at `full`.
+        # With `whole`, everything lies in K = X_d: insertion stops at `full`.
         full = len(K) if whole else -1
         basis: dict[int, dict[int, int]] = {}
         for row in span:
@@ -579,7 +584,7 @@ def kernel_generators(
             if len(basis) == full:
                 break
             if insert_row(basis, dict(u), p):
-                out.append(packed(d, labels, u))
+                out.append(u)
                 degs.append(d)
         # The seed rows and the multiples lie in the kernel exactly when
         # they span no more than the kernel vectors do.

@@ -893,7 +893,7 @@ def test_sum_echelon_matches_echelon_from_scratch(request, ring, seed):
     assert nontrivial >= checked // 4
 
 
-def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
+def _reference_kernel_generators(real, twists, matrix_at, degrees, seed=None):
     """`rows.kernel_generators` with every elimination made: each seed
     row, each variable multiple of the kernels below and each kernel
     vector is inserted in every degree, and the closure check runs in
@@ -904,7 +904,7 @@ def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
     degrees had a zero matrix, and how many had kernel vectors but no seed
     rows and no nonzero multiples: the degrees where `kernel_generators`
     skips work."""
-    real = FiniteLengthRealization.of_ring(ctx)
+    ctx = real.ctx
     p = ctx.ring.field.p
     kernels = {}
     out = []
@@ -949,11 +949,7 @@ def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
         fresh += not span and not multiples
         for u in K:
             if insert_row(basis, dict(u), p):
-                vec = {}
-                for k in sorted(u):
-                    s, i = labels[k]
-                    vec[ctx.codec.mkey(ctx.std_monomials(d - twists[s])[i], s)] = u[k]
-                out.append(vec)
+                out.append(u)
         if len(basis) != len(K):
             raise InvariantViolation("kernel not closed under the ring action")
     return out, dims, zero, fresh
@@ -962,13 +958,14 @@ def _reference_kernel_generators(ctx, twists, matrix_at, degrees, seed=None):
 @pytest.mark.parametrize("ring, seed", [("gor5", 61), ("nilsquares", 62)])
 def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, seed):
     # kernel_generators skips eliminations whose outcome is fixed; on every
-    # call the resolution steps (to step 6) and the row kernel of maps into
-    # non-free targets make, it must return the generators the full walk
-    # returns, column for column, term for term, and the same dimensions
-    # of the kernel modulo the seed rows, degree by degree.
+    # call the resolution steps (to step 6), the row kernel of maps into
+    # non-free targets and the direct route's walks over N's realization
+    # make, it must return the generators the full walk returns, column
+    # for column, term for term, and the same dimensions of the kernel
+    # modulo the seed rows, degree by degree.
     ctx = request.getfixturevalue(ring)
     fast = rows.kernel_generators
-    seen = {"calls": 0, "zero": 0, "fresh": 0, "seeded": 0}
+    seen = {"calls": 0, "zero": 0, "fresh": 0, "seeded": 0, "module": 0}
 
     def both(*args, **kwargs):
         got, degs, dims = fast(*args, **kwargs)
@@ -980,9 +977,11 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
         seen["fresh"] += fresh
         seed = args[4] if len(args) > 4 else kwargs.get("seed")
         seen["seeded"] += seed is not None
+        seen["module"] += args[0] is not FiniteLengthRealization.of_ring(ctx)
         return got, degs, dims
 
     monkeypatch.setattr(rows, "kernel_generators", both)
+    monkeypatch.setattr(resolution, "kernel_generators", both)
     cfg = ExperimentConfig(seed=seed)
     for i in range(3):
         Resolution(random_module(cfg, ctx, i)).extend_to(6)
@@ -990,7 +989,11 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
     assert maps
     for f in maps:
         f.kernel()
-    assert seen["calls"] and seen["zero"] and seen["fresh"] and seen["seeded"]
+    for i in range(2):
+        M, N = random_pair(cfg, ctx, i)
+        ext(M, N, range(4))
+        tor(M, N, range(4))
+    assert seen["calls"] and seen["zero"] and seen["fresh"] and seen["seeded"] and seen["module"]
 
 
 @pytest.mark.parametrize("ring, seed", [("quadric", 61), ("gor5", 62), ("nilsquares", 63)])
@@ -998,10 +1001,12 @@ def test_internal_map_columns_are_normal_forms(request, monkeypatch, ring, seed)
     # Callers inside the package that pass `_reduced=True` skip the ideal
     # reduction: their columns must already be normal forms, and the map
     # keeps them exactly as reducing them would (terms in the same order).
-    # The incoming columns of the Hom and tensor complexes, which
-    # `subquotient` and the cokernels of `derived_dims` take as they come,
-    # must be normal forms too, and so must the outgoing columns that
-    # `subquotient` takes.
+    # The incoming columns of the Hom and tensor complexes, which the
+    # direct route and the cokernels of `derived_dims` take as they come
+    # off the artinian locus, must be normal forms too, and so must the
+    # outgoing columns that `subquotient` takes.  Over an artinian ring no
+    # incoming column is built: both routes lay out the induced maps on
+    # N's realization (`resolution._matrix_builder`).
     ctx = request.getfixturevalue(ring)
     real = ModuleMap.__init__
     real_incoming = resolution._incoming_cols
@@ -1042,4 +1047,5 @@ def test_internal_map_columns_are_normal_forms(request, monkeypatch, ring, seed)
         dual_module(B)
         ident = ModuleMap.identity(A)
         assert not any(A.normal_form(c) for c in (ident + (-ident)).columns)
-    assert sum(checked) > 0 and sum(incoming) > 0 and sum(outgoing) > 0
+    assert sum(checked) > 0 and sum(outgoing) > 0
+    assert (sum(incoming) > 0) == (ring == "quadric")

@@ -73,6 +73,7 @@ from extlab.rows import (
     _echelon_of,
     _entry_blocks,
     _map_kernel,
+    _packed,
     _span_rows,
     kernel_generators,
 )
@@ -1238,20 +1239,33 @@ def test_evicted_resolution_is_rebuilt_identically(request, ring):
     assert (scan_ext(M, N, 6).to_json_dict(), scan_tor(M, N, 6).to_json_dict()) == patterns
 
 
-def _eager_homology(kind, M, N, i):
-    """The i-th value of the direct route as `subquotient` presents it
-    when called on the complex right away (index 0 of tor is M (x) N)."""
+def _cover_homology(kind, M, N, i):
+    """ker(out) / im(in) at X_i of the direct route's complex, taken on
+    the free cover: `subquotient` of the sum of shifted copies of N
+    (`_sum_of_shifts`) by the incoming columns (`_incoming_cols`), into
+    the next term by the outgoing `_step_cols`, or into the zero module
+    where no map leaves X_i."""
     Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
-    if kind == "tor" and i == 0:
-        return tensor_module(Mm, Nm)
     res = resolution_of(Mm).extend_to(i + 1)
     if not res.twists_of(i) or not Nm.rank0:
         return PresentedModule.zero(M.ctx)
+    rb = Nm.rank0
     o = i + _STEP[kind]
     X = _sum_of_shifts(Nm, _term_shifts(kind, res, i))
-    Xout = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
-    out_cols = _step_cols(kind, res, max(i, o), Nm.rank0)
-    return subquotient(X, _incoming_cols(kind, res, i, Nm.rank0), Xout, out_cols)
+    in_cols = _incoming_cols(kind, res, i, rb)
+    target, out_cols = PresentedModule.zero(M.ctx), []
+    if o >= 0 and res.rank(o):
+        target = _sum_of_shifts(Nm, _term_shifts(kind, res, o))
+        out_cols = _step_cols(kind, res, max(i, o), rb)
+    return subquotient(X, in_cols, target, out_cols)
+
+
+def _eager_homology(kind, M, N, i):
+    """The i-th value of the direct route as `subquotient` presents it
+    when called on the complex right away (index 0 of tor is M (x) N)."""
+    if kind == "tor" and i == 0:
+        return tensor_module(M.minimal_presentation(), N.minimal_presentation())
+    return _cover_homology(kind, M, N, i)
 
 
 @pytest.mark.parametrize("ring, seed", [("gor5", 73), ("nilsquares", 74)])
@@ -1286,6 +1300,33 @@ def test_direct_route_dims_match_eager_homology(request, ring, seed):
             assert got == ref._finite_hf() == _echelon_hf(ref), (pair, kind, i)
             nonzero += bool(results[kind].total(i))
     assert evicted and nonzero
+
+
+@pytest.mark.parametrize("ring, seed", [("gor5", 83), ("nilsquares", 84)])
+def test_direct_route_matches_free_cover_subquotient(request, ring, seed):
+    # Oracle for the direct route over an artinian ring, which takes each
+    # value on N's realization: its graded dimensions at i = 0..3, for
+    # ext and tor, must be the Hilbert function of the subquotient built
+    # on the free cover.  The corpus holds N with two or more generators,
+    # and the indices where no map leaves X_i: tor at 0, and ext at 0 of
+    # a free M, whose projective dimension is 0.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=seed)
+    pairs = [random_pair(cfg, ctx, idx) for idx in range(5)]
+    pairs += [(PresentedModule.free(ctx, (0, 1)), N) for _, N in pairs[:2]]
+    compared = wide = closed = nonzero = 0
+    for M, N in pairs:
+        wide += N.minimal_presentation().rank0 >= 2
+        res = resolution_of(M.minimal_presentation())
+        for kind, route in (("ext", ext), ("tor", tor)):
+            result = route(M, N, range(4))
+            for i in range(4):
+                assert result.graded_of(i) == _cover_homology(kind, M, N, i)._finite_hf(), (kind, i)
+                o = i + _STEP[kind]
+                closed += bool(res.rank(i)) and not (o >= 0 and res.rank(o))
+                nonzero += bool(result.total(i))
+                compared += 1
+    assert wide and closed >= len(pairs) + 2 and nonzero >= compared // 2
 
 
 def _complex_at(kind, M, N, i):
@@ -1337,18 +1378,19 @@ def _kernel_by_whole_echelon(cols, twists, target):
         return list(rows.values())
 
     degrees = range(min(twists), max(twists) + ctx.top_degree + 1)
-    return kernel_generators(ctx, twists, reduced_at, degrees)
+    real = FiniteLengthRealization.of_ring(ctx)
+    gens, degs, dims = kernel_generators(real, twists, reduced_at, degrees)
+    return _packed(ctx, twists, gens, degs), degs, dims
 
 
 @pytest.mark.parametrize("ring, seed", [("gor5", 75), ("nilsquares", 76)])
 def test_direct_route_reads_terms_copy_by_copy(request, ring, seed):
-    # Over an artinian ring the direct route reduces the outgoing map's
-    # columns copy by copy by N's echelons and seeds its walk with X_i's
-    # relation echelon, read off the same pieces, plus the multiples of
-    # the incoming columns.  Its dimensions must be those of the walk on
-    # the presented quotient X_i / im(in) into X_o as a whole, and the
-    # kernel of a map into a sum, reduced copy by copy, must be the one
-    # reduced by the sum's own echelon: the same generators, term for
+    # Over an artinian ring the direct route walks each term on N's
+    # realization.  Its dimensions must be those of the walk on the
+    # presented quotient X_i / im(in) into X_o as a whole, on the free
+    # cover; and the kernel of a map into a sum, its columns reduced copy
+    # by copy by the sum's base's echelons (`_map_kernel`), must be the
+    # one reduced by the sum's own echelon: the same generators, term for
     # term, and the same dimensions.
     ctx = request.getfixturevalue(ring)
     cfg = ExperimentConfig(seed=seed)
@@ -1374,40 +1416,60 @@ def test_direct_route_reads_terms_copy_by_copy(request, ring, seed):
 
 
 def test_direct_route_builds_each_term_once(monkeypatch):
-    # One call builds each term X_j of the complex once, as the source at
-    # its own index and as the target of its neighbour's map: ext on
-    # [1, 2, 3] needs X_1 .. X_4 and tor X_0 .. X_3, 4 sums each (6 when
-    # every index built both of its terms).
-    ctx = make_ctx(*GOR5)
-    M, N = random_pair(ExperimentConfig(seed=1, max_generators=1), ctx, 1)
-    real = resolution._sum_of_shifts
+    # Over an artinian ring one call lays out each induced map once, as
+    # the outgoing map of one index and the incoming map of its
+    # neighbour, and builds no term: ext and tor on [1, 2, 3] over gor5
+    # need the maps induced by d_1 .. d_4, 4 builders each (6 sums each
+    # when every index built both of its terms, 4 when each term was
+    # built once).  Off the artinian locus each term X_j is built once:
+    # over the quadric ext of k against R/(w, y) on [1, 2, 3] needs X_1 ..
+    # X_4 and tor X_0 .. X_3, 4 sums each.
+    real_builder = resolution._matrix_builder
+    real_sum = resolution._sum_of_shifts
     built = []
+    summed = []
+
+    def builder(kind, nreal, res, j):
+        built.append((kind, j))
+        return real_builder(kind, nreal, res, j)
 
     def counted(base, shifts):
-        built.append(tuple(shifts))
-        return real(base, shifts)
+        summed.append(tuple(shifts))
+        return real_sum(base, shifts)
 
+    monkeypatch.setattr(resolution, "_matrix_builder", builder)
     monkeypatch.setattr(resolution, "_sum_of_shifts", counted)
-    for route in (ext, tor):
-        built.clear()
-        result = route(M, N, [1, 2, 3])
-        assert all(result.totals.values())
-        assert len(built) == len(set(built)) == 4
+    gor5 = make_ctx(*GOR5)
+    quadric = make_ctx(*QUADRIC)
+    cases = [
+        (random_pair(ExperimentConfig(seed=1, max_generators=1), gor5, 1), 4, 0),
+        ((k_of(quadric), PresentedModule.from_matrix(quadric, [["w", "y"]])), 0, 4),
+    ]
+    for (M, N), maps, sums in cases:
+        for route in (ext, tor):
+            built.clear()
+            summed.clear()
+            result = route(M, N, [1, 2, 3])
+            assert any(result.totals.values())
+            assert len(built) == len(set(built)) == maps
+            assert len(summed) == len(set(summed)) == sums
 
 
 @pytest.mark.parametrize(
     "names, rels, gens, pair, eager, now",
     [
-        (("x", "y"), ("x^2", "y^2"), 3, 2, 569, 422),
-        (*GOR5, 1, 1, 535, 185),
+        (("x", "y"), ("x^2", "y^2"), 3, 2, 569, 297),
+        (*GOR5, 1, 1, 535, 91),
     ],
 )
 def test_direct_route_row_work_is_pinned(axpy_calls, names, rels, gens, pair, eager, now):
     # The direct route over an artinian ring, pinned by its row work: ext
     # and tor on [1, 2, 3] of one seed-1 pair (cyclic over gor5, as in the
     # route benchmark) on a fresh context make `now` row additions, with
-    # the walk seeded by X_i's relation echelon read off N's and the map
-    # reduced copy by copy, a pivot's row at a time (477 and 224 when the
+    # each term walked on N's realization and the walk seeded with the
+    # incoming map's columns (422 and 185 when the walk ran on the free
+    # cover, seeded by X_i's relation echelon read off N's and the map
+    # reduced copy by copy, a pivot's row at a time; 477 and 224 when the
     # map's columns were reduced one by one, 497 and 312 when the walk
     # was seeded with every multiple of X_i / im(in)'s relations and the
     # columns were reduced by X_o's whole echelon; `eager` when each
