@@ -43,11 +43,11 @@ from .groebner import (
 from .linalg import insert_row
 from .poly import Polynomial
 from .rows import (
+    _component_entries,
     _echelon_hf,
     _echelon_normal_form,
     _map_kernel,
     _minimal_generator_indices_rows,
-    _split_entries,
     vec_degree,
 )
 
@@ -551,9 +551,8 @@ def _combine_columns(ctx: RingCtx, columns: Sequence[dict], vec: dict) -> dict:
     """sum_j vec_j * columns[j]: the image of vec under the map whose j-th
     source generator goes to columns[j]."""
     out: dict[int, int] = {}
-    for j, f in enumerate(_split_entries(ctx, vec)):
-        if f:
-            vec_poly_submul(out, _neg(f, ctx.ring.field.p), columns[j], ctx)
+    for j, f in _component_entries(ctx, vec):
+        vec_poly_submul(out, _neg(f, ctx.ring.field.p), columns[j], ctx)
     return out
 
 

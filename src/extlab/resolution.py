@@ -15,12 +15,21 @@ series decide runs no syzygy computation (`_certified_step`): each
 resolution keeps HS(Omega_0), HS(Omega_1), ... (`_syzygy_series`), a
 zero kernel series ends the resolution wherever HS(M) is known, and a
 cyclic module whose one or two relations form a regular sequence, which
-its Hilbert series tests, is resolved by its Koszul complex.  Over a
+its Hilbert series tests, is resolved by its Koszul complex.
+
+A tail that repeats is certified and served on every ring.  A step is a
+function of d_n and the twists of F_n and F_{n-1} that commutes with a
+uniform twist shift, so once d_{n+1} equals d_{n+1-p}, p = 1 or 2, with
+F_{n+1} and F_n those of p steps back shifted by s (`_literal_period`),
+the resolution repeats from there, period p and shift s: over (x^2, y^2)
+R/(x) from step 1, over (wx, yz) the lines R/(w - s y, z -+ s x) from
+step 4, over gor5, whose Betti numbers grow, nothing.  Over a
 hypersurface, a context whose ideal has a one-element Groebner basis
 {f}, a resolution of infinite length ends in a matrix factorization of f
-(Eisenbud, Trans. AMS 260, 1980): a step where three neighbouring terms
-have one rank tests for it (`_matrix_factorization`), and once it is
-found every later step is served by a shift of deg f, with no
+(Eisenbud, Trans. AMS 260, 1980), which literal comparison need not see:
+a step where three neighbouring terms have one rank tests for it
+(`_matrix_factorization`), re-bases d_{n+1} and records period 2 and
+shift deg f.  Either way every later step is served, with no
 computation.
 
 Derived functors come by two routes that share no homology code.  Each
@@ -59,7 +68,8 @@ returns dimensions only (`ExtTorResult`):
   with the resolution of M, one memo per N (`_derived_memo`), so
   neighbouring indices of a scan share it and it goes when the
   resolution does.  Past the seam of a periodic tail each value is the
-  one two indices below, shifted, so over a hypersurface a scan costs
+  one at its base index in [start, start + p), shifted
+  (`Resolution._tail_base`), so a scan over a periodic module costs
   about as much at H = 320 as at H = 10.  `ext_profile` / `tor_profile`
   are `derived_dims` refusing infinite length; the scans and depth tests
   use it too.
@@ -84,19 +94,21 @@ resolution of the dual module (transposed) onto the positive half through
 an explicit pairing differential in homological degree zero.
 
 Resolutions are shared per context (`resolution_of`), and so are the
-twist-free numerators of cokernel spans (`_coker_series`) and, over an
-artinian context, the resolution steps themselves (`Resolution._step`: a
-step is keyed by its differential and its twists relative to the lowest
-twist of the target, so syzygy tails that modules share, and resolutions
-that repeat themselves up to a shift, such as R/(x) over (x^2, y^2),
-take each step once), each in a cache of at most `CACHE_BOUND` entries
-that drops the least recently used one.  A complete resolution is not
-cached: it looks up both halves through `resolution_of`.  A resolution
-owns everything derived from it (differentials, syzygy modules, the
-derived-functor memo), and nothing outside its cache refers to it, so
-dropping it frees all of that: a long search holds a bounded number of
-resolutions, and one it needs again is recomputed, identically.  The
-step memo holds columns and twists only, never a resolution.
+twist-free numerators of cokernel spans (`_coker_series`), each in a
+cache of at most `CACHE_BOUND` entries that drops the least recently
+used one.  A complete resolution is not cached: it looks up both halves
+through `resolution_of`.  A resolution owns everything derived from it
+(differentials, syzygy modules, the derived-functor memo), and nothing
+outside its cache refers to it, so dropping it frees all of that: a long
+search holds a bounded number of resolutions.
+
+Over an artinian context the resolution steps themselves outlive the
+resolutions: the context's step table (`Resolution._step`) keys a step
+by its differential and its twists relative to the lowest twist of the
+target, and keeps up to `STEP_BOUND` steps, columns and relative twists
+only, never a resolution.  So syzygy tails that modules share take each
+step once, and a resolution the "res" cache dropped and a search needs
+again is rebuilt, identically, from the table with no kernel walk.
 """
 
 from __future__ import annotations
@@ -142,16 +154,27 @@ from .rows import (
 # -- resolutions ---------------------------------------------------------------
 
 # Entries each of a context's caches keeps (resolutions, cokernel
-# numerators, resolution steps); past this many the least recently used
-# one is dropped.
+# numerators); past this many the least recently used one is dropped.
 CACHE_BOUND = 32
+# Steps the artinian step table ("step", see `Resolution._step`) keeps per
+# context.  A step holds columns and twists, never a resolution, so the
+# table outlives the resolutions that filled it.
+STEP_BOUND = 1024
 
 
 def _cached(ctx: RingCtx, name: str, key, build):
     """`ctx.scratch[name][key]`, made by `build()` on a miss, in a cache of
-    at most `CACHE_BOUND` entries that drops the least recently used one
+    at most `STEP_BOUND` entries for the step table and `CACHE_BOUND` for
+    every other, that drops the least recently used one
     (`groebner._lru_get`)."""
-    return _lru_get(ctx.scratch.setdefault(name, {}), key, build, CACHE_BOUND)
+    bound = STEP_BOUND if name == "step" else CACHE_BOUND
+    return _lru_get(ctx.scratch.setdefault(name, {}), key, build, bound)
+
+
+def _frozen(cols) -> tuple:
+    """Columns as a hashable value, each its sorted (key, coefficient)
+    pairs: the form the step table keys and stores differentials in."""
+    return tuple(tuple(sorted(c.items())) for c in cols)
 
 
 def _syzygy_step(ctx, cols, cur, prev):
@@ -254,6 +277,31 @@ def _matrix_factorization(ctx, d, e, prev, nxt):
     return out, tuple(a + shift for a in prev)
 
 
+def _literal_period(twists, diffs) -> tuple[int, int, int] | None:
+    """(start, p, s) when the last differential d_m, m = len(diffs),
+    repeats d_{m-p} literally for p = 1 or 2, start = m - p >= 1, with F_m
+    and F_{m-1} equal to F_{start} and F_{start-1}, every twist plus s;
+    the least such p, else None.  `twists` lists F_0, ..., F_m.
+
+    A step is a function of d_n's columns and the twists of F_n and
+    F_{n-1} that commutes with a uniform twist shift, so the step from
+    d_m is the step from d_{start}, shifted: d_{m+1} = d_{start+1}, and so
+    on, and the resolution repeats with period p from start on."""
+    m = len(diffs)
+    for p in (1, 2):
+        start = m - p
+        if start < 1:
+            return None
+        s = twists[m][0] - twists[start][0]
+        if (
+            twists[m] == tuple(a + s for a in twists[start])
+            and twists[m - 1] == tuple(a + s for a in twists[start - 1])
+            and diffs[m - 1] == diffs[start - 1]
+        ):
+            return start, p, s
+    return None
+
+
 class Resolution:
     """Lazily extended minimal graded free resolution.
 
@@ -277,9 +325,11 @@ class Resolution:
         self._omega: list[dict[int, int]] = []
         # id(N) -> (weak reference to N, memo): see `_derived_memo`.
         self._derived: dict[int, tuple[weakref.ref, dict]] = {}
-        # (n, deg f) once d_n and d_{n+1} form a matrix factorization of f:
-        # see `_step`.
-        self._period: tuple[int, int] | None = None
+        # (start, p, shift) once the tail repeats from F_start with period
+        # p: see `_step`.
+        self._period: tuple[int, int, int] | None = None
+        # d_n in the step table's form (`_frozen`) when the table gave it.
+        self._frozen: tuple | None = None
 
     def known_pd(self) -> int | None:
         """Projective dimension if the resolution has terminated, else None."""
@@ -297,30 +347,40 @@ class Resolution:
     def _step(self):
         """Build F_{n+1} and d_{n+1} from d_n, or record pd = n when d_n is
         injective.  Over an artinian context the step is looked up first
-        in the context's step memo (`_cached`, under "step"), keyed by d_n's
-        columns and the twists of F_n and F_{n-1}, each minus min F_{n-1}.
-        The kernel walk reads only degrees relative to the twists, so a
-        step taken before, by this resolution or another, at another
-        uniform twist shift is the same step shifted: a hit appends the
-        stored columns, shared read-only as `diff` hands them out, with
-        the twists shifted by the difference.  Off the locus Groebner's
-        degree-cap tests read absolute degrees, so nothing is memoized;
-        a step the Hilbert series certify (`_certified_step`) runs no
-        syzygy computation, and every other step is computed.
+        in the context's step table (`_cached`, under "step", at most
+        `STEP_BOUND` steps), keyed by d_n's columns (`_frozen`) and the
+        twists of F_n and F_{n-1}, each minus min F_{n-1}.  The kernel walk
+        reads only degrees relative to the twists, so a step taken before,
+        by this resolution or another, at another uniform twist shift is
+        the same step shifted.  The table stores each step once, as the
+        columns of d_{n+1} in the form that keys step n + 1 and F_{n+1}'s
+        relative twists: a hit hands the resolution fresh dicts of those
+        columns, with the twists shifted by the difference.  It holds no
+        resolution, so a resolution rebuilt after leaving the "res" cache,
+        or one that reaches another's tail, follows the table with no
+        kernel walk.  Off the locus Groebner's degree-cap tests read
+        absolute degrees, so nothing is tabled; a step the Hilbert series
+        certify (`_certified_step`) runs no syzygy computation, and every
+        other step is computed.
 
-        Over a hypersurface, a context whose ideal has a one-element
-        Groebner basis {f}, the tail of every minimal resolution of
-        infinite length is a matrix factorization of f (Eisenbud, Trans.
-        AMS 260, 1980).  So each step taken where F_{n-1}, F_n and F_{n+1}
-        have one rank is tested (`_matrix_factorization`): when d_n d_{n+1}
-        = f C over S with C constant and invertible, d_{n+1} becomes
-        d_{n+1} C^{-1} before anything reads it, F_{n+1} takes the twists
-        of F_{n-1} plus deg f, and n is recorded.  The new d_{n+1} has the
-        old one's image, so the resolution stays minimal, and d_{n+1} d_n =
-        f too, so from step n + 2 on every step is served with no
-        computation: d_m = d_{m-2}, shared read-only, and F_m is F_{m-2}
-        plus deg f.  Served differentials need not be what a computed step
-        would give, but ranks and twists are, and so is every Ext and Tor
+        Every computed step, on every ring, is then tested for a tail that
+        repeats.  Over a hypersurface, a context whose ideal has a
+        one-element Groebner basis {f}, the tail of every minimal
+        resolution of infinite length is a matrix factorization of f
+        (Eisenbud, Trans. AMS 260, 1980), which literal comparison need not
+        see.  So each step taken where F_{n-1}, F_n and F_{n+1} have one
+        rank is tested first (`_matrix_factorization`): when d_n d_{n+1} =
+        f C over S with C constant and invertible, d_{n+1} becomes d_{n+1}
+        C^{-1} before anything reads it, F_{n+1} takes the twists of
+        F_{n-1} plus deg f, and (n, 2, deg f) is recorded; the new d_{n+1}
+        has the old one's image, so the resolution stays minimal.  On
+        every ring, when no period is recorded yet, the new d_{n+1} is
+        compared with d_{n+1-p}, p = 1 or 2 (`_literal_period`), and a
+        literal repeat records (n + 1 - p, p, s).  Either way, once (start,
+        p, s) is recorded, every later step is served with no computation:
+        d_m = d_{m-p}, shared read-only, and F_m is F_{m-p} plus s.  Served
+        differentials need not be what a computed step would give after a
+        re-basing, but ranks and twists are, and so is every Ext and Tor
         value.  A served step forms no monomial, so it never raises
         `DegreeCapError`, and `extend_to` counts its rank against the
         budget like any other."""
@@ -333,21 +393,27 @@ class Resolution:
             self._diffs.append(cols)
             self._twists.append(tuple(self.module.col_degrees))
             return
-        if self._period is not None and n + 1 >= self._period[0] + 2:
-            self._diffs.append(self._diffs[n - 2])
-            self._twists.append(tuple(a + self._period[1] for a in self._twists[n - 1]))
+        if self._period is not None:
+            _, p, shift = self._period
+            self._diffs.append(self._diffs[n - p])
+            self._twists.append(tuple(a + shift for a in self._twists[n + 1 - p]))
             return
         cur, prev, d = self._twists[n], self._twists[n - 1], self._diffs[n - 1]
         ctx = self.ctx
         if ctx.is_artinian:
             base = min(prev)
             key = (
-                tuple(tuple(sorted(c.items())) for c in d),
+                self._frozen if self._frozen is not None else _frozen(d),
                 tuple(a - base for a in cur),
                 tuple(a - base for a in prev),
             )
-            cols, degs, at = _cached(ctx, "step", key, lambda: (*_syzygy_step(ctx, d, cur, prev), base))
-            degs = tuple(a + base - at for a in degs)
+
+            def build():
+                cols, degs = _syzygy_step(ctx, d, cur, prev)
+                return _frozen(cols), tuple(a - base for a in degs)
+
+            self._frozen, rel = _cached(ctx, "step", key, build)
+            cols, degs = [dict(c) for c in self._frozen], tuple(a + base for a in rel)
         else:
             cols, degs = _certified_step(self, n) or _syzygy_step(ctx, d, cur, prev)
         if not cols:
@@ -357,21 +423,25 @@ class Resolution:
             mf = _matrix_factorization(ctx, d, cols, prev, degs)
             if mf is not None:
                 cols, degs = mf
-                self._period = (n, degs[0] - prev[0])
+                self._period = (n, 2, degs[0] - prev[0])
         self._diffs.append(cols)
         self._twists.append(degs)
+        if self._period is None:
+            self._period = _literal_period(self._twists, self._diffs)
 
     def _tail_base(self, i: int) -> tuple[int, int]:
-        """(b, s): past the seam of a periodic resolution (i >= n + 2, n as
-        recorded by `_step`), the complex around F_i, the maps d_i and
+        """(b, s): past the seam of a periodic resolution (i >= start + p,
+        as `_step` records them), the complex around F_i, the maps d_i and
         d_{i+1} between F_{i-1}, F_i and F_{i+1}, is the one around F_b
-        with every twist plus s, b in {n, n + 1} of i's parity; (i, 0)
-        elsewhere."""
-        if self._period is None or i < self._period[0] + 2:
+        with every twist plus s, b = start + (i - start) mod p and s = (i -
+        b) / p times the period's shift; (i, 0) elsewhere."""
+        if self._period is None:
             return i, 0
-        start, shift = self._period
-        b = start + (i - start) % 2
-        return b, (i - b) // 2 * shift
+        start, p, shift = self._period
+        if i < start + p:
+            return i, 0
+        b = start + (i - start) % p
+        return b, (i - b) // p * shift
 
     def rank(self, i: int) -> int:
         return len(self.twists_of(i))
@@ -581,7 +651,14 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     relations] cut to X_i (`modules._syzygy_heads`, not pruned), the
     value's series is HS(Q) - HS(F / (U + G)), and the kernel is never
     presented.  Where no map leaves X_i (tor at 0, ext at the projective
-    dimension) the value is the series of X_i / im(in)."""
+    dimension) the value is the series of X_i / im(in).
+
+    Past the seam of a periodic tail (`Resolution._tail_base`) the terms
+    and maps around X_i are those around X_b with every twist raised by
+    s, since they are read off served differentials, so the value at i is
+    this route's own value at b, taken once per call, with its degrees
+    moved by s as in `derived_dims`: a fact about the complex, which
+    reads no value of the other route."""
     _check_pair(M, N)
     ctx = M.ctx
     idxs = sorted(set(indices))
@@ -598,20 +675,20 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     rb = Nm.rank0
     terms: dict[int, PresentedModule] = {}
     maps: dict = {}  # j -> the map induced by d_j, on the artinian locus
+    values: dict[int, dict[int, int] | None] = {}  # index -> its own value
 
     def term(j):
         if j not in terms:
             terms[j] = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
         return terms[j]
 
-    for i in idxs:
-        if not res.rank(i) or rb == 0:
-            out.record(i, {})
-            continue
+    def value(i):
+        """The value at i, taken as ker(out) / im(in) at X_i."""
         if ctx.is_artinian:
             real = FiniteLengthRealization.from_module(Nm)
-            out.record(i, _realized_homology(kind, res, real, i, maps))
-            continue
+            hit = _realized_homology(kind, res, real, i, maps)
+            maps.pop(i, None)  # the indices above i need d_{i+1} and up
+            return hit
         o = i + step
         X = term(i)
         in_cols = _incoming_cols(kind, res, i, rb)
@@ -619,13 +696,24 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         Q = PresentedModule(ctx, X.row_twists, list(X.columns) + in_cols, _reduced=True)
         if out_cols is None:
             # No map leaves X_i: the value is X_i / im(in).
-            out.record(i, Q._finite_hf())
-            continue
+            return Q._finite_hf()
         _check_square_zero(kind, res, Nm, i, o)
         Xo = term(o)
         gens = _syzygy_heads(ctx, out_cols + list(Xo.columns), Xo.rank0, X.rank0)
         C = PresentedModule(ctx, X.row_twists, list(Q.columns) + gens)
-        out.record(i, _finite_series(ctx, _tp_sub(Q.hilbert_numerator(), C.hilbert_numerator())))
+        return _finite_series(ctx, _tp_sub(Q.hilbert_numerator(), C.hilbert_numerator()))
+
+    for i in idxs:
+        if not res.rank(i) or rb == 0:
+            out.record(i, {})
+            continue
+        # Past the seam of a periodic tail the complex at i is the one at b
+        # shifted (`Resolution._tail_base`), so is its homology.
+        b, s = res._tail_base(i)
+        if b not in values:
+            values[b] = value(b)
+        hit = values[b]
+        out.record(i, hit if hit is None or b == i else {d - step * s: v for d, v in hit.items()})
     return out
 
 
@@ -633,10 +721,12 @@ def _realized_homology(kind, res, real, i: int, maps: dict) -> dict[int, int]:
     """Graded dimensions of ker(out) / im(in) at X_i, over an artinian
     context, in the coordinates of N's realization `real`
     (`FiniteLengthRealization.from_module`): X_i,d is the sum of N's
-    pieces N_{d - t}, t in `_term_shifts`.  `maps[j]` is the
-    `_matrix_builder` of the map induced by d_j on those coordinates,
-    made on first use and kept by the caller, so one builder serves as
-    one index's outgoing map and as its neighbour's incoming one.
+    pieces N_{d - t}, t in `_term_shifts`.  `maps[j]` holds the
+    `_matrix_builder` of the map induced by d_j on those coordinates and
+    the degree-d matrices it has built, made on first use and kept by the
+    caller, so each matrix is built once per call and handed on: one
+    index's outgoing map is its neighbour's incoming one.  The walk is
+    given a copy, since `nullspace_rows` consumes its rows.
 
     The value is the walk `rows.kernel_generators` makes over N's
     realization, on the outgoing map's matrices, seeded with the columns
@@ -648,29 +738,38 @@ def _realized_homology(kind, res, real, i: int, maps: dict) -> dict[int, int]:
     matrix.  No module is presented."""
     p = res.ctx.ring.field.p
 
-    def induced(j):
+    def matrix(j, d):
+        """The degree-d matrix of the map induced by d_j, read-only."""
         if j not in maps:
-            maps[j] = _matrix_builder(kind, real, res, j)
-        return maps[j]
+            maps[j] = (_matrix_builder(kind, real, res, j), {})
+        at, mats = maps[j]
+        if d not in mats:
+            mats[d] = at(d)
+        return mats[d]
 
     twists = _term_shifts(kind, res, i)
     src, o = i - _STEP[kind], i + _STEP[kind]
-    into = induced(max(i, src)) if src >= 0 and res.rank(src) else None
+    into = max(i, src) if src >= 0 and res.rank(src) else None
     if not (o >= 0 and res.rank(o)):
         hf = _shifted_sum(real.dims, twists)
         if into is not None:
-            hf = _tp_sub(hf, {d: len(_insert_rows(into(d), p, reduced=False)) for d in hf})
+            ranks = {d: len(_insert_rows([dict(r) for r in matrix(into, d)], p, reduced=False)) for d in hf}
+            hf = _tp_sub(hf, ranks)
         return hf
 
     def seed(d):
         cols: dict[int, dict[int, int]] = {}
-        for r, row in enumerate(into(d)):
+        for r, row in enumerate(matrix(into, d)):
             for c, x in row.items():
                 cols.setdefault(c, {})[r] = x
         return list(cols.values())
 
+    def out_at(d):
+        # `nullspace_rows` consumes the rows it is given
+        return [dict(r) for r in matrix(max(i, o), d)]
+
     degrees = range(min(twists) + min(real.dims), max(twists) + real.top + 1)
-    walk = kernel_generators(real, twists, induced(max(i, o)), degrees, seed if into else None)
+    walk = kernel_generators(real, twists, out_at, degrees, seed if into is not None else None)
     return walk[2]
 
 
@@ -970,12 +1069,13 @@ def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> d
     homology as subquotients, are the cross-check.
 
     Past the seam of a periodic tail (`Resolution._tail_base`), the maps
-    and terms around F_i are those around F_b, b in {n, n + 1}, with every
-    twist raised by s, so C_i, C_o and the check at i are the computation
-    at b shifted: the value at b, computed and checked once, is read with
-    its degrees moved by s, down for ext and up for tor, as X_i's copies
-    of N move.  The check is implied there, not skipped.  Seam indices
-    are computed and checked like any other.
+    and terms around F_i are those around F_b, b = start + (i - start) mod
+    p, with every twist raised by s, so C_i, C_o and the check at i are
+    the computation at b shifted: the value at b, computed and checked
+    once, is read with its degrees moved by s, down for ext and up for
+    tor, as X_i's copies of N move.  The check is implied there, not
+    skipped.  Indices below start + p are computed and checked like any
+    other.
     """
     if kind not in ("ext", "tor"):
         raise ValueError(f"unknown derived functor {kind!r}")
@@ -989,7 +1089,7 @@ def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> d
     if not res.twists_of(i) or Nm.rank0 == 0:
         return {}
     b, s = res._tail_base(i)
-    if s:
+    if b != i:
         # Past the seam the complex at i is the one at b shifted: read its
         # value, computed and checked once (`_derived_memo`), shifted too.
         memo = _derived_memo(res, Nm)

@@ -75,7 +75,7 @@ def vec_degree(ctx: RingCtx, vec: dict, twists: Sequence[int]) -> int:
     """Degree of a homogeneous vector; raises if the terms disagree.  Keys
     are decoded inline (`ModuleCodec.mono_of`, `comp_of`, and the ring
     codec's `degree`, the bits above its exponents), as in
-    `_split_entries`."""
+    `_component_entries`."""
     monomask = ctx.codec.monomask
     shift = COMP_BITS + ctx.ring._codec.expbits
     degs = {((k & monomask) >> shift) + twists[COMP_MASK - (k & COMP_MASK)] for k in vec}
@@ -84,15 +84,20 @@ def vec_degree(ctx: RingCtx, vec: dict, twists: Sequence[int]) -> int:
     return degs.pop()
 
 
-def _split_entries(ctx: RingCtx, vec: dict) -> list[dict[int, int]]:
-    """The entries of a vector, component by component: entry j maps the
-    packed monomials of component j to their coefficients."""
+def _component_entries(ctx: RingCtx, vec: dict) -> list[tuple[int, dict[int, int]]]:
+    """The nonzero entries of a vector as (j, entry j), in ascending
+    component order, grouped in one pass over its keys: entry j maps the
+    packed monomials of component j to their coefficients, in the
+    vector's key order."""
     monomask = ctx.codec.monomask
-    top = COMP_MASK - min(k & COMP_MASK for k in vec) if vec else -1
-    out: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    out: dict[int, dict[int, int]] = {}
     for k, c in vec.items():
-        out[COMP_MASK - (k & COMP_MASK)][(k & monomask) >> COMP_BITS] = c
-    return out
+        j = COMP_MASK - (k & COMP_MASK)
+        entry = out.get(j)
+        if entry is None:
+            entry = out[j] = {}
+        entry[(k & monomask) >> COMP_BITS] = c
+    return sorted(out.items())
 
 
 class FiniteLengthRealization:
@@ -627,12 +632,7 @@ def _minimal_generator_indices_rows(ctx, vecs, twists, modulo) -> list[int]:
 def _entry_blocks(ctx, cols) -> list[tuple[int, int, dict]]:
     """(sp, s, f) for each nonzero entry f of a matrix given by columns:
     f is the sp-th component of the s-th column."""
-    return [
-        (sp, s, f)
-        for s, col in enumerate(cols)
-        for sp, f in enumerate(_split_entries(ctx, col))
-        if f
-    ]
+    return [(sp, s, f) for s, col in enumerate(cols) for sp, f in _component_entries(ctx, col)]
 
 
 def _block_builder(nreal, blocks, row_tw, col_tw, sign):

@@ -146,7 +146,7 @@ def kernel_steps(monkeypatch):
     """Counts, for the rest of the test, the resolution steps that ran the
     kernel walk (`resolution._syzygy_step`).  Over an artinian ring a step
     taken before in the same context, up to a twist shift, is served from
-    the context's step memo and runs none, so a test can pin how many
+    the context's step table and runs none, so a test can pin how many
     kernels a computation really took as an exact number.
     """
     runs = _Runs()

@@ -14,7 +14,7 @@ from extlab.linalg import (
     rank_rows,
 )
 from extlab.resolution import _matrix_builder, resolution_of
-from extlab.rows import FiniteLengthRealization, _split_entries
+from extlab.rows import FiniteLengthRealization
 from extlab.vanishing import ExperimentConfig, random_pair
 
 PRIMES = [2, 3, 101, 65521]
@@ -252,16 +252,17 @@ def dense_degreewise_matrix(kind, nreal, res, j, d):
     row_tw, col_tw, sign = (hi, lo, 1) if kind == "ext" else (lo, hi, -1)
     rows = [nreal.dim(d + sign * a) for a in row_tw]
     cols = [nreal.dim(d + sign * a) for a in col_tw]
+    codec = res.ctx.codec
     mat = np.zeros((sum(rows), sum(cols)), dtype=np.int64)
     for s, col in enumerate(res.diff(j)):
-        for sp, f in enumerate(_split_entries(res.ctx, col)):
+        for key, a in col.items():
+            sp, mono = codec.comp_of(key), codec.mono_of(key)
             r, c = (s, sp) if kind == "ext" else (sp, s)
-            if f and rows[r] and cols[c]:
+            if rows[r] and cols[c]:
                 r0, c0 = sum(rows[:r]), sum(cols[:c])
-                for mono, a in f.items():
-                    for k, vec in enumerate(nreal.monomial_columns(mono, d + sign * col_tw[c])):
-                        for i, v in vec.items():
-                            mat[r0 + i, c0 + k] = (mat[r0 + i, c0 + k] + a * v) % p
+                for k, vec in enumerate(nreal.monomial_columns(mono, d + sign * col_tw[c])):
+                    for i, v in vec.items():
+                        mat[r0 + i, c0 + k] = (mat[r0 + i, c0 + k] + a * v) % p
     return mat
 
 

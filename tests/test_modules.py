@@ -785,16 +785,21 @@ def _step_cols_by_entries(kind, res, j, rb):
     """The maps induced by d_j on sums of copies of N, from d_j's entries:
     Hom(d_j, N) transposed copy by copy for ext, d_j (x) N for tor."""
     codec = res.ctx.codec
-    parts = (rows._split_entries(res.ctx, col) for col in res.diff(j))
+    parts = []  # per column of d_j, its entries by component, key by key
+    for col in res.diff(j):
+        entries: dict[int, dict[int, int]] = {}
+        for k, c in col.items():
+            entries.setdefault(codec.comp_of(k), {})[codec.mono_of(k)] = c
+        parts.append(entries)
     if kind == "ext":
         cols = [{} for _ in range(res.rank(j - 1) * rb)]
         for s, entries in enumerate(parts):
-            for sp, f in enumerate(entries):
+            for sp, f in entries.items():
                 for t in range(rb):
                     cols[sp * rb + t].update({codec.mkey(mk, s * rb + t): c for mk, c in f.items()})
         return cols
     return [
-        {codec.mkey(mk, sp * rb + t): c for sp, f in enumerate(entries) for mk, c in f.items()}
+        {codec.mkey(mk, sp * rb + t): c for sp, f in entries.items() for mk, c in f.items()}
         for entries in parts
         for t in range(rb)
     ]

@@ -43,6 +43,7 @@ from extlab.modules import (
 from extlab.poly import FieldSpec, PolyRing
 from extlab.resolution import (
     CACHE_BOUND,
+    STEP_BOUND,
     BettiTable,
     CompleteResolution,
     Resolution,
@@ -102,7 +103,7 @@ def cyclic(ctx, gen):
 
 def no_step_memo(mp):
     """Make every resolution step run its kernel walk: `_cached` misses
-    the step memo, and every other cache behaves as before."""
+    the step table, and every other cache behaves as before."""
     real = resolution._cached
     mp.setattr(
         resolution, "_cached",
@@ -113,7 +114,7 @@ def no_step_memo(mp):
 def groebner_resolution(M, n):
     """A resolution of M to step n whose every step takes its kernel
     through Groebner bases (`_kernel_generators_gb` patched in for
-    `_kernel_generators`), none served from the step memo: the reference
+    `_kernel_generators`), none served from the step table: the reference
     for the row steps over an artinian context."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution, "_kernel_generators", _kernel_generators_gb)
@@ -373,6 +374,7 @@ QUADRIC = (("w", "x", "y", "z"), ("w*x - y*z",))
 CUBIC = (("w", "x", "y", "z"), ("w^3 + x^3 + y^3 + z^3",))
 GOR5 = (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"))
 NILSQUARES = (("x", "y"), ("x^2", "y^2"))
+WXYZ = (("w", "x", "y", "z"), ("w*x", "y*z"))  # codimension-2 complete intersection
 NONGOR = (("x", "y", "z"), ("x^2", "y^2", "z^2", "x*y", "x*y*z"))  # artinian, socle of dimension 2
 
 
@@ -392,10 +394,10 @@ def _resolve_all(mods, n, budget):
 
 def test_steps_served_from_the_memo_equal_computed_ones(monkeypatch):
     # Over an artinian ring a resolution step is served from the context's
-    # step memo when one with the same differential and the same relative
+    # step table when one with the same differential and the same relative
     # twists was taken before, by another resolution or by the same one,
     # and shifted to its twists.  On fresh contexts, seeded modules, k and
-    # R/(x) are resolved to step 8 under a rank budget with the memo and
+    # R/(x) are resolved to step 8 under a rank budget with the table and
     # then with every step computed, and the two must agree term by term.
     real_step, real_cached = Resolution._step, resolution._cached
     current = []  # the resolution taking a step
@@ -431,22 +433,29 @@ def test_steps_served_from_the_memo_equal_computed_ones(monkeypatch):
             assert a._twists == b._twists
             assert a._diffs == b._diffs
             assert a.known_pd() == b.known_pd()
-        assert len(ctx.scratch["step"]) <= CACHE_BOUND
+        assert len(ctx.scratch["step"]) <= STEP_BOUND
         if ring is NILSQUARES:
-            # R/(x): d_n = (x) on F_n = R(-n) from n = 1 on, so every step
-            # from the second on repeats the one before it, one degree up.
+            # R/(x): d_n = (x) on F_n = R(-n) from n = 1 on, so d_2 repeats
+            # d_1 one degree up.  The tail is certified there, period 1 and
+            # shift 1, and every later step is served by it with no table
+            # lookup: no step of its own comes from the table (6 did, one
+            # per step from the third on, while only hypersurfaces had
+            # tails served).
             assert served[-1].rank(8) == 1
-            assert hits[("self", id(served[-1]))] == 6
+            assert served[-1]._period == (1, 1, 1)
+            assert hits[("self", id(served[-1]))] == 0
     assert sum(n for (kind, _), n in hits.items() if kind == "cross")
 
 
 def test_nilsquares_scan_kernel_steps_are_pinned(kernel_steps, resolution_rank):
     # Seeded nilsquares harness scans on a fresh context, pinned by the
     # resolution steps that ran the kernel walk: a step the context took
-    # before, up to a twist shift, is served from its step memo.  The
+    # before, up to a twist shift, is served from its step table, and a
+    # step past a tail that repeats literally is served by the tail.  The
     # terms built are pinned beside it, served ones included: a served
-    # term counts as built (every step ran the walk before the memo, 250
-    # of them).
+    # term counts as built (every step ran the walk before the table, 250
+    # of them; 106 while the table kept only as many steps as the "res"
+    # cache keeps resolutions, 32).
     ctx = make_ctx(*NILSQUARES)
     cfg = ExperimentConfig(seed=1)
     pairs = [random_pair(cfg, ctx, idx) for idx in range(40)]
@@ -454,7 +463,7 @@ def test_nilsquares_scan_kernel_steps_are_pinned(kernel_steps, resolution_rank):
     resolution_rank.reset()
     for M, N in pairs:
         scan_ext(M, N, 10, full=True, rank_budget=cfg.rank_budget)
-    assert kernel_steps.count == 106
+    assert kernel_steps.count == 104
     assert resolution_rank.count == 1424
 
 
@@ -675,10 +684,11 @@ def test_groebner_steps_match_the_reference_syzygies(monkeypatch, ring):
     assert got == [_resolved(random_module(cfg, ctx, i), 5)[0] for i in range(12)]
 
 
-def _no_factorization(mp):
-    """Make every resolution step past a matrix factorization computed:
-    `_matrix_factorization` never finds one."""
+def _no_tails(mp):
+    """Make every resolution step computed: neither `_matrix_factorization`
+    nor `_literal_period` finds a tail."""
     mp.setattr(resolution, "_matrix_factorization", lambda *args: None)
+    mp.setattr(resolution, "_literal_period", lambda *args: None)
 
 
 # Per hypersurface: the line cut out by two linear forms that are not a
@@ -744,7 +754,7 @@ def test_served_steps_equal_computed_ones(monkeypatch, ring, request):
     assert starts[4:] == [None] * 40
     tops = [7 if s is None else max(s + 6, 7) for s in starts]
     served = _windowed(line, mods, tops)
-    _no_factorization(monkeypatch)
+    _no_tails(monkeypatch)
     line, again = _hypersurface_modules(ring, name)
     computed = _windowed(line, again, tops)
     assert all(resolution_of(M.minimal_presentation())._period is None for M in again)
@@ -772,29 +782,154 @@ def test_served_steps_equal_computed_ones_on_small_hypersurfaces(monkeypatch, ri
 
     served = record()
     assert served[0][2] and served[1][2]
-    _no_factorization(monkeypatch)
+    _no_tails(monkeypatch)
     computed = record()
     assert [a[:2] for a in served] == [b[:2] for b in computed]
 
 
+# Tails of k and the first eight seed-1 draws that `_literal_period`
+# certifies off the hypersurfaces, by draw index: (start, p, shift).
+LITERAL_TAILS = {
+    "nilsquares": {3: (2, 2, 2), 7: (1, 1, 1)},
+    "gor5": {},
+    "wx-yz": {4: (4, 2, 2)},
+    "polynomial": {},
+}
+
+
 @pytest.mark.parametrize(
     "ring",
-    [NILSQUARES, GOR5, (("w", "x", "y", "z"), ("w*x", "y*z")), (("w", "x", "y", "z"), ())],
+    [NILSQUARES, GOR5, WXYZ, (("w", "x", "y", "z"), ())],
     ids=["nilsquares", "gor5", "wx-yz", "polynomial"],
 )
-def test_no_tail_off_hypersurfaces(monkeypatch, ring):
+def test_no_tail_off_hypersurfaces(monkeypatch, ring, request):
     # Only an ideal with a one-element Groebner basis is tested for a
-    # matrix factorization: k and seeded modules over these rings, two of
-    # them artinian, one a complete intersection of codimension 2 and one
-    # a polynomial ring, never get a tail, and the test never runs.
+    # matrix factorization: over these rings, two of them artinian, one a
+    # complete intersection of codimension 2 and one a polynomial ring,
+    # the test never runs, so no resolution gets a hypersurface tail.
+    # Tails that repeat literally are certified on every ring, so k and
+    # the first eight seed-1 draws get exactly the literal tails of
+    # LITERAL_TAILS: two nilsquares draws and one over (wx, yz) repeat,
+    # while gor5, whose Betti numbers grow, and the polynomial ring, where
+    # every resolution ends, get none.  (Before literal tails were served,
+    # this test asserted that no resolution here got any tail.)
     calls = []
     monkeypatch.setattr(resolution, "_matrix_factorization", lambda *args: calls.append(args))
     ctx = make_ctx(*ring)
     cfg = ExperimentConfig(seed=1)
-    for M in [k_of(ctx)] + [random_module(cfg, ctx, i) for i in range(8)]:
+    tails = {}
+    for idx, M in enumerate([random_module(cfg, ctx, i) for i in range(8)] + [k_of(ctx)]):
         res = _resolve_all([M.minimal_presentation()], 8, 200)[0]
-        assert res._period is None
+        if res._period is not None:
+            tails[idx] = res._period
     assert not calls
+    assert tails == LITERAL_TAILS[request.node.callspec.id]
+
+
+def _wxyz_lines(ctx):
+    """The six lines over (wx, yz) in four variables: M_s = R/(w - s y,
+    z - s x), with support variety (1:0), and N_s = R/(w - s y, z + s x),
+    with (0:1), for s = 2, 3, 5."""
+    return [
+        PresentedModule.from_matrix(ctx, [[f"w - {s}*y", f"z {sign} {s}*x"]])
+        for sign in "-+"
+        for s in (2, 3, 5)
+    ]
+
+
+def _literal_cases(name):
+    """A fresh context, modules whose resolutions repeat literally, the
+    tail each must get, and the second arguments to take values with."""
+    cfg = ExperimentConfig(seed=1)
+    if name == "wx-yz":
+        ctx = make_ctx(*WXYZ)
+        lines = _wxyz_lines(ctx)
+        return lines, [(4, 2, 2)] * 6, [lines[0], lines[3]]
+    ctx = make_ctx(*(NILSQUARES if name == "nilsquares" else NONGOR))
+    k = k_of(ctx)
+    if name == "nilsquares":
+        draws = {3: (2, 2, 2), 13: (4, 2, 2), 22: (2, 1, 1)}
+        mods = [cyclic(ctx, "x")] + [random_module(cfg, ctx, i) for i in draws]
+        return mods + [k], [(1, 1, 1), *draws.values(), None], [k, mods[1]]
+    draws = {3: (2, 2, 2), 11: (2, 1, 1), 19: (4, 2, 2)}
+    mods = [random_module(cfg, ctx, i) for i in draws]
+    return mods, list(draws.values()), [k, mods[0]]
+
+
+def _tail_record(mods, Ns, top):
+    """For each module, resolved to step top: its twists, and the graded
+    Ext and Tor values against each of Ns at 0..top - 1 from both routes'
+    bodies, `derived_dims` and `ext` / `tor`."""
+    out = []
+    for M in mods:
+        res = resolution_of(M.minimal_presentation()).extend_to(top)
+        values = [derived_dims(kind, M, N, i) for kind in _STEP for N in Ns for i in range(top)]
+        values += [route(M, N, range(top)).graded for route in (ext, tor) for N in Ns]
+        out.append(([res.twists_of(i) for i in range(top + 1)], values))
+    return out
+
+
+@pytest.mark.parametrize("name", ["nilsquares", "wx-yz", "nongor"])
+def test_literal_tails_equal_computed_ones(monkeypatch, name):
+    # On every ring a resolution whose d_{n+1} repeats d_{n+1-p}, p = 1
+    # or 2, with the twists of F_{n+1} and F_n those of F_{n+1-p} and
+    # F_{n-p} raised by s, serves every later step (d_m = d_{m-p}, twists
+    # plus s), and both routes read an index past the seam as their own
+    # value at its base index, shifted.  Over nilsquares R/(x) repeats
+    # with p = 1 from step 1 and seeded draws with p = 1 and 2; over (wx,
+    # yz) the six lines of support varieties (1:0) and (0:1) repeat with p
+    # = 2 from step 4 (they are resolved by Groebner steps); over the
+    # artinian ring with a socle of dimension 2 seeded draws repeat with p
+    # = 1 and 2.  Each module, resolved well past its seam, must have the
+    # differentials, twists and graded Ext and Tor values of both routes
+    # that computing every step gives: a literal repeat is served as the
+    # very columns a computed step takes.
+    mods, tails, Ns = _literal_cases(name)
+    got = [resolution_of(M.minimal_presentation()).extend_to(14) for M in mods]
+    assert [res._period for res in got] == tails
+    served = _tail_record(mods, Ns, 14), [res._diffs for res in got]
+    _no_tails(monkeypatch)
+    again, _, Ns = _literal_cases(name)
+    got = [resolution_of(M.minimal_presentation()).extend_to(14) for M in again]
+    computed = _tail_record(again, Ns, 14), [res._diffs for res in got]
+    assert all(res._period is None for res in got)
+    assert served == computed
+
+
+@pytest.mark.parametrize("name", ["quadric", "wx-yz"])
+def test_both_routes_past_the_seam_equal_computed_ones(monkeypatch, name, buchberger_runs):
+    # Past the seam of a tail, the direct route reads index i as its own
+    # value at the base index b, shifted, and `derived_dims` (the complete
+    # route's body) reads its own: over the quadric k against dual(N) of
+    # `example-2-3.gor` (tail from step 4, by matrix factorization) and
+    # over (wx, yz) the line M_2 against N_2 and M_3 (tail from step 4,
+    # literal), ext and tor on [0, 13] of both routes must equal the
+    # values with every step and every index computed.  With the tail,
+    # the direct route's Groebner work does not grow with the window.
+    def case():
+        if name == "quadric":
+            ctx = make_ctx(*QUADRIC)
+            N = PresentedModule.from_matrix(ctx, [["w"], ["x"], ["y"], ["z"]])
+            return k_of(ctx), [dual_module(N)]
+        lines = _wxyz_lines(make_ctx(*WXYZ))
+        return lines[0], [lines[3], lines[1]]
+
+    M, Ns = case()
+    res = resolution_of(M.minimal_presentation()).extend_to(15)
+    assert res._period[:2] == (4, 2)
+    assert sum(res._tail_base(i)[0] != i for i in range(14)) == 8
+    served = _tail_record([M], Ns, 14)
+    runs = []
+    for top in (8, 14):
+        M, Ns = case()
+        buchberger_runs.reset()
+        ext(M, Ns[0], range(1, top))
+        runs.append(buchberger_runs.count)
+    assert runs[0] == runs[1]
+    _no_tails(monkeypatch)
+    M, Ns = case()
+    assert served == _tail_record([M], Ns, 14)
+    assert resolution_of(M.minimal_presentation())._period is None
 
 
 def test_served_steps_count_against_the_rank_budget(monkeypatch):
@@ -804,8 +939,8 @@ def test_served_steps_count_against_the_rank_budget(monkeypatch):
     ctx = make_ctx(*QUADRIC)
     budgets = (40, 100, 200)
     served = [_resolve_all([k_of(ctx)], 60, b)[0] for b in budgets]
-    assert all(res._period == (4, 2) for res in served)
-    _no_factorization(monkeypatch)
+    assert all(res._period == (4, 2, 2) for res in served)
+    _no_tails(monkeypatch)
     fresh = make_ctx(*QUADRIC)
     computed = [_resolve_all([k_of(fresh)], 60, b)[0] for b in budgets]
     for a, b, budget in zip(served, computed, budgets):
@@ -839,7 +974,7 @@ def test_served_steps_pass_the_degree_cap_where_computed_ones_do(monkeypatch):
     assert all(min(twists[40]) >= 40 for twists in served)
     low = resolve(2, 12)
     assert low[:2] == [("raised at", 3, None), ("raised at", 2, None)]
-    _no_factorization(monkeypatch)
+    _no_tails(monkeypatch)
     assert resolve(3, 12) == [twists[:13] for twists in served]
     assert resolve(2, 12)[:2] == low[:2]
 
@@ -1202,7 +1337,7 @@ def test_resolution_cache_is_bounded_and_owns_its_memos():
     assert len(seen) > CACHE_BOUND
     cache = ctx.scratch["res"]
     assert len(cache) == CACHE_BOUND
-    assert len(ctx.scratch["step"]) <= CACHE_BOUND
+    assert len(ctx.scratch["step"]) <= STEP_BOUND
     gc.collect()
     alive = [r for r in gc.get_objects() if isinstance(r, Resolution) and r.ctx is ctx]
     assert len(alive) <= CACHE_BOUND
@@ -1212,6 +1347,52 @@ def test_resolution_cache_is_bounded_and_owns_its_memos():
         assert len(holders) == 1 and holders[0] is cache
     mods = [m for m in gc.get_objects() if isinstance(m, PresentedModule) and m.ctx is ctx]
     assert mods and not any(_holds(m._cache, Resolution) for m in mods)
+
+
+def test_rebuilt_resolution_runs_no_kernel_walk(kernel_steps):
+    # The step table keeps steps, not resolutions, so it outlives them: on
+    # a fresh gor5 context, 40 seed-41 draws resolved to step 4 push the
+    # first ones out of the "res" cache, and the first, built again,
+    # follows the table with no kernel walk and takes the same steps (87
+    # walks, then 3 for the rebuild, while the table kept only 32 steps).
+    ctx = make_ctx(*GOR5)
+    cfg = ExperimentConfig(seed=41)
+    mods = [random_module(cfg, ctx, i).minimal_presentation() for i in range(CACHE_BOUND + 8)]
+    kernel_steps.reset()
+    first = resolution_of(mods[0]).extend_to(4)
+    steps = (list(first._twists), list(first._diffs))
+    for M in mods[1:]:
+        resolution_of(M).extend_to(4)
+    assert kernel_steps.count == 86
+    assert mods[0].value_key() not in ctx.scratch["res"]
+    kernel_steps.reset()
+    again = resolution_of(mods[0]).extend_to(4)
+    assert again is not first
+    assert kernel_steps.count == 0
+    assert (again._twists, again._diffs) == steps
+
+
+def test_step_table_keeps_its_own_bound(monkeypatch):
+    # The step table drops its least recently used step past STEP_BOUND
+    # steps, whatever the "res" cache keeps: with the bound patched to 16,
+    # seeded nilsquares and gor5 scans keep at most 16 steps, and take
+    # the values they take with the full bound.
+    def scans():
+        out = []
+        for ring in (NILSQUARES, GOR5):
+            ctx = make_ctx(*ring)
+            cfg = ExperimentConfig(seed=2)
+            for idx in range(12):
+                M, N = random_pair(cfg, ctx, idx)
+                out.append(scan_ext(M, N, 6, full=True, rank_budget=cfg.rank_budget).to_json_dict())
+            out.append(len(ctx.scratch["step"]))
+        return out
+
+    full = scans()
+    monkeypatch.setattr(resolution, "STEP_BOUND", 16)
+    small = scans()
+    assert small[12] == small[-1] == 16 < min(full[12], full[-1])
+    assert small[:12] + small[13:-1] == full[:12] + full[13:-1]
 
 
 @pytest.mark.parametrize("ring", ["gor5", "nilsquares"])

@@ -589,23 +589,26 @@ def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
     # reads the top cokernel C_5 as Omega_5 (x) N off d_5, so F_6 is never
     # built (14392 when it always resolved the left one, 8898 when C_5
     # was the image of d_6 (x) N).  Resolution steps the context took
-    # before, up to a twist shift, are served from its step memo, and
+    # before, up to a twist shift, are served from its step table, and
     # Omega_5 (x) N ranks the images of N's relation echelon rows instead
     # of the columns of d_5 (x) del_N (2713 before both, 2706 with the
     # second alone).  The ring's socle is eliminated once, by the cached
     # `gorenstein_check`, not again on every trial's gate (2650 before).
+    # The step table keeps 1024 steps, so 15 more repeated steps run no
+    # kernel walk (2552 while it kept 32).
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert axpy_calls.count == 2552
+    assert axpy_calls.count == 2519
 
 
 def test_lemma_3_6_search_kernel_steps_are_pinned(kernel_steps):
     # The same search, pinned by the resolution steps that ran the kernel
-    # walk: 183 steps before the step memo, of which 19 repeat a step the
-    # context took before, up to a twist shift.
+    # walk: 183 steps before the step table, of which 34 repeat a step the
+    # context took before, up to a twist shift (164 while the table kept
+    # only 32 steps, as many as the "res" cache keeps resolutions).
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert kernel_steps.count == 164
+    assert kernel_steps.count == 149
 
 
 def test_lemma_3_6_search_resolution_work_is_pinned(resolution_rank):
@@ -613,7 +616,7 @@ def test_lemma_3_6_search_resolution_work_is_pinned(resolution_rank):
     # builds: a wrong choice of side in the Tor check, or a resolution
     # extended past F_5 for Tor_5, shows up here as an exact number (9120
     # when the check always resolved the left one, 6674 when Tor_5 built
-    # F_6 for its top cokernel).  A term served from the step memo counts
+    # F_6 for its top cokernel).  A term served from the step table counts
     # as built.
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
