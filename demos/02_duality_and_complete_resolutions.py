@@ -11,7 +11,6 @@ from extlab.groebner import RingCtx
 from extlab.modules import PresentedModule, dual_module
 from extlab.poly import FieldSpec, PolyRing
 from extlab.resolution import (
-    complete_resolution,
     ext,
     ext_via_complete,
     negative_syzygy,
@@ -41,11 +40,11 @@ via_t = tor_via_complete(M, N, [1, 2, 3], t=5)
 print("direct Tor dims:   ", {i: direct_t.total(i) for i in (1, 2, 3)})
 print("exchanged Tor dims:", {i: via_t.total(i) for i in (1, 2, 3)})
 
-# The complete resolution itself: free ranks in negative degrees come
-# from resolving the dual, and differentials stay composable across 0.
-cres = complete_resolution(M, lo=-3, hi=3)
-print("\ncomplete resolution ranks, degrees -3..3:",
-      [len(cres.term(i)) for i in range(-3, 4)])
+# The negative half of the complete resolution: the cosyzygy at -i is
+# presented on the dual of the (i-1)-th free module in a resolution of
+# Hom(M, R), so its rank counts that free module's generators.
+print("\nnegative syzygy ranks, indices -1..-3:",
+      {-i: negative_syzygy(M, -i).rank0 for i in (1, 2, 3)})
 
 # Negative syzygies cosyzygy the module: going one step down and one
 # step up returns the original (up to minimal presentation).

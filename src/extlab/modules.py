@@ -618,8 +618,8 @@ def _dual_generators(mod: PresentedModule) -> tuple:
     """(X, functionals, degrees, Hilbert function or None) of Hom(M, R),
     the kernel of M's transposed relation matrix psi : X -> Y
     (`_hom_complex` against R), from one `_kernel_generators` walk kept
-    on the module: `dual_module`, `stable_hom` and complete resolutions
-    all read it.  functionals[j] is the j-th minimal generator as a
+    on the module: `dual_module`, `stable_hom` and
+    `resolution.negative_syzygy` all read it.  functionals[j] is the j-th minimal generator as a
     vector u over the free cover of M, with negated generator degrees,
     such that u . column = 0 mod I for every relation column."""
     hit = mod._cache.get("dual_gens")

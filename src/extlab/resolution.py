@@ -89,18 +89,19 @@ matrix builder on N's realization (`_matrix_builder`, a layout over
 Agreement of the two routes on their common range is a regression anchor,
 not an implementation convenience: they must stay independent.
 
-Negative indices are served by `CompleteResolution`, which splices the
-resolution of the dual module (transposed) onto the positive half through
-an explicit pairing differential in homological degree zero.
+Negative indices are served by `negative_syzygy`, which reads the
+complete resolution's negative half off two pieces: the resolution of
+the dual module, transposed, and the evaluation pairing of the module's
+dual generators in homological degree zero.
 
 Resolutions are shared per context (`resolution_of`), and so are the
 twist-free numerators of cokernel spans (`_coker_series`), each in a
 cache of at most `CACHE_BOUND` entries that drops the least recently
-used one.  A complete resolution is not cached: it looks up both halves
-through `resolution_of`.  A resolution owns everything derived from it
-(differentials, syzygy modules, the derived-functor memo), and nothing
-outside its cache refers to it, so dropping it frees all of that: a long
-search holds a bounded number of resolutions.
+used one.  A negative syzygy looks up the dual's resolution through
+`resolution_of` and holds nothing.  A resolution owns everything derived
+from it (differentials, syzygy modules, the derived-functor memo), and
+nothing outside its cache refers to it, so dropping it frees all of
+that: a long search holds a bounded number of resolutions.
 
 Over an artinian context the resolution steps themselves outlive the
 resolutions: the context's step table (`Resolution._step`) keys a step
@@ -1177,90 +1178,38 @@ def gorenstein_check(ctx: RingCtx) -> bool:
     return hit
 
 
-# -- complete resolutions and negative syzygies ------------------------------------
-
-
-class CompleteResolution:
-    """Doubly infinite exact complex of free modules around a maximal
-    Cohen-Macaulay module over a Gorenstein context.
-
-    Nonnegative terms come from the minimal resolution.  The negative half
-    comes from Hom(M, R) (`dual_module`) and its minimal generators as
-    functionals on M's free cover (`modules._dual_generators`, the walk
-    the dual is presented from): terms below zero are duals of the terms
-    of a minimal resolution of that Hom(M, R), with transposed
-    differentials, and the degree-zero differential is the evaluation
-    pairing, the functionals transposed.
-    `term(i)` and `diff(i)` accept any integer index.  The two halves are
-    looked up through `resolution_of` on every use, never held, so they
-    stay under that cache's bound.
-    """
-
-    def __init__(self, module: PresentedModule, lo: int = -2, hi: int = 2):
-        ctx = module.ctx
-        mm = module.minimal_presentation()
-        if not gorenstein_check(ctx):
-            raise HypothesisNotMet("complete resolutions need a Gorenstein context")
-        if mm.rank0 and not is_mcm(mm):
-            raise HypothesisNotMet("module is not maximal Cohen-Macaulay")
-        self.ctx = ctx
-        self.module = mm
-        self._dual = dual_module(mm)
-        self._d0 = _hom_columns(ctx, _dual_generators(mm)[1], mm.rank0, 1)
-        self.extend(lo, hi)
-
-    @property
-    def pos(self) -> Resolution:
-        """The minimal resolution of the module: the terms from 0 up."""
-        return resolution_of(self.module)
-
-    @property
-    def neg(self) -> Resolution:
-        """The minimal resolution of Hom(M, R), whose dual gives the terms
-        below 0."""
-        return resolution_of(self._dual)
-
-    def extend(self, lo: int, hi: int) -> "CompleteResolution":
-        if hi >= 0:
-            self.pos.extend_to(hi)
-        if lo < 0:
-            self.neg.extend_to(-lo - 1)
-        return self
-
-    def term(self, i: int) -> tuple[int, ...]:
-        if i >= 0:
-            return self.pos.twists_of(i)
-        return tuple(-a for a in self.neg.twists_of(-i - 1))
-
-    def diff(self, i: int) -> list[dict]:
-        """Columns of the differential from term(i) to term(i-1)."""
-        if i >= 1:
-            return self.pos.diff(i)
-        if i == 0:
-            return self._d0
-        return _hom_columns(self.ctx, self.neg.diff(-i), self.neg.rank(-i - 1), 1)
-
-
-def complete_resolution(mod: PresentedModule, lo: int = -2, hi: int = 2) -> CompleteResolution:
-    """The complete resolution of mod, extended to [lo, hi].  It is not
-    cached itself: its two halves come from `resolution_of`, and the
-    dual and dual generators it reads are cached on the minimal
-    presentation."""
-    return CompleteResolution(mod, lo, hi)
+# -- negative syzygies ------------------------------------------------------------
 
 
 def negative_syzygy(mod: PresentedModule, i: int) -> PresentedModule:
-    """Syzygy in a complete resolution at index i <= -1 (cokernel of the
-    incoming differential, presented on term(i))."""
+    """Syzygy at index i <= -1 in the complete resolution of a maximal
+    Cohen-Macaulay module M over a Gorenstein context: the cokernel of
+    the differential into term(i), presented on term(i).
+
+    Terms below zero are the duals of the terms of the minimal resolution
+    of Hom(M, R) (`dual_module`), term(i) that of F_{-i-1}, and the
+    differentials between them are transposed.  The differential from
+    term(0) into term(-1) is the evaluation pairing: M's dual generators
+    as functionals on its free cover (`modules._dual_generators`, the
+    walk the dual is presented from), transposed.
+    """
     if i >= 0:
         raise ValueError("use syzygy for nonnegative indices")
-    cres = complete_resolution(mod, lo=i, hi=0)
-    twists = cres.term(i)
+    ctx = mod.ctx
+    mm = mod.minimal_presentation()
+    if not gorenstein_check(ctx):
+        raise HypothesisNotMet("complete resolutions need a Gorenstein context")
+    if mm.rank0 and not is_mcm(mm):
+        raise HypothesisNotMet("module is not maximal Cohen-Macaulay")
+    neg = resolution_of(dual_module(mm))
+    twists = tuple(-a for a in neg.twists_of(-i - 1))
     if not twists:
-        return PresentedModule.zero(mod.ctx)
-    return PresentedModule(
-        mod.ctx, twists, [dict(c) for c in cres.diff(i + 1)]
-    ).minimal_presentation()
+        return PresentedModule.zero(ctx)
+    if i == -1:
+        cols = _hom_columns(ctx, _dual_generators(mm)[1], mm.rank0, 1)
+    else:
+        cols = _hom_columns(ctx, neg.diff(-i - 1), neg.rank(-i - 2), 1)
+    return PresentedModule(ctx, twists, cols).minimal_presentation()
 
 
 # -- Ext and Tor through the dual route --------------------------------------------

@@ -31,6 +31,8 @@ from extlab.modules import (
     ModuleMap,
     PresentedModule,
     _combine_columns,
+    _dual_generators,
+    _hom_columns,
     _kernel_generators,
     _kernel_generators_gb,
     _sum_of_shifts,
@@ -45,13 +47,11 @@ from extlab.resolution import (
     CACHE_BOUND,
     STEP_BOUND,
     BettiTable,
-    CompleteResolution,
     Resolution,
     _STEP,
     _incoming_cols,
     _step_cols,
     _term_shifts,
-    complete_resolution,
     depth,
     derived_dims,
     ext,
@@ -1210,19 +1210,45 @@ def test_gorenstein_check(quadric, nilsquares, gor5):
 # -- complete resolutions and negative syzygies ----------------------------------
 
 
+def _complete_resolution(mod):
+    """(term, diff) of the complete resolution of a maximal Cohen-Macaulay
+    module, spliced here from three public pieces: the resolution of M
+    for indices >= 0, the resolution of Hom(M, R) dualized, its
+    differentials transposed, for indices < 0, and in degree zero the
+    evaluation pairing d_0, M's dual generators transposed.  diff(i) maps
+    term(i) to term(i - 1)."""
+    ctx, mm = mod.ctx, mod.minimal_presentation()
+    pos, neg = resolution_of(mm), resolution_of(dual_module(mm))
+    d0 = _hom_columns(ctx, _dual_generators(mm)[1], mm.rank0, 1)
+
+    def term(i):
+        if i >= 0:
+            return pos.twists_of(i)
+        return tuple(-a for a in neg.twists_of(-i - 1))
+
+    def diff(i):
+        if i >= 1:
+            return pos.diff(i)
+        if i == 0:
+            return d0
+        return _hom_columns(ctx, neg.diff(-i), neg.rank(-i - 1), 1)
+
+    return term, diff
+
+
 def test_complete_resolution_fully_periodic(nilsquares):
     m = cyclic(nilsquares, "x")
-    cres = complete_resolution(m, -3, 3)
+    term, diff = _complete_resolution(m)
     for i in range(-3, 4):
-        assert cres.term(i) == (i,)
+        assert term(i) == (i,)
     # Every differential is multiplication by x; composites vanish mod x^2.
     for i in range(-2, 4):
-        src = PresentedModule.free(nilsquares, cres.term(i))
-        step = ModuleMap(src, PresentedModule.free(nilsquares, cres.term(i - 1)), cres.diff(i), check=False)
+        src = PresentedModule.free(nilsquares, term(i))
+        step = ModuleMap(src, PresentedModule.free(nilsquares, term(i - 1)), diff(i), check=False)
         again = ModuleMap(
-            PresentedModule.free(nilsquares, cres.term(i - 1)),
-            PresentedModule.free(nilsquares, cres.term(i - 2)),
-            cres.diff(i - 1),
+            PresentedModule.free(nilsquares, term(i - 1)),
+            PresentedModule.free(nilsquares, term(i - 2)),
+            diff(i - 1),
             check=False,
         )
         target = again.target
@@ -1237,19 +1263,19 @@ def test_negative_syzygy_periodicity(nilsquares):
 
 def test_complete_resolution_exactness_gor5(gor5):
     k = k_of(gor5)
-    cres = complete_resolution(k, -2, 2)
+    term, diff = _complete_resolution(k)
     p = gor5.ring.field.p
     ring = FiniteLengthRealization.of_ring(gor5)
 
     def matrix_at(i):
         # d_i : term(i) -> term(i - 1), degreewise as F (x) R -> F' (x) R.
-        blocks = _entry_blocks(gor5, cres.diff(i))
-        return _block_builder(ring, blocks, cres.term(i - 1), cres.term(i), -1)
+        blocks = _entry_blocks(gor5, diff(i))
+        return _block_builder(ring, blocks, term(i - 1), term(i), -1)
 
     for i in range(-1, 2):
         at, at_up = matrix_at(i), matrix_at(i + 1)
         for d in range(-6, 7):
-            src_dim = sum(ring.dim(d - a) for a in cres.term(i))
+            src_dim = sum(ring.dim(d - a) for a in term(i))
             if not src_dim:
                 continue
             kernel_dim = src_dim - rank_rows(at(d), p)
@@ -1258,14 +1284,14 @@ def test_complete_resolution_exactness_gor5(gor5):
 
 def test_complete_resolution_hypotheses(quadric):
     n = PresentedModule.from_matrix(quadric, [["w"], ["x"], ["y"], ["z"]])
-    with pytest.raises(HypothesisNotMet):
-        CompleteResolution(n)
+    with pytest.raises(HypothesisNotMet, match="module is not maximal Cohen-Macaulay"):
+        negative_syzygy(n, -1)
     bad = make_ctx(("x", "y"), ("x^2", "x*y", "y^3"))
-    with pytest.raises(HypothesisNotMet):
-        CompleteResolution(PresentedModule.residue_field(bad))
+    with pytest.raises(HypothesisNotMet, match="complete resolutions need a Gorenstein context"):
+        negative_syzygy(PresentedModule.residue_field(bad), -1)
 
 
-def test_dual_of_syzygy_matches_negative_syzygy_of_dual(nilsquares):
+def test_dual_of_syzygy_matches_negative_syzygy_of_dual(nilsquares, gor5, quadric):
     # For the periodic module B/(x): dualizing the i-th syzygy agrees with
     # the -i-th syzygy of the dual, a sanity anchor for index conventions.
     m = cyclic(nilsquares, "x")
@@ -1273,6 +1299,25 @@ def test_dual_of_syzygy_matches_negative_syzygy_of_dual(nilsquares):
         left = dual_module(syzygy(m, i))
         right = negative_syzygy(dual_module(m), -i)
         assert left.hilbert_numerator() == right.hilbert_numerator()
+    # Over a Gorenstein context the cosyzygy of an MCM module is the dual
+    # of the syzygy of its dual, up to isomorphism.  Both sides read the
+    # resolution of Hom(M, R), but negative_syzygy takes the cokernel of a
+    # transposed differential and the other side a dual (a kernel), so
+    # they agree by duality, not by construction.
+    # Seed-2 draws 0-11 over the artinian rings (all MCM) and the quadric's
+    # matrix-factorization module, i = 1, 2, 3: 75 cases.
+    cfg = ExperimentConfig(seed=2)
+    mods = [random_module(cfg, ctx, idx) for ctx in (nilsquares, gor5) for idx in range(12)]
+    mods = [m for m in mods if m.minimal_presentation().rank0]
+    mods.append(PresentedModule.from_matrix(quadric, [["w", "y"], ["z", "x"]]))
+    assert len(mods) == 25
+    for n, m in enumerate(mods):
+        for i in (1, 2, 3):
+            left = negative_syzygy(m, -i)
+            right = dual_module(syzygy(dual_module(m), i))
+            assert sorted(left.row_twists) == sorted(right.row_twists), (n, i)
+            assert sorted(left.col_degrees) == sorted(right.col_degrees), (n, i)
+            assert minimal_free_resolution(left, 4)[1] == minimal_free_resolution(right, 4)[1], (n, i)
 
 
 # -- the two routes agree --------------------------------------------------------
