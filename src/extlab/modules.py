@@ -374,130 +374,6 @@ def _submodule(gens, degs, target: PresentedModule, hf=None) -> PresentedModule:
     return out
 
 
-class ModuleMap:
-    """Graded degree-zero map between presented modules, one image column
-    per source generator (written in the target's free cover).
-
-    Columns are reduced modulo the ideal, except when an internal caller
-    passes `_reduced=True` for columns that are normal forms already."""
-
-    def __init__(
-        self,
-        source: PresentedModule,
-        target: PresentedModule,
-        columns: Sequence[dict],
-        *,
-        check: bool = True,
-        _reduced: bool = False,
-    ):
-        if source.ctx is not target.ctx:
-            raise ValueError("map across different contexts")
-        self.ctx = source.ctx
-        self.source = source
-        self.target = target
-        if _reduced:
-            # Normal forms already; only their terms are put in the
-            # descending key order a reduction leaves them in.
-            cols = [dict(sorted(c.items(), reverse=True)) for c in columns]
-        else:
-            cols = [reduce_vec_by_ideal(dict(c), self.ctx) for c in columns]
-        if len(cols) != source.rank0:
-            raise ValueError(f"need {source.rank0} columns, got {len(cols)}")
-        for c, vec in enumerate(cols):
-            if vec and vec_degree(self.ctx, vec, target.row_twists) != source.row_twists[c]:
-                raise ValueError(f"column {c} does not preserve degree")
-        self.columns = tuple(cols)
-        if check:
-            for rel in source.columns:
-                if target.normal_form(self.apply_vec(rel)):
-                    raise ValueError("map does not kill the source relations")
-
-    @classmethod
-    def identity(cls, mod: PresentedModule) -> "ModuleMap":
-        codec = mod.ctx.codec
-        unit = mod.ctx.ring.unit_key
-        cols = [{codec.mkey(unit, j): 1} for j in range(mod.rank0)]
-        return cls(mod, mod, cols, check=False, _reduced=True)
-
-    @classmethod
-    def from_matrix(cls, source, target, rows, *, check: bool = True) -> "ModuleMap":
-        """Row-major matrix, rows indexed by target generators."""
-        ring = source.ctx.ring
-        parsed = [
-            [ring.parse(e) if isinstance(e, str) else (ring.constant(e) if isinstance(e, int) else e) for e in row]
-            for row in rows
-        ]
-        if len(parsed) != target.rank0 or any(len(row) != source.rank0 for row in parsed):
-            raise ValueError(f"need a {target.rank0} x {source.rank0} matrix")
-        cols = []
-        for c in range(source.rank0):
-            cols.append(vec_from_entries(source.ctx, [row[c] for row in parsed]))
-        return cls(source, target, cols, check=check)
-
-    def apply_vec(self, vec: dict) -> dict:
-        """Image of a packed vector over the source's free cover."""
-        return _combine_columns(self.ctx, self.columns, vec)
-
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        """self o inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition mismatch")
-        cols = [self.apply_vec(c) for c in inner.columns]
-        return ModuleMap(inner.source, self.target, cols, check=False)
-
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        if other.source != self.source or other.target != self.target:
-            raise ValueError("sum of maps with different ends")
-        p = self.ctx.ring.field.p
-        cols = []
-        for a, b in zip(self.columns, other.columns):
-            out = dict(a)
-            for k, c in b.items():
-                v = (out.get(k, 0) + c) % p
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-            cols.append(out)
-        return ModuleMap(self.source, self.target, cols, check=False)
-
-    def __neg__(self) -> "ModuleMap":
-        p = self.ctx.ring.field.p
-        return ModuleMap(
-            self.source, self.target, [_neg(c, p) for c in self.columns], check=False, _reduced=True
-        )
-
-    def kernel(self) -> tuple[PresentedModule, "ModuleMap"]:
-        """(K, inclusion K -> source), K minimally presented.
-
-        K's generators are minimal generators of the kernel modulo the
-        source relations (`_kernel_generators`), and K is the submodule of
-        the source they generate, presented by the same step applied to
-        them against the source (`_submodule`), so K is its own minimal
-        presentation.  On an artinian context both steps are degreewise
-        linear algebra on sparse GF(p) rows (`rows._map_kernel`), with no
-        Groebner basis: in degree d, ker(F_source -> target) is the
-        nullspace of the map's columns reduced by the target's relation
-        echelon, and `rows.kernel_generators`, seeded with the source's
-        relation span, returns minimal generators modulo it, checking
-        that the source relations lie in the kernel (the map is well
-        defined).  The same walk gives K's Hilbert function, the
-        nullspace's dimension minus the seed's rank in each degree, and K
-        keeps it.  Elsewhere both steps are syzygies pruned by
-        `minimal_generator_indices` (`_kernel_generators_gb`).
-        """
-        gens, degs, hf = _kernel_generators(self.columns, self.source, self.target)
-        K = _submodule(gens, degs, self.source, hf)
-        return K, ModuleMap(K, self.source, gens, check=False, _reduced=True)
-
-    def cokernel(self) -> PresentedModule:
-        return PresentedModule(
-            self.ctx,
-            self.target.row_twists,
-            list(self.target.columns) + list(self.columns),
-        )
-
-
 def _kernel_generators(
     cols: Sequence[dict], src: PresentedModule, tgt: PresentedModule
 ) -> tuple[list[dict], tuple[int, ...], dict[int, int] | None]:
@@ -632,7 +508,7 @@ def _dual_generators(mod: PresentedModule) -> tuple:
 
 def dual_module(mod: PresentedModule) -> PresentedModule:
     """Hom(M, R), the submodule of X its functionals generate
-    (`_dual_generators`, `_submodule`), as `ModuleMap.kernel` presents a
+    (`_dual_generators`, `_submodule`), as `subquotient` presents a
     kernel."""
     hit = mod._cache.get("dual")
     if hit is None:
@@ -666,12 +542,15 @@ def subquotient(
     `dual_module` is the kernel of `_hom_complex` against R, with nothing
     to divide out, presented from its cached generators
     (`_dual_generators`).  The kernel comes minimally presented on both
-    loci from `ModuleMap.kernel`'s two steps, with no inclusion map built.
+    loci from two steps: minimal generators of the kernel modulo Q's
+    relations (`_kernel_generators`), and the submodule of Q they
+    generate, presented by the same step applied to them (`_submodule`).
     Over an artinian context this is degreewise linear algebra on sparse
     GF(p) rows with no Groebner basis: the map's columns are reduced by
     the target's relation echelon, the kernel is generated modulo the
-    relation span of Q, which also checks that in_cols lie in the kernel,
-    and its Hilbert function is read off that walk.  The direct route of
+    relation span of Q, which also checks that X's relations and in_cols
+    lie in the kernel (the map is well defined on Q), and its Hilbert
+    function is read off that walk.  The direct route of
     `resolution.ext` / `tor` takes the same subquotient's dimensions on
     N's realization instead (`resolution._realized_homology`), where no
     relation is eliminated and no module is presented; the tests compare

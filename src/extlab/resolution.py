@@ -3,7 +3,7 @@
 A `Resolution` is grown lazily one syzygy step at a time.  Each step
 takes minimal generators of the kernel of the previous differential, a
 map between free modules, with `modules._kernel_generators`, the
-generator half of `ModuleMap.kernel`: over an artinian context on sparse
+generator half of `modules.subquotient`: over an artinian context on sparse
 rows (`rows._map_kernel`, degreewise linear algebra that picks a
 complement of the image of the kernels below, building the degree-d
 matrix of d_n with `rows._block_builder`, the builder the degreewise

@@ -44,10 +44,10 @@ copy by copy, and passes the nullspace to `kernel_generators` over the
 ring's realization, seeded with the source's relation echelon rows,
 copy by copy (`_copy_pieces`; a module that is no sum is one copy of
 itself).  That is `modules._kernel_generators` on artinian contexts,
-behind `ModuleMap.kernel` and `modules.subquotient` (whose kernel
-module takes its Hilbert function from that walk), every presentation
-built by `modules._submodule` and, with a free target, every resolution
-step.  The direct route of `resolution.ext` / `tor` calls
+behind `modules.subquotient` (whose kernel module takes its Hilbert
+function from that walk), every presentation built by
+`modules._submodule` and, with a free target, every resolution step.
+The direct route of `resolution.ext` / `tor` calls
 `kernel_generators` itself, over N's realization
 (`FiniteLengthRealization.from_module`), seeded with the incoming map's
 columns: it never eliminates N's relations again.

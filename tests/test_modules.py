@@ -1,4 +1,4 @@
-"""Presented modules: minimal presentations, maps, duals, Hom, tensor.
+"""Presented modules: minimal presentations, kernels, duals, Hom, tensor.
 
 Expected values are worked out by hand in the comments next to each test;
 the artinian cases use GF(101)[x,y]/(x^2,y^2), whose socle is spanned by
@@ -26,11 +26,12 @@ from extlab.groebner import (
 )
 from extlab.linalg import insert_row, nullspace_rows
 from extlab.modules import (
-    ModuleMap,
     PresentedModule,
+    _combine_columns,
     _dual_generators,
     _hom_columns,
     _hom_complex,
+    _kernel_generators,
     _kernel_generators_gb,
     _minimal_generator_indices_gb,
     _sum_of_shifts,
@@ -143,13 +144,15 @@ def test_koszul_kernel(plane):
     # (y, -x), free on one generator of degree 2.
     free2 = PresentedModule.free(plane, (1, 1))
     ring = PresentedModule.ring_module(plane)
-    phi = ModuleMap.from_matrix(free2, ring, [["x", "y"]])
-    K, incl = phi.kernel()
+    phi = [vec_from_entries(plane, [plane.ring.parse(f)]) for f in ("x", "y")]
+    K = subquotient(free2, [], ring, phi)
     assert K.row_twists == (2,)
     assert K.columns == ()
-    assert not any(ring.normal_form(c) for c in phi.compose(incl).columns)
+    gens, degs, _ = _kernel_generators(phi, free2, ring)
+    assert degs == K.row_twists
+    assert not any(ring.normal_form(_combine_columns(plane, phi, g)) for g in gens)
     # Cokernel is the residue field.
-    cok = phi.cokernel().minimal_presentation()
+    cok = PresentedModule(plane, ring.row_twists, list(ring.columns) + phi).minimal_presentation()
     assert cok == PresentedModule.residue_field(plane)
 
 
@@ -175,26 +178,6 @@ def test_given_degrees_are_one_per_column(plane):
     for degs in ((1,), (1, 1, 1)):
         with pytest.raises(ValueError):
             PresentedModule(plane, (0,), cols, _degrees=degs)
-
-
-@pytest.mark.parametrize("rows", [
-    [["x", "y", "x"]],          # an extra entry
-    [["x", "y"], ["x", "y"]],   # an extra row
-    [["x"]],                    # a short row
-])
-def test_map_from_matrix_needs_its_shape(plane, rows):
-    # Rows are the target's generators, entries the source's.
-    free2 = PresentedModule.free(plane, (1, 1))
-    ring = PresentedModule.ring_module(plane)
-    with pytest.raises(ValueError, match="need a 1 x 2 matrix"):
-        ModuleMap.from_matrix(free2, ring, rows)
-
-
-def test_map_must_kill_relations(nilpl):
-    k = PresentedModule.residue_field(nilpl)
-    ring = PresentedModule.ring_module(nilpl)
-    with pytest.raises(ValueError):
-        ModuleMap.from_matrix(k, ring, [[1]])  # x*1 != 0 in R
 
 
 def test_dual_of_free(plane):
@@ -373,13 +356,6 @@ def test_krull_dim(plane, nilpl):
     assert PresentedModule.ring_module(nilpl).length() == 4
 
 
-def test_map_algebra(nilpl):
-    k = PresentedModule.residue_field(nilpl)
-    ident = ModuleMap.identity(k)
-    assert not any(k.normal_form(c) for c in (ident + (-ident)).columns)
-    assert ident.compose(ident).columns == ident.columns
-
-
 def test_vec_from_entries_roundtrip(plane):
     ring = plane.ring
     vec = vec_from_entries(plane, [ring.parse("x^2 + y"), ring.parse("3*x")])
@@ -429,8 +405,8 @@ def _syzygy_family(mod):
 
 
 def _multiplication_map(mod):
-    """(f_v) |-> sum_v x_v f_v from copies of mod(-1), one per variable,
-    to mod."""
+    """(source, target, columns) of (f_v) |-> sum_v x_v f_v from copies of
+    mod(-1), one per variable, to mod."""
     ctx = mod.ctx
     codec = ctx.codec
     src = PresentedModule.zero(ctx)
@@ -441,7 +417,7 @@ def _multiplication_map(mod):
         for g in ctx.ring.gens()
         for j in range(mod.rank0)
     ]
-    return ModuleMap(src, mod, cols)
+    return src, mod, cols
 
 
 def _kernel_family(mod):
@@ -449,9 +425,8 @@ def _kernel_family(mod):
     relations are `modulo`."""
     ctx = mod.ctx
     codec = ctx.codec
-    phi = _multiplication_map(mod)
-    src = phi.source
-    fam = list(phi.columns) + list(mod.columns)
+    src, _, cols = _multiplication_map(mod)
+    fam = cols + list(mod.columns)
     syz = syzygies_for(ctx, fam, mod.rank0)
     m = src.rank0
     gens = [{k: c for k, c in v.items() if codec.comp_of(k) < m} for v in syz]
@@ -595,47 +570,49 @@ def test_groebner_minimal_generators_match_pivot_columns(request, ring, seed, pa
 
 
 def _kernel_corpus(ctx, seed, pairs):
-    """Seeded maps whose kernels the package takes: the Hom complexes of
-    seeded pairs, against each other and against R, and the
-    `_multiplication_map` of one side."""
+    """Seeded maps whose kernels the package takes, as (source, target,
+    columns): the Hom complexes of seeded pairs, against each other and
+    against R, and the `_multiplication_map` of one side."""
     cfg = ExperimentConfig(seed=seed)
     R = PresentedModule.ring_module(ctx)
     out = []
     for i in range(pairs):
         A, B = (m.minimal_presentation() for m in random_pair(cfg, ctx, i))
         for a, b in ((A, B), (B, A), (A, R), (B, R)):
-            X, Y, psi = _hom_complex(a, b)
-            out.append(ModuleMap(X, Y, psi, check=False))
+            out.append(_hom_complex(a, b))
         out.append(_multiplication_map(A))
     return out
 
 
 @pytest.mark.parametrize("ring, seed", [("gor5", 21), ("nilsquares", 22)])
 def test_row_kernel_matches_groebner_kernel(request, monkeypatch, ring, seed):
-    # The row kernel and the Groebner kernel (`ModuleMap.kernel` with the
+    # The row kernel and the Groebner kernel (`subquotient` with the
     # Groebner body `_kernel_generators_gb` patched in for both of its
     # steps) choose different generators and relations, but must present
-    # isomorphic modules, each included in the source by a well-defined
-    # map that the original map kills.
+    # isomorphic modules, the row one included in the source by a
+    # well-defined map that the original map kills.
     ctx = request.getfixturevalue(ring)
     maps = _kernel_corpus(ctx, seed, 3)
-    assert any(f.source.columns for f in maps)
+    assert any(src.columns for src, _, _ in maps)
     nonzero = 0
-    for f in maps:
-        by_rows, incl = f.kernel()
+    for src, tgt, cols in maps:
+        by_rows = subquotient(src, [], tgt, cols)
         with monkeypatch.context() as m:
             m.setattr(modules, "_kernel_generators", _kernel_generators_gb)
-            by_gb, _ = f.kernel()
+            by_gb = subquotient(src, [], tgt, cols)
         assert sorted(by_rows.row_twists) == sorted(by_gb.row_twists)
         # Both kernels come minimally presented: minimalizing a fresh copy
         # of the Groebner one gives it back, and both have beta_1 relations.
         fresh = PresentedModule(ctx, by_gb.row_twists, by_gb.columns)
         assert fresh.minimal_presentation() == by_gb
         assert len(by_gb.columns) == len(by_rows.columns)
-        # The inclusion must kill K's relations (checked on construction)
-        # and compose with f to zero.
-        incl = ModuleMap(by_rows, f.source, incl.columns)
-        assert not any(f.target.normal_form(c) for c in f.compose(incl).columns)
+        # The row kernel is presented on the generators `_kernel_generators`
+        # returns; their inclusion must kill its relations and compose
+        # with the map to zero.
+        gens, degs, _ = _kernel_generators(cols, src, tgt)
+        assert degs == by_rows.row_twists
+        assert not any(src.normal_form(_combine_columns(ctx, gens, r)) for r in by_rows.columns)
+        assert not any(tgt.normal_form(_combine_columns(ctx, cols, g)) for g in gens)
         if not by_rows.rank0:
             continue
         nonzero += 1
@@ -699,12 +676,11 @@ def test_row_kernel_checks_the_map_is_well_defined(nilpl):
     # closure check asserts that they lie in the kernel: 1 |-> 1 from R/(x)
     # to R is not a map of modules, since x |-> x.
     src = PresentedModule.from_matrix(nilpl, [["x"]])
-    bad = ModuleMap(src, PresentedModule.ring_module(nilpl), [{nilpl.codec.mkey(nilpl.ring.unit_key, 0): 1}], check=False)
+    one = [{nilpl.codec.mkey(nilpl.ring.unit_key, 0): 1}]
     with pytest.raises(InvariantViolation):
-        bad.kernel()
+        subquotient(src, [], PresentedModule.ring_module(nilpl), one)
     # The same map into R/(x) is the identity, with zero kernel.
-    K, _ = ModuleMap(src, src, bad.columns).kernel()
-    assert K.rank0 == 0
+    assert subquotient(src, [], src, one).rank0 == 0
 
 
 @pytest.mark.parametrize("ring, seed", [("quadric", 51), ("gor5", 52), ("nilsquares", 53)])
@@ -990,10 +966,10 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
     cfg = ExperimentConfig(seed=seed)
     for i in range(3):
         Resolution(random_module(cfg, ctx, i)).extend_to(6)
-    maps = [f for f in _kernel_corpus(ctx, seed, 2) if f.target.columns]
+    maps = [(src, tgt, cols) for src, tgt, cols in _kernel_corpus(ctx, seed, 2) if tgt.columns]
     assert maps
-    for f in maps:
-        f.kernel()
+    for src, tgt, cols in maps:
+        subquotient(src, [], tgt, cols)
     for i in range(2):
         M, N = random_pair(cfg, ctx, i)
         ext(M, N, range(4))
@@ -1003,30 +979,17 @@ def test_kernel_shortcuts_match_full_elimination(request, monkeypatch, ring, see
 
 @pytest.mark.parametrize("ring, seed", [("quadric", 61), ("gor5", 62), ("nilsquares", 63)])
 def test_internal_map_columns_are_normal_forms(request, monkeypatch, ring, seed):
-    # Callers inside the package that pass `_reduced=True` skip the ideal
-    # reduction: their columns must already be normal forms, and the map
-    # keeps them exactly as reducing them would (terms in the same order).
     # The incoming columns of the Hom and tensor complexes, which the
     # direct route and the cokernels of `derived_dims` take as they come
-    # off the artinian locus, must be normal forms too, and so must the
+    # off the artinian locus, must be normal forms, and so must the
     # outgoing columns that `subquotient` takes.  Over an artinian ring no
     # incoming column is built: both routes lay out the induced maps on
     # N's realization (`resolution._matrix_builder`).
     ctx = request.getfixturevalue(ring)
-    real = ModuleMap.__init__
     real_incoming = resolution._incoming_cols
     real_subquotient = modules.subquotient
-    checked = []
     incoming = []
     outgoing = []
-
-    def init(self, source, target, columns, *, check=True, _reduced=False):
-        columns = list(columns)
-        real(self, source, target, columns, check=check, _reduced=_reduced)
-        if _reduced:
-            ref = [list(reduce_vec_by_ideal(dict(c), ctx).items()) for c in columns]
-            assert [list(c.items()) for c in self.columns] == ref
-            checked.append(len(columns))
 
     def incoming_cols(*args):
         cols = real_incoming(*args)
@@ -1039,7 +1002,6 @@ def test_internal_map_columns_are_normal_forms(request, monkeypatch, ring, seed)
         outgoing.append(len(out_cols))
         return real_subquotient(X, in_cols, target, out_cols)
 
-    monkeypatch.setattr(ModuleMap, "__init__", init)
     monkeypatch.setattr(resolution, "_incoming_cols", incoming_cols)
     monkeypatch.setattr(modules, "subquotient", subquotient)
     cfg = ExperimentConfig(seed=seed, max_generators=1 if ring == "quadric" else 3)
@@ -1050,7 +1012,5 @@ def test_internal_map_columns_are_normal_forms(request, monkeypatch, ring, seed)
         scan_ext(A, B, ctx.dim + 3)
         hom_module(A, B)
         dual_module(B)
-        ident = ModuleMap.identity(A)
-        assert not any(A.normal_form(c) for c in (ident + (-ident)).columns)
-    assert sum(checked) > 0 and sum(outgoing) > 0
+    assert sum(outgoing) > 0
     assert (sum(incoming) > 0) == (ring == "quadric")

@@ -28,7 +28,6 @@ from extlab.errors import DegreeCapError, HypothesisNotMet, InvariantViolation, 
 from extlab.groebner import RingCtx, quotient_helpers, reduce_vec_by_ideal
 from extlab.linalg import _reduce_row, rank_rows
 from extlab.modules import (
-    ModuleMap,
     PresentedModule,
     _combine_columns,
     _dual_generators,
@@ -1243,16 +1242,9 @@ def test_complete_resolution_fully_periodic(nilsquares):
         assert term(i) == (i,)
     # Every differential is multiplication by x; composites vanish mod x^2.
     for i in range(-2, 4):
-        src = PresentedModule.free(nilsquares, term(i))
-        step = ModuleMap(src, PresentedModule.free(nilsquares, term(i - 1)), diff(i), check=False)
-        again = ModuleMap(
-            PresentedModule.free(nilsquares, term(i - 1)),
-            PresentedModule.free(nilsquares, term(i - 2)),
-            diff(i - 1),
-            check=False,
-        )
-        target = again.target
-        assert not any(target.normal_form(c) for c in again.compose(step).columns)
+        target = PresentedModule.free(nilsquares, term(i - 2))
+        composite = [_combine_columns(nilsquares, diff(i - 1), c) for c in diff(i)]
+        assert composite and not any(target.normal_form(c) for c in composite)
 
 
 def test_negative_syzygy_periodicity(nilsquares):
@@ -1352,6 +1344,21 @@ def test_dual_route_validation(nilsquares, quadric):
     n = PresentedModule.from_matrix(quadric, [["w"], ["x"], ["y"], ["z"]])
     with pytest.raises(HypothesisNotMet):
         ext_via_complete(n, k_of(quadric), [1], t=4)
+    k = k_of(make_ctx(("x", "y"), ("x^2", "x*y", "y^2")))
+    with pytest.raises(HypothesisNotMet, match="the dual route needs a Gorenstein context"):
+        ext_via_complete(k, k, [1, 2, 3])
+
+
+def test_dual_route_defaults_to_syzygy_two_past_the_top_index(nilsquares):
+    # Without t the pass goes through syzygy max(indices) + 2; no indices
+    # give an empty result.
+    M, N = random_pair(ExperimentConfig(seed=3), nilsquares, 0)
+    idx = [1, 2, 3]
+    default, explicit = ext_via_complete(M, N, idx), ext_via_complete(M, N, idx, t=5)
+    assert any(explicit.total(i) for i in idx)
+    assert [default.graded_of(i) for i in idx] == [explicit.graded_of(i) for i in idx]
+    empty = ext_via_complete(M, N, [])
+    assert empty.indices == [] and empty.totals == {}
 
 
 def _holds(value, kind) -> bool:

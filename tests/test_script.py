@@ -349,6 +349,12 @@ def test_search_lemma36_counts_hypothesis_skips():
     assert rep["exit_code"] == EXIT_OK
 
 
+def test_search_needs_a_ring_first():
+    rep = run_text("search harness(2);\n")
+    assert rep["statements"][0]["error"] == "search requires a ring statement first"
+    assert rep["exit_code"] == EXIT_HYPOTHESIS
+
+
 def test_search_harness_runs_and_logs_structure():
     rep = run_text(NILSQUARES + "search harness(2);\n", seed=5)
     out = rep["statements"][1]["result"]["report"]
@@ -456,6 +462,54 @@ def test_render_report_text_golden(tmp_path, monkeypatch):
     # the emitted table is the report as it stood before the emit statement
     emitted = GOLDEN_TEXT.replace("[ 10] emit    wrote report.txt\n", "")
     assert (tmp_path / "report.txt").read_text() == emitted
+
+
+EVERY_KIND = (
+    "ring G = GF(101)[x, y, z] / (x*y, x*z, y*z, x^2 - y^2, x^2 - z^2);\n"
+    "module M = coker G [[x]];\n"
+    + "".join(f"let L{i} = {expr};\n" for i, expr in enumerate(
+        ["syzygy(M, 1)", "dual(M)", "matlis(M)", "hom(M, k)", "tensor(M, k)", "stablehom(M, M)"]))
+    + "scan ext(k, M, 1..4);\n"
+    "scan tor(M, k, 1..4);\n"
+    "betti M, 3;\n"
+    "check theorem21(M, M, 4);\n"
+    "check symmetry(M, k, 4);\n"
+    "check corollary42(M, k, 4);\n"
+    "check lescot(M);\n"
+    "check lemma36(M, k);\n"
+    "check theorem59(M, k);\n"
+    "check stablesuite(M, k);\n"
+    "check prop43(M, k, 4);\n"
+    "search harness(1, 4);\n"
+    "search lemma36(1);\n"
+    "search symmetry(1, 4);\n"
+)
+
+
+def test_reports_match_the_documented_schema(tmp_path, capsys):
+    # The canned scripts' reports, and a report with a statement of every
+    # kind (every let function, check and search, an emit, and a ring
+    # statement that fails), validate against docs/report-schema.json.
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((SCRIPTS.parent / "docs" / "report-schema.json").read_text())
+    validator = jsonschema.Draft7Validator(schema)
+    emitted = tmp_path / "emitted.json"
+    path = write_script(tmp_path, EVERY_KIND + f'emit json "{emitted}";\nring F = GF(4)[x];\n')
+    runs = [[str(SCRIPTS / "koszul.gor")], [str(SCRIPTS / "example-2-3.gor")],
+            [str(SCRIPTS / "lemma-3-6-search.gor"), "--seed", "7"], [path]]
+    reports = []
+    for args in runs:
+        main(args)
+        reports.append(json.loads(capsys.readouterr().out))
+    reports.append(json.loads(emitted.read_text()))
+    for report in reports:
+        assert [e.message for e in validator.iter_errors(report)] == []
+    every = reports[3]["statements"]
+    assert [e["status"] for e in every[:-1]] == ["ok"] * (len(every) - 1)
+    assert {e["result"]["check"] for e in every if e["kind"] == "check"} == set(scr._CHECKS)
+    assert {e["result"]["search"] for e in every if e["kind"] == "search"} == set(scr._SEARCHES)
+    assert [e["kind"] for e in every].count("let") == len(scr._EXPR_FUNCS)
+    assert every[-1]["status"] == "error" and reports[3]["exit_code"] == EXIT_HYPOTHESIS
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ Frozen oracles used below, all derivable by hand:
   exactly when the maximal Cohen-Macaulay gate is bypassed.
 """
 
+import re
+
 import pytest
 
 from extlab import resolution, vanishing
@@ -24,7 +26,14 @@ from extlab.errors import HypothesisNotMet, InvariantViolation
 from extlab.groebner import RingCtx
 from extlab.modules import PresentedModule, dual_module
 from extlab.poly import FieldSpec, PolyRing
-from extlab.resolution import derived_dims, gorenstein_check, tor_profile
+from extlab.resolution import (
+    Resolution,
+    derived_dims,
+    gorenstein_check,
+    negative_syzygy,
+    tor_profile,
+)
+from extlab.script import RunFlags, parse_script, run_script
 from extlab.vanishing import (
     CheckReport,
     ExperimentConfig,
@@ -38,6 +47,7 @@ from extlab.vanishing import (
     free_or_nonvanishing_check,
     gap_analysis,
     lescot_betti_check,
+    module_replay,
     quotient_context,
     random_module,
     random_pair,
@@ -484,6 +494,84 @@ def test_search_harness_budget_reports_unresolved(gor5):
     statuses = {t["status"] for t in rep["trials"]}
     assert statuses <= {"resolved", "unresolved"}
     assert "unresolved" in statuses  # budget of 4 columns cannot fit these scans
+
+
+def _suspicious_scan(windows, late):
+    """Stand-in for `scan_ext` on a dimension-0 ring: Ext^1 nonzero, then
+    zero to the top of the window, except at index `late` when the window
+    reaches it.  Each call records its window top."""
+
+    def scan(M, N, H, *, full=True, rank_budget=None):
+        windows.append(H)
+        dims = {i: 0 for i in range(1, H + 1)}
+        dims[1] = 2
+        if late is not None and late <= H:
+            dims[late] = 1
+        return VanishingPattern("ext", ("M", "N"), (1, H), 0, dims, H)
+
+    return scan
+
+
+@pytest.mark.parametrize("late, status, code", [
+    (None, "candidate", 3),
+    (9, "retracted at wider window", 0),
+])
+def test_search_harness_rechecks_a_suspicious_pattern(monkeypatch, nilsquares, late, status, code):
+    # A pattern nonzero past the ring dimension and zero on the last three
+    # or more indices of the window is scanned again four indices wider:
+    # it is logged as a candidate, with both patterns and replay data,
+    # when the wider scan keeps it, and retracted when the wider scan
+    # shows a later nonzero value.  Through the script runner a candidate
+    # sets exit code 3.
+    windows = []
+    monkeypatch.setattr(vanishing, "scan_ext", _suspicious_scan(windows, late))
+    cfg = ExperimentConfig(seed=3, trials=2, window=6)
+    out = search_harness(cfg, nilsquares)
+    assert windows == [6, 10, 6, 10]
+    for t, entry in enumerate(out["trials"]):
+        M, N = random_pair(cfg, nilsquares, t)
+        assert entry["status"] == status
+        assert (entry["left"], entry["right"]) == (module_replay(M), module_replay(N))
+        assert entry["pattern"]["last_nonzero"] == 1
+        assert entry["widened"]["window"] == [1, 10]
+        assert entry["widened"]["last_nonzero"] == (late or 1)
+    assert out["candidates"] == (out["trials"] if status == "candidate" else [])
+    script = "ring A = GF(101)[x, y] / (x^2, y^2);\nsearch harness(2, 6);\n"
+    rep = run_script(parse_script(script), RunFlags(seed=3))
+    assert rep["statements"][1]["result"]["report"] == out
+    assert rep["exit_code"] == code
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda f: derived_dims("hom", _k(f("nilsquares")), _k(f("nilsquares")), 1),
+                 ValueError, "unknown derived functor 'hom'", id="derived-kind"),
+    pytest.param(lambda f: derived_dims("ext", _k(f("nilsquares")), _k(f("nilsquares")), -1),
+                 ValueError, "derived-functor indices start at 0", id="derived-index"),
+    pytest.param(lambda f: Resolution(_k(f("nilsquares"))).diff(0),
+                 ValueError, "differentials are indexed from 1", id="diff-index"),
+    pytest.param(lambda f: Resolution(_k(f("nilsquares"))).syzygy_module(-1),
+                 ValueError, "use negative_syzygy below index zero", id="syzygy-index"),
+    pytest.param(lambda f: negative_syzygy(_k(f("nilsquares")), 0),
+                 ValueError, "use syzygy for nonnegative indices", id="negative-syzygy-index"),
+    pytest.param(lambda f: VanishingPattern("hom", ("M", "N"), (1, 3), 0, {1: 0, 2: 0, 3: 0}, 3),
+                 ValueError, "unknown scan kind 'hom'", id="pattern-kind"),
+    pytest.param(lambda f: VanishingPattern("ext", ("M", "N"), (1, 2), 0, {1: 0, 2: 0}, 2),
+                 ValueError, re.escape("window (1, 2) invalid"), id="pattern-window"),
+    pytest.param(lambda f: ExperimentConfig(window=0),
+                 ValueError, "window must be positive", id="config-window"),
+    pytest.param(lambda f: stable_suite_check(_k(f("quadric")), _k(f("quadric"))),
+                 HypothesisNotMet, "left argument not maximal Cohen-Macaulay", id="stable-suite-mcm"),
+    pytest.param(lambda f: lescot_betti_check(_k(_ctx(("x", "y"), ["x^2", "x*y", "y^2"]))),
+                 HypothesisNotMet, "ring is not Gorenstein", id="lescot-not-gorenstein"),
+    pytest.param(lambda f: lescot_betti_check(_k(_ctx(("x", "y", "z"), ["x^2", "y^2", "z^2"]))),
+                 HypothesisNotMet, re.escape("length 8 differs from embedding dimension + 2 = 5"),
+                 id="lescot-length"),
+])
+def test_refusals_name_their_reason(request, call, error, message):
+    # Each call is refused with its documented error class and message;
+    # `call` reads ring fixtures through the function it is given.
+    with pytest.raises(error, match=message):
+        call(request.getfixturevalue)
 
 
 def test_reports_serialize(gor5):
