@@ -853,9 +853,3 @@ def twisted_numerator(parts: list[dict[int, int]], twists: tuple[int, ...]) -> d
         out = _tp_add(out, _tp_shift(num, twists[c] if c < len(twists) else 0))
     return out
 
-
-def presented_numerator(
-    ctx: RingCtx, gbv: VectorGB, rank: int, twists: tuple[int, ...]
-) -> dict[int, int]:
-    """Hilbert series numerator of R^rank(twists)/span, over prod(1-t^w)."""
-    return twisted_numerator(component_numerators(ctx, gbv, rank), twists)

@@ -30,15 +30,17 @@ from .errors import InvariantViolation
 from .groebner import (
     RingCtx,
     VectorGB,
+    _lru_get,
     _tp_shift,
     _tp_sub,
+    component_numerators,
     module_gb,
-    presented_numerator,
     reduce_vec_by_ideal,
     syzygies_for,
     tp_exact_quotient,
     tp_series,
     tp_value_at_one,
+    twisted_numerator,
 )
 from .linalg import insert_row
 from .poly import Polynomial
@@ -237,10 +239,8 @@ class PresentedModule:
 
     def hilbert_numerator(self) -> dict[int, int]:
         """Numerator of the Hilbert series over prod(1 - t^w), kept.  Off
-        the artinian locus it is read off the lead terms of a Groebner
-        basis of the relations: `gb()`'s if it holds one, else one built
-        for the numerator and not kept, since most modules whose series is
-        read are never reduced against."""
+        the artinian locus it is the relation span's twist-free component
+        numerators (`_span_numerators`) twisted by `row_twists`."""
         hit = self._cache.get("numerator")
         if hit is None:
             if self.ctx.is_artinian:
@@ -248,10 +248,7 @@ class PresentedModule:
                 for w in self.ctx.ring.weights:
                     hit = _tp_sub(hit, _tp_shift(hit, w))
             else:
-                gbv = self._cache.get("gb")
-                if gbv is None:
-                    gbv = module_gb(self.ctx, list(self.columns), self.rank0)
-                hit = presented_numerator(self.ctx, gbv, self.rank0, self.row_twists)
+                hit = twisted_numerator(_span_numerators(self), self.row_twists)
             self._cache["numerator"] = hit
         return hit
 
@@ -321,6 +318,28 @@ class PresentedModule:
 
     def is_free(self) -> bool:
         return not self.minimal_presentation().columns
+
+
+# Entries a context's span and resolution caches keep each.
+CACHE_BOUND = 32
+
+
+def _span_numerators(mod: PresentedModule) -> list[dict[int, int]]:
+    """Per component c, the numerator of S / in(span)_c for mod's relation
+    span, off the artinian locus.  The lead module in(span) depends on
+    the span and the monomial order alone, so these are kept per context
+    under "span", keyed by the rank and the set of columns (monic normal
+    forms), at most `CACHE_BOUND` of them, least recently used dropped
+    first: modules of one span share them, whatever their twists.  A miss
+    reads `gb()` if mod holds one, else a basis built and not kept."""
+    def build():
+        gbv = mod._cache.get("gb")
+        if gbv is None:
+            gbv = module_gb(mod.ctx, list(mod.columns), mod.rank0)
+        return component_numerators(mod.ctx, gbv, mod.rank0)
+
+    span = (mod.rank0, frozenset(frozenset(c.items()) for c in mod.columns))
+    return _lru_get(mod.ctx.scratch.setdefault("span", {}), span, build, CACHE_BOUND)
 
 
 def _finite_series(ctx: RingCtx, num: dict[int, int]) -> dict[int, int] | None:
@@ -399,9 +418,13 @@ def _kernel_generators_gb(cols, src, tgt) -> tuple:
     target relations], cut to the source components, generate the
     kernel, and a minimal subfamily modulo the source relations is kept;
     the Hilbert function is None and the degrees are read off the
-    generators.  On an artinian context it is the tests' reference for
-    the row walk, pruning included."""
+    generators.  It raises, as the row walk does, if a source relation
+    pushed through cols is nonzero in tgt.  On an artinian context it is
+    the tests' reference for the row walk, pruning included."""
     ctx = src.ctx
+    for rel in src.columns:
+        if tgt.normal_form(_combine_columns(ctx, cols, rel)):
+            raise InvariantViolation("a source relation does not map to zero")
     m = src.rank0
     gens = _syzygy_heads(ctx, list(cols) + list(tgt.columns), tgt.rank0, m)
     keep = _minimal_generator_indices_gb(ctx, gens, m, src.row_twists, list(src.columns))
@@ -545,11 +568,12 @@ def subquotient(
     loci from two steps: minimal generators of the kernel modulo Q's
     relations (`_kernel_generators`), and the submodule of Q they
     generate, presented by the same step applied to them (`_submodule`).
+    Both loci check that Q's relations lie in the kernel (the map is well
+    defined on Q) and raise `InvariantViolation` otherwise.
     Over an artinian context this is degreewise linear algebra on sparse
     GF(p) rows with no Groebner basis: the map's columns are reduced by
     the target's relation echelon, the kernel is generated modulo the
-    relation span of Q, which also checks that X's relations and in_cols
-    lie in the kernel (the map is well defined on Q), and its Hilbert
+    relation span of Q, a walk that makes the check, and its Hilbert
     function is read off that walk.  The direct route of
     `resolution.ext` / `tor` takes the same subquotient's dimensions on
     N's realization instead (`resolution._realized_homology`), where no

@@ -63,8 +63,9 @@ returns dimensions only (`ExtTorResult`):
   tor, while F_{j+1} is not built, HS(Omega_j (x) N) read off d_j and
   N's relation echelon, with HS(Omega_j) kept per resolution, so
   `derived_dims` reads Tor_i without F_{i+1};
-  elsewhere it is a Hilbert numerator, from one Groebner basis shared by
-  every cokernel with the same span, whatever its twists.  C_j lives
+  elsewhere it is the cokernel's Hilbert numerator, whose twist-free
+  parts every module with the same span shares
+  (`modules._span_numerators`).  C_j lives
   with the resolution of M, one memo per N (`_derived_memo`), so
   neighbouring indices of a scan share it and it goes when the
   resolution does.  Past the seam of a periodic tail each value is the
@@ -94,11 +95,10 @@ complete resolution's negative half off two pieces: the resolution of
 the dual module, transposed, and the evaluation pairing of the module's
 dual generators in homological degree zero.
 
-Resolutions are shared per context (`resolution_of`), and so are the
-twist-free numerators of cokernel spans (`_coker_series`), each in a
-cache of at most `CACHE_BOUND` entries that drops the least recently
-used one.  A negative syzygy looks up the dual's resolution through
-`resolution_of` and holds nothing.  A resolution owns everything derived
+Resolutions are shared per context (`resolution_of`), in a cache of at
+most `CACHE_BOUND` entries that drops the least recently used one.  A
+negative syzygy looks up the dual's resolution through `resolution_of`
+and holds nothing.  A resolution owns everything derived
 from it (differentials, syzygy modules, the derived-functor memo), and
 nothing outside its cache refers to it, so dropping it frees all of
 that: a long search holds a bounded number of resolutions.
@@ -125,13 +125,11 @@ from .groebner import (
     _lru_get,
     _tp_add,
     _tp_sub,
-    component_numerators,
-    module_gb,
     reduce_vec_by_ideal,
-    twisted_numerator,
 )
 from .linalg import _insert_rows
 from .modules import (
+    CACHE_BOUND,
     PresentedModule,
     _combine_columns,
     _dual_generators,
@@ -154,9 +152,6 @@ from .rows import (
 
 # -- resolutions ---------------------------------------------------------------
 
-# Entries each of a context's caches keeps (resolutions, cokernel
-# numerators); past this many the least recently used one is dropped.
-CACHE_BOUND = 32
 # Steps the artinian step table ("step", see `Resolution._step`) keeps per
 # context.  A step holds columns and twists, never a resolution, so the
 # table outlives the resolutions that filled it.
@@ -165,9 +160,9 @@ STEP_BOUND = 1024
 
 def _cached(ctx: RingCtx, name: str, key, build):
     """`ctx.scratch[name][key]`, made by `build()` on a miss, in a cache of
-    at most `STEP_BOUND` entries for the step table and `CACHE_BOUND` for
-    every other, that drops the least recently used one
-    (`groebner._lru_get`)."""
+    at most `STEP_BOUND` entries for the step table ("step") and
+    `CACHE_BOUND` for resolutions ("res"), that drops the least recently
+    used one (`groebner._lru_get`)."""
     bound = STEP_BOUND if name == "step" else CACHE_BOUND
     return _lru_get(ctx.scratch.setdefault(name, {}), key, build, bound)
 
@@ -976,16 +971,10 @@ def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
     mapping N's relation echelon through d_j costs more than F_{j+1} (x) N.  With
     no incoming map C_j is `_term_series`' own dict.
 
-    Elsewhere C_j is the sum over components c of t^{twist_c}
-    HN(S / in(U)_c), and the lead module in(U) depends on U and the
-    monomial order alone, not on the twists or on the order of U's
-    generators.  So the twist-free per-component numerators are kept per
-    context (`_cached`, under "coker"), keyed by the rank and the set of
-    monic, ideal-reduced columns spanning U, and assembled with X_j's
-    twists on every use: one Groebner basis serves every cokernel with
-    the same span, such as the top cokernels of the two scans of
-    `symmetry_check` over cyclic complete intersections, which agree up
-    to a twist."""
+    Elsewhere C_j is the Hilbert numerator of X_j / U, whose twist-free
+    parts every module with U's span shares (`modules._span_numerators`),
+    such as the top cokernels of the two scans of `symmetry_check` over
+    cyclic complete intersections, which agree up to a twist."""
     memo = _derived_memo(res, Nm)
     key = ("coker", kind, j)
     hit = memo.get(key)
@@ -1006,20 +995,11 @@ def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
                 ranks = {d: len(_insert_rows(at(d), p, reduced=False)) for d in hit if d in below}
                 hit = _tp_sub(hit, ranks)
     else:
+        # The incoming columns are reduced but not monic, and an ext column
+        # can be empty: the constructor makes them monic and drops those.
         X = _sum_of_shifts(Nm, _term_shifts(kind, res, j))
-        r = X.rank0
-        # The incoming columns are reduced (re-keyed resolution columns)
-        # but not monic, and an ext column can be empty: presenting the
-        # span on X's twists makes them monic and drops the empty ones.
-        incoming = _incoming_cols(kind, res, j, Nm.rank0)
-        U = PresentedModule(ctx, X.row_twists, [*X.columns, *incoming], _reduced=True)
-        cols = list(U.columns)
-        span = (r, frozenset(frozenset(c.items()) for c in cols))
-        parts = _cached(
-            ctx, "coker", span,
-            lambda: component_numerators(ctx, module_gb(ctx, cols, r), r),
-        )
-        hit = twisted_numerator(parts, X.row_twists)
+        cols = [*X.columns, *_incoming_cols(kind, res, j, Nm.rank0)]
+        hit = PresentedModule(ctx, X.row_twists, cols, _reduced=True).hilbert_numerator()
     memo[key] = hit
     return hit
 

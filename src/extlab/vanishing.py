@@ -738,17 +738,12 @@ def change_of_rings_check(Sctx: RingCtx, f: Polynomial, M, N, H) -> CheckReport:
 
 def _fresh_name(base: str, taken: set[str]) -> str:
     # Walk the alphabet starting just past the colliding letter, so the
-    # second x of k[x] (x) k[x] lands on y rather than a.
+    # second x of k[x] (x) k[x] lands on y rather than a.  Two factors of
+    # at most 12 variables each (`PolyRing`'s limit) take at most 24
+    # names, so some letter is always free.
     letters = "abcdefghijklmnopqrstuvwxyz"
     start = letters.index(base) + 1 if len(base) == 1 and base in letters else 0
-    for off in range(26):
-        c = letters[(start + off) % 26]
-        if c not in taken:
-            return c
-    n = 1
-    while f"v{n}" in taken:
-        n += 1
-    return f"v{n}"
+    return next(c for c in letters[start:] + letters[:start] if c not in taken)
 
 
 def external_tensor(ctx_r: RingCtx, ctx_s: RingCtx):

@@ -14,10 +14,10 @@ from extlab import groebner
 from extlab.errors import DegreeCapError
 from extlab.groebner import (
     RingCtx,
+    component_numerators,
     module_codec,
     module_gb,
     monomial_quotient_numerator,
-    presented_numerator,
     quotient_helpers,
     reduce_vec_by_ideal,
     signature_gb,
@@ -26,6 +26,7 @@ from extlab.groebner import (
     tp_one_minus_t_valuation,
     tp_series,
     tp_value_at_one,
+    twisted_numerator,
 )
 from extlab.modules import PresentedModule
 from extlab.poly import FieldSpec, Polynomial, PolyRing
@@ -308,15 +309,15 @@ def test_numerator_matches_standard_monomial_counts():
         assert [series.get(d, 0) for d in range(top + 1)] == counts, (gens, weights)
 
 
-def test_presented_numerator_with_twists():
+def test_twisted_component_numerators():
     ring = ring_with(["x", "y"])
     ctx = RingCtx(ring, [ring.parse("x^2"), ring.parse("y^2")])
     x, y = ring.gens()
     # R(0) + R(-1) modulo (x e_0, y e_1): leads split by component.
     gbv = module_gb(ctx, [poly_vec(x, 0), poly_vec(y, 1)], rank=2)
-    num = presented_numerator(ctx, gbv, 2, (0, 1))
+    num = twisted_numerator(component_numerators(ctx, gbv, 2), (0, 1))
     hf = tp_exact_quotient(tp_exact_quotient(num, 1), 1)
-    # Component 0: basis 1, y, y^2... no: x^2, y^2, x kill; left 1, y, xy? xy survives x e_0? x e_0 kills x, x*y.
+    # Component 0 is k[y]/(y^2), component 1 k[x]/(x^2) raised by one.
     assert hf is not None
     assert sum(hf.values()) > 0
 
@@ -807,5 +808,5 @@ def test_hilbert_numerator_leaves_the_basis_unreduced(quadric):
     mod = PresentedModule(quadric, twists, vecs)
     num = mod.hilbert_numerator()
     assert mod.gb()._elements is None
-    assert num == presented_numerator(quadric, module_gb(quadric, vecs, 2), 2, twists)
+    assert num == twisted_numerator(component_numerators(quadric, module_gb(quadric, vecs, 2), 2), twists)
 

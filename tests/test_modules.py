@@ -671,16 +671,34 @@ def test_row_engine_imports_no_module_layer():
     assert out.stdout.strip() == "[]"
 
 
-def test_row_kernel_checks_the_map_is_well_defined(nilpl):
+def test_package_imports_only_the_standard_library():
+    # No runtime dependency: importing the entry points in a fresh
+    # interpreter loads no top-level module outside the standard library
+    # and extlab, beyond those the interpreter had loaded already.
+    src = str(Path(extlab.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import extlab.cli, extlab.script, extlab.vanishing, extlab.realize; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'extlab'}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_row_kernel_checks_the_map_is_well_defined(nilpl, quadric):
     # The row kernel seeds its span with the source relations, so its
     # closure check asserts that they lie in the kernel: 1 |-> 1 from R/(x)
-    # to R is not a map of modules, since x |-> x.
-    src = PresentedModule.from_matrix(nilpl, [["x"]])
-    one = [{nilpl.codec.mkey(nilpl.ring.unit_key, 0): 1}]
-    with pytest.raises(InvariantViolation):
-        subquotient(src, [], PresentedModule.ring_module(nilpl), one)
-    # The same map into R/(x) is the identity, with zero kernel.
-    assert subquotient(src, [], src, one).rank0 == 0
+    # to R is not a map of modules, since x |-> x.  Off the artinian locus
+    # the Groebner body pushes each source relation through the map and
+    # checks it is zero in the target: over the quadric, R/(w) to R.
+    for ctx, var in ((nilpl, "x"), (quadric, "w")):
+        src = PresentedModule.from_matrix(ctx, [[var]])
+        one = [{ctx.codec.mkey(ctx.ring.unit_key, 0): 1}]
+        with pytest.raises(InvariantViolation):
+            subquotient(src, [], PresentedModule.ring_module(ctx), one)
+        # The same map into R/(var) is the identity, with zero kernel.
+        assert subquotient(src, [], src, one).rank0 == 0
 
 
 @pytest.mark.parametrize("ring, seed", [("quadric", 51), ("gor5", 52), ("nilsquares", 53)])

@@ -25,7 +25,13 @@ import pytest
 
 from extlab import groebner, modules, resolution
 from extlab.errors import DegreeCapError, HypothesisNotMet, InvariantViolation, ResourceCapError
-from extlab.groebner import RingCtx, quotient_helpers, reduce_vec_by_ideal
+from extlab.groebner import (
+    RingCtx,
+    component_numerators,
+    quotient_helpers,
+    reduce_vec_by_ideal,
+    twisted_numerator,
+)
 from extlab.linalg import _reduce_row, rank_rows
 from extlab.modules import (
     PresentedModule,
@@ -489,8 +495,9 @@ def _tor_cases(ctx, cfg, pairs):
 def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     # Each C_j must be the series of a freshly presented cokernel
     # X_j / im(in).  Off the artinian locus that is its Hilbert numerator,
-    # also when cokernels with the same span share one Groebner basis and
-    # its twist-free component numerators, made under other twists.  Over
+    # read off a Groebner basis of its own, also when modules with the same
+    # span share twist-free component numerators from the context's span
+    # cache (`modules._span_numerators`), made under other twists.  Over
     # an artinian ring it is its Hilbert function, read off its own
     # relation echelon, where C_j comes from ranks of degreewise matrices:
     # of the incoming map, or, for tor when F_{j+1} is not built yet, of
@@ -499,10 +506,10 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     # that path, over gor5, nilsquares and a ring that is not Gorenstein;
     # every cokernel is presented only after the values are read, since
     # presenting one builds F_{j+1}.
-    real_coker, real_cached = resolution._coker_series, resolution._cached
+    real_coker, real_span = resolution._coker_series, modules._span_numerators
     real_omega = resolution._syzygy_tensor_series
     twists = []  # of the cokernel being computed
-    made_with = {}  # "coker" key -> twists of the cokernel that built it
+    made_with = {}  # span key -> twists of the module that built its entry
     hits = Counter()
     pending = []  # (kind, res, Nm, j, X_j, C_j, whether it took the Omega path)
 
@@ -527,21 +534,23 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
                 assert got == fresh._finite_hf(), (kind, j)
                 hits["rows"] += 1
             else:
-                assert got == fresh.hilbert_numerator()
+                parts = component_numerators(res.ctx, fresh.gb(), fresh.rank0)
+                assert got == twisted_numerator(parts, fresh.row_twists)
                 hits["checked"] += 1
         pending.clear()
 
-    def cached(ctx, name, key, build):
-        if name == "coker":
-            if key in ctx.scratch.get("coker", {}):
-                hits["same" if made_with[key] == twists[-1] else "shifted"] += 1
-            else:
-                made_with[key] = twists[-1]
-        return real_cached(ctx, name, key, build)
+    def span(mod):
+        # A cokernel's own lookup is the one under the twists of its X_j.
+        key = (mod.rank0, frozenset(frozenset(c.items()) for c in mod.columns))
+        if key not in mod.ctx.scratch.get("span", {}):
+            made_with[key] = mod.row_twists
+        elif twists and mod.row_twists == twists[-1]:
+            hits["same" if made_with.get(key) == twists[-1] else "shifted"] += 1
+        return real_span(mod)
 
     monkeypatch.setattr(resolution, "_coker_series", coker)
     monkeypatch.setattr(resolution, "_syzygy_tensor_series", omega)
-    monkeypatch.setattr(resolution, "_cached", cached)
+    monkeypatch.setattr(modules, "_span_numerators", span)
     quadric = make_ctx(*QUADRIC)
     cfg = ExperimentConfig(seed=1, max_generators=1)
     for idx in range(10):
@@ -556,7 +565,7 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
     check_pending()
     assert hits["checked"] and hits["shifted"] and not hits["omega"]
     for ctx in (quadric, cubic):
-        assert len(ctx.scratch["coker"]) <= CACHE_BOUND
+        assert len(ctx.scratch["span"]) <= CACHE_BOUND
     cfg = ExperimentConfig(seed=43)
     for ring in (GOR5, NILSQUARES, NONGOR):
         ctx = make_ctx(*ring)
@@ -577,7 +586,7 @@ def test_coker_numerators_shared_by_span_match_fresh_presentations(monkeypatch):
             M, N = random_pair(cfg, ctx, idx)
             scan_ext(M, N, 6), scan_tor(M, N, 6)
         check_pending()
-        assert "coker" not in ctx.scratch
+        assert "span" not in ctx.scratch
     assert hits["rows"] and hits["omega"]
 
 
@@ -1032,21 +1041,25 @@ def test_certified_step_passes_a_degree_cap_groebner_steps_do_not(monkeypatch):
 
 def test_symmetry_groebner_work_is_pinned(buchberger_runs):
     # The symmetry checks of the first 40 seed-1 cyclic quadric pairs make
-    # 155 Buchberger runs.  The relations of every side form a regular
+    # 144 Buchberger runs.  The relations of every side form a regular
     # sequence, so its resolution is certified by Hilbert series, read off
     # one plain basis of the module, with no tagged syzygy run (224 when
-    # every step ran one, 255 with one basis per cokernel besides).
+    # every step ran one, 255 with one basis per cokernel besides).  It
+    # was 155 while a module's own numerator built a private basis: it now
+    # reads the span cache the cokernels fill, so a module whose span a
+    # cokernel or another module already had, up to a twist, runs none.
     ctx = make_ctx(*QUADRIC)
     cfg = ExperimentConfig(seed=1, max_generators=1)
     pairs = [random_pair(cfg, ctx, idx) for idx in range(40)]
     buchberger_runs.reset()
     assert all(symmetry_check(A, B, 12).verdict == "consistent" for A, B in pairs)
-    assert buchberger_runs.count == 155
+    assert buchberger_runs.count == 144
 
 
 def test_symmetry_zero_reductions_are_pinned(monkeypatch):
     # The plain runs of those symmetry checks are signature-based: of the
-    # 454 S-pairs they reduce, 12 reduce to zero.  The Gebauer-Moeller
+    # 439 S-pairs they reduce, 12 reduce to zero (454 before module
+    # numerators shared the cokernels' span cache, which drops 11 runs).  The Gebauer-Moeller
     # body they replace reduced 978 S-pairs, 601 of them to zero.  It was
     # 453 while an S-vector whose lead only a multiple at its own
     # signature reduces was dropped, which the rewritten criterion does
@@ -1069,7 +1082,7 @@ def test_symmetry_zero_reductions_are_pinned(monkeypatch):
 
     monkeypatch.setattr(groebner._SignatureSet, "reduce_below", counted)
     assert all(symmetry_check(A, B, 12).verdict == "consistent" for A, B in pairs)
-    assert counts == {"pairs": 454, "zero": 12}
+    assert counts == {"pairs": 439, "zero": 12}
 
 
 def test_module_route_checks_composites_on_rows(buchberger_runs):
@@ -1132,9 +1145,11 @@ def test_module_route_groebner_work_is_pinned(buchberger_runs):
         # when the realization still came from a Groebner basis).
         (("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"), None, 5,
          [3, 8, 21], 0),
-        # coker [[w, y], [z, x]] against k over the quadric: 25 runs.  The
+        # coker [[w, y], [z, x]] against k over the quadric: 23 runs.  The
         # route reads each value off Hilbert series of cokernels
-        # (`derived_dims`), one Groebner basis per complex term; it took 39
+        # (`derived_dims`), one Groebner basis per complex term span,
+        # shared with every module of that span: it took 25 while a
+        # module's own numerator built a private basis.  It took 39
         # when it presented each value as a subquotient module (kernel
         # syzygies, pruning, relations), the direct route's own body.  It
         # took 28 while tagged runs used the Gebauer-Moeller body: one
@@ -1143,7 +1158,7 @@ def test_module_route_groebner_work_is_pinned(buchberger_runs):
         # It took 29 before resolutions over a hypersurface served their
         # periodic tail: M is a matrix factorization, so its steps from 3
         # on are served, and 4 syzygy runs are gone.
-        (("w", "x", "y", "z"), ("w*x - y*z",), [["w", "y"], ["z", "x"]], 4, [2, 2], 25),
+        (("w", "x", "y", "z"), ("w*x - y*z",), [["w", "y"], ["z", "x"]], 4, [2, 2], 23),
     ],
     ids=["gor5", "quadric"],
 )

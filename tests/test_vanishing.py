@@ -24,7 +24,7 @@ import pytest
 from extlab import resolution, vanishing
 from extlab.errors import HypothesisNotMet, InvariantViolation
 from extlab.groebner import RingCtx
-from extlab.modules import PresentedModule, dual_module
+from extlab.modules import PresentedModule, dual_module, hom_module, tensor_module
 from extlab.poly import FieldSpec, PolyRing
 from extlab.resolution import (
     Resolution,
@@ -328,6 +328,63 @@ def test_tensor_mcm_gates(quadric):
         tensor_mcm_check(_k(quadric), _k(quadric))  # k not MCM in dim 3
 
 
+def _is_mcm_except(monkeypatch, target):
+    """Make `vanishing.is_mcm` answer False for modules equal to target."""
+    real = vanishing.is_mcm
+    monkeypatch.setattr(vanishing, "is_mcm", lambda X: X != target and real(X))
+
+
+@pytest.mark.parametrize("broken, reason", [
+    ("tensor", "Ext vanished but the tensor product is not maximal Cohen-Macaulay"),
+    ("hom", "vanishing held but an attached conclusion failed"),
+])
+def test_tensor_mcm_violations_carry_replay(monkeypatch, gor5, broken, reason):
+    # Every module over gor5 is MCM and the Ext range 1..dim is empty, so
+    # the check is consistent there; a VIOLATION is forced by making
+    # is_mcm refuse the tensor product, or Hom(N, M).
+    M, N = _cyclic(gor5, "x"), _k(gor5)
+    Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
+    if broken == "tensor":
+        _is_mcm_except(monkeypatch, tensor_module(dual_module(Mm), Nm))
+    else:
+        _is_mcm_except(monkeypatch, hom_module(Nm, Mm))
+    rep = tensor_mcm_check(M, N)
+    assert rep.verdict == "VIOLATION"
+    assert rep.details["reason"] == reason
+    assert rep.replay["left"] == module_replay(M) and rep.replay["right"] == module_replay(N)
+
+
+@pytest.mark.parametrize("value, verdict, reason", [
+    ({0: 1}, "VIOLATION", "tensor product maximal Cohen-Macaulay but Ext did not vanish"),
+    (None, "not established", "Ext values of infinite length; converse not covered"),
+])
+def test_tensor_mcm_reads_nonvanishing_and_infinite_ext(monkeypatch, quadric, value, verdict, reason):
+    # The Ext branches need dim R > 0, so they run over the quadric on R
+    # itself, free and so MCM, with Ext^1..Ext^3 forced by a patched
+    # `derived_dims`: nonzero of finite length, or of infinite length.
+    monkeypatch.setattr(vanishing, "derived_dims", lambda kind, M, N, i: value)
+    R = PresentedModule.ring_module(quadric)
+    rep = tensor_mcm_check(R, R)
+    assert rep.verdict == verdict and rep.details["reason"] == reason
+    assert rep.details["tensor_is_mcm"] and not rep.details["ext_vanishes"]
+    assert (rep.replay is not None) == (verdict == "VIOLATION")
+    assert rep.details["ext_totals_1_to_dim"] == ([1] * 3 if value else ["infinite"] * 3)
+
+
+def test_stable_suite_leaves_infinite_ext_undecided(monkeypatch, gor5):
+    # Ext values of infinite length, forced by a patched `derived_dims`,
+    # leave both comparisons at each index undecided and the verdict "not
+    # established"; the stable Hom lengths are still read and agree.
+    monkeypatch.setattr(vanishing, "derived_dims", lambda kind, M, N, i: None)
+    rep = stable_suite_check(_k(gor5), _k(gor5), (2, 3))
+    assert rep.verdict == "not established" and rep.replay is None
+    undecided = "not established (infinite length)"
+    for entry in rep.details["per_index"].values():
+        assert entry == {"four_term": undecided, "stable_hom_dim": undecided}
+    shifts = rep.details["stable_shifts"]
+    assert shifts["base"] == shifts["syzygy_shift"] == shifts["dual_swap"] == 1
+
+
 def test_stable_suite_on_residue_field(gor5):
     rep = stable_suite_check(_k(gor5), _k(gor5), (2, 3))
     assert rep.verdict == "consistent"
@@ -420,6 +477,17 @@ def test_external_tensor_renames_collision():
     assert ctx.is_artinian and ctx.length == 4
     left = carry_l(PresentedModule.from_matrix(one, [["x"]]))
     assert left._finite_hf() == {0: 1, 1: 1}  # k[y]/(y^2)-shaped over the product
+
+
+def test_external_tensor_names_at_most_twelve_letters():
+    # Each factor has at most 12 variables, so the two take at most 24
+    # names and a colliding name always finds a free letter.
+    six = tuple("abcdef")
+    ctx, _, _ = external_tensor(_ctx(six), _ctx(six))
+    assert ctx.ring.variables == tuple("abcdefghijkl")
+    seven = tuple("abcdefg")
+    with pytest.raises(ValueError, match="need between 1 and 12 variables, got 14"):
+        external_tensor(_ctx(seven), _ctx(seven))
 
 
 def test_external_tensor_keeps_distinct_names():
