@@ -459,10 +459,14 @@ class Resolution:
         return BettiTable.of(self, upto)
 
     def syzygy_module(self, i: int) -> PresentedModule:
-        """The i-th syzygy, presented on the generators of F_i.
+        """The i-th syzygy, presented on the generators of F_i by the
+        columns of d_{i+1}.
 
         Built once per index, so the caches it carries (its dual, its
-        minimal presentation) serve every later caller.
+        Hilbert function) serve every later caller.  The resolution is
+        minimal, so F_i maps onto the syzygy minimally and d_{i+1}'s
+        columns generate the kernel minimally: the presentation is its
+        own minimal presentation, and is marked as such.
         """
         if i < 0:
             raise ValueError("use negative_syzygy below index zero")
@@ -476,6 +480,7 @@ class Resolution:
                 hit = PresentedModule(self.ctx, twists, [dict(c) for c in self.diff(i + 1)])
             else:
                 hit = PresentedModule.zero(self.ctx)
+            hit._cache["min"] = hit
             self._syz[i] = hit
         return hit
 
@@ -640,13 +645,14 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
     call (`_matrix_builder`), serving as one index's outgoing map and as
     its neighbour's incoming one.  Off the artinian locus each term X_j,
     a sum of shifted copies of N, is built once per call and serves both
-    as X_i and as the target of the map out of its neighbour;
-    `_check_square_zero` checks that the two maps compose to zero first,
-    since the Groebner kernel checks nothing; with Q = X_i / im(in) =
-    F / U and G the kernel's generators, the syzygies of [out | X_o's
-    relations] cut to X_i (`modules._syzygy_heads`, not pruned), the
-    value's series is HS(Q) - HS(F / (U + G)), and the kernel is never
-    presented.  Where no map leaves X_i (tor at 0, ext at the projective
+    as X_i and as the target of the map out of its neighbour; the
+    columns of the maps into and out of X_i are laid out once per index,
+    and `_check_square_zero` checks on them that the two maps compose to
+    zero first, since the Groebner kernel checks nothing; with Q = X_i /
+    im(in) = F / U and G the kernel's generators, the syzygies of [out |
+    X_o's relations] cut to X_i (`modules._syzygy_heads`, not pruned),
+    the value's series is HS(Q) - HS(F / (U + G)), and the kernel is
+    never presented.  Where no map leaves X_i (tor at 0, ext at the projective
     dimension) the value is the series of X_i / im(in).
 
     Past the seam of a periodic tail (`Resolution._tail_base`) the terms
@@ -693,7 +699,7 @@ def _direct_modules(kind: str, M: PresentedModule, N: PresentedModule, indices) 
         if out_cols is None:
             # No map leaves X_i: the value is X_i / im(in).
             return Q._finite_hf()
-        _check_square_zero(kind, res, Nm, i, o)
+        _check_square_zero(kind, res, Nm, o, in_cols, out_cols)
         Xo = term(o)
         gens = _syzygy_heads(ctx, out_cols + list(Xo.columns), Xo.rank0, X.rank0)
         C = PresentedModule(ctx, X.row_twists, list(Q.columns) + gens)
@@ -1004,10 +1010,11 @@ def _coker_series(kind, res, Nm: PresentedModule, j: int) -> dict[int, int]:
     return hit
 
 
-def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
+def _check_square_zero(kind, res, Nm: PresentedModule, o: int, in_cols, out_cols):
     """psi_i o psi_{i-1} = 0 on the maps into and out of X_i: each incoming
-    column, pushed through the outgoing columns, must vanish in X_o.
-    Uses only differentials index i already needs.  Over a true
+    column (`in_cols`, `_incoming_cols`), pushed through the outgoing
+    columns (`out_cols`, `_step_cols`), must vanish in X_o.  The caller
+    lays out both maps, which index i already needs.  Over a true
     resolution the composite vanishes modulo the ideal already, so X_o is
     built, and a remainder reduced by its relations (`normal_form`), only
     when one is left.  Its callers, off the artinian locus only, are
@@ -1015,10 +1022,8 @@ def _check_square_zero(kind, res, Nm: PresentedModule, i: int, o: int):
     artinian context the direct route's row kernel checks this itself,
     and `derived_dims` refuses a negative dimension."""
     ctx = res.ctx
-    rb = Nm.rank0
-    out_cols = _step_cols(kind, res, max(i, o), rb)
     Xo = None
-    for col in _incoming_cols(kind, res, i, rb):
+    for col in in_cols:
         img = reduce_vec_by_ideal(_combine_columns(ctx, out_cols, col), ctx)
         if not img:
             continue
@@ -1083,7 +1088,9 @@ def derived_dims(kind: str, M: PresentedModule, N: PresentedModule, i: int) -> d
     hs = _coker_series(kind, res, Nm, i)
     if o >= 0 and res.rank(o):
         if not rows:
-            _check_square_zero(kind, res, Nm, i, o)
+            rb = Nm.rank0
+            in_cols, out_cols = _incoming_cols(kind, res, i, rb), _step_cols(kind, res, max(i, o), rb)
+            _check_square_zero(kind, res, Nm, o, in_cols, out_cols)
         hs = _tp_add(hs, _coker_series(kind, res, Nm, o))
         hs = _tp_sub(hs, _term_series(kind, res, Nm, o))
     if not rows:

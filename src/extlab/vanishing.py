@@ -430,7 +430,8 @@ def lescot_betti_check(M) -> CheckReport:
 def _smaller_resolution_first(Mm, Nm):
     """(Mm, Nm), or (Nm, Mm) when Nm's resolution looks smaller: both are
     extended to step 2 and compared by (rank F_2, rank F_1, rank F_0).
-    A tie keeps the given order."""
+    A tie keeps the given order.  Both resolutions then hold d_2, so the
+    first syzygy of either side is presented with no further step."""
     def key(X):
         res = resolution_of(X).extend_to(2)
         return res.rank(2), res.rank(1), res.rank(0)
@@ -444,13 +445,18 @@ def free_or_nonvanishing_check(M, N) -> CheckReport:
 
     Tor is balanced: Tor_i(M, N) and Tor_i(N, M) have the same graded
     dimensions.  So the check resolves whichever argument's resolution is
-    smaller (`_smaller_resolution_first`).  Over a short Gorenstein ring
-    the ranks grow about geometrically (the residue field's go 1, 3, 8,
-    21, ...), so the first terms set the size of F_5, which Tor_5 needs:
-    its top cokernel is read off d_5 (`resolution._coker_series`).
-    Only this check picks the side: it asks for Tor alone, while the
-    other Tor callers resolve M for Ext as well.  The report names M and
-    N in the order given."""
+    smaller (`_smaller_resolution_first`), A, and takes the other one, B,
+    to its first syzygy: for i >= 2, Tor_i(A, B) = Tor_{i-1}(A, Omega B)
+    as graded vector spaces, from 0 -> Omega B -> F_0 -> B -> 0, since
+    Tor_{>= 1}(A, F_0) = 0.  Omega B is presented on B's F_1 by the
+    columns of d_2, which the side choice has built.  So Tor_3, Tor_4 and
+    Tor_5 are read as Tor_2, Tor_3 and Tor_4 of (A, Omega B), and A is
+    resolved to F_4, whose top cokernel is read off d_4
+    (`resolution._coker_series`).  Over a short Gorenstein ring the ranks
+    grow about geometrically (the residue field's go 1, 3, 8, 21, 55,
+    ...), so F_5 would be the largest term.  Only this check picks the
+    side: it asks for Tor alone, while the other Tor callers resolve M
+    for Ext as well.  The report names M and N in the order given."""
     _check_pair(M, N)
     _require_short_gorenstein(M.ctx)
     Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
@@ -458,7 +464,8 @@ def free_or_nonvanishing_check(M, N) -> CheckReport:
         return CheckReport("free_or_nonvanishing", "consistent", None,
                            {"note": "a free member makes the statement vacuous"})
     A, B = _smaller_resolution_first(Mm, Nm)
-    dims = {i: sum(tor_profile(A, B, i).values()) for i in (3, 4, 5)}
+    omega = syzygy(B, 1)
+    dims = {i: sum(tor_profile(A, omega, i - 1).values()) for i in (3, 4, 5)}
     verdict = "consistent" if any(dims.values()) else "VIOLATION"
     return _report("free_or_nonvanishing", verdict, None, {"tor_dims": dims}, M, N)
 

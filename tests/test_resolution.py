@@ -237,6 +237,22 @@ def test_syzygy_shifts_betti_tail(nilsquares):
     assert table.totals() == [3, 4, 5]
 
 
+@pytest.mark.parametrize("ring", ["nilsquares", "gor5", "quadric"])
+def test_syzygy_is_its_own_minimal_presentation(ring, request):
+    # A minimal resolution presents its syzygies minimally, so
+    # `syzygy_module` marks each as its own minimal presentation; pruning
+    # a fresh copy of it must give the same value.  The seeded draws over
+    # the quadric resolve in a step or two, so k is taken too.
+    ctx = request.getfixturevalue(ring)
+    cfg = ExperimentConfig(seed=41, max_generators=2)
+    for t, M in enumerate([random_module(cfg, ctx, t) for t in range(4)] + [k_of(ctx)]):
+        for i in (1, 2, 3):
+            S = syzygy(M, i)
+            assert S.minimal_presentation() is S, (t, i)
+            fresh = PresentedModule(ctx, S.row_twists, [dict(c) for c in S.columns])
+            assert modules._minimalize(fresh).value_key() == S.value_key(), (t, i)
+
+
 def test_rank_budget_cap(gor5):
     res = Resolution(k_of(gor5))
     with pytest.raises(ResourceCapError):
@@ -793,6 +809,21 @@ def test_served_steps_equal_computed_ones_on_small_hypersurfaces(monkeypatch, ri
     _no_tails(monkeypatch)
     computed = record()
     assert [a[:2] for a in served] == [b[:2] for b in computed]
+
+
+def test_matrix_factorization_needs_an_invertible_c(quadric):
+    # Over wx - yz, d = [[w, y], [z, x]] from twists (1, 1) to (0, 0).  With
+    # e = [[x, x], [-z, -z]], d e = f [[1, 1], [0, 0]]: C is singular, so
+    # no step is returned.  With e = [[x, -y], [-z, w]], d e = f I: e C^{-1}
+    # is e itself, on F_{n-1}'s twists plus deg f.
+    def cols(rows):
+        return [vec_from_entries(quadric, [quadric.ring.parse(r[j]) for r in rows]) for j in range(2)]
+
+    d = cols([["w", "y"], ["z", "x"]])
+    singular = cols([["x", "x"], ["-z", "-z"]])
+    assert resolution._matrix_factorization(quadric, d, singular, (0, 0), (2, 2)) is None
+    e = cols([["x", "-y"], ["-z", "w"]])
+    assert resolution._matrix_factorization(quadric, d, e, (0, 0), (2, 2)) == (e, (2, 2))
 
 
 # Tails of k and the first eight seed-1 draws that `_literal_period`

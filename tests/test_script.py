@@ -643,10 +643,15 @@ def test_example_2_3_groebner_reductions_are_pinned(buchberger_reductions):
 def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
     # The canned artinian search, pinned by its row work: the multiples of
     # stored rows added to other rows in all of its eliminations.  The
-    # Tor check resolves the argument with the smaller resolution, and
-    # reads the top cokernel C_5 as Omega_5 (x) N off d_5, so F_6 is never
-    # built (14392 when it always resolved the left one, 8898 when C_5
-    # was the image of d_6 (x) N).  Resolution steps the context took
+    # Tor check resolves the argument with the smaller resolution, A, and
+    # reads Tor_3..Tor_5 as Tor_2..Tor_4 of A and the other side's first
+    # syzygy, so A is resolved to F_4 and its top cokernel C_4 is read off
+    # d_4: F_5 is never built (2519 while Tor_5 read C_5 off d_5).  A
+    # syzygy module is its own minimal presentation, so it is not pruned
+    # again (1626 with the shift alone).  Before the shift, C_5 was read as
+    # Omega_5 (x) N off d_5, so F_6 was never built (14392 when the check
+    # always resolved the left one, 8898 when C_5 was the image of d_6 (x)
+    # N).  Resolution steps the context took
     # before, up to a twist shift, are served from its step table, and
     # Omega_5 (x) N ranks the images of N's relation echelon rows instead
     # of the columns of d_5 (x) del_N (2713 before both, 2706 with the
@@ -656,29 +661,32 @@ def test_lemma_3_6_search_row_work_is_pinned(axpy_calls):
     # kernel walk (2552 while it kept 32).
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert axpy_calls.count == 2519
+    assert axpy_calls.count == 1509
 
 
 def test_lemma_3_6_search_kernel_steps_are_pinned(kernel_steps):
     # The same search, pinned by the resolution steps that ran the kernel
-    # walk: 183 steps before the step table, of which 34 repeat a step the
-    # context took before, up to a twist shift (164 while the table kept
-    # only 32 steps, as many as the "res" cache keeps resolutions).
+    # walk: 149 while the Tor check built F_5 of its resolved side, now
+    # F_4 (see the row work pin).  183 steps before the step table, of
+    # which 34 repeated a step the context took before, up to a twist
+    # shift (164 while the table kept only 32 steps, as many as the "res"
+    # cache keeps resolutions).
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert kernel_steps.count == 149
+    assert kernel_steps.count == 123
 
 
 def test_lemma_3_6_search_resolution_work_is_pinned(resolution_rank):
     # The same search, pinned by the ranks of the resolution terms it
     # builds: a wrong choice of side in the Tor check, or a resolution
-    # extended past F_5 for Tor_5, shows up here as an exact number (9120
-    # when the check always resolved the left one, 6674 when Tor_5 built
-    # F_6 for its top cokernel).  A term served from the step table counts
-    # as built.
+    # extended past F_4 for Tor_5, read as Tor_4 of the resolved side and
+    # the other side's first syzygy, shows up here as an exact number
+    # (2703 when Tor_5 built F_5, 9120 when the check also always resolved
+    # the left one, 6674 when Tor_5 built F_6 for its top cokernel).  A
+    # term served from the step table counts as built.
     rep = run_script(parse_script((SCRIPTS / "lemma-3-6-search.gor").read_text()), RunFlags(seed=7))
     assert rep["exit_code"] == EXIT_OK
-    assert resolution_rank.count == 2703
+    assert resolution_rank.count == 1186
 
 
 def test_cli_imports_no_numpy():

@@ -31,6 +31,7 @@ from extlab.resolution import (
     derived_dims,
     gorenstein_check,
     negative_syzygy,
+    tor,
     tor_profile,
 )
 from extlab.script import RunFlags, parse_script, run_script
@@ -267,10 +268,31 @@ def test_free_or_nonvanishing_matches_unswapped_tor(gor5):
     assert swapped
 
 
-def test_free_or_nonvanishing_builds_no_sixth_term(monkeypatch):
-    # Tor_5's top cokernel is read as Omega_5 (x) N off d_5 and N's
-    # relations, so the check resolves its side to F_5 and no further.  A
-    # fresh context keeps resolutions the other tests extended out of it.
+def test_free_or_nonvanishing_matches_the_direct_route(gor5):
+    # The check reads Tor_3..Tor_5 as Tor_2..Tor_4 against a first syzygy,
+    # through `derived_dims`, the complete route's homology body; the
+    # direct route, which takes homology as subquotients of the
+    # unshifted complex, must give the same totals.
+    cfg = ExperimentConfig(seed=23, trials=60)
+    checked = 0
+    for t in range(0, cfg.trials, 5):
+        M, N = random_pair(cfg, gor5, t)
+        Mm, Nm = M.minimal_presentation(), N.minimal_presentation()
+        if Mm.is_free() or Nm.is_free():
+            continue
+        direct = tor(Mm, Nm, [3, 4, 5])
+        rep = free_or_nonvanishing_check(M, N)
+        assert rep.details["tor_dims"] == {i: direct.total(i) for i in (3, 4, 5)}, t
+        checked += 1
+    assert checked
+
+
+def test_free_or_nonvanishing_builds_no_fifth_term(monkeypatch):
+    # Tor_5(A, B) is read as Tor_4(A, Omega B), whose top cokernel is read
+    # as Omega_4 A (x) Omega B off d_4, so the check resolves A to F_4 and
+    # no further, and B to F_2 for the side choice (F_5 while it read
+    # Tor_5 off d_5).  A fresh context keeps resolutions the other tests
+    # extended out of it.
     ctx = _ctx(("x", "y", "z"), ("x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"))
     real = resolution.Resolution._step
     built = []  # homological index of every term a step builds
@@ -288,7 +310,7 @@ def test_free_or_nonvanishing_builds_no_sixth_term(monkeypatch):
         rep = free_or_nonvanishing_check(*random_pair(cfg, ctx, t))
         assert rep.verdict == "consistent", t
         checked += "tor_dims" in rep.details
-    assert checked and max(built) == 5
+    assert checked and max(built) == 4
 
 
 def test_smaller_resolution_first_keeps_order_on_ties(gor5):
