@@ -129,14 +129,16 @@ class _Members:
 
     def drop_multiples(self, idx: int):
         """Take the members whose leads the lead of member idx divides out
-        of its bucket."""
-        divides = self.ring._codec.divides
-        mono = self.monos[idx]
+        of its bucket.  Divisibility is tested on the exponent bytes, as
+        `_minimal_packed` tests it."""
+        rc = self.ring._codec
+        expmask, high = rc.expmask, rc.swar_high
         monos, alive = self.monos, self.alive
+        dm = (monos[idx] & expmask) | high
         bucket = self.buckets[self.idents[idx]]
         kept = []
         for i in bucket:
-            if i == idx or not divides(mono, monos[i]):
+            if i == idx or (dm - (monos[i] & expmask)) & high != high:
                 kept.append(i)
             else:
                 alive[i] = False
@@ -254,30 +256,43 @@ class _SignatureSet(_Members):
     is processed has signature sig * e_j, and `sigs` holds sig as a
     packed monomial.  Members below `start` come from earlier inputs, so
     every multiple of them has a signature below each of input j's.
-    `dms` holds each lead's exponent bytes with the SWAR guard bits set,
-    so that `reduce_below` tests divisibility inline.  `excess` holds how
-    far a member's tag terms rise above its lead's degree, 0 when they do
-    not: a multiple of the member reaches the degree of the term it
-    reduces plus that.
+    `dms` and `sdms` hold the exponent bytes of each lead and signature
+    with the SWAR guard bits set, so that divisibility by them is tested
+    inline.  `excess` holds how far a member's tag terms rise above its
+    lead's degree, 0 when they do not: a multiple of the member reaches
+    the degree of the term it reduces plus that.
     """
 
     def __init__(self, ring: PolyRing, codec: ModuleCodec):
         super().__init__(ring, codec)
         self.sigs: list[int] = []
         self.dms: list[int] = []
+        self.sdms: list[int] = []
         self.excess: list[int] = []
         self.start = 0
 
     def add(self, vec: dict, sig: int) -> int:
-        idx = super().add(vec)
-        self.sigs.append(sig)
         rc = self.ring._codec
-        mono = self.monos[idx]
-        self.dms.append((mono & rc.expmask) | rc.swar_high)
-        tagbit, ex = self.codec.tagbit, 0
+        expmask, high, expbits = rc.expmask, rc.swar_high, rc.expbits
+        monomask, tagbit = self.codec.monomask, self.codec.tagbit
+        lead = max(vec)
+        mono = (lead & monomask) >> COMP_BITS
+        ident = lead & self.codec.identmask
+        idx = len(self.vecs)
+        self.vecs.append(vec)
+        self.leads.append(lead)
+        self.monos.append(mono)
+        self.invs.append(pow(vec[lead], self.p - 2, self.p))
+        self.idents.append(ident)
+        self.alive.append(True)
+        self.buckets.setdefault(ident, []).append(idx)
+        self.sigs.append(sig)
+        self.dms.append((mono & expmask) | high)
+        self.sdms.append((sig & expmask) | high)
+        ex = 0
         if min(vec) < tagbit:
             top = max(k for k in vec if k < tagbit)  # the top tag term
-            ex = max(rc.degree(self.codec.mono_of(top)) - rc.degree(mono), 0)
+            ex = max((top >> (COMP_BITS + expbits)) - (mono >> expbits), 0)
         self.excess.append(ex)
         return idx
 
@@ -286,17 +301,18 @@ class _SignatureSet(_Members):
         multiples of members whose signature lies below it, until no such
         multiple reduces its lead; the tail is left as it comes.  The lead
         is then in the tag block, or vec is empty, when its working part
-        vanished."""
+        vanished.  Monomials stay packed ints: the multiple of member i
+        that reduces the term mono has signature mono - lm_i + sig_i,
+        which is mul(div(mono, lm_i), sig_i), and shifts by mono - lm_i."""
         rc = self.ring._codec
-        div, mul, degree = rc.div, rc.mul, rc.degree
-        unit = self.ring.unit_key
+        expmask, high, expbits = rc.expmask, rc.swar_high, rc.expbits
         identmask, monomask = self.codec.identmask, self.codec.monomask
         buckets, monos, vecs, invs, sigs = self.buckets, self.monos, self.vecs, self.invs, self.sigs
         dms, excess, start = self.dms, self.excess, self.start
-        expmask, high = rc.expmask, rc.swar_high
         p = self.p
         cap = self.ring.degree_cap
         work = dict(vec)
+        get = work.get
         while work:
             k = max(work)
             mono = (k & monomask) >> COMP_BITS
@@ -304,17 +320,33 @@ class _SignatureSet(_Members):
             me = mono & expmask
             for i in buckets.get(k & identmask, ()):
                 if (dms[i] - me) & high == high:  # lead i divides the term
-                    if i < start or mul(div(mono, monos[i]), sigs[i]) < sig:
+                    if i < start or mono - monos[i] + sigs[i] < sig:
                         hit = i  # an earlier input's member lies below sig
                         break
             if hit < 0:
                 return work
             ex = excess[hit]
-            if ex and degree(mono) + ex > cap:
-                raise DegreeCapError(f"reduction would pass degree {degree(mono) + ex} > cap {cap}")
-            delta = (div(mono, monos[hit]) - unit) << COMP_BITS
-            _subtract(work, work[k] * invs[hit] % p, delta, vecs[hit], p)
+            if ex and (mono >> expbits) + ex > cap:
+                raise DegreeCapError(f"reduction would pass degree {(mono >> expbits) + ex} > cap {cap}")
+            delta = (mono - monos[hit]) << COMP_BITS
+            factor = work[k] * invs[hit] % p
+            for t, c in vecs[hit].items():  # work -= factor * (member shifted by delta)
+                t += delta
+                v = (get(t, 0) - factor * c) % p
+                if v:
+                    work[t] = v
+                else:
+                    del work[t]  # factor * c is nonzero, so t was present
         return work
+
+
+def _divided(e: int, guarded, high: int) -> bool:
+    """Whether a monomial of `guarded`, exponent bytes with the SWAR guard
+    bits set, divides the monomial with exponent bytes e."""
+    for z in guarded:
+        if (z - e) & high == high:
+            return True
+    return False
 
 
 def signature_gb(inputs: list[dict], ring: PolyRing) -> tuple[VectorGB, list[dict]]:
@@ -364,8 +396,14 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> tuple[VectorGB, list[dic
     vanishes leaves a syzygy in its tags; it is returned, as a tag-block
     vector, and pairs with nothing.
 
-    Monomials past the degree cap raise before they are formed.  A
-    signature is checked as it is formed; a pair's lcm is formed, by
+    Monomials past the degree cap raise before they are formed.  A pair
+    (g, h) with g from an earlier input has signature lm(g) / gcd *
+    sig(h); when deg lm(g) + deg sig(h) fits under the cap, so does that
+    signature, and the syzygy criterion is tested on its exponent bytes,
+    lm(g) + sig(h) - gcd, before its key and the gcd's degree are formed
+    (every exponent is at most the cap, which is at most 127, so no byte
+    borrows).  Every other signature is checked as it is formed, in the
+    order it always was; a pair's lcm is formed, by
     `mono_lcm`, which checks it, only when the pair is reduced.  In the
     working block a lead has the top degree, but a tag term may sit above
     it: so the tags of a reducer's multiple and of an S-vector are checked
@@ -374,18 +412,18 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> tuple[VectorGB, list[dic
     """
     codec = module_codec(ring)
     rc = ring._codec
-    divides, div, mul, degree, gcd = rc.divides, rc.div, rc.mul, rc.degree, rc.gcd
+    div, degree, with_degree = rc.div, rc.degree, rc._with_degree
     lcm = ring.mono_lcm
     p = ring.field.p
     cap = ring.degree_cap
     unit = ring.unit_key
     monomask, tagbit = codec.monomask, codec.tagbit
-    expmask, high = rc.expmask, rc.swar_high
+    expmask, high, expbits = rc.expmask, rc.swar_high, rc.expbits
     red = _SignatureSet(ring, codec)
-    vecs, monos, sigs, idents, buckets = red.vecs, red.monos, red.sigs, red.idents, red.buckets
+    vecs, monos, sigs, sdms, idents, buckets = red.vecs, red.monos, red.sigs, red.sdms, red.idents, red.buckets
     excess = red.excess
     alone: dict[frozenset, tuple[int, set]] = {}  # monic s at component 0 -> (lm(s), {c})
-    syz: list[int] = []  # known syzygy signatures of the current input
+    syz: list[int] = []  # known syzygy signatures of the current input, guarded exponent bytes
     syzygies: list[dict] = []  # of the tagged inputs, in tags
     pairs: list[tuple[int, int, int]] = []  # heap of (signature, upper half, lower half)
 
@@ -393,18 +431,20 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> tuple[VectorGB, list[dic
     todo.sort(key=lambda t: (len(t[1]), max(t[0])))
 
     def note_alone(vec: dict):
-        comps = {k & COMP_MASK for k in vec}
-        if len(comps) == 1 and min(vec) & tagbit:  # one component, no tags
-            lead = max(vec)
-            inv = pow(vec[lead], p - 2, p)
-            key = frozenset((k | COMP_MASK, v * inv % p) for k, v in vec.items())
-            alone.setdefault(key, ((lead & monomask) >> COMP_BITS, set()))[1].update(comps)
+        lead = max(vec)
+        comp = lead & COMP_MASK
+        for k in vec:
+            if k & COMP_MASK != comp or not k & tagbit:
+                return  # a second component, or a tag term
+        inv = pow(vec[lead], p - 2, p)
+        key = frozenset((k | COMP_MASK, v * inv % p) for k, v in vec.items())
+        alone.setdefault(key, ((lead & monomask) >> COMP_BITS, set()))[1].add(comp)
 
     def times(q: int, sig: int) -> int:
         deg = degree(q) + degree(sig)
         if deg > cap:
             raise DegreeCapError(f"signature would pass degree {deg} > cap {cap}")
-        return mul(q, sig)
+        return q + sig - unit
 
     def add(vec: dict, sig: int) -> bool:
         """Make vec, reduced at signature sig, an element and queue its
@@ -417,19 +457,32 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> tuple[VectorGB, list[dic
         # Pair (g, h) has signature max(lcm / lm(h) * sig(h), lcm / lm(g) *
         # sig(g)), and lcm / lm(h) = lm(g) / gcd.
         h = red.add(vec, sig)
-        mh = monos[h]
+        eh = monos[h] & expmask
+        start = red.start
+        room = cap - (sig >> expbits)  # for deg lm(g) + deg sig
         for g in buckets[idents[h]][:-1]:
             mg = monos[g]
-            d = gcd(mg, mh)
+            eg = mg & expmask
+            ge = ((((eg | high) - eh) & high) >> 7) * 0xFF  # bytes where lm(g)'s exponent <= lm(h)'s
+            de = (eg & ge) | (eh & ~ge)  # the gcd's exponent bytes
+            # g from an earlier input, and the signature lm(g) / gcd * sig
+            # under the cap: the syzygy criterion reads its exponent bytes
+            # before its key is formed.
+            early = g < start and mg >> expbits <= room
+            if early and _divided(eg + (sig & expmask) - de, syz, high):
+                continue
+            d = with_degree(de)
+            if early:
+                heappush(pairs, (mg + sig - d, h, g))
+                continue
             s, top, low = times(div(mg, d), sig), h, g
-            if g >= red.start:
-                sg = times(div(mh, d), sigs[g])
+            if g >= start:
+                sg = times(div(monos[h], d), sigs[g])
                 if sg == s:
                     continue  # not a regular pair
                 if sg > s:
                     s, top, low = sg, g, h
-            se = s & expmask
-            if not any((z - se) & high == high for z in syz):
+            if not _divided(s & expmask, syz, high):
                 heappush(pairs, (s, top, low))
         return True
 
@@ -446,11 +499,7 @@ def signature_gb(inputs: list[dict], ring: PolyRing) -> tuple[VectorGB, list[dic
         while pairs:
             s, g, h = heappop(pairs)
             se = s & expmask
-            if (
-                s == last
-                or any((z - se) & high == high for z in syz)
-                or any(divides(sigs[k], s) for k in range(g + 1, len(vecs)))
-            ):
+            if s == last or _divided(se, syz, high) or _divided(se, sdms[g + 1 :], high):
                 continue
             last = s
             tau = lcm(monos[g], monos[h])

@@ -5,6 +5,7 @@ for the small bases, dimension counts by listing monomials) before the
 engine existed; they are frozen, not regenerated.
 """
 
+import hashlib
 import heapq
 import random
 
@@ -810,3 +811,85 @@ def test_hilbert_numerator_leaves_the_basis_unreduced(quadric):
     assert mod.gb()._elements is None
     assert num == twisted_numerator(component_numerators(quadric, module_gb(quadric, vecs, 2), 2), twists)
 
+
+
+# -- outputs pinned across changes to the engine ------------------------------
+
+
+def _digest(outcomes):
+    """A short hash of the outcomes' reprs, in order."""
+    h = hashlib.sha256()
+    for item in outcomes:
+        h.update(repr(item).encode())
+    return h.hexdigest()[:16]
+
+
+def _sorted_terms(vecs):
+    return [sorted(v.items()) for v in vecs]
+
+
+def _near_cap_families(count, seed):
+    """Seeded runs whose inputs sit just under the degree cap: caps 4-9,
+    2-4 variables of weight 1 or 2, p = 2, 3 or 101, ranks 1-2, half of
+    them with the inputs tagged as `syzygies_for` tags them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.randrange(2, 5)
+        weights = tuple(rng.randrange(1, 3) for _ in range(nvars))
+        cap = rng.randrange(4, 10)
+        ring = ring_with(["a", "b", "c", "d"][:nvars], p=rng.choice((2, 3, 101)), weights=weights, degree_cap=cap)
+        codec = module_codec(ring)
+        twists = [rng.randrange(0, 2) for _ in range(rng.randrange(1, 3))]
+        tagged = rng.random() < 0.5
+        vecs = []
+        for j in range(rng.randrange(2, 5)):
+            d = rng.randrange(max(cap - 4, 1), cap) + max(twists)
+            vec = {}
+            for c, a in enumerate(twists):
+                if d - a <= cap:
+                    f = ring.random_homogeneous(rng, d - a, density=0.5)
+                    vec.update({codec.mkey(k, c): v for k, v in f.raw().items()})
+            if vec:
+                if tagged:
+                    vec[codec.mkey(ring.unit_key, j, tag=True)] = 1
+                vecs.append(vec)
+        yield ring, vecs
+
+
+def _run_outcome(inputs, ring):
+    """A run's leads, reduced basis and syzygies, or the message of the
+    DegreeCapError it raised."""
+    try:
+        gbv, syz = signature_gb(inputs, ring)
+    except DegreeCapError as exc:
+        return str(exc)
+    return gbv.leads(), _sorted_terms(gbv.elements), _sorted_terms(syz)
+
+
+def test_near_cap_runs_are_pinned():
+    # Digests taken before the syzygy criterion was tested on exponent
+    # bytes ahead of each pair's signature key: every basis, syzygy and
+    # DegreeCapError message must stay, so a pair past the cap still
+    # raises where it did.  A copy of the engine that skips the cap bound
+    # on that path changes outcomes here.
+    outcomes = [_run_outcome(vecs, ring) for ring, vecs in _near_cap_families(3000, 43)]
+    assert sum(isinstance(o, str) for o in outcomes) == 1727
+    assert _digest(o for o in outcomes if isinstance(o, str)) == "54142c1006772eeb"
+    assert _digest(outcomes) == "416e710ef0e08c2a"
+
+
+def test_module_span_runs_are_pinned(quadric):
+    # Untagged (`module_gb`) and tagged (`syzygies_for`) runs over the
+    # quadric, the cubic and the weighted ring, ranks 1-3: leads, reduced
+    # bases and syzygies as digested before the change above.
+    outcomes = []
+    for name, ctx in (("quadric", quadric), ("cubic", _cubic_ctx()), ("weighted", _weighted_ctx())):
+        rng = random.Random(f"spans-{name}")
+        for n in range(12):
+            rank = 1 + n % 3
+            vecs, _ = _family(ctx, rng, rank)
+            gbv = module_gb(ctx, vecs, rank)
+            syz = syzygies_for(ctx, vecs, rank)
+            outcomes.append((gbv.leads(), _sorted_terms(gbv.elements), _sorted_terms(syz)))
+    assert sum(len(o[2]) for o in outcomes) == 34
+    assert _digest(outcomes) == "2728f6939c595622"

@@ -407,6 +407,23 @@ def test_stable_suite_leaves_infinite_ext_undecided(monkeypatch, gor5):
     assert shifts["base"] == shifts["syzygy_shift"] == shifts["dual_swap"] == 1
 
 
+def test_stable_suite_leaves_infinite_stable_shift_undecided(monkeypatch, quadric):
+    # Over the quadric, w is a nonzerodivisor, so Hom(R/(w), R) = 0: no
+    # map factors through a free module, and stable Hom(R/(w), R/(w)) is
+    # R/(w), of infinite length.  `is_mcm` is patched to admit R/(w) and
+    # `derived_dims` to vanish, so each per-index entry holds, and the
+    # stable shifts alone leave the verdict "not established".  R/(w) has
+    # a free first syzygy and a zero dual, so the other two read 0.
+    monkeypatch.setattr(vanishing, "is_mcm", lambda X: True)
+    monkeypatch.setattr(vanishing, "derived_dims", lambda kind, M, N, i: {})
+    M = _cyclic(quadric, "w")
+    rep = stable_suite_check(M, M, (2, 3))
+    assert rep.verdict == "not established" and rep.replay is None
+    for entry in rep.details["per_index"].values():
+        assert entry == {"four_term": "ok", "stable_hom_dim": {"expected": 0, "actual": 0, "ok": True}}
+    assert rep.details["stable_shifts"] == {"base": None, "syzygy_shift": 0, "dual_swap": 0}
+
+
 def test_stable_suite_on_residue_field(gor5):
     rep = stable_suite_check(_k(gor5), _k(gor5), (2, 3))
     assert rep.verdict == "consistent"
@@ -486,6 +503,59 @@ def test_change_of_rings_rejects_foreign_modules(plane_quotient):
     S, f, _ = plane_quotient
     with pytest.raises(ValueError):
         change_of_rings_check(S, f, _k(S), _k(S), 8)
+
+
+def _dims_by_ring(monkeypatch, S, over_base, over_quotient):
+    """Make `vanishing.derived_dims` answer `over_base` for modules over
+    S and `over_quotient` for those over S/(f), at every index."""
+    monkeypatch.setattr(vanishing, "derived_dims",
+                        lambda kind, M, N, i: over_base if M.ctx is S else over_quotient)
+
+
+def test_change_of_rings_leaves_infinite_quotient_values_undecided(monkeypatch, plane_quotient):
+    # Values over S/(f) of infinite length, and zero over S, so every
+    # periodicity window is silent over S: each comparison is undecided,
+    # none is a violation.
+    S, f, R = plane_quotient
+    _dims_by_ring(monkeypatch, S, {}, None)
+    rep = change_of_rings_check(S, f, _k(R), _k(R), 4)
+    assert rep.verdict == "not established" and rep.replay is None
+    undecided = "undecided (infinite length)"
+    assert rep.details["ext_inequality"] == rep.details["tor_inequality"] == {i: undecided for i in range(1, 5)}
+    assert rep.details["periodicity"] == {1: undecided, 2: undecided}
+    assert rep.details["syzygy_transfer"] == {i: undecided for i in range(5)}
+    assert "failures" not in rep.details
+
+
+@pytest.mark.parametrize("over_base, over_quotient, failed", [
+    # Ext and Tor over S above their bounds, and the transfer unequal.
+    ({0: 1}, {}, ["ext_inequality", "tor_inequality", "syzygy_transfer"]),
+    # Silent over S, so periodicity is compared, and Ext over S/(f) does
+    # not repeat shifted by deg f; the transfer is unequal again.
+    ({}, {0: 1}, ["periodicity", "syzygy_transfer"]),
+])
+def test_change_of_rings_reports_each_violation(monkeypatch, plane_quotient, over_base, over_quotient, failed):
+    S, f, R = plane_quotient
+    _dims_by_ring(monkeypatch, S, over_base, over_quotient)
+    rep = change_of_rings_check(S, f, _k(R), _k(R), 4)
+    assert rep.verdict == "VIOLATION" and rep.replay is not None
+    assert sorted({item.split(" at ")[0] for item in rep.details["failures"]}) == sorted(failed)
+    if "ext_inequality" in failed:
+        assert rep.details["ext_inequality"][1] == {0: {"value": 1, "bound": 0}}
+    if "periodicity" in failed:
+        assert rep.details["periodicity"][1] == {"expected": {-2: 1}, "actual": {0: 1}}
+    assert rep.details["syzygy_transfer"][0] == {"over_base": over_base, "over_quotient": over_quotient}
+
+
+def test_change_of_rings_transfers_through_s_when_the_restriction_is_free(plane_quotient):
+    # The zero module restricts to the zero module over S, which is free
+    # with no first syzygy, so the transfer runs on S itself: Ext^0_S(S, k)
+    # and Ext^0_R(R, k) are both k.
+    S, f, R = plane_quotient
+    rep = change_of_rings_check(S, f, PresentedModule.free(R, ()), _k(R), 4)
+    assert rep.verdict == "consistent"
+    assert rep.details["syzygy_transfer_note"] == "restricted module was free; used S itself"
+    assert rep.details["syzygy_transfer"] == {i: "ok" for i in range(5)}
 
 
 # -- external products ------------------------------------------------------
